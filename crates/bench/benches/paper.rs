@@ -1,5 +1,5 @@
 //! Paper benches, criterion-free: the execution-time consequence of every
-//! optimization the paper studies, plus a thread sweep over the parallel
+//! optimization the paper studies, plus a thread sweep over the
 //! executor. Each group runs the same plan unoptimized (a system without
 //! the rule) and optimized (the HANA profile), so the reported ratio is
 //! the payoff of the rewrite. Runs offline with a plain `harness = false`
@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 use vdm_bench::{harness, queries};
-use vdm_exec::ParallelConfig;
+use vdm_exec::{ExecOptions, ParallelConfig};
 use vdm_optimizer::Optimizer;
 use vdm_plan::{LogicalPlan, PlanRef};
 use vdm_storage::StorageEngine;
@@ -23,8 +23,12 @@ fn report(group: &str, name: &str, d: Duration) {
 fn bench_pair(group: &str, engine: &StorageEngine, plan: &PlanRef) {
     let hana = Optimizer::hana();
     let optimized = hana.optimize(plan).expect("optimize");
-    report(group, "unoptimized", harness::time_plan(engine, plan, ITERS));
-    report(group, "hana_optimized", harness::time_plan(engine, &optimized, ITERS));
+    report(group, "unoptimized", harness::time_plan(engine, plan, &ExecOptions::default(), ITERS));
+    report(
+        group,
+        "hana_optimized",
+        harness::time_plan(engine, &optimized, &ExecOptions::default(), ITERS),
+    );
 }
 
 /// Table 1: UAJ elimination payoff (UAJ 1 and the hardest case UAJ 1b).
@@ -83,16 +87,20 @@ fn case_join() {
     let orig = hana.optimize(&page(&deep.original)).unwrap();
     let plain = hana.optimize(&page(&deep.extended_plain)).unwrap();
     let with_case = hana.optimize(&page(&deep.extended_case)).unwrap();
-    report("fig14/deep_view_paging", "original", harness::time_plan(&engine, &orig, ITERS));
+    report(
+        "fig14/deep_view_paging",
+        "original",
+        harness::time_plan(&engine, &orig, &ExecOptions::default(), ITERS),
+    );
     report(
         "fig14/deep_view_paging",
         "extended_no_intent",
-        harness::time_plan(&engine, &plain, ITERS),
+        harness::time_plan(&engine, &plain, &ExecOptions::default(), ITERS),
     );
     report(
         "fig14/deep_view_paging",
         "extended_case_join",
-        harness::time_plan(&engine, &with_case, ITERS),
+        harness::time_plan(&engine, &with_case, &ExecOptions::default(), ITERS),
     );
 }
 
@@ -107,17 +115,17 @@ fn precision() {
     report(
         "sec7/precision_loss",
         "exact_rounding",
-        harness::time_plan(&engine, &strict_opt, ITERS),
+        harness::time_plan(&engine, &strict_opt, &ExecOptions::default(), ITERS),
     );
     report(
         "sec7/precision_loss",
         "allow_precision_loss",
-        harness::time_plan(&engine, &loose_opt, ITERS),
+        harness::time_plan(&engine, &loose_opt, &ExecOptions::default(), ITERS),
     );
 }
 
-/// Thread sweep: the morsel-driven parallel path over the Fig. 3 browser,
-/// at 1/2/4/8 worker threads (1 = the exact legacy serial path).
+/// Thread sweep: the Fig. 3 browser at 1/2/4/8 worker threads (1 = the
+/// engine's serial mode).
 fn thread_sweep() {
     let erp = vdm_data::erp::Erp { journal_rows: 20_000, seed: 4711 };
     let mut catalog = vdm_catalog::Catalog::new();
@@ -127,8 +135,9 @@ fn thread_sweep() {
     let hana = Optimizer::hana();
     let plan = hana.optimize(&browser.protected).expect("optimize");
     for threads in [1usize, 2, 4, 8] {
-        let config = ParallelConfig { threads, ..ParallelConfig::default() };
-        let d = harness::time_plan_parallel(&engine, &plan, config, 5);
+        let parallel = ParallelConfig { threads, ..ParallelConfig::default() };
+        let opts = ExecOptions { parallel, ..ExecOptions::default() };
+        let d = harness::time_plan(&engine, &plan, &opts, 5);
         report("parallel/fig3_browser", &format!("threads={threads}"), d);
     }
 }

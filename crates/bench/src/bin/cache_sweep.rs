@@ -122,7 +122,8 @@ fn fmt_duration(d: Duration) -> String {
 }
 
 fn to_json(fact_rows: usize, results: &[FractionResult]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"cache_sweep\",\n");
+    let mut out =
+        format!("{{\n  \"bench\": \"cache_sweep\",\n  {},\n", vdm_bench::harness::host_json());
     let _ = writeln!(out, "  \"workload\": \"agg_over_join\",\n  \"base_rows\": {fact_rows},");
     out.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
@@ -196,8 +197,7 @@ fn main() {
                 outcome.describe()
             );
             let t0 = Instant::now();
-            let (cold, _) =
-                vdm_exec::execute_at(&plan, &engine, engine.snapshot()).expect("full recompute");
+            let cold = vdm_exec::execute(&plan, &engine).expect("full recompute");
             full_samples.push(t0.elapsed());
             let served = view.read(&engine).expect("read view");
             assert_eq!(

@@ -16,6 +16,7 @@
 
 use vdm_bench::harness;
 use vdm_data::figview::{generate, Fig14Config};
+use vdm_exec::ExecOptions;
 use vdm_optimizer::Optimizer;
 use vdm_plan::{plan_stats, LogicalPlan, PlanRef};
 
@@ -39,9 +40,12 @@ fn main() {
         let with_case = hana.optimize(&page(&case.extended_case)).expect("optimize case");
         let hit = plan_stats(&plain).joins == plan_stats(&orig).joins;
         recognized += hit as usize;
-        let t_orig = harness::time_plan(&engine, &orig, 5).as_secs_f64() * 1e6;
-        let t_plain = harness::time_plan(&engine, &plain, 5).as_secs_f64() * 1e6;
-        let t_case = harness::time_plan(&engine, &with_case, 5).as_secs_f64() * 1e6;
+        let t_orig =
+            harness::time_plan(&engine, &orig, &ExecOptions::default(), 5).as_secs_f64() * 1e6;
+        let t_plain =
+            harness::time_plan(&engine, &plain, &ExecOptions::default(), 5).as_secs_f64() * 1e6;
+        let t_case =
+            harness::time_plan(&engine, &with_case, &ExecOptions::default(), 5).as_secs_f64() * 1e6;
         if case.deep {
             slowdown_a_deep.push(t_plain / t_orig.max(1e-9));
         } else {

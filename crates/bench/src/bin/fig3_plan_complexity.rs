@@ -11,6 +11,7 @@
 
 use vdm_bench::harness;
 use vdm_data::erp::{journal_entry_item_browser, Erp};
+use vdm_exec::ExecOptions;
 use vdm_optimizer::Optimizer;
 use vdm_plan::{plan_stats, LogicalPlan, PlanStats};
 
@@ -80,8 +81,8 @@ fn main() {
     println!("Optimized count(*) plan:\n{}", vdm_plan::explain(&optimized));
 
     // Execution-time consequence.
-    let t_raw = harness::time_plan(&engine, &count_plan, 3);
-    let t_opt = harness::time_plan(&engine, &optimized, 3);
+    let t_raw = harness::time_plan(&engine, &count_plan, &ExecOptions::default(), 3);
+    let t_opt = harness::time_plan(&engine, &optimized, &ExecOptions::default(), 3);
     println!("count(*) over 20k journal lines:");
     println!("  unoptimized: {}", harness::fmt_duration(t_raw));
     println!("  optimized:   {}", harness::fmt_duration(t_opt));
@@ -95,8 +96,8 @@ fn main() {
     // Also report a full-width paging query on the view.
     let select_star = LogicalPlan::limit(browser.protected.clone(), 0, Some(100));
     let star_opt = hana.optimize(&select_star).unwrap();
-    let t_star_raw = harness::time_plan(&engine, &select_star, 3);
-    let t_star_opt = harness::time_plan(&engine, &star_opt, 3);
+    let t_star_raw = harness::time_plan(&engine, &select_star, &ExecOptions::default(), 3);
+    let t_star_opt = harness::time_plan(&engine, &star_opt, &ExecOptions::default(), 3);
     println!("\nselect * ... limit 100:");
     println!("  unoptimized: {}", harness::fmt_duration(t_star_raw));
     println!(

@@ -26,11 +26,12 @@
 //! check).
 
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+use vdm_bench::harness;
 use vdm_cache::multiset_digest;
 use vdm_core::{feedback, Database, EngineStats, ParallelConfig};
+use vdm_exec::ExecOptions;
 use vdm_obs::{names, MetricsRegistry, QueryStore};
-use vdm_plan::PlanRef;
 use vdm_types::{SplitMix64, Value};
 
 const DIM_ROWS: i64 = 1_000;
@@ -282,19 +283,6 @@ fn build(db: &mut Database, shape: Shape, joins: usize, fact_rows: i64) -> Strin
     sql
 }
 
-/// Median execution time of `plan` over `iters` runs.
-fn time_plan(db: &Database, plan: &PlanRef, parallel: ParallelConfig, iters: usize) -> Duration {
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        vdm_exec::execute_parallel_at(plan, db.engine(), db.engine().snapshot(), parallel)
-            .expect("execute");
-        samples.push(t0.elapsed());
-    }
-    samples.sort();
-    samples[iters / 2]
-}
-
 /// One workload: builds the data, derives the three plan variants,
 /// asserts multiset-identical results, and times each.
 fn run_one(
@@ -306,6 +294,7 @@ fn run_one(
 ) -> SweepResult {
     let mut db = Database::hana();
     db.set_parallelism(parallel);
+    let opts = ExecOptions { parallel, ..ExecOptions::default() };
     let sql = build(&mut db, shape, joins, fact_rows);
     let bound = db.plan(&sql).expect("bind");
     let stats = EngineStats::new(db.engine());
@@ -320,9 +309,11 @@ fn run_one(
     // Feedback-corrected: one profiled run of the estimate-only plan
     // supplies observed per-node cardinalities as overriding estimates —
     // the same evidence the plan-cache hit path feeds back.
-    let (_, _, profile) =
-        vdm_exec::execute_profiled_at(&plan_est, db.engine(), db.engine().snapshot(), parallel)
-            .expect("profiled run");
+    let profile =
+        vdm_exec::execute_with(&plan_est, db.engine(), &ExecOptions { profile: true, ..opts })
+            .expect("profiled run")
+            .profile
+            .expect("profiling was requested");
     let observed: Vec<(u32, f64)> =
         profile.nodes.iter().map(|(id, s)| (*id as u32, s.rows_out as f64)).collect();
     let overrides = feedback::overrides_from_observed(&plan_est, &observed);
@@ -344,9 +335,9 @@ fn run_one(
         shape: shape.name(),
         joins,
         rows_out: b_rule.num_rows(),
-        rule: time_plan(&db, &plan_rule, parallel, iters),
-        estimate: time_plan(&db, &plan_est, parallel, iters),
-        feedback: time_plan(&db, &plan_fb, parallel, iters),
+        rule: harness::time_plan(db.engine(), &plan_rule, &opts, iters),
+        estimate: harness::time_plan(db.engine(), &plan_est, &opts, iters),
+        feedback: harness::time_plan(db.engine(), &plan_fb, &opts, iters),
     }
 }
 
@@ -382,7 +373,7 @@ fn fmt_duration(d: Duration) -> String {
 }
 
 fn to_json(fact_rows: i64, results: &[SweepResult], reopts: u64) -> String {
-    let mut out = String::from("{\n  \"bench\": \"join_sweep\",\n");
+    let mut out = format!("{{\n  \"bench\": \"join_sweep\",\n  {},\n", harness::host_json());
     let _ = writeln!(out, "  \"fact_rows\": {fact_rows},");
     let _ = writeln!(out, "  \"live_loop_reoptimizations\": {reopts},");
     out.push_str("  \"results\": [\n");

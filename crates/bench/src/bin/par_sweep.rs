@@ -1,6 +1,9 @@
-//! Thread sweep for the morsel-driven parallel executor.
+//! Thread sweep for the morsel-driven executor.
 //!
-//! Two workloads, each run at `threads ∈ {1, 2, 4, 8}`:
+//! Two workloads, each run at `threads ∈ {1, 2, 4, 8}` capped at the
+//! host's cores (a step above the core count measures oversubscription,
+//! not scaling). `threads: 1` is the same engine's serial mode, so every
+//! "speedup" is scaling of one engine against itself:
 //!
 //! 1. **browser** — the Fig. 3 `journal_entry_item_browser` full
 //!    scan-and-join over the ERP dataset, optimized under the HANA
@@ -14,10 +17,11 @@
 //!
 //! Run: `cargo run --release -p vdm-bench --bin par_sweep`
 //! Optional args: `par_sweep <fact_rows> <journal_rows>`, plus
-//! `--threads=1,4` to restrict the sweep's thread steps and
-//! `--gate-agg-speedup=2.5` to exit non-zero when the agg_over_join
-//! speedup at the highest thread step falls below the gate (the CI
-//! thread-scaling smoke check).
+//! `--threads=1,4` to restrict the sweep's thread steps (still capped at
+//! the cores) and `--gate-scaling-efficiency=0.6` to exit non-zero when
+//! the agg_over_join speedup at the highest step `t` falls below
+//! `0.6·t` (the CI thread-scaling smoke check; reported as unresolved and
+//! skipped on a single core).
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -25,7 +29,7 @@ use std::time::Duration;
 use vdm_bench::harness;
 use vdm_catalog::TableBuilder;
 use vdm_data::erp::{journal_entry_item_browser, Erp};
-use vdm_exec::ParallelConfig;
+use vdm_exec::{ExecOptions, ParallelConfig};
 use vdm_expr::{AggExpr, AggFunc, Expr};
 use vdm_optimizer::{Optimizer, Profile};
 use vdm_plan::{LogicalPlan, PlanRef};
@@ -45,6 +49,11 @@ struct Workload {
     results: Vec<SweepResult>,
 }
 
+fn opts(threads: usize, profile: bool) -> ExecOptions {
+    let parallel = ParallelConfig { threads, ..ParallelConfig::default() };
+    ExecOptions { snapshot: None, parallel, profile }
+}
+
 fn sweep(
     name: &'static str,
     rows: usize,
@@ -58,14 +67,13 @@ fn sweep(
     // runtime would otherwise land entirely on whichever steps run last
     // and masquerade as a scaling regression. One warm-up pass per step
     // first, then `iters` interleaved rounds, median per step.
-    let cfg = |threads| ParallelConfig { threads, ..ParallelConfig::default() };
     for &threads in steps {
-        harness::time_plan_parallel(engine, plan, cfg(threads), 1);
+        harness::time_plan(engine, plan, &opts(threads, false), 1);
     }
     let mut samples: Vec<Vec<std::time::Duration>> = vec![Vec::with_capacity(iters); steps.len()];
     for _ in 0..iters {
         for (si, &threads) in steps.iter().enumerate() {
-            samples[si].push(harness::time_plan_parallel(engine, plan, cfg(threads), 1));
+            samples[si].push(harness::time_plan(engine, plan, &opts(threads, false), 1));
         }
     }
     let mut results = Vec::new();
@@ -78,9 +86,9 @@ fn sweep(
     // Per-operator-class CPU time at the sweep's endpoints, from the
     // executor's timing counters (worker-local sums, merged at joins).
     for threads in [steps[0], steps[steps.len() - 1]] {
-        let config = ParallelConfig { threads, ..ParallelConfig::default() };
-        let (_, m) = vdm_exec::execute_parallel_at(plan, engine, engine.snapshot(), config)
-            .expect("plan executes");
+        let m = vdm_exec::execute_with(plan, engine, &opts(threads, false))
+            .expect("plan executes")
+            .metrics;
         let ms = |n: u64| n as f64 / 1e6;
         println!(
             "  {name:>14}  threads={threads} operator CPU ms: scan={:.1} filter={:.1} project={:.1} join={:.1} agg={:.1} sort={:.1} union={:.1}",
@@ -170,7 +178,7 @@ fn obs_json(
     optimized: &PlanRef,
     threads: usize,
 ) -> String {
-    let config = ParallelConfig { threads, ..ParallelConfig::default() };
+    let (plain, profiled) = (opts(threads, false), opts(threads, true));
     // Interleave the paired samples so slow machine-load drift hits both
     // paths equally, and *alternate which run goes first within each pair*
     // — a fixed order hands the second run warm caches every time, which
@@ -180,18 +188,18 @@ fn obs_json(
     // sorted sample sets can pick their medians from different load
     // phases and report a spurious offset that delta-per-pair cancels.
     let iters = 9;
-    harness::time_plan_parallel(engine, optimized, config, 1);
-    harness::time_plan_profiled(engine, optimized, config, 1);
+    harness::time_plan(engine, optimized, &plain, 1);
+    harness::time_plan(engine, optimized, &profiled, 1);
     let mut unprofiled_samples = Vec::with_capacity(iters);
     let mut deltas = Vec::with_capacity(iters);
     for i in 0..iters {
         let (u, p) = if i % 2 == 0 {
-            let u = harness::time_plan_parallel(engine, optimized, config, 1);
-            let p = harness::time_plan_profiled(engine, optimized, config, 1);
+            let u = harness::time_plan(engine, optimized, &plain, 1);
+            let p = harness::time_plan(engine, optimized, &profiled, 1);
             (u, p)
         } else {
-            let p = harness::time_plan_profiled(engine, optimized, config, 1);
-            let u = harness::time_plan_parallel(engine, optimized, config, 1);
+            let p = harness::time_plan(engine, optimized, &profiled, 1);
+            let u = harness::time_plan(engine, optimized, &plain, 1);
             (u, p)
         };
         unprofiled_samples.push(u);
@@ -205,17 +213,19 @@ fn obs_json(
     // overhead sits below this machine's run-to-run noise floor. Clamp to
     // zero rather than publishing a spurious negative number.
     let median_delta = deltas[iters / 2].max(0.0);
-    let profiled = Duration::from_secs_f64((unprofiled.as_secs_f64() + median_delta).max(0.0));
+    let profiled_median =
+        Duration::from_secs_f64((unprofiled.as_secs_f64() + median_delta).max(0.0));
     let overhead_pct = median_delta / unprofiled.as_secs_f64().max(f64::EPSILON) * 100.0;
     let (_, trace) =
         Optimizer::new(Profile::hana()).optimize_traced(bound).expect("traced optimize");
-    let (_, _, profile) =
-        vdm_exec::execute_profiled_at(optimized, engine, engine.snapshot(), config)
-            .expect("profiled run");
+    let profile = vdm_exec::execute_with(optimized, engine, &profiled)
+        .expect("profiled run")
+        .profile
+        .expect("profiling was requested");
     println!(
         "  {:>14}  threads={threads} profiled={} unprofiled={} overhead={overhead_pct:.1}%",
         "browser(obs)",
-        harness::fmt_duration(profiled),
+        harness::fmt_duration(profiled_median),
         harness::fmt_duration(unprofiled),
     );
     let mut out = String::new();
@@ -223,7 +233,7 @@ fn obs_json(
         out,
         "  \"obs\": {{\"workload\": \"browser\", \"threads\": {threads}, \"unprofiled_millis\": {:.3}, \"profiled_millis\": {:.3}, \"overhead_pct\": {overhead_pct:.2},\n    \"rewrite_hits\": {{",
         unprofiled.as_secs_f64() * 1e3,
-        profiled.as_secs_f64() * 1e3,
+        profiled_median.as_secs_f64() * 1e3,
     );
     for (i, (rule, n)) in trace.hit_counts().iter().enumerate() {
         let _ = write!(out, "{}\"{rule}\": {n}", if i == 0 { "" } else { ", " });
@@ -245,14 +255,19 @@ fn obs_json(
 }
 
 fn to_json(workloads: &[Workload], obs: &str) -> String {
-    let mut out = String::from("{\n  \"bench\": \"par_sweep\",\n  \"workloads\": [\n");
+    // `speedup` is each step's median against the same engine at
+    // `threads: 1` on this host; `rows` per workload is the data scale.
+    let mut out = format!(
+        "{{\n  \"bench\": \"par_sweep\",\n  {},\n  \"speedup_baseline\": \"threads=1\",\n  \"workloads\": [\n",
+        harness::host_json()
+    );
     for (wi, w) in workloads.iter().enumerate() {
-        let serial = w.results.first().map(|r| r.median.as_secs_f64()).unwrap_or(0.0);
+        let base = w.results.first().map(|r| r.median.as_secs_f64()).unwrap_or(0.0);
         let _ = write!(out, "    {{\"name\": \"{}\", \"rows\": {}, \"results\": [", w.name, w.rows);
         for (i, r) in w.results.iter().enumerate() {
             let millis = r.median.as_secs_f64() * 1e3;
             let speedup =
-                if r.median.as_secs_f64() > 0.0 { serial / r.median.as_secs_f64() } else { 0.0 };
+                if r.median.as_secs_f64() > 0.0 { base / r.median.as_secs_f64() } else { 0.0 };
             let _ = write!(
                 out,
                 "{}{{\"threads\": {}, \"millis\": {millis:.3}, \"speedup\": {speedup:.2}}}",
@@ -271,7 +286,7 @@ fn to_json(workloads: &[Workload], obs: &str) -> String {
 fn main() {
     let mut positional: Vec<usize> = Vec::new();
     let mut steps: Vec<usize> = DEFAULT_THREAD_STEPS.to_vec();
-    let mut gate_agg_speedup: Option<f64> = None;
+    let mut gate_efficiency: Option<f64> = None;
     for arg in std::env::args().skip(1) {
         if let Some(list) = arg.strip_prefix("--threads=") {
             steps = list
@@ -279,21 +294,26 @@ fn main() {
                 .map(|s| s.trim().parse().expect("--threads takes a comma-separated list"))
                 .collect();
             assert!(!steps.is_empty(), "--threads needs at least one step");
-        } else if let Some(gate) = arg.strip_prefix("--gate-agg-speedup=") {
-            gate_agg_speedup = Some(gate.parse().expect("--gate-agg-speedup takes a number"));
+        } else if let Some(gate) = arg.strip_prefix("--gate-scaling-efficiency=") {
+            gate_efficiency = Some(gate.parse().expect("--gate-scaling-efficiency takes a number"));
         } else {
             positional.push(arg.parse().expect("positional args are row counts"));
         }
     }
     let fact_rows: usize = positional.first().copied().unwrap_or(1_000_000);
     let journal_rows: usize = positional.get(1).copied().unwrap_or(100_000);
-    let max_threads = *steps.iter().max().expect("non-empty steps");
+    // Steps above the core count collapse onto it: `--threads=1,4` sweeps
+    // {1, min(4, cores)}.
+    let cores = harness::host_cores();
+    for step in &mut steps {
+        *step = (*step).clamp(1, cores);
+    }
+    steps.sort_unstable();
+    steps.dedup();
+    let max_threads = *steps.last().expect("non-empty steps");
 
     println!("== par_sweep: morsel-driven executor thread sweep ==");
-    println!(
-        "available parallelism: {}",
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    );
+    println!("available parallelism: {cores}; thread steps: {steps:?}");
 
     // Workload 1: Fig. 3 browser over ERP data, optimized under HANA.
     println!("\n[browser] journal_entry_item_browser, journal_rows={journal_rows}");
@@ -320,24 +340,29 @@ fn main() {
 
     let mut agg_max_speedup = f64::INFINITY;
     for w in &workloads {
-        let serial = w.results[0].median.as_secs_f64();
+        let base = w.results[0].median.as_secs_f64();
         if let Some(top) = w.results.iter().find(|r| r.threads == max_threads) {
-            let speedup = serial / top.median.as_secs_f64().max(f64::EPSILON);
-            println!("{}: threads={max_threads} speedup over serial = {speedup:.2}x", w.name);
+            let speedup = base / top.median.as_secs_f64().max(f64::EPSILON);
+            println!("{}: threads={max_threads} speedup over threads=1 = {speedup:.2}x", w.name);
             if w.name == "agg_over_join" {
                 agg_max_speedup = speedup;
             }
         }
     }
-    if let Some(gate) = gate_agg_speedup {
+    if let Some(efficiency) = gate_efficiency {
+        if cores == 1 {
+            println!("gate: agg_over_join scaling efficiency unresolved (1 core)");
+            return;
+        }
+        let gate = efficiency * max_threads as f64;
         if agg_max_speedup < gate {
             eprintln!(
-                "FAIL: agg_over_join threads={max_threads} speedup {agg_max_speedup:.2}x is below the {gate:.2}x gate"
+                "FAIL: agg_over_join threads={max_threads} speedup {agg_max_speedup:.2}x is below {efficiency:.2}·{max_threads} = {gate:.2}x"
             );
             std::process::exit(1);
         }
         println!(
-            "gate: agg_over_join threads={max_threads} speedup {agg_max_speedup:.2}x clears the {gate:.2}x gate"
+            "gate: agg_over_join threads={max_threads} speedup {agg_max_speedup:.2}x clears {efficiency:.2}·{max_threads} = {gate:.2}x"
         );
     }
 }

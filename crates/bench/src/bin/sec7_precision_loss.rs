@@ -11,6 +11,7 @@
 //! Run: `cargo run --release -p vdm-bench --bin sec7_precision_loss`
 
 use vdm_bench::{harness, queries};
+use vdm_exec::ExecOptions;
 use vdm_optimizer::Optimizer;
 use vdm_types::Value;
 
@@ -22,8 +23,8 @@ fn main() {
     let strict_opt = hana.optimize(&strict).expect("optimize strict");
     let loose_opt = hana.optimize(&loose).expect("optimize loose");
 
-    let t_strict = harness::time_plan(&engine, &strict_opt, 5);
-    let t_loose = harness::time_plan(&engine, &loose_opt, 5);
+    let t_strict = harness::time_plan(&engine, &strict_opt, &ExecOptions::default(), 5);
+    let t_loose = harness::time_plan(&engine, &loose_opt, &ExecOptions::default(), 5);
     println!("== §7.1: sum(round(price * 1.11, 2)) group by supplier ==");
     println!("  exact rounding:        {}", harness::fmt_duration(t_strict));
     println!("  allow_precision_loss:  {}", harness::fmt_duration(t_loose));

@@ -5,6 +5,7 @@
 //! Run: `cargo run --release -p vdm-bench --bin table2_limit`
 
 use vdm_bench::{harness, queries};
+use vdm_exec::ExecOptions;
 use vdm_optimizer::{Optimizer, Profile};
 
 fn main() {
@@ -36,14 +37,15 @@ fn main() {
 
     println!("\nExecution time (select * ⟕ limit 100 offset 1, sf=0.2):");
     let hana = Optimizer::hana().optimize(&paging).unwrap();
-    let t_raw = harness::time_plan(&engine, &paging, 5);
-    let t_opt = harness::time_plan(&engine, &hana, 5);
+    let t_raw = harness::time_plan(&engine, &paging, &ExecOptions::default(), 5);
+    let t_opt = harness::time_plan(&engine, &hana, &ExecOptions::default(), 5);
     println!("  without pushdown: {}", harness::fmt_duration(t_raw));
     println!("  with pushdown:    {}", harness::fmt_duration(t_opt));
     println!("  speedup:          {:.1}x", t_raw.as_secs_f64() / t_opt.as_secs_f64().max(1e-9));
     // The pushdown also changes the join's build side economics: report
     // the rows that flow into the join in both shapes.
-    let (_, m_raw) = vdm_exec::execute_at(&paging, &engine, engine.snapshot()).unwrap();
-    let (_, m_opt) = vdm_exec::execute_at(&hana, &engine, engine.snapshot()).unwrap();
+    let opts = ExecOptions::default();
+    let m_raw = vdm_exec::execute_with(&paging, &engine, &opts).unwrap().metrics;
+    let m_opt = vdm_exec::execute_with(&hana, &engine, &opts).unwrap().metrics;
     println!("  join output rows: {} -> {}", m_raw.join_output_rows, m_opt.join_output_rows);
 }

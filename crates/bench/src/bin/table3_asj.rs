@@ -4,6 +4,7 @@
 //! Run: `cargo run --release -p vdm-bench --bin table3_asj`
 
 use vdm_bench::{harness, queries};
+use vdm_exec::ExecOptions;
 use vdm_optimizer::{Optimizer, Profile};
 
 fn main() {
@@ -40,8 +41,8 @@ fn main() {
     let hana = Optimizer::hana();
     for (name, plan) in &queries_list {
         let optimized = hana.optimize(plan).expect("optimize");
-        let t_raw = harness::time_plan(&engine, plan, 5);
-        let t_opt = harness::time_plan(&engine, &optimized, 5);
+        let t_raw = harness::time_plan(&engine, plan, &ExecOptions::default(), 5);
+        let t_opt = harness::time_plan(&engine, &optimized, &ExecOptions::default(), 5);
         println!(
             "{:12} | {:>12} | {:>12} | {:>7.1}x",
             name,

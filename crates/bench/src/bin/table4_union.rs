@@ -5,6 +5,7 @@
 //! Run: `cargo run --release -p vdm-bench --bin table4_union`
 
 use vdm_bench::{harness, queries};
+use vdm_exec::ExecOptions;
 use vdm_optimizer::{Optimizer, Profile};
 
 fn main() {
@@ -39,8 +40,8 @@ fn main() {
     let hana = Optimizer::hana();
     for (name, plan) in &queries_list {
         let optimized = hana.optimize(plan).expect("optimize");
-        let t_raw = harness::time_plan(&engine, plan, 5);
-        let t_opt = harness::time_plan(&engine, &optimized, 5);
+        let t_raw = harness::time_plan(&engine, plan, &ExecOptions::default(), 5);
+        let t_opt = harness::time_plan(&engine, &optimized, &ExecOptions::default(), 5);
         println!(
             "  {:12} {} -> {}  ({:.1}x)",
             name,

@@ -2,6 +2,7 @@
 
 use std::time::{Duration, Instant};
 use vdm_catalog::Catalog;
+use vdm_exec::ExecOptions;
 use vdm_optimizer::{Optimizer, Profile};
 use vdm_plan::{plan_stats, PlanRef};
 use vdm_storage::StorageEngine;
@@ -15,58 +16,46 @@ pub fn setup_tpch(sf: f64, with_foreign_keys: bool) -> (Catalog, StorageEngine) 
     (catalog, engine)
 }
 
-/// Median wall time of `iters` executions of an (already optimized) plan.
-pub fn time_plan(engine: &StorageEngine, plan: &PlanRef, iters: usize) -> Duration {
+/// Median wall time of `iters` executions of an (already optimized) plan
+/// under `opts` — thread count, morsel size, and whether the per-operator
+/// profile is recorded (the EXPLAIN ANALYZE path; its spread against the
+/// unprofiled median is the observability overhead).
+pub fn time_plan(
+    engine: &StorageEngine,
+    plan: &PlanRef,
+    opts: &ExecOptions,
+    iters: usize,
+) -> Duration {
     let mut samples = Vec::with_capacity(iters);
     for _ in 0..iters {
         let start = Instant::now();
-        let batch = vdm_exec::execute(plan, engine).expect("plan executes");
-        std::hint::black_box(batch.num_rows());
+        let x = vdm_exec::execute_with(plan, engine, opts).expect("plan executes");
+        std::hint::black_box((x.batch.num_rows(), x.profile.map_or(0, |p| p.nodes.len())));
         samples.push(start.elapsed());
     }
     samples.sort();
     samples[samples.len() / 2]
 }
 
-/// Median wall time of `iters` executions on the morsel-driven parallel
-/// executor under `config` (`threads: 1` measures the legacy serial path).
-pub fn time_plan_parallel(
-    engine: &StorageEngine,
-    plan: &PlanRef,
-    config: vdm_exec::ParallelConfig,
-    iters: usize,
-) -> Duration {
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let start = Instant::now();
-        let batch = vdm_exec::execute_parallel(plan, engine, config).expect("plan executes");
-        std::hint::black_box(batch.num_rows());
-        samples.push(start.elapsed());
-    }
-    samples.sort();
-    samples[samples.len() / 2]
+/// Cores the host offers this process (what thread ladders are capped at):
+/// the engine's default thread count.
+pub fn host_cores() -> usize {
+    vdm_exec::ParallelConfig::default().threads
 }
 
-/// Median wall time of `iters` profiled executions (EXPLAIN ANALYZE path):
-/// same engine as [`time_plan_parallel`] plus per-operator stat recording.
-/// The spread against the unprofiled median is the observability overhead.
-pub fn time_plan_profiled(
-    engine: &StorageEngine,
-    plan: &PlanRef,
-    config: vdm_exec::ParallelConfig,
-    iters: usize,
-) -> Duration {
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let start = Instant::now();
-        let (batch, _, profile) =
-            vdm_exec::execute_profiled_at(plan, engine, engine.snapshot(), config)
-                .expect("plan executes");
-        std::hint::black_box((batch.num_rows(), profile.nodes.len()));
-        samples.push(start.elapsed());
-    }
-    samples.sort();
-    samples[samples.len() / 2]
+/// `"host_cores": N, "commit": "…"` — what a `BENCH_*.json` must state
+/// beside its data scale before its numbers can be compared with another
+/// run's. The commit is `git describe --always --dirty` of the working
+/// directory (`unknown` outside a checkout).
+pub fn host_json() -> String {
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    format!("\"host_cores\": {}, \"commit\": \"{commit}\"", host_cores())
 }
 
 /// Optimizes under `profile` and reports whether the plan became join-free
@@ -137,7 +126,7 @@ mod tests {
     fn tpch_setup_and_timing() {
         let (catalog, engine) = setup_tpch(0.01, false);
         let q = crate::queries::uaj1(&catalog).unwrap();
-        let d = time_plan(&engine, &q, 3);
+        let d = time_plan(&engine, &q, &ExecOptions::default(), 3);
         assert!(d.as_nanos() > 0);
         assert!(join_free_under(&Profile::hana(), &q));
         assert!(!join_free_under(&Profile::system_x(), &q));

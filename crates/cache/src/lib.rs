@@ -34,6 +34,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 use vdm_exec::kernels::hash_values;
+use vdm_exec::ParallelConfig;
 use vdm_expr::{AggExpr, BinOp, Expr, Retraction};
 use vdm_obs::registry::{self, MetricsRegistry};
 use vdm_obs::{names, trace as qtrace};
@@ -109,8 +110,9 @@ pub fn multiset_digest(batch: &Batch) -> u64 {
 }
 
 /// Live accumulator state for a folded root aggregate: one slot per
-/// group in first-seen order (matching `ops::aggregate`), with a hidden
-/// per-group live-row count so deletes can tombstone emptied groups.
+/// group in first-seen order (matching the executor's aggregation), with
+/// a hidden per-group live-row count so deletes can tombstone emptied
+/// groups.
 struct GroupState {
     index: HashMap<Vec<Value>, usize>,
     order: Vec<Vec<Value>>,
@@ -219,8 +221,8 @@ impl GroupState {
         Ok(if dirty { RetractOutcome::Dirty(slot) } else { RetractOutcome::Clean })
     }
 
-    /// Rebuilds the dirty slots from a key-filtered scan of the input at
-    /// `now`. Returns `false` when the rebuild cannot be expressed or
+    /// Rebuilds the dirty slots from a key-filtered scan of the input,
+    /// executed by `run`. Returns `false` when the rebuild cannot be expressed or
     /// the filtered rows don't map back cleanly — the caller falls back
     /// to a whole-view recompute.
     fn recompute_groups(
@@ -228,9 +230,8 @@ impl GroupState {
         input: &PlanRef,
         group_by: &[(Expr, String)],
         aggs: &[(AggExpr, String)],
-        engine: &StorageEngine,
-        now: Snapshot,
         dirty: &BTreeSet<usize>,
+        run: impl Fn(&PlanRef) -> Result<Batch>,
     ) -> Result<bool> {
         // An ungrouped aggregate's rebuild *is* a whole-view recompute.
         if group_by.is_empty() {
@@ -258,7 +259,7 @@ impl GroupState {
             });
         }
         let filtered = LogicalPlan::filter(Arc::clone(input), pred.expect("dirty set non-empty"))?;
-        let rows = vdm_exec::execute_at(&filtered, engine, now)?.0;
+        let rows = run(&filtered)?;
         for &slot in dirty {
             self.accs[slot] = aggs.iter().map(|(a, _)| a.accumulator()).collect();
             self.live[slot] = 0;
@@ -334,6 +335,8 @@ pub struct CachedView {
     /// Check every incremental step against a full recompute
     /// (multiset-digest equality). Defaults on in debug builds.
     verify: AtomicBool,
+    /// The owning [`ViewCache`]'s executor configuration.
+    parallel: Arc<Mutex<ParallelConfig>>,
 }
 
 /// The pieces of a folded root aggregate — the `Aggregate` node itself
@@ -354,9 +357,21 @@ fn fold_parts(plan: &PlanRef) -> Option<FoldParts<'_>> {
 fn render_folded(plan: &PlanRef, gs: &GroupState, agg_schema: &Arc<Schema>) -> Result<Batch> {
     let out = gs.render(Arc::clone(agg_schema))?;
     if let LogicalPlan::Project { exprs, schema, .. } = plan.as_ref() {
-        return vdm_exec::delta::project_batch(&out, exprs, Arc::clone(schema));
+        return vdm_exec::kernels::project_batch(&out, exprs, Arc::clone(schema));
     }
     Ok(out)
+}
+
+/// Executes `plan` at `snapshot` under the owner's executor configuration
+/// (on the caller's worker pool when one is installed).
+fn run_at(
+    plan: &PlanRef,
+    engine: &StorageEngine,
+    snapshot: Snapshot,
+    parallel: ParallelConfig,
+) -> Result<Batch> {
+    let opts = vdm_exec::ExecOptions { snapshot: Some(snapshot), parallel, profile: false };
+    Ok(vdm_exec::execute_with(plan, engine, &opts)?.batch)
 }
 
 /// Materializes `plan` at `snapshot`; folded aggregates build group
@@ -366,16 +381,17 @@ fn materialize(
     folds_aggregate: bool,
     engine: &StorageEngine,
     snapshot: Snapshot,
+    parallel: ParallelConfig,
 ) -> Result<(Batch, Option<GroupState>)> {
     if folds_aggregate {
         if let Some((input, group_by, aggs, agg_schema)) = fold_parts(plan) {
-            let in_batch = vdm_exec::execute_at(input, engine, snapshot)?.0;
+            let in_batch = run_at(input, engine, snapshot, parallel)?;
             let gs = GroupState::build(&in_batch, group_by, aggs)?;
             let out = render_folded(plan, &gs, agg_schema)?;
             return Ok((out, Some(gs)));
         }
     }
-    Ok((vdm_exec::execute_at(plan, engine, snapshot)?.0, None))
+    Ok((run_at(plan, engine, snapshot, parallel)?, None))
 }
 
 fn record_refresh(kind: &'static str, seconds: f64, delta_rows: usize) {
@@ -393,11 +409,14 @@ impl CachedView {
         plan: PlanRef,
         mode: CacheMode,
         engine: &StorageEngine,
+        parallel: Arc<Mutex<ParallelConfig>>,
     ) -> Result<CachedView> {
         let started = Instant::now();
         let delta_plan = derive_delta_plan(&plan);
         let snapshot = engine.snapshot();
-        let (batch, groups) = materialize(&plan, delta_plan.folds_aggregate, engine, snapshot)?;
+        let config = *parallel.lock().unwrap();
+        let (batch, groups) =
+            materialize(&plan, delta_plan.folds_aggregate, engine, snapshot, config)?;
         let mut dependencies = scan_tables(&plan);
         dependencies.sort();
         dependencies.dedup();
@@ -416,7 +435,12 @@ impl CachedView {
             }),
             maintenance: Mutex::new(()),
             verify: AtomicBool::new(cfg!(debug_assertions)),
+            parallel,
         })
+    }
+
+    fn parallel(&self) -> ParallelConfig {
+        *self.parallel.lock().unwrap()
     }
 
     /// The cached view's name.
@@ -501,8 +525,13 @@ impl CachedView {
         qtrace::attr("view", &self.name);
         let started = Instant::now();
         let snapshot = engine.snapshot();
-        let (batch, groups) =
-            materialize(&self.plan, self.delta_plan.folds_aggregate, engine, snapshot)?;
+        let (batch, groups) = materialize(
+            &self.plan,
+            self.delta_plan.folds_aggregate,
+            engine,
+            snapshot,
+            self.parallel(),
+        )?;
         let mut state = self.state.lock().unwrap();
         state.data = Arc::new(batch);
         state.as_of = snapshot;
@@ -588,7 +617,7 @@ impl CachedView {
         now: Snapshot,
         current: &Arc<Batch>,
     ) -> Result<Option<usize>> {
-        let d = vdm_exec::eval_signed_delta(&self.plan, engine, as_of, now)?;
+        let d = vdm_exec::eval_signed_delta(&self.plan, engine, as_of, now, self.parallel())?;
         let delta_rows = d.rows();
         let merged = if delta_rows == 0 {
             None // dependencies moved but the view's output did not
@@ -626,7 +655,7 @@ impl CachedView {
         let Some((input, group_by, aggs, agg_schema)) = fold_parts(&self.plan) else {
             return Ok(None);
         };
-        let d = vdm_exec::eval_signed_delta(input, engine, as_of, now)?;
+        let d = vdm_exec::eval_signed_delta(input, engine, as_of, now, self.parallel())?;
         let delta_rows = d.rows();
         if delta_rows == 0 {
             let mut state = self.state.lock().unwrap();
@@ -653,7 +682,11 @@ impl CachedView {
             }
         }
         let recomputed = dirty.len();
-        if !dirty.is_empty() && !gs.recompute_groups(input, group_by, aggs, engine, now, &dirty)? {
+        if !dirty.is_empty()
+            && !gs.recompute_groups(input, group_by, aggs, &dirty, |p| {
+                run_at(p, engine, now, self.parallel())
+            })?
+        {
             self.state.lock().unwrap().stats.minmax_full_refreshes += 1;
             return Ok(None);
         }
@@ -669,7 +702,7 @@ impl CachedView {
     }
 
     fn verify_against_full(&self, engine: &StorageEngine, now: Snapshot) -> Result<()> {
-        let full = vdm_exec::execute_at(&self.plan, engine, now)?.0;
+        let full = run_at(&self.plan, engine, now, self.parallel())?;
         let got = Arc::clone(&self.state.lock().unwrap().data);
         if multiset_digest(&got) != multiset_digest(&full) {
             return Err(VdmError::Exec(format!(
@@ -722,12 +755,22 @@ pub struct ViewCache {
     /// happens *before* the (possibly expensive) materialization and two
     /// racing `register` calls can't both materialize.
     reserved: Mutex<HashSet<String>>,
+    /// Executor configuration for view materialization and maintenance,
+    /// shared with every registered view.
+    parallel: Arc<Mutex<ParallelConfig>>,
 }
 
 impl ViewCache {
     /// Empty cache.
     pub fn new() -> ViewCache {
         ViewCache::default()
+    }
+
+    /// Sets the executor configuration under which views materialize,
+    /// refresh and maintain — the owner forwards its own, so `threads: 1`
+    /// keeps maintenance inline on the calling thread too.
+    pub fn set_parallelism(&self, config: ParallelConfig) {
+        *self.parallel.lock().unwrap() = config;
     }
 
     /// Registers and immediately materializes a cached view. The name is
@@ -751,7 +794,7 @@ impl ViewCache {
         }
         // Materialize outside the registry locks; the reservation holds
         // the name either way.
-        let built = CachedView::new(name, plan, mode, engine);
+        let built = CachedView::new(name, plan, mode, engine, Arc::clone(&self.parallel));
         let mut views = self.views.write().unwrap();
         self.reserved.lock().unwrap().remove(&key);
         let view = Arc::new(built?);
@@ -778,7 +821,7 @@ impl ViewCache {
         if existing.mode() == mode && existing.delta_plan().digest == plan_digest_canonical(&plan) {
             return Ok(existing);
         }
-        let view = Arc::new(CachedView::new(name, plan, mode, engine)?);
+        let view = Arc::new(CachedView::new(name, plan, mode, engine, Arc::clone(&self.parallel))?);
         self.views.write().unwrap().insert(key, Arc::clone(&view));
         Ok(view)
     }
@@ -869,6 +912,21 @@ mod tests {
         cache.refresh_all_static(&engine).unwrap();
         assert_eq!(scv.read(&engine).unwrap().num_rows(), 6);
         assert_eq!(scv.stats().full_refreshes, 2);
+    }
+
+    #[test]
+    fn maintenance_runs_under_the_owners_parallel_config() {
+        let (engine, plan, agg) = setup();
+        let cache = ViewCache::new();
+        let before = cache.register("big_sales", plan, CacheMode::Dynamic, &engine).unwrap();
+        let serial = ParallelConfig { threads: 1, morsel_rows: 3 };
+        cache.set_parallelism(serial);
+        let after = cache.register("n_sales", agg, CacheMode::Static, &engine).unwrap();
+        assert_eq!((before.parallel(), after.parallel()), (serial, serial));
+        engine.insert("sales", vec![vec![Value::Int(100), Value::Int(999)]]).unwrap();
+        assert_eq!(before.read(&engine).unwrap().num_rows(), 6);
+        after.refresh(&engine).unwrap();
+        assert_eq!(after.read(&engine).unwrap().row(0), vec![Value::Int(11)]);
     }
 
     #[test]

@@ -36,8 +36,8 @@
 use std::sync::{Arc, Mutex};
 pub use vdm_cache::{CacheMode, CachedView, MaintainOutcome, ViewCache};
 use vdm_catalog::Catalog;
-use vdm_exec::Metrics;
 pub use vdm_exec::ParallelConfig;
+use vdm_exec::{ExecOptions, Metrics};
 use vdm_obs::trace as qtrace;
 use vdm_obs::{MetricsRegistry, QueryStore, QueryTrace};
 pub use vdm_optimizer::Profile;
@@ -130,6 +130,7 @@ impl Database {
     /// Rebuilds a `Database` from [`DatabaseParts`] (the inverse of
     /// [`Database::into_parts`]).
     pub fn from_parts(parts: DatabaseParts) -> Database {
+        parts.views.set_parallelism(parts.parallel);
         Database {
             state: parts.state,
             engine: parts.engine,
@@ -161,11 +162,13 @@ impl Database {
     }
 
     /// Sets the executor's worker-pool configuration. The default uses all
-    /// available cores; `threads: 1` takes the exact legacy serial path.
+    /// available cores; `threads: 1` is the serial mode (every morsel runs
+    /// inline on the calling thread).
     /// `&mut self` like [`Database::set_profile`], and for the same
     /// reason.
     pub fn set_parallelism(&mut self, config: ParallelConfig) {
         self.parallel = config;
+        self.cache.set_parallelism(config);
     }
 
     /// The active executor configuration.
@@ -417,18 +420,14 @@ impl Database {
 
     /// Executes a prebuilt logical plan (optimizing it first).
     pub fn execute_plan(&self, plan: &PlanRef) -> Result<(Batch, Metrics)> {
-        let optimized = self.state.optimizer.optimize(plan)?;
-        vdm_exec::execute_parallel_at(
-            &optimized,
-            &self.engine,
-            self.engine.snapshot(),
-            self.parallel,
-        )
+        self.execute_plan_unoptimized(&self.state.optimizer.optimize(plan)?)
     }
 
     /// Executes a prebuilt plan WITHOUT optimization (baseline measurement).
     pub fn execute_plan_unoptimized(&self, plan: &PlanRef) -> Result<(Batch, Metrics)> {
-        vdm_exec::execute_parallel_at(plan, &self.engine, self.engine.snapshot(), self.parallel)
+        let opts = ExecOptions { parallel: self.parallel, ..ExecOptions::default() };
+        let x = vdm_exec::execute_with(plan, &self.engine, &opts)?;
+        Ok((x.batch, x.metrics))
     }
 
     /// EXPLAIN text for a SELECT: both the bound and the optimized plan,
@@ -890,6 +889,13 @@ mod tests {
         db.set_parallelism(ParallelConfig { threads: 4, morsel_rows: 2 });
         let parallel = db.query(sql).unwrap();
         assert_eq!(parallel.to_rows(), serial.to_rows());
+        // EXPLAIN ANALYZE reports the workers that ran, not the setting:
+        // the engine caps `threads` at the host's cores (floor 2).
+        db.set_parallelism(ParallelConfig { threads: 64, morsel_rows: 2 });
+        let cores = ParallelConfig::default().threads;
+        let header = format!("== EXPLAIN ANALYZE ({} thread(s))", cores.clamp(2, 64));
+        let text = db.explain_analyze(sql).unwrap();
+        assert!(text.starts_with(&header), "want {header:?}:\n{text}");
     }
 
     #[test]

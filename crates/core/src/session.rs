@@ -22,7 +22,7 @@ use crate::plan_cache::{CachedPlan, PlanCache, PlanCacheKey};
 use crate::state::DbState;
 use std::sync::Arc;
 use std::time::Instant;
-use vdm_exec::{Metrics, NodeIndex, ParallelConfig, QueryProfile};
+use vdm_exec::{ExecOptions, Execution, Metrics, NodeIndex, ParallelConfig, QueryProfile};
 use vdm_obs::trace as qtrace;
 use vdm_obs::{names, ExecRecord, FeedbackProvider, MetricsRegistry, QueryStore};
 use vdm_optimizer::{Capability, Trace};
@@ -311,19 +311,13 @@ pub fn execute_select(
     let bound = vdm_plan::bind_params(&resolved.plan, params)?;
     let store = QueryStore::global();
     let start = Instant::now();
-    let (batch, metrics, profile) = if store.enabled() {
-        let (batch, metrics, profile) =
-            vdm_exec::execute_profiled_at(&bound, engine, engine.snapshot(), parallel)?;
-        (batch, metrics, Some(profile))
-    } else {
-        let (batch, metrics) =
-            vdm_exec::execute_parallel_at(&bound, engine, engine.snapshot(), parallel)?;
-        (batch, metrics, None)
-    };
+    let opts = ExecOptions { snapshot: None, parallel, profile: store.enabled() };
+    let Execution { batch, metrics, profile, workers } =
+        vdm_exec::execute_with(&bound, engine, &opts)?;
     let elapsed = start.elapsed();
     record_query(&metrics, &resolved.trace, elapsed);
     qtrace::attr("rows", batch.num_rows());
-    qtrace::attr("workers", parallel.threads.max(1));
+    qtrace::attr("workers", workers);
     if let Some(profile) = profile {
         let elapsed_nanos = elapsed.as_nanos() as u64;
         let explain = if elapsed_nanos >= store.slow_threshold_nanos() {
@@ -338,7 +332,7 @@ pub fn execute_select(
                 &metrics,
                 batch.num_rows(),
                 elapsed_nanos,
-                parallel.threads.max(1),
+                workers,
             ))
         } else {
             None
@@ -349,7 +343,7 @@ pub fn execute_select(
             &profile,
             &batch,
             elapsed_nanos,
-            parallel,
+            workers,
             explain,
         ));
     }
@@ -364,7 +358,7 @@ fn exec_record(
     profile: &QueryProfile,
     batch: &Batch,
     latency_nanos: u64,
-    parallel: ParallelConfig,
+    workers: usize,
     explain: Option<String>,
 ) -> ExecRecord {
     ExecRecord {
@@ -374,7 +368,7 @@ fn exec_record(
         rows_in: metrics.rows_scanned as u64,
         rows_out: batch.num_rows() as u64,
         cache_hit: resolved.outcome == CacheOutcome::Hit,
-        workers: parallel.threads.max(1) as u32,
+        workers: workers as u32,
         node_rows: profile.nodes.iter().map(|(id, s)| (*id as u32, s.rows_out)).collect(),
         node_est: resolved.estimates.clone(),
         explain,
@@ -396,8 +390,10 @@ pub fn explain_analyze_bound(
     let bound = vdm_plan::bind_params(&resolved.plan, params)?;
     let index = NodeIndex::new(&bound);
     let start = Instant::now();
-    let (batch, metrics, profile) =
-        vdm_exec::execute_profiled_at(&bound, engine, engine.snapshot(), parallel)?;
+    let opts = ExecOptions { snapshot: None, parallel, profile: true };
+    let Execution { batch, metrics, profile, workers } =
+        vdm_exec::execute_with(&bound, engine, &opts)?;
+    let profile = profile.expect("profiling was requested");
     let elapsed = start.elapsed();
     record_query(&metrics, &resolved.trace, elapsed);
     qtrace::attr("rows", batch.num_rows());
@@ -411,7 +407,7 @@ pub fn explain_analyze_bound(
         &metrics,
         batch.num_rows(),
         elapsed.as_nanos() as u64,
-        parallel.threads.max(1),
+        workers,
     );
     let store = QueryStore::global();
     if store.enabled() {
@@ -422,7 +418,7 @@ pub fn explain_analyze_bound(
             &profile,
             &batch,
             nanos,
-            parallel,
+            workers,
             Some(text.clone()),
         ));
     }
@@ -443,7 +439,7 @@ fn render_explain_analyze(
     metrics: &Metrics,
     rows_returned: usize,
     elapsed_nanos: u64,
-    threads: usize,
+    workers: usize,
 ) -> String {
     let annotated = render_analyzed(bound, index, profile, estimates);
     let observed: Vec<(u32, f64)> =
@@ -454,7 +450,7 @@ fn render_explain_analyze(
         .unwrap_or_default();
     format!(
         "== EXPLAIN ANALYZE ({} thread(s)) [plan cache: {}] ==\n{}{}\n{}== rewrite trace ==\n{}== execution summary ==\n{} row(s) returned, elapsed time={}\nrows scanned: {}, join probe rows: {}, rows joined: {}, operators: {}\n",
-        threads,
+        workers,
         outcome.label(),
         misestimate,
         trace.render_opt_stats(),

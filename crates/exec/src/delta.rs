@@ -18,11 +18,11 @@
 //! (the cached-view maintainer) guarantees that snapshot-probed sides are
 //! actually unchanged — `vdm-plan`'s `DeltaPlan` freezes their tables.
 
-use crate::kernels::{apply_column_map, CompiledPredicate};
-use crate::ops;
+use crate::kernels::{project_batch, FilterKernel};
+use crate::{ops, ExecOptions, ParallelConfig};
 use std::sync::Arc;
 use vdm_expr::Expr;
-use vdm_plan::{column_mapping, delta_capable, JoinKind, LogicalPlan, PlanRef};
+use vdm_plan::{delta_capable, JoinKind, LogicalPlan, PlanRef};
 use vdm_storage::{Batch, Snapshot, StorageEngine};
 use vdm_types::{Result, Schema, VdmError};
 
@@ -62,6 +62,7 @@ pub fn eval_signed_delta(
     engine: &StorageEngine,
     as_of: Snapshot,
     now: Snapshot,
+    parallel: ParallelConfig,
 ) -> Result<SignedBatch> {
     match plan.as_ref() {
         LogicalPlan::Scan { table, schema, .. } => {
@@ -75,14 +76,15 @@ pub fn eval_signed_delta(
         // Constant relations never change.
         LogicalPlan::Values { schema, .. } => Ok(SignedBatch::empty(Arc::clone(schema))),
         LogicalPlan::Filter { input, predicate } => {
-            let d = eval_signed_delta(input, engine, as_of, now)?;
+            let d = eval_signed_delta(input, engine, as_of, now, parallel)?;
+            let kernel = FilterKernel::new(predicate);
             Ok(SignedBatch {
-                plus: filter_batch(&d.plus, predicate)?,
-                minus: filter_batch(&d.minus, predicate)?,
+                plus: kernel.filter(&d.plus, 0..d.plus.num_rows())?,
+                minus: kernel.filter(&d.minus, 0..d.minus.num_rows())?,
             })
         }
         LogicalPlan::Project { input, exprs, schema } => {
-            let d = eval_signed_delta(input, engine, as_of, now)?;
+            let d = eval_signed_delta(input, engine, as_of, now, parallel)?;
             Ok(SignedBatch {
                 plus: project_batch(&d.plus, exprs, Arc::clone(schema))?,
                 minus: project_batch(&d.minus, exprs, Arc::clone(schema))?,
@@ -92,7 +94,7 @@ pub fn eval_signed_delta(
             let mut plus = Vec::with_capacity(inputs.len());
             let mut minus = Vec::with_capacity(inputs.len());
             for c in inputs {
-                let d = eval_signed_delta(c, engine, as_of, now)?;
+                let d = eval_signed_delta(c, engine, as_of, now, parallel)?;
                 plus.push(d.plus);
                 minus.push(d.minus);
             }
@@ -101,9 +103,18 @@ pub fn eval_signed_delta(
                 minus: Batch::concat(Arc::clone(schema), &minus)?,
             })
         }
-        LogicalPlan::Join { left, right, kind, on, filter, schema, .. } => {
-            join_delta(left, right, *kind, on, filter.as_ref(), schema, engine, as_of, now)
-        }
+        LogicalPlan::Join { left, right, kind, on, filter, schema, .. } => join_delta(
+            left,
+            right,
+            *kind,
+            on,
+            filter.as_ref(),
+            schema,
+            engine,
+            as_of,
+            now,
+            parallel,
+        ),
         other => Err(VdmError::Plan(format!(
             "plan operator {} does not propagate deltas",
             other.op_name()
@@ -122,12 +133,14 @@ fn join_delta(
     engine: &StorageEngine,
     as_of: Snapshot,
     now: Snapshot,
+    parallel: ParallelConfig,
 ) -> Result<SignedBatch> {
     let join = |l: &Batch, r: &Batch, k: JoinKind| -> Result<Batch> {
         ops::hash_join(l, r, k, on, residual, Arc::clone(schema))
     };
     let snap = |side: &PlanRef, at: Snapshot| -> Result<Batch> {
-        crate::execute_at(side, engine, at).map(|(b, _)| b)
+        let opts = ExecOptions { snapshot: Some(at), parallel, profile: false };
+        crate::execute_with(side, engine, &opts).map(|x| x.batch)
     };
     let l_cap = delta_capable(left);
     // LEFT OUTER is linear only in its left input: a right-side insert can
@@ -136,8 +149,8 @@ fn join_delta(
     let r_cap = kind == JoinKind::Inner && delta_capable(right);
     match (l_cap, r_cap) {
         (true, true) => {
-            let ld = eval_signed_delta(left, engine, as_of, now)?;
-            let rd = eval_signed_delta(right, engine, as_of, now)?;
+            let ld = eval_signed_delta(left, engine, as_of, now, parallel)?;
+            let rd = eval_signed_delta(right, engine, as_of, now, parallel)?;
             if rd.is_empty() {
                 // B unchanged: Δ(A ⋈ B) = ΔA ⋈ B, one probe side, no
                 // old-snapshot re-evaluation. (Symmetrically below.)
@@ -179,7 +192,7 @@ fn join_delta(
         }
         (true, false) => {
             // Frozen/unchanged right side, probed from its snapshot scan.
-            let ld = eval_signed_delta(left, engine, as_of, now)?;
+            let ld = eval_signed_delta(left, engine, as_of, now, parallel)?;
             if ld.is_empty() {
                 return Ok(SignedBatch::empty(Arc::clone(schema)));
             }
@@ -187,7 +200,7 @@ fn join_delta(
             Ok(SignedBatch { plus: join(&ld.plus, &b, kind)?, minus: join(&ld.minus, &b, kind)? })
         }
         (false, true) => {
-            let rd = eval_signed_delta(right, engine, as_of, now)?;
+            let rd = eval_signed_delta(right, engine, as_of, now, parallel)?;
             if rd.is_empty() {
                 return Ok(SignedBatch::empty(Arc::clone(schema)));
             }
@@ -206,32 +219,4 @@ fn kind_name(kind: JoinKind) -> &'static str {
         JoinKind::Inner => "INNER",
         JoinKind::LeftOuter => "LEFT OUTER",
     }
-}
-
-/// Columnar filter: compiled predicate over a selection vector, falling
-/// back to row-wise evaluation for non-compilable predicates.
-pub fn filter_batch(input: &Batch, predicate: &Expr) -> Result<Batch> {
-    if input.num_rows() == 0 {
-        return Ok(input.clone());
-    }
-    if let Some(compiled) = CompiledPredicate::compile(predicate) {
-        let mut sel = Vec::new();
-        if compiled.eval_into(input, 0..input.num_rows(), &mut sel) {
-            return Ok(input.take(&sel));
-        }
-    }
-    ops::filter(input, predicate)
-}
-
-/// Columnar projection: pure column maps gather whole columns, anything
-/// else evaluates row-wise.
-pub fn project_batch(
-    input: &Batch,
-    exprs: &[(Expr, String)],
-    schema: Arc<Schema>,
-) -> Result<Batch> {
-    if let Some(map) = column_mapping(exprs) {
-        return apply_column_map(input, &map, schema);
-    }
-    ops::project(input, exprs, schema)
 }

@@ -1,4 +1,5 @@
-//! Tight columnar kernels shared by the parallel operators.
+//! Tight columnar kernels shared by the engine's operators and the
+//! signed-delta evaluator.
 //!
 //! Three families live here, all safe Rust tuned so the compiler can
 //! auto-vectorize the inner loops (plain index arithmetic over typed
@@ -11,10 +12,12 @@
 //!   entry* once and fan the result out over the codes);
 //! * **filtering** — [`CompiledPredicate`], a selection-vector evaluator
 //!   for conjunctions of `col ⟨cmp⟩ literal` atoms that scans typed
-//!   payloads directly instead of materializing `Value` rows;
+//!   payloads directly instead of materializing `Value` rows, wrapped per
+//!   operator in a [`FilterKernel`];
 //! * **projection** — [`apply_column_map`], the execution kernel of a
 //!   fused pass-through/renaming projection chain: output column `j` is
-//!   input column `map[j]`, moved or memcpy'd wholesale.
+//!   input column `map[j]`, moved or memcpy'd wholesale; [`project_rows`]
+//!   is the row-wise fallback for computed expressions.
 //!
 //! Hash-consistency contract: two rows whose key values are equal under
 //! [`Value`] equality must receive the same routing hash. The columnar
@@ -440,8 +443,73 @@ fn atom_tester(
     }
 }
 
+/// A filter operator's predicate, prepared once per operator and applied
+/// to every morsel or chunk: the compiled selection-vector form when the
+/// predicate is a conjunction of `col ⟨cmp⟩ literal` atoms, row-at-a-time
+/// evaluation otherwise (or when a column's physical type doesn't pair
+/// with its literal).
+pub struct FilterKernel<'e> {
+    predicate: &'e Expr,
+    compiled: Option<CompiledPredicate>,
+}
+
+impl<'e> FilterKernel<'e> {
+    /// Prepares `predicate` (compiles it when it has the atom shape).
+    pub fn new(predicate: &'e Expr) -> FilterKernel<'e> {
+        FilterKernel { predicate, compiled: CompiledPredicate::compile(predicate) }
+    }
+
+    /// The rows of `batch[rows]` on which the predicate is TRUE, in order,
+    /// assembled by a payload-level gather.
+    pub fn filter(&self, batch: &Batch, rows: Range<usize>) -> Result<Batch> {
+        let mut keep = Vec::new();
+        let fast =
+            self.compiled.as_ref().is_some_and(|c| c.eval_into(batch, rows.clone(), &mut keep));
+        if !fast {
+            for r in rows {
+                if self.predicate.eval_row(&batch.row(r))?.as_bool()? == Some(true) {
+                    keep.push(r);
+                }
+            }
+        }
+        Ok(batch.gather(&keep))
+    }
+}
+
 // ---------------------------------------------------------------------------
-// Fused projection execution.
+// Projection execution.
+
+/// Projection of a whole batch: pure column maps move whole columns
+/// ([`apply_column_map`]), anything else evaluates row-wise.
+pub fn project_batch(
+    input: &Batch,
+    exprs: &[(Expr, String)],
+    schema: Arc<Schema>,
+) -> Result<Batch> {
+    match vdm_plan::column_mapping(exprs) {
+        Some(map) => apply_column_map(input, &map, schema),
+        None => project_rows(input, exprs, schema, 0..input.num_rows()),
+    }
+}
+
+/// Row-at-a-time projection of `input[rows]` (computed expressions).
+pub fn project_rows(
+    input: &Batch,
+    exprs: &[(Expr, String)],
+    schema: Arc<Schema>,
+    rows: Range<usize>,
+) -> Result<Batch> {
+    let mut out_rows = Vec::with_capacity(rows.len());
+    for r in rows {
+        let row = input.row(r);
+        let mut out = Vec::with_capacity(exprs.len());
+        for (e, _) in exprs {
+            out.push(e.eval_row(&row)?);
+        }
+        out_rows.push(out);
+    }
+    Batch::from_rows(schema, &out_rows)
+}
 
 /// Applies a pure column mapping in one move: output column `j` is input
 /// column `map[j]`, cloned at the payload level (a memcpy the compiler

@@ -9,11 +9,20 @@
 //! for the whole join, and so on — exactly the effects Tables 1–4 and
 //! Fig. 14 measure.
 //!
+//! There is one engine ([`execute_with`]): operators work morsel-at-a-time
+//! on columnar [`kernels`], dispatched by the work-stealing [`scheduler`].
+//! [`ParallelConfig::threads`] only sets how many workers share the
+//! morsels; `threads: 1` runs them inline on the calling thread and is the
+//! serial mode. [`ExecOptions`] carries the three things a caller chooses —
+//! snapshot, thread count/morsel size, profiling on or off — and
+//! [`Execution`] returns the batch with its [`Metrics`], optional per-node
+//! profile and the worker count used. View maintenance ([`delta`],
+//! `vdm-cache`), EXPLAIN ANALYZE and the benches all go through it.
+//!
 //! Runtime [`Metrics`] record rows flowing through each operator class so
 //! tests and benches can assert *work*, not just wall time.
 
 pub mod delta;
-mod executor;
 pub mod kernels;
 mod ops;
 mod parallel;
@@ -24,7 +33,6 @@ pub mod scheduler;
 mod ops_tests;
 
 pub use delta::{eval_signed_delta, SignedBatch};
-pub use executor::{execute, execute_at, execute_profiled_serial, ExecContext, Metrics, Profiler};
-pub use parallel::{execute_parallel, execute_parallel_at, execute_profiled_at, ParallelConfig};
+pub use parallel::{execute, execute_with, ExecOptions, Execution, Metrics, ParallelConfig};
 pub use pool::{current_worker_pool, with_worker_pool, WorkerPool};
 pub use vdm_obs::{NodeIndex, NodeStats, QueryProfile};

@@ -1,37 +1,14 @@
-//! Physical operator implementations.
+//! Whole-batch operators: the small-input hash join (inputs under two
+//! morsels), DISTINCT, sort and LIMIT/OFFSET. Filters, projections and
+//! aggregation run on the kernels in [`crate::kernels`] and
+//! [`crate::parallel`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use vdm_expr::{AggExpr, Expr};
+use vdm_expr::Expr;
 use vdm_plan::{JoinKind, SortKey};
 use vdm_storage::Batch;
 use vdm_types::{Result, Schema, Value};
-
-/// Projection: evaluates `exprs` per row.
-pub fn project(input: &Batch, exprs: &[(Expr, String)], schema: Arc<Schema>) -> Result<Batch> {
-    let mut rows = Vec::with_capacity(input.num_rows());
-    for i in 0..input.num_rows() {
-        let row = input.row(i);
-        let mut out = Vec::with_capacity(exprs.len());
-        for (e, _) in exprs {
-            out.push(e.eval_row(&row)?);
-        }
-        rows.push(out);
-    }
-    Batch::from_rows(schema, &rows)
-}
-
-/// Filter: keeps rows where the predicate is TRUE.
-pub fn filter(input: &Batch, predicate: &Expr) -> Result<Batch> {
-    let mut keep = Vec::new();
-    for i in 0..input.num_rows() {
-        let row = input.row(i);
-        if predicate.eval_row(&row)?.as_bool()? == Some(true) {
-            keep.push(i);
-        }
-    }
-    Ok(input.take(&keep))
-}
 
 /// Hash join: builds on the right input, probes with the left.
 ///
@@ -143,58 +120,6 @@ fn hash_join_build_left(
                 rows.push(combined);
             }
         }
-    }
-    Batch::from_rows(schema, &rows)
-}
-
-/// Hash aggregation. With no group keys, emits exactly one row even over
-/// empty input.
-pub fn aggregate(
-    input: &Batch,
-    group_by: &[(Expr, String)],
-    aggs: &[(AggExpr, String)],
-    schema: Arc<Schema>,
-) -> Result<Batch> {
-    // Group order: first-seen, for deterministic output.
-    let mut groups: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut states: Vec<Vec<vdm_expr::Accumulator>> = Vec::new();
-    if group_by.is_empty() {
-        groups.insert(Vec::new(), 0);
-        order.push(Vec::new());
-        states.push(aggs.iter().map(|(a, _)| a.accumulator()).collect());
-    }
-    for i in 0..input.num_rows() {
-        let row = input.row(i);
-        let mut key = Vec::with_capacity(group_by.len());
-        for (e, _) in group_by {
-            key.push(e.eval_row(&row)?);
-        }
-        let slot = match groups.get(&key) {
-            Some(&s) => s,
-            None => {
-                let s = order.len();
-                groups.insert(key.clone(), s);
-                order.push(key);
-                states.push(aggs.iter().map(|(a, _)| a.accumulator()).collect());
-                s
-            }
-        };
-        for (j, (agg, _)) in aggs.iter().enumerate() {
-            let v = match &agg.arg {
-                Some(a) => a.eval_row(&row)?,
-                None => Value::Int(1), // COUNT(*) placeholder
-            };
-            states[slot][j].update(&v)?;
-        }
-    }
-    let mut rows = Vec::with_capacity(order.len());
-    for (key, accs) in order.into_iter().zip(states.iter()) {
-        let mut row = key;
-        for acc in accs {
-            row.push(acc.finish()?);
-        }
-        rows.push(row);
     }
     Batch::from_rows(schema, &rows)
 }

@@ -1,14 +1,47 @@
-//! Edge-case tests for the physical operators: empty inputs, NULL join
-//! keys, offsets past the end, type coercion across unions, and the
+//! Operator tests: the basic shapes, then edge cases — empty inputs, NULL
+//! join keys, offsets past the end, type coercion across unions, and the
 //! budgeted execution path.
+//!
+//! Every plan runs at each of [`configs`] and must produce the same rows
+//! at all of them.
 
-use crate::executor::{execute, execute_at};
+use crate::{execute_with, ExecOptions, Execution, ParallelConfig};
 use std::sync::Arc;
 use vdm_catalog::{TableBuilder, TableDef};
 use vdm_expr::{AggExpr, AggFunc, BinOp, Expr};
 use vdm_plan::{JoinKind, LogicalPlan, PlanRef, SortKey};
-use vdm_storage::StorageEngine;
-use vdm_types::{Schema, SqlType, Value};
+use vdm_storage::{Batch, Snapshot, StorageEngine};
+use vdm_types::{Result, Schema, SqlType, Value};
+
+/// Program defaults, then 4-row morsels in the serial mode and at four
+/// threads — small enough that even these tables split into many morsels
+/// and take the partitioned join and aggregation paths.
+fn configs() -> [ParallelConfig; 3] {
+    [
+        ParallelConfig::default(),
+        ParallelConfig { threads: 1, morsel_rows: 4 },
+        ParallelConfig { threads: 4, morsel_rows: 4 },
+    ]
+}
+
+/// Runs `plan` at every configuration (same order as [`configs`]),
+/// asserting the rows agree.
+fn execute_all(plan: &PlanRef, e: &StorageEngine, snapshot: Snapshot) -> Result<Vec<Execution>> {
+    let mut runs: Vec<Execution> = Vec::new();
+    for parallel in configs() {
+        let opts = ExecOptions { snapshot: Some(snapshot), parallel, profile: false };
+        let x = execute_with(plan, e, &opts)?;
+        if let Some(first) = runs.first() {
+            assert_eq!(x.batch.to_rows(), first.batch.to_rows(), "{parallel:?} diverges");
+        }
+        runs.push(x);
+    }
+    Ok(runs)
+}
+
+fn execute(plan: &PlanRef, e: &StorageEngine) -> Result<Batch> {
+    Ok(execute_all(plan, e, e.snapshot())?.swap_remove(0).batch)
+}
 
 fn table(name: &str) -> Arc<TableDef> {
     Arc::new(
@@ -211,17 +244,20 @@ fn budgeted_execution_matches_full_execution() {
     };
     let u = LogicalPlan::union_all(vec![mk(), mk()]).unwrap();
     let plan = LogicalPlan::limit(u, 3, Some(7));
-    let (batch, metrics) = execute_at(&plan, &e, e.snapshot()).unwrap();
-    assert_eq!(batch.num_rows(), 7);
-    assert!(
-        metrics.rows_scanned <= 10,
-        "budgeted execution must not scan the full table: {metrics:?}"
-    );
+    for (x, config) in execute_all(&plan, &e, e.snapshot()).unwrap().iter().zip(configs()) {
+        assert_eq!(x.batch.num_rows(), 7);
+        // One wave of `workers` morsels may overshoot the budget of 3 + 7.
+        assert!(
+            x.metrics.rows_scanned <= 10 + x.workers * config.morsel_rows,
+            "budgeted execution must not scan the full table: {config:?} {:?}",
+            x.metrics
+        );
+    }
     // A filter below the limit disables the scan shortcut but stays correct.
     let f = LogicalPlan::filter(LogicalPlan::scan(Arc::clone(&t)), Expr::col(1).eq(Expr::int(3)))
         .unwrap();
     let plan = LogicalPlan::limit(f, 0, Some(5));
-    let (batch, _) = execute_at(&plan, &e, e.snapshot()).unwrap();
+    let batch = execute(&plan, &e).unwrap();
     assert_eq!(batch.num_rows(), 5);
     for row in batch.to_rows() {
         assert_eq!(row[1], Value::Int(3));
@@ -312,4 +348,201 @@ fn adaptive_inner_join_build_side_agrees() {
     sort(&mut outer_rows);
     assert_eq!(inner_rows.len(), 200, "every big row matches one small row");
     assert_eq!(inner_rows, outer_rows);
+}
+
+fn orders_customer() -> (StorageEngine, Arc<TableDef>, Arc<TableDef>) {
+    let orders = Arc::new(
+        TableBuilder::new("orders")
+            .column("o_orderkey", SqlType::Int, false)
+            .column("o_custkey", SqlType::Int, false)
+            .column("o_total", SqlType::Decimal { scale: 2 }, false)
+            .primary_key(&["o_orderkey"])
+            .build()
+            .unwrap(),
+    );
+    let customer = Arc::new(
+        TableBuilder::new("customer")
+            .column("c_custkey", SqlType::Int, false)
+            .column("c_name", SqlType::Text, false)
+            .primary_key(&["c_custkey"])
+            .build()
+            .unwrap(),
+    );
+    let e = StorageEngine::new();
+    e.create_table(Arc::clone(&orders)).unwrap();
+    e.create_table(Arc::clone(&customer)).unwrap();
+    e.insert(
+        "customer",
+        vec![vec![Value::Int(1), Value::str("alice")], vec![Value::Int(2), Value::str("bob")]],
+    )
+    .unwrap();
+    e.insert(
+        "orders",
+        vec![
+            vec![Value::Int(10), Value::Int(1), Value::Dec("5.00".parse().unwrap())],
+            vec![Value::Int(11), Value::Int(1), Value::Dec("7.50".parse().unwrap())],
+            vec![Value::Int(12), Value::Int(9), Value::Dec("1.00".parse().unwrap())],
+        ],
+    )
+    .unwrap();
+    (e, orders, customer)
+}
+
+#[test]
+fn scan_filter_project() {
+    let (e, orders, _) = orders_customer();
+    let scan = LogicalPlan::scan(orders);
+    let f = LogicalPlan::filter(scan, Expr::col(1).eq(Expr::int(1))).unwrap();
+    let p = LogicalPlan::project(f, vec![(Expr::col(0), "k".into())]).unwrap();
+    let b = execute(&p, &e).unwrap();
+    assert_eq!(b.num_rows(), 2);
+    assert_eq!(b.schema.field(0).name, "k");
+}
+
+#[test]
+fn inner_join_matches() {
+    let (e, orders, customer) = orders_customer();
+    let j = LogicalPlan::inner_join(
+        LogicalPlan::scan(orders),
+        LogicalPlan::scan(customer),
+        vec![(1, 0)],
+    )
+    .unwrap();
+    let b = execute(&j, &e).unwrap();
+    assert_eq!(b.num_rows(), 2, "order 12 has no customer 9");
+}
+
+#[test]
+fn left_outer_join_pads_nulls() {
+    let (e, orders, customer) = orders_customer();
+    let j = LogicalPlan::left_join(
+        LogicalPlan::scan(orders),
+        LogicalPlan::scan(customer),
+        vec![(1, 0)],
+    )
+    .unwrap();
+    let b = execute(&j, &e).unwrap();
+    assert_eq!(b.num_rows(), 3);
+    let rows = b.to_rows();
+    let unmatched = rows.iter().find(|r| r[0] == Value::Int(12)).unwrap();
+    assert!(unmatched[3].is_null() && unmatched[4].is_null());
+}
+
+#[test]
+fn aggregate_group_by() {
+    let (e, orders, _) = orders_customer();
+    let a = LogicalPlan::aggregate(
+        LogicalPlan::scan(orders),
+        vec![(Expr::col(1), "cust".into())],
+        vec![
+            (AggExpr::count_star(), "n".into()),
+            (AggExpr::new(AggFunc::Sum, Expr::col(2)), "total".into()),
+        ],
+    )
+    .unwrap();
+    let b = execute(&a, &e).unwrap();
+    let mut rows = b.to_rows();
+    rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
+    assert_eq!(rows.len(), 2);
+    assert_eq!(rows[0], vec![Value::Int(1), Value::Int(2), Value::Dec("12.50".parse().unwrap())]);
+}
+
+#[test]
+fn global_aggregate_over_empty_input() {
+    let (e, orders, _) = orders_customer();
+    let empty = LogicalPlan::filter(LogicalPlan::scan(orders), Expr::boolean(false)).unwrap();
+    let a = LogicalPlan::aggregate(
+        empty,
+        vec![],
+        vec![
+            (AggExpr::count_star(), "n".into()),
+            (AggExpr::new(AggFunc::Sum, Expr::col(2)), "s".into()),
+        ],
+    )
+    .unwrap();
+    let b = execute(&a, &e).unwrap();
+    assert_eq!(b.num_rows(), 1);
+    assert_eq!(b.row(0), vec![Value::Int(0), Value::Null]);
+}
+
+#[test]
+fn sort_and_limit() {
+    let (e, orders, _) = orders_customer();
+    let s = LogicalPlan::sort(LogicalPlan::scan(orders), vec![SortKey::desc(2)]).unwrap();
+    let l = LogicalPlan::limit(s, 1, Some(1));
+    let b = execute(&l, &e).unwrap();
+    assert_eq!(b.num_rows(), 1);
+    assert_eq!(b.row(0)[0], Value::Int(10), "second-highest total");
+}
+
+#[test]
+fn union_all_and_distinct() {
+    let (e, orders, _) = orders_customer();
+    let a = LogicalPlan::project(
+        LogicalPlan::scan(Arc::clone(&orders)),
+        vec![(Expr::col(1), "c".into())],
+    )
+    .unwrap();
+    let b2 =
+        LogicalPlan::project(LogicalPlan::scan(orders), vec![(Expr::col(1), "c".into())]).unwrap();
+    let u = LogicalPlan::union_all(vec![a, b2]).unwrap();
+    let all = execute(&u, &e).unwrap();
+    assert_eq!(all.num_rows(), 6);
+    let d = LogicalPlan::distinct(u);
+    let b = execute(&d, &e).unwrap();
+    assert_eq!(b.num_rows(), 2);
+}
+
+#[test]
+fn snapshot_pinning() {
+    let (e, orders, _) = orders_customer();
+    let snap = e.snapshot();
+    e.insert(
+        "orders",
+        vec![vec![Value::Int(13), Value::Int(2), Value::Dec("3.00".parse().unwrap())]],
+    )
+    .unwrap();
+    let scan = LogicalPlan::scan(orders);
+    for x in execute_all(&scan, &e, snap).unwrap() {
+        assert_eq!(x.batch.num_rows(), 3, "pinned snapshot misses the new row");
+        assert_eq!(x.metrics.rows_scanned, 3);
+    }
+    assert_eq!(execute(&scan, &e).unwrap().num_rows(), 4);
+}
+
+#[test]
+fn metrics_count_join_work() {
+    let (e, orders, customer) = orders_customer();
+    let j = LogicalPlan::left_join(
+        LogicalPlan::scan(orders),
+        LogicalPlan::scan(customer),
+        vec![(1, 0)],
+    )
+    .unwrap();
+    for Execution { metrics: m, .. } in execute_all(&j, &e, e.snapshot()).unwrap() {
+        assert_eq!(m.join_build_rows, 2, "customer side builds the hash table");
+        assert_eq!(m.join_output_rows, 3);
+        assert_eq!(m.rows_scanned, 5);
+    }
+}
+
+#[test]
+fn join_residual_filter_left_outer_semantics() {
+    // ON c.custkey = o.custkey AND c.name = 'bob' — alice orders get NULLs.
+    let (e, orders, customer) = orders_customer();
+    let j = LogicalPlan::join(
+        LogicalPlan::scan(orders),
+        LogicalPlan::scan(customer),
+        JoinKind::LeftOuter,
+        vec![(1, 0)],
+        Some(Expr::col(4).eq(Expr::str("bob"))),
+        None,
+        false,
+    )
+    .unwrap();
+    let b = execute(&j, &e).unwrap();
+    assert_eq!(b.num_rows(), 3, "every order survives a left join");
+    for r in b.to_rows() {
+        assert!(r[4].is_null(), "no order belongs to bob: {r:?}");
+    }
 }

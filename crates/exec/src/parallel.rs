@@ -1,38 +1,39 @@
-//! Morsel-driven parallel execution.
+//! The plan executor: one morsel-driven engine.
 //!
-//! The serial executor materializes each operator fully, one at a time.
-//! This module runs the same plans across a pool of `std::thread::scope`
-//! workers:
+//! Every plan runs through the same operators at every thread count; the
+//! thread count only decides how the work-stealing [`crate::scheduler`]
+//! dispatches an operator's morsels and chunks. At `threads: 1` the
+//! scheduler runs every item inline on the calling thread — no thread is
+//! spawned and no pool broadcast is issued — and that *is* the serial mode;
+//! there is no second interpreter.
 //!
 //! * **scans** — and any filter/projection stack sitting directly on one —
-//!   split the table into fixed-size morsels dispatched by the
-//!   work-stealing [`crate::scheduler`], so filters and projections run
-//!   per-morsel on the pool (filters through the selection-vector
-//!   [`kernels::CompiledPredicate`] when the predicate compiles);
+//!   split the table into fixed-size morsels, so filters and projections
+//!   run per morsel (filters through a [`kernels::FilterKernel`] compiled
+//!   once per operator);
 //! * **projection chains** of pure pass-through/renaming nodes fuse into a
 //!   single composed column-mapping kernel
 //!   ([`vdm_plan::fusion`] + [`kernels::apply_column_map`]), with per-node
 //!   stats attributed back to every covered node;
 //! * **joins** partition the build side by key hash (columnar branch-free
 //!   hashing when both sides' key columns share a physical type), build
-//!   per-partition hash maps in parallel, and probe morsels of the other
-//!   side concurrently;
+//!   per-partition hash maps, and probe chunks of the other side; inputs
+//!   under two morsels take the row-wise [`ops::hash_join`] kernel;
 //! * **aggregations** radix-partition rows by group-key hash so each
 //!   worker owns a disjoint key range and groups never merge across
 //!   workers ([`vdm_expr::Accumulator::merge`] is only needed on the
-//!   legacy small-input path);
+//!   small-input and global-aggregate path);
 //! * **UNION ALL** concatenates branch results columnar-wise.
 //!
-//! Results are bit-identical to the serial executor *including row order*:
-//! every parallel merge happens in morsel/chunk index order, so output is
-//! independent of scheduling and of the worker count. The one exception is
-//! `Metrics::rows_scanned` under a pushed-down LIMIT, where the parallel
-//! scan dispatches whole waves of morsels and may scan up to
-//! `threads * morsel_rows` rows beyond the budget (the serial path stops
-//! at exactly the budget).
+//! Results — *including row order* — do not depend on scheduling or on the
+//! worker count: every merge happens in morsel/chunk index order. The one
+//! exception is `Metrics::rows_scanned` under a pushed-down LIMIT: the
+//! budgeted scan dispatches whole waves of budget-sized morsels and stops
+//! once the completed prefix covers the budget, so it scans at most
+//! `budget + workers * morsel_rows` rows (exactly `budget` in the serial
+//! mode when the table's head is live).
 
-use crate::executor::{nanos_since, prune_range, Metrics, Profiler};
-use crate::kernels::{self, FxHashMap};
+use crate::kernels::{self, FilterKernel, FxHashMap};
 use crate::ops;
 use crate::scheduler;
 use std::ops::Range;
@@ -46,10 +47,11 @@ use vdm_storage::zonemap::ZONE_BLOCK_ROWS;
 use vdm_storage::{Batch, ScanRange, Snapshot, StorageEngine};
 use vdm_types::{Result, Schema, Value};
 
-/// Worker-pool configuration for the parallel executor.
+/// How the engine splits and dispatches work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
-    /// Worker threads. `1` (or `0`) takes the exact legacy serial path.
+    /// Worker threads. `1` (or `0`) is the serial mode: every morsel runs
+    /// inline on the calling thread.
     pub threads: usize,
     /// Rows per scan morsel and per operator chunk.
     pub morsel_rows: usize,
@@ -57,72 +59,203 @@ pub struct ParallelConfig {
 
 impl Default for ParallelConfig {
     fn default() -> ParallelConfig {
-        ParallelConfig {
-            threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            morsel_rows: 4 * ZONE_BLOCK_ROWS,
-        }
+        ParallelConfig { threads: host_cores(), morsel_rows: 4 * ZONE_BLOCK_ROWS }
     }
 }
 
-impl ParallelConfig {
-    /// The legacy single-threaded executor.
-    pub fn serial() -> ParallelConfig {
-        ParallelConfig { threads: 1, ..ParallelConfig::default() }
-    }
+/// The host's available parallelism, probed once (the probe reads cgroup
+/// files): the default thread count and the cap on dispatched workers.
+fn host_cores() -> usize {
+    use std::sync::OnceLock;
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+}
 
+impl ParallelConfig {
     /// A sane copy: at least one thread, at least one row per morsel.
     fn normalized(self) -> ParallelConfig {
         ParallelConfig { threads: self.threads.max(1), morsel_rows: self.morsel_rows.max(1) }
     }
 }
 
-/// Executes `plan` on a worker pool at the engine's current snapshot.
-pub fn execute_parallel(
-    plan: &PlanRef,
-    engine: &StorageEngine,
-    config: ParallelConfig,
-) -> Result<Batch> {
-    Ok(execute_parallel_at(plan, engine, engine.snapshot(), config)?.0)
+/// What one execution reads, how it is dispatched, and whether it records
+/// a per-node profile.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExecOptions {
+    /// Snapshot to read at; `None` = the engine's current snapshot.
+    pub snapshot: Option<Snapshot>,
+    /// Thread count and morsel size.
+    pub parallel: ParallelConfig,
+    /// Record per-node runtime stats (EXPLAIN ANALYZE).
+    pub profile: bool,
 }
 
-/// Executes `plan` on a worker pool at a pinned snapshot, returning the
-/// batch and the merged metrics. With `threads <= 1` this *is* the serial
-/// executor — same code path, not an emulation.
-pub fn execute_parallel_at(
-    plan: &PlanRef,
-    engine: &StorageEngine,
-    snapshot: Snapshot,
-    config: ParallelConfig,
-) -> Result<(Batch, Metrics)> {
-    let config = config.normalized();
-    if config.threads <= 1 {
-        return crate::executor::execute_at(plan, engine, snapshot);
-    }
-    let mut ctx = ParCtx::new(engine, snapshot, config);
-    let batch = run_par(plan, &mut ctx)?;
-    Ok((batch, ctx.metrics))
+/// The outcome of [`execute_with`].
+#[derive(Debug)]
+pub struct Execution {
+    /// The plan's output.
+    pub batch: Batch,
+    /// Merged operator-class counters.
+    pub metrics: Metrics,
+    /// Per-node stats keyed by pre-order node id, when
+    /// [`ExecOptions::profile`] was set.
+    pub profile: Option<QueryProfile>,
+    /// Workers the scheduler dispatched onto: `threads` capped at the
+    /// host's cores (floor 2), `1` in the serial mode.
+    pub workers: usize,
 }
 
-/// Executes `plan` with a per-node runtime profile (EXPLAIN ANALYZE),
-/// dispatching to the serial or morsel-parallel engine per `config`.
-/// Per-node `rows_out` is identical between the two; time, invocation, and
-/// worker counts legitimately differ (see [`vdm_obs::NodeStats`]).
-pub fn execute_profiled_at(
+/// Executes `plan` at the engine's current snapshot with default options.
+pub fn execute(plan: &PlanRef, engine: &StorageEngine) -> Result<Batch> {
+    Ok(execute_with(plan, engine, &ExecOptions::default())?.batch)
+}
+
+/// Executes `plan` against `engine` as `opts` directs.
+pub fn execute_with(
     plan: &PlanRef,
     engine: &StorageEngine,
-    snapshot: Snapshot,
-    config: ParallelConfig,
-) -> Result<(Batch, Metrics, QueryProfile)> {
-    let config = config.normalized();
-    let index = Arc::new(NodeIndex::new(plan));
-    if config.threads <= 1 {
-        return crate::executor::execute_profiled_serial(plan, engine, snapshot, index);
-    }
-    let mut ctx = ParCtx::new(engine, snapshot, config);
-    ctx.profiler = Some(Profiler::new(index));
+    opts: &ExecOptions,
+) -> Result<Execution> {
+    let config = opts.parallel.normalized();
+    let mut ctx = ParCtx {
+        engine,
+        snapshot: opts.snapshot.unwrap_or_else(|| engine.snapshot()),
+        config,
+        metrics: Metrics::default(),
+        profiler: opts
+            .profile
+            .then(|| Profiler { index: NodeIndex::new(plan), profile: QueryProfile::default() }),
+        child_nanos: 0,
+    };
     let batch = run_par(plan, &mut ctx)?;
-    let profile = ctx.profiler.take().map(|p| p.profile).unwrap_or_default();
-    Ok((batch, ctx.metrics, profile))
+    Ok(Execution {
+        batch,
+        metrics: ctx.metrics,
+        profile: ctx.profiler.map(|p| p.profile),
+        workers: pool_workers(config.threads),
+    })
+}
+
+/// Rows-processed counters, grouped by operator class, plus wall-clock
+/// nanoseconds spent inside each class (children excluded — a join's time
+/// covers build+probe, not the scans feeding it).
+///
+/// Row counters do not depend on the thread count (workers merge their
+/// counters at pipeline joins) — except `rows_scanned` under a pushed-down
+/// LIMIT, which is only bounded (see the module docs). Time counters sum
+/// worker-local time, so with several workers they report aggregate CPU
+/// time per class, not elapsed wall time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Metrics {
+    /// Rows produced by scans.
+    pub rows_scanned: usize,
+    /// Rows inserted into join hash tables.
+    pub join_build_rows: usize,
+    /// Rows emitted by joins.
+    pub join_output_rows: usize,
+    /// Rows fed into aggregations.
+    pub agg_input_rows: usize,
+    /// Rows evaluated by filters.
+    pub filter_input_rows: usize,
+    /// Rows probed against join hash tables (the non-build side).
+    pub join_probe_rows: usize,
+    /// Rows emitted by LIMIT operators (after skip/fetch).
+    pub limit_rows_emitted: usize,
+    /// Rows concatenated by UNION ALL operators.
+    pub union_rows_concatenated: usize,
+    /// Operators executed.
+    pub operators: usize,
+    /// Time spent materializing scans.
+    pub scan_nanos: u64,
+    /// Time spent evaluating filter predicates.
+    pub filter_nanos: u64,
+    /// Time spent evaluating projections.
+    pub project_nanos: u64,
+    /// Time spent building and probing join hash tables.
+    pub join_nanos: u64,
+    /// Time spent in hash aggregation.
+    pub agg_nanos: u64,
+    /// Time spent sorting.
+    pub sort_nanos: u64,
+    /// Time spent concatenating UNION ALL branches.
+    pub union_nanos: u64,
+    /// Morsels a worker stole from another worker's deque (always 0 at
+    /// `threads: 1`, which runs every item inline on the calling thread).
+    pub morsel_steals: usize,
+    /// Claim batches the work-stealing scheduler dispatched.
+    pub morsel_claims: usize,
+    /// Estimated payload bytes dispatched in scan morsels and operator
+    /// chunks (feeds the `vdm_morsel_size_bytes` registry counter).
+    pub morsel_bytes: usize,
+}
+
+impl Metrics {
+    /// Adds another metrics bundle into this one — used when per-worker
+    /// counters meet at a parallel pipeline join.
+    pub fn merge(&mut self, other: &Metrics) {
+        self.rows_scanned += other.rows_scanned;
+        self.join_build_rows += other.join_build_rows;
+        self.join_output_rows += other.join_output_rows;
+        self.agg_input_rows += other.agg_input_rows;
+        self.filter_input_rows += other.filter_input_rows;
+        self.join_probe_rows += other.join_probe_rows;
+        self.limit_rows_emitted += other.limit_rows_emitted;
+        self.union_rows_concatenated += other.union_rows_concatenated;
+        self.operators += other.operators;
+        self.scan_nanos += other.scan_nanos;
+        self.filter_nanos += other.filter_nanos;
+        self.project_nanos += other.project_nanos;
+        self.join_nanos += other.join_nanos;
+        self.agg_nanos += other.agg_nanos;
+        self.sort_nanos += other.sort_nanos;
+        self.union_nanos += other.union_nanos;
+        self.morsel_steals += other.morsel_steals;
+        self.morsel_claims += other.morsel_claims;
+        self.morsel_bytes += other.morsel_bytes;
+    }
+}
+
+/// Elapsed nanoseconds since `start`, saturating into `u64`.
+fn nanos_since(start: std::time::Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Per-node profiling state for EXPLAIN ANALYZE: the node-id index of the
+/// plan being executed plus the profile being filled.
+struct Profiler {
+    /// Pre-order node ids of the executed plan (see `vdm_plan::number_nodes`).
+    index: NodeIndex,
+    /// Stats recorded so far.
+    profile: QueryProfile,
+}
+
+impl Profiler {
+    /// Records one execution of `plan` (no-op for nodes outside the index,
+    /// e.g. internal wrappers).
+    fn record(&mut self, plan: &PlanRef, rows_out: usize, nanos: u64) {
+        if let Some(id) = self.index.id_of(plan) {
+            self.profile.record(id, rows_out as u64, nanos);
+        }
+    }
+}
+
+/// Extracts a prunable `(column, range)` from a filter predicate: the
+/// first conjunct of the form `col ⟨cmp⟩ literal` over an orderable type.
+fn prune_range(predicate: &vdm_expr::Expr) -> Option<(usize, vdm_storage::ScanRange)> {
+    use vdm_expr::{predicate as preds, BinOp};
+    use vdm_storage::ScanRange;
+    for conj in preds::split_conjunction(predicate) {
+        if let Some(atom) = preds::as_atom(conj) {
+            let range = match atom.op {
+                BinOp::Eq => ScanRange::point(atom.value.clone()),
+                BinOp::Gt | BinOp::GtEq => ScanRange::at_least(atom.value.clone()),
+                BinOp::Lt | BinOp::LtEq => ScanRange::at_most(atom.value.clone()),
+                _ => continue,
+            };
+            return Some((atom.col, range));
+        }
+    }
+    None
 }
 
 struct ParCtx<'a> {
@@ -132,22 +265,12 @@ struct ParCtx<'a> {
     metrics: Metrics,
     /// Per-node profile sink (`None` = profiling off).
     profiler: Option<Profiler>,
-    /// Child time of the node currently running (see `ExecContext`).
+    /// Nanoseconds spent in child operators of the node currently running —
+    /// subtracted from its elapsed time to get self time.
     child_nanos: u64,
 }
 
-impl<'a> ParCtx<'a> {
-    fn new(engine: &'a StorageEngine, snapshot: Snapshot, config: ParallelConfig) -> ParCtx<'a> {
-        ParCtx {
-            engine,
-            snapshot,
-            config,
-            metrics: Metrics::default(),
-            profiler: None,
-            child_nanos: 0,
-        }
-    }
-
+impl ParCtx<'_> {
     /// Merges a worker pool's counters and partial profile.
     fn absorb(&mut self, metrics: &Metrics, profile: &QueryProfile) {
         self.metrics.merge(metrics);
@@ -157,8 +280,10 @@ impl<'a> ParCtx<'a> {
     }
 }
 
-/// Parallel twin of `executor::with_profile`: wraps one operator's body,
-/// recording output rows and self time against the node.
+/// Runs `f` (the body of one operator) under the profiling wrapper: the
+/// node's elapsed time minus the time its children accumulated is recorded
+/// as self time, together with its output rows. Zero-cost when profiling
+/// is off.
 fn with_profile_par(
     plan: &PlanRef,
     ctx: &mut ParCtx<'_>,
@@ -185,19 +310,15 @@ fn with_profile_par(
 /// schedule-independent, so the cap cannot change output). A floor of two
 /// keeps cross-worker merge paths exercised even on single-core hosts.
 fn pool_workers(threads: usize) -> usize {
-    use std::sync::OnceLock;
-    static CORES: OnceLock<usize> = OnceLock::new();
-    let cores =
-        *CORES.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
-    threads.min(cores.max(2))
+    threads.min(host_cores().max(2))
 }
 
 /// Runs `f` over indices `0..n` on the work-stealing scheduler. Results
 /// come back in index order and worker-local metrics/profiles are merged,
 /// so the output is schedule-independent; errors surface as the failing
-/// index's error (lowest index wins, matching the serial executor's
-/// first-error). Steal and claim counts from the scheduler land in the
-/// merged metrics' `morsel_steals` / `morsel_claims`.
+/// index's error (lowest index wins — what a left-to-right run reports).
+/// Steal and claim counts from the scheduler land in the merged metrics'
+/// `morsel_steals` / `morsel_claims`.
 fn parallel_map<T, F>(threads: usize, n: usize, f: F) -> Result<(Vec<T>, Metrics, QueryProfile)>
 where
     T: Send,
@@ -230,11 +351,21 @@ fn chunk_count(total: usize, chunk: usize) -> usize {
     total.div_ceil(chunk).max(1)
 }
 
+/// Merges one operator's morsel/chunk outputs in index order. A lone part
+/// — every operator in the serial mode over a small input — is adopted as
+/// is instead of being copied (and its string dictionaries re-interned).
+fn merge_parts(schema: Arc<Schema>, mut parts: Vec<Batch>) -> Result<Batch> {
+    if parts.len() == 1 {
+        return Batch::new(schema, parts.remove(0).columns);
+    }
+    Batch::concat(schema, &parts)
+}
+
 // ---------------------------------------------------------------------------
 // Leaf pipelines: Scan with optional Filter/Project stack, fused per morsel.
 
 enum LeafStep<'p> {
-    Filter(&'p Expr),
+    Filter(FilterKernel<'p>),
     Project(&'p [(Expr, String)], &'p Arc<Schema>),
     /// One or more adjacent pass-through/renaming projections, composed
     /// into a single column mapping executed by
@@ -277,8 +408,8 @@ impl LeafPipeline<'_> {
 
 /// Recognizes a scan-rooted pipeline (`Scan`, `Filter(Scan)`,
 /// `Project(…(Scan))`, …) that can run morsel-at-a-time without any
-/// cross-morsel state. Zone-map pruning attaches exactly where the serial
-/// executor applies it: at a filter directly over the scan.
+/// cross-morsel state. Zone-map pruning attaches at a filter directly over
+/// the scan.
 fn extract_leaf(plan: &PlanRef) -> Option<LeafPipeline<'_>> {
     match plan.as_ref() {
         LogicalPlan::Scan { table, schema, .. } => Some(LeafPipeline {
@@ -294,7 +425,7 @@ fn extract_leaf(plan: &PlanRef) -> Option<LeafPipeline<'_>> {
             if p.steps.is_empty() {
                 p.prune = prune_range(predicate);
             }
-            p.steps.push(LeafStep::Filter(predicate));
+            p.steps.push(LeafStep::Filter(FilterKernel::new(predicate)));
             p.nodes += 1;
             p.node_keys.push(NodeIndex::key(plan));
             Some(p)
@@ -327,7 +458,7 @@ fn run_leaf(pipe: &LeafPipeline<'_>, ctx: &mut ParCtx<'_>) -> Result<Batch> {
     let start = Instant::now();
     ctx.metrics.operators += pipe.nodes;
     // Pruned scans align morsels to zone-map blocks so every block belongs
-    // to exactly one morsel and the skip set matches the serial scan.
+    // to exactly one morsel and is skipped (and counted) at most once.
     let morsel_rows = if pipe.prune.is_some() {
         ctx.config.morsel_rows.div_ceil(ZONE_BLOCK_ROWS).max(1) * ZONE_BLOCK_ROWS
     } else {
@@ -345,7 +476,7 @@ fn run_leaf(pipe: &LeafPipeline<'_>, ctx: &mut ParCtx<'_>) -> Result<Batch> {
         leaf_morsel(engine, snapshot, pipe, m, morsel_rows, met, ids.as_deref(), prof)
     })?;
     ctx.absorb(&wm, &wp);
-    let out = Batch::concat(pipe.output_schema(), &parts);
+    let out = merge_parts(pipe.output_schema(), parts);
     if ctx.profiler.is_some() {
         // The covered nodes were recorded per morsel by the workers; charge
         // the pipeline's wall time as child time of the enclosing operator.
@@ -387,18 +518,19 @@ fn leaf_morsel(
         let step_nanos;
         let covered;
         match step {
-            LeafStep::Filter(p) => {
+            LeafStep::Filter(kernel) => {
                 covered = 1;
                 met.filter_input_rows += batch.num_rows();
                 let t = Instant::now();
-                batch = filter_batch(&batch, p, 0..batch.num_rows())?;
+                batch = kernel.filter(&batch, 0..batch.num_rows())?;
                 step_nanos = nanos_since(t);
                 met.filter_nanos += step_nanos;
             }
             LeafStep::Project(exprs, schema) => {
                 covered = 1;
                 let t = Instant::now();
-                batch = ops::project(&batch, exprs, Arc::clone(schema))?;
+                batch =
+                    kernels::project_rows(&batch, exprs, Arc::clone(schema), 0..batch.num_rows())?;
                 step_nanos = nanos_since(t);
                 met.project_nanos += step_nanos;
             }
@@ -425,30 +557,8 @@ fn leaf_morsel(
     Ok(batch)
 }
 
-/// Columnar filter over `rows` of `batch`: selection vector via the
-/// compiled-predicate kernel when the predicate is a conjunction of
-/// `col ⟨cmp⟩ literal` atoms, row-at-a-time evaluation otherwise, then a
-/// payload-level gather of the kept rows.
-fn filter_batch(batch: &Batch, predicate: &Expr, rows: Range<usize>) -> Result<Batch> {
-    let mut keep = Vec::new();
-    let compiled = kernels::CompiledPredicate::compile(predicate);
-    let fast = match &compiled {
-        Some(c) => c.eval_into(batch, rows.clone(), &mut keep),
-        None => false,
-    };
-    if !fast {
-        keep.clear();
-        for r in rows {
-            if predicate.eval_row(&batch.row(r))?.as_bool()? == Some(true) {
-                keep.push(r);
-            }
-        }
-    }
-    Ok(batch.gather(&keep))
-}
-
 // ---------------------------------------------------------------------------
-// The recursive parallel executor.
+// The recursive executor.
 
 fn run_par(plan: &PlanRef, ctx: &mut ParCtx<'_>) -> Result<Batch> {
     if let Some(pipe) = extract_leaf(plan) {
@@ -465,8 +575,8 @@ fn run_par(plan: &PlanRef, ctx: &mut ParCtx<'_>) -> Result<Batch> {
 /// Executes a fused projection chain: run the chain's input, then apply
 /// the composed column mapping in one kernel pass. Every covered node is
 /// recorded in the profile with the chain's row count (column maps
-/// preserve cardinality, so per-node `rows_out` matches the serial
-/// executor's node-by-node execution exactly); the kernel's self time is
+/// preserve cardinality, so per-node `rows_out` equals node-by-node
+/// execution exactly); the kernel's self time is
 /// attributed to the outermost node of the fused group.
 fn run_fused_chain(chain: &FusedChain<'_>, ctx: &mut ParCtx<'_>) -> Result<Batch> {
     ctx.metrics.operators += chain.nodes.len();
@@ -501,15 +611,9 @@ fn run_fused_chain(chain: &FusedChain<'_>, ctx: &mut ParCtx<'_>) -> Result<Batch
 fn run_par_node(plan: &PlanRef, ctx: &mut ParCtx<'_>) -> Result<Batch> {
     ctx.metrics.operators += 1;
     match plan.as_ref() {
-        // Scan-rooted shapes are taken by `extract_leaf` above; these arms
-        // cover Filter/Project over non-scan children.
-        LogicalPlan::Scan { table, schema, .. } => {
-            let t = Instant::now();
-            let batch = ctx.engine.scan(&table.name, ctx.snapshot)?;
-            ctx.metrics.scan_nanos += nanos_since(t);
-            ctx.metrics.rows_scanned += batch.num_rows();
-            Batch::new(Arc::clone(schema), batch.columns)
-        }
+        // Scan-rooted shapes are taken by `extract_leaf` in `run_par`; the
+        // Filter/Project arms cover non-scan children.
+        LogicalPlan::Scan { .. } => unreachable!("run_par routes scans through run_leaf()"),
         LogicalPlan::Values { schema, rows } => Batch::from_rows(Arc::clone(schema), rows),
         LogicalPlan::Project { input, exprs, schema } => {
             let child = run_par(input, ctx)?;
@@ -579,6 +683,7 @@ fn run_par_node(plan: &PlanRef, ctx: &mut ParCtx<'_>) -> Result<Batch> {
 /// Filter over a materialized batch: selection-vector kernel per chunk,
 /// chunked across the pool.
 fn par_filter(child: &Batch, predicate: &Expr, ctx: &mut ParCtx<'_>) -> Result<Batch> {
+    let kernel = FilterKernel::new(predicate);
     let chunk = ctx.config.morsel_rows;
     let n = chunk_count(child.num_rows(), chunk);
     let row_bytes = kernels::row_bytes(child);
@@ -586,12 +691,12 @@ fn par_filter(child: &Batch, predicate: &Expr, ctx: &mut ParCtx<'_>) -> Result<B
         let t = Instant::now();
         let range = chunk_range(i, chunk, child.num_rows());
         met.morsel_bytes += row_bytes * range.len();
-        let out = filter_batch(child, predicate, range)?;
+        let out = kernel.filter(child, range)?;
         met.filter_nanos += nanos_since(t);
         Ok(out)
     })?;
     ctx.metrics.merge(&wm);
-    Batch::concat(Arc::clone(&child.schema), &parts)
+    merge_parts(Arc::clone(&child.schema), parts)
 }
 
 /// Projection over a materialized batch. Pure column mappings apply as a
@@ -617,21 +722,12 @@ fn par_project(
         let t = Instant::now();
         let range = chunk_range(i, chunk, child.num_rows());
         met.morsel_bytes += row_bytes * range.len();
-        let mut rows = Vec::new();
-        for r in range {
-            let row = child.row(r);
-            let mut out = Vec::with_capacity(exprs.len());
-            for (e, _) in exprs {
-                out.push(e.eval_row(&row)?);
-            }
-            rows.push(out);
-        }
-        let out = Batch::from_rows(Arc::clone(&schema), &rows)?;
+        let out = kernels::project_rows(child, exprs, Arc::clone(&schema), range)?;
         met.project_nanos += nanos_since(t);
         Ok(out)
     })?;
     ctx.metrics.merge(&wm);
-    Batch::concat(out_schema, &parts)
+    merge_parts(out_schema, parts)
 }
 
 // ---------------------------------------------------------------------------
@@ -669,7 +765,7 @@ fn key_at(batch: &Batch, i: usize, cols: &[usize]) -> Option<Vec<Value>> {
     Some(key)
 }
 
-/// Parallel hash join preserving the serial executor's semantics and row
+/// Partitioned hash join with [`ops::hash_join`]'s semantics and row
 /// order: partition the build side by key hash, build per-partition maps
 /// with match lists in build-row order, probe chunks of the other side
 /// concurrently, and concatenate probe-chunk outputs in chunk order.
@@ -686,7 +782,7 @@ fn par_hash_join(
     if left.num_rows().max(right.num_rows()) < 2 * config.morsel_rows {
         return ops::hash_join(left, right, kind, on, residual, schema);
     }
-    // Mirror the serial executor's adaptive build side: an inner equi-join
+    // Adaptive build side, as in `ops::hash_join`: an inner equi-join
     // without residual commutes, so build on the smaller input.
     let build_left =
         kind == JoinKind::Inner && residual.is_none() && left.num_rows() < right.num_rows();
@@ -726,7 +822,7 @@ fn par_hash_join(
 
     // Phase 2: one hash map per partition. Chunks are visited in index
     // order, so every match list holds build-row indices ascending —
-    // exactly the serial build's entry order.
+    // exactly a single-map build's entry order.
     let (maps, wm2, _) = parallel_map(config.threads, n_parts, |p, _met, _prof| {
         let mut map: FxHashMap<Vec<Value>, Vec<usize>> = FxHashMap::default();
         for chunk_parts in &scattered {
@@ -813,7 +909,7 @@ fn par_hash_join(
     ctx.metrics.merge(&wm1);
     ctx.metrics.merge(&wm2);
     ctx.metrics.merge(&wm3);
-    Batch::concat(schema, &parts)
+    merge_parts(schema, parts)
 }
 
 // ---------------------------------------------------------------------------
@@ -826,15 +922,15 @@ fn par_hash_join(
 //   of partitions — and therefore a disjoint key range — so a group's
 //   accumulator is updated by exactly one worker in global row order and
 //   no cross-worker state merge ever happens. Finished groups carry their
-//   global first-row index; one final sort by that index reproduces the
-//   serial executor's first-seen output order bit-for-bit.
+//   global first-row index; one final sort by that index yields
+//   first-seen output order, whatever the partitioning.
 // * **chunk partials** (global aggregates and small inputs): thread-local
 //   partial states per chunk, merged in chunk order via
 //   [`vdm_expr::Accumulator::merge`].
 
 type AggPartial = (Vec<Vec<Value>>, Vec<Vec<vdm_expr::Accumulator>>);
 
-/// Serial hash aggregation over one row range, producing partial states
+/// Hash aggregation over one row range, producing partial states
 /// instead of finished values (group order: first-seen within the range).
 fn agg_partial(
     input: &Batch,
@@ -986,9 +1082,9 @@ fn par_aggregate(
     ctx.metrics.merge(&wm1);
     ctx.metrics.merge(&wm2);
 
-    // Phase 3: groups ordered by global first occurrence reproduce the
-    // serial executor's first-seen output order exactly; the key values
-    // are materialized once per group from its representative row.
+    // Phase 3: groups ordered by global first occurrence give first-seen
+    // output order; the key values are materialized once per group from
+    // its representative row.
     let mut all: Vec<(usize, Vec<vdm_expr::Accumulator>)> = built.into_iter().flatten().collect();
     all.sort_unstable_by_key(|(first, _)| *first);
     let mut rows = Vec::with_capacity(all.len());
@@ -1011,8 +1107,8 @@ fn par_aggregate(
 /// True when rows `a` and `b` agree on every group-key expression. Plain
 /// column keys compare column values directly; computed keys re-evaluate
 /// per expression with short-circuiting. Uses `Value` equality, i.e. the
-/// same NULL-groups-together and Int/Dec-family semantics as the serial
-/// executor's key map.
+/// same NULL-groups-together and Int/Dec-family semantics as a
+/// `Vec<Value>`-keyed map.
 fn group_keys_equal(
     child: &Batch,
     group_by: &[(Expr, String)],
@@ -1035,10 +1131,9 @@ fn group_keys_equal(
     }
 }
 
-/// Legacy chunk-partial aggregation: thread-local partial states merged in
+/// Chunk-partial aggregation: thread-local partial states merged in
 /// chunk order — a group's global first occurrence lies in the earliest
-/// chunk containing it, so the merged first-seen order equals the serial
-/// executor's.
+/// chunk containing it, so the merged order is first-seen order.
 fn par_aggregate_merge(
     child: &Batch,
     group_by: &[(Expr, String)],
@@ -1082,12 +1177,13 @@ fn par_aggregate_merge(
 }
 
 // ---------------------------------------------------------------------------
-// Budgeted (LIMIT-pushdown) parallel execution.
+// Budgeted (LIMIT-pushdown) execution.
 
-/// Parallel mirror of the serial `run_budgeted`: truncation applies only
-/// where it cannot change which rows could appear (scans, projections,
-/// unions, stacked limits, literal rows); everything else runs fully and
-/// truncates afterwards.
+/// Executes `plan` needing at most `budget` output rows (sound without an
+/// intervening Sort — Sort runs fully). Truncation applies only where it
+/// cannot change which rows *could* appear under LIMIT-without-ORDER
+/// semantics (scans, projections, unions, stacked limits, literal rows);
+/// everything else runs fully and truncates afterwards.
 fn run_budgeted_par(plan: &PlanRef, budget: usize, ctx: &mut ParCtx<'_>) -> Result<Batch> {
     match plan.as_ref() {
         LogicalPlan::Scan { .. }
@@ -1109,20 +1205,27 @@ fn run_budgeted_par_node(plan: &PlanRef, budget: usize, ctx: &mut ParCtx<'_>) ->
     ctx.metrics.operators += 1;
     match plan.as_ref() {
         LogicalPlan::Scan { table, schema, .. } => {
-            // Wave dispatch: `threads` morsels at a time in index order;
-            // once the completed prefix covers the budget no further wave
-            // launches. Scanned rows stay within
-            // `budget + threads * morsel_rows`, keeping pushed-down LIMIT
-            // O(k) instead of O(table).
-            let morsel_rows = ctx.config.morsel_rows;
+            // Wave dispatch in index order over morsels no larger than the
+            // budget; once the completed prefix covers the budget no
+            // further wave launches. The first wave is one morsel per
+            // worker, so the serial mode reads exactly `budget` rows when
+            // the table's head is live; waves then double (deleted heads
+            // cost O(log) dispatches) up to `workers * morsel_rows` rows.
+            // Scanned rows stay within `budget + workers * morsel_rows`,
+            // keeping pushed-down LIMIT O(k) instead of O(table).
+            let workers = pool_workers(ctx.config.threads);
+            let morsel_rows = budget.clamp(1, ctx.config.morsel_rows);
+            let widest = workers.saturating_mul(ctx.config.morsel_rows) / morsel_rows;
             let n = ctx.engine.morsel_count(&table.name, morsel_rows)?;
             let engine = ctx.engine;
             let snapshot = ctx.snapshot;
             let mut parts: Vec<Batch> = Vec::new();
             let mut have = 0usize;
             let mut base = 0usize;
+            let mut width = workers;
             while base < n && have < budget {
-                let wave = (n - base).min(pool_workers(ctx.config.threads));
+                let wave = (n - base).min(width);
+                width = (width * 2).min(widest);
                 let (batches, wm, _wp) =
                     parallel_map(ctx.config.threads, wave, |i, met, _prof| {
                         let t = Instant::now();
@@ -1138,7 +1241,7 @@ fn run_budgeted_par_node(plan: &PlanRef, budget: usize, ctx: &mut ParCtx<'_>) ->
                 }
                 base += wave;
             }
-            let merged = Batch::concat(Arc::clone(schema), &parts)?;
+            let merged = merge_parts(Arc::clone(schema), parts)?;
             Ok(truncate(merged, budget))
         }
         LogicalPlan::Values { schema, rows } => {
@@ -1167,7 +1270,7 @@ fn run_budgeted_par_node(plan: &PlanRef, budget: usize, ctx: &mut ParCtx<'_>) ->
             }
             let child = run_budgeted_par(input, budget, ctx)?;
             let t = Instant::now();
-            let out = ops::project(&child, exprs, Arc::clone(schema));
+            let out = kernels::project_rows(&child, exprs, Arc::clone(schema), 0..child.num_rows());
             ctx.metrics.project_nanos += nanos_since(t);
             out
         }
@@ -1214,7 +1317,7 @@ fn truncate(batch: Batch, budget: usize) -> Batch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::execute_at;
+    use crate::pool::{with_worker_pool, WorkerPool};
     use vdm_catalog::TableBuilder;
     use vdm_expr::{AggExpr, AggFunc};
     use vdm_types::SqlType;
@@ -1260,11 +1363,18 @@ mod tests {
         ParallelConfig { threads, morsel_rows: 512 }
     }
 
+    fn run_at(plan: &PlanRef, e: &StorageEngine, snap: Snapshot, threads: usize) -> Execution {
+        let opts = ExecOptions { snapshot: Some(snap), parallel: cfg(threads), profile: false };
+        execute_with(plan, e, &opts).unwrap()
+    }
+
+    /// Serial mode (`threads: 1`) is the reference the other thread counts
+    /// are held to.
     fn assert_equivalent(plan: &PlanRef, e: &StorageEngine) {
         let snap = e.snapshot();
-        let (serial, sm) = execute_at(plan, e, snap).unwrap();
+        let Execution { batch: serial, metrics: sm, .. } = run_at(plan, e, snap, 1);
         for threads in [2, 4] {
-            let (par, pm) = execute_parallel_at(plan, e, snap, cfg(threads)).unwrap();
+            let Execution { batch: par, metrics: pm, .. } = run_at(plan, e, snap, threads);
             assert_eq!(par.to_rows(), serial.to_rows(), "threads={threads}");
             assert_eq!(pm.rows_scanned, sm.rows_scanned, "threads={threads}");
             assert_eq!(pm.filter_input_rows, sm.filter_input_rows, "threads={threads}");
@@ -1364,30 +1474,58 @@ mod tests {
     #[test]
     fn budgeted_parallel_limit_is_bounded_and_exact() {
         let (e, def) = many_rows_engine(20_000);
-        let total = e.row_count("t", e.snapshot()).unwrap();
         let plan = LogicalPlan::limit(LogicalPlan::scan(def), 5, Some(100));
-        let snap = e.snapshot();
-        let (serial, _) = execute_at(&plan, &e, snap).unwrap();
-        let config = cfg(4);
-        let (par, pm) = execute_parallel_at(&plan, &e, snap, config).unwrap();
-        assert_eq!(par.to_rows(), serial.to_rows());
-        let bound = 105 + config.threads * config.morsel_rows;
-        assert!(
-            pm.rows_scanned <= bound,
-            "parallel budgeted scan touched {} rows (bound {bound}, table {total})",
-            pm.rows_scanned
-        );
-        assert!(pm.rows_scanned < total, "must not scan the whole table");
+        // A live head, then a deleted one (waves widen until live rows
+        // cover the budget).
+        for deleted_head in [false, true] {
+            if deleted_head {
+                e.delete_where("t", &|r| matches!(r[0], Value::Int(k) if k < 3_000)).unwrap();
+            }
+            let total = e.row_count("t", e.snapshot()).unwrap();
+            let snap = e.snapshot();
+            let serial = run_at(&plan, &e, snap, 1);
+            assert_eq!(serial.batch.num_rows(), 100);
+            for threads in [1, 4] {
+                let x = run_at(&plan, &e, snap, threads);
+                assert_eq!(x.batch.to_rows(), serial.batch.to_rows());
+                let bound = 105 + x.workers * cfg(threads).morsel_rows;
+                assert!(
+                    x.metrics.rows_scanned <= bound,
+                    "threads={threads}: budgeted scan touched {} rows (bound {bound}, table {total})",
+                    x.metrics.rows_scanned
+                );
+                assert!(x.metrics.rows_scanned < total, "must not scan the whole table");
+                if x.workers == 1 && !deleted_head {
+                    assert_eq!(x.metrics.rows_scanned, 105, "serial mode reads exactly the budget");
+                }
+            }
+        }
     }
 
     #[test]
-    fn serial_config_is_legacy_path() {
-        let (e, def) = many_rows_engine(1_000);
-        let plan = LogicalPlan::scan(def);
-        let snap = e.snapshot();
-        let (serial, sm) = execute_at(&plan, &e, snap).unwrap();
-        let (par, pm) = execute_parallel_at(&plan, &e, snap, ParallelConfig::serial()).unwrap();
-        assert_eq!(par.to_rows(), serial.to_rows());
-        assert_eq!(pm.rows_scanned, sm.rows_scanned);
+    fn threads_one_runs_inline_on_the_calling_thread() {
+        let (e, def) = many_rows_engine(4_000);
+        let plan = LogicalPlan::aggregate(
+            LogicalPlan::scan(def),
+            vec![(Expr::col(1), "g".into())],
+            vec![(AggExpr::count_star(), "n".into())],
+        )
+        .unwrap();
+        let caller = std::thread::current().id();
+        let check = || {
+            // The engine's one dispatch point: at `threads: 1` no item
+            // leaves the calling thread, so nothing is spawned or broadcast.
+            let (ids, m, _) =
+                parallel_map(1, 64, |_, _, _| Ok(std::thread::current().id())).unwrap();
+            assert!(ids.iter().all(|id| *id == caller));
+            assert_eq!(m.morsel_steals, 0);
+            let x = run_at(&plan, &e, e.snapshot(), 1);
+            assert_eq!(x.workers, 1);
+            assert_eq!(x.metrics.morsel_steals, 0);
+            assert_eq!(x.batch.num_rows(), 13);
+        };
+        check();
+        let pool = WorkerPool::new(3);
+        with_worker_pool(&pool, check);
     }
 }

@@ -939,7 +939,8 @@ fn profile_differences_are_purely_about_work() {
     let mut reference: Option<Vec<Vec<Value>>> = None;
     for profile in Profile::paper_systems() {
         let opt = Optimizer::new(profile).optimize(&q).unwrap();
-        let (batch, metrics) = vdm_exec::execute_at(&opt, &e, e.snapshot()).unwrap();
+        let vdm_exec::Execution { batch, metrics, .. } =
+            vdm_exec::execute_with(&opt, &e, &vdm_exec::ExecOptions::default()).unwrap();
         let mut rows = batch.to_rows();
         rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
         match &reference {

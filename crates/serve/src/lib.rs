@@ -262,6 +262,7 @@ impl Server {
     /// Sets the executor configuration used by subsequent queries.
     pub fn set_parallelism(&self, config: ParallelConfig) {
         *self.shared.parallel.lock().unwrap() = config;
+        self.shared.views.set_parallelism(config);
     }
 
     /// The active executor configuration.
@@ -294,7 +295,9 @@ impl Server {
         };
         let shape = vdm_sql::canonical_shape(sql)?;
         let resolved = self.shared.resolve(&sel, Some(&shape), &[])?;
-        self.shared.views.register(name, resolved.plan, mode, &self.shared.engine)
+        with_worker_pool(&self.shared.pool, || {
+            self.shared.views.register(name, resolved.plan, mode, &self.shared.engine)
+        })
     }
 
     /// Looks up a cached view.
@@ -302,10 +305,13 @@ impl Server {
         self.shared.views.get(name)
     }
 
-    /// Refreshes every static cached view. Runs outside the state lock;
-    /// concurrent readers of those views only block for the `Arc` swap.
+    /// Refreshes every static cached view on the shared worker pool. Runs
+    /// outside the state lock; concurrent readers of those views only
+    /// block for the `Arc` swap.
     pub fn refresh_cached_views(&self) -> Result<usize> {
-        self.shared.views.refresh_all_static(&self.shared.engine)
+        with_worker_pool(&self.shared.pool, || {
+            self.shared.views.refresh_all_static(&self.shared.engine)
+        })
     }
 
     /// The process-wide metrics registry.
@@ -443,23 +449,19 @@ impl Session {
 
     /// Reads a cached view (SCV: last refresh; DCV: maintained first).
     pub fn read_cached(&self, name: &str) -> Result<Arc<Batch>> {
-        let view = self
-            .shared
-            .views
-            .get(name)
-            .ok_or_else(|| VdmError::Catalog(format!("unknown cached view {name:?}")))?;
-        view.read(&self.shared.engine)
+        Ok(self.read_cached_with_outcome(name)?.0)
     }
 
     /// [`read_cached`](Session::read_cached), also reporting what DCV
     /// maintenance did (`fresh`, `incremental(+N rows)`, `full refresh`).
+    /// Maintenance executes on the shared worker pool, like any query.
     pub fn read_cached_with_outcome(&self, name: &str) -> Result<(Arc<Batch>, MaintainOutcome)> {
         let view = self
             .shared
             .views
             .get(name)
             .ok_or_else(|| VdmError::Catalog(format!("unknown cached view {name:?}")))?;
-        view.read_with_outcome(&self.shared.engine)
+        with_worker_pool(&self.shared.pool, || view.read_with_outcome(&self.shared.engine))
     }
 }
 

@@ -122,11 +122,6 @@ impl StorageEngine {
         self.table(name)?.read().unwrap().scan(snapshot.0)
     }
 
-    /// Scans at most `max_rows` of a table at `snapshot`.
-    pub fn scan_limited(&self, name: &str, snapshot: Snapshot, max_rows: usize) -> Result<Batch> {
-        self.table(name)?.read().unwrap().scan_limited(snapshot.0, max_rows)
-    }
-
     /// Timestamp of the table's most recent write (0 = never written).
     pub fn table_version(&self, name: &str) -> Result<u64> {
         Ok(self.table(name)?.read().unwrap().last_write_ts())
@@ -168,19 +163,7 @@ impl StorageEngine {
         Ok(self.table(name)?.read().unwrap().page_stats())
     }
 
-    /// Scans with zone-map pruning on `column` over `range` (a superset of
-    /// the matching rows; callers re-apply their predicate).
-    pub fn scan_pruned(
-        &self,
-        name: &str,
-        snapshot: Snapshot,
-        column: usize,
-        range: &crate::zonemap::ScanRange,
-    ) -> Result<Batch> {
-        self.table(name)?.read().unwrap().scan_pruned(snapshot.0, column, range)
-    }
-
-    /// Number of fixed-size morsels a parallel scan of the table claims.
+    /// Number of fixed-size morsels a scan of the table claims.
     pub fn morsel_count(&self, name: &str, morsel_rows: usize) -> Result<usize> {
         Ok(self.table(name)?.read().unwrap().morsel_count(morsel_rows))
     }

@@ -80,10 +80,14 @@ impl PageBuffer {
         self.resident.push_back(page);
     }
 
-    /// Records a scan touching rows `[0, rows)` at `page_rows` granularity.
-    pub fn touch_range(&mut self, rows: usize, page_rows: usize) {
-        let pages = rows.div_ceil(page_rows.max(1));
-        for p in 0..pages {
+    /// Records a scan touching the physical row range `rows` at
+    /// `page_rows` granularity.
+    pub fn touch_range(&mut self, rows: std::ops::Range<usize>, page_rows: usize) {
+        if rows.is_empty() {
+            return;
+        }
+        let page_rows = page_rows.max(1);
+        for p in rows.start / page_rows..rows.end.div_ceil(page_rows) {
             self.touch(p);
         }
     }
@@ -111,9 +115,9 @@ mod tests {
     #[test]
     fn faults_then_hits() {
         let mut b = PageBuffer::new(4);
-        b.touch_range(100, 50); // pages 0, 1
+        b.touch_range(0..100, 50); // pages 0, 1
         assert_eq!(b.stats(), PageStats { loads: 2, hits: 0, evictions: 0 });
-        b.touch_range(100, 50); // both resident
+        b.touch_range(0..100, 50); // both resident
         assert_eq!(b.stats(), PageStats { loads: 2, hits: 2, evictions: 0 });
         assert!(b.stats().hit_rate() > 0.49);
     }
@@ -135,7 +139,7 @@ mod tests {
     #[test]
     fn clear_models_reload() {
         let mut b = PageBuffer::new(8);
-        b.touch_range(80, 10);
+        b.touch_range(0..80, 10);
         b.clear();
         assert_eq!(b.resident_pages(), 0);
         b.touch(0);

@@ -108,8 +108,8 @@ impl TableStore {
         self.page_buffer.lock().unwrap().stats()
     }
 
-    /// Accounts page traffic for a scan touching `rows` main-fragment rows.
-    fn account_scan(&self, rows: usize) {
+    /// Accounts page traffic for a scan touching main-fragment rows `rows`.
+    fn account_scan(&self, rows: std::ops::Range<usize>) {
         if let LoadMode::PageLoadable { page_rows } = self.load_mode {
             self.page_buffer.lock().unwrap().touch_range(rows, page_rows);
         }
@@ -287,39 +287,16 @@ impl TableStore {
         deleted
     }
 
-    /// Materializes all rows visible at `ts` as a columnar batch.
+    /// Materializes all rows visible at `ts` as a columnar batch — the
+    /// whole table as one morsel.
     pub fn scan(&self, ts: u64) -> Result<Batch> {
-        self.scan_limited(ts, usize::MAX)
-    }
-
-    /// Materializes at most `max_rows` visible rows — the early-termination
-    /// path that makes pushed-down LIMITs O(k) instead of O(table).
-    pub fn scan_limited(&self, ts: u64, max_rows: usize) -> Result<Batch> {
-        self.account_scan(self.main_meta.len().min(max_rows));
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        for (i, meta) in self.main_meta.iter().enumerate() {
-            if rows.len() >= max_rows {
-                break;
-            }
-            if meta.visible_at(ts) {
-                rows.push(self.main.iter().map(|c| c.get(i)).collect());
-            }
-        }
-        for (i, meta) in self.delta_meta.iter().enumerate() {
-            if rows.len() >= max_rows {
-                break;
-            }
-            if meta.visible_at(ts) {
-                rows.push(self.delta[i].clone());
-            }
-        }
-        Batch::from_rows(Arc::clone(&self.schema), &rows)
+        self.scan_morsel(ts, 0, usize::MAX)
     }
 
     /// Number of fixed-size morsels covering the table's physical rows
-    /// (main then delta). A parallel scan claims indices `0..morsel_count`
-    /// and concatenating the morsel batches in index order reproduces the
-    /// serial scan exactly.
+    /// (main then delta). A scan claims indices `0..morsel_count`, and
+    /// concatenating the morsel batches in index order reproduces
+    /// [`TableStore::scan`] exactly.
     pub fn morsel_count(&self, morsel_rows: usize) -> usize {
         let total = self.main_meta.len() + self.delta.len();
         total.div_ceil(morsel_rows.max(1))
@@ -342,7 +319,7 @@ impl TableStore {
     /// Materializes the rows of one morsel visible at `ts`.
     pub fn scan_morsel(&self, ts: u64, morsel: usize, morsel_rows: usize) -> Result<Batch> {
         let (m_start, m_end, d_start, d_end) = self.morsel_bounds(morsel, morsel_rows);
-        self.account_scan(m_end - m_start);
+        self.account_scan(m_start..m_end);
         let mut rows: Vec<Vec<Value>> = Vec::new();
         for i in m_start..m_end {
             if self.main_meta[i].visible_at(ts) {
@@ -359,9 +336,9 @@ impl TableStore {
 
     /// Morsel scan with zone-map pruning on the main fragment. Callers must
     /// use a `morsel_rows` that is a multiple of [`ZONE_BLOCK_ROWS`] so each
-    /// block falls entirely inside one morsel; the union over all morsels
-    /// then matches [`TableStore::scan_pruned`] row for row, and skipped
-    /// blocks are counted exactly once.
+    /// block falls entirely inside one morsel and skipped blocks are counted
+    /// exactly once. The result is a superset of the matching rows —
+    /// callers re-apply the full predicate.
     pub fn scan_morsel_pruned(
         &self,
         ts: u64,
@@ -371,7 +348,7 @@ impl TableStore {
         range: &ScanRange,
     ) -> Result<Batch> {
         let (m_start, m_end, d_start, d_end) = self.morsel_bounds(morsel, morsel_rows);
-        self.account_scan(m_end - m_start);
+        self.account_scan(m_start..m_end);
         let mut rows: Vec<Vec<Value>> = Vec::new();
         let mut skipped = 0u64;
         if m_start < m_end {
@@ -404,37 +381,6 @@ impl TableStore {
         if skipped > 0 {
             *self.blocks_skipped.lock().unwrap() += skipped;
         }
-        Batch::from_rows(Arc::clone(&self.schema), &rows)
-    }
-
-    /// Scans rows visible at `ts` whose `column` value may fall in `range`,
-    /// skipping main-fragment blocks whose zone map excludes the range.
-    /// Callers re-apply the full predicate — pruning is a superset filter.
-    pub fn scan_pruned(&self, ts: u64, column: usize, range: &ScanRange) -> Result<Batch> {
-        self.account_scan(self.main_meta.len());
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        let mut skipped = 0u64;
-        let n_blocks = self.main_meta.len().div_ceil(ZONE_BLOCK_ROWS);
-        for block in 0..n_blocks {
-            if !self.zone_maps.block_may_match(column, block, range) {
-                skipped += 1;
-                continue;
-            }
-            let start = block * ZONE_BLOCK_ROWS;
-            let end = (start + ZONE_BLOCK_ROWS).min(self.main_meta.len());
-            for i in start..end {
-                if self.main_meta[i].visible_at(ts) {
-                    rows.push(self.main.iter().map(|c| c.get(i)).collect());
-                }
-            }
-        }
-        // The delta is unindexed: always scanned.
-        for (i, meta) in self.delta_meta.iter().enumerate() {
-            if meta.visible_at(ts) {
-                rows.push(self.delta[i].clone());
-            }
-        }
-        *self.blocks_skipped.lock().unwrap() += skipped;
         Batch::from_rows(Arc::clone(&self.schema), &rows)
     }
 
@@ -605,7 +551,7 @@ mod tests {
     }
 
     #[test]
-    fn morsel_pruned_scan_matches_serial_pruned_scan() {
+    fn morsel_pruned_scan_skips_each_excluded_block_once() {
         let mut s = TableStore::new(Arc::new(
             TableBuilder::new("t")
                 .column("k", SqlType::Int, false)
@@ -620,17 +566,20 @@ mod tests {
         s.merge_delta(1).unwrap();
         s.insert((n as i64..n as i64 + 5).map(|i| vec![Value::Int(i), Value::Int(0)]).collect(), 2)
             .unwrap();
-        let range = ScanRange::at_least(Value::Int(2 * ZONE_BLOCK_ROWS as i64));
-        let serial = s.scan_pruned(2, 0, &range).unwrap().to_rows();
-        let skipped_serial = s.blocks_skipped();
-        assert!(skipped_serial > 0, "pruning must fire for the test to mean anything");
-        let morsel_rows = 2 * ZONE_BLOCK_ROWS;
-        let mut rows = Vec::new();
-        for m in 0..s.morsel_count(morsel_rows) {
-            rows.extend(s.scan_morsel_pruned(2, m, morsel_rows, 0, &range).unwrap().to_rows());
+        // Keys ascend with position, so the range excludes exactly the first
+        // two blocks and the pruned scan returns exactly the matching rows.
+        let first_kept = Value::Int(2 * ZONE_BLOCK_ROWS as i64);
+        let range = ScanRange::at_least(first_kept.clone());
+        let mut expected = s.scan(2).unwrap().to_rows();
+        expected.retain(|r| r[0].total_cmp(&first_kept).is_ge());
+        for (round, morsel_rows) in [ZONE_BLOCK_ROWS, 2 * ZONE_BLOCK_ROWS].into_iter().enumerate() {
+            let mut rows = Vec::new();
+            for m in 0..s.morsel_count(morsel_rows) {
+                rows.extend(s.scan_morsel_pruned(2, m, morsel_rows, 0, &range).unwrap().to_rows());
+            }
+            assert_eq!(rows, expected, "morsel_rows={morsel_rows}");
+            assert_eq!(s.blocks_skipped(), 2 * (round as u64 + 1), "each block skipped once");
         }
-        assert_eq!(rows, serial);
-        assert_eq!(s.blocks_skipped(), 2 * skipped_serial, "same blocks skipped once each");
     }
 
     #[test]

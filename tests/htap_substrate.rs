@@ -4,11 +4,17 @@
 
 use std::sync::Arc;
 use vdm_catalog::TableBuilder;
-use vdm_exec::execute_at;
+use vdm_exec::{execute_with, ExecOptions, Metrics};
 use vdm_expr::{AggExpr, AggFunc, Expr};
-use vdm_plan::LogicalPlan;
-use vdm_storage::{LoadMode, StorageEngine};
+use vdm_plan::{LogicalPlan, PlanRef};
+use vdm_storage::{Batch, LoadMode, Snapshot, StorageEngine};
 use vdm_types::{SqlType, Value};
+
+fn run_at(plan: &PlanRef, engine: &StorageEngine, snapshot: Snapshot) -> (Batch, Metrics) {
+    let opts = ExecOptions { snapshot: Some(snapshot), ..ExecOptions::default() };
+    let x = execute_with(plan, engine, &opts).unwrap();
+    (x.batch, x.metrics)
+}
 
 fn journal_table() -> vdm_catalog::TableDef {
     TableBuilder::new("journal")
@@ -56,8 +62,8 @@ fn concurrent_writers_and_snapshot_readers() {
         handles.push(std::thread::spawn(move || {
             for _ in 0..30 {
                 let snap = engine.snapshot();
-                let (first, _) = execute_at(&plan, &engine, snap).unwrap();
-                let (second, _) = execute_at(&plan, &engine, snap).unwrap();
+                let (first, _) = run_at(&plan, &engine, snap);
+                let (second, _) = run_at(&plan, &engine, snap);
                 assert_eq!(first.row(0), second.row(0), "pinned snapshot must be stable");
             }
         }));
@@ -65,7 +71,7 @@ fn concurrent_writers_and_snapshot_readers() {
     for h in handles {
         h.join().unwrap();
     }
-    let (final_batch, _) = execute_at(&sum_plan, &engine, engine.snapshot()).unwrap();
+    let (final_batch, _) = run_at(&sum_plan, &engine, engine.snapshot());
     assert_eq!(final_batch.row(0)[0], Value::Int(100 + 3 * 200));
 }
 
@@ -147,7 +153,7 @@ fn zone_maps_prune_merged_blocks() {
 
     let pred = Expr::col(0).binary(vdm_expr::BinOp::GtEq, Expr::int(8_000));
     let plan = LogicalPlan::filter(LogicalPlan::scan(Arc::clone(&def)), pred.clone()).unwrap();
-    let (batch, metrics) = execute_at(&plan, &engine, engine.snapshot()).unwrap();
+    let (batch, metrics) = run_at(&plan, &engine, engine.snapshot());
     assert_eq!(batch.num_rows(), 192);
     assert!(
         metrics.rows_scanned < 2_048,
@@ -158,6 +164,6 @@ fn zone_maps_prune_merged_blocks() {
     // Unmerged delta rows are always visible (never pruned away).
     engine.insert("journal", vec![vec![Value::Int(9_000), Value::Int(1)]]).unwrap();
     let plan = LogicalPlan::filter(LogicalPlan::scan(def), pred).unwrap();
-    let (batch, _) = execute_at(&plan, &engine, engine.snapshot()).unwrap();
+    let (batch, _) = run_at(&plan, &engine, engine.snapshot());
     assert_eq!(batch.num_rows(), 193, "delta row found without a merge");
 }

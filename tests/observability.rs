@@ -12,7 +12,17 @@
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test --test observability`.
 
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
 use vdm_core::{Database, ParallelConfig, StatementResult};
+
+/// Serializes this binary's tests: the metrics registry is process-wide,
+/// every test here runs queries, and two of them assert exact counter
+/// deltas.
+static REGISTRY_LOCK: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Masks `pat<token>` runs: every char after `pat` until `stop` becomes `_`.
 fn mask_after(s: &str, pat: &str, stop: impl Fn(char) -> bool) -> String {
@@ -87,12 +97,14 @@ const FIG8_ASJ: &str = "select c.c_custkey, c2.c_name from customer c \
 
 #[test]
 fn golden_explain_fig5_uaj() {
+    let _serial = serial();
     let db = db();
     assert_golden("explain_fig5_uaj.txt", &db.explain(FIG5_UAJ).unwrap());
 }
 
 #[test]
 fn golden_explain_analyze_fig5_uaj() {
+    let _serial = serial();
     let db = db();
     let text = db.explain_analyze(FIG5_UAJ).unwrap();
     // Per-node estimated/actual cardinalities and the fired rewrite must
@@ -109,6 +121,7 @@ fn golden_explain_analyze_fig5_uaj() {
 
 #[test]
 fn golden_explain_analyze_fig8_asj() {
+    let _serial = serial();
     let mut db = db();
     // Through the SQL surface, as a user would type it.
     let StatementResult::Explained(text) =
@@ -122,6 +135,7 @@ fn golden_explain_analyze_fig8_asj() {
 
 #[test]
 fn golden_explain_analyze_parallel_column_map_projection() {
+    let _serial = serial();
     let mut db = db();
     // Parallel execution with tiny morsels: the pure column-map projection
     // (rename + reorder only) takes the fused column-mapping kernel path,
@@ -130,7 +144,9 @@ fn golden_explain_analyze_parallel_column_map_projection() {
     // time, so the single surviving column map is the shape the SQL
     // surface hands the executor; deeper exec-time chains (unoptimized
     // plans) are covered by the parallel-equivalence profile assertions.
-    db.set_parallelism(ParallelConfig { threads: 4, morsel_rows: 2 });
+    // Two threads: the header reports workers actually used, and two is
+    // what every host dispatches for `threads: 2`.
+    db.set_parallelism(ParallelConfig { threads: 2, morsel_rows: 2 });
     let text = db
         .explain_analyze(
             "select okey, cname from \
@@ -149,6 +165,7 @@ fn golden_explain_analyze_parallel_column_map_projection() {
 
 #[test]
 fn uaj_trace_names_the_rule_exactly_once() {
+    let _serial = serial();
     let db = db();
     let plan = db.plan(FIG5_UAJ).unwrap();
     let (optimized, trace) = db.optimizer().optimize_traced(&plan).unwrap();
@@ -168,6 +185,7 @@ fn uaj_trace_names_the_rule_exactly_once() {
 
 #[test]
 fn registry_exports_prometheus_and_json_with_uaj_hits() {
+    let _serial = serial();
     let db = db();
     let rule = vdm_obs::registry::label("vdm_rewrite_fired_total", "rule", "uaj-removal");
     let reg = db.metrics();
@@ -198,6 +216,7 @@ fn registry_exports_prometheus_and_json_with_uaj_hits() {
 
 #[test]
 fn golden_explain_analyze_cached_view_header() {
+    let _serial = serial();
     let mut db = db();
     db.create_cached_view(
         "cust_orders",
@@ -228,6 +247,7 @@ fn golden_explain_analyze_cached_view_header() {
 
 #[test]
 fn view_refresh_metrics_are_exported() {
+    let _serial = serial();
     let mut db = db();
     let reg = db.metrics();
     let full = vdm_obs::registry::label("vdm_view_refresh_total", "kind", "full");
@@ -284,6 +304,7 @@ fn trace_skeleton(trace: &vdm_obs::QueryTrace) -> String {
 
 #[test]
 fn serve_query_trace_forms_one_causal_tree() {
+    let _serial = serial();
     use vdm_cache::CacheMode;
     use vdm_serve::{ServeConfig, Server};
 
@@ -353,6 +374,7 @@ fn serve_query_trace_forms_one_causal_tree() {
 
 #[test]
 fn explain_trace_statement_renders_the_span_tree() {
+    let _serial = serial();
     let mut db = db();
     let StatementResult::Explained(text) =
         db.execute(&format!("explain trace {FIG5_UAJ}")).unwrap()
@@ -379,6 +401,7 @@ fn explain_trace_statement_renders_the_span_tree() {
 
 #[test]
 fn metric_catalog_covers_every_registered_metric() {
+    let _serial = serial();
     use vdm_cache::CacheMode;
     use vdm_obs::{names, QueryStore};
     use vdm_serve::Server;
@@ -455,6 +478,7 @@ fn metric_catalog_covers_every_registered_metric() {
 
 #[test]
 fn explain_analyze_profiles_every_executed_node() {
+    let _serial = serial();
     let db = db();
     let text = db
         .explain_analyze(

@@ -146,9 +146,11 @@ fn uaj_execution_metrics_shrink() {
     let (catalog, engine) = harness::setup_tpch(0.02, false);
     let plan = queries::uaj2a(&catalog).unwrap();
     let optimized = Optimizer::hana().optimize(&plan).unwrap();
-    let snap = engine.snapshot();
-    let (a, m_raw) = vdm_exec::execute_at(&plan, &engine, snap).unwrap();
-    let (b, m_opt) = vdm_exec::execute_at(&optimized, &engine, snap).unwrap();
+    let opts = vdm_exec::ExecOptions { snapshot: Some(engine.snapshot()), ..Default::default() };
+    let vdm_exec::Execution { batch: a, metrics: m_raw, .. } =
+        vdm_exec::execute_with(&plan, &engine, &opts).unwrap();
+    let vdm_exec::Execution { batch: b, metrics: m_opt, .. } =
+        vdm_exec::execute_with(&optimized, &engine, &opts).unwrap();
     assert_eq!(a.num_rows(), b.num_rows());
     assert!(m_opt.rows_scanned < m_raw.rows_scanned);
     assert_eq!(m_opt.join_build_rows, 0, "no joins left");
