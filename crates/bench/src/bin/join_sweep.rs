@@ -300,7 +300,7 @@ fn run_one(
     let stats = EngineStats::new(db.engine());
 
     // Rule-based: no statistics, the join-ordering pass stays off.
-    let plan_rule = db.optimize(&bound).expect("rule plan");
+    let plan_rule = db.optimizer().optimize(&bound).expect("rule plan");
     // Estimate-only: cost-based ordering on static statistics.
     let (plan_est, _) = db
         .optimizer()

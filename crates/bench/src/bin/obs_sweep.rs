@@ -43,7 +43,7 @@ use vdm_data::erp::{journal_entry_item_browser, Erp};
 use vdm_exec::ParallelConfig;
 use vdm_obs::{trace, MetricsRegistry, QueryStore};
 use vdm_optimizer::Profile;
-use vdm_serve::{ServeConfig, Server, Session};
+use vdm_serve::{Server, Session};
 use vdm_types::{SplitMix64, Value};
 
 /// The browser paging shapes (same as `serve_sweep`).
@@ -84,7 +84,7 @@ fn build_server(journal_rows: usize, threads: usize) -> Server {
     db.invalidate_plans();
     let browser = journal_entry_item_browser(&schema).expect("browser view");
     db.register_view("journal_entry_item_browser", browser.protected.clone());
-    Server::with_config(db, ServeConfig { pool_threads: threads })
+    Server::from_database(db)
 }
 
 /// Which observability layers the "observed" batches enable.

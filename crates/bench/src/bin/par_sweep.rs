@@ -216,8 +216,9 @@ fn obs_json(
     let profiled_median =
         Duration::from_secs_f64((unprofiled.as_secs_f64() + median_delta).max(0.0));
     let overhead_pct = median_delta / unprofiled.as_secs_f64().max(f64::EPSILON) * 100.0;
-    let (_, trace) =
-        Optimizer::new(Profile::hana()).optimize_traced(bound).expect("traced optimize");
+    let (_, trace) = Optimizer::new(Profile::hana())
+        .optimize_traced_with(bound, None, None)
+        .expect("traced optimize");
     let profile = vdm_exec::execute_with(optimized, engine, &profiled)
         .expect("profiled run")
         .profile

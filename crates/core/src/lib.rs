@@ -21,14 +21,16 @@
 //!   counter; the part DDL mutates and bind/optimize reads.
 //! * [`PlanCache`] — bounded LRU of optimized parameterized plans keyed by
 //!   (canonical statement shape, profile fingerprint, parameter types).
-//! * [`QueryEnv`] — the shared SELECT path both `Database` methods and
-//!   serve sessions run through.
+//! * [`QueryEnv`] — the one statement pipeline both `Database` methods
+//!   and serve sessions run through; rows, `EXPLAIN`, `EXPLAIN ANALYZE`
+//!   and `EXPLAIN TRACE` are [`RunMode`]s of the same run.
 //!
-//! `Database` itself is the single-owner compatibility shim over that
-//! machinery: reads (`query`, `explain*`) take `&self`; statement
-//! execution (`execute*`) takes `&mut self` because DDL must mutate
-//! [`DbState`] — the same operations `vdm-serve` routes through a write
-//! lock. `set_profile` / `set_parallelism` stay `&mut self` deliberately:
+//! `Database` itself is the single-owner facade over that machinery:
+//! reads (`query`, `explain*`) take `&self`; statement execution
+//! (`execute*`) takes `&mut self` because DDL must mutate [`DbState`] —
+//! the same operations `vdm-serve` routes through a write lock
+//! ([`apply_statement`]). `set_profile` / `set_parallelism` stay
+//! `&mut self` deliberately:
 //! they change the meaning/cost of every in-flight statement, so a shared
 //! deployment must serialize them against running queries (which the
 //! serving layer's state lock does).
@@ -38,13 +40,12 @@ pub use vdm_cache::{CacheMode, CachedView, MaintainOutcome, ViewCache};
 use vdm_catalog::Catalog;
 pub use vdm_exec::ParallelConfig;
 use vdm_exec::{ExecOptions, Metrics};
-use vdm_obs::trace as qtrace;
 use vdm_obs::{MetricsRegistry, QueryStore, QueryTrace};
 pub use vdm_optimizer::Profile;
-use vdm_plan::{plan_stats, PlanRef, ViewRegistry};
+use vdm_plan::{PlanRef, ViewRegistry};
 use vdm_sql::Statement;
 use vdm_storage::{Batch, StorageEngine};
-use vdm_types::{Result, VdmError};
+use vdm_types::{Result, Value, VdmError};
 
 pub mod feedback;
 mod plan_cache;
@@ -54,7 +55,8 @@ mod state;
 pub use feedback::EngineStats;
 pub use plan_cache::{CachedPlan, PlanCache, PlanCacheKey, PlanCacheStats};
 pub use session::{
-    execute_select, explain_analyze_bound, param_types_of, CacheOutcome, QueryEnv, ResolvedPlan,
+    execute_resolved, execute_select, param_types_of, parse_script, parse_select, CacheOutcome,
+    Executed, QueryEnv, ResolvedPlan, RunMode,
 };
 pub use state::DbState;
 
@@ -83,6 +85,14 @@ impl StatementResult {
         match self {
             StatementResult::Rows(b) => Ok(b),
             other => Err(VdmError::Exec(format!("statement produced {other:?}, not rows"))),
+        }
+    }
+
+    /// Unwraps EXPLAIN-family text.
+    pub fn explained(self) -> Result<String> {
+        match self {
+            StatementResult::Explained(text) => Ok(text),
+            other => Err(VdmError::Exec(format!("statement produced {other:?}, not EXPLAIN text"))),
         }
     }
 }
@@ -240,7 +250,8 @@ impl Database {
     }
 
     /// Creates a cached (materialized) view over a SELECT — the SCV/DCV
-    /// feature of §3. The optimized plan is materialized immediately.
+    /// feature of §3. The plan [`Database::query`] would run is
+    /// materialized immediately.
     pub fn create_cached_view(
         &self,
         name: &str,
@@ -318,6 +329,27 @@ impl Database {
         }
     }
 
+    /// Runs one read statement through the shared pipeline, keeping the
+    /// finished trace for [`Database::last_trace`].
+    fn run(
+        &self,
+        sel: &vdm_sql::SelectStmt,
+        shape: Option<&str>,
+        params: &[Value],
+        mode: RunMode,
+    ) -> Result<StatementResult> {
+        let (result, trace) = self.env().run(sel, shape, params, mode);
+        if let Some(trace) = trace {
+            *self.last_trace.lock().unwrap() = Some(trace);
+        }
+        result
+    }
+
+    fn run_sql(&self, sql: &str, params: &[Value], mode: RunMode) -> Result<StatementResult> {
+        let (sel, shape, _) = parse_select(sql)?;
+        self.run(&sel, Some(&shape), params, mode)
+    }
+
     /// Executes a single statement.
     pub fn execute(&mut self, sql: &str) -> Result<StatementResult> {
         let mut results = self.execute_script(sql)?;
@@ -325,25 +357,14 @@ impl Database {
     }
 
     /// Executes a `;`-separated script, returning one result per statement.
+    /// Reads (`SELECT` and every `EXPLAIN` form) take the same path as
+    /// [`Database::query`]; only DDL and `INSERT` mutate state.
     pub fn execute_script(&mut self, sql: &str) -> Result<Vec<StatementResult>> {
-        let stmts = vdm_sql::parse(sql)?;
-        let shapes = vdm_sql::canonical_shapes(sql).unwrap_or_default();
-        stmts
+        parse_script(sql)?
             .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                // Statement texts and shapes come from the same lexer split;
-                // a count mismatch (never expected) just bypasses the cache.
-                let shape =
-                    if shapes.len() == stmts.len() { Some(shapes[i].as_str()) } else { None };
-                run_statement(
-                    &mut self.state,
-                    &self.engine,
-                    &self.plan_cache,
-                    self.parallel,
-                    s,
-                    shape,
-                )
+            .map(|(stmt, shape)| match RunMode::of(stmt, shape.as_deref())? {
+                Some((mode, sel, shape)) => self.run(sel, shape, &[], mode),
+                None => apply_statement(&mut self.state, &self.engine, stmt),
             })
             .collect()
     }
@@ -358,26 +379,14 @@ impl Database {
     /// Runs a parameterized SELECT (`?` / `$1` placeholders), splicing
     /// `params` in at execution time. The optimized parameterized plan is
     /// cached by statement shape, so repeated calls skip bind + optimize.
-    pub fn query_with_params(&self, sql: &str, params: &[vdm_types::Value]) -> Result<Batch> {
-        let stmt = vdm_sql::parse_one(sql)?;
-        let Statement::Select(sel) = stmt else {
-            return Err(VdmError::Bind("query() expects a SELECT; use execute()".into()));
-        };
-        let shape = vdm_sql::canonical_shape(sql)?;
-        let root = qtrace::root("query");
-        qtrace::attr("shape", format_args!("{shape:?}"));
-        let result = self.env().run_select(&sel, Some(&shape), params);
-        if let Some(trace) = root.finish() {
-            *self.last_trace.lock().unwrap() = Some(trace);
-        }
-        result
+    pub fn query_with_params(&self, sql: &str, params: &[Value]) -> Result<Batch> {
+        self.run_sql(sql, params, RunMode::Rows)?.rows()
     }
 
-    /// The trace of the most recent traced query on this handle (each
-    /// [`Database::query`] / [`Database::query_with_params`] call replaces
-    /// it while automatic tracing — [`vdm_obs::trace::set_enabled`] — is
-    /// on). Render with [`QueryTrace::render`] or export via
-    /// [`QueryTrace::to_json`].
+    /// The trace of the most recent traced read on this handle (each
+    /// query or `EXPLAIN` form replaces it while automatic tracing —
+    /// [`vdm_obs::trace::set_enabled`] — is on). Render with
+    /// [`QueryTrace::render`] or export via [`QueryTrace::to_json`].
     pub fn last_trace(&self) -> Option<QueryTrace> {
         self.last_trace.lock().unwrap().clone()
     }
@@ -387,43 +396,26 @@ impl Database {
     /// tree. The same output is available via SQL:
     /// `db.execute("explain trace select ...")`.
     pub fn explain_trace(&self, sql: &str) -> Result<String> {
-        let stmt = vdm_sql::parse_one(sql)?;
-        let Statement::Select(sel) = stmt else {
-            return Err(VdmError::Bind("explain_trace() expects a SELECT".into()));
-        };
-        let shape = vdm_sql::canonical_shape(sql)?;
-        let (text, trace) = explain_trace_select(&self.env(), &sel, Some(&shape), &[])?;
-        if let Some(trace) = trace {
-            *self.last_trace.lock().unwrap() = Some(trace);
-        }
-        Ok(text)
+        self.run_sql(sql, &[], RunMode::Trace)?.explained()
     }
 
     /// Binds a SELECT to its *unoptimized* logical plan.
     pub fn plan(&self, sql: &str) -> Result<PlanRef> {
-        let stmt = vdm_sql::parse_one(sql)?;
-        let Statement::Select(sel) = stmt else {
-            return Err(VdmError::Bind("plan() expects a SELECT".into()));
-        };
-        self.state.binder().bind_select(&sel)
+        self.state.binder().bind_select(&parse_select(sql)?.0)
     }
 
-    /// Binds and optimizes a SELECT.
+    /// The optimized plan [`Database::query`] would run for `sql`, resolved
+    /// through the same plan cache — so it sees storage statistics (and any
+    /// feedback re-optimization) exactly like the query itself. For the
+    /// rule-only baseline, hand [`Database::plan`]'s output to
+    /// [`Database::optimizer`] directly.
     pub fn optimized_plan(&self, sql: &str) -> Result<PlanRef> {
-        self.state.optimizer.optimize(&self.plan(sql)?)
+        let (sel, shape, _) = parse_select(sql)?;
+        Ok(self.env().select_plan(&sel, Some(&shape), &[])?.plan)
     }
 
-    /// Optimizes an externally built plan with the active profile.
-    pub fn optimize(&self, plan: &PlanRef) -> Result<PlanRef> {
-        self.state.optimizer.optimize(plan)
-    }
-
-    /// Executes a prebuilt logical plan (optimizing it first).
-    pub fn execute_plan(&self, plan: &PlanRef) -> Result<(Batch, Metrics)> {
-        self.execute_plan_unoptimized(&self.state.optimizer.optimize(plan)?)
-    }
-
-    /// Executes a prebuilt plan WITHOUT optimization (baseline measurement).
+    /// Executes a prebuilt plan as given, without optimizing it (baseline
+    /// measurement, or a plan the caller optimized itself).
     pub fn execute_plan_unoptimized(&self, plan: &PlanRef) -> Result<(Batch, Metrics)> {
         let opts = ExecOptions { parallel: self.parallel, ..ExecOptions::default() };
         let x = vdm_exec::execute_with(plan, &self.engine, &opts)?;
@@ -431,24 +423,10 @@ impl Database {
     }
 
     /// EXPLAIN text for a SELECT: both the bound and the optimized plan,
-    /// with operator-count summaries and the optimizer's pass trace.
+    /// with operator-count summaries and the optimizer's pass trace — the
+    /// same text `db.execute("explain select ...")` returns.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        let plan = self.plan(sql)?;
-        let stats = EngineStats::new(&self.engine);
-        let (optimized, trace) =
-            self.state.optimizer.optimize_traced_with(&plan, Some(&stats), None)?;
-        let before = plan_stats(&plan);
-        let after = plan_stats(&optimized);
-        Ok(format!(
-            "== bound plan ({} tables, {} joins) ==\n{}\n== optimized plan ({} tables, {} joins) ==\n{}\n== optimizer trace ==\n{}",
-            before.table_instances,
-            before.joins,
-            vdm_plan::explain(&plan),
-            after.table_instances,
-            after.joins,
-            explain_estimated(&self.state, &stats, &optimized),
-            trace.render(),
-        ))
+        self.run_sql(sql, &[], RunMode::Explain)?.explained()
     }
 
     /// EXPLAIN ANALYZE for a SELECT: resolves the plan through the plan
@@ -457,23 +435,7 @@ impl Database {
     /// with runtime stats, the structured rewrite trace, and an execution
     /// summary.
     pub fn explain_analyze(&self, sql: &str) -> Result<String> {
-        let stmt = vdm_sql::parse_one(sql)?;
-        let Statement::Select(sel) = stmt else {
-            return Err(VdmError::Bind("explain_analyze() expects a SELECT".into()));
-        };
-        let shape = vdm_sql::canonical_shape(sql)?;
-        self.env().explain_analyze_select(&sel, Some(&shape), &[])
-    }
-
-    /// [`Database::explain_analyze`] over a prebuilt (unoptimized) plan.
-    /// Prebuilt plans have no statement shape, so the plan cache is not
-    /// consulted (`[plan cache: bypass]`).
-    pub fn explain_analyze_plan(&self, plan: &PlanRef) -> Result<String> {
-        let stats = EngineStats::new(&self.engine);
-        let (optimized, trace) =
-            self.state.optimizer.optimize_traced_with(plan, Some(&stats), None)?;
-        let resolved = ResolvedPlan::bypass(optimized, trace);
-        explain_analyze_bound(&resolved, &[], &self.engine, self.parallel)
+        self.run_sql(sql, &[], RunMode::Analyze)?.explained()
     }
 
     /// The process-wide metrics registry (JSON / Prometheus exporters).
@@ -488,70 +450,18 @@ impl Database {
     }
 }
 
-/// Renders an optimized plan with one `[est=N]` cardinality annotation per
-/// node, estimated against current storage statistics under the active
-/// profile's derivation options.
-fn explain_estimated(
-    state: &DbState,
-    stats: &dyn vdm_plan::StatsProvider,
-    plan: &PlanRef,
-) -> String {
-    let props = vdm_plan::PropertyCache::new();
-    let card = vdm_plan::Cardinality::new(&props, state.optimizer.profile().derive_options())
-        .with_stats(stats);
-    vdm_plan::explain_with_estimates(plan, &card)
-}
-
-/// Runs one SELECT under a forced trace and renders the span tree,
-/// returning the rendered text and the trace itself (None only when an
-/// outer trace scope already owned the collection).
-fn explain_trace_select(
-    env: &QueryEnv<'_>,
-    sel: &vdm_sql::SelectStmt,
-    shape: Option<&str>,
-    params: &[vdm_types::Value],
-) -> Result<(String, Option<QueryTrace>)> {
-    let root = qtrace::root_forced("query");
-    if let Some(shape) = shape {
-        qtrace::attr("shape", format_args!("{shape:?}"));
-    }
-    let result = env.run_select(sel, shape, params);
-    let trace = root.finish();
-    let batch = result?;
-    let rendered = trace
-        .as_ref()
-        .map(|t| t.render())
-        .unwrap_or_else(|| "(trace owned by an enclosing trace scope)\n".to_string());
-    Ok((format!("== EXPLAIN TRACE ==\n{rendered}{} row(s) returned\n", batch.num_rows()), trace))
-}
-
-/// Runs one parsed statement against explicitly borrowed database parts.
-/// This is the single statement dispatcher shared by [`Database`] (which
-/// owns the parts) and `vdm-serve` (which borrows them under its locks).
-/// `shape` is the statement's canonical token rendering when the caller
-/// has it (enables plan caching for SELECTs); DDL arms bump the metadata
-/// version so stamped plans go stale.
-pub fn run_statement(
+/// Applies one state-mutating statement (`CREATE` / `DROP` / `INSERT`)
+/// to explicitly borrowed database parts — shared by [`Database`] (which
+/// owns the parts) and `vdm-serve` (which borrows them under its write
+/// lock). DDL arms bump the metadata version so stamped plans go stale.
+/// Reads never get here: callers route them through [`RunMode::of`] to
+/// [`QueryEnv::run`].
+pub fn apply_statement(
     state: &mut DbState,
     engine: &StorageEngine,
-    plan_cache: &PlanCache,
-    parallel: ParallelConfig,
     stmt: &Statement,
-    shape: Option<&str>,
 ) -> Result<StatementResult> {
-    fn env<'a>(
-        state: &'a DbState,
-        engine: &'a StorageEngine,
-        plan_cache: &'a PlanCache,
-        parallel: ParallelConfig,
-    ) -> QueryEnv<'a> {
-        QueryEnv { state, engine, plan_cache, parallel }
-    }
     match stmt {
-        Statement::Select(sel) => {
-            let batch = env(state, engine, plan_cache, parallel).run_select(sel, shape, &[])?;
-            Ok(StatementResult::Rows(batch))
-        }
         Statement::CreateTable(ct) => {
             let def = state.binder().table_def(ct)?;
             let arc = state.catalog.create_table(def)?;
@@ -615,63 +525,19 @@ pub fn run_statement(
             let n = engine.insert(table, values)?;
             Ok(StatementResult::Inserted(n))
         }
-        Statement::Explain(inner) => match inner.as_ref() {
-            Statement::Select(sel) => {
-                let plan = state.binder().bind_select(sel)?;
-                let stats = EngineStats::new(engine);
-                let (optimized, _) =
-                    state.optimizer.optimize_traced_with(&plan, Some(&stats), None)?;
-                let before = plan_stats(&plan);
-                let after = plan_stats(&optimized);
-                Ok(StatementResult::Explained(format!(
-                    "== bound plan ({} tables, {} joins) ==\n{}\n== optimized plan ({} tables, {} joins) ==\n{}",
-                    before.table_instances,
-                    before.joins,
-                    vdm_plan::explain(&plan),
-                    after.table_instances,
-                    after.joins,
-                    explain_estimated(state, &stats, &optimized),
-                )))
-            }
-            _ => Err(VdmError::Unsupported("EXPLAIN supports SELECT only".into())),
-        },
-        Statement::ExplainAnalyze(inner) => match inner.as_ref() {
-            Statement::Select(sel) => {
-                // The inner SELECT's shape is the full shape minus the
-                // EXPLAIN ANALYZE prefix — so it shares cache entries with
-                // the bare statement.
-                let inner_shape = shape.map(|s| s.strip_prefix("explain analyze ").unwrap_or(s));
-                let text = env(state, engine, plan_cache, parallel).explain_analyze_select(
-                    sel,
-                    inner_shape,
-                    &[],
-                )?;
-                Ok(StatementResult::Explained(text))
-            }
-            _ => Err(VdmError::Unsupported("EXPLAIN ANALYZE supports SELECT only".into())),
-        },
-        Statement::ExplainTrace(inner) => match inner.as_ref() {
-            Statement::Select(sel) => {
-                // Share cache entries with the bare statement, like
-                // EXPLAIN ANALYZE does.
-                let inner_shape = shape.map(|s| s.strip_prefix("explain trace ").unwrap_or(s));
-                let (text, _) = explain_trace_select(
-                    &env(state, engine, plan_cache, parallel),
-                    sel,
-                    inner_shape,
-                    &[],
-                )?;
-                Ok(StatementResult::Explained(text))
-            }
-            _ => Err(VdmError::Unsupported("EXPLAIN TRACE supports SELECT only".into())),
-        },
+        Statement::Select(_)
+        | Statement::Explain(_)
+        | Statement::ExplainAnalyze(_)
+        | Statement::ExplainTrace(_) => {
+            Err(VdmError::Exec("read statements run through QueryEnv::run".into()))
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vdm_types::Value;
+    use vdm_plan::plan_stats;
 
     fn db() -> Database {
         let mut db = Database::hana();
@@ -899,12 +765,11 @@ mod tests {
     }
 
     #[test]
-    fn execute_plan_paths() {
+    fn unoptimized_plan_execution_agrees_with_query() {
         let db = db();
-        let plan = db.plan("select count(*) from orders").unwrap();
-        let (opt_batch, opt_metrics) = db.execute_plan(&plan).unwrap();
-        let (raw_batch, _raw_metrics) = db.execute_plan_unoptimized(&plan).unwrap();
-        assert_eq!(opt_batch.row(0), raw_batch.row(0));
-        assert!(opt_metrics.operators >= 1);
+        let sql = "select count(*) from orders";
+        let (raw_batch, raw_metrics) = db.execute_plan_unoptimized(&db.plan(sql).unwrap()).unwrap();
+        assert_eq!(db.query(sql).unwrap().row(0), raw_batch.row(0));
+        assert!(raw_metrics.operators >= 1);
     }
 }

@@ -1,17 +1,26 @@
-//! The shared query path: cache-aware plan resolution + execution.
+//! The one statement pipeline: cache-aware plan resolution + execution,
+//! with rows / EXPLAIN / EXPLAIN ANALYZE / EXPLAIN TRACE as render modes
+//! of the same run.
 //!
-//! Both [`Database`](crate::Database) (single owner, `&mut self` facade)
-//! and `vdm-serve` sessions (many concurrent handles over shared state)
-//! run SELECTs through [`QueryEnv`]. The pipeline splits in two so a
-//! serving layer can drop its read lock on [`DbState`](crate::DbState)
-//! before execution starts:
+//! Both [`Database`](crate::Database) (single owner) and `vdm-serve`
+//! sessions (many concurrent handles over shared state) run every read
+//! statement through [`QueryEnv`]. The pipeline splits in two so a serving
+//! layer can drop its read lock on [`DbState`] before execution starts:
 //!
 //! 1. [`QueryEnv::select_plan`] — plan-cache lookup by canonical shape,
-//!    bind + optimize on a miss (the only place `optimize` runs); returns
-//!    a [`ResolvedPlan`] carrying the canonical plan digest;
-//! 2. [`execute_select`] — parameter substitution, parallel execution,
+//!    bind + optimize on a miss; returns a [`ResolvedPlan`] carrying the
+//!    canonical plan digest. The private `optimize_bound` below is the
+//!    only place the optimizer runs in `vdm-core`, `vdm-serve` and
+//!    `vdm-cache` (a CI gate enforces it), so every door — `query`,
+//!    `explain`, `optimized_plan`, cached-view creation — sees storage
+//!    statistics and gets the same plan;
+//! 2. [`execute_resolved`] — parameter substitution, morsel execution,
 //!    metrics recording, and (when the [`QueryStore`] is enabled)
 //!    per-digest history recording with slow-query capture.
+//!
+//! [`QueryEnv::run`] strings the two together for one [`RunMode`]; the
+//! serving layer strings the same two together around its lock and pool.
+//! Plain `EXPLAIN` ([`QueryEnv::explain`]) stops after phase 1.
 //!
 //! Both phases emit [`vdm_obs::trace`] spans, so a query running under an
 //! active trace contributes `select_plan` → `plan_cache.lookup` / `bind` /
@@ -20,16 +29,111 @@
 use crate::feedback::{self, EngineStats};
 use crate::plan_cache::{CachedPlan, PlanCache, PlanCacheKey};
 use crate::state::DbState;
+use crate::StatementResult;
 use std::sync::Arc;
 use std::time::Instant;
 use vdm_exec::{ExecOptions, Execution, Metrics, NodeIndex, ParallelConfig, QueryProfile};
 use vdm_obs::trace as qtrace;
-use vdm_obs::{names, ExecRecord, FeedbackProvider, MetricsRegistry, QueryStore};
+use vdm_obs::{names, ExecRecord, FeedbackProvider, MetricsRegistry, QueryStore, QueryTrace};
 use vdm_optimizer::{Capability, Trace};
-use vdm_plan::{CardOverrides, PlanRef};
-use vdm_sql::SelectStmt;
+use vdm_plan::{plan_stats, CardOverrides, PlanRef};
+use vdm_sql::{SelectStmt, Statement};
 use vdm_storage::{Batch, StorageEngine};
-use vdm_types::{Result, SqlType, Value};
+use vdm_types::{Result, SqlType, Value, VdmError};
+
+/// What a read statement asked for. Not a setting: `SELECT` is `Rows`,
+/// and each `EXPLAIN` form is a different rendering of the same run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunMode {
+    /// The result rows.
+    Rows,
+    /// Bound + optimized plan and the optimizer's pass trace; nothing runs.
+    Explain,
+    /// The optimized plan annotated with the run's per-operator profile.
+    Analyze,
+    /// The span tree of the run, under a forced trace.
+    Trace,
+}
+
+impl RunMode {
+    /// Splits a read statement into the mode it asked for, its SELECT, and
+    /// the SELECT's own canonical shape (the `EXPLAIN …` prefix stripped,
+    /// so every mode shares plan-cache entries with the bare statement).
+    /// `None` for statements that mutate state.
+    pub fn of<'a>(
+        stmt: &'a Statement,
+        shape: Option<&'a str>,
+    ) -> Result<Option<(RunMode, &'a SelectStmt, Option<&'a str>)>> {
+        let (mode, inner, prefix) = match stmt {
+            Statement::Select(sel) => return Ok(Some((RunMode::Rows, sel, shape))),
+            Statement::Explain(inner) => (RunMode::Explain, inner, "explain "),
+            Statement::ExplainAnalyze(inner) => (RunMode::Analyze, inner, "explain analyze "),
+            Statement::ExplainTrace(inner) => (RunMode::Trace, inner, "explain trace "),
+            _ => return Ok(None),
+        };
+        let Statement::Select(sel) = inner.as_ref() else {
+            return Err(VdmError::Unsupported(format!(
+                "{}supports SELECT only",
+                prefix.to_ascii_uppercase()
+            )));
+        };
+        Ok(Some((mode, sel, shape.map(|s| s.strip_prefix(prefix).unwrap_or(s)))))
+    }
+
+    /// Opens the statement's trace root (forced for `EXPLAIN TRACE`, which
+    /// must trace even when automatic tracing is off).
+    pub fn root(self) -> qtrace::RootGuard {
+        if self == RunMode::Trace {
+            qtrace::root_forced("query")
+        } else {
+            qtrace::root("query")
+        }
+    }
+
+    /// Final rendering once the root is closed: `EXPLAIN TRACE` swaps the
+    /// rows for the span tree, every other mode passes through.
+    pub fn finish(
+        self,
+        result: Result<StatementResult>,
+        trace: Option<&QueryTrace>,
+    ) -> Result<StatementResult> {
+        match (self, result?) {
+            (RunMode::Trace, StatementResult::Rows(batch)) => {
+                let rendered = trace
+                    .map(|t| t.render())
+                    .unwrap_or_else(|| "(trace owned by an enclosing trace scope)\n".to_string());
+                Ok(StatementResult::Explained(format!(
+                    "== EXPLAIN TRACE ==\n{rendered}{} row(s) returned\n",
+                    batch.num_rows()
+                )))
+            }
+            (_, other) => Ok(other),
+        }
+    }
+}
+
+/// Parses exactly one SELECT: the statement, its canonical shape (the
+/// plan-cache key) and the number of placeholder parameters it references.
+pub fn parse_select(sql: &str) -> Result<(SelectStmt, String, usize)> {
+    let (Statement::Select(sel), param_count) = vdm_sql::parse_one_with_params(sql)? else {
+        return Err(VdmError::Bind("expected a SELECT; use execute() for other statements".into()));
+    };
+    Ok((sel, vdm_sql::canonical_shape(sql)?, param_count))
+}
+
+/// Parses a `;`-separated script into statements paired with their
+/// canonical shapes. Statement texts and shapes come from the same lexer
+/// split; a count mismatch (never expected) just bypasses the plan cache.
+pub fn parse_script(sql: &str) -> Result<Vec<(Statement, Option<String>)>> {
+    let stmts = vdm_sql::parse(sql)?;
+    let shapes = vdm_sql::canonical_shapes(sql).unwrap_or_default();
+    let shapes: Vec<Option<String>> = if shapes.len() == stmts.len() {
+        shapes.into_iter().map(Some).collect()
+    } else {
+        vec![None; stmts.len()]
+    };
+    Ok(stmts.into_iter().zip(shapes).collect())
+}
 
 /// How a plan was obtained, reported in EXPLAIN ANALYZE headers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,8 +142,8 @@ pub enum CacheOutcome {
     Hit,
     /// Bound and optimized now, then cached.
     Miss,
-    /// The entry point had no statement shape (e.g. a prebuilt plan), so
-    /// the cache was not consulted.
+    /// The caller had no statement shape (a script whose statements and
+    /// shapes could not be aligned), so the cache was not consulted.
     Bypass,
 }
 
@@ -72,22 +176,6 @@ pub struct ResolvedPlan {
     pub estimates: Vec<(u32, u64)>,
 }
 
-impl ResolvedPlan {
-    /// Wraps an already-optimized plan that never saw the plan cache
-    /// (prebuilt plans, script fragments).
-    pub fn bypass(plan: PlanRef, trace: Trace) -> ResolvedPlan {
-        let digest = vdm_plan::plan_digest_canonical(&plan);
-        ResolvedPlan {
-            plan,
-            trace,
-            outcome: CacheOutcome::Bypass,
-            digest,
-            shape: String::new(),
-            estimates: vec![],
-        }
-    }
-}
-
 /// Runtime types of parameter values, in placeholder order. NULL carries
 /// no type; it binds as the same default the binder gives a bare NULL
 /// literal (INT, nullable).
@@ -109,7 +197,7 @@ impl QueryEnv<'_> {
     /// Resolves the optimized (still parameterized) plan for `sel`:
     /// plan-cache lookup when a canonical `shape` is supplied, bind +
     /// optimize + cache-fill on a miss, straight bind + optimize when no
-    /// shape is available (script fragments, prebuilt ASTs).
+    /// shape is available.
     pub fn select_plan(
         &self,
         sel: &SelectStmt,
@@ -119,11 +207,18 @@ impl QueryEnv<'_> {
         let _sp = qtrace::span("select_plan");
         let types = param_types_of(params);
         let Some(shape) = shape else {
-            let (plan, trace) = self.bind_and_optimize(sel, &types, None)?;
-            let resolved = ResolvedPlan::bypass(plan, trace);
+            let (plan, trace) = self.optimize_bound(&self.bind(sel, &types)?, None)?;
+            let digest = vdm_plan::plan_digest_canonical(&plan);
             qtrace::attr("cache", CacheOutcome::Bypass.label());
-            qtrace::attr("digest", format_args!("{:016x}", resolved.digest));
-            return Ok(resolved);
+            qtrace::attr("digest", format_args!("{digest:016x}"));
+            return Ok(ResolvedPlan {
+                plan,
+                trace,
+                outcome: CacheOutcome::Bypass,
+                digest,
+                shape: String::new(),
+                estimates: vec![],
+            });
         };
         let key = PlanCacheKey {
             shape: shape.to_string(),
@@ -137,43 +232,20 @@ impl QueryEnv<'_> {
             qtrace::attr("outcome", if cached.is_some() { "hit" } else { "miss" });
             cached
         };
-        if let Some(cached) = cached {
-            if let Some(reoptimized) =
-                self.maybe_reoptimize(sel, shape, &types, &key, version, &cached)?
-            {
-                return Ok(reoptimized);
-            }
-            qtrace::attr("digest", format_args!("{:016x}", cached.digest));
-            return Ok(ResolvedPlan {
-                plan: cached.plan.clone(),
-                trace: cached.trace.clone(),
-                outcome: CacheOutcome::Hit,
-                digest: cached.digest,
-                shape: shape.to_string(),
-                estimates: cached.estimates.clone(),
-            });
+        let Some(cached) = cached else {
+            return self.plan_and_cache(sel, &types, key, version, None);
+        };
+        if let Some(reoptimized) = self.maybe_reoptimize(sel, &types, &key, version, &cached)? {
+            return Ok(reoptimized);
         }
-        let (plan, trace) = self.bind_and_optimize(sel, &types, None)?;
-        let digest = vdm_plan::plan_digest_canonical(&plan);
-        qtrace::attr("digest", format_args!("{digest:016x}"));
-        let estimates = self.estimate_nodes(&plan, None);
-        self.plan_cache.insert(
-            key,
-            Arc::new(CachedPlan {
-                plan: plan.clone(),
-                trace: trace.clone(),
-                version,
-                digest,
-                estimates: estimates.clone(),
-            }),
-        );
+        qtrace::attr("digest", format_args!("{:016x}", cached.digest));
         Ok(ResolvedPlan {
-            plan,
-            trace,
-            outcome: CacheOutcome::Miss,
-            digest,
+            plan: cached.plan.clone(),
+            trace: cached.trace.clone(),
+            outcome: CacheOutcome::Hit,
+            digest: cached.digest,
             shape: shape.to_string(),
-            estimates,
+            estimates: cached.estimates.clone(),
         })
     }
 
@@ -188,7 +260,6 @@ impl QueryEnv<'_> {
     fn maybe_reoptimize(
         &self,
         sel: &SelectStmt,
-        shape: &str,
         types: &[SqlType],
         key: &PlanCacheKey,
         version: u64,
@@ -217,17 +288,34 @@ impl QueryEnv<'_> {
         let _sp = qtrace::span("reoptimize");
         qtrace::attr("worst_ratio", format_args!("{ratio:.1}"));
         qtrace::attr("node", node);
-        let overrides = feedback::overrides_from_observed(&cached.plan, &observed.node_rows);
-        let (plan, trace) = self.bind_and_optimize(sel, types, Some(&overrides))?;
-        let digest = vdm_plan::plan_digest_canonical(&plan);
-        qtrace::attr("digest", format_args!("{digest:016x}"));
         // Estimates for the new entry are computed *with* the overrides, so
         // they agree with the observed history and the loop settles: the
         // next hit sees est ≈ act and keeps the corrected plan.
-        let estimates = self.estimate_nodes(&plan, Some(&overrides));
+        let overrides = feedback::overrides_from_observed(&cached.plan, &observed.node_rows);
+        let resolved = self.plan_and_cache(sel, types, key.clone(), version, Some(&overrides))?;
         MetricsRegistry::global().inc(names::REOPTIMIZATIONS_TOTAL, 1);
+        Ok(Some(resolved))
+    }
+
+    /// Bind + optimize + cache-fill: the miss path, and (with observed
+    /// cardinalities as `overrides`) the re-optimization path.
+    fn plan_and_cache(
+        &self,
+        sel: &SelectStmt,
+        types: &[SqlType],
+        key: PlanCacheKey,
+        version: u64,
+        overrides: Option<&CardOverrides>,
+    ) -> Result<ResolvedPlan> {
+        let (plan, trace) = self.optimize_bound(&self.bind(sel, types)?, overrides)?;
+        let digest = vdm_plan::plan_digest_canonical(&plan);
+        qtrace::attr("digest", format_args!("{digest:016x}"));
+        let stats = EngineStats::new(self.engine);
+        let opts = self.state.optimizer.profile().derive_options();
+        let estimates = feedback::estimates_with(&plan, &stats, opts, overrides);
+        let shape = key.shape.clone();
         self.plan_cache.insert(
-            key.clone(),
+            key,
             Arc::new(CachedPlan {
                 plan: plan.clone(),
                 trace: trace.clone(),
@@ -236,226 +324,195 @@ impl QueryEnv<'_> {
                 estimates: estimates.clone(),
             }),
         );
-        Ok(Some(ResolvedPlan {
-            plan,
-            trace,
-            outcome: CacheOutcome::Miss,
-            digest,
-            shape: shape.to_string(),
-            estimates,
-        }))
+        Ok(ResolvedPlan { plan, trace, outcome: CacheOutcome::Miss, digest, shape, estimates })
     }
 
-    fn bind_and_optimize(
+    fn bind(&self, sel: &SelectStmt, param_types: &[SqlType]) -> Result<PlanRef> {
+        let _bind = qtrace::span("bind");
+        self.state.binder().with_param_types(param_types).bind_select(sel)
+    }
+
+    /// The one optimizer call behind every statement: the active profile's
+    /// rules plus cost-based join ordering against current storage
+    /// statistics (and any feedback `overrides`).
+    fn optimize_bound(
         &self,
-        sel: &SelectStmt,
-        param_types: &[SqlType],
+        bound: &PlanRef,
         overrides: Option<&CardOverrides>,
     ) -> Result<(PlanRef, Trace)> {
-        let bound = {
-            let _bind = qtrace::span("bind");
-            self.state.binder().with_param_types(param_types).bind_select(sel)?
-        };
         let _opt = qtrace::span("optimize");
         let stats = EngineStats::new(self.engine);
-        self.state.optimizer.optimize_traced_with(&bound, Some(&stats), overrides)
+        self.state.optimizer.optimize_traced_with(bound, Some(&stats), overrides)
     }
 
-    /// Per-node estimates of an optimized plan against current storage
-    /// statistics (plus any feedback overrides).
-    fn estimate_nodes(&self, plan: &PlanRef, overrides: Option<&CardOverrides>) -> Vec<(u32, u64)> {
+    /// `EXPLAIN` text for a SELECT: the bound and the optimized plan (one
+    /// `[est=N]` cardinality annotation per node, estimated against current
+    /// storage statistics) with operator-count summaries, then the
+    /// optimizer's pass trace. Plans only — nothing executes and the plan
+    /// cache is not consulted.
+    pub fn explain(&self, sel: &SelectStmt, params: &[Value]) -> Result<String> {
+        let bound = self.bind(sel, &param_types_of(params))?;
+        let (optimized, trace) = self.optimize_bound(&bound, None)?;
+        let (before, after) = (plan_stats(&bound), plan_stats(&optimized));
         let stats = EngineStats::new(self.engine);
+        let props = vdm_plan::PropertyCache::new();
         let opts = self.state.optimizer.profile().derive_options();
-        feedback::estimates_with(plan, &stats, opts, overrides)
+        let card = vdm_plan::Cardinality::new(&props, opts).with_stats(&stats);
+        Ok(format!(
+            "== bound plan ({} tables, {} joins) ==\n{}\n== optimized plan ({} tables, {} joins) ==\n{}\n== optimizer trace ==\n{}",
+            before.table_instances,
+            before.joins,
+            vdm_plan::explain(&bound),
+            after.table_instances,
+            after.joins,
+            vdm_plan::explain_with_estimates(&optimized, &card),
+            trace.render(),
+        ))
     }
 
-    /// The full SELECT pipeline: plan resolution, parameter substitution,
-    /// parallel execution, metrics.
-    pub fn run_select(
+    /// Runs one read statement end to end and renders what `mode` asked
+    /// for, under a trace root of its own; also returns the finished trace
+    /// when this call owned it.
+    pub fn run(
         &self,
         sel: &SelectStmt,
         shape: Option<&str>,
         params: &[Value],
-    ) -> Result<Batch> {
-        let resolved = self.select_plan(sel, shape, params)?;
-        execute_select(&resolved, params, self.engine, self.parallel)
-    }
-
-    /// EXPLAIN ANALYZE through the cached path; the header reports whether
-    /// the plan came from the cache.
-    pub fn explain_analyze_select(
-        &self,
-        sel: &SelectStmt,
-        shape: Option<&str>,
-        params: &[Value],
-    ) -> Result<String> {
-        let resolved = self.select_plan(sel, shape, params)?;
-        explain_analyze_bound(&resolved, params, self.engine, self.parallel)
+        mode: RunMode,
+    ) -> (Result<StatementResult>, Option<QueryTrace>) {
+        let root = mode.root();
+        if let Some(shape) = shape {
+            qtrace::attr("shape", format_args!("{shape:?}"));
+        }
+        let result = match mode {
+            RunMode::Explain => self.explain(sel, params).map(StatementResult::Explained),
+            _ => self
+                .select_plan(sel, shape, params)
+                .and_then(|resolved| {
+                    let analyze = mode == RunMode::Analyze;
+                    execute_resolved(&resolved, params, self.engine, self.parallel, analyze)
+                })
+                .map(Executed::into_result),
+        };
+        let trace = root.finish();
+        (mode.finish(result, trace.as_ref()), trace)
     }
 }
 
-/// Executes a resolved (possibly parameterized) plan: splices `params` in,
-/// runs it on the morsel executor, and records query metrics plus (when
-/// enabled) the per-digest [`QueryStore`] history. Needs no access to
-/// [`DbState`] — a serving layer calls this after releasing its state
-/// lock. With the store enabled, execution runs the profiled path so
-/// per-node `rows_out` lands in the digest history, and executions over
-/// the store's slow threshold capture their full EXPLAIN ANALYZE text.
-pub fn execute_select(
+/// One finished execution of a resolved plan.
+pub struct Executed {
+    pub batch: Batch,
+    /// The EXPLAIN ANALYZE rendering, when the run was asked to `analyze`.
+    pub analyze: Option<String>,
+}
+
+impl Executed {
+    /// The EXPLAIN ANALYZE text when one was asked for, the rows otherwise.
+    pub fn into_result(self) -> StatementResult {
+        match self.analyze {
+            Some(text) => StatementResult::Explained(text),
+            None => StatementResult::Rows(self.batch),
+        }
+    }
+}
+
+/// Phase 2, the one place a statement executes: splices `params` into the
+/// resolved plan, runs it on the morsel executor, and records query
+/// metrics plus (when enabled) the per-digest [`QueryStore`] history.
+/// Needs no access to [`DbState`] — a serving layer calls this after
+/// releasing its state lock. With `analyze` or the store enabled,
+/// execution is profiled per node; the EXPLAIN ANALYZE text is rendered
+/// from that one profile when `analyze` asks for it or the execution is
+/// over the store's slow threshold (the slow-query log must not re-run a
+/// query to describe it).
+pub fn execute_resolved(
     resolved: &ResolvedPlan,
     params: &[Value],
     engine: &StorageEngine,
     parallel: ParallelConfig,
-) -> Result<Batch> {
+    analyze: bool,
+) -> Result<Executed> {
     let _sp = qtrace::span("execute");
     let bound = vdm_plan::bind_params(&resolved.plan, params)?;
     let store = QueryStore::global();
     let start = Instant::now();
-    let opts = ExecOptions { snapshot: None, parallel, profile: store.enabled() };
+    let opts = ExecOptions { snapshot: None, parallel, profile: analyze || store.enabled() };
     let Execution { batch, metrics, profile, workers } =
         vdm_exec::execute_with(&bound, engine, &opts)?;
     let elapsed = start.elapsed();
     record_query(&metrics, &resolved.trace, elapsed);
     qtrace::attr("rows", batch.num_rows());
     qtrace::attr("workers", workers);
-    if let Some(profile) = profile {
-        let elapsed_nanos = elapsed.as_nanos() as u64;
-        let explain = if elapsed_nanos >= store.slow_threshold_nanos() {
-            let index = NodeIndex::new(&bound);
-            Some(render_explain_analyze(
-                &bound,
-                &index,
-                &profile,
-                &resolved.estimates,
-                &resolved.trace,
-                resolved.outcome,
-                &metrics,
-                batch.num_rows(),
-                elapsed_nanos,
-                workers,
-            ))
-        } else {
-            None
-        };
-        store.record(exec_record(
+    let Some(profile) = profile else {
+        return Ok(Executed { batch, analyze: None });
+    };
+    let latency_nanos = elapsed.as_nanos() as u64;
+    let slow = store.enabled() && latency_nanos >= store.slow_threshold_nanos();
+    let text = (analyze || slow).then(|| {
+        render_explain_analyze(
+            &bound,
             resolved,
-            &metrics,
             &profile,
-            &batch,
-            elapsed_nanos,
+            &metrics,
+            batch.num_rows(),
+            latency_nanos,
             workers,
-            explain,
-        ));
+        )
+    });
+    if store.enabled() {
+        store.record(ExecRecord {
+            digest: resolved.digest,
+            shape: resolved.shape.clone(),
+            latency_nanos,
+            rows_in: metrics.rows_scanned as u64,
+            rows_out: batch.num_rows() as u64,
+            cache_hit: resolved.outcome == CacheOutcome::Hit,
+            workers: workers as u32,
+            node_rows: profile.nodes.iter().map(|(id, s)| (*id as u32, s.rows_out)).collect(),
+            node_est: resolved.estimates.clone(),
+            explain: text.clone(),
+        });
     }
-    Ok(batch)
+    Ok(Executed { batch, analyze: text.filter(|_| analyze) })
 }
 
-/// Builds the store record for one finished execution.
-#[allow(clippy::too_many_arguments)]
-fn exec_record(
-    resolved: &ResolvedPlan,
-    metrics: &Metrics,
-    profile: &QueryProfile,
-    batch: &Batch,
-    latency_nanos: u64,
-    workers: usize,
-    explain: Option<String>,
-) -> ExecRecord {
-    ExecRecord {
-        digest: resolved.digest,
-        shape: resolved.shape.clone(),
-        latency_nanos,
-        rows_in: metrics.rows_scanned as u64,
-        rows_out: batch.num_rows() as u64,
-        cache_hit: resolved.outcome == CacheOutcome::Hit,
-        workers: workers as u32,
-        node_rows: profile.nodes.iter().map(|(id, s)| (*id as u32, s.rows_out)).collect(),
-        node_est: resolved.estimates.clone(),
-        explain,
-    }
-}
-
-/// EXPLAIN ANALYZE over a resolved plan: profiled execution plus the
-/// annotated rendering. The resolved plan's cache outcome feeds the
-/// `[plan cache: ...]` header token; the execution is recorded into the
-/// [`QueryStore`] like any other (with the rendered text attached, so a
-/// slow EXPLAIN ANALYZE also lands in the slow-query log).
-pub fn explain_analyze_bound(
+/// Rows-only [`execute_resolved`].
+pub fn execute_select(
     resolved: &ResolvedPlan,
     params: &[Value],
     engine: &StorageEngine,
     parallel: ParallelConfig,
-) -> Result<String> {
-    let _sp = qtrace::span("execute");
-    let bound = vdm_plan::bind_params(&resolved.plan, params)?;
-    let index = NodeIndex::new(&bound);
-    let start = Instant::now();
-    let opts = ExecOptions { snapshot: None, parallel, profile: true };
-    let Execution { batch, metrics, profile, workers } =
-        vdm_exec::execute_with(&bound, engine, &opts)?;
-    let profile = profile.expect("profiling was requested");
-    let elapsed = start.elapsed();
-    record_query(&metrics, &resolved.trace, elapsed);
-    qtrace::attr("rows", batch.num_rows());
-    let text = render_explain_analyze(
-        &bound,
-        &index,
-        &profile,
-        &resolved.estimates,
-        &resolved.trace,
-        resolved.outcome,
-        &metrics,
-        batch.num_rows(),
-        elapsed.as_nanos() as u64,
-        workers,
-    );
-    let store = QueryStore::global();
-    if store.enabled() {
-        let nanos = elapsed.as_nanos() as u64;
-        store.record(exec_record(
-            resolved,
-            &metrics,
-            &profile,
-            &batch,
-            nanos,
-            workers,
-            Some(text.clone()),
-        ));
-    }
-    Ok(text)
+) -> Result<Batch> {
+    Ok(execute_resolved(resolved, params, engine, parallel, false)?.batch)
 }
 
 /// Renders the full EXPLAIN ANALYZE text from an already-collected
-/// profile — shared by [`explain_analyze_bound`] and the slow-query
-/// capture path (which must not re-run the query to describe it).
-#[allow(clippy::too_many_arguments)]
+/// profile. The resolved plan's cache outcome feeds the
+/// `[plan cache: ...]` header token.
 fn render_explain_analyze(
     bound: &PlanRef,
-    index: &NodeIndex,
+    resolved: &ResolvedPlan,
     profile: &QueryProfile,
-    estimates: &[(u32, u64)],
-    trace: &Trace,
-    outcome: CacheOutcome,
     metrics: &Metrics,
     rows_returned: usize,
     elapsed_nanos: u64,
     workers: usize,
 ) -> String {
-    let annotated = render_analyzed(bound, index, profile, estimates);
+    let annotated = render_analyzed(bound, &NodeIndex::new(bound), profile, &resolved.estimates);
     let observed: Vec<(u32, f64)> =
         profile.nodes.iter().map(|(id, s)| (*id as u32, s.rows_out as f64)).collect();
-    let misestimate = feedback::worst_misestimate(estimates, &observed)
+    let misestimate = feedback::worst_misestimate(&resolved.estimates, &observed)
         .filter(|(ratio, _)| *ratio >= 1.05)
         .map(|(ratio, node)| format!("[misestimate: worst \u{d7}{ratio:.1} at node #{node}]\n"))
         .unwrap_or_default();
     format!(
         "== EXPLAIN ANALYZE ({} thread(s)) [plan cache: {}] ==\n{}{}\n{}== rewrite trace ==\n{}== execution summary ==\n{} row(s) returned, elapsed time={}\nrows scanned: {}, join probe rows: {}, rows joined: {}, operators: {}\n",
         workers,
-        outcome.label(),
+        resolved.outcome.label(),
         misestimate,
-        trace.render_opt_stats(),
+        resolved.trace.render_opt_stats(),
         annotated,
-        trace.render_events(),
+        resolved.trace.render_events(),
         rows_returned,
         fmt_nanos(elapsed_nanos),
         metrics.rows_scanned,
@@ -505,7 +562,7 @@ fn render_analyzed(
 }
 
 /// Feeds one query's counters into the process-wide metrics registry.
-pub(crate) fn record_query(metrics: &Metrics, trace: &Trace, elapsed: std::time::Duration) {
+fn record_query(metrics: &Metrics, trace: &Trace, elapsed: std::time::Duration) {
     let reg = MetricsRegistry::global();
     reg.inc(names::QUERIES_TOTAL, 1);
     reg.observe(names::QUERY_SECONDS, elapsed.as_secs_f64());

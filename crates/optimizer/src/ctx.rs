@@ -22,30 +22,12 @@ pub struct RewriteCtx<'a> {
     /// Memoized plan properties (see [`PropertyCache`]).
     pub props: &'a PropertyCache,
     opts: DeriveOptions,
-    legacy_normalize: bool,
 }
 
 impl<'a> RewriteCtx<'a> {
     /// A context for `profile`, probing properties through `props`.
     pub fn new(profile: &'a Profile, props: &'a PropertyCache) -> RewriteCtx<'a> {
-        RewriteCtx { profile, props, opts: profile.derive_options(), legacy_normalize: false }
-    }
-
-    /// Re-enables the pre-refactor behaviour of normalizing every UNION
-    /// ALL child with a fresh projection on every pruning pass, even when
-    /// the projection is an identity. The stacked projections made plans
-    /// *grow* each fixpoint round (cleanup collapses them at the end, so
-    /// final plans are unaffected) — the legacy cost model turns this on
-    /// so `opt_sweep`'s baseline reproduces what the old optimizer
-    /// actually paid.
-    pub fn with_legacy_normalize(mut self, on: bool) -> RewriteCtx<'a> {
-        self.legacy_normalize = on;
-        self
-    }
-
-    /// Whether the legacy always-normalize behaviour is in force.
-    pub fn legacy_normalize(&self) -> bool {
-        self.legacy_normalize
+        RewriteCtx { profile, props, opts: profile.derive_options() }
     }
 
     /// The profile's derivation options (computed once, not per probe).

@@ -40,16 +40,23 @@ use vdm_plan::{
 use vdm_types::Result;
 
 /// The optimizer: a capability profile plus a fixpoint driver.
+///
+/// One body, [`Optimizer::optimize_traced_with`]; [`Optimizer::optimize`]
+/// is its rule-only shorthand. Every property probe goes through one
+/// [`PropertyCache`] per call. The pre-PR-3 cost model (re-derive every
+/// probe, re-normalize UNION ALL children every pruning pass) used to be
+/// selectable here; its output is kept as data in
+/// `tests/golden/optimize_digests.txt` and its timings are pinned in
+/// EXPERIMENTS.md at commit `bfa28ad`.
 #[derive(Debug, Clone)]
 pub struct Optimizer {
     profile: Profile,
-    property_cache: bool,
 }
 
 impl Optimizer {
     /// Optimizer with the given capability profile.
     pub fn new(profile: Profile) -> Optimizer {
-        Optimizer { profile, property_cache: true }
+        Optimizer { profile }
     }
 
     /// Optimizer with every capability (the HANA profile).
@@ -57,28 +64,16 @@ impl Optimizer {
         Optimizer::new(Profile::hana())
     }
 
-    /// Toggles the annotated-plan fast path. With `false`, the optimizer
-    /// reproduces the pre-refactor cost model: every property probe
-    /// re-derives from scratch, every pruning pass re-normalizes UNION
-    /// ALL children with stacked projections (so plans grow each round,
-    /// exactly the behaviour that defeated fixpoint detection on every
-    /// UNION-bearing plan), and the loop always runs all its rounds.
-    /// Kept so `opt_sweep` can measure the refactor's speedup against an
-    /// honest baseline. Final plans are identical either way: `cleanup`
-    /// collapses the stacked projections.
-    pub fn with_property_cache(mut self, enabled: bool) -> Optimizer {
-        self.property_cache = enabled;
-        self
-    }
-
     /// The active profile.
     pub fn profile(&self) -> &Profile {
         &self.profile
     }
 
-    /// Optimizes a plan to fixpoint.
+    /// Optimizes a plan to fixpoint with the rules alone: no statistics,
+    /// so no cost-based join ordering — shorthand for
+    /// `optimize_traced_with(plan, None, None)` minus the trace.
     pub fn optimize(&self, plan: &PlanRef) -> Result<PlanRef> {
-        Ok(self.optimize_traced(plan)?.0)
+        Ok(self.optimize_traced_with(plan, None, None)?.0)
     }
 
     /// Optimizes a plan and reports, pass by pass, which rewrites changed
@@ -86,16 +81,12 @@ impl Optimizer {
     /// Beyond the pass-level [`Trace::steps`], every rule firing is
     /// collected as a structured [`vdm_obs::RewriteEvent`] in
     /// [`Trace::events`] (rule name, plan-node id, cardinality evidence).
-    pub fn optimize_traced(&self, plan: &PlanRef) -> Result<(PlanRef, Trace)> {
-        self.optimize_traced_with(plan, None, None)
-    }
-
-    /// [`Optimizer::optimize_traced`] plus cost-model inputs: base-table
-    /// statistics enable the cost-based join-ordering pass (when the
-    /// profile has [`Capability::CostBasedJoinOrdering`]), and observed
-    /// per-subtree cardinalities override model estimates — the feedback
-    /// path re-optimization uses. With `stats: None` the optimizer is
-    /// byte-for-byte the rule-based rewriter it always was.
+    ///
+    /// Base-table statistics enable the cost-based join-ordering pass
+    /// (when the profile has [`Capability::CostBasedJoinOrdering`]), and
+    /// observed per-subtree cardinalities override model estimates — the
+    /// feedback path re-optimization uses. With `stats: None` the
+    /// optimizer is the rule-based rewriter alone.
     pub fn optimize_traced_with(
         &self,
         plan: &PlanRef,
@@ -122,9 +113,8 @@ impl Optimizer {
         overrides: Option<&CardOverrides>,
     ) -> Result<(PlanRef, Trace)> {
         let p = &self.profile;
-        let props =
-            if self.property_cache { PropertyCache::new() } else { PropertyCache::passthrough() };
-        let ctx = RewriteCtx::new(p, &props).with_legacy_normalize(!self.property_cache);
+        let props = PropertyCache::new();
+        let ctx = RewriteCtx::new(p, &props);
         let mut trace = Trace::default();
         let mut plan = plan.clone();
         if p.has(Capability::ConstantFolding) {
@@ -143,16 +133,13 @@ impl Optimizer {
         // `noop` remembers, per pass, the plan it last returned unchanged:
         // a pass whose input is pointer-identical to that plan is a
         // *memoized* no-op (its result on exactly this input is already
-        // known) and is skipped — no idempotence assumption involved. Only
-        // the annotated-plan mode skips; the legacy cost model re-runs
-        // everything, like the pre-refactor optimizer did.
+        // known) and is skipped — no idempotence assumption involved.
         let mut noop: [Option<PlanRef>; 6] = Default::default();
         // Digest of the plan as of the previous round's end, carried
         // forward so each productive round hashes the plan once.
         let mut prev_digest: Option<u64> = None;
-        let fast = self.property_cache;
         let skip = |memo: &Option<PlanRef>, plan: &PlanRef| {
-            fast && memo.as_ref().is_some_and(|o| std::sync::Arc::ptr_eq(o, plan))
+            memo.as_ref().is_some_and(|o| std::sync::Arc::ptr_eq(o, plan))
         };
         macro_rules! pass {
             ($idx:expr, $name:expr, $f:expr) => {
@@ -184,16 +171,14 @@ impl Optimizer {
             if p.has(Capability::RemoveRedundantDistinct) {
                 pass!(5, "distinct removal", |pl| filters::remove_redundant_distinct(&pl, &ctx));
             }
-            if self.property_cache {
-                if std::sync::Arc::ptr_eq(&plan, &prev) {
-                    break;
-                }
-                let digest = plan_digest(&plan);
-                if prev_digest == Some(digest) {
-                    break;
-                }
-                prev_digest = Some(digest);
+            if std::sync::Arc::ptr_eq(&plan, &prev) {
+                break;
             }
+            let digest = plan_digest(&plan);
+            if prev_digest == Some(digest) {
+                break;
+            }
+            prev_digest = Some(digest);
         }
         // Cost-based join ordering runs once, after the rule fixpoint:
         // UAJ/ASJ-eliminated joins are already gone and never enumerated.
@@ -223,7 +208,7 @@ pub struct Trace {
     /// changed the plan.
     pub steps: Vec<(usize, String, vdm_plan::PlanStats, vdm_plan::PlanStats)>,
     /// Every individual rule firing, in order (filled by
-    /// [`Optimizer::optimize_traced`]).
+    /// [`Optimizer::optimize_traced_with`]).
     pub events: Vec<vdm_obs::RewriteEvent>,
     /// Wall-clock time spent in the optimizer, in nanoseconds.
     pub optimize_nanos: u64,

@@ -214,7 +214,7 @@ fn prune_node(
                         matches!(e, Expr::Col(c) if *c == j)
                             && cs.field(j).name.eq_ignore_ascii_case(n)
                     });
-                new_children.push(if identity && !ctx.legacy_normalize() {
+                new_children.push(if identity {
                     pruned_child
                 } else {
                     LogicalPlan::project(pruned_child, exprs)?

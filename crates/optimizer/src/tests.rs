@@ -863,7 +863,7 @@ fn optimizer_is_idempotent() {
 #[test]
 fn trace_records_passes_that_changed_the_plan() {
     let hana = Optimizer::hana();
-    let (opt, trace) = hana.optimize_traced(&uaj1a()).unwrap();
+    let (opt, trace) = hana.optimize_traced_with(&uaj1a(), None, None).unwrap();
     assert_eq!(plan_stats(&opt).joins, 0);
     assert!(
         trace.steps.iter().any(|(_, name, _, _)| name.contains("UAJ")),
@@ -874,7 +874,7 @@ fn trace_records_passes_that_changed_the_plan() {
     assert!(rendered.contains("joins"), "{rendered}");
     // A plan with nothing to do produces an empty trace.
     let bare = LogicalPlan::scan(orders());
-    let (_, trace) = hana.optimize_traced(&bare).unwrap();
+    let (_, trace) = hana.optimize_traced_with(&bare, None, None).unwrap();
     assert_eq!(trace.render(), "no rewrites applied");
 }
 

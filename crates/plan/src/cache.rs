@@ -55,7 +55,6 @@ type UniqueKey = (usize, DeriveOptions);
 
 /// Pointer-identity-keyed memo of derived plan properties.
 pub struct PropertyCache {
-    enabled: bool,
     unique: RefCell<HashMap<UniqueKey, Rc<Vec<BTreeSet<usize>>>>>,
     empty: RefCell<HashMap<usize, bool>>,
     lineage: RefCell<HashMap<usize, Rc<Vec<Option<Origin>>>>>,
@@ -75,19 +74,7 @@ impl Default for PropertyCache {
 impl PropertyCache {
     /// A fresh, empty cache.
     pub fn new() -> PropertyCache {
-        PropertyCache::with_enabled(true)
-    }
-
-    /// A cache that memoizes nothing: every probe re-derives from scratch.
-    /// This is the pre-refactor cost model, kept so `opt_sweep` can report
-    /// the cache's speedup against an honest baseline.
-    pub fn passthrough() -> PropertyCache {
-        PropertyCache::with_enabled(false)
-    }
-
-    fn with_enabled(enabled: bool) -> PropertyCache {
         PropertyCache {
-            enabled,
             unique: RefCell::new(HashMap::new()),
             empty: RefCell::new(HashMap::new()),
             lineage: RefCell::new(HashMap::new()),
@@ -122,9 +109,6 @@ impl PropertyCache {
     /// Memoized [`props::unique_sets`]: shared DAG nodes derive once per
     /// `DeriveOptions`, no matter how many paths reach them.
     pub fn unique_sets(&self, plan: &PlanRef, opts: &DeriveOptions) -> Rc<Vec<BTreeSet<usize>>> {
-        if !self.enabled {
-            return Rc::new(props::unique_sets(plan, opts));
-        }
         let key = (Arc::as_ptr(plan) as usize, *opts);
         if let Some(sets) = self.unique.borrow().get(&key) {
             self.hit();
@@ -155,9 +139,6 @@ impl PropertyCache {
 
     /// Memoized [`props::statically_empty`].
     pub fn statically_empty(&self, plan: &PlanRef) -> bool {
-        if !self.enabled {
-            return props::statically_empty(plan);
-        }
         let key = Arc::as_ptr(plan) as usize;
         if let Some(&empty) = self.empty.borrow().get(&key) {
             self.hit();
@@ -172,9 +153,6 @@ impl PropertyCache {
     /// Memoized [`lineage::column_lineage`]: the full used-column → base
     /// origin map of a node, derived once and indexed per probe.
     pub fn lineage(&self, plan: &PlanRef) -> Rc<Vec<Option<Origin>>> {
-        if !self.enabled {
-            return Rc::new(lineage::column_lineage(plan));
-        }
         let key = Arc::as_ptr(plan) as usize;
         if let Some(l) = self.lineage.borrow().get(&key) {
             self.hit();
@@ -194,25 +172,21 @@ impl PropertyCache {
     /// Memoized nullable-output-ordinal set (from the node's schema, which
     /// already accounts for outer-join NULL padding).
     pub fn nullable_columns(&self, plan: &PlanRef) -> Rc<BTreeSet<usize>> {
-        let compute = |plan: &PlanRef| {
-            plan.schema()
-                .fields()
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| f.nullable)
-                .map(|(i, _)| i)
-                .collect::<BTreeSet<usize>>()
-        };
-        if !self.enabled {
-            return Rc::new(compute(plan));
-        }
         let key = Arc::as_ptr(plan) as usize;
         if let Some(n) = self.nullable.borrow().get(&key) {
             self.hit();
             return Rc::clone(n);
         }
         self.miss(plan);
-        let n = Rc::new(compute(plan));
+        let n: Rc<BTreeSet<usize>> = Rc::new(
+            plan.schema()
+                .fields()
+                .iter()
+                .enumerate()
+                .filter(|(_, f)| f.nullable)
+                .map(|(i, _)| i)
+                .collect(),
+        );
         self.nullable.borrow_mut().insert(key, Rc::clone(&n));
         n
     }
@@ -223,8 +197,8 @@ impl std::fmt::Debug for PropertyCache {
         let s = self.stats();
         write!(
             f,
-            "PropertyCache {{ enabled: {}, hits: {}, misses: {}, entries: {} }}",
-            self.enabled, s.hits, s.misses, s.entries
+            "PropertyCache {{ hits: {}, misses: {}, entries: {} }}",
+            s.hits, s.misses, s.entries
         )
     }
 }

@@ -8,26 +8,34 @@
 //!
 //! * **Sessions** ([`Server::session`]) are lightweight `Send` handles;
 //!   any number can run queries concurrently from their own threads.
-//! * **Bind-time state** ([`DbState`]) sits behind one `RwLock`: SELECTs
-//!   take the read lock only long enough to resolve a plan, DDL and
-//!   profile switches take the write lock. Execution happens entirely
-//!   outside the lock, so a long scan never blocks a CREATE TABLE behind
-//!   it longer than its own bind.
+//! * **Bind-time state** ([`DbState`]) sits behind one `RwLock`: reads —
+//!   `SELECT` and every `EXPLAIN` form alike — take the read lock only
+//!   long enough to resolve a plan; only DDL, `INSERT` and profile
+//!   switches take the write lock. Execution happens entirely outside the
+//!   lock, so a long scan (or a long `EXPLAIN ANALYZE`) never blocks a
+//!   CREATE TABLE behind it longer than its own bind.
+//! * **One statement path**: every read from every entry point
+//!   ([`Session::query`], [`Session::execute`], [`Session::explain_analyze`],
+//!   [`Prepared::execute`], …) is one call to the private `Shared::run`
+//!   with the [`RunMode`] the statement asked for: resolve under the read
+//!   lock → execute on the pool → close the trace root, using the same
+//!   two `vdm-core` phases `Database` uses.
 //! * **Plan cache**: optimized parameterized plans are shared across
 //!   sessions through the version-stamped [`PlanCache`] living in
 //!   `vdm-core` — this crate never invokes the optimizer itself (a CI
 //!   gate enforces it); on a cache miss the core query path optimizes and
 //!   fills the cache.
 //! * **One worker pool**: all sessions execute on a single long-lived
-//!   [`WorkerPool`] instead of spawning scoped threads per query, keeping
-//!   thread counts flat at high session counts.
+//!   [`WorkerPool`] (sized from the database's executor thread count)
+//!   instead of spawning scoped threads per query, keeping thread counts
+//!   flat at high session counts.
 //!
 //! Prepared statements ([`Session::prepare`]) parse once and pin the
 //! statement's canonical shape; each [`Prepared::execute`] is a plan-cache
 //! lookup plus parameter substitution. The number of open prepared
 //! statements is exported as the `vdm_prepared_statements_open` gauge.
 //!
-//! **Saturation observability**: every SELECT increments the
+//! **Saturation observability**: every read increments the
 //! `vdm_inflight_queries` gauge for its lifetime and records the time
 //! between admission (entering the serve layer) and execution start in the
 //! `vdm_queue_wait_seconds` histogram; open sessions are counted by
@@ -43,25 +51,16 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 use vdm_cache::{CacheMode, CachedView, MaintainOutcome, ViewCache};
 use vdm_core::{
-    execute_select, explain_analyze_bound, Database, DbState, PlanCache, ResolvedPlan,
-    StatementResult,
+    apply_statement, execute_resolved, parse_script, parse_select, Database, DbState, Executed,
+    PlanCache, QueryEnv, RunMode, StatementResult,
 };
 use vdm_exec::{with_worker_pool, ParallelConfig, WorkerPool};
 use vdm_obs::registry::{self, MetricsRegistry};
 use vdm_obs::{names, trace as qtrace, QueryTrace};
 use vdm_optimizer::Profile;
-use vdm_sql::{SelectStmt, Statement};
+use vdm_sql::SelectStmt;
 use vdm_storage::{Batch, StorageEngine};
 use vdm_types::{Result, Value, VdmError};
-
-/// Tuning knobs for [`Server`] construction.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServeConfig {
-    /// Worker-pool threads shared by all sessions. `0` means "use the
-    /// executor's configured thread count" (which itself defaults to the
-    /// available cores).
-    pub pool_threads: usize,
-}
 
 /// Everything the sessions share. Lock granularity is the whole design:
 /// `state` guards only what bind/optimize reads; the engine, plan cache,
@@ -99,97 +98,63 @@ impl Shared {
         *self.parallel.lock().unwrap()
     }
 
-    /// Resolves a SELECT's optimized plan under the state *read* lock —
-    /// cache hit or core-side bind+optimize — and releases the lock
-    /// before returning.
-    fn resolve(
-        &self,
-        sel: &SelectStmt,
-        shape: Option<&str>,
-        params: &[Value],
-    ) -> Result<ResolvedPlan> {
+    /// Runs `f` over the query environment under the state *read* lock
+    /// and releases the lock before returning.
+    fn with_env<R>(&self, f: impl FnOnce(&QueryEnv<'_>) -> R) -> R {
         let state = self.state.read().unwrap();
-        let env = vdm_core::QueryEnv {
+        f(&QueryEnv {
             state: &state,
             engine: &self.engine,
             plan_cache: &self.plan_cache,
             parallel: self.parallel(),
-        };
-        env.select_plan(sel, shape, params)
+        })
     }
 
-    /// Stores the finished trace (when this call owned the root) so
-    /// [`Server::last_trace`] can replay the most recent query.
-    fn finish_root(&self, root: qtrace::RootGuard) {
-        if let Some(trace) = root.finish() {
+    /// The one read path: plan resolution under the read lock, lock-free
+    /// execution on the shared worker pool, then the rendering `mode`
+    /// asked for. `session` labels per-session counters and the trace
+    /// root; [`Prepared`] executions carry their creating session's id.
+    /// The finished trace (when this call owned the root) is kept for
+    /// [`Server::last_trace`].
+    fn run(
+        &self,
+        sel: &SelectStmt,
+        shape: Option<&str>,
+        params: &[Value],
+        mode: RunMode,
+        session: u64,
+    ) -> Result<StatementResult> {
+        let reg = MetricsRegistry::global();
+        let root = mode.root();
+        qtrace::attr("session", session);
+        reg.inc(&registry::label(names::SESSION_QUERIES_TOTAL, "session", &session.to_string()), 1);
+        if let Some(s) = shape {
+            qtrace::attr("shape", format_args!("{s:?}"));
+        }
+        let _inflight = Inflight::enter();
+        let admitted = Instant::now();
+        let result = (|| {
+            let resolved = match mode {
+                // Plans only: nothing to execute.
+                RunMode::Explain => {
+                    let text = self.with_env(|env| env.explain(sel, params))?;
+                    return Ok(StatementResult::Explained(text));
+                }
+                _ => self.with_env(|env| env.select_plan(sel, shape, params))?,
+            };
+            let parallel = self.parallel();
+            with_worker_pool(&self.pool, || {
+                reg.observe(names::QUEUE_WAIT_SECONDS, admitted.elapsed().as_secs_f64());
+                let analyze = mode == RunMode::Analyze;
+                execute_resolved(&resolved, params, &self.engine, parallel, analyze)
+            })
+            .map(Executed::into_result)
+        })();
+        let trace = root.finish();
+        let result = mode.finish(result, trace.as_ref());
+        if let Some(trace) = trace {
             *self.last_trace.lock().unwrap() = Some(trace);
         }
-    }
-
-    /// Plan resolution under the read lock, then lock-free execution on
-    /// the shared worker pool. `session` labels per-session counters and
-    /// the trace root; [`Prepared`] executions carry their creating
-    /// session's id.
-    fn run_select(
-        &self,
-        sel: &SelectStmt,
-        shape: Option<&str>,
-        params: &[Value],
-        session: Option<u64>,
-    ) -> Result<Batch> {
-        let reg = MetricsRegistry::global();
-        let root = qtrace::root("query");
-        if let Some(id) = session {
-            qtrace::attr("session", id);
-            reg.inc(&registry::label(names::SESSION_QUERIES_TOTAL, "session", &id.to_string()), 1);
-        }
-        if let Some(s) = shape {
-            qtrace::attr("shape", format_args!("{s:?}"));
-        }
-        let _inflight = Inflight::enter();
-        let admitted = Instant::now();
-        let parallel = self.parallel();
-        let resolved = match self.resolve(sel, shape, params) {
-            Ok(r) => r,
-            Err(e) => {
-                self.finish_root(root);
-                return Err(e);
-            }
-        };
-        let result = with_worker_pool(&self.pool, || {
-            reg.observe(names::QUEUE_WAIT_SECONDS, admitted.elapsed().as_secs_f64());
-            execute_select(&resolved, params, &self.engine, parallel)
-        });
-        self.finish_root(root);
-        result
-    }
-
-    fn explain_analyze(
-        &self,
-        sel: &SelectStmt,
-        shape: Option<&str>,
-        params: &[Value],
-    ) -> Result<String> {
-        let root = qtrace::root("query");
-        if let Some(s) = shape {
-            qtrace::attr("shape", format_args!("{s:?}"));
-        }
-        let _inflight = Inflight::enter();
-        let admitted = Instant::now();
-        let parallel = self.parallel();
-        let resolved = match self.resolve(sel, shape, params) {
-            Ok(r) => r,
-            Err(e) => {
-                self.finish_root(root);
-                return Err(e);
-            }
-        };
-        let result = with_worker_pool(&self.pool, || {
-            MetricsRegistry::global()
-                .observe(names::QUEUE_WAIT_SECONDS, admitted.elapsed().as_secs_f64());
-            explain_analyze_bound(&resolved, params, &self.engine, parallel)
-        });
-        self.finish_root(root);
         result
     }
 }
@@ -207,21 +172,13 @@ impl Server {
         Server::from_database(Database::new(profile))
     }
 
-    /// Server with default config over an existing database — the usual
-    /// path: load data through the `Database` facade (generators need its
-    /// exclusive `&mut` accessors), then convert for serving.
+    /// Server over an existing database — the usual path: load data
+    /// through the `Database` facade (generators need its exclusive `&mut`
+    /// accessors), then convert for serving. The worker pool shared by all
+    /// sessions has the database's executor thread count.
     pub fn from_database(db: Database) -> Server {
-        Server::with_config(db, ServeConfig::default())
-    }
-
-    /// [`Server::from_database`] with explicit tuning.
-    pub fn with_config(db: Database, config: ServeConfig) -> Server {
         let parts = db.into_parts();
-        let pool_threads = if config.pool_threads > 0 {
-            config.pool_threads
-        } else {
-            parts.parallel.threads.max(1)
-        };
+        let pool_threads = parts.parallel.threads.max(1);
         Server {
             shared: Arc::new(Shared {
                 state: RwLock::new(parts.state),
@@ -289,12 +246,8 @@ impl Server {
         sql: &str,
         mode: CacheMode,
     ) -> Result<Arc<CachedView>> {
-        let stmt = vdm_sql::parse_one(sql)?;
-        let Statement::Select(sel) = stmt else {
-            return Err(VdmError::Bind("create_cached_view() expects a SELECT".into()));
-        };
-        let shape = vdm_sql::canonical_shape(sql)?;
-        let resolved = self.shared.resolve(&sel, Some(&shape), &[])?;
+        let (sel, shape, _) = parse_select(sql)?;
+        let resolved = self.shared.with_env(|env| env.select_plan(&sel, Some(&shape), &[]))?;
         with_worker_pool(&self.shared.pool, || {
             self.shared.views.register(name, resolved.plan, mode, &self.shared.engine)
         })
@@ -342,12 +295,8 @@ impl Session {
     /// Runs a parameterized SELECT (`?` / `$1` placeholders) with the
     /// given values.
     pub fn query_with_params(&self, sql: &str, params: &[Value]) -> Result<Batch> {
-        let stmt = vdm_sql::parse_one(sql)?;
-        let Statement::Select(sel) = stmt else {
-            return Err(VdmError::Bind("query() expects a SELECT; use execute()".into()));
-        };
-        let shape = vdm_sql::canonical_shape(sql)?;
-        self.shared.run_select(&sel, Some(&shape), params, Some(self.id))
+        let (sel, shape, _) = parse_select(sql)?;
+        self.shared.run(&sel, Some(&shape), params, RunMode::Rows, self.id)?.rows()
     }
 
     /// Runs `f` under a forced trace root named `name`: every statement
@@ -374,10 +323,10 @@ impl Session {
         self.shared.last_trace.lock().unwrap().clone()
     }
 
-    /// Executes any single statement. SELECTs go through the concurrent
-    /// read path; everything else (DDL, INSERT, EXPLAIN) takes the state
-    /// write lock and runs the same statement dispatcher as
-    /// `Database::execute`.
+    /// Executes any single statement. Reads — `SELECT` and every `EXPLAIN`
+    /// form — go through the concurrent read path; only DDL and `INSERT`
+    /// take the state write lock (the same [`apply_statement`]
+    /// `Database::execute` uses).
     pub fn execute(&self, sql: &str) -> Result<StatementResult> {
         let mut results = self.execute_script(sql)?;
         results.pop().ok_or_else(|| VdmError::Exec("no statement executed".into()))
@@ -385,58 +334,29 @@ impl Session {
 
     /// Executes a `;`-separated script, one result per statement.
     pub fn execute_script(&self, sql: &str) -> Result<Vec<StatementResult>> {
-        let stmts = vdm_sql::parse(sql)?;
-        let shapes = vdm_sql::canonical_shapes(sql).unwrap_or_default();
-        stmts
+        parse_script(sql)?
             .iter()
-            .enumerate()
-            .map(|(i, stmt)| {
-                let shape =
-                    if shapes.len() == stmts.len() { Some(shapes[i].as_str()) } else { None };
-                self.execute_statement(stmt, shape)
+            .map(|(stmt, shape)| match RunMode::of(stmt, shape.as_deref())? {
+                Some((mode, sel, shape)) => self.shared.run(sel, shape, &[], mode, self.id),
+                None => {
+                    let mut state = self.shared.state.write().unwrap();
+                    apply_statement(&mut state, &self.shared.engine, stmt)
+                }
             })
             .collect()
-    }
-
-    fn execute_statement(&self, stmt: &Statement, shape: Option<&str>) -> Result<StatementResult> {
-        match stmt {
-            Statement::Select(sel) => {
-                Ok(StatementResult::Rows(self.shared.run_select(sel, shape, &[], Some(self.id))?))
-            }
-            _ => {
-                let parallel = self.shared.parallel();
-                let mut state = self.shared.state.write().unwrap();
-                vdm_core::run_statement(
-                    &mut state,
-                    &self.shared.engine,
-                    &self.shared.plan_cache,
-                    parallel,
-                    stmt,
-                    shape,
-                )
-            }
-        }
     }
 
     /// EXPLAIN ANALYZE for a SELECT; the header reports whether the plan
     /// came from the shared cache (`[plan cache: hit|miss]`).
     pub fn explain_analyze(&self, sql: &str) -> Result<String> {
-        let stmt = vdm_sql::parse_one(sql)?;
-        let Statement::Select(sel) = stmt else {
-            return Err(VdmError::Bind("explain_analyze() expects a SELECT".into()));
-        };
-        let shape = vdm_sql::canonical_shape(sql)?;
-        self.shared.explain_analyze(&sel, Some(&shape), &[])
+        let (sel, shape, _) = parse_select(sql)?;
+        self.shared.run(&sel, Some(&shape), &[], RunMode::Analyze, self.id)?.explained()
     }
 
     /// Parses and binds a statement once for repeated execution. The
     /// returned handle is independent of this session.
     pub fn prepare(&self, sql: &str) -> Result<Prepared> {
-        let (stmt, param_count) = vdm_sql::parse_one_with_params(sql)?;
-        let Statement::Select(sel) = stmt else {
-            return Err(VdmError::Bind("prepare() expects a SELECT".into()));
-        };
-        let shape = vdm_sql::canonical_shape(sql)?;
+        let (sel, shape, param_count) = parse_select(sql)?;
         MetricsRegistry::global().gauge_add(names::PREPARED_STATEMENTS_OPEN, 1);
         Ok(Prepared {
             shared: Arc::clone(&self.shared),
@@ -496,17 +416,15 @@ impl Prepared {
 
     /// Executes with the given parameter values.
     pub fn execute(&self, params: &[Value]) -> Result<Batch> {
-        self.check_arity(params)?;
-        self.shared.run_select(&self.select, Some(&self.shape), params, Some(self.session))
+        self.run(params, RunMode::Rows)?.rows()
     }
 
     /// EXPLAIN ANALYZE of one execution with the given parameter values.
     pub fn explain_analyze(&self, params: &[Value]) -> Result<String> {
-        self.check_arity(params)?;
-        self.shared.explain_analyze(&self.select, Some(&self.shape), params)
+        self.run(params, RunMode::Analyze)?.explained()
     }
 
-    fn check_arity(&self, params: &[Value]) -> Result<()> {
+    fn run(&self, params: &[Value], mode: RunMode) -> Result<StatementResult> {
         if params.len() != self.param_count {
             return Err(VdmError::Exec(format!(
                 "prepared statement expects {} parameter value(s), got {}",
@@ -514,7 +432,7 @@ impl Prepared {
                 params.len()
             )));
         }
-        Ok(())
+        self.shared.run(&self.select, Some(&self.shape), params, mode, self.session)
     }
 }
 
@@ -592,6 +510,35 @@ mod tests {
         assert_eq!(a.query("select k from u").unwrap().num_rows(), 1);
         a.execute("drop table u").unwrap();
         assert!(b.query("select k from u").is_err());
+    }
+
+    /// Every EXPLAIN form is a read: it completes while another session's
+    /// bind holds the state read lock. (When EXPLAIN ANALYZE / TRACE ran
+    /// under the write lock this blocked until the reader left.)
+    #[test]
+    fn explain_forms_complete_beside_a_reader() {
+        let server = server();
+        let session = server.session();
+        let reader = server.shared.state.read().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                for form in ["explain", "explain analyze", "explain trace"] {
+                    let sql = format!("{form} select v from t where k >= 2");
+                    tx.send(session.execute(&sql).and_then(StatementResult::explained)).unwrap();
+                }
+            });
+            for header in ["== bound plan", "== EXPLAIN ANALYZE", "== EXPLAIN TRACE"] {
+                let text = rx
+                    .recv_timeout(std::time::Duration::from_secs(60))
+                    .expect("an EXPLAIN form waited for the state write lock")
+                    .unwrap();
+                assert!(text.starts_with(header), "{text}");
+            }
+            // DDL is what the write lock is for: it must wait for the reader.
+            assert!(server.shared.state.try_write().is_err());
+            drop(reader);
+        });
     }
 
     #[test]

@@ -57,7 +57,7 @@ fn main() -> vdm_types::Result<()> {
     };
     let extended = extend_with_fields(managed, Arc::clone(&vbak), &spec)?;
     println!("extension view: {} joins before optimization", plan_stats(&extended).joins);
-    let optimized = db.optimize(&extended)?;
+    let optimized = db.optimizer().optimize(&extended)?;
     println!(
         "               {} joins after  optimization (ASJ removed, field re-wired)",
         plan_stats(&optimized).joins
@@ -106,7 +106,7 @@ fn main() -> vdm_types::Result<()> {
     )?;
     for (label, intent) in [("plain join", false), ("CASE JOIN", true)] {
         let ext = extend_draft_with_fields(managed_op.clone(), &pair, "bid", &spec, intent)?;
-        let optimized = db.optimize(&ext)?;
+        let optimized = db.optimizer().optimize(&ext)?;
         println!(
             "draft extension via {label}: {} joins after optimization",
             plan_stats(&optimized).joins

@@ -112,9 +112,11 @@ if grep -rn "QueryStore\|vdm_obs::store" crates/optimizer/src; then
   echo "crates/optimizer must receive observed cardinalities as CardOverrides, not read the store"; exit 1
 fi
 
-echo "== serve layer never optimizes directly (everything goes through the plan cache) =="
-if grep -rn "optimize(" crates/serve/src; then
-  echo "crates/serve must resolve plans via vdm-core's cached session path"; exit 1
+echo "== one optimizer call behind every statement (core, serve and cache reach it through session.rs) =="
+OPT_SITES="$(grep -rln "optimize_traced_with\|\.optimize(" crates/core/src crates/serve/src crates/cache/src || true)"
+if [ "$OPT_SITES" != "crates/core/src/session.rs" ]; then
+  echo "the optimizer must only run in crates/core/src/session.rs (QueryEnv::optimize_bound); found in:"
+  echo "$OPT_SITES"; exit 1
 fi
 
 echo "== metrics are registered only through vdm-obs (no stray metric name literals) =="

@@ -72,7 +72,8 @@ fn optimized_and_unoptimized_plans_agree() {
     let db = tpch_db(Profile::hana());
     for q in QUERIES {
         let plan = db.plan(q).unwrap();
-        let (opt, _) = db.execute_plan(&plan).unwrap();
+        let (opt, _) =
+            db.execute_plan_unoptimized(&db.optimizer().optimize(&plan).unwrap()).unwrap();
         let (raw, _) = db.execute_plan_unoptimized(&plan).unwrap();
         assert_eq!(
             sorted(opt.to_rows()),
@@ -159,4 +160,74 @@ fn precision_loss_sql_round_trip() {
     let delta = (strict.to_f64() - loose.to_f64()).abs();
     let n_orders = db.query("select count(*) from orders").unwrap().row(0)[0].as_int().unwrap();
     assert!(delta <= 0.005 * n_orders as f64, "delta {delta} exceeds rounding bound");
+}
+
+/// One plan per statement: every door that hands out or runs "the
+/// optimized plan" of a SQL text resolves it through the same pipeline —
+/// with storage statistics — so a ≥3-join query whose cost-based join order
+/// differs from the rule-only one gets the *same* plan from
+/// `Database::query` (digest read off its `select_plan` trace span),
+/// `Database::optimized_plan`, the optimized section of `Database::explain`,
+/// and both `create_cached_view`s.
+#[test]
+fn every_door_resolves_the_same_plan() {
+    use vdm_core::CacheMode;
+    use vdm_plan::plan_digest_canonical;
+
+    const SQL: &str = "select n_name, count(*) as n from lineitem l \
+                       join orders o on l.l_orderkey = o.o_orderkey \
+                       join customer c on o.o_custkey = c.c_custkey \
+                       join nation n on c.c_nationkey = n.n_nationkey \
+                       where c.c_custkey <= 5 group by n_name";
+    /// Drops the run-dependent tokens of a rendered plan: scan instance ids
+    /// (a process-global counter) and the `[est=N]` annotations.
+    fn skeleton(plan_text: &str) -> String {
+        plan_text
+            .lines()
+            .map(|l| {
+                let l = l.split(" [est=").next().unwrap();
+                match l.split_once("(inst ") {
+                    Some((head, tail)) => {
+                        format!("{head}(inst _{}", tail.trim_start_matches(char::is_numeric))
+                    }
+                    None => l.to_string(),
+                }
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    let db = tpch_db(Profile::hana());
+    let rule_only = db.optimizer().optimize(&db.plan(SQL).unwrap()).unwrap();
+
+    // What `query` runs.
+    db.explain_trace(SQL).unwrap();
+    let trace = db.last_trace().expect("EXPLAIN TRACE stores the trace");
+    let span = trace.spans.iter().find(|s| s.name == "select_plan").expect("select_plan span");
+    let queried = u64::from_str_radix(span.attr("digest").expect("digest attr"), 16).unwrap();
+    assert_ne!(
+        queried,
+        plan_digest_canonical(&rule_only),
+        "the probe query must be one whose cost-based join order differs from the rule-only plan"
+    );
+
+    let optimized = db.optimized_plan(SQL).unwrap();
+    assert_eq!(plan_digest_canonical(&optimized), queried, "optimized_plan");
+
+    let text = db.explain(SQL).unwrap();
+    let section = text.split("== optimized plan").nth(1).expect("optimized section");
+    let section =
+        section.split_once("==\n").unwrap().1.split("\n== optimizer trace").next().unwrap();
+    assert_eq!(
+        skeleton(section.trim_end()),
+        skeleton(vdm_plan::explain(&optimized).trim_end()),
+        "explain"
+    );
+
+    let view = db.create_cached_view("by_nation", SQL, CacheMode::Static).unwrap();
+    assert_eq!(plan_digest_canonical(view.plan()), queried, "Database::create_cached_view");
+
+    let server = vdm_serve::Server::from_database(db);
+    let view = server.create_cached_view("by_nation_served", SQL, CacheMode::Static).unwrap();
+    assert_eq!(plan_digest_canonical(view.plan()), queried, "Server::create_cached_view");
 }

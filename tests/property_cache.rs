@@ -1,13 +1,22 @@
 //! The annotated-plan core, exercised end to end: property derivation on
 //! a DAG-shaped plan must happen once per *node*, not once per *path*,
 //! and the rewrite driver must keep untouched shared subtrees shared.
+//!
+//! The pre-PR-3 cost model (every probe re-derives, UNION ALL children
+//! re-normalized every pruning pass) is gone as a mode; its verdict is
+//! kept as data in `tests/golden/optimize_digests.txt`, blessed from that
+//! mode at commit `bfa28ad` (see
+//! [`every_profile_matches_the_blessed_optimize_digests`]).
 
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::sync::Arc;
-use vdm_catalog::{TableBuilder, TableDef};
+use vdm_catalog::{Catalog, TableBuilder, TableDef};
+use vdm_data::erp::{journal_entry_item_browser, Erp};
+use vdm_data::figview::{generate, Fig14Config};
 use vdm_expr::{BinOp, Expr};
 use vdm_optimizer::{Optimizer, Profile};
-use vdm_plan::{plan_digest, DeriveOptions, LogicalPlan, PlanRef, PropertyCache};
+use vdm_plan::{plan_digest_canonical, DeriveOptions, LogicalPlan, PlanRef, PropertyCache};
 use vdm_types::SqlType;
 
 fn table_a() -> Arc<TableDef> {
@@ -80,18 +89,6 @@ fn shared_subtree_is_derived_once() {
 }
 
 #[test]
-fn passthrough_mode_re_derives_every_probe() {
-    let (plan, _) = dag_plan();
-    let props = PropertyCache::passthrough();
-    let opts = DeriveOptions::all();
-    props.unique_sets(&plan, &opts);
-    props.unique_sets(&plan, &opts);
-    let stats = props.stats();
-    assert_eq!(stats.hits, 0, "passthrough mode must never report a hit");
-    assert_eq!(stats.entries, 0, "passthrough mode must not retain entries");
-}
-
-#[test]
 fn optimizer_preserves_dag_sharing() {
     let (plan, _) = dag_plan();
     let mut before = HashMap::new();
@@ -107,18 +104,93 @@ fn optimizer_preserves_dag_sharing() {
     );
 }
 
+/// The Fig. 3 browser plan over a small ERP load: whole (what `opt_sweep`
+/// times), narrowed to three columns (the UAJ-elimination target), and
+/// paged (the limit-pushdown target) — the latter two are where the
+/// profiles' outputs differ.
+fn browser_plans() -> Vec<PlanRef> {
+    let mut catalog = Catalog::new();
+    let engine = vdm_storage::StorageEngine::new();
+    let schema = Erp { journal_rows: 500, seed: 4711 }.build(&mut catalog, &engine).unwrap();
+    let browser = journal_entry_item_browser(&schema).unwrap().protected;
+    let narrow = LogicalPlan::project_cols(browser.clone(), &[0, 1, 2]).unwrap();
+    let paged = LogicalPlan::limit(browser.clone(), 0, Some(20));
+    vec![browser, narrow, paged]
+}
+
+/// The Fig. 14 population: original + both extension variants per case.
+fn fig14_plans() -> Vec<PlanRef> {
+    let mut catalog = Catalog::new();
+    let engine = vdm_storage::StorageEngine::new();
+    let cfg = Fig14Config { n_views: 20, rows_per_table: 50, seed: 1414 };
+    generate(&cfg, &mut catalog, &engine)
+        .unwrap()
+        .cases
+        .iter()
+        .flat_map(|c| [c.original.clone(), c.extended_plain.clone(), c.extended_case.clone()])
+        .collect()
+}
+
+/// Every profile's optimized output over both plan sets must equal what the
+/// deleted re-derive-everything optimizer produced. One line per (set,
+/// profile): the plan count and an order-sensitive fold of each output's
+/// `plan_digest_canonical`.
+///
+/// Blessed at `bfa28ad` by running this test there with the optimizer
+/// switched to that mode (its property-cache toggle set to `false`):
+/// `UPDATE_GOLDEN=1 cargo test --offline --test property_cache`.
 #[test]
-fn cached_and_passthrough_agree_at_every_profile() {
-    let (plan, _) = dag_plan();
+fn every_profile_matches_the_blessed_optimize_digests() {
+    let sets = [("browser", browser_plans()), ("fig14", fig14_plans())];
+    let mut actual = String::new();
     for profile in Profile::paper_systems() {
-        let cached = Optimizer::new(profile.clone()).optimize(&plan).unwrap();
-        let passthrough =
-            Optimizer::new(profile.clone()).with_property_cache(false).optimize(&plan).unwrap();
-        assert_eq!(
-            plan_digest(&cached),
-            plan_digest(&passthrough),
-            "profile {} must optimize identically with and without the cache",
-            profile.name()
-        );
+        let opt = Optimizer::new(profile.clone());
+        for (set, plans) in &sets {
+            let folded = plans.iter().fold(0u64, |h, plan| {
+                let digest = plan_digest_canonical(&opt.optimize(plan).unwrap());
+                (h.rotate_left(5) ^ digest).wrapping_mul(0x100000001b3)
+            });
+            actual.push_str(&format!(
+                "{set} {} plans={} digest={folded:016x}\n",
+                profile.name(),
+                plans.len()
+            ));
+        }
+    }
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/optimize_digests.txt");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &actual).unwrap();
+    }
+    let blessed = std::fs::read_to_string(&path).expect("tests/golden/optimize_digests.txt");
+    assert_eq!(actual, blessed, "optimizer output drifted from the blessed reference");
+}
+
+/// The cache's in-tree reference: on every node of the browser plan, under
+/// every profile's derivation options, the memoized unique sets equal the
+/// raw derivation they stand in for.
+#[test]
+fn memoized_unique_sets_equal_the_raw_derivation_on_the_browser_plan() {
+    fn nodes(plan: &PlanRef, seen: &mut HashMap<*const LogicalPlan, PlanRef>) {
+        if seen.insert(Arc::as_ptr(plan), plan.clone()).is_none() {
+            for child in plan.children() {
+                nodes(child, seen);
+            }
+        }
+    }
+    let mut all = HashMap::new();
+    nodes(&browser_plans()[0], &mut all);
+    assert!(all.len() > 50, "the browser plan is a large DAG: {} nodes", all.len());
+    for profile in Profile::paper_systems() {
+        let opts = profile.derive_options();
+        let props = PropertyCache::new();
+        for node in all.values() {
+            assert_eq!(
+                *props.unique_sets(node, &opts),
+                vdm_plan::props::unique_sets(node, &opts),
+                "profile {}",
+                profile.name()
+            );
+        }
+        assert!(props.stats().hits > 0, "shared nodes must be served from the memo");
     }
 }

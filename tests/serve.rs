@@ -27,7 +27,9 @@ fn cold_digest(db: &Database, sql: &str, params: &[Value]) -> u64 {
     let sel = select_of(sql);
     let types = vdm_core::param_types_of(params);
     let bound = db.state().binder().with_param_types(&types).bind_select(&sel).expect("bind");
-    let (plan, _) = db.state().optimizer.optimize_traced(&bound).expect("optimize");
+    let stats = vdm_core::EngineStats::new(db.engine());
+    let (plan, _) =
+        db.state().optimizer.optimize_traced_with(&bound, Some(&stats), None).expect("optimize");
     plan_digest_canonical(&plan)
 }
 
