@@ -40,12 +40,10 @@ fn main() {
         let with_case = hana.optimize(&page(&case.extended_case)).expect("optimize case");
         let hit = plan_stats(&plain).joins == plan_stats(&orig).joins;
         recognized += hit as usize;
-        let t_orig =
-            harness::time_plan(&engine, &orig, &ExecOptions::default(), 5).as_secs_f64() * 1e6;
-        let t_plain =
-            harness::time_plan(&engine, &plain, &ExecOptions::default(), 5).as_secs_f64() * 1e6;
-        let t_case =
-            harness::time_plan(&engine, &with_case, &ExecOptions::default(), 5).as_secs_f64() * 1e6;
+        let micros = harness::ladder(&[&orig, &plain, &with_case], 5, |plan| {
+            harness::time_plan(&engine, plan, &ExecOptions::default())
+        });
+        let [t_orig, t_plain, t_case] = [0, 1, 2].map(|i| micros[i].as_secs_f64() * 1e6);
         if case.deep {
             slowdown_a_deep.push(t_plain / t_orig.max(1e-9));
         } else {
@@ -54,10 +52,7 @@ fn main() {
         slowdown_b.push(t_case / t_orig.max(1e-9));
         println!("{},{},{:.0},{:.0},{:.0},{}", case.name, case.deep, t_orig, t_plain, t_case, hit);
     }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        v[v.len() / 2]
-    };
+    let median = |v: &mut Vec<f64>| harness::percentile(v, 0.5);
     let max = |v: &[f64]| v.iter().cloned().fold(0.0f64, f64::max);
     let n = fig.cases.len();
     let deep = fig.cases.iter().filter(|c| c.deep).count();

@@ -9,9 +9,7 @@
 //!
 //! Run: `cargo run --release -p vdm-bench --bin fig3_plan_complexity`
 
-use vdm_bench::harness;
-use vdm_data::erp::{journal_entry_item_browser, Erp};
-use vdm_exec::ExecOptions;
+use vdm_bench::{harness, workloads};
 use vdm_optimizer::Optimizer;
 use vdm_plan::{plan_stats, LogicalPlan, PlanStats};
 
@@ -33,14 +31,10 @@ fn show(label: &str, stats: &PlanStats) {
 }
 
 fn main() {
-    let erp = Erp { journal_rows: 20_000, seed: 4711 };
-    let mut catalog = vdm_catalog::Catalog::new();
-    let engine = vdm_storage::StorageEngine::new();
-    let schema = erp.build(&mut catalog, &engine).expect("ERP generation");
-    let browser = journal_entry_item_browser(&schema).expect("browser view");
+    let (engine, browser) = workloads::erp_browser(20_000);
 
     println!("== Fig. 3: select * from journal_entry_item_browser (unoptimized) ==");
-    let fig3 = plan_stats(&browser.protected);
+    let fig3 = plan_stats(&browser);
     show("Plan complexity:", &fig3);
     let ok3 = fig3.table_instances == 47
         && fig3.joins == 49
@@ -59,7 +53,7 @@ fn main() {
 
     // Fig. 4: count(*) collapses everything but the DAC-guarded joins.
     let count_plan = LogicalPlan::aggregate(
-        browser.protected.clone(),
+        browser.clone(),
         vec![],
         vec![(vdm_expr::AggExpr::count_star(), "n".into())],
     )
@@ -81,12 +75,11 @@ fn main() {
     println!("Optimized count(*) plan:\n{}", vdm_plan::explain(&optimized));
 
     // Execution-time consequence.
-    let t_raw = harness::time_plan(&engine, &count_plan, &ExecOptions::default(), 3);
-    let t_opt = harness::time_plan(&engine, &optimized, &ExecOptions::default(), 3);
+    let t = harness::time_pair(&engine, &count_plan, &optimized, 3);
     println!("count(*) over 20k journal lines:");
-    println!("  unoptimized: {}", harness::fmt_duration(t_raw));
-    println!("  optimized:   {}", harness::fmt_duration(t_opt));
-    println!("  speedup:     {:.1}x", t_raw.as_secs_f64() / t_opt.as_secs_f64().max(1e-9));
+    println!("  unoptimized: {}", harness::fmt_duration(t.a));
+    println!("  optimized:   {}", harness::fmt_duration(t.b));
+    println!("  speedup:     {:.1}x", t.speedup());
     // Cross-check: both agree.
     let a = vdm_exec::execute(&count_plan, &engine).unwrap();
     let b = vdm_exec::execute(&optimized, &engine).unwrap();
@@ -94,15 +87,14 @@ fn main() {
     println!("count(*) = {} (identical under both plans)", a.row(0)[0]);
 
     // Also report a full-width paging query on the view.
-    let select_star = LogicalPlan::limit(browser.protected.clone(), 0, Some(100));
+    let select_star = LogicalPlan::limit(browser.clone(), 0, Some(100));
     let star_opt = hana.optimize(&select_star).unwrap();
-    let t_star_raw = harness::time_plan(&engine, &select_star, &ExecOptions::default(), 3);
-    let t_star_opt = harness::time_plan(&engine, &star_opt, &ExecOptions::default(), 3);
+    let t_star = harness::time_pair(&engine, &select_star, &star_opt, 3);
     println!("\nselect * ... limit 100:");
-    println!("  unoptimized: {}", harness::fmt_duration(t_star_raw));
+    println!("  unoptimized: {}", harness::fmt_duration(t_star.a));
     println!(
         "  optimized:   {} ({} joins remain — all fields used)",
-        harness::fmt_duration(t_star_opt),
+        harness::fmt_duration(t_star.b),
         plan_stats(&star_opt).joins
     );
 }

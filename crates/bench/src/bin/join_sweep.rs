@@ -17,24 +17,33 @@
 //! additionally demonstrates the live loop: two `db.query` runs through
 //! the plan cache must bump `vdm_reoptimizations_total`.
 //!
+//! Per (shape, join count) one `harness::paired` call interleaves the
+//! estimate-only and the feedback-corrected plan (the gated pair); the
+//! rule-based plan rides the same rounds.
+//!
 //! Emits `BENCH_join.json`. Run:
 //! `cargo run --release -p vdm-bench --bin join_sweep`
-//! Optional: `--shapes=star,chain,erp`, `--joins=3,6,10`,
-//! `--rows=200000`, `--iters=3`, `--threads=1`, and `--gate=2` to exit
-//! non-zero unless the feedback-corrected plan beats the estimate-only
-//! plan by the given factor on the skewed 6-join ERP shape (the CI smoke
-//! check).
+//! Flags: `--shapes star,chain,erp`, `--joins 3,6,10`, `--rows 200000`,
+//! and `--gate 2` to fail unless the feedback-corrected plan beats the
+//! estimate-only plan by the given factor on the skewed 6-join ERP shape
+//! (the CI smoke check). Single-threaded, 3 pairs per workload.
 
-use std::fmt::Write as _;
 use std::time::Duration;
-use vdm_bench::harness;
+use vdm_bench::harness::{self, int, millis, num, obj, Bound};
 use vdm_cache::multiset_digest;
 use vdm_core::{feedback, Database, EngineStats, ParallelConfig};
 use vdm_exec::ExecOptions;
+use vdm_obs::util::Json;
 use vdm_obs::{names, MetricsRegistry, QueryStore};
 use vdm_types::{SplitMix64, Value};
 
 const DIM_ROWS: i64 = 1_000;
+const ITERS: usize = 3;
+
+/// Single-threaded: the join order, not the scheduler, is what is measured.
+fn parallel() -> ParallelConfig {
+    ParallelConfig { threads: 1, ..ParallelConfig::default() }
+}
 /// Fraction of skew-dim rows sitting inside the predicate range.
 const SKEW_IN_RANGE: f64 = 0.9;
 
@@ -53,14 +62,15 @@ impl Shape {
             Shape::Erp => "erp",
         }
     }
+}
 
-    fn parse(s: &str) -> Shape {
-        match s {
-            "star" => Shape::Star,
-            "chain" => Shape::Chain,
-            "erp" => Shape::Erp,
-            other => panic!("unknown shape {other:?} (star|chain|erp)"),
-        }
+impl std::str::FromStr for Shape {
+    type Err = ();
+    fn from_str(s: &str) -> Result<Shape, ()> {
+        [Shape::Star, Shape::Chain, Shape::Erp]
+            .into_iter()
+            .find(|shape| shape.name() == s)
+            .ok_or(())
     }
 }
 
@@ -69,16 +79,9 @@ struct SweepResult {
     joins: usize,
     rows_out: usize,
     rule: Duration,
-    estimate: Duration,
-    feedback: Duration,
-}
-
-impl SweepResult {
-    /// Estimate-only over feedback-corrected: the payoff of observed
-    /// cardinalities.
-    fn speedup(&self) -> f64 {
-        self.estimate.as_secs_f64() / self.feedback.as_secs_f64().max(f64::EPSILON)
-    }
+    /// Estimate-only (`a`) vs feedback-corrected (`b`): its `speedup()` is
+    /// the payoff of observed cardinalities.
+    pair: harness::Paired,
 }
 
 /// The skew dim: 90% of `val` in [0, 10] (inside the predicate), 10% far
@@ -284,17 +287,18 @@ fn build(db: &mut Database, shape: Shape, joins: usize, fact_rows: i64) -> Strin
 }
 
 /// One workload: builds the data, derives the three plan variants,
-/// asserts multiset-identical results, and times each.
+/// asserts multiset-identical results, and times them in interleaved
+/// rounds. The first workload also measures the run's A/A noise floor, on
+/// its estimate-only plan.
 fn run_one(
     shape: Shape,
     joins: usize,
     fact_rows: i64,
-    iters: usize,
-    parallel: ParallelConfig,
+    noise_floor_pct: &mut Option<f64>,
 ) -> SweepResult {
     let mut db = Database::hana();
-    db.set_parallelism(parallel);
-    let opts = ExecOptions { parallel, ..ExecOptions::default() };
+    db.set_parallelism(parallel());
+    let opts = ExecOptions { parallel: parallel(), ..ExecOptions::default() };
     let sql = build(&mut db, shape, joins, fact_rows);
     let bound = db.plan(&sql).expect("bind");
     let stats = EngineStats::new(db.engine());
@@ -331,13 +335,25 @@ fn run_one(
     assert_eq!(digest, multiset_digest(&b_est), "[{} {joins}] estimate-only order", shape.name());
     assert_eq!(digest, multiset_digest(&b_fb), "[{} {joins}] feedback order", shape.name());
 
+    let time = |plan: &vdm_plan::PlanRef| harness::time_plan(db.engine(), plan, &opts);
+    noise_floor_pct.get_or_insert_with(|| harness::noise_floor_pct(ITERS, || time(&plan_est)));
+    // The rule-based run sits between the gated pair's two sides (its
+    // first sample is the warm-up).
+    let mut rule_samples = Vec::with_capacity(ITERS + 1);
+    let pair = harness::paired(
+        ITERS,
+        || time(&plan_est),
+        || {
+            rule_samples.push(time(&plan_rule));
+            time(&plan_fb)
+        },
+    );
     SweepResult {
         shape: shape.name(),
         joins,
         rows_out: b_rule.num_rows(),
-        rule: harness::time_plan(db.engine(), &plan_rule, &opts, iters),
-        estimate: harness::time_plan(db.engine(), &plan_est, &opts, iters),
-        feedback: harness::time_plan(db.engine(), &plan_fb, &opts, iters),
+        rule: harness::percentile(&mut rule_samples[1..], 0.5),
+        pair,
     }
 }
 
@@ -345,12 +361,12 @@ fn run_one(
 /// and records observed cardinalities; the second hits, sees the
 /// misestimate, and must re-optimize. Returns the number of
 /// re-optimizations the two queries triggered.
-fn run_live_loop(joins: usize, fact_rows: i64, parallel: ParallelConfig) -> (u64, usize) {
+fn run_live_loop(joins: usize, fact_rows: i64) -> (u64, usize) {
     let store = QueryStore::global();
     let was_enabled = store.enabled();
     store.set_enabled(true);
     let mut db = Database::hana();
-    db.set_parallelism(parallel);
+    db.set_parallelism(parallel());
     let sql = build(&mut db, Shape::Erp, joins, fact_rows);
     let before = MetricsRegistry::global().counter(names::REOPTIMIZATIONS_TOTAL);
     let first = db.query(&sql).expect("first run").num_rows();
@@ -361,90 +377,32 @@ fn run_live_loop(joins: usize, fact_rows: i64, parallel: ParallelConfig) -> (u64
     (after - before, second)
 }
 
-fn fmt_duration(d: Duration) -> String {
-    let s = d.as_secs_f64();
-    if s >= 1.0 {
-        format!("{s:.2}s")
-    } else if s >= 1e-3 {
-        format!("{:.2}ms", s * 1e3)
-    } else {
-        format!("{:.1}µs", s * 1e6)
-    }
-}
-
-fn to_json(fact_rows: i64, results: &[SweepResult], reopts: u64) -> String {
-    let mut out = format!("{{\n  \"bench\": \"join_sweep\",\n  {},\n", harness::host_json());
-    let _ = writeln!(out, "  \"fact_rows\": {fact_rows},");
-    let _ = writeln!(out, "  \"live_loop_reoptimizations\": {reopts},");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"shape\": \"{}\", \"joins\": {}, \"rows_out\": {}, \
-             \"rule_millis\": {:.3}, \"estimate_millis\": {:.3}, \"feedback_millis\": {:.3}, \
-             \"feedback_speedup\": {:.2}}}{}",
-            r.shape,
-            r.joins,
-            r.rows_out,
-            r.rule.as_secs_f64() * 1e3,
-            r.estimate.as_secs_f64() * 1e3,
-            r.feedback.as_secs_f64() * 1e3,
-            r.speedup(),
-            if i + 1 == results.len() { "" } else { "," },
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 fn main() {
-    let mut shapes = vec![Shape::Star, Shape::Chain, Shape::Erp];
-    let mut joins: Vec<usize> = (3..=10).collect();
-    let mut fact_rows: i64 = 200_000;
-    let mut iters = 3usize;
-    let mut threads = 1usize;
-    let mut gate: Option<f64> = None;
-    for arg in std::env::args().skip(1) {
-        if let Some(list) = arg.strip_prefix("--shapes=") {
-            shapes = list.split(',').map(|s| Shape::parse(s.trim())).collect();
-        } else if let Some(list) = arg.strip_prefix("--joins=") {
-            joins = list
-                .split(',')
-                .map(|s| s.trim().parse().expect("--joins takes a comma-separated list"))
-                .collect();
-        } else if let Some(n) = arg.strip_prefix("--rows=") {
-            fact_rows = n.parse().expect("--rows takes a number");
-        } else if let Some(n) = arg.strip_prefix("--iters=") {
-            iters = n.parse().expect("--iters takes a number");
-        } else if let Some(n) = arg.strip_prefix("--threads=") {
-            threads = n.parse().expect("--threads takes a number");
-        } else if let Some(g) = arg.strip_prefix("--gate=") {
-            gate = Some(g.parse().expect("--gate takes a number"));
-        } else {
-            panic!("unknown argument {arg:?}");
-        }
-    }
-    let parallel = ParallelConfig { threads, ..ParallelConfig::default() };
+    let args = harness::Args::parse(&["shapes", "joins", "rows", "gate"]);
+    let shapes = args.list("shapes", &[Shape::Star, Shape::Chain, Shape::Erp]);
+    let joins: Vec<usize> = args.list("joins", &(3..=10).collect::<Vec<_>>());
+    let fact_rows: i64 = args.get("rows", 200_000);
 
     println!("== join_sweep: estimate-only vs feedback-corrected join ordering ==");
-    println!("fact_rows={fact_rows}, iters={iters}, threads={threads}");
+    println!("fact_rows={fact_rows}, iters={ITERS}, threads=1");
 
     let mut results = Vec::new();
+    let mut noise_floor_pct = None;
     for &shape in &shapes {
         for &n in &joins {
             if shape == Shape::Erp && n < 3 {
                 continue;
             }
-            let r = run_one(shape, n, fact_rows, iters, parallel);
+            let r = run_one(shape, n, fact_rows, &mut noise_floor_pct);
             println!(
-                "  {:>5} joins={:>2} rows_out={:>7} rule={:>9} estimate={:>9} feedback={:>9} speedup={:.1}x",
+                "  {:>5} joins={:>2} rows_out={:>7} rule={:>10} estimate={:>10} feedback={:>10} speedup={:.1}x",
                 r.shape,
                 r.joins,
                 r.rows_out,
-                fmt_duration(r.rule),
-                fmt_duration(r.estimate),
-                fmt_duration(r.feedback),
-                r.speedup(),
+                harness::fmt_duration(r.rule),
+                harness::fmt_duration(r.pair.a),
+                harness::fmt_duration(r.pair.b),
+                r.pair.speedup(),
             );
             results.push(r);
         }
@@ -454,35 +412,45 @@ fn main() {
     // largest swept ERP size below 6).
     let live_joins =
         joins.iter().copied().filter(|&n| n >= 3).min().map(|min| min.max(6)).unwrap_or(6);
-    let (reopts, live_rows) = run_live_loop(live_joins, fact_rows, parallel);
+    let (reopts, live_rows) = run_live_loop(live_joins, fact_rows);
     println!("live loop (erp, {live_joins} joins): {reopts} re-optimization(s), {live_rows} rows");
 
-    let json = to_json(fact_rows, &results, reopts);
-    std::fs::write("BENCH_join.json", &json).expect("write BENCH_join.json");
-    println!("\nwrote BENCH_join.json");
+    let rows = results.iter().map(|r| {
+        obj([
+            ("shape", Json::Str(r.shape.into())),
+            ("joins", int(r.joins)),
+            ("rows_out", int(r.rows_out)),
+            ("rule_millis", millis(r.rule)),
+            ("estimate_millis", millis(r.pair.a)),
+            ("feedback_millis", millis(r.pair.b)),
+            ("feedback_speedup", num(r.pair.speedup())),
+        ])
+    });
+    harness::Report {
+        bench: "join_sweep",
+        scale: obj([("fact_rows", int(fact_rows)), ("threads", int(1u64))]),
+        iters: ITERS,
+        noise_floor_pct: noise_floor_pct.expect("at least one workload"),
+        results: obj([
+            ("live_loop_reoptimizations", int(reopts)),
+            ("workloads", Json::Arr(rows.collect())),
+        ]),
+    }
+    .write("BENCH_join.json");
 
-    if let Some(gate) = gate {
+    let mut gates = harness::Gates::default();
+    if let Some(bound) = args.opt::<f64>("gate") {
         let gated = results
             .iter()
             .filter(|r| r.shape == "erp")
             .min_by_key(|r| (r.joins as i64 - 6).abs())
             .expect("gate needs an erp shape in the sweep");
-        let speedup = gated.speedup();
-        if speedup < gate {
-            eprintln!(
-                "FAIL: erp joins={} feedback speedup {speedup:.2}x is below the {gate:.2}x gate",
-                gated.joins
-            );
-            std::process::exit(1);
-        }
-        if reopts == 0 {
-            eprintln!("FAIL: the live loop did not re-optimize the skewed ERP shape");
-            std::process::exit(1);
-        }
-        println!(
-            "gate: erp joins={} feedback speedup {speedup:.2}x clears the {gate:.2}x gate \
-             ({reopts} live re-optimization(s))",
-            gated.joins
+        gates.check(
+            &format!("erp joins={} feedback speedup over estimate-only", gated.joins),
+            gated.pair.speedup(),
+            Bound::AtLeast(bound),
         );
+        gates.check("live-loop re-optimizations", reopts as f64, Bound::AtLeast(1.0));
     }
+    gates.finish();
 }

@@ -10,82 +10,41 @@
 //!   profile, plan cache warmed once per shape;
 //! * the three browser paging shapes as prepared statements, executed
 //!   round-robin with seeded parameter values;
-//! * **per-query interleaving**: every sampled query executes twice
-//!   back-to-back — once observed, once dark — with the first-run slot
-//!   alternating each query so warm-cache advantage cancels. The only
-//!   difference between the twins is tracing + store recording (which
-//!   also switches the executor to its profiled path). Drift (scheduler,
-//!   thermal, noisy neighbours) moves at a far coarser grain than one
-//!   ~ms query, so it hits both accumulators equally; the overhead is
-//!   the median of the per-round relative differences;
+//! * **per-query pairs**: every sampled parameter draw executes twice
+//!   back-to-back — once observed, once dark — as one pair of
+//!   `harness::paired`, so the first-run slot alternates and warm-cache
+//!   advantage cancels. The only difference between the twins is tracing
+//!   and store recording (which also switches the executor to its profiled
+//!   path). Drift (scheduler, thermal, noisy neighbours) moves at a far
+//!   coarser grain than one query, so it hits both sides equally; the
+//!   overhead is the median per-query delta over the median dark query;
 //! * after the timed section, the store's per-digest aggregates are
 //!   saved as JSON lines, reloaded into a fresh store, and verified
 //!   identical — the persistence round-trip the serve layer relies on.
 //!
-//! Emits `BENCH_obs.json` and optionally gates on the measured overhead.
+//! Execution is single-threaded (the low-variance apples-to-apples
+//! setting). Emits `BENCH_obs.json` and optionally gates on the overhead.
 //!
 //! Run: `cargo run --release -p vdm-bench --bin obs_sweep`
-//! Args (both `--flag=v` and `--flag v` forms):
-//!   `--journal-rows N`        ERP journal size (default 500)
-//!   `--queries N`             queries per batch (default 300)
-//!   `--rounds N`              interleaved measurement rounds (default 5)
-//!   `--threads N`             execution + pool threads (default 1: the
-//!                             low-variance apples-to-apples setting;
-//!                             0 = use every core, as serving would)
-//!   `--mode both|trace|store` which layers the observed batches enable
+//! Flags:
+//!   `--journal-rows N`        ERP journal size (default 32 000, where
+//!                             execution dominates the call; 500 is the
+//!                             fixed-overhead regime CI smokes)
+//!   `--queries N`             parameter draws per round (default 300)
+//!   `--rounds N`              reseeded rounds; `queries × rounds` pairs
+//!                             are measured (default 5)
+//!   `--mode both|trace|store` which layers the observed runs enable
 //!                             (default both; trace/store isolate one layer)
-//!   `--gate-overhead-pct X`   exit non-zero if overhead exceeds X percent
+//!   `--gate-overhead-pct X`   fail if the overhead exceeds X percent
 
-use std::fmt::Write as _;
+use std::cell::Cell;
 use std::time::{Duration, Instant};
-use vdm_core::Database;
-use vdm_data::erp::{journal_entry_item_browser, Erp};
+use vdm_bench::harness::{self, int, num, obj, Bound};
+use vdm_bench::workloads::{self, shape_params, SHAPES};
 use vdm_exec::ParallelConfig;
+use vdm_obs::util::Json;
 use vdm_obs::{trace, MetricsRegistry, QueryStore};
-use vdm_optimizer::Profile;
-use vdm_serve::{Server, Session};
 use vdm_types::{SplitMix64, Value};
-
-/// The browser paging shapes (same as `serve_sweep`).
-const SHAPES: [&str; 3] = [
-    "select AccountingDocument, LineItem, PostingDate, AmountInCompanyCodeCurrency, \
-     SupplierName, CustomerName from journal_entry_item_browser \
-     where CompanyCode = ? and FiscalYear = ? \
-     order by AccountingDocument, LineItem limit 50",
-    "select LineItem, AmountInCompanyCodeCurrency, DebitCreditCode, CompanyName \
-     from journal_entry_item_browser \
-     where CompanyCode = ? and FiscalYear = ? and AccountingDocument = ? \
-     order by LineItem",
-    "select FiscalYear, count(*) as n from journal_entry_item_browser \
-     where CompanyCode = ? group by FiscalYear order by FiscalYear",
-];
-
-fn shape_params(shape: usize, rng: &mut SplitMix64) -> Vec<Value> {
-    let company = Value::Int(rng.random_range(1..=20));
-    match shape {
-        0 => vec![company, Value::Int(rng.random_range(2023..=2026))],
-        1 => vec![
-            company,
-            Value::Int(rng.random_range(2023..=2026)),
-            Value::Int(rng.random_range(1..=2_500)),
-        ],
-        _ => vec![company],
-    }
-}
-
-fn build_server(journal_rows: usize, threads: usize) -> Server {
-    let mut db = Database::new(Profile::hana());
-    if threads > 0 {
-        db.set_parallelism(ParallelConfig { threads, morsel_rows: 1024 });
-    }
-    let erp = Erp { journal_rows, seed: 4711 };
-    let (catalog, engine) = db.catalog_and_engine();
-    let schema = erp.build(catalog, engine).expect("ERP generation");
-    db.invalidate_plans();
-    let browser = journal_entry_item_browser(&schema).expect("browser view");
-    db.register_view("journal_entry_item_browser", browser.protected.clone());
-    Server::from_database(db)
-}
 
 /// Which observability layers the "observed" batches enable.
 #[derive(Clone, Copy, PartialEq)]
@@ -98,6 +57,28 @@ enum Mode {
     Store,
 }
 
+impl Mode {
+    fn label(self) -> &'static str {
+        match self {
+            Mode::Both => "trace+store",
+            Mode::Trace => "trace-only",
+            Mode::Store => "store-only",
+        }
+    }
+}
+
+impl std::str::FromStr for Mode {
+    type Err = ();
+    fn from_str(s: &str) -> Result<Mode, ()> {
+        match s {
+            "both" => Ok(Mode::Both),
+            "trace" => Ok(Mode::Trace),
+            "store" => Ok(Mode::Store),
+            _ => Err(()),
+        }
+    }
+}
+
 /// Switches the layers selected by `mode` — "observed" vs "dark".
 fn set_observability(mode: Mode, on: bool) {
     if mode != Mode::Store {
@@ -108,159 +89,75 @@ fn set_observability(mode: Mode, on: bool) {
     }
 }
 
-/// One warmup batch: `queries` prepared executions round-robin over the
-/// shapes, parameters drawn from `seed`.
-fn run_batch(session: &Session, queries: usize, seed: u64) {
-    let prepared: Vec<_> =
-        SHAPES.iter().map(|sql| session.prepare(sql).expect("prepare")).collect();
-    let mut rng = SplitMix64::seed_from_u64(seed);
-    for qi in 0..queries {
-        let shape = qi % SHAPES.len();
-        let params = shape_params(shape, &mut rng);
-        prepared[shape].execute(&params).expect("browser query");
-    }
-}
-
-/// One measurement round: `queries` parameter draws, each executed twice
-/// back-to-back (observed and dark), the first-run slot alternating per
-/// query. Returns accumulated (observed, dark) execution time.
-fn run_paired_round(
-    session: &Session,
-    queries: usize,
-    seed: u64,
-    mode: Mode,
-) -> (Duration, Duration) {
-    let prepared: Vec<_> =
-        SHAPES.iter().map(|sql| session.prepare(sql).expect("prepare")).collect();
-    let mut rng = SplitMix64::seed_from_u64(seed);
-    let mut observed = Duration::ZERO;
-    let mut dark = Duration::ZERO;
-    for qi in 0..queries {
-        let shape = qi % SHAPES.len();
-        let params = shape_params(shape, &mut rng);
-        // Even queries run observed-first, odd queries dark-first.
-        for turn in 0..2 {
-            let on = (qi % 2 == 0) == (turn == 0);
-            set_observability(mode, on);
-            let start = Instant::now();
-            prepared[shape].execute(&params).expect("browser query");
-            let elapsed = start.elapsed();
-            if on {
-                observed += elapsed;
-            } else {
-                dark += elapsed;
-            }
-        }
-    }
-    (observed, dark)
-}
-
-fn median_ms(samples: &[Duration]) -> f64 {
-    let mut ms: Vec<f64> = samples.iter().map(|d| d.as_secs_f64() * 1e3).collect();
-    ms.sort_by(|a, b| a.total_cmp(b));
-    ms[ms.len() / 2]
-}
-
-fn json_list(samples: &[Duration]) -> String {
-    let items: Vec<String> =
-        samples.iter().map(|d| format!("{:.3}", d.as_secs_f64() * 1e3)).collect();
-    format!("[{}]", items.join(", "))
-}
-
 fn main() {
-    let mut journal_rows = 500usize;
-    let mut queries = 300usize;
-    let mut rounds = 5usize;
-    let mut threads = 1usize;
-    let mut mode = Mode::Both;
-    let mut gate_overhead_pct: Option<f64> = None;
-
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < raw.len() {
-        let (flag, value) = match raw[i].split_once('=') {
-            Some((f, v)) => (f.to_string(), v.to_string()),
-            None => {
-                let f = raw[i].clone();
-                i += 1;
-                let v = raw.get(i).unwrap_or_else(|| panic!("{f} needs a value")).clone();
-                (f, v)
-            }
-        };
-        match flag.as_str() {
-            "--journal-rows" => {
-                journal_rows = value.parse().expect("--journal-rows takes a number")
-            }
-            "--queries" => queries = value.parse().expect("--queries takes a number"),
-            "--rounds" => rounds = value.parse().expect("--rounds takes a number"),
-            "--threads" => threads = value.parse().expect("--threads takes a number"),
-            "--mode" => {
-                mode = match value.as_str() {
-                    "both" => Mode::Both,
-                    "trace" => Mode::Trace,
-                    "store" => Mode::Store,
-                    other => panic!("--mode takes both|trace|store, got {other}"),
-                }
-            }
-            "--gate-overhead-pct" => {
-                gate_overhead_pct = Some(value.parse().expect("--gate-overhead-pct takes a number"))
-            }
-            other => panic!("unknown flag {other}"),
-        }
-        i += 1;
-    }
+    let args =
+        harness::Args::parse(&["journal-rows", "queries", "rounds", "mode", "gate-overhead-pct"]);
+    let journal_rows: usize = args.get("journal-rows", 32_000);
+    let queries: usize = args.get("queries", 300);
+    let rounds: usize = args.get("rounds", 5);
+    let mode: Mode = args.get("mode", Mode::Both);
     assert!(rounds > 0 && queries > 0);
+    let pairs = queries * rounds;
 
-    let mode_label = match mode {
-        Mode::Both => "trace+store",
-        Mode::Trace => "trace-only",
-        Mode::Store => "store-only",
-    };
     println!("== obs_sweep: tracing + query-store overhead on the browser workload ==");
     println!(
-        "journal_rows={journal_rows} queries/batch={queries} rounds={rounds} \
-         threads={threads} mode={mode_label}"
+        "journal_rows={journal_rows} queries/round={queries} rounds={rounds} \
+         threads=1 mode={}",
+        mode.label()
     );
 
-    let server = build_server(journal_rows, threads);
+    let server = workloads::browser_server(journal_rows, |db| {
+        db.set_parallelism(ParallelConfig { threads: 1, morsel_rows: 1024 })
+    });
     let session = server.session();
+    let prepared: Vec<_> =
+        SHAPES.iter().map(|sql| session.prepare(sql).expect("prepare")).collect();
     let store = QueryStore::global();
-    store.clear();
 
-    // Warm both paths with a full batch each (plan cache fill, first-touch
+    // `queries` draws per round, round-robin over the shapes, each round
+    // reseeded.
+    let draws: Vec<(usize, Vec<Value>)> = (0..rounds)
+        .flat_map(|round| {
+            let mut rng = SplitMix64::seed_from_u64(0x0B5_0000 + round as u64);
+            (0..queries)
+                .map(move |qi| (qi % SHAPES.len(), shape_params(qi % SHAPES.len(), &mut rng)))
+        })
+        .collect();
+    // Executes draw `k` with the `mode` layers on or off.
+    let run = |on: bool, k: usize| -> Duration {
+        let (shape, params) = &draws[k % draws.len()];
+        set_observability(mode, on);
+        let start = Instant::now();
+        prepared[*shape].execute(params).expect("browser query");
+        start.elapsed()
+    };
+    let next = |counter: &Cell<usize>| counter.replace(counter.get() + 1);
+
+    // Warm both paths with a full round each (plan cache fill, first-touch
     // allocations, branch predictors), then clear the store so the reported
     // aggregates come from the timed runs only.
-    set_observability(Mode::Both, true);
-    run_batch(&session, queries, 0xFEED);
-    set_observability(Mode::Both, false);
-    run_batch(&session, queries, 0xFEED);
+    for on in [true, false] {
+        for k in 0..queries {
+            run(on, k);
+        }
+    }
+    // A/A first: the same draw dark in both slots of a pair.
+    let aa = Cell::new(0);
+    let noise_floor_pct = harness::noise_floor_pct(pairs, || run(false, next(&aa) / 2));
     store.clear();
 
-    let mut on_times = Vec::with_capacity(rounds);
-    let mut off_times = Vec::with_capacity(rounds);
-    for round in 0..rounds {
-        let seed = 0x0B5_0000 + round as u64;
-        let (on, off) = run_paired_round(&session, queries, seed, mode);
-        on_times.push(on);
-        off_times.push(off);
-    }
+    // Each side consumes one draw per call, so pair `i` runs draw `i` on
+    // both sides (dark is side `a`, observed side `b`).
+    let (ka, kb) = (Cell::new(0), Cell::new(0));
+    let pair = harness::paired(pairs, || run(false, next(&ka)), || run(true, next(&kb)));
     set_observability(Mode::Both, true);
-
-    let on_ms = median_ms(&on_times);
-    let off_ms = median_ms(&off_times);
-    // Index i in both vectors is one round over the same parameter draws;
-    // the median over rounds is robust to the occasional round that caught
-    // scheduler interference.
-    let mut round_pcts: Vec<f64> = on_times
-        .iter()
-        .zip(&off_times)
-        .map(|(on, off)| (on.as_secs_f64() - off.as_secs_f64()) / off.as_secs_f64() * 100.0)
-        .collect();
-    round_pcts.sort_by(|a, b| a.total_cmp(b));
-    let overhead_pct = round_pcts[round_pcts.len() / 2];
+    let overhead_pct = pair.overhead_pct();
     println!(
-        "\nmedian round: observed={on_ms:.2}ms dark={off_ms:.2}ms \
-         interleaved overhead={overhead_pct:+.2}%"
+        "\nmedian query: observed={} dark={} median pair delta={:+.1}µs \
+         overhead={overhead_pct:+.2}% (A/A noise floor {noise_floor_pct:.2}%)",
+        harness::fmt_duration(pair.b),
+        harness::fmt_duration(pair.a),
+        pair.delta_secs * 1e6,
     );
 
     // What the observed half of the run deposited in the store.
@@ -292,37 +189,40 @@ fn main() {
     println!("persisted {lines} digest line(s), {bytes} bytes, reload identical={identical}");
 
     let traces_total = MetricsRegistry::global().counter(vdm_obs::names::TRACES_TOTAL);
-    let mut json = String::from("{\n  \"bench\": \"obs_sweep\",\n");
-    let _ = writeln!(json, "  \"mode\": \"{mode_label}\",");
-    let _ = writeln!(json, "  \"journal_rows\": {journal_rows},");
-    let _ = writeln!(json, "  \"threads\": {threads},");
-    let _ = writeln!(json, "  \"queries_per_batch\": {queries},");
-    let _ = writeln!(json, "  \"rounds\": {rounds},");
-    let _ = writeln!(json, "  \"observed_round_ms\": {},", json_list(&on_times));
-    let _ = writeln!(json, "  \"dark_round_ms\": {},", json_list(&off_times));
-    let _ = writeln!(json, "  \"median_observed_ms\": {on_ms:.3},");
-    let _ = writeln!(json, "  \"median_dark_ms\": {off_ms:.3},");
-    let pcts: Vec<String> = round_pcts.iter().map(|p| format!("{p:.3}")).collect();
-    let _ = writeln!(json, "  \"round_overhead_pcts\": [{}],", pcts.join(", "));
-    let _ = writeln!(json, "  \"overhead_pct\": {overhead_pct:.3},");
-    let _ = writeln!(json, "  \"traces_total\": {traces_total},");
-    let _ = writeln!(
-        json,
-        "  \"store\": {{\"digests\": {}, \"records\": {records}, \"jsonl_lines\": {lines}, \
-         \"jsonl_bytes\": {bytes}, \"reload_identical\": {identical}}}",
-        aggs.len(),
-    );
-    json.push_str("}\n");
-    std::fs::write("BENCH_obs.json", &json).expect("write BENCH_obs.json");
-    println!("\nwrote BENCH_obs.json:\n{json}");
-
-    if let Some(gate) = gate_overhead_pct {
-        if overhead_pct > gate {
-            eprintln!(
-                "FAIL: tracing+store overhead {overhead_pct:.2}% exceeds the {gate:.2}% gate"
-            );
-            std::process::exit(1);
-        }
-        println!("gate: overhead {overhead_pct:.2}% clears the {gate:.2}% gate");
+    harness::Report {
+        bench: "obs_sweep",
+        scale: obj([
+            ("journal_rows", int(journal_rows)),
+            ("threads", int(1u64)),
+            ("queries_per_round", int(queries)),
+            ("rounds", int(rounds)),
+        ]),
+        iters: pairs,
+        noise_floor_pct,
+        results: obj([
+            ("mode", Json::Str(mode.label().into())),
+            ("median_dark_ms", harness::millis(pair.a)),
+            ("median_observed_ms", harness::millis(pair.b)),
+            ("median_pair_delta_us", num(pair.delta_secs * 1e6)),
+            ("overhead_pct", num(overhead_pct)),
+            ("traces_total", int(traces_total)),
+            (
+                "store",
+                obj([
+                    ("digests", int(aggs.len())),
+                    ("records", int(records)),
+                    ("jsonl_lines", int(lines)),
+                    ("jsonl_bytes", int(bytes)),
+                    ("reload_identical", Json::Bool(identical)),
+                ]),
+            ),
+        ]),
     }
+    .write("BENCH_obs.json");
+
+    let mut gates = harness::Gates::default();
+    if let Some(bound) = args.opt::<f64>("gate-overhead-pct") {
+        gates.check(&format!("{} overhead pct", mode.label()), overhead_pct, Bound::AtMost(bound));
+    }
+    gates.finish();
 }

@@ -9,28 +9,33 @@
 //! 2. **fig14** — the Fig. 14 view population (original + both extension
 //!    variants per case).
 //!
-//! Reports the median optimize time of one sweep over each plan set and
-//! the property cache's hit rate. The pre-PR-3 re-derive-everything cost
-//! model this bench used to race against is gone; its ratios are pinned
-//! in EXPERIMENTS.md at commit `bfa28ad`, and its output plans in
-//! `tests/golden/optimize_digests.txt`.
+//! Reports the median optimize time of one sweep over each plan set
+//! (`harness::ladder` over the five profiles, so no profile owns a time
+//! slot) and the property cache's hit rate. The pre-PR-3
+//! re-derive-everything cost model this bench used to race against is
+//! gone; its ratios are pinned in EXPERIMENTS.md at commit `bfa28ad`, and
+//! its output plans in `tests/golden/optimize_digests.txt`.
 //!
-//! Emits a human-readable table and machine-readable `BENCH_optimize.json`
-//! in the working directory (no external benchmarking framework).
+//! Emits a table and `BENCH_optimize.json` in the working directory.
 //!
 //! Run: `cargo run --release -p vdm-bench --bin opt_sweep`
-//! Optional args: `opt_sweep <journal_rows> <n_views> <rows_per_table>`.
+//! Flags: `--journal-rows N` (default 20 000), `--views N` Fig. 14 view
+//! pairs (default 100), `--rows-per-table N` (default 500).
 
-use std::fmt::Write as _;
-use vdm_data::erp::{journal_entry_item_browser, Erp};
+use std::time::Duration;
+use vdm_bench::harness::{self, int, millis, num, obj};
+use vdm_bench::workloads;
 use vdm_data::figview::{generate, Fig14Config};
+use vdm_obs::util::Json;
 use vdm_optimizer::{Optimizer, Profile};
 use vdm_plan::{CacheStats, PlanRef};
 use vdm_storage::StorageEngine;
 
+const ITERS: usize = 25;
+
 /// One timed sweep of the plan set: summed optimize time and summed cache
 /// counters (deterministic per sweep).
-fn sweep(opt: &Optimizer, plans: &[PlanRef]) -> (u64, CacheStats) {
+fn sweep(opt: &Optimizer, plans: &[PlanRef]) -> (Duration, CacheStats) {
     let mut total = 0u64;
     let mut cache = CacheStats::default();
     for plan in plans {
@@ -40,85 +45,47 @@ fn sweep(opt: &Optimizer, plans: &[PlanRef]) -> (u64, CacheStats) {
         cache.hits += trace.cache.hits;
         cache.misses += trace.cache.misses;
     }
-    (total, cache)
+    (Duration::from_nanos(total), cache)
 }
 
-struct WorkloadRow {
-    workload: &'static str,
-    plans: usize,
-    iters: usize,
-    millis: f64,
-    cache: CacheStats,
-}
-
-/// Benchmarks one workload at one profile: one warmup sweep outside the
-/// timed region (first-touch effects otherwise dominate sub-ms medians),
-/// then the median of `iters` sweeps.
-fn bench_workload(
-    workload: &'static str,
-    profile: &Profile,
-    plans: &[PlanRef],
-    iters: usize,
-) -> WorkloadRow {
-    let opt = Optimizer::new(profile.clone());
-    let (_, cache) = sweep(&opt, plans);
-    let mut times: Vec<f64> = (0..iters).map(|_| sweep(&opt, plans).0 as f64 / 1e6).collect();
-    times.sort_unstable_by(|a, b| a.total_cmp(b));
-    let millis = times[times.len() / 2];
-    println!(
-        "  {:>8} {workload:>8}: optimize={millis:>9.3}ms cache: {} hits / {} misses ({:.0}% hit rate)",
-        profile.name(),
-        cache.hits,
-        cache.misses,
-        cache.hit_rate() * 100.0,
-    );
-    WorkloadRow { workload, plans: plans.len(), iters, millis, cache }
-}
-
-fn to_json(journal_rows: usize, n_views: usize, rows: &[(String, Vec<WorkloadRow>)]) -> String {
-    let mut out =
-        format!("{{\n  \"bench\": \"opt_sweep\",\n  {},\n", vdm_bench::harness::host_json());
-    let _ = writeln!(out, "  \"journal_rows\": {journal_rows},");
-    let _ = writeln!(out, "  \"n_views\": {n_views},");
-    out.push_str("  \"profiles\": [\n");
-    for (pi, (profile, workloads)) in rows.iter().enumerate() {
-        let _ = writeln!(out, "    {{\"profile\": \"{profile}\", \"workloads\": [");
-        for (wi, w) in workloads.iter().enumerate() {
-            let _ = write!(
-                out,
-                "      {{\"name\": \"{}\", \"plans\": {}, \"iters\": {}, \"optimize_millis\": {:.3}, \
-                 \"cache_hits\": {}, \"cache_misses\": {}, \"cache_hit_rate_pct\": {:.1}}}",
-                w.workload,
-                w.plans,
-                w.iters,
-                w.millis,
-                w.cache.hits,
-                w.cache.misses,
-                w.cache.hit_rate() * 100.0,
-            );
-            let _ = writeln!(out, "{}", if wi + 1 == workloads.len() { "" } else { "," });
-        }
-        let _ = writeln!(out, "    ]}}{}", if pi + 1 == rows.len() { "" } else { "," });
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// Benchmarks one workload at every profile; returns one JSON row per
+/// profile, in `profiles` order.
+fn bench_workload(workload: &str, profiles: &[Profile], plans: &[PlanRef]) -> Vec<Json> {
+    let optimizers: Vec<Optimizer> = profiles.iter().cloned().map(Optimizer::new).collect();
+    let medians = harness::ladder(&optimizers, ITERS, |opt| sweep(opt, plans).0);
+    let rows = profiles.iter().zip(&optimizers).zip(medians).map(|((profile, opt), median)| {
+        let cache = sweep(opt, plans).1;
+        println!(
+            "  {:>8} {workload:>8}: optimize={:>10} cache: {} hits / {} misses ({:.0}% hit rate)",
+            profile.name(),
+            harness::fmt_duration(median),
+            cache.hits,
+            cache.misses,
+            cache.hit_rate() * 100.0,
+        );
+        obj([
+            ("name", Json::Str(workload.into())),
+            ("plans", int(plans.len())),
+            ("optimize_millis", millis(median)),
+            ("cache_hits", int(cache.hits)),
+            ("cache_misses", int(cache.misses)),
+            ("cache_hit_rate_pct", num(cache.hit_rate() * 100.0)),
+        ])
+    });
+    rows.collect()
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let journal_rows: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(20_000);
-    let n_views: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(100);
-    let rows_per_table: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(500);
+    let args = harness::Args::parse(&["journal-rows", "views", "rows-per-table"]);
+    let journal_rows: usize = args.get("journal-rows", 20_000);
+    let n_views: usize = args.get("views", 100);
+    let rows_per_table: usize = args.get("rows-per-table", 500);
 
     println!("== opt_sweep: optimize-time benchmark ==");
 
     // Fig. 3 browser view over the ERP schema.
-    let erp = Erp { journal_rows, seed: 4711 };
-    let mut catalog = vdm_catalog::Catalog::new();
-    let engine = StorageEngine::new();
-    let schema = erp.build(&mut catalog, &engine).expect("ERP generation");
-    let browser = journal_entry_item_browser(&schema).expect("browser view");
-    let browser_plans = [browser.protected.clone()];
+    let (_engine, browser) = workloads::erp_browser(journal_rows);
+    let browser_plans = [browser];
 
     // Fig. 14 population: every case contributes all three plan variants.
     let cfg = Fig14Config { n_views, rows_per_table, seed: 1414 };
@@ -136,14 +103,25 @@ fn main() {
         fig14_plans.len()
     );
 
-    let mut rows: Vec<(String, Vec<WorkloadRow>)> = Vec::new();
-    for profile in Profile::paper_systems() {
-        let b = bench_workload("browser", &profile, &browser_plans, 25);
-        let f = bench_workload("fig14", &profile, &fig14_plans, 3);
-        rows.push((profile.name().to_string(), vec![b, f]));
-    }
+    let profiles = Profile::paper_systems();
+    let browser_rows = bench_workload("browser", &profiles, &browser_plans);
+    let fig14_rows = bench_workload("fig14", &profiles, &fig14_plans);
+    let hana = Optimizer::new(Profile::hana());
+    let noise_floor_pct = harness::noise_floor_pct(ITERS, || sweep(&hana, &browser_plans).0);
 
-    let json = to_json(journal_rows, n_views, &rows);
-    std::fs::write("BENCH_optimize.json", &json).expect("write BENCH_optimize.json");
-    println!("\nwrote BENCH_optimize.json:\n{json}");
+    let per_profile = profiles.iter().zip(browser_rows).zip(fig14_rows).map(|((p, b), f)| {
+        obj([("profile", Json::Str(p.name().into())), ("workloads", Json::Arr(vec![b, f]))])
+    });
+    harness::Report {
+        bench: "opt_sweep",
+        scale: obj([
+            ("journal_rows", int(journal_rows)),
+            ("n_views", int(n_views)),
+            ("rows_per_table", int(rows_per_table)),
+        ]),
+        iters: ITERS,
+        noise_floor_pct,
+        results: Json::Arr(per_profile.collect()),
+    }
+    .write("BENCH_optimize.json");
 }

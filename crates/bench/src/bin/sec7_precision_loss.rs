@@ -11,7 +11,6 @@
 //! Run: `cargo run --release -p vdm-bench --bin sec7_precision_loss`
 
 use vdm_bench::{harness, queries};
-use vdm_exec::ExecOptions;
 use vdm_optimizer::Optimizer;
 use vdm_types::Value;
 
@@ -23,15 +22,11 @@ fn main() {
     let strict_opt = hana.optimize(&strict).expect("optimize strict");
     let loose_opt = hana.optimize(&loose).expect("optimize loose");
 
-    let t_strict = harness::time_plan(&engine, &strict_opt, &ExecOptions::default(), 5);
-    let t_loose = harness::time_plan(&engine, &loose_opt, &ExecOptions::default(), 5);
+    let t = harness::time_pair(&engine, &strict_opt, &loose_opt, 5);
     println!("== §7.1: sum(round(price * 1.11, 2)) group by supplier ==");
-    println!("  exact rounding:        {}", harness::fmt_duration(t_strict));
-    println!("  allow_precision_loss:  {}", harness::fmt_duration(t_loose));
-    println!(
-        "  speedup:               {:.2}x",
-        t_strict.as_secs_f64() / t_loose.as_secs_f64().max(1e-9)
-    );
+    println!("  exact rounding:        {}", harness::fmt_duration(t.a));
+    println!("  allow_precision_loss:  {}", harness::fmt_duration(t.b));
+    println!("  speedup:               {:.2}x", t.speedup());
 
     // Value discrepancy report.
     let a = vdm_exec::execute(&strict_opt, &engine).expect("strict run");

@@ -26,67 +26,26 @@
 //! Emits a table and `BENCH_serve.json` with p50/p99 latency, throughput,
 //! and plan-cache hit rate per session count.
 //!
+//! The result is a latency ladder, not an A/B, so its noise floor is the
+//! relative p50 spread of the baseline step run twice.
+//!
 //! Run: `cargo run --release -p vdm-bench --bin serve_sweep`
-//! Args (both `--flag=v` and `--flag v` forms):
+//! Flags:
 //!   `--sessions 1,8,64,256`  session-count steps
 //!   `--queries N`            queries per session (default 16)
-//!   `--journal-rows N`       ERP journal size (default 500)
+//!   `--journal-rows N`       ERP journal size (default 32 000, where
+//!                            execution dominates the call; 500 is the
+//!                            fixed-overhead regime CI smokes)
 //!   `--think-ms X`           per-session think time between queries (default 600)
-//!   `--gate-p99-ms X`        exit non-zero if the highest step's p99 exceeds X ms
-//!   `--gate-hit-rate X`      exit non-zero if its hit rate falls below X (0..1)
+//!   `--gate-p99-ms X`        fail if the highest step's p99 exceeds X ms
+//!   `--gate-hit-rate X`      fail if its hit rate falls below X (0..1)
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
-use vdm_core::Database;
-use vdm_data::erp::{journal_entry_item_browser, Erp};
-use vdm_optimizer::Profile;
+use vdm_bench::harness::{self, fmt_duration, int, millis, num, obj, Bound};
+use vdm_bench::workloads::{self, shape_params, SHAPES};
+use vdm_obs::util::Json;
 use vdm_serve::Server;
-use vdm_types::{SplitMix64, Value};
-
-const DEFAULT_SESSION_STEPS: [usize; 4] = [1, 8, 64, 256];
-
-/// The browser paging shapes every session cycles through. Parameter
-/// generators draw from the ERP generator's value ranges (companies
-/// 1..=20, fiscal years 2023..=2026, documents 1..=2500).
-const SHAPES: [&str; 3] = [
-    "select AccountingDocument, LineItem, PostingDate, AmountInCompanyCodeCurrency, \
-     SupplierName, CustomerName from journal_entry_item_browser \
-     where CompanyCode = ? and FiscalYear = ? \
-     order by AccountingDocument, LineItem limit 50",
-    "select LineItem, AmountInCompanyCodeCurrency, DebitCreditCode, CompanyName \
-     from journal_entry_item_browser \
-     where CompanyCode = ? and FiscalYear = ? and AccountingDocument = ? \
-     order by LineItem",
-    "select FiscalYear, count(*) as n from journal_entry_item_browser \
-     where CompanyCode = ? group by FiscalYear order by FiscalYear",
-];
-
-fn shape_params(shape: usize, rng: &mut SplitMix64) -> Vec<Value> {
-    let company = Value::Int(rng.random_range(1..=20));
-    match shape {
-        0 => vec![company, Value::Int(rng.random_range(2023..=2026))],
-        1 => vec![
-            company,
-            Value::Int(rng.random_range(2023..=2026)),
-            Value::Int(rng.random_range(1..=2_500)),
-        ],
-        _ => vec![company],
-    }
-}
-
-/// ERP database with the browser view registered, behind a server whose
-/// plan cache holds `cache_capacity` entries (0 = disabled, the baseline).
-fn build_server(journal_rows: usize, cache_capacity: usize) -> Server {
-    let mut db = Database::new(Profile::hana());
-    db.set_plan_cache_capacity(cache_capacity);
-    let erp = Erp { journal_rows, seed: 4711 };
-    let (catalog, engine) = db.catalog_and_engine();
-    let schema = erp.build(catalog, engine).expect("ERP generation");
-    db.invalidate_plans();
-    let browser = journal_entry_item_browser(&schema).expect("browser view");
-    db.register_view("journal_entry_item_browser", browser.protected.clone());
-    Server::from_database(db)
-}
+use vdm_types::SplitMix64;
 
 struct SweepResult {
     sessions: usize,
@@ -97,11 +56,6 @@ struct SweepResult {
     hit_rate: f64,
     hits: u64,
     misses: u64,
-}
-
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    let idx = ((sorted.len() as f64 * p) as usize).min(sorted.len() - 1);
-    sorted[idx]
 }
 
 /// Runs `sessions` OS threads, each with its own [`vdm_serve::Session`]
@@ -159,15 +113,14 @@ fn sweep(
         handles.into_iter().flat_map(|h| h.join().expect("session thread")).collect()
     });
     let wall = start.elapsed();
-    latencies.sort();
     let after = server.plan_cache().stats();
     let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
     let lookups = (hits + misses).max(1);
     SweepResult {
         sessions,
         queries: latencies.len(),
-        p50: percentile(&latencies, 0.50),
-        p99: percentile(&latencies, 0.99),
+        p50: harness::percentile(&mut latencies, 0.50),
+        p99: harness::percentile(&mut latencies, 0.99),
         throughput_qps: latencies.len() as f64 / wall.as_secs_f64().max(f64::EPSILON),
         hit_rate: hits as f64 / lookups as f64,
         hits,
@@ -175,115 +128,64 @@ fn sweep(
     }
 }
 
-fn fmt_ms(d: Duration) -> String {
-    format!("{:.2}ms", d.as_secs_f64() * 1e3)
-}
-
-fn to_json(
-    journal_rows: usize,
-    think_ms: f64,
-    baseline: &SweepResult,
-    sweeps: &[SweepResult],
-) -> String {
-    let row = |r: &SweepResult| {
-        format!(
-            "{{\"sessions\": {}, \"queries\": {}, \"p50_millis\": {:.3}, \"p99_millis\": {:.3}, \"throughput_qps\": {:.1}, \"hit_rate\": {:.4}, \"cache_hits\": {}, \"cache_misses\": {}}}",
-            r.sessions,
-            r.queries,
-            r.p50.as_secs_f64() * 1e3,
-            r.p99.as_secs_f64() * 1e3,
-            r.throughput_qps,
-            r.hit_rate,
-            r.hits,
-            r.misses,
-        )
-    };
-    let mut out = String::from("{\n  \"bench\": \"serve_sweep\",\n");
-    let _ = writeln!(out, "  \"journal_rows\": {journal_rows},");
-    let _ = writeln!(out, "  \"think_ms\": {think_ms:.1},");
-    let _ = writeln!(out, "  \"baseline_uncached_single_session\": {},", row(baseline));
-    out.push_str("  \"sweeps\": [\n");
-    let base_p50 = baseline.p50.as_secs_f64();
-    for (i, r) in sweeps.iter().enumerate() {
-        let speedup = base_p50 / r.p50.as_secs_f64().max(f64::EPSILON);
-        let mut line = row(r);
-        let insert = format!(", \"p50_speedup_vs_baseline\": {speedup:.2}}}");
-        line.replace_range(line.len() - 1.., &insert);
-        let _ = writeln!(out, "    {}{}", line, if i + 1 == sweeps.len() { "" } else { "," });
+impl SweepResult {
+    fn json(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("sessions", int(self.sessions)),
+            ("queries", int(self.queries)),
+            ("p50_millis", millis(self.p50)),
+            ("p99_millis", millis(self.p99)),
+            ("throughput_qps", num(self.throughput_qps)),
+            ("hit_rate", num(self.hit_rate)),
+            ("cache_hits", int(self.hits)),
+            ("cache_misses", int(self.misses)),
+        ]
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 fn main() {
-    let mut steps: Vec<usize> = DEFAULT_SESSION_STEPS.to_vec();
-    let mut queries_per_session = 16usize;
-    let mut journal_rows = 500usize;
-    let mut think_ms = 600f64;
-    let mut gate_p99_ms: Option<f64> = None;
-    let mut gate_hit_rate: Option<f64> = None;
-
-    // Accept both `--flag=value` and `--flag value`.
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < raw.len() {
-        let (flag, value) = match raw[i].split_once('=') {
-            Some((f, v)) => (f.to_string(), v.to_string()),
-            None => {
-                let f = raw[i].clone();
-                i += 1;
-                let v = raw.get(i).unwrap_or_else(|| panic!("{f} needs a value")).clone();
-                (f, v)
-            }
-        };
-        match flag.as_str() {
-            "--sessions" => {
-                steps = value
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--sessions takes a comma-separated list"))
-                    .collect();
-                assert!(!steps.is_empty(), "--sessions needs at least one step");
-            }
-            "--queries" => queries_per_session = value.parse().expect("--queries takes a number"),
-            "--journal-rows" => {
-                journal_rows = value.parse().expect("--journal-rows takes a number")
-            }
-            "--think-ms" => think_ms = value.parse().expect("--think-ms takes a number"),
-            "--gate-p99-ms" => {
-                gate_p99_ms = Some(value.parse().expect("--gate-p99-ms takes a number"))
-            }
-            "--gate-hit-rate" => {
-                gate_hit_rate = Some(value.parse().expect("--gate-hit-rate takes a number"))
-            }
-            other => panic!("unknown flag {other}"),
-        }
-        i += 1;
-    }
+    let args = harness::Args::parse(&[
+        "sessions",
+        "queries",
+        "journal-rows",
+        "think-ms",
+        "gate-p99-ms",
+        "gate-hit-rate",
+    ]);
+    let steps: Vec<usize> = args.list("sessions", &[1, 8, 64, 256]);
+    let queries_per_session: usize = args.get("queries", 16);
+    let journal_rows: usize = args.get("journal-rows", 32_000);
+    let think_ms: f64 = args.get("think-ms", 600.0);
 
     let think = Duration::from_secs_f64(think_ms.max(0.0) / 1e3);
     println!("== serve_sweep: concurrent sessions over one server ==");
     println!(
         "journal_rows={journal_rows} queries/session={queries_per_session} think={think_ms:.0}ms pool threads={}",
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        harness::host_cores()
     );
 
     // Baseline: plan cache disabled, one session, same interactive pacing
     // as the served sweep — every query re-parses, re-binds, and
     // re-optimizes the Fig. 3 plan, so its p50 is the per-query
     // parse+optimize+execute cost the serving layer is measured against.
+    // Run twice: the spread between the two p50s is the noise floor.
     println!("\n[baseline] single session, plan cache disabled");
-    let cold = build_server(journal_rows, 0);
+    let cold = workloads::browser_server(journal_rows, |db| db.set_plan_cache_capacity(0));
     let baseline = sweep(&cold, 1, queries_per_session.max(SHAPES.len()), think);
+    let again = sweep(&cold, 1, queries_per_session.max(SHAPES.len()), think);
+    let (lo, hi) = (baseline.p50.min(again.p50), baseline.p50.max(again.p50));
+    let noise_floor_pct = (hi - lo).as_secs_f64() / lo.as_secs_f64().max(f64::EPSILON) * 100.0;
     println!(
-        "  baseline  p50={} p99={} throughput={:.1} q/s",
-        fmt_ms(baseline.p50),
-        fmt_ms(baseline.p99),
-        baseline.throughput_qps
+        "  baseline  p50={} p99={} throughput={:.1} q/s (second run p50={}, spread {noise_floor_pct:.1}%)",
+        fmt_duration(baseline.p50),
+        fmt_duration(baseline.p99),
+        baseline.throughput_qps,
+        fmt_duration(again.p50),
     );
     drop(cold);
 
     // The served sweep: one warm server, cache enabled.
-    let server = build_server(journal_rows, vdm_core::DEFAULT_PLAN_CACHE_CAPACITY);
+    let server = workloads::browser_server(journal_rows, |_| {});
     // Warm the cache once per shape so the sweep measures steady-state
     // serving, not a thundering herd of identical cold optimizations.
     {
@@ -302,8 +204,8 @@ fn main() {
         println!(
             "  sessions={:>4}  p50={} p99={} throughput={:.1} q/s hit_rate={:.1}% ({} hits / {} misses)",
             r.sessions,
-            fmt_ms(r.p50),
-            fmt_ms(r.p99),
+            fmt_duration(r.p50),
+            fmt_duration(r.p99),
             r.throughput_qps,
             r.hit_rate * 100.0,
             r.hits,
@@ -312,51 +214,44 @@ fn main() {
         sweeps.push(r);
     }
 
-    let json = to_json(journal_rows, think_ms, &baseline, &sweeps);
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    println!("\nwrote BENCH_serve.json:\n{json}");
+    let p50_speedup =
+        |r: &SweepResult| baseline.p50.as_secs_f64() / r.p50.as_secs_f64().max(f64::EPSILON);
+    let rows = sweeps.iter().map(|r| {
+        let mut row = r.json();
+        row.push(("p50_speedup_vs_baseline", num(p50_speedup(r))));
+        obj(row)
+    });
+    harness::Report {
+        bench: "serve_sweep",
+        scale: obj([("journal_rows", int(journal_rows)), ("think_ms", num(think_ms))]),
+        // Latency samples per session and step.
+        iters: queries_per_session,
+        noise_floor_pct,
+        results: obj([
+            ("baseline_uncached_single_session", obj(baseline.json())),
+            ("sweeps", Json::Arr(rows.collect())),
+        ]),
+    }
+    .write("BENCH_serve.json");
 
     let top = sweeps.last().expect("at least one sweep step");
     println!(
         "summary: sessions={} p50 {} vs uncached single-session p50 {} ({:.1}x), hit rate {:.1}%",
         top.sessions,
-        fmt_ms(top.p50),
-        fmt_ms(baseline.p50),
-        baseline.p50.as_secs_f64() / top.p50.as_secs_f64().max(f64::EPSILON),
+        fmt_duration(top.p50),
+        fmt_duration(baseline.p50),
+        p50_speedup(top),
         top.hit_rate * 100.0,
     );
 
-    let mut failed = false;
-    if let Some(gate) = gate_p99_ms {
-        let p99_ms = top.p99.as_secs_f64() * 1e3;
-        if p99_ms > gate {
-            eprintln!(
-                "FAIL: sessions={} p99 {p99_ms:.2}ms exceeds the {gate:.2}ms gate",
-                top.sessions
-            );
-            failed = true;
-        } else {
-            println!(
-                "gate: sessions={} p99 {p99_ms:.2}ms clears the {gate:.2}ms gate",
-                top.sessions
-            );
-        }
+    let mut gates = harness::Gates::default();
+    if let Some(bound) = args.opt::<f64>("gate-p99-ms") {
+        let name = format!("sessions={} p99 ms", top.sessions);
+        gates.check(&name, top.p99.as_secs_f64() * 1e3, Bound::AtMost(bound));
     }
-    if let Some(gate) = gate_hit_rate {
-        if top.hit_rate < gate {
-            eprintln!(
-                "FAIL: sessions={} hit rate {:.4} is below the {gate:.4} gate",
-                top.sessions, top.hit_rate
-            );
-            failed = true;
-        } else {
-            println!(
-                "gate: sessions={} hit rate {:.4} clears the {gate:.4} gate",
-                top.sessions, top.hit_rate
-            );
-        }
+    if let Some(bound) = args.opt::<f64>("gate-hit-rate") {
+        let name = format!("sessions={} plan-cache hit rate", top.sessions);
+        gates.check(&name, top.hit_rate, Bound::AtLeast(bound));
     }
-    if failed {
-        std::process::exit(1);
-    }
+    gates.finish();
 }

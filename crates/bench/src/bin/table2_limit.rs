@@ -37,11 +37,10 @@ fn main() {
 
     println!("\nExecution time (select * ⟕ limit 100 offset 1, sf=0.2):");
     let hana = Optimizer::hana().optimize(&paging).unwrap();
-    let t_raw = harness::time_plan(&engine, &paging, &ExecOptions::default(), 5);
-    let t_opt = harness::time_plan(&engine, &hana, &ExecOptions::default(), 5);
-    println!("  without pushdown: {}", harness::fmt_duration(t_raw));
-    println!("  with pushdown:    {}", harness::fmt_duration(t_opt));
-    println!("  speedup:          {:.1}x", t_raw.as_secs_f64() / t_opt.as_secs_f64().max(1e-9));
+    let t = harness::time_pair(&engine, &paging, &hana, 5);
+    println!("  without pushdown: {}", harness::fmt_duration(t.a));
+    println!("  with pushdown:    {}", harness::fmt_duration(t.b));
+    println!("  speedup:          {:.1}x", t.speedup());
     // The pushdown also changes the join's build side economics: report
     // the rows that flow into the join in both shapes.
     let opts = ExecOptions::default();

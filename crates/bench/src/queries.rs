@@ -8,7 +8,7 @@
 use std::sync::Arc;
 use vdm_catalog::{Catalog, TableDef};
 use vdm_expr::{AggExpr, AggFunc, BinOp, Expr};
-use vdm_plan::{JoinKind, LogicalPlan, PlanRef, SortKey};
+use vdm_plan::{LogicalPlan, PlanRef, SortKey};
 use vdm_types::Result;
 
 fn t(catalog: &Catalog, name: &str) -> Arc<TableDef> {
@@ -263,9 +263,4 @@ pub fn limit_below_join(plan: &PlanRef) -> bool {
         p.children().iter().any(|c| walk(c, under_join || is_join))
     }
     walk(plan, false)
-}
-
-/// Ensures Fig. 10/12 queries can also reference JoinKind in assertions.
-pub fn _kind_witness() -> JoinKind {
-    JoinKind::Inner
 }
