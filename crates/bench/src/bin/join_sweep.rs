@@ -7,7 +7,7 @@
 //! outside it), and one filtered table whose 1% selectivity the estimator
 //! gets right. Cost-based ordering on static estimates joins the fake
 //! -selective table first and drags a huge intermediate through every
-//! remaining join; one profiled execution later, the observed per-node
+//! remaining join; one execution later, the observed per-node
 //! cardinalities re-cost the space and the truly selective side drives.
 //!
 //! Per (shape, join count) the sweep times three plans over identical
@@ -310,14 +310,11 @@ fn run_one(
         .optimizer()
         .optimize_traced_with(&bound, Some(&stats), None)
         .expect("estimate-only plan");
-    // Feedback-corrected: one profiled run of the estimate-only plan
-    // supplies observed per-node cardinalities as overriding estimates —
-    // the same evidence the plan-cache hit path feeds back.
+    // Feedback-corrected: one run of the estimate-only plan supplies
+    // observed per-node cardinalities as overriding estimates — the same
+    // evidence the plan-cache hit path feeds back.
     let profile =
-        vdm_exec::execute_with(&plan_est, db.engine(), &ExecOptions { profile: true, ..opts })
-            .expect("profiled run")
-            .profile
-            .expect("profiling was requested");
+        vdm_exec::execute_with(&plan_est, db.engine(), &opts).expect("estimate-only run").profile;
     let observed: Vec<(u32, f64)> =
         profile.nodes.iter().map(|(id, s)| (*id as u32, s.rows_out as f64)).collect();
     let overrides = feedback::overrides_from_observed(&plan_est, &observed);

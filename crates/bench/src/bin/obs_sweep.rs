@@ -13,11 +13,12 @@
 //! * **per-query pairs**: every sampled parameter draw executes twice
 //!   back-to-back — once observed, once dark — as one pair of
 //!   `harness::paired`, so the first-run slot alternates and warm-cache
-//!   advantage cancels. The only difference between the twins is tracing
-//!   and store recording (which also switches the executor to its profiled
-//!   path). Drift (scheduler, thermal, noisy neighbours) moves at a far
-//!   coarser grain than one query, so it hits both sides equally; the
-//!   overhead is the median per-query delta over the median dark query;
+//!   advantage cancels. The only difference between the twins is span
+//!   collection and store recording: the executor records its per-node
+//!   profile on both sides (it has no unprofiled path), the dark twin just
+//!   leaves it unread. Drift (scheduler, thermal, noisy neighbours) moves
+//!   at a far coarser grain than one query, so it hits both sides equally;
+//!   the overhead is the median per-query delta over the median dark query;
 //! * after the timed section, the store's per-digest aggregates are
 //!   saved as JSON lines, reloaded into a fresh store, and verified
 //!   identical — the persistence round-trip the serve layer relies on.
@@ -53,7 +54,7 @@ enum Mode {
     Both,
     /// Tracing only — isolates span collection cost.
     Trace,
-    /// Query store only — isolates profiled execution + recording cost.
+    /// Query store only — isolates the store's recording cost.
     Store,
 }
 

@@ -11,9 +11,11 @@
 //! 2. **agg_over_join** — a ≥1M-row fact ⋈ dim probe feeding a grouped
 //!    aggregation (the classic analytical morsel-parallelism shape).
 //!
-//! The thread steps are one `harness::ladder` per workload; the profiled
-//! vs unprofiled browser run (`obs`) is one `harness::paired`. Emits a
-//! table and `BENCH_parallel.json` in the working directory.
+//! The thread steps are one `harness::ladder` per workload; `profile` is
+//! the browser run's rewrite hit-counts and per-node runtime profile (the
+//! executor records it on every run — there is no unprofiled twin to
+//! compare against). Emits a table and `BENCH_parallel.json` in the
+//! working directory.
 //!
 //! Run: `cargo run --release -p vdm-bench --bin par_sweep`
 //! Flags: `--rows N` fact rows (default 1 000 000), `--journal-rows N`
@@ -24,7 +26,7 @@
 
 use vdm_bench::harness::{self, int, millis, num, obj, Bound};
 use vdm_bench::workloads;
-use vdm_exec::{ExecOptions, ParallelConfig};
+use vdm_exec::{ExecOptions, Metrics, ParallelConfig};
 use vdm_obs::util::Json;
 use vdm_optimizer::{Optimizer, Profile};
 use vdm_plan::PlanRef;
@@ -32,9 +34,9 @@ use vdm_storage::StorageEngine;
 
 const ITERS: usize = 7;
 
-fn opts(threads: usize, profile: bool) -> ExecOptions {
+fn opts(threads: usize) -> ExecOptions {
     let parallel = ParallelConfig { threads, ..ParallelConfig::default() };
-    ExecOptions { snapshot: None, parallel, profile }
+    ExecOptions { snapshot: None, parallel }
 }
 
 /// One workload's thread ladder: prints and returns `(json, top-step
@@ -46,8 +48,7 @@ fn sweep(
     plan: &PlanRef,
     steps: &[usize],
 ) -> (Json, f64) {
-    let medians =
-        harness::ladder(steps, ITERS, |&t| harness::time_plan(engine, plan, &opts(t, false)));
+    let medians = harness::ladder(steps, ITERS, |&t| harness::time_plan(engine, plan, &opts(t)));
     let speedup =
         |d: &std::time::Duration| medians[0].as_secs_f64() / d.as_secs_f64().max(f64::EPSILON);
     let mut results = Vec::new();
@@ -63,22 +64,25 @@ fn sweep(
             ("speedup", num(speedup(median))),
         ]));
     }
-    // Per-operator-class CPU time at the sweep's endpoints, from the
-    // executor's timing counters (worker-local sums, merged at joins).
+    // Per-operator-class self time at the sweep's endpoints: the roll-up
+    // of the per-node profile. Leaf pipelines sum their workers' kernel
+    // time (above wall time at `threads > 1`); every other operator
+    // reports elapsed time minus its children's.
     for threads in [steps[0], steps[steps.len() - 1]] {
-        let m = vdm_exec::execute_with(plan, engine, &opts(threads, false))
-            .expect("plan executes")
-            .metrics;
+        let x = vdm_exec::execute_with(plan, engine, &opts(threads)).expect("plan executes");
+        let m = Metrics::roll_up(plan, &x.profile);
         let ms = |n: u64| n as f64 / 1e6;
         println!(
-            "  {name:>14}  threads={threads} operator CPU ms: scan={:.1} filter={:.1} project={:.1} join={:.1} agg={:.1} sort={:.1} union={:.1}",
+            "  {name:>14}  threads={threads} operator self ms: scan={:.1} filter={:.1} project={:.1} join={:.1} agg={:.1} distinct={:.1} sort={:.1} union={:.1} other={:.1}",
             ms(m.scan_nanos),
             ms(m.filter_nanos),
             ms(m.project_nanos),
             ms(m.join_nanos),
             ms(m.agg_nanos),
+            ms(m.distinct_nanos),
             ms(m.sort_nanos),
             ms(m.union_nanos),
+            ms(m.other_nanos),
         );
     }
     let json = obj([
@@ -89,38 +93,25 @@ fn sweep(
     (json, speedup(medians.last().expect("non-empty steps")))
 }
 
-/// Observability cost + content report for the browser workload: profiled
-/// vs unprofiled at `threads`, the optimizer's rewrite hit-counts, and the
-/// per-operator runtime profile.
-fn obs_json(engine: &StorageEngine, bound: &PlanRef, optimized: &PlanRef, threads: usize) -> Json {
-    let (plain, profiled) = (opts(threads, false), opts(threads, true));
-    let pair = harness::paired(
-        ITERS,
-        || harness::time_plan(engine, optimized, &plain),
-        || harness::time_plan(engine, optimized, &profiled),
-    );
-    // Profiling only ever adds instructions, so a negative median delta
-    // means the overhead sits below this host's noise floor: publish zero.
-    let overhead_pct = pair.overhead_pct().max(0.0);
-    println!(
-        "  {:>14}  threads={threads} profiled={} unprofiled={} median pair delta={:+.2} ms overhead={overhead_pct:.1}%",
-        "browser(obs)",
-        harness::fmt_duration(pair.b),
-        harness::fmt_duration(pair.a),
-        pair.delta_secs * 1e3,
-    );
+/// What the engine reports about one browser run at `threads`: the
+/// optimizer's rewrite hit-counts and the per-node runtime profile.
+fn profile_json(
+    engine: &StorageEngine,
+    bound: &PlanRef,
+    optimized: &PlanRef,
+    threads: usize,
+) -> Json {
     let (_, trace) = Optimizer::new(Profile::hana())
         .optimize_traced_with(bound, None, None)
         .expect("traced optimize");
-    let profile = vdm_exec::execute_with(optimized, engine, &profiled)
-        .expect("profiled run")
-        .profile
-        .expect("profiling was requested");
+    let profile =
+        vdm_exec::execute_with(optimized, engine, &opts(threads)).expect("browser run").profile;
     let operators = profile.nodes.iter().map(|(id, s)| {
         obj([
             ("node", int(*id)),
+            ("rows_in", int(s.rows_in)),
             ("rows_out", int(s.rows_out)),
-            ("cpu_millis", num(s.nanos as f64 / 1e6)),
+            ("self_millis", num(s.nanos as f64 / 1e6)),
             ("invocations", int(s.invocations)),
             ("workers", int(s.workers)),
         ])
@@ -128,10 +119,6 @@ fn obs_json(engine: &StorageEngine, bound: &PlanRef, optimized: &PlanRef, thread
     obj([
         ("workload", Json::Str("browser".into())),
         ("threads", int(threads)),
-        ("unprofiled_millis", millis(pair.a)),
-        ("profiled_millis", millis(pair.b)),
-        ("median_pair_delta_millis", num(pair.delta_secs * 1e3)),
-        ("overhead_pct", num(overhead_pct)),
         ("rewrite_hits", obj(trace.hit_counts().iter().map(|(rule, n)| (rule.as_str(), int(*n))))),
         ("operators", Json::Arr(operators.collect())),
     ])
@@ -159,9 +146,9 @@ fn main() {
     let (erp_engine, browser) = workloads::erp_browser(journal_rows);
     let optimized = Optimizer::new(Profile::hana()).optimize(&browser).expect("optimize browser");
     let (w1, _) = sweep("browser", journal_rows, &erp_engine, &optimized, &steps);
-    let obs = obs_json(&erp_engine, &browser, &optimized, max_threads.min(4));
+    let profile = profile_json(&erp_engine, &browser, &optimized, max_threads.min(4));
     let noise_floor_pct = harness::noise_floor_pct(ITERS, || {
-        harness::time_plan(&erp_engine, &optimized, &opts(max_threads, false))
+        harness::time_plan(&erp_engine, &optimized, &opts(max_threads))
     });
 
     // Workload 2: ≥1M-row aggregate over join.
@@ -181,7 +168,7 @@ fn main() {
         results: obj([
             ("speedup_baseline", Json::Str("threads=1".into())),
             ("workloads", Json::Arr(vec![w1, w2])),
-            ("obs", obs),
+            ("profile", profile),
         ]),
     }
     .write("BENCH_parallel.json");

@@ -5,8 +5,9 @@
 //! Run: `cargo run --release -p vdm-bench --bin table2_limit`
 
 use vdm_bench::{harness, queries};
-use vdm_exec::ExecOptions;
+use vdm_exec::{ExecOptions, Metrics};
 use vdm_optimizer::{Optimizer, Profile};
+use vdm_plan::PlanRef;
 
 fn main() {
     let (catalog, engine) = harness::setup_tpch(0.2, false);
@@ -44,7 +45,9 @@ fn main() {
     // The pushdown also changes the join's build side economics: report
     // the rows that flow into the join in both shapes.
     let opts = ExecOptions::default();
-    let m_raw = vdm_exec::execute_with(&paging, &engine, &opts).unwrap().metrics;
-    let m_opt = vdm_exec::execute_with(&hana, &engine, &opts).unwrap().metrics;
-    println!("  join output rows: {} -> {}", m_raw.join_output_rows, m_opt.join_output_rows);
+    let joined = |plan: &PlanRef| {
+        let x = vdm_exec::execute_with(plan, &engine, &opts).unwrap();
+        Metrics::roll_up(plan, &x.profile).join_output_rows
+    };
+    println!("  join output rows: {} -> {}", joined(&paging), joined(&hana));
 }

@@ -187,12 +187,11 @@ pub fn ladder<S>(steps: &[S], iters: usize, mut f: impl FnMut(&S) -> Duration) -
 }
 
 /// Wall time of one execution of an (already optimized) plan under `opts`
-/// — thread count, morsel size, and whether the per-operator profile is
-/// recorded (the EXPLAIN ANALYZE path).
+/// (snapshot, thread count, morsel size).
 pub fn time_plan(engine: &StorageEngine, plan: &PlanRef, opts: &ExecOptions) -> Duration {
     let start = Instant::now();
     let x = vdm_exec::execute_with(plan, engine, opts).expect("plan executes");
-    std::hint::black_box((x.batch.num_rows(), x.profile.map_or(0, |p| p.nodes.len())));
+    std::hint::black_box((x.batch.num_rows(), x.profile.nodes.len()));
     start.elapsed()
 }
 

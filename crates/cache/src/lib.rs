@@ -370,7 +370,7 @@ fn run_at(
     snapshot: Snapshot,
     parallel: ParallelConfig,
 ) -> Result<Batch> {
-    let opts = vdm_exec::ExecOptions { snapshot: Some(snapshot), parallel, profile: false };
+    let opts = vdm_exec::ExecOptions { snapshot: Some(snapshot), parallel };
     Ok(vdm_exec::execute_with(plan, engine, &opts)?.batch)
 }
 

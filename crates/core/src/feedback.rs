@@ -3,8 +3,8 @@
 //! cached plan gets re-planned with observed cardinalities.
 //!
 //! The loop (DESIGN.md §14): every optimized SELECT is estimated node by
-//! node and the estimates are cached next to the plan; the profiled
-//! executor records true per-node `rows_out` into the
+//! node and the estimates are cached next to the plan; every execution's
+//! per-node profile puts the true `rows_out` into the
 //! [`QueryStore`](vdm_obs::QueryStore) keyed by canonical plan digest; on
 //! the next plan-cache hit the two are compared, and when the worst
 //! est/actual ratio exceeds [`REOPT_WORST_RATIO_THRESHOLD`] the statement

@@ -298,7 +298,7 @@ impl Database {
             view.name(),
             outcome.describe(),
             data.num_rows(),
-            crate::session::fmt_nanos(elapsed.as_nanos() as u64),
+            vdm_obs::util::fmt_nanos(elapsed.as_nanos() as u64),
             stats.full_refreshes,
             stats.incremental_refreshes,
             stats.noop_refreshes,
@@ -419,7 +419,7 @@ impl Database {
     pub fn execute_plan_unoptimized(&self, plan: &PlanRef) -> Result<(Batch, Metrics)> {
         let opts = ExecOptions { parallel: self.parallel, ..ExecOptions::default() };
         let x = vdm_exec::execute_with(plan, &self.engine, &opts)?;
-        Ok((x.batch, x.metrics))
+        Ok((x.batch, Metrics::roll_up(plan, &x.profile)))
     }
 
     /// EXPLAIN text for a SELECT: both the bound and the optimized plan,

@@ -34,6 +34,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use vdm_exec::{ExecOptions, Execution, Metrics, NodeIndex, ParallelConfig, QueryProfile};
 use vdm_obs::trace as qtrace;
+use vdm_obs::util::fmt_nanos;
 use vdm_obs::{names, ExecRecord, FeedbackProvider, MetricsRegistry, QueryStore, QueryTrace};
 use vdm_optimizer::{Capability, Trace};
 use vdm_plan::{plan_stats, CardOverrides, PlanRef};
@@ -418,13 +419,12 @@ impl Executed {
 
 /// Phase 2, the one place a statement executes: splices `params` into the
 /// resolved plan, runs it on the morsel executor, and records query
-/// metrics plus (when enabled) the per-digest [`QueryStore`] history.
-/// Needs no access to [`DbState`] — a serving layer calls this after
-/// releasing its state lock. With `analyze` or the store enabled,
-/// execution is profiled per node; the EXPLAIN ANALYZE text is rendered
-/// from that one profile when `analyze` asks for it or the execution is
-/// over the store's slow threshold (the slow-query log must not re-run a
-/// query to describe it).
+/// metrics plus (when enabled) the per-digest [`QueryStore`] history — all
+/// read from the one per-node profile every execution records. Needs no
+/// access to [`DbState`] — a serving layer calls this after releasing its
+/// state lock. The EXPLAIN ANALYZE text is rendered from that profile when
+/// `analyze` asks for it or the execution is over the store's slow
+/// threshold (the slow-query log must not re-run a query to describe it).
 pub fn execute_resolved(
     resolved: &ResolvedPlan,
     params: &[Value],
@@ -436,16 +436,13 @@ pub fn execute_resolved(
     let bound = vdm_plan::bind_params(&resolved.plan, params)?;
     let store = QueryStore::global();
     let start = Instant::now();
-    let opts = ExecOptions { snapshot: None, parallel, profile: analyze || store.enabled() };
-    let Execution { batch, metrics, profile, workers } =
-        vdm_exec::execute_with(&bound, engine, &opts)?;
+    let opts = ExecOptions { snapshot: None, parallel };
+    let Execution { batch, profile, workers } = vdm_exec::execute_with(&bound, engine, &opts)?;
     let elapsed = start.elapsed();
-    record_query(&metrics, &resolved.trace, elapsed);
+    let metrics = Metrics::roll_up(&bound, &profile);
+    record_query(&metrics, &profile, &resolved.trace, elapsed);
     qtrace::attr("rows", batch.num_rows());
     qtrace::attr("workers", workers);
-    let Some(profile) = profile else {
-        return Ok(Executed { batch, analyze: None });
-    };
     let latency_nanos = elapsed.as_nanos() as u64;
     let slow = store.enabled() && latency_nanos >= store.slow_threshold_nanos();
     let text = (analyze || slow).then(|| {
@@ -522,9 +519,9 @@ fn render_explain_analyze(
     )
 }
 
-/// Renders `plan` with one `[#id est=... act=... time=...]` annotation per
-/// node (plain `rows=` when no estimate exists for the node), deriving
-/// each operator's input rows from its children's recorded output.
+/// Renders `plan` with one `[#id est=... act=... in=... time=...]`
+/// annotation per node (plain `rows=` when no estimate exists for the
+/// node; `in=` is the input the operator recorded, shown for non-leaves).
 fn render_analyzed(
     plan: &PlanRef,
     index: &NodeIndex,
@@ -536,17 +533,12 @@ fn render_analyzed(
         let id = index.id_of(node)?;
         Some(match profile.nodes.get(&id) {
             Some(s) => {
-                let children = node.children();
                 let mut note = match est.get(&(id as u32)) {
                     Some(e) => format!("[#{id} est={e} act={}", s.rows_out),
                     None => format!("[#{id} rows={}", s.rows_out),
                 };
-                if !children.is_empty() {
-                    let rows_in: u64 = children
-                        .iter()
-                        .filter_map(|c| index.id_of(c).and_then(|cid| profile.rows_out(cid)))
-                        .sum();
-                    note.push_str(&format!(" in={rows_in}"));
+                if !node.children().is_empty() {
+                    note.push_str(&format!(" in={}", s.rows_in));
                 }
                 note.push_str(&format!(" time={} calls={}", fmt_nanos(s.nanos), s.invocations));
                 if s.workers > 1 {
@@ -562,29 +554,21 @@ fn render_analyzed(
 }
 
 /// Feeds one query's counters into the process-wide metrics registry.
-fn record_query(metrics: &Metrics, trace: &Trace, elapsed: std::time::Duration) {
+fn record_query(
+    metrics: &Metrics,
+    profile: &QueryProfile,
+    trace: &Trace,
+    elapsed: std::time::Duration,
+) {
     let reg = MetricsRegistry::global();
     reg.inc(names::QUERIES_TOTAL, 1);
     reg.observe(names::QUERY_SECONDS, elapsed.as_secs_f64());
     reg.observe(names::OPTIMIZE_SECONDS, trace.optimize_nanos as f64 / 1e9);
     reg.inc(names::ROWS_SCANNED_TOTAL, metrics.rows_scanned as u64);
     reg.inc(names::ROWS_JOINED_TOTAL, metrics.join_output_rows as u64);
-    reg.inc(names::MORSEL_STEALS_TOTAL, metrics.morsel_steals as u64);
-    reg.inc(names::MORSEL_SIZE_BYTES, metrics.morsel_bytes as u64);
+    reg.inc(names::MORSEL_STEALS_TOTAL, profile.morsel_steals);
+    reg.inc(names::MORSEL_SIZE_BYTES, profile.morsel_bytes);
     for (rule, n) in trace.hit_counts() {
         reg.inc(&vdm_obs::registry::label(names::REWRITE_FIRED_TOTAL, "rule", &rule), n);
-    }
-}
-
-/// `1234` → `"1.23us"`: human-readable nanosecond counts.
-pub(crate) fn fmt_nanos(n: u64) -> String {
-    if n >= 1_000_000_000 {
-        format!("{:.2}s", n as f64 / 1e9)
-    } else if n >= 1_000_000 {
-        format!("{:.2}ms", n as f64 / 1e6)
-    } else if n >= 1_000 {
-        format!("{:.2}us", n as f64 / 1e3)
-    } else {
-        format!("{n}ns")
     }
 }

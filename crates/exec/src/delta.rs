@@ -139,7 +139,7 @@ fn join_delta(
         ops::hash_join(l, r, k, on, residual, Arc::clone(schema))
     };
     let snap = |side: &PlanRef, at: Snapshot| -> Result<Batch> {
-        let opts = ExecOptions { snapshot: Some(at), parallel, profile: false };
+        let opts = ExecOptions { snapshot: Some(at), parallel };
         crate::execute_with(side, engine, &opts).map(|x| x.batch)
     };
     let l_cap = delta_capable(left);

@@ -13,14 +13,15 @@
 //! on columnar [`kernels`], dispatched by the work-stealing [`scheduler`].
 //! [`ParallelConfig::threads`] only sets how many workers share the
 //! morsels; `threads: 1` runs them inline on the calling thread and is the
-//! serial mode. [`ExecOptions`] carries the three things a caller chooses —
-//! snapshot, thread count/morsel size, profiling on or off — and
-//! [`Execution`] returns the batch with its [`Metrics`], optional per-node
-//! profile and the worker count used. View maintenance ([`delta`],
-//! `vdm-cache`), EXPLAIN ANALYZE and the benches all go through it.
+//! serial mode. [`ExecOptions`] carries the two things a caller chooses —
+//! snapshot and thread count/morsel size — and [`Execution`] returns the
+//! batch with its per-node [`QueryProfile`] and the worker count used.
+//! View maintenance ([`delta`], `vdm-cache`), EXPLAIN ANALYZE and the
+//! benches all go through it.
 //!
-//! Runtime [`Metrics`] record rows flowing through each operator class so
-//! tests and benches can assert *work*, not just wall time.
+//! The profile is the executor's only runtime accounting; [`Metrics`] rolls
+//! it up by operator class so tests and benches can assert *work*, not
+//! just wall time.
 
 pub mod delta;
 pub mod kernels;
@@ -33,6 +34,6 @@ pub mod scheduler;
 mod ops_tests;
 
 pub use delta::{eval_signed_delta, SignedBatch};
-pub use parallel::{execute, execute_with, ExecOptions, Execution, Metrics, ParallelConfig};
+pub use parallel::{execute, execute_with, ExecOptions, Execution, ParallelConfig};
 pub use pool::{current_worker_pool, with_worker_pool, WorkerPool};
-pub use vdm_obs::{NodeIndex, NodeStats, QueryProfile};
+pub use vdm_obs::{Metrics, NodeIndex, NodeStats, QueryProfile};

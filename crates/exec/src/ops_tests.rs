@@ -5,7 +5,7 @@
 //! Every plan runs at each of [`configs`] and must produce the same rows
 //! at all of them.
 
-use crate::{execute_with, ExecOptions, Execution, ParallelConfig};
+use crate::{execute_with, ExecOptions, Execution, Metrics, ParallelConfig, QueryProfile};
 use std::sync::Arc;
 use vdm_catalog::{TableBuilder, TableDef};
 use vdm_expr::{AggExpr, AggFunc, BinOp, Expr};
@@ -29,7 +29,7 @@ fn configs() -> [ParallelConfig; 3] {
 fn execute_all(plan: &PlanRef, e: &StorageEngine, snapshot: Snapshot) -> Result<Vec<Execution>> {
     let mut runs: Vec<Execution> = Vec::new();
     for parallel in configs() {
-        let opts = ExecOptions { snapshot: Some(snapshot), parallel, profile: false };
+        let opts = ExecOptions { snapshot: Some(snapshot), parallel };
         let x = execute_with(plan, e, &opts)?;
         if let Some(first) = runs.first() {
             assert_eq!(x.batch.to_rows(), first.batch.to_rows(), "{parallel:?} diverges");
@@ -247,11 +247,21 @@ fn budgeted_execution_matches_full_execution() {
     for (x, config) in execute_all(&plan, &e, e.snapshot()).unwrap().iter().zip(configs()) {
         assert_eq!(x.batch.num_rows(), 7);
         // One wave of `workers` morsels may overshoot the budget of 3 + 7.
+        let m = Metrics::roll_up(&plan, &x.profile);
         assert!(
-            x.metrics.rows_scanned <= 10 + x.workers * config.morsel_rows,
-            "budgeted execution must not scan the full table: {config:?} {:?}",
-            x.metrics
+            m.rows_scanned <= 10 + x.workers * config.morsel_rows,
+            "budgeted execution must not scan the full table: {config:?} {m:?}"
         );
+    }
+    // One `Arc` as both union inputs: a budget the first run covers skips
+    // the second, and `operators` counts runs, not tree positions with stats.
+    let shared = mk();
+    let u = LogicalPlan::union_all(vec![Arc::clone(&shared), shared]).unwrap();
+    for (fetch, operators) in [(5, 4), (600, 6)] {
+        let plan = LogicalPlan::limit(Arc::clone(&u), 0, Some(fetch));
+        for x in execute_all(&plan, &e, e.snapshot()).unwrap() {
+            assert_eq!(Metrics::roll_up(&plan, &x.profile).operators, operators, "fetch {fetch}");
+        }
     }
     // A filter below the limit disables the scan shortcut but stays correct.
     let f = LogicalPlan::filter(LogicalPlan::scan(Arc::clone(&t)), Expr::col(1).eq(Expr::int(3)))
@@ -505,7 +515,7 @@ fn snapshot_pinning() {
     let scan = LogicalPlan::scan(orders);
     for x in execute_all(&scan, &e, snap).unwrap() {
         assert_eq!(x.batch.num_rows(), 3, "pinned snapshot misses the new row");
-        assert_eq!(x.metrics.rows_scanned, 3);
+        assert_eq!(Metrics::roll_up(&scan, &x.profile).rows_scanned, 3);
     }
     assert_eq!(execute(&scan, &e).unwrap().num_rows(), 4);
 }
@@ -519,11 +529,76 @@ fn metrics_count_join_work() {
         vec![(1, 0)],
     )
     .unwrap();
-    for Execution { metrics: m, .. } in execute_all(&j, &e, e.snapshot()).unwrap() {
+    for x in execute_all(&j, &e, e.snapshot()).unwrap() {
+        let m = Metrics::roll_up(&j, &x.profile);
         assert_eq!(m.join_build_rows, 2, "customer side builds the hash table");
+        assert_eq!(m.join_probe_rows, 3);
         assert_eq!(m.join_output_rows, 3);
         assert_eq!(m.rows_scanned, 5);
     }
+}
+
+#[test]
+fn roll_up_of_a_hand_built_profile_matches_hand_computed_totals() {
+    // #0 UnionAll
+    //   #1 Aggregate ── #2 Join ── #3 Filter ── #4 Scan orders
+    //                          └── #5 Scan customer
+    //   #6 Distinct ── #7 Project ── #3 [shared]
+    //   #8 Sort ── #9 Limit ── #10 Project ── #11 Project ── #12 Values  (never ran)
+    let (_, orders, customer) = orders_customer();
+    let shared =
+        LogicalPlan::filter(LogicalPlan::scan(orders), Expr::col(1).eq(Expr::int(1))).unwrap();
+    let join =
+        LogicalPlan::inner_join(Arc::clone(&shared), LogicalPlan::scan(customer), vec![(1, 0)])
+            .unwrap();
+    let agg = LogicalPlan::aggregate(
+        join,
+        vec![(Expr::col(1), "cust".into())],
+        vec![(AggExpr::count_star(), "n".into())],
+    )
+    .unwrap();
+    let branch = |p: PlanRef| LogicalPlan::project_cols(p, &[1, 0]).unwrap();
+    let literal = LogicalPlan::values(agg.schema().as_ref().clone(), vec![]).unwrap();
+    let unrun = LogicalPlan::sort(
+        LogicalPlan::limit(branch(branch(literal)), 0, Some(1)),
+        vec![SortKey::asc(0)],
+    )
+    .unwrap();
+    let distinct = LogicalPlan::distinct(LogicalPlan::project_cols(shared, &[1, 0]).unwrap());
+    let plan = LogicalPlan::union_all(vec![agg, distinct, unrun]).unwrap();
+
+    // (id, rows_in, build_rows, rows_out, nanos), one line per run: the
+    // shared filter and its scan ran twice.
+    let mut profile = QueryProfile::default();
+    for (id, rows_in, build_rows, rows_out, nanos) in [
+        (0, 3, 0, 3, 1),   // UnionAll
+        (1, 2, 0, 1, 20),  // Aggregate
+        (2, 4, 2, 2, 300), // Join: 2 probe + 2 build
+        (3, 3, 0, 2, 1_000),
+        (3, 3, 0, 2, 3_000), // Filter ×2
+        (4, 3, 0, 3, 20_000),
+        (4, 3, 0, 3, 30_000),     // Scan orders ×2
+        (5, 2, 0, 2, 600_000),    // Scan customer
+        (6, 2, 0, 2, 7_000_000),  // Distinct
+        (7, 2, 0, 2, 80_000_000), // Project over the shared filter
+    ] {
+        profile.record(id, rows_in, rows_out, nanos).build_rows += build_rows;
+    }
+    let m = Metrics::roll_up(&plan, &profile);
+    // Runs: 0,1,2,3,4,5 + 6,7 + the shared 3,4 again.
+    assert_eq!(m.operators, 10);
+    assert_eq!(m.rows_scanned, 8);
+    assert_eq!(m.filter_input_rows, 6);
+    assert_eq!((m.join_build_rows, m.join_probe_rows, m.join_output_rows), (2, 2, 2));
+    assert_eq!(m.agg_input_rows, 2);
+    assert_eq!(m.scan_nanos, 650_000);
+    assert_eq!(m.filter_nanos, 4_000);
+    assert_eq!(m.join_nanos, 300);
+    assert_eq!(m.agg_nanos, 20);
+    assert_eq!(m.union_nanos, 1);
+    assert_eq!(m.distinct_nanos, 7_000_000);
+    assert_eq!(m.project_nanos, 80_000_000);
+    assert_eq!((m.sort_nanos, m.other_nanos), (0, 0), "the third branch never ran");
 }
 
 #[test]

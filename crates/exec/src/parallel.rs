@@ -27,11 +27,17 @@
 //!
 //! Results — *including row order* — do not depend on scheduling or on the
 //! worker count: every merge happens in morsel/chunk index order. The one
-//! exception is `Metrics::rows_scanned` under a pushed-down LIMIT: the
-//! budgeted scan dispatches whole waves of budget-sized morsels and stops
-//! once the completed prefix covers the budget, so it scans at most
-//! `budget + workers * morsel_rows` rows (exactly `budget` in the serial
-//! mode when the table's head is live).
+//! exception is a scan's `rows_in` (`Metrics::rows_scanned`) under a
+//! pushed-down LIMIT: the budgeted leaf pipeline dispatches whole waves of
+//! budget-sized morsels and stops once the completed prefix covers the
+//! budget, so it scans at most `budget + workers * morsel_rows` rows
+//! (exactly `budget` in the serial mode when the table's head is live).
+//!
+//! There is one plan walker (`run_par`; a LIMIT budget is its argument)
+//! and one ledger: every node the walker runs records rows in, rows out,
+//! self time, calls and workers into the [`QueryProfile`], on every
+//! execution. Operator-class totals are [`vdm_obs::Metrics::roll_up`] of
+//! that.
 
 use crate::kernels::{self, FilterKernel, FxHashMap};
 use crate::ops;
@@ -41,7 +47,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use vdm_expr::{AggExpr, Expr};
 use vdm_obs::{NodeIndex, QueryProfile};
-use vdm_plan::fusion::{self, FusedChain};
+use vdm_plan::fusion;
 use vdm_plan::{JoinKind, LogicalPlan, PlanRef};
 use vdm_storage::zonemap::ZONE_BLOCK_ROWS;
 use vdm_storage::{Batch, ScanRange, Snapshot, StorageEngine};
@@ -78,16 +84,13 @@ impl ParallelConfig {
     }
 }
 
-/// What one execution reads, how it is dispatched, and whether it records
-/// a per-node profile.
+/// What one execution reads and how it is dispatched.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecOptions {
     /// Snapshot to read at; `None` = the engine's current snapshot.
     pub snapshot: Option<Snapshot>,
     /// Thread count and morsel size.
     pub parallel: ParallelConfig,
-    /// Record per-node runtime stats (EXPLAIN ANALYZE).
-    pub profile: bool,
 }
 
 /// The outcome of [`execute_with`].
@@ -95,11 +98,10 @@ pub struct ExecOptions {
 pub struct Execution {
     /// The plan's output.
     pub batch: Batch,
-    /// Merged operator-class counters.
-    pub metrics: Metrics,
-    /// Per-node stats keyed by pre-order node id, when
-    /// [`ExecOptions::profile`] was set.
-    pub profile: Option<QueryProfile>,
+    /// Per-node stats keyed by pre-order node id, plus scheduler totals —
+    /// the only thing the executor counts. Operator-class totals are
+    /// [`vdm_obs::Metrics::roll_up`] of the plan and this.
+    pub profile: QueryProfile,
     /// Workers the scheduler dispatched onto: `threads` capped at the
     /// host's cores (floor 2), `1` in the serial mode.
     pub workers: usize,
@@ -121,122 +123,17 @@ pub fn execute_with(
         engine,
         snapshot: opts.snapshot.unwrap_or_else(|| engine.snapshot()),
         config,
-        metrics: Metrics::default(),
-        profiler: opts
-            .profile
-            .then(|| Profiler { index: NodeIndex::new(plan), profile: QueryProfile::default() }),
+        index: NodeIndex::new(plan),
+        profile: QueryProfile::default(),
         child_nanos: 0,
     };
-    let batch = run_par(plan, &mut ctx)?;
-    Ok(Execution {
-        batch,
-        metrics: ctx.metrics,
-        profile: ctx.profiler.map(|p| p.profile),
-        workers: pool_workers(config.threads),
-    })
-}
-
-/// Rows-processed counters, grouped by operator class, plus wall-clock
-/// nanoseconds spent inside each class (children excluded — a join's time
-/// covers build+probe, not the scans feeding it).
-///
-/// Row counters do not depend on the thread count (workers merge their
-/// counters at pipeline joins) — except `rows_scanned` under a pushed-down
-/// LIMIT, which is only bounded (see the module docs). Time counters sum
-/// worker-local time, so with several workers they report aggregate CPU
-/// time per class, not elapsed wall time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Metrics {
-    /// Rows produced by scans.
-    pub rows_scanned: usize,
-    /// Rows inserted into join hash tables.
-    pub join_build_rows: usize,
-    /// Rows emitted by joins.
-    pub join_output_rows: usize,
-    /// Rows fed into aggregations.
-    pub agg_input_rows: usize,
-    /// Rows evaluated by filters.
-    pub filter_input_rows: usize,
-    /// Rows probed against join hash tables (the non-build side).
-    pub join_probe_rows: usize,
-    /// Rows emitted by LIMIT operators (after skip/fetch).
-    pub limit_rows_emitted: usize,
-    /// Rows concatenated by UNION ALL operators.
-    pub union_rows_concatenated: usize,
-    /// Operators executed.
-    pub operators: usize,
-    /// Time spent materializing scans.
-    pub scan_nanos: u64,
-    /// Time spent evaluating filter predicates.
-    pub filter_nanos: u64,
-    /// Time spent evaluating projections.
-    pub project_nanos: u64,
-    /// Time spent building and probing join hash tables.
-    pub join_nanos: u64,
-    /// Time spent in hash aggregation.
-    pub agg_nanos: u64,
-    /// Time spent sorting.
-    pub sort_nanos: u64,
-    /// Time spent concatenating UNION ALL branches.
-    pub union_nanos: u64,
-    /// Morsels a worker stole from another worker's deque (always 0 at
-    /// `threads: 1`, which runs every item inline on the calling thread).
-    pub morsel_steals: usize,
-    /// Claim batches the work-stealing scheduler dispatched.
-    pub morsel_claims: usize,
-    /// Estimated payload bytes dispatched in scan morsels and operator
-    /// chunks (feeds the `vdm_morsel_size_bytes` registry counter).
-    pub morsel_bytes: usize,
-}
-
-impl Metrics {
-    /// Adds another metrics bundle into this one — used when per-worker
-    /// counters meet at a parallel pipeline join.
-    pub fn merge(&mut self, other: &Metrics) {
-        self.rows_scanned += other.rows_scanned;
-        self.join_build_rows += other.join_build_rows;
-        self.join_output_rows += other.join_output_rows;
-        self.agg_input_rows += other.agg_input_rows;
-        self.filter_input_rows += other.filter_input_rows;
-        self.join_probe_rows += other.join_probe_rows;
-        self.limit_rows_emitted += other.limit_rows_emitted;
-        self.union_rows_concatenated += other.union_rows_concatenated;
-        self.operators += other.operators;
-        self.scan_nanos += other.scan_nanos;
-        self.filter_nanos += other.filter_nanos;
-        self.project_nanos += other.project_nanos;
-        self.join_nanos += other.join_nanos;
-        self.agg_nanos += other.agg_nanos;
-        self.sort_nanos += other.sort_nanos;
-        self.union_nanos += other.union_nanos;
-        self.morsel_steals += other.morsel_steals;
-        self.morsel_claims += other.morsel_claims;
-        self.morsel_bytes += other.morsel_bytes;
-    }
+    let batch = run_par(plan, None, &mut ctx)?;
+    Ok(Execution { batch, profile: ctx.profile, workers: pool_workers(config.threads) })
 }
 
 /// Elapsed nanoseconds since `start`, saturating into `u64`.
 fn nanos_since(start: std::time::Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Per-node profiling state for EXPLAIN ANALYZE: the node-id index of the
-/// plan being executed plus the profile being filled.
-struct Profiler {
-    /// Pre-order node ids of the executed plan (see `vdm_plan::number_nodes`).
-    index: NodeIndex,
-    /// Stats recorded so far.
-    profile: QueryProfile,
-}
-
-impl Profiler {
-    /// Records one execution of `plan` (no-op for nodes outside the index,
-    /// e.g. internal wrappers).
-    fn record(&mut self, plan: &PlanRef, rows_out: usize, nanos: u64) {
-        if let Some(id) = self.index.id_of(plan) {
-            self.profile.record(id, rows_out as u64, nanos);
-        }
-    }
 }
 
 /// Extracts a prunable `(column, range)` from a filter predicate: the
@@ -262,46 +159,20 @@ struct ParCtx<'a> {
     engine: &'a StorageEngine,
     snapshot: Snapshot,
     config: ParallelConfig,
-    metrics: Metrics,
-    /// Per-node profile sink (`None` = profiling off).
-    profiler: Option<Profiler>,
+    /// Pre-order node ids of the executed plan (see `vdm_plan::number_nodes`).
+    index: NodeIndex,
+    /// Stats recorded so far.
+    profile: QueryProfile,
     /// Nanoseconds spent in child operators of the node currently running —
     /// subtracted from its elapsed time to get self time.
     child_nanos: u64,
 }
 
 impl ParCtx<'_> {
-    /// Merges a worker pool's counters and partial profile.
-    fn absorb(&mut self, metrics: &Metrics, profile: &QueryProfile) {
-        self.metrics.merge(metrics);
-        if let Some(p) = self.profiler.as_mut() {
-            p.profile.merge(profile);
-        }
+    /// The profile key of `plan`, a node of the plan being executed.
+    fn id_of(&self, plan: &PlanRef) -> usize {
+        self.index.id_of(plan).expect("every node the walker reaches is in the plan's index")
     }
-}
-
-/// Runs `f` (the body of one operator) under the profiling wrapper: the
-/// node's elapsed time minus the time its children accumulated is recorded
-/// as self time, together with its output rows. Zero-cost when profiling
-/// is off.
-fn with_profile_par(
-    plan: &PlanRef,
-    ctx: &mut ParCtx<'_>,
-    f: impl FnOnce(&mut ParCtx<'_>) -> Result<Batch>,
-) -> Result<Batch> {
-    if ctx.profiler.is_none() {
-        return f(ctx);
-    }
-    let start = Instant::now();
-    let saved_children = std::mem::take(&mut ctx.child_nanos);
-    let out = f(ctx);
-    let total = nanos_since(start);
-    let self_nanos = total.saturating_sub(ctx.child_nanos);
-    if let (Ok(batch), Some(p)) = (&out, ctx.profiler.as_mut()) {
-        p.record(plan, batch.num_rows(), self_nanos);
-    }
-    ctx.child_nanos = saved_children + total;
-    out
 }
 
 /// OS worker threads actually spawned for a logical `threads` setting:
@@ -314,31 +185,24 @@ fn pool_workers(threads: usize) -> usize {
 }
 
 /// Runs `f` over indices `0..n` on the work-stealing scheduler. Results
-/// come back in index order and worker-local metrics/profiles are merged,
-/// so the output is schedule-independent; errors surface as the failing
-/// index's error (lowest index wins — what a left-to-right run reports).
-/// Steal and claim counts from the scheduler land in the merged metrics'
-/// `morsel_steals` / `morsel_claims`.
-fn parallel_map<T, F>(threads: usize, n: usize, f: F) -> Result<(Vec<T>, Metrics, QueryProfile)>
+/// come back in index order and the worker-local partial profiles `f`
+/// records into are merged into `profile`, so the output is
+/// schedule-independent; errors surface as the failing index's error
+/// (lowest index wins — what a left-to-right run reports). The scheduler's
+/// steal and claim counts land in `profile`'s totals.
+fn parallel_map<T, F>(threads: usize, n: usize, profile: &mut QueryProfile, f: F) -> Result<Vec<T>>
 where
     T: Send,
-    F: Fn(usize, &mut Metrics, &mut QueryProfile) -> Result<T> + Sync,
+    F: Fn(usize, &mut QueryProfile) -> Result<T> + Sync,
 {
-    let (out, states, stats) = scheduler::run_with(
-        pool_workers(threads),
-        n,
-        || (Metrics::default(), QueryProfile::default()),
-        |i, state: &mut (Metrics, QueryProfile)| f(i, &mut state.0, &mut state.1),
-    )?;
-    let mut merged = Metrics::default();
-    let mut merged_profile = QueryProfile::default();
-    for (m, p) in &states {
-        merged.merge(m);
-        merged_profile.merge(p);
+    let (out, states, stats) =
+        scheduler::run_with(pool_workers(threads), n, QueryProfile::default, f)?;
+    for partial in &states {
+        profile.merge(partial);
     }
-    merged.morsel_steals += stats.steals;
-    merged.morsel_claims += stats.claims;
-    Ok((out, merged, merged_profile))
+    profile.morsel_steals += stats.steals as u64;
+    profile.morsel_claims += stats.claims as u64;
+    Ok(out)
 }
 
 /// Row range of chunk `i` when `total` rows split into `chunk`-row pieces.
@@ -370,7 +234,7 @@ enum LeafStep<'p> {
     /// One or more adjacent pass-through/renaming projections, composed
     /// into a single column mapping executed by
     /// [`kernels::apply_column_map`]. `covered` is how many plan nodes
-    /// (and `node_keys` entries) the mapping absorbs.
+    /// (and `nodes` entries) the mapping absorbs.
     FusedMap {
         mapping: Vec<usize>,
         schema: &'p Arc<Schema>,
@@ -385,11 +249,9 @@ struct LeafPipeline<'p> {
     prune: Option<(usize, ScanRange)>,
     /// Operators above the scan, bottom-up.
     steps: Vec<LeafStep<'p>>,
-    /// Logical plan nodes covered (operator-count bookkeeping).
-    nodes: usize,
-    /// Node-address keys of the covered plan nodes: the scan first, then
-    /// one per step in `steps` order (for per-node profiling).
-    node_keys: Vec<usize>,
+    /// The covered plan nodes: the scan first, then one per node a step
+    /// absorbs, in `steps` order.
+    nodes: Vec<&'p PlanRef>,
 }
 
 impl LeafPipeline<'_> {
@@ -409,29 +271,29 @@ impl LeafPipeline<'_> {
 /// Recognizes a scan-rooted pipeline (`Scan`, `Filter(Scan)`,
 /// `Project(…(Scan))`, …) that can run morsel-at-a-time without any
 /// cross-morsel state. Zone-map pruning attaches at a filter directly over
-/// the scan.
-fn extract_leaf(plan: &PlanRef) -> Option<LeafPipeline<'_>> {
+/// the scan. With `stack` off only the bare scan is recognized: under a
+/// LIMIT budget the last wave over-reads, and no operator may see (or fail
+/// on) rows the budget then cuts off.
+fn extract_leaf(plan: &PlanRef, stack: bool) -> Option<LeafPipeline<'_>> {
     match plan.as_ref() {
         LogicalPlan::Scan { table, schema, .. } => Some(LeafPipeline {
             table: &table.name,
             scan_schema: schema,
             prune: None,
             steps: Vec::new(),
-            nodes: 1,
-            node_keys: vec![NodeIndex::key(plan)],
+            nodes: vec![plan],
         }),
-        LogicalPlan::Filter { input, predicate } => {
-            let mut p = extract_leaf(input)?;
+        LogicalPlan::Filter { input, predicate } if stack => {
+            let mut p = extract_leaf(input, stack)?;
             if p.steps.is_empty() {
                 p.prune = prune_range(predicate);
             }
             p.steps.push(LeafStep::Filter(FilterKernel::new(predicate)));
-            p.nodes += 1;
-            p.node_keys.push(NodeIndex::key(plan));
+            p.nodes.push(plan);
             Some(p)
         }
-        LogicalPlan::Project { input, exprs, schema } => {
-            let mut p = extract_leaf(input)?;
+        LogicalPlan::Project { input, exprs, schema } if stack => {
+            let mut p = extract_leaf(input, stack)?;
             match fusion::column_mapping(exprs) {
                 // Pure column mapping: fuse into the step below when that
                 // is itself a (possibly already fused) column mapping.
@@ -446,54 +308,80 @@ fn extract_leaf(plan: &PlanRef) -> Option<LeafPipeline<'_>> {
                 },
                 None => p.steps.push(LeafStep::Project(exprs, schema)),
             }
-            p.nodes += 1;
-            p.node_keys.push(NodeIndex::key(plan));
+            p.nodes.push(plan);
             Some(p)
         }
         _ => None,
     }
 }
 
-fn run_leaf(pipe: &LeafPipeline<'_>, ctx: &mut ParCtx<'_>) -> Result<Batch> {
+/// Runs a leaf pipeline morsel by morsel, every covered node recorded per
+/// morsel by the workers. Without a budget one wave covers the table.
+/// With one (the pipeline is then the bare scan), morsels are no larger
+/// than the budget and waves dispatch in index order until the completed
+/// prefix covers it: the first wave is one morsel per worker, so the serial
+/// mode reads exactly `budget` rows when the table's head is live; waves
+/// then double (deleted heads cost O(log) dispatches) up to
+/// `workers * morsel_rows` rows. Scanned rows stay within
+/// `budget + workers * morsel_rows`, keeping pushed-down LIMIT O(k) instead
+/// of O(table).
+fn run_leaf(pipe: &LeafPipeline<'_>, budget: Option<usize>, ctx: &mut ParCtx<'_>) -> Result<Batch> {
     let start = Instant::now();
-    ctx.metrics.operators += pipe.nodes;
+    let config = ctx.config;
     // Pruned scans align morsels to zone-map blocks so every block belongs
     // to exactly one morsel and is skipped (and counted) at most once.
     let morsel_rows = if pipe.prune.is_some() {
-        ctx.config.morsel_rows.div_ceil(ZONE_BLOCK_ROWS).max(1) * ZONE_BLOCK_ROWS
+        config.morsel_rows.div_ceil(ZONE_BLOCK_ROWS).max(1) * ZONE_BLOCK_ROWS
     } else {
-        ctx.config.morsel_rows
+        budget.map_or(config.morsel_rows, |b| b.clamp(1, config.morsel_rows))
     };
     let n = ctx.engine.morsel_count(pipe.table, morsel_rows)?;
+    let (mut width, widest) = match budget {
+        Some(_) => {
+            let workers = pool_workers(config.threads);
+            (workers, workers.saturating_mul(config.morsel_rows) / morsel_rows)
+        }
+        None => (n, n),
+    };
     let engine = ctx.engine;
     let snapshot = ctx.snapshot;
-    // Pre-resolve node ids so worker closures record into plain maps.
-    let ids: Option<Vec<Option<usize>>> = ctx
-        .profiler
-        .as_ref()
-        .map(|p| pipe.node_keys.iter().map(|&k| p.index.id_of_ptr(k)).collect());
-    let (parts, wm, wp) = parallel_map(ctx.config.threads, n, |m, met, prof| {
-        leaf_morsel(engine, snapshot, pipe, m, morsel_rows, met, ids.as_deref(), prof)
-    })?;
-    ctx.absorb(&wm, &wp);
-    let out = merge_parts(pipe.output_schema(), parts);
-    if ctx.profiler.is_some() {
-        // The covered nodes were recorded per morsel by the workers; charge
-        // the pipeline's wall time as child time of the enclosing operator.
-        ctx.child_nanos += nanos_since(start);
+    // Pre-resolved node ids, so worker closures record into plain maps. The
+    // run is counted here: workers record morsels, and a pipeline over an
+    // empty table dispatches none.
+    let ids: Vec<usize> = pipe.nodes.iter().map(|node| ctx.id_of(node)).collect();
+    for id in &ids {
+        ctx.profile.nodes.entry(*id).or_default().runs += 1;
     }
-    out
+    let mut parts: Vec<Batch> = Vec::new();
+    let (mut have, mut base) = (0usize, 0usize);
+    while base < n && budget.is_none_or(|b| have < b) {
+        let wave = (n - base).min(width);
+        width = (width * 2).min(widest);
+        let batches = parallel_map(config.threads, wave, &mut ctx.profile, |i, prof| {
+            leaf_morsel(engine, snapshot, pipe, base + i, morsel_rows, &ids, prof)
+        })?;
+        have += batches.iter().map(Batch::num_rows).sum::<usize>();
+        parts.extend(batches);
+        base += wave;
+    }
+    let out = truncate(merge_parts(pipe.output_schema(), parts)?, budget);
+    // The last wave over-reads: what the budget cut off the scan read
+    // (`rows_in`) but did not emit.
+    ctx.profile.nodes.get_mut(&ids[0]).expect("recorded above").rows_out -=
+        (have - out.num_rows()) as u64;
+    // Charge the pipeline's wall time as child time of the enclosing
+    // operator (the covered nodes' own time is the workers' kernel time).
+    ctx.child_nanos += nanos_since(start);
+    Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn leaf_morsel(
     engine: &StorageEngine,
     snapshot: Snapshot,
     pipe: &LeafPipeline<'_>,
     morsel: usize,
     morsel_rows: usize,
-    met: &mut Metrics,
-    ids: Option<&[Option<usize>]>,
+    ids: &[usize],
     prof: &mut QueryProfile,
 ) -> Result<Batch> {
     let t = Instant::now();
@@ -504,55 +392,39 @@ fn leaf_morsel(
         None => engine.scan_morsel(pipe.table, snapshot, morsel, morsel_rows)?,
     };
     let scan_nanos = nanos_since(t);
-    met.scan_nanos += scan_nanos;
-    met.rows_scanned += raw.num_rows();
     let mut batch = Batch::new(Arc::clone(pipe.scan_schema), raw.columns)?;
-    met.morsel_bytes += kernels::row_bytes(&batch) * batch.num_rows();
-    if let Some(Some(id)) = ids.map(|ids| ids[0]) {
-        prof.record(id, batch.num_rows() as u64, scan_nanos);
-    }
-    // `node_keys` holds one entry per covered plan node; steps advance the
+    let mut rows = batch.num_rows() as u64;
+    prof.morsel_bytes += kernels::row_bytes(&batch) as u64 * rows;
+    prof.record_morsel(ids[0], rows, rows, scan_nanos);
+    // `ids` holds one entry per covered plan node; steps advance the
     // cursor by however many nodes they absorb (FusedMap covers several).
-    let mut key_idx = 1usize;
+    let mut next = 1usize;
     for step in &pipe.steps {
-        let step_nanos;
-        let covered;
-        match step {
+        let t = Instant::now();
+        let covered = match step {
             LeafStep::Filter(kernel) => {
-                covered = 1;
-                met.filter_input_rows += batch.num_rows();
-                let t = Instant::now();
                 batch = kernel.filter(&batch, 0..batch.num_rows())?;
-                step_nanos = nanos_since(t);
-                met.filter_nanos += step_nanos;
+                1
             }
             LeafStep::Project(exprs, schema) => {
-                covered = 1;
-                let t = Instant::now();
                 batch =
                     kernels::project_rows(&batch, exprs, Arc::clone(schema), 0..batch.num_rows())?;
-                step_nanos = nanos_since(t);
-                met.project_nanos += step_nanos;
+                1
             }
-            LeafStep::FusedMap { mapping, schema, covered: c } => {
-                covered = *c;
-                let t = Instant::now();
+            LeafStep::FusedMap { mapping, schema, covered } => {
                 batch = kernels::apply_column_map(&batch, mapping, Arc::clone(schema))?;
-                step_nanos = nanos_since(t);
-                met.project_nanos += step_nanos;
+                *covered
             }
+        };
+        let step_nanos = nanos_since(t);
+        let rows_in = std::mem::replace(&mut rows, batch.num_rows() as u64);
+        // Every covered node reports this morsel's rows; the kernel time
+        // goes to the outermost covered node (the last id).
+        for (k, id) in ids[next..next + covered].iter().enumerate() {
+            let nanos = if k + 1 == covered { step_nanos } else { 0 };
+            prof.record_morsel(*id, rows_in, rows, nanos);
         }
-        if let Some(ids) = ids {
-            // Every covered node reports this morsel's rows; the kernel
-            // time goes to the outermost covered node (the last key).
-            for (k, id) in ids[key_idx..key_idx + covered].iter().enumerate() {
-                if let Some(id) = id {
-                    let nanos = if k + 1 == covered { step_nanos } else { 0 };
-                    prof.record(*id, batch.num_rows() as u64, nanos);
-                }
-            }
-        }
-        key_idx += covered;
+        next += covered;
     }
     Ok(batch)
 }
@@ -560,124 +432,119 @@ fn leaf_morsel(
 // ---------------------------------------------------------------------------
 // The recursive executor.
 
-fn run_par(plan: &PlanRef, ctx: &mut ParCtx<'_>) -> Result<Batch> {
-    if let Some(pipe) = extract_leaf(plan) {
-        return run_leaf(&pipe, ctx);
+/// Executes `plan` needing at most `budget` output rows (`None` = all of
+/// them) and records every node it runs. A budget is sound without an
+/// intervening Sort and is pushed only where truncation cannot change
+/// which rows *could* appear under LIMIT-without-ORDER semantics — scans,
+/// projections, unions, stacked limits, literal rows; every other operator
+/// runs (and is recorded) in full and is truncated afterwards.
+fn run_par(plan: &PlanRef, budget: Option<usize>, ctx: &mut ParCtx<'_>) -> Result<Batch> {
+    let pushes_budget = matches!(
+        plan.as_ref(),
+        LogicalPlan::Scan { .. }
+            | LogicalPlan::Values { .. }
+            | LogicalPlan::Project { .. }
+            | LogicalPlan::UnionAll { .. }
+            | LogicalPlan::Limit { .. }
+    );
+    if budget.is_some() && !pushes_budget {
+        return Ok(truncate(run_par(plan, None, ctx)?, budget));
     }
-    // Scan-rooted projection chains are absorbed by the leaf pipeline
-    // above; this catches chains sitting on joins, aggregates, unions, …
-    if let Some(chain) = fusion::fused_projection_chain(plan, 2) {
-        return run_fused_chain(&chain, ctx);
+    if let Some(pipe) = extract_leaf(plan, budget.is_none()) {
+        return run_leaf(&pipe, budget, ctx);
     }
-    with_profile_par(plan, ctx, |c| run_par_node(plan, c))
-}
-
-/// Executes a fused projection chain: run the chain's input, then apply
-/// the composed column mapping in one kernel pass. Every covered node is
-/// recorded in the profile with the chain's row count (column maps
-/// preserve cardinality, so per-node `rows_out` equals node-by-node
-/// execution exactly); the kernel's self time is
-/// attributed to the outermost node of the fused group.
-fn run_fused_chain(chain: &FusedChain<'_>, ctx: &mut ParCtx<'_>) -> Result<Batch> {
-    ctx.metrics.operators += chain.nodes.len();
-    if ctx.profiler.is_none() {
-        let child = run_par(chain.input, ctx)?;
-        let t = Instant::now();
-        let out = kernels::apply_column_map(&child, &chain.mapping, Arc::clone(chain.schema))?;
-        ctx.metrics.project_nanos += nanos_since(t);
-        return Ok(out);
-    }
-    // Mirror `with_profile_par`'s child-time protocol by hand: the whole
-    // chain behaves as one profiled operator whose self time is the
-    // kernel application.
+    // Self time is the node's elapsed time minus what its children
+    // accumulated in `child_nanos` meanwhile.
     let start = Instant::now();
     let saved_children = std::mem::take(&mut ctx.child_nanos);
-    let child = run_par(chain.input, ctx)?;
-    let t = Instant::now();
-    let out = kernels::apply_column_map(&child, &chain.mapping, Arc::clone(chain.schema))?;
-    let kernel_nanos = nanos_since(t);
-    ctx.metrics.project_nanos += kernel_nanos;
-    if let Some(p) = ctx.profiler.as_mut() {
-        for (i, node) in chain.nodes.iter().copied().enumerate() {
-            // `nodes` is outermost-first; the outermost carries the time.
-            let nanos = if i == 0 { kernel_nanos } else { 0 };
-            p.record(node, out.num_rows(), nanos);
+    let mut build_rows = 0;
+    let (rows_in, out) = match plan.as_ref() {
+        LogicalPlan::Scan { .. } => unreachable!("every scan roots a leaf pipeline"),
+        LogicalPlan::Values { schema, rows } => {
+            let take = budget.map_or(rows.len(), |b| b.min(rows.len()));
+            (0, Batch::from_rows(Arc::clone(schema), &rows[..take])?)
         }
-    }
-    ctx.child_nanos = saved_children + nanos_since(start);
-    Ok(out)
-}
-
-fn run_par_node(plan: &PlanRef, ctx: &mut ParCtx<'_>) -> Result<Batch> {
-    ctx.metrics.operators += 1;
-    match plan.as_ref() {
-        // Scan-rooted shapes are taken by `extract_leaf` in `run_par`; the
-        // Filter/Project arms cover non-scan children.
-        LogicalPlan::Scan { .. } => unreachable!("run_par routes scans through run_leaf()"),
-        LogicalPlan::Values { schema, rows } => Batch::from_rows(Arc::clone(schema), rows),
+        // Scan-rooted projection chains are absorbed by the leaf pipeline
+        // above; this catches chains sitting on joins, aggregates, unions, …
+        // and on a budgeted scan, which is truncated before they see it.
+        // A chain of pure column maps runs as one composed kernel pass.
+        // Column maps preserve cardinality, so every covered node reports
+        // the chain's row count (exactly what node-by-node execution would)
+        // and the budget passes straight through; the kernel's time goes
+        // to the outermost node, recorded below like any other operator.
         LogicalPlan::Project { input, exprs, schema } => {
-            let child = run_par(input, ctx)?;
-            par_project(&child, exprs, Arc::clone(schema), ctx)
+            match fusion::fused_projection_chain(plan, 2) {
+                Some(chain) => {
+                    let child = run_par(chain.input, budget, ctx)?;
+                    let rows = child.num_rows();
+                    for inner in &chain.nodes[1..] {
+                        let id = ctx.id_of(inner);
+                        ctx.profile.record(id, rows as u64, rows as u64, 0);
+                    }
+                    let schema = Arc::clone(chain.schema);
+                    (rows, kernels::apply_column_map(&child, &chain.mapping, schema)?)
+                }
+                None => {
+                    let child = run_par(input, budget, ctx)?;
+                    (child.num_rows(), par_project(&child, exprs, Arc::clone(schema), ctx)?)
+                }
+            }
         }
         LogicalPlan::Filter { input, predicate } => {
-            let child = run_par(input, ctx)?;
-            ctx.metrics.filter_input_rows += child.num_rows();
-            par_filter(&child, predicate, ctx)
+            let child = run_par(input, None, ctx)?;
+            (child.num_rows(), par_filter(&child, predicate, ctx)?)
         }
         LogicalPlan::Join { left, right, kind, on, filter, schema, .. } => {
-            let lb = run_par(left, ctx)?;
-            let rb = run_par(right, ctx)?;
-            ctx.metrics.join_build_rows += rb.num_rows();
-            ctx.metrics.join_probe_rows += lb.num_rows();
-            let t = Instant::now();
+            let lb = run_par(left, None, ctx)?;
+            let rb = run_par(right, None, ctx)?;
+            build_rows = rb.num_rows() as u64;
             let out = par_hash_join(&lb, &rb, *kind, on, filter.as_ref(), Arc::clone(schema), ctx)?;
-            ctx.metrics.join_nanos += nanos_since(t);
-            ctx.metrics.join_output_rows += out.num_rows();
-            Ok(out)
+            (lb.num_rows() + rb.num_rows(), out)
         }
         LogicalPlan::UnionAll { inputs, schema } => {
             let mut parts = Vec::with_capacity(inputs.len());
+            let mut have = 0usize;
             for inp in inputs {
-                parts.push(run_par(inp, ctx)?);
+                if budget.is_some_and(|b| have >= b) {
+                    break;
+                }
+                let part = run_par(inp, budget.map(|b| b - have), ctx)?;
+                have += part.num_rows();
+                parts.push(part);
             }
-            let t = Instant::now();
-            let out = Batch::concat(Arc::clone(schema), &parts)?;
-            ctx.metrics.union_nanos += nanos_since(t);
-            ctx.metrics.union_rows_concatenated += out.num_rows();
-            Ok(out)
+            (have, truncate(Batch::concat(Arc::clone(schema), &parts)?, budget))
         }
         LogicalPlan::Aggregate { input, group_by, aggs, schema } => {
-            let child = run_par(input, ctx)?;
-            ctx.metrics.agg_input_rows += child.num_rows();
-            let t = Instant::now();
-            let out = par_aggregate(&child, group_by, aggs, Arc::clone(schema), ctx)?;
-            ctx.metrics.agg_nanos += nanos_since(t);
-            Ok(out)
+            let child = run_par(input, None, ctx)?;
+            (child.num_rows(), par_aggregate(&child, group_by, aggs, Arc::clone(schema), ctx)?)
         }
         LogicalPlan::Distinct { input } => {
-            let child = run_par(input, ctx)?;
-            ops::distinct(&child)
+            let child = run_par(input, None, ctx)?;
+            (child.num_rows(), ops::distinct(&child)?)
         }
         LogicalPlan::Sort { input, keys } => {
-            let child = run_par(input, ctx)?;
-            let t = Instant::now();
-            let out = ops::sort(&child, keys)?;
-            ctx.metrics.sort_nanos += nanos_since(t);
-            Ok(out)
+            let child = run_par(input, None, ctx)?;
+            (child.num_rows(), ops::sort(&child, keys)?)
         }
         LogicalPlan::Limit { input, skip, fetch } => {
-            let child = match fetch {
+            let skip_rows = *skip as usize;
+            let inner = match fetch {
                 Some(f) => {
-                    let budget = (*skip as usize).saturating_add(*f as usize);
-                    run_budgeted_par(input, budget, ctx)?
+                    Some(budget.unwrap_or(usize::MAX).min(skip_rows.saturating_add(*f as usize)))
                 }
-                None => run_par(input, ctx)?,
+                None => budget.map(|b| b.saturating_add(skip_rows)),
             };
-            let out = ops::limit(&child, *skip, *fetch);
-            ctx.metrics.limit_rows_emitted += out.num_rows();
-            Ok(out)
+            let child = run_par(input, inner, ctx)?;
+            (child.num_rows(), truncate(ops::limit(&child, *skip, *fetch), budget))
         }
-    }
+    };
+    let total = nanos_since(start);
+    let id = ctx.id_of(plan);
+    let self_nanos = total.saturating_sub(ctx.child_nanos);
+    ctx.profile.record(id, rows_in as u64, out.num_rows() as u64, self_nanos).build_rows +=
+        build_rows;
+    ctx.child_nanos = saved_children + total;
+    Ok(out)
 }
 
 /// Filter over a materialized batch: selection-vector kernel per chunk,
@@ -687,15 +554,11 @@ fn par_filter(child: &Batch, predicate: &Expr, ctx: &mut ParCtx<'_>) -> Result<B
     let chunk = ctx.config.morsel_rows;
     let n = chunk_count(child.num_rows(), chunk);
     let row_bytes = kernels::row_bytes(child);
-    let (parts, wm, _wp) = parallel_map(ctx.config.threads, n, |i, met, _prof| {
-        let t = Instant::now();
+    let parts = parallel_map(ctx.config.threads, n, &mut ctx.profile, |i, prof| {
         let range = chunk_range(i, chunk, child.num_rows());
-        met.morsel_bytes += row_bytes * range.len();
-        let out = kernel.filter(child, range)?;
-        met.filter_nanos += nanos_since(t);
-        Ok(out)
+        prof.morsel_bytes += (row_bytes * range.len()) as u64;
+        kernel.filter(child, range)
     })?;
-    ctx.metrics.merge(&wm);
     merge_parts(Arc::clone(&child.schema), parts)
 }
 
@@ -709,25 +572,17 @@ fn par_project(
     ctx: &mut ParCtx<'_>,
 ) -> Result<Batch> {
     if let Some(map) = fusion::column_mapping(exprs) {
-        let t = Instant::now();
-        let out = kernels::apply_column_map(child, &map, schema)?;
-        ctx.metrics.project_nanos += nanos_since(t);
-        return Ok(out);
+        return kernels::apply_column_map(child, &map, schema);
     }
     let chunk = ctx.config.morsel_rows;
     let n = chunk_count(child.num_rows(), chunk);
     let row_bytes = kernels::row_bytes(child);
-    let out_schema = Arc::clone(&schema);
-    let (parts, wm, _wp) = parallel_map(ctx.config.threads, n, |i, met, _prof| {
-        let t = Instant::now();
+    let parts = parallel_map(ctx.config.threads, n, &mut ctx.profile, |i, prof| {
         let range = chunk_range(i, chunk, child.num_rows());
-        met.morsel_bytes += row_bytes * range.len();
-        let out = kernels::project_rows(child, exprs, Arc::clone(&schema), range)?;
-        met.project_nanos += nanos_since(t);
-        Ok(out)
+        prof.morsel_bytes += (row_bytes * range.len()) as u64;
+        kernels::project_rows(child, exprs, Arc::clone(&schema), range)
     })?;
-    ctx.metrics.merge(&wm);
-    merge_parts(out_schema, parts)
+    merge_parts(schema, parts)
 }
 
 // ---------------------------------------------------------------------------
@@ -806,9 +661,9 @@ fn par_hash_join(
     // Phase 1: scatter build rows into per-chunk, per-partition key lists.
     let n_chunks = chunk_count(build.num_rows(), chunk);
     let build_bytes = kernels::row_bytes(build);
-    let (scattered, wm1, _) = parallel_map(config.threads, n_chunks, |ci, met, _prof| {
+    let scattered = parallel_map(config.threads, n_chunks, &mut ctx.profile, |ci, prof| {
         let range = chunk_range(ci, chunk, build.num_rows());
-        met.morsel_bytes += build_bytes * range.len();
+        prof.morsel_bytes += (build_bytes * range.len()) as u64;
         let hashes = routing_hashes(build, &build_cols, range.clone(), columnar);
         let mut parts: Vec<Vec<(Vec<Value>, usize)>> = vec![Vec::new(); n_parts];
         for (k, i) in range.enumerate() {
@@ -823,7 +678,7 @@ fn par_hash_join(
     // Phase 2: one hash map per partition. Chunks are visited in index
     // order, so every match list holds build-row indices ascending —
     // exactly a single-map build's entry order.
-    let (maps, wm2, _) = parallel_map(config.threads, n_parts, |p, _met, _prof| {
+    let maps = parallel_map(config.threads, n_parts, &mut ctx.profile, |p, _prof| {
         let mut map: FxHashMap<Vec<Value>, Vec<usize>> = FxHashMap::default();
         for chunk_parts in &scattered {
             for (key, i) in &chunk_parts[p] {
@@ -838,9 +693,9 @@ fn par_hash_join(
     // payload-level columnar gather — no row materialization.
     let probe_chunks = chunk_count(probe.num_rows(), chunk);
     let probe_bytes = kernels::row_bytes(probe);
-    let (parts, wm3, _) = parallel_map(config.threads, probe_chunks, |ci, met, _prof| {
+    let parts = parallel_map(config.threads, probe_chunks, &mut ctx.profile, |ci, prof| {
         let range = chunk_range(ci, chunk, probe.num_rows());
-        met.morsel_bytes += probe_bytes * range.len();
+        prof.morsel_bytes += (probe_bytes * range.len()) as u64;
         let hashes = routing_hashes(probe, &probe_cols, range.clone(), columnar);
         let mut probe_sel: Vec<usize> = Vec::new();
         let mut build_sel: Vec<Option<usize>> = Vec::new();
@@ -906,9 +761,6 @@ fn par_hash_join(
         }
         Batch::new(Arc::clone(&schema), columns)
     })?;
-    ctx.metrics.merge(&wm1);
-    ctx.metrics.merge(&wm2);
-    ctx.metrics.merge(&wm3);
     merge_parts(schema, parts)
 }
 
@@ -996,7 +848,7 @@ fn par_aggregate(
     // Global aggregates have a single group — nothing to partition; tiny
     // inputs aren't worth the scatter pass.
     if group_by.is_empty() || child.num_rows() < 2 * chunk {
-        return par_aggregate_merge(child, group_by, aggs, schema, config);
+        return par_aggregate_merge(child, group_by, aggs, schema, ctx);
     }
 
     // Columnar key extraction/hashing applies when every group expression
@@ -1019,9 +871,9 @@ fn par_aggregate(
     // in index order later yields global row order within each partition.
     // Keys are *not* materialized here — a representative row index stands
     // in for each group, so the hot loop allocates nothing per row.
-    let (scattered, wm1, _) = parallel_map(config.threads, n_chunks, |ci, met, _prof| {
+    let scattered = parallel_map(config.threads, n_chunks, &mut ctx.profile, |ci, prof| {
         let range = chunk_range(ci, chunk, child.num_rows());
-        met.morsel_bytes += row_bytes * range.len();
+        prof.morsel_bytes += (row_bytes * range.len()) as u64;
         let mut parts: Vec<Vec<(u64, usize)>> = vec![Vec::new(); n_parts];
         match &key_cols {
             Some(cols) => {
@@ -1053,7 +905,7 @@ fn par_aggregate(
     // cross-worker merge, hence no merge-order sensitivity. Groups are
     // identified by hash + key comparison against the group's first row
     // (collision chains), so lookups never rebuild or rehash key vectors.
-    let (built, wm2, _) = parallel_map(config.threads, n_parts, |p, _met, _prof| {
+    let built = parallel_map(config.threads, n_parts, &mut ctx.profile, |p, _prof| {
         let mut map: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
         let mut groups: Vec<(usize, Vec<vdm_expr::Accumulator>)> = Vec::new();
         for chunk_parts in &scattered {
@@ -1079,8 +931,6 @@ fn par_aggregate(
         }
         Ok(groups)
     })?;
-    ctx.metrics.merge(&wm1);
-    ctx.metrics.merge(&wm2);
 
     // Phase 3: groups ordered by global first occurrence give first-seen
     // output order; the key values are materialized once per group from
@@ -1139,11 +989,11 @@ fn par_aggregate_merge(
     group_by: &[(Expr, String)],
     aggs: &[(AggExpr, String)],
     schema: Arc<Schema>,
-    config: ParallelConfig,
+    ctx: &mut ParCtx<'_>,
 ) -> Result<Batch> {
-    let chunk = config.morsel_rows;
+    let chunk = ctx.config.morsel_rows;
     let n = chunk_count(child.num_rows(), chunk);
-    let (partials, _, _) = parallel_map(config.threads, n, |i, _met, _prof| {
+    let partials = parallel_map(ctx.config.threads, n, &mut ctx.profile, |i, _prof| {
         agg_partial(child, chunk_range(i, chunk, child.num_rows()), group_by, aggs)
     })?;
     let mut groups: FxHashMap<Vec<Value>, usize> = FxHashMap::default();
@@ -1176,142 +1026,12 @@ fn par_aggregate_merge(
     Batch::from_rows(schema, &rows)
 }
 
-// ---------------------------------------------------------------------------
-// Budgeted (LIMIT-pushdown) execution.
-
-/// Executes `plan` needing at most `budget` output rows (sound without an
-/// intervening Sort — Sort runs fully). Truncation applies only where it
-/// cannot change which rows *could* appear under LIMIT-without-ORDER
-/// semantics (scans, projections, unions, stacked limits, literal rows);
-/// everything else runs fully and truncates afterwards.
-fn run_budgeted_par(plan: &PlanRef, budget: usize, ctx: &mut ParCtx<'_>) -> Result<Batch> {
-    match plan.as_ref() {
-        LogicalPlan::Scan { .. }
-        | LogicalPlan::Values { .. }
-        | LogicalPlan::Project { .. }
-        | LogicalPlan::UnionAll { .. }
-        | LogicalPlan::Limit { .. } => {
-            with_profile_par(plan, ctx, |c| run_budgeted_par_node(plan, budget, c))
-        }
-        _ => {
-            // run_par counts, profiles, and merges this subtree itself.
-            let full = run_par(plan, ctx)?;
-            Ok(truncate(full, budget))
-        }
+/// The first `budget` rows of `batch` (all of them without a budget).
+fn truncate(batch: Batch, budget: Option<usize>) -> Batch {
+    match budget {
+        Some(b) if batch.num_rows() > b => batch.gather(&(0..b).collect::<Vec<usize>>()),
+        _ => batch,
     }
-}
-
-fn run_budgeted_par_node(plan: &PlanRef, budget: usize, ctx: &mut ParCtx<'_>) -> Result<Batch> {
-    ctx.metrics.operators += 1;
-    match plan.as_ref() {
-        LogicalPlan::Scan { table, schema, .. } => {
-            // Wave dispatch in index order over morsels no larger than the
-            // budget; once the completed prefix covers the budget no
-            // further wave launches. The first wave is one morsel per
-            // worker, so the serial mode reads exactly `budget` rows when
-            // the table's head is live; waves then double (deleted heads
-            // cost O(log) dispatches) up to `workers * morsel_rows` rows.
-            // Scanned rows stay within `budget + workers * morsel_rows`,
-            // keeping pushed-down LIMIT O(k) instead of O(table).
-            let workers = pool_workers(ctx.config.threads);
-            let morsel_rows = budget.clamp(1, ctx.config.morsel_rows);
-            let widest = workers.saturating_mul(ctx.config.morsel_rows) / morsel_rows;
-            let n = ctx.engine.morsel_count(&table.name, morsel_rows)?;
-            let engine = ctx.engine;
-            let snapshot = ctx.snapshot;
-            let mut parts: Vec<Batch> = Vec::new();
-            let mut have = 0usize;
-            let mut base = 0usize;
-            let mut width = workers;
-            while base < n && have < budget {
-                let wave = (n - base).min(width);
-                width = (width * 2).min(widest);
-                let (batches, wm, _wp) =
-                    parallel_map(ctx.config.threads, wave, |i, met, _prof| {
-                        let t = Instant::now();
-                        let b = engine.scan_morsel(&table.name, snapshot, base + i, morsel_rows)?;
-                        met.scan_nanos += nanos_since(t);
-                        met.rows_scanned += b.num_rows();
-                        Ok(b)
-                    })?;
-                ctx.metrics.merge(&wm);
-                for b in batches {
-                    have += b.num_rows();
-                    parts.push(b);
-                }
-                base += wave;
-            }
-            let merged = merge_parts(Arc::clone(schema), parts)?;
-            Ok(truncate(merged, budget))
-        }
-        LogicalPlan::Values { schema, rows } => {
-            let take = rows.len().min(budget);
-            Batch::from_rows(Arc::clone(schema), &rows[..take])
-        }
-        LogicalPlan::Project { input, exprs, schema } => {
-            // Column mappings preserve cardinality, so a whole fused chain
-            // passes the budget straight through to its input. The
-            // enclosing `with_profile_par` records the outermost node;
-            // inner covered nodes are recorded here (same rows, zero self
-            // time) so EXPLAIN ANALYZE still shows every node.
-            if let Some(chain) = fusion::fused_projection_chain(plan, 1) {
-                let child = run_budgeted_par(chain.input, budget, ctx)?;
-                let t = Instant::now();
-                let out =
-                    kernels::apply_column_map(&child, &chain.mapping, Arc::clone(chain.schema))?;
-                ctx.metrics.project_nanos += nanos_since(t);
-                ctx.metrics.operators += chain.nodes.len() - 1;
-                if let Some(p) = ctx.profiler.as_mut() {
-                    for node in chain.nodes.iter().skip(1).copied() {
-                        p.record(node, out.num_rows(), 0);
-                    }
-                }
-                return Ok(out);
-            }
-            let child = run_budgeted_par(input, budget, ctx)?;
-            let t = Instant::now();
-            let out = kernels::project_rows(&child, exprs, Arc::clone(schema), 0..child.num_rows());
-            ctx.metrics.project_nanos += nanos_since(t);
-            out
-        }
-        LogicalPlan::UnionAll { inputs, schema } => {
-            let mut parts = Vec::new();
-            let mut have = 0usize;
-            for inp in inputs {
-                if have >= budget {
-                    break;
-                }
-                let b = run_budgeted_par(inp, budget - have, ctx)?;
-                have += b.num_rows();
-                parts.push(b);
-            }
-            let t = Instant::now();
-            let merged = Batch::concat(Arc::clone(schema), &parts)?;
-            ctx.metrics.union_nanos += nanos_since(t);
-            ctx.metrics.union_rows_concatenated += merged.num_rows();
-            Ok(truncate(merged, budget))
-        }
-        LogicalPlan::Limit { input, skip, fetch } => {
-            let inner_budget = match fetch {
-                Some(f) => budget.min((*skip as usize).saturating_add(*f as usize)),
-                None => budget.saturating_add(*skip as usize),
-            };
-            let child = run_budgeted_par(input, inner_budget, ctx)?;
-            let limited = ops::limit(&child, *skip, *fetch);
-            let out = truncate(limited, budget);
-            ctx.metrics.limit_rows_emitted += out.num_rows();
-            Ok(out)
-        }
-        _ => unreachable!("run_budgeted_par routes other operators through run_par()"),
-    }
-}
-
-fn truncate(batch: Batch, budget: usize) -> Batch {
-    if batch.num_rows() <= budget {
-        return batch;
-    }
-    let prefix: Vec<usize> = (0..budget).collect();
-    batch.gather(&prefix)
 }
 
 #[cfg(test)]
@@ -1320,6 +1040,7 @@ mod tests {
     use crate::pool::{with_worker_pool, WorkerPool};
     use vdm_catalog::TableBuilder;
     use vdm_expr::{AggExpr, AggFunc};
+    use vdm_obs::Metrics;
     use vdm_types::SqlType;
 
     fn many_rows_engine(n: i64) -> (StorageEngine, Arc<vdm_catalog::TableDef>) {
@@ -1364,7 +1085,7 @@ mod tests {
     }
 
     fn run_at(plan: &PlanRef, e: &StorageEngine, snap: Snapshot, threads: usize) -> Execution {
-        let opts = ExecOptions { snapshot: Some(snap), parallel: cfg(threads), profile: false };
+        let opts = ExecOptions { snapshot: Some(snap), parallel: cfg(threads) };
         execute_with(plan, e, &opts).unwrap()
     }
 
@@ -1372,16 +1093,19 @@ mod tests {
     /// are held to.
     fn assert_equivalent(plan: &PlanRef, e: &StorageEngine) {
         let snap = e.snapshot();
-        let Execution { batch: serial, metrics: sm, .. } = run_at(plan, e, snap, 1);
+        let serial = run_at(plan, e, snap, 1);
+        let sm = Metrics::roll_up(plan, &serial.profile);
         for threads in [2, 4] {
-            let Execution { batch: par, metrics: pm, .. } = run_at(plan, e, snap, threads);
-            assert_eq!(par.to_rows(), serial.to_rows(), "threads={threads}");
+            let par = run_at(plan, e, snap, threads);
+            let pm = Metrics::roll_up(plan, &par.profile);
+            assert_eq!(par.batch.to_rows(), serial.batch.to_rows(), "threads={threads}");
             assert_eq!(pm.rows_scanned, sm.rows_scanned, "threads={threads}");
             assert_eq!(pm.filter_input_rows, sm.filter_input_rows, "threads={threads}");
             assert_eq!(pm.join_build_rows, sm.join_build_rows, "threads={threads}");
             assert_eq!(pm.join_output_rows, sm.join_output_rows, "threads={threads}");
             assert_eq!(pm.agg_input_rows, sm.agg_input_rows, "threads={threads}");
             assert_eq!(pm.operators, sm.operators, "threads={threads}");
+            assert_eq!(par.profile.rows_by_node(), serial.profile.rows_by_node());
         }
     }
 
@@ -1489,17 +1213,40 @@ mod tests {
                 let x = run_at(&plan, &e, snap, threads);
                 assert_eq!(x.batch.to_rows(), serial.batch.to_rows());
                 let bound = 105 + x.workers * cfg(threads).morsel_rows;
+                let scanned = Metrics::roll_up(&plan, &x.profile).rows_scanned;
                 assert!(
-                    x.metrics.rows_scanned <= bound,
-                    "threads={threads}: budgeted scan touched {} rows (bound {bound}, table {total})",
-                    x.metrics.rows_scanned
+                    scanned <= bound,
+                    "threads={threads}: budgeted scan touched {scanned} rows (bound {bound}, table {total})"
                 );
-                assert!(x.metrics.rows_scanned < total, "must not scan the whole table");
+                assert!(scanned < total, "must not scan the whole table");
                 if x.workers == 1 && !deleted_head {
-                    assert_eq!(x.metrics.rows_scanned, 105, "serial mode reads exactly the budget");
+                    assert_eq!(scanned, 105, "serial mode reads exactly the budget");
                 }
+                // What the budget cut off was read, not emitted: the scan
+                // node reports the budget at every thread count.
+                assert_eq!(x.profile.rows_out(1), Some(105));
             }
         }
+    }
+
+    #[test]
+    fn budget_truncates_before_a_projection_evaluates() {
+        use vdm_expr::BinOp;
+        let (e, def) = many_rows_engine(100);
+        // `1 / (k - 3)` fails on the fourth row: past the budget of two, but
+        // inside the first wave at any worker count above one.
+        let quotient =
+            Expr::int(1).binary(BinOp::Div, Expr::col(0).binary(BinOp::Sub, Expr::int(3)));
+        let project =
+            LogicalPlan::project(LogicalPlan::scan(def), vec![(quotient, "q".into())]).unwrap();
+        let plan = LogicalPlan::limit(project, 0, Some(2));
+        let snap = e.snapshot();
+        let serial = run_at(&plan, &e, snap, 1);
+        assert_eq!(serial.batch.num_rows(), 2);
+        let par = run_at(&plan, &e, snap, 4);
+        assert_eq!(par.batch.to_rows(), serial.batch.to_rows());
+        assert!(par.profile.nodes[&2].rows_in > 2, "the wave over-read");
+        assert_eq!(par.profile.nodes[&1].rows_in, 2, "the projection saw only the budget");
     }
 
     #[test]
@@ -1515,13 +1262,14 @@ mod tests {
         let check = || {
             // The engine's one dispatch point: at `threads: 1` no item
             // leaves the calling thread, so nothing is spawned or broadcast.
-            let (ids, m, _) =
-                parallel_map(1, 64, |_, _, _| Ok(std::thread::current().id())).unwrap();
+            let mut totals = QueryProfile::default();
+            let ids =
+                parallel_map(1, 64, &mut totals, |_, _| Ok(std::thread::current().id())).unwrap();
             assert!(ids.iter().all(|id| *id == caller));
-            assert_eq!(m.morsel_steals, 0);
+            assert_eq!(totals.morsel_steals, 0);
             let x = run_at(&plan, &e, e.snapshot(), 1);
             assert_eq!(x.workers, 1);
-            assert_eq!(x.metrics.morsel_steals, 0);
+            assert_eq!(x.profile.morsel_steals, 0);
             assert_eq!(x.batch.num_rows(), 13);
         };
         check();

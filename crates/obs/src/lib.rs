@@ -11,8 +11,8 @@
 //!   into: which rule fired, on which plan node, and what cardinality
 //!   evidence justified it.
 //! * [`profile`] — per-operator runtime stats ([`QueryProfile`]) keyed by
-//!   the stable pre-order node ids of [`NodeIndex`], recorded by both the
-//!   serial and morsel-driven parallel executors.
+//!   the stable pre-order node ids of [`NodeIndex`], recorded by the
+//!   executor on every run, and their operator-class roll-up ([`Metrics`]).
 //! * [`trace`] — structured spans ([`Span`]/[`QueryTrace`]) linking one
 //!   query's plan-cache lookup, optimization, execution, and cached-view
 //!   maintenance into a single causal tree (`EXPLAIN TRACE`).
@@ -34,7 +34,7 @@ pub mod trace;
 pub mod util;
 
 pub use hist::{LatencyHist, LE_BOUNDS};
-pub use profile::{NodeIndex, NodeStats, QueryProfile};
+pub use profile::{Metrics, NodeIndex, NodeStats, QueryProfile};
 pub use registry::MetricsRegistry;
 pub use rewrite::RewriteEvent;
 pub use store::{

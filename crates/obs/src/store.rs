@@ -53,8 +53,8 @@ pub struct ExecRecord {
     /// Whether the parameterized plan cache served the plan.
     pub cache_hit: bool,
     pub workers: u32,
-    /// Per-plan-node output rows `(node_id, rows_out)` from the profiled
-    /// executor; empty when profiling was off for this query.
+    /// Per-plan-node output rows `(node_id, rows_out)` from the
+    /// execution's profile.
     pub node_rows: Vec<(u32, u64)>,
     /// Per-plan-node *estimated* rows `(node_id, est)` from the optimizer's
     /// cardinality model; empty when no statistics were available.

@@ -20,7 +20,7 @@ use std::fmt::Display;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
-use crate::util::json_string;
+use crate::util::{fmt_nanos, json_string};
 
 /// One completed span of a query trace. Times are nanoseconds; `start`
 /// is relative to the trace root's start.
@@ -136,16 +136,6 @@ impl QueryTrace {
         }
         out.push_str("]}");
         out
-    }
-}
-
-fn fmt_nanos(nanos: u64) -> String {
-    if nanos >= 1_000_000_000 {
-        format!("{:.3}s", nanos as f64 / 1e9)
-    } else if nanos >= 1_000_000 {
-        format!("{:.3}ms", nanos as f64 / 1e6)
-    } else {
-        format!("{:.1}us", nanos as f64 / 1e3)
     }
 }
 

@@ -1,8 +1,22 @@
-//! Zero-dependency JSON helpers: string/number escaping shared by the
-//! exporters, and a small recursive-descent parser used to reload the
-//! query store's JSON-lines files. The parser handles exactly the subset
+//! Zero-dependency text helpers: the one duration format every rendering
+//! uses, JSON string/number escaping shared by the exporters, and a small
+//! recursive-descent parser used to reload the query store's JSON-lines
+//! files. The parser handles exactly the subset
 //! the workspace writes (objects, arrays, strings with `\uXXXX` escapes,
 //! finite numbers, booleans, null) — it is not a general validator.
+
+/// `1234` → `"1.23us"`: human-readable nanosecond counts.
+pub fn fmt_nanos(n: u64) -> String {
+    if n >= 1_000_000_000 {
+        format!("{:.2}s", n as f64 / 1e9)
+    } else if n >= 1_000_000 {
+        format!("{:.2}ms", n as f64 / 1e6)
+    } else if n >= 1_000 {
+        format!("{:.2}us", n as f64 / 1e3)
+    } else {
+        format!("{n}ns")
+    }
+}
 
 /// Escapes `s` as a JSON string literal, quotes included.
 pub fn json_string(s: &str) -> String {

@@ -109,6 +109,12 @@ if [ "$OPT_SITES" != "crates/core/src/session.rs" ]; then
   echo "$OPT_SITES"; exit 1
 fi
 
+echo "== one ledger, one walker in vdm-exec (the per-node profile; class totals are its roll-up) =="
+if grep -rnE "profiler\.is_none|profile: (true|false)|Metrics::merge|fn run_budgeted" crates/ \
+    || grep -rnE "metrics\.[a-z_]+ \+=" crates/exec/src; then
+  echo "the executor records per-node stats only: no profile switch, no class counters, no second plan walker"; exit 1
+fi
+
 echo "== metrics are registered only through vdm-obs (no stray metric name literals) =="
 if grep -rn '"vdm_' crates --include='*.rs' | grep -v '^crates/obs/src'; then
   echo "metric names must come from vdm_obs::names, not string literals"; exit 1

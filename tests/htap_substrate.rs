@@ -13,7 +13,8 @@ use vdm_types::{SqlType, Value};
 fn run_at(plan: &PlanRef, engine: &StorageEngine, snapshot: Snapshot) -> (Batch, Metrics) {
     let opts = ExecOptions { snapshot: Some(snapshot), ..ExecOptions::default() };
     let x = execute_with(plan, engine, &opts).unwrap();
-    (x.batch, x.metrics)
+    let metrics = Metrics::roll_up(plan, &x.profile);
+    (x.batch, metrics)
 }
 
 fn journal_table() -> vdm_catalog::TableDef {

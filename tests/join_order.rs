@@ -312,10 +312,10 @@ fn feedback_corrected_reoptimization_is_bit_identical() {
     let (estimate_only, _) =
         db.optimizer().optimize_traced_with(&plan, Some(&stats), None).unwrap();
     let parallel = vdm_core::ParallelConfig { threads: 1, morsel_rows: 1024 };
-    let opts = vdm_exec::ExecOptions { snapshot: None, parallel, profile: true };
-    let profiled = vdm_exec::execute_with(&estimate_only, db.engine(), &opts).unwrap();
-    assert_eq!(multiset_digest(&profiled.batch), want, "estimate-only plan diverged");
-    let profile = profiled.profile.expect("profiling was requested");
+    let opts = vdm_exec::ExecOptions { snapshot: None, parallel };
+    let vdm_exec::Execution { batch, profile, .. } =
+        vdm_exec::execute_with(&estimate_only, db.engine(), &opts).unwrap();
+    assert_eq!(multiset_digest(&batch), want, "estimate-only plan diverged");
 
     let observed: Vec<(u32, f64)> =
         profile.nodes.iter().map(|(id, s)| (*id as u32, s.rows_out as f64)).collect();

@@ -538,3 +538,28 @@ fn explain_analyze_profiles_every_executed_node() {
     // Inner operators report their input as the children's output.
     assert!(text.contains("in="), "{text}");
 }
+
+#[test]
+fn limit_scan_is_the_leaf_pipeline_run_in_waves() {
+    let _serial = serial();
+    let mut db = db();
+    let rows: Vec<String> = (100..164).map(|k| format!("({k}, 1, 1.00)")).collect();
+    db.execute(&format!("insert into orders values {}", rows.join(", "))).unwrap();
+    // Budget 5 over 67 rows at four threads: the first wave alone is one
+    // 5-row morsel per worker (at least two on any host).
+    db.set_parallelism(ParallelConfig { threads: 4, morsel_rows: 16 });
+    let bytes = || db.metrics().counter(vdm_obs::names::MORSEL_SIZE_BYTES);
+    let before = bytes();
+    let text = db.explain_analyze("select o_orderkey from orders limit 5").unwrap();
+    assert!(bytes() > before, "the budgeted scan dispatched no morsel bytes:\n{text}");
+    let scan = text.lines().find(|l| l.contains("Scan orders")).expect("a scan line");
+    let calls: u64 = scan
+        .split("calls=")
+        .nth(1)
+        .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no calls= on {scan:?}"));
+    assert!(calls > 1, "a scan that ran in waves reports its morsels: {scan:?}");
+    assert!(scan.contains("act=5") || scan.contains("rows=5"), "post-truncation rows: {scan:?}");
+    assert!(text.contains("5 row(s) returned"), "{text}");
+}

@@ -147,10 +147,12 @@ fn uaj_execution_metrics_shrink() {
     let plan = queries::uaj2a(&catalog).unwrap();
     let optimized = Optimizer::hana().optimize(&plan).unwrap();
     let opts = vdm_exec::ExecOptions { snapshot: Some(engine.snapshot()), ..Default::default() };
-    let vdm_exec::Execution { batch: a, metrics: m_raw, .. } =
-        vdm_exec::execute_with(&plan, &engine, &opts).unwrap();
-    let vdm_exec::Execution { batch: b, metrics: m_opt, .. } =
-        vdm_exec::execute_with(&optimized, &engine, &opts).unwrap();
+    let run = |plan: &vdm_plan::PlanRef| {
+        let x = vdm_exec::execute_with(plan, &engine, &opts).unwrap();
+        (x.batch, vdm_exec::Metrics::roll_up(plan, &x.profile))
+    };
+    let (a, m_raw) = run(&plan);
+    let (b, m_opt) = run(&optimized);
     assert_eq!(a.num_rows(), b.num_rows());
     assert!(m_opt.rows_scanned < m_raw.rows_scanned);
     assert_eq!(m_opt.join_build_rows, 0, "no joins left");

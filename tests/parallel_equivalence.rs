@@ -4,8 +4,9 @@
 //! outer + residual), aggregate, distinct, sort, limit, union — runs at
 //! `threads ∈ {1, 2, 4, 8}` over TPC-H and ERP data. The morsel engine
 //! merges partial results in morsel index order, so at every thread count
-//! the output (same rows, same order), the merged row-count metrics and
-//! the per-operator profile rows must equal the line recorded for the
+//! the output (same rows, same order), the per-operator profile rows and
+//! their operator-class roll-up (`Metrics::roll_up` — the executor keeps
+//! no class counters of its own) must equal the line recorded for the
 //! shape in `tests/golden/exec_digests.txt`.
 //!
 //! That file is the verdict of the row-at-a-time interpreter this engine
@@ -14,7 +15,9 @@
 //! interpreter's plain and profiled entry points, ignoring the thread
 //! count (`UPDATE_GOLDEN=1 cargo test --release --test
 //! parallel_equivalence`). Re-blessing from this engine is only legitimate
-//! for a *new* shape.
+//! for a *new* shape; the `shared-*` lines were blessed at `54f9d4d`, from
+//! the class counters and the opt-in profile the engine then still kept
+//! side by side.
 //!
 //! The one sanctioned divergence between thread counts is `rows_scanned`
 //! under a pushed-down LIMIT, where the scan works in whole waves of
@@ -26,7 +29,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use vdm_data::erp::{journal_entry_item_browser, Erp};
 use vdm_data::tpch::Tpch;
-use vdm_exec::{execute_with, kernels, ExecOptions, Execution, ParallelConfig};
+use vdm_exec::{execute_with, kernels, ExecOptions, Execution, Metrics, ParallelConfig};
 use vdm_expr::{AggExpr, AggFunc, BinOp, Expr};
 use vdm_optimizer::{Optimizer, Profile};
 use vdm_plan::{JoinKind, LogicalPlan, PlanRef, SortKey};
@@ -38,17 +41,10 @@ const MORSEL_ROWS: usize = 384;
 /// must hold across the whole sweep, not just one setting.
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
-fn run(
-    plan: &PlanRef,
-    engine: &StorageEngine,
-    snapshot: Snapshot,
-    threads: usize,
-    profile: bool,
-) -> Execution {
+fn run(plan: &PlanRef, engine: &StorageEngine, snapshot: Snapshot, threads: usize) -> Execution {
     let opts = ExecOptions {
         snapshot: Some(snapshot),
         parallel: ParallelConfig { threads, morsel_rows: MORSEL_ROWS },
-        profile,
     };
     execute_with(plan, engine, &opts).unwrap()
 }
@@ -56,20 +52,20 @@ fn run(
 /// What a shape's golden line records beyond its rows.
 #[derive(Clone, Copy, PartialEq)]
 enum Record {
-    /// Rows plus the merged row-count metrics.
+    /// Rows plus the row-count roll-up of the per-node profile.
     Metrics,
     /// Rows only (LIMIT shapes: scan effort is bounded, not fixed).
     RowsOnly,
-    /// Rows plus per-operator output rows from a profiled run (timings,
-    /// invocation counts and worker counts legitimately differ;
-    /// `QueryProfile::rows_by_node` excludes them).
+    /// Rows plus per-operator output rows (timings, invocation counts and
+    /// worker counts legitimately differ; `QueryProfile::rows_by_node`
+    /// excludes them).
     Profile,
 }
 
 /// The golden line of one execution: row count, an order-sensitive and an
 /// order-insensitive digest of the rows (both over `Value` hashing, i.e.
 /// the equality the engines are held to), then what `record` asks for.
-fn verdict(x: &Execution, record: Record) -> String {
+fn verdict(plan: &PlanRef, x: &Execution, record: Record) -> String {
     let rows = x.batch.to_rows();
     let ordered = rows
         .iter()
@@ -81,7 +77,7 @@ fn verdict(x: &Execution, record: Record) -> String {
     );
     match record {
         Record::Metrics => {
-            let m = &x.metrics;
+            let m = Metrics::roll_up(plan, &x.profile);
             line += &format!(
                 " operators={} rows_scanned={} filter_input_rows={} join_build_rows={} \
                  join_output_rows={} agg_input_rows={}",
@@ -95,7 +91,7 @@ fn verdict(x: &Execution, record: Record) -> String {
         }
         Record::RowsOnly => {}
         Record::Profile => {
-            let nodes = x.profile.as_ref().expect("profiled run").rows_by_node();
+            let nodes = x.profile.rows_by_node();
             assert!(!nodes.is_empty(), "profile is empty");
             let nodes: Vec<String> = nodes.iter().map(|(id, n)| format!("{id}:{n}")).collect();
             line += &format!(" node_rows={}", nodes.join(","));
@@ -125,11 +121,10 @@ static BLESS: Mutex<()> = Mutex::new(());
 fn assert_golden(name: &str, plan: &PlanRef, engine: &StorageEngine, record: Record) {
     assert!(!name.contains(' '), "shape names are single tokens: {name:?}");
     let snap = engine.snapshot();
-    let profile = record == Record::Profile;
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         let _guard = BLESS.lock().unwrap();
         let mut all = golden();
-        all.insert(name.to_string(), verdict(&run(plan, engine, snap, 1, profile), record));
+        all.insert(name.to_string(), verdict(plan, &run(plan, engine, snap, 1), record));
         let text: String = all.iter().map(|(n, v)| format!("{n} {v}\n")).collect();
         std::fs::write(golden_path(), text).unwrap();
     }
@@ -138,7 +133,7 @@ fn assert_golden(name: &str, plan: &PlanRef, engine: &StorageEngine, record: Rec
         .get(name)
         .unwrap_or_else(|| panic!("no golden line for {name}; bless it with UPDATE_GOLDEN=1"));
     for threads in THREAD_SWEEP {
-        let got = verdict(&run(plan, engine, snap, threads, profile), record);
+        let got = verdict(plan, &run(plan, engine, snap, threads), record);
         assert_eq!(&got, expected, "{name}@t{threads} diverges from the blessed reference");
     }
 }
@@ -310,6 +305,37 @@ fn tpch_union_and_limit_shapes() {
     .unwrap();
     assert_equivalent("union-all", &union, &engine);
 
+    // One `Arc`-shared subtree under two parents: it runs once per parent,
+    // so its node records both runs while each filter consumed only one —
+    // "what ran" and "the children's recorded rows" disagree here.
+    let shared = LogicalPlan::project(
+        LogicalPlan::scan(Arc::clone(&orders)),
+        vec![(Expr::col(0), "okey".into()), (Expr::col(2), "status".into())],
+    )
+    .unwrap();
+    let shared_union = LogicalPlan::union_all(vec![
+        LogicalPlan::filter(Arc::clone(&shared), Expr::col(1).eq(Expr::str("O"))).unwrap(),
+        LogicalPlan::filter(shared, Expr::col(1).eq(Expr::str("F"))).unwrap(),
+    ])
+    .unwrap();
+    assert_equivalent("shared-subtree-union", &shared_union, &engine);
+    assert_profile_rows_equal("shared-subtree-union-profile", &shared_union, &engine);
+
+    // The same with a blocking operator shared (no leaf pipeline absorbs it).
+    let shared_join = LogicalPlan::inner_join(
+        LogicalPlan::scan(Arc::clone(&orders)),
+        LogicalPlan::scan(catalog.table_or_err("customer").unwrap()),
+        vec![(1, 0)],
+    )
+    .unwrap();
+    let shared_join_union = LogicalPlan::union_all(vec![
+        LogicalPlan::filter(Arc::clone(&shared_join), Expr::col(2).eq(Expr::str("O"))).unwrap(),
+        LogicalPlan::filter(shared_join, Expr::col(2).eq(Expr::str("F"))).unwrap(),
+    ])
+    .unwrap();
+    assert_equivalent("shared-join-union", &shared_join_union, &engine);
+    assert_profile_rows_equal("shared-join-union-profile", &shared_join_union, &engine);
+
     // LIMIT drives the budgeted path: rows must match exactly; scan effort
     // is checked separately in `budgeted_limit_scan_is_bounded`.
     let limited = LogicalPlan::limit(LogicalPlan::scan(Arc::clone(&lineitem)), 10, Some(50));
@@ -353,15 +379,12 @@ fn budgeted_limit_scan_is_bounded() {
     // The scan dispatches one wave of `workers` morsels at a time and stops
     // once the completed prefix covers the budget.
     for threads in THREAD_SWEEP {
-        let x = run(&plan, &engine, snap, threads, false);
+        let x = run(&plan, &engine, snap, threads);
+        let scanned = Metrics::roll_up(&plan, &x.profile).rows_scanned;
         let bound = budget + x.workers * MORSEL_ROWS;
+        assert!(scanned <= bound, "t{threads}: budgeted scan read {scanned} rows, bound {bound}");
         assert!(
-            x.metrics.rows_scanned <= bound,
-            "t{threads}: budgeted scan read {} rows, bound {bound}",
-            x.metrics.rows_scanned
-        );
-        assert!(
-            x.metrics.rows_scanned < total,
+            scanned < total,
             "t{threads}: budgeted scan must not read the whole table ({total} rows)"
         );
     }
