@@ -742,7 +742,7 @@ fn multiset_subtract(stored: &Batch, minus: &Batch) -> Option<Batch> {
     if remaining > 0 {
         return None;
     }
-    Some(stored.take(&keep))
+    Some(stored.gather(&keep))
 }
 
 /// The registry of cached views. Internally synchronized: registration,
@@ -1112,10 +1112,10 @@ mod tests {
         let snap = engine.snapshot();
         let a = engine.scan("sales", snap).unwrap();
         let rev: Vec<usize> = (0..a.num_rows()).rev().collect();
-        let b = a.take(&rev);
+        let b = a.gather(&rev);
         assert_eq!(multiset_digest(&a), multiset_digest(&b));
         // ...but not multiplicity-insensitive.
         let dup: Vec<usize> = (0..a.num_rows()).chain(0..1).collect();
-        assert_ne!(multiset_digest(&a), multiset_digest(&a.take(&dup)));
+        assert_ne!(multiset_digest(&a), multiset_digest(&a.gather(&dup)));
     }
 }

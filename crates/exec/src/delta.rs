@@ -18,8 +18,9 @@
 //! (the cached-view maintainer) guarantees that snapshot-probed sides are
 //! actually unchanged — `vdm-plan`'s `DeltaPlan` freezes their tables.
 
+use crate::executor::hash_join;
 use crate::kernels::{project_batch, FilterKernel};
-use crate::{ops, ExecOptions, ParallelConfig};
+use crate::{ExecOptions, ParallelConfig, QueryProfile};
 use std::sync::Arc;
 use vdm_expr::Expr;
 use vdm_plan::{delta_capable, JoinKind, LogicalPlan, PlanRef};
@@ -135,8 +136,11 @@ fn join_delta(
     now: Snapshot,
     parallel: ParallelConfig,
 ) -> Result<SignedBatch> {
+    // Maintenance keeps no per-node ledger; the join's scheduler totals
+    // land in a scratch profile.
     let join = |l: &Batch, r: &Batch, k: JoinKind| -> Result<Batch> {
-        ops::hash_join(l, r, k, on, residual, Arc::clone(schema))
+        let mut scratch = QueryProfile::default();
+        hash_join(l, r, k, on, residual, Arc::clone(schema), parallel, &mut scratch)
     };
     let snap = |side: &PlanRef, at: Snapshot| -> Result<Batch> {
         let opts = ExecOptions { snapshot: Some(at), parallel };

@@ -15,10 +15,12 @@
 //!   single composed column-mapping kernel
 //!   ([`vdm_plan::fusion`] + [`kernels::apply_column_map`]), with per-node
 //!   stats attributed back to every covered node;
-//! * **joins** partition the build side by key hash (columnar branch-free
-//!   hashing when both sides' key columns share a physical type), build
-//!   per-partition hash maps, and probe chunks of the other side; inputs
-//!   under two morsels take the row-wise [`ops::hash_join`] kernel;
+//! * **joins** — one [`hash_join`] at every input size, for the plan
+//!   walker and for [`crate::delta`] — partition the build side by key
+//!   hash (columnar branch-free hashing when both sides' key columns share
+//!   a physical type), build per-partition hash maps, probe chunks of the
+//!   other side and assemble the output by payload-level gather; a build
+//!   side of one chunk is one partition and runs inline;
 //! * **aggregations** radix-partition rows by group-key hash so each
 //!   worker owns a disjoint key range and groups never merge across
 //!   workers ([`vdm_expr::Accumulator::merge`] is only needed on the
@@ -33,7 +35,7 @@
 //! budget, so it scans at most `budget + workers * morsel_rows` rows
 //! (exactly `budget` in the serial mode when the table's head is live).
 //!
-//! There is one plan walker (`run_par`; a LIMIT budget is its argument)
+//! There is one plan walker (`run`; a LIMIT budget is its argument)
 //! and one ledger: every node the walker runs records rows in, rows out,
 //! self time, calls and workers into the [`QueryProfile`], on every
 //! execution. Operator-class totals are [`vdm_obs::Metrics::roll_up`] of
@@ -119,7 +121,7 @@ pub fn execute_with(
     opts: &ExecOptions,
 ) -> Result<Execution> {
     let config = opts.parallel.normalized();
-    let mut ctx = ParCtx {
+    let mut ctx = Ctx {
         engine,
         snapshot: opts.snapshot.unwrap_or_else(|| engine.snapshot()),
         config,
@@ -127,7 +129,7 @@ pub fn execute_with(
         profile: QueryProfile::default(),
         child_nanos: 0,
     };
-    let batch = run_par(plan, None, &mut ctx)?;
+    let batch = run(plan, None, &mut ctx)?;
     Ok(Execution { batch, profile: ctx.profile, workers: pool_workers(config.threads) })
 }
 
@@ -155,7 +157,7 @@ fn prune_range(predicate: &vdm_expr::Expr) -> Option<(usize, vdm_storage::ScanRa
     None
 }
 
-struct ParCtx<'a> {
+struct Ctx<'a> {
     engine: &'a StorageEngine,
     snapshot: Snapshot,
     config: ParallelConfig,
@@ -168,7 +170,7 @@ struct ParCtx<'a> {
     child_nanos: u64,
 }
 
-impl ParCtx<'_> {
+impl Ctx<'_> {
     /// The profile key of `plan`, a node of the plan being executed.
     fn id_of(&self, plan: &PlanRef) -> usize {
         self.index.id_of(plan).expect("every node the walker reaches is in the plan's index")
@@ -325,7 +327,7 @@ fn extract_leaf(plan: &PlanRef, stack: bool) -> Option<LeafPipeline<'_>> {
 /// `workers * morsel_rows` rows. Scanned rows stay within
 /// `budget + workers * morsel_rows`, keeping pushed-down LIMIT O(k) instead
 /// of O(table).
-fn run_leaf(pipe: &LeafPipeline<'_>, budget: Option<usize>, ctx: &mut ParCtx<'_>) -> Result<Batch> {
+fn run_leaf(pipe: &LeafPipeline<'_>, budget: Option<usize>, ctx: &mut Ctx<'_>) -> Result<Batch> {
     let start = Instant::now();
     let config = ctx.config;
     // Pruned scans align morsels to zone-map blocks so every block belongs
@@ -385,12 +387,8 @@ fn leaf_morsel(
     prof: &mut QueryProfile,
 ) -> Result<Batch> {
     let t = Instant::now();
-    let raw = match &pipe.prune {
-        Some((col, range)) => {
-            engine.scan_morsel_pruned(pipe.table, snapshot, morsel, morsel_rows, *col, range)?
-        }
-        None => engine.scan_morsel(pipe.table, snapshot, morsel, morsel_rows)?,
-    };
+    let prune = pipe.prune.as_ref().map(|(col, range)| (*col, range));
+    let raw = engine.scan_morsel(pipe.table, snapshot, morsel, morsel_rows, prune)?;
     let scan_nanos = nanos_since(t);
     let mut batch = Batch::new(Arc::clone(pipe.scan_schema), raw.columns)?;
     let mut rows = batch.num_rows() as u64;
@@ -438,7 +436,7 @@ fn leaf_morsel(
 /// which rows *could* appear under LIMIT-without-ORDER semantics — scans,
 /// projections, unions, stacked limits, literal rows; every other operator
 /// runs (and is recorded) in full and is truncated afterwards.
-fn run_par(plan: &PlanRef, budget: Option<usize>, ctx: &mut ParCtx<'_>) -> Result<Batch> {
+fn run(plan: &PlanRef, budget: Option<usize>, ctx: &mut Ctx<'_>) -> Result<Batch> {
     let pushes_budget = matches!(
         plan.as_ref(),
         LogicalPlan::Scan { .. }
@@ -448,7 +446,7 @@ fn run_par(plan: &PlanRef, budget: Option<usize>, ctx: &mut ParCtx<'_>) -> Resul
             | LogicalPlan::Limit { .. }
     );
     if budget.is_some() && !pushes_budget {
-        return Ok(truncate(run_par(plan, None, ctx)?, budget));
+        return Ok(truncate(run(plan, None, ctx)?, budget));
     }
     if let Some(pipe) = extract_leaf(plan, budget.is_none()) {
         return run_leaf(&pipe, budget, ctx);
@@ -475,7 +473,7 @@ fn run_par(plan: &PlanRef, budget: Option<usize>, ctx: &mut ParCtx<'_>) -> Resul
         LogicalPlan::Project { input, exprs, schema } => {
             match fusion::fused_projection_chain(plan, 2) {
                 Some(chain) => {
-                    let child = run_par(chain.input, budget, ctx)?;
+                    let child = run(chain.input, budget, ctx)?;
                     let rows = child.num_rows();
                     for inner in &chain.nodes[1..] {
                         let id = ctx.id_of(inner);
@@ -485,20 +483,22 @@ fn run_par(plan: &PlanRef, budget: Option<usize>, ctx: &mut ParCtx<'_>) -> Resul
                     (rows, kernels::apply_column_map(&child, &chain.mapping, schema)?)
                 }
                 None => {
-                    let child = run_par(input, budget, ctx)?;
-                    (child.num_rows(), par_project(&child, exprs, Arc::clone(schema), ctx)?)
+                    let child = run(input, budget, ctx)?;
+                    (child.num_rows(), project(&child, exprs, Arc::clone(schema), ctx)?)
                 }
             }
         }
         LogicalPlan::Filter { input, predicate } => {
-            let child = run_par(input, None, ctx)?;
-            (child.num_rows(), par_filter(&child, predicate, ctx)?)
+            let child = run(input, None, ctx)?;
+            (child.num_rows(), filter(&child, predicate, ctx)?)
         }
         LogicalPlan::Join { left, right, kind, on, filter, schema, .. } => {
-            let lb = run_par(left, None, ctx)?;
-            let rb = run_par(right, None, ctx)?;
+            let lb = run(left, None, ctx)?;
+            let rb = run(right, None, ctx)?;
             build_rows = rb.num_rows() as u64;
-            let out = par_hash_join(&lb, &rb, *kind, on, filter.as_ref(), Arc::clone(schema), ctx)?;
+            let (residual, schema) = (filter.as_ref(), Arc::clone(schema));
+            let out =
+                hash_join(&lb, &rb, *kind, on, residual, schema, ctx.config, &mut ctx.profile)?;
             (lb.num_rows() + rb.num_rows(), out)
         }
         LogicalPlan::UnionAll { inputs, schema } => {
@@ -508,22 +508,22 @@ fn run_par(plan: &PlanRef, budget: Option<usize>, ctx: &mut ParCtx<'_>) -> Resul
                 if budget.is_some_and(|b| have >= b) {
                     break;
                 }
-                let part = run_par(inp, budget.map(|b| b - have), ctx)?;
+                let part = run(inp, budget.map(|b| b - have), ctx)?;
                 have += part.num_rows();
                 parts.push(part);
             }
             (have, truncate(Batch::concat(Arc::clone(schema), &parts)?, budget))
         }
         LogicalPlan::Aggregate { input, group_by, aggs, schema } => {
-            let child = run_par(input, None, ctx)?;
-            (child.num_rows(), par_aggregate(&child, group_by, aggs, Arc::clone(schema), ctx)?)
+            let child = run(input, None, ctx)?;
+            (child.num_rows(), aggregate(&child, group_by, aggs, Arc::clone(schema), ctx)?)
         }
         LogicalPlan::Distinct { input } => {
-            let child = run_par(input, None, ctx)?;
+            let child = run(input, None, ctx)?;
             (child.num_rows(), ops::distinct(&child)?)
         }
         LogicalPlan::Sort { input, keys } => {
-            let child = run_par(input, None, ctx)?;
+            let child = run(input, None, ctx)?;
             (child.num_rows(), ops::sort(&child, keys)?)
         }
         LogicalPlan::Limit { input, skip, fetch } => {
@@ -534,7 +534,7 @@ fn run_par(plan: &PlanRef, budget: Option<usize>, ctx: &mut ParCtx<'_>) -> Resul
                 }
                 None => budget.map(|b| b.saturating_add(skip_rows)),
             };
-            let child = run_par(input, inner, ctx)?;
+            let child = run(input, inner, ctx)?;
             (child.num_rows(), truncate(ops::limit(&child, *skip, *fetch), budget))
         }
     };
@@ -549,7 +549,7 @@ fn run_par(plan: &PlanRef, budget: Option<usize>, ctx: &mut ParCtx<'_>) -> Resul
 
 /// Filter over a materialized batch: selection-vector kernel per chunk,
 /// chunked across the pool.
-fn par_filter(child: &Batch, predicate: &Expr, ctx: &mut ParCtx<'_>) -> Result<Batch> {
+fn filter(child: &Batch, predicate: &Expr, ctx: &mut Ctx<'_>) -> Result<Batch> {
     let kernel = FilterKernel::new(predicate);
     let chunk = ctx.config.morsel_rows;
     let n = chunk_count(child.num_rows(), chunk);
@@ -565,11 +565,11 @@ fn par_filter(child: &Batch, predicate: &Expr, ctx: &mut ParCtx<'_>) -> Result<B
 /// Projection over a materialized batch. Pure column mappings apply as a
 /// single whole-batch kernel; computed projections evaluate row-at-a-time,
 /// chunked across the pool.
-fn par_project(
+fn project(
     child: &Batch,
     exprs: &[(Expr, String)],
     schema: Arc<Schema>,
-    ctx: &mut ParCtx<'_>,
+    ctx: &mut Ctx<'_>,
 ) -> Result<Batch> {
     if let Some(map) = fusion::column_mapping(exprs) {
         return kernels::apply_column_map(child, &map, schema);
@@ -586,7 +586,7 @@ fn par_project(
 }
 
 // ---------------------------------------------------------------------------
-// Partitioned parallel hash join.
+// The partitioned hash join.
 
 /// Per-chunk partition-routing hashes for the key columns `cols` over
 /// `range`. The columnar kernel hashes typed payloads directly; it is
@@ -620,25 +620,33 @@ fn key_at(batch: &Batch, i: usize, cols: &[usize]) -> Option<Vec<Value>> {
     Some(key)
 }
 
-/// Partitioned hash join with [`ops::hash_join`]'s semantics and row
-/// order: partition the build side by key hash, build per-partition maps
-/// with match lists in build-row order, probe chunks of the other side
-/// concurrently, and concatenate probe-chunk outputs in chunk order.
-fn par_hash_join(
+/// The hash join: builds on the right input and probes with the left,
+/// except that an inner equi-join without residual commutes and builds on
+/// its smaller input (the economics the paper points at when discussing
+/// limit pushdown, §4.4). Output columns are `left ++ right`; rows come in
+/// probe-row order, a probe row's matches in build-row order.
+///
+/// NULL join keys never match (SQL equi-join semantics). For left-outer
+/// joins, a left row whose matches all fail the residual filter is still
+/// emitted once, NULL-padded.
+///
+/// The build side is partitioned by key hash into per-partition maps with
+/// match lists in build-row order, chunks of the probe side probe them
+/// concurrently, and chunk outputs concatenate in chunk order. Chunk and
+/// partition counts follow the input sizes, so a one-chunk build side is
+/// one partition and every phase runs inline on the calling thread.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn hash_join(
     left: &Batch,
     right: &Batch,
     kind: JoinKind,
     on: &[(usize, usize)],
     residual: Option<&Expr>,
     schema: Arc<Schema>,
-    ctx: &mut ParCtx<'_>,
+    config: ParallelConfig,
+    profile: &mut QueryProfile,
 ) -> Result<Batch> {
-    let config = ctx.config;
-    if left.num_rows().max(right.num_rows()) < 2 * config.morsel_rows {
-        return ops::hash_join(left, right, kind, on, residual, schema);
-    }
-    // Adaptive build side, as in `ops::hash_join`: an inner equi-join
-    // without residual commutes, so build on the smaller input.
+    let config = config.normalized();
     let build_left =
         kind == JoinKind::Inner && residual.is_none() && left.num_rows() < right.num_rows();
     let (build, probe) = if build_left { (left, right) } else { (right, left) };
@@ -654,14 +662,14 @@ fn par_hash_join(
         .zip(&probe_cols)
         .all(|(&b, &p)| build.columns[b].sql_type() == probe.columns[p].sql_type());
 
-    let n_parts = (pool_workers(config.threads) * 4).next_power_of_two();
-    let mask = n_parts - 1;
     let chunk = config.morsel_rows;
+    let n_chunks = chunk_count(build.num_rows(), chunk);
+    let n_parts = (pool_workers(config.threads) * 4).min(n_chunks).next_power_of_two();
+    let mask = n_parts - 1;
 
     // Phase 1: scatter build rows into per-chunk, per-partition key lists.
-    let n_chunks = chunk_count(build.num_rows(), chunk);
     let build_bytes = kernels::row_bytes(build);
-    let scattered = parallel_map(config.threads, n_chunks, &mut ctx.profile, |ci, prof| {
+    let scattered = parallel_map(config.threads, n_chunks, profile, |ci, prof| {
         let range = chunk_range(ci, chunk, build.num_rows());
         prof.morsel_bytes += (build_bytes * range.len()) as u64;
         let hashes = routing_hashes(build, &build_cols, range.clone(), columnar);
@@ -678,7 +686,7 @@ fn par_hash_join(
     // Phase 2: one hash map per partition. Chunks are visited in index
     // order, so every match list holds build-row indices ascending —
     // exactly a single-map build's entry order.
-    let maps = parallel_map(config.threads, n_parts, &mut ctx.profile, |p, _prof| {
+    let maps = parallel_map(config.threads, n_parts, profile, |p, _prof| {
         let mut map: FxHashMap<Vec<Value>, Vec<usize>> = FxHashMap::default();
         for chunk_parts in &scattered {
             for (key, i) in &chunk_parts[p] {
@@ -693,7 +701,7 @@ fn par_hash_join(
     // payload-level columnar gather — no row materialization.
     let probe_chunks = chunk_count(probe.num_rows(), chunk);
     let probe_bytes = kernels::row_bytes(probe);
-    let parts = parallel_map(config.threads, probe_chunks, &mut ctx.profile, |ci, prof| {
+    let parts = parallel_map(config.threads, probe_chunks, profile, |ci, prof| {
         let range = chunk_range(ci, chunk, probe.num_rows());
         prof.morsel_bytes += (probe_bytes * range.len()) as u64;
         let hashes = routing_hashes(probe, &probe_cols, range.clone(), columnar);
@@ -765,7 +773,7 @@ fn par_hash_join(
 }
 
 // ---------------------------------------------------------------------------
-// Parallel aggregation.
+// Aggregation.
 //
 // Two strategies:
 //
@@ -836,19 +844,19 @@ fn agg_arg_value(child: &Batch, i: usize, agg: &AggExpr) -> Result<Value> {
     }
 }
 
-fn par_aggregate(
+fn aggregate(
     child: &Batch,
     group_by: &[(Expr, String)],
     aggs: &[(AggExpr, String)],
     schema: Arc<Schema>,
-    ctx: &mut ParCtx<'_>,
+    ctx: &mut Ctx<'_>,
 ) -> Result<Batch> {
     let config = ctx.config;
     let chunk = config.morsel_rows;
     // Global aggregates have a single group — nothing to partition; tiny
     // inputs aren't worth the scatter pass.
     if group_by.is_empty() || child.num_rows() < 2 * chunk {
-        return par_aggregate_merge(child, group_by, aggs, schema, ctx);
+        return aggregate_merge(child, group_by, aggs, schema, ctx);
     }
 
     // Columnar key extraction/hashing applies when every group expression
@@ -984,12 +992,12 @@ fn group_keys_equal(
 /// Chunk-partial aggregation: thread-local partial states merged in
 /// chunk order — a group's global first occurrence lies in the earliest
 /// chunk containing it, so the merged order is first-seen order.
-fn par_aggregate_merge(
+fn aggregate_merge(
     child: &Batch,
     group_by: &[(Expr, String)],
     aggs: &[(AggExpr, String)],
     schema: Arc<Schema>,
-    ctx: &mut ParCtx<'_>,
+    ctx: &mut Ctx<'_>,
 ) -> Result<Batch> {
     let chunk = ctx.config.morsel_rows;
     let n = chunk_count(child.num_rows(), chunk);

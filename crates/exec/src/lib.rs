@@ -24,9 +24,9 @@
 //! just wall time.
 
 pub mod delta;
+mod executor;
 pub mod kernels;
 mod ops;
-mod parallel;
 pub mod pool;
 pub mod scheduler;
 
@@ -34,6 +34,6 @@ pub mod scheduler;
 mod ops_tests;
 
 pub use delta::{eval_signed_delta, SignedBatch};
-pub use parallel::{execute, execute_with, ExecOptions, Execution, ParallelConfig};
+pub use executor::{execute, execute_with, ExecOptions, Execution, ParallelConfig};
 pub use pool::{current_worker_pool, with_worker_pool, WorkerPool};
 pub use vdm_obs::{Metrics, NodeIndex, NodeStats, QueryProfile};

@@ -1,128 +1,11 @@
-//! Whole-batch operators: the small-input hash join (inputs under two
-//! morsels), DISTINCT, sort and LIMIT/OFFSET. Filters, projections and
-//! aggregation run on the kernels in [`crate::kernels`] and
-//! [`crate::parallel`].
+//! Whole-batch operators: DISTINCT, sort and LIMIT/OFFSET. Each picks row
+//! indices and assembles its output with one payload-level
+//! [`Batch::gather`]. Filters, projections, the hash join and aggregation
+//! run on the kernels in [`crate::kernels`] and [`crate::executor`].
 
-use std::collections::HashMap;
-use std::sync::Arc;
-use vdm_expr::Expr;
-use vdm_plan::{JoinKind, SortKey};
+use vdm_plan::SortKey;
 use vdm_storage::Batch;
-use vdm_types::{Result, Schema, Value};
-
-/// Hash join: builds on the right input, probes with the left.
-///
-/// NULL join keys never match (SQL equi-join semantics). For left-outer
-/// joins, a left row whose matches all fail the residual filter is still
-/// emitted once, NULL-padded.
-pub fn hash_join(
-    left: &Batch,
-    right: &Batch,
-    kind: JoinKind,
-    on: &[(usize, usize)],
-    residual: Option<&Expr>,
-    schema: Arc<Schema>,
-) -> Result<Batch> {
-    // Adaptive build side: an inner equi-join commutes, so build the hash
-    // table on the smaller input (the economics the paper points at when
-    // discussing limit pushdown, §4.4).
-    if kind == JoinKind::Inner && residual.is_none() && left.num_rows() < right.num_rows() {
-        return hash_join_build_left(left, right, on, schema);
-    }
-    // Build phase.
-    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(right.num_rows());
-    'build: for i in 0..right.num_rows() {
-        let mut key = Vec::with_capacity(on.len());
-        for &(_, rc) in on {
-            let v = right.columns[rc].get(i);
-            if v.is_null() {
-                continue 'build;
-            }
-            key.push(v);
-        }
-        table.entry(key).or_default().push(i);
-    }
-    // Probe phase.
-    let right_width = right.schema.len();
-    let mut rows: Vec<Vec<Value>> = Vec::new();
-    for i in 0..left.num_rows() {
-        let left_row = left.row(i);
-        let mut key = Vec::with_capacity(on.len());
-        let mut null_key = false;
-        for &(lc, _) in on {
-            let v = left_row[lc].clone();
-            if v.is_null() {
-                null_key = true;
-                break;
-            }
-            key.push(v);
-        }
-        let matches = if null_key { None } else { table.get(&key) };
-        let mut emitted = false;
-        if let Some(matches) = matches {
-            for &ri in matches {
-                let mut combined = left_row.clone();
-                combined.extend(right.row(ri));
-                let pass = match residual {
-                    Some(f) => f.eval_row(&combined)?.as_bool()? == Some(true),
-                    None => true,
-                };
-                if pass {
-                    rows.push(combined);
-                    emitted = true;
-                }
-            }
-        }
-        if !emitted && kind == JoinKind::LeftOuter {
-            let mut combined = left_row;
-            combined.extend(std::iter::repeat_n(Value::Null, right_width));
-            rows.push(combined);
-        }
-    }
-    Batch::from_rows(schema, &rows)
-}
-
-/// Inner join building on the (smaller) left input, probing with the
-/// right; output column order stays `left ++ right`.
-fn hash_join_build_left(
-    left: &Batch,
-    right: &Batch,
-    on: &[(usize, usize)],
-    schema: Arc<Schema>,
-) -> Result<Batch> {
-    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(left.num_rows());
-    'build: for i in 0..left.num_rows() {
-        let mut key = Vec::with_capacity(on.len());
-        for &(lc, _) in on {
-            let v = left.columns[lc].get(i);
-            if v.is_null() {
-                continue 'build;
-            }
-            key.push(v);
-        }
-        table.entry(key).or_default().push(i);
-    }
-    let mut rows: Vec<Vec<Value>> = Vec::new();
-    'probe: for j in 0..right.num_rows() {
-        let right_row = right.row(j);
-        let mut key = Vec::with_capacity(on.len());
-        for &(_, rc) in on {
-            let v = right_row[rc].clone();
-            if v.is_null() {
-                continue 'probe;
-            }
-            key.push(v);
-        }
-        if let Some(matches) = table.get(&key) {
-            for &li in matches {
-                let mut combined = left.row(li);
-                combined.extend(right_row.iter().cloned());
-                rows.push(combined);
-            }
-        }
-    }
-    Batch::from_rows(schema, &rows)
-}
+use vdm_types::{Result, Value};
 
 /// Duplicate elimination over all columns (first occurrence wins).
 pub fn distinct(input: &Batch) -> Result<Batch> {
@@ -133,7 +16,7 @@ pub fn distinct(input: &Batch) -> Result<Batch> {
             keep.push(i);
         }
     }
-    Ok(input.take(&keep))
+    Ok(input.gather(&keep))
 }
 
 /// Stable sort by `keys` (NULL placement per key spec).
@@ -184,7 +67,7 @@ pub fn sort(input: &Batch, keys: &[SortKey]) -> Result<Batch> {
         }
         std::cmp::Ordering::Equal
     });
-    Ok(input.take(&indices))
+    Ok(input.gather(&indices))
 }
 
 /// LIMIT/OFFSET.
@@ -195,5 +78,5 @@ pub fn limit(input: &Batch, skip: u64, fetch: Option<u64>) -> Batch {
         None => input.num_rows(),
     };
     let indices: Vec<usize> = (start..end).collect();
-    input.take(&indices)
+    input.gather(&indices)
 }

@@ -5,13 +5,15 @@
 //! Every plan runs at each of [`configs`] and must produce the same rows
 //! at all of them.
 
+use crate::executor::hash_join;
 use crate::{execute_with, ExecOptions, Execution, Metrics, ParallelConfig, QueryProfile};
+use std::collections::HashMap;
 use std::sync::Arc;
 use vdm_catalog::{TableBuilder, TableDef};
 use vdm_expr::{AggExpr, AggFunc, BinOp, Expr};
 use vdm_plan::{JoinKind, LogicalPlan, PlanRef, SortKey};
 use vdm_storage::{Batch, Snapshot, StorageEngine};
-use vdm_types::{Result, Schema, SqlType, Value};
+use vdm_types::{Decimal, Field, Result, Schema, SplitMix64, SqlType, Value};
 
 /// Program defaults, then 4-row morsels in the serial mode and at four
 /// threads — small enough that even these tables split into many morsels
@@ -619,5 +621,192 @@ fn join_residual_filter_left_outer_semantics() {
     assert_eq!(b.num_rows(), 3, "every order survives a left join");
     for r in b.to_rows() {
         assert!(r[4].is_null(), "no order belongs to bob: {r:?}");
+    }
+}
+
+/// The row-at-a-time hash join the engine ran on small inputs before the
+/// partitioned columnar join served every size, kept as the oracle for
+/// [`one_hash_join_matches_the_row_wise_reference`]: builds on the right
+/// input, probes with the left.
+///
+/// NULL join keys never match (SQL equi-join semantics). For left-outer
+/// joins, a left row whose matches all fail the residual filter is still
+/// emitted once, NULL-padded.
+fn reference_join(
+    left: &Batch,
+    right: &Batch,
+    kind: JoinKind,
+    on: &[(usize, usize)],
+    residual: Option<&Expr>,
+    schema: Arc<Schema>,
+) -> Result<Batch> {
+    // Adaptive build side: an inner equi-join commutes, so build the hash
+    // table on the smaller input (the economics the paper points at when
+    // discussing limit pushdown, §4.4).
+    if kind == JoinKind::Inner && residual.is_none() && left.num_rows() < right.num_rows() {
+        return reference_join_build_left(left, right, on, schema);
+    }
+    // Build phase.
+    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(right.num_rows());
+    'build: for i in 0..right.num_rows() {
+        let mut key = Vec::with_capacity(on.len());
+        for &(_, rc) in on {
+            let v = right.columns[rc].get(i);
+            if v.is_null() {
+                continue 'build;
+            }
+            key.push(v);
+        }
+        table.entry(key).or_default().push(i);
+    }
+    // Probe phase.
+    let right_width = right.schema.len();
+    let mut rows: Vec<Vec<Value>> = Vec::new();
+    for i in 0..left.num_rows() {
+        let left_row = left.row(i);
+        let mut key = Vec::with_capacity(on.len());
+        let mut null_key = false;
+        for &(lc, _) in on {
+            let v = left_row[lc].clone();
+            if v.is_null() {
+                null_key = true;
+                break;
+            }
+            key.push(v);
+        }
+        let matches = if null_key { None } else { table.get(&key) };
+        let mut emitted = false;
+        if let Some(matches) = matches {
+            for &ri in matches {
+                let mut combined = left_row.clone();
+                combined.extend(right.row(ri));
+                let pass = match residual {
+                    Some(f) => f.eval_row(&combined)?.as_bool()? == Some(true),
+                    None => true,
+                };
+                if pass {
+                    rows.push(combined);
+                    emitted = true;
+                }
+            }
+        }
+        if !emitted && kind == JoinKind::LeftOuter {
+            let mut combined = left_row;
+            combined.extend(std::iter::repeat_n(Value::Null, right_width));
+            rows.push(combined);
+        }
+    }
+    Batch::from_rows(schema, &rows)
+}
+
+/// Inner join building on the (smaller) left input, probing with the
+/// right; output column order stays `left ++ right`.
+fn reference_join_build_left(
+    left: &Batch,
+    right: &Batch,
+    on: &[(usize, usize)],
+    schema: Arc<Schema>,
+) -> Result<Batch> {
+    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(left.num_rows());
+    'build: for i in 0..left.num_rows() {
+        let mut key = Vec::with_capacity(on.len());
+        for &(lc, _) in on {
+            let v = left.columns[lc].get(i);
+            if v.is_null() {
+                continue 'build;
+            }
+            key.push(v);
+        }
+        table.entry(key).or_default().push(i);
+    }
+    let mut rows: Vec<Vec<Value>> = Vec::new();
+    'probe: for j in 0..right.num_rows() {
+        let right_row = right.row(j);
+        let mut key = Vec::with_capacity(on.len());
+        for &(_, rc) in on {
+            let v = right_row[rc].clone();
+            if v.is_null() {
+                continue 'probe;
+            }
+            key.push(v);
+        }
+        if let Some(matches) = table.get(&key) {
+            for &li in matches {
+                let mut combined = left.row(li);
+                combined.extend(right_row.iter().cloned());
+                rows.push(combined);
+            }
+        }
+    }
+    Batch::from_rows(schema, &rows)
+}
+
+/// `rows` random rows `(k, p, s)`: a join key from a small domain (many
+/// duplicates, one NULL in six) stored as INT or DECIMAL(2), the row's
+/// position as payload so output order is visible, and a nullable string.
+fn join_side(rng: &mut SplitMix64, rows: usize, dec_key: bool) -> Batch {
+    let key_ty = if dec_key { SqlType::Decimal { scale: 2 } } else { SqlType::Int };
+    let schema = Arc::new(Schema::new(vec![
+        Field::new("k", key_ty, true),
+        Field::new("p", SqlType::Int, false),
+        Field::new("s", SqlType::Text, true),
+    ]));
+    let rows: Vec<Vec<Value>> = (0..rows)
+        .map(|p| {
+            let k = match rng.random_range(0..6i64) {
+                0 => Value::Null,
+                k if dec_key => Value::Dec(Decimal::from_units(k as i128 * 100, 2)),
+                k => Value::Int(k),
+            };
+            let s = match rng.random_range(0..4u32) {
+                0 => Value::Null,
+                tag => Value::str(format!("s{tag}")),
+            };
+            vec![k, Value::Int(p as i64), s]
+        })
+        .collect();
+    Batch::from_rows(schema, &rows).unwrap()
+}
+
+#[test]
+fn one_hash_join_matches_the_row_wise_reference() {
+    // Four-row chunks: sizes 7 / 8 / 9 straddle the two-morsel line below
+    // which the engine used to fork to the reference algorithm, 40 spreads
+    // a build side over several chunks and partitions.
+    let sizes = [0usize, 3, 7, 8, 9, 40];
+    let residual = Expr::col(1).binary(BinOp::Lt, Expr::col(4));
+    let mut rng = SplitMix64::seed_from_u64(16);
+    for (&l, &r) in sizes.iter().flat_map(|l| sizes.iter().map(move |r| (l, r))) {
+        for dec_right in [false, true] {
+            let left = join_side(&mut rng, l, false);
+            let right = join_side(&mut rng, r, dec_right);
+            let fields = left.schema.fields().iter().chain(right.schema.fields()).cloned();
+            let schema = Arc::new(Schema::new(fields.collect()));
+            for (kind, residual) in [
+                (JoinKind::Inner, None),
+                (JoinKind::Inner, Some(&residual)),
+                (JoinKind::LeftOuter, None),
+                (JoinKind::LeftOuter, Some(&residual)),
+            ] {
+                let on = [(0, 0)];
+                let want = reference_join(&left, &right, kind, &on, residual, Arc::clone(&schema))
+                    .unwrap()
+                    .to_rows();
+                for threads in [1, 2, 4] {
+                    let config = ParallelConfig { threads, morsel_rows: 4 };
+                    let mut profile = QueryProfile::default();
+                    let schema = Arc::clone(&schema);
+                    let got =
+                        hash_join(&left, &right, kind, &on, residual, schema, config, &mut profile)
+                            .unwrap();
+                    assert_eq!(
+                        got.to_rows(),
+                        want,
+                        "{l} x {r} rows, dec_right={dec_right}, {kind:?}, residual={}, threads={threads}",
+                        residual.is_some()
+                    );
+                }
+            }
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Typed columns and batches — the unit of data exchange between storage
 //! and the executor.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use vdm_types::{Decimal, Result, Schema, SqlType, Value, VdmError};
 
@@ -18,8 +19,7 @@ impl StrColumn {
     /// NULL slots receive code 0 and are masked by the column validity).
     pub fn from_values(values: &[Option<Arc<str>>]) -> StrColumn {
         let mut dict: Vec<Arc<str>> = Vec::new();
-        let mut code_of: std::collections::HashMap<Arc<str>, u32> =
-            std::collections::HashMap::new();
+        let mut code_of: HashMap<Arc<str>, u32> = HashMap::new();
         let codes = values
             .iter()
             .map(|v| match v {
@@ -279,8 +279,7 @@ impl Column {
             }
             ColumnData::Str(_) => {
                 let mut dict: Vec<Arc<str>> = Vec::new();
-                let mut code_of: std::collections::HashMap<Arc<str>, u32> =
-                    std::collections::HashMap::new();
+                let mut code_of: HashMap<Arc<str>, u32> = HashMap::new();
                 let mut codes: Vec<u32> = Vec::with_capacity(total);
                 for p in parts {
                     let s = match &p.data {
@@ -320,12 +319,6 @@ impl Column {
         }
     }
 
-    /// New column containing rows at `indices` in order.
-    pub fn take(&self, indices: &[usize]) -> Column {
-        let values: Vec<Value> = indices.iter().map(|&i| self.get(i)).collect();
-        Column::from_values(self.sql_type(), &values).expect("take preserves types")
-    }
-
     /// Payload-level gather: `out[j] = self[indices[j]]` without value
     /// materialization — fixed-width payloads copy directly and string
     /// dictionaries are shared, not re-interned.
@@ -335,9 +328,6 @@ impl Column {
         if indices.is_empty() {
             return Column { data: self.data.empty_like(), validity: None };
         }
-        let validity =
-            self.validity.as_ref().map(|v| indices.iter().map(|&i| v[i]).collect::<Vec<bool>>());
-        let any_null = validity.as_ref().is_some_and(|v| v.iter().any(|b| !b));
         let data = match &self.data {
             ColumnData::Int(v) => ColumnData::Int(indices.iter().map(|&i| v[i]).collect()),
             ColumnData::Dec { units, scale } => ColumnData::Dec {
@@ -351,7 +341,43 @@ impl Column {
                 codes: indices.iter().map(|&i| s.codes[i]).collect(),
             }),
         };
-        Column { data, validity: if any_null { validity } else { None } }
+        Column { data, validity: self.gather_validity(indices) }
+    }
+
+    /// [`Column::gather`] for a slice of a much larger column (a scan
+    /// morsel of a table's main fragment): the string dictionary is
+    /// compacted to the entries `indices` reference, in first-seen order,
+    /// in O(`indices`) — the source dictionary is neither cloned nor
+    /// hashed, so per-dictionary-entry work downstream stays morsel-sized.
+    pub fn gather_compact(&self, indices: &[usize]) -> Column {
+        let ColumnData::Str(s) = &self.data else {
+            return self.gather(indices);
+        };
+        let mut dict: Vec<Arc<str>> = Vec::new();
+        let mut remap: HashMap<u32, u32> = HashMap::with_capacity(indices.len().min(s.dict.len()));
+        let codes = indices
+            .iter()
+            .map(|&i| {
+                if self.is_null(i) {
+                    return 0;
+                }
+                *remap.entry(s.codes[i]).or_insert_with(|| {
+                    dict.push(s.get(i));
+                    (dict.len() - 1) as u32
+                })
+            })
+            .collect();
+        Column {
+            data: ColumnData::Str(StrColumn { dict, codes }),
+            validity: self.gather_validity(indices),
+        }
+    }
+
+    /// The validity mask of the rows at `indices`; `None` when all valid.
+    fn gather_validity(&self, indices: &[usize]) -> Option<Vec<bool>> {
+        let v = self.validity.as_ref()?;
+        let picked: Vec<bool> = indices.iter().map(|&i| v[i]).collect();
+        picked.contains(&false).then_some(picked)
     }
 
     /// Gather with NULL padding: `None` slots become NULL rows (the
@@ -491,15 +517,6 @@ impl Batch {
         Batch::new(schema, columns)
     }
 
-    /// New batch containing rows at `indices` in order.
-    pub fn take(&self, indices: &[usize]) -> Batch {
-        Batch {
-            schema: Arc::clone(&self.schema),
-            columns: self.columns.iter().map(|c| c.take(indices)).collect(),
-            rows: indices.len(),
-        }
-    }
-
     /// Row gather at the column-payload level (see [`Column::gather`]).
     pub fn gather(&self, indices: &[usize]) -> Batch {
         Batch {
@@ -566,9 +583,9 @@ mod tests {
         let b = Batch::from_rows(Arc::clone(&schema), &rows).unwrap();
         assert_eq!(b.num_rows(), 2);
         assert_eq!(b.to_rows(), rows);
-        let taken = b.take(&[1]);
-        assert_eq!(taken.num_rows(), 1);
-        assert_eq!(taken.row(0), rows[1]);
+        let picked = b.gather(&[1]);
+        assert_eq!(picked.num_rows(), 1);
+        assert_eq!(picked.row(0), rows[1]);
         // Column count mismatch.
         assert!(Batch::new(schema, vec![]).is_err());
     }
@@ -646,7 +663,7 @@ mod tests {
     }
 
     #[test]
-    fn gather_agrees_with_take() {
+    fn gather_picks_rows_by_value() {
         for ty in [SqlType::Int, SqlType::Text, SqlType::Decimal { scale: 2 }] {
             let vals: Vec<Value> = (0..6)
                 .map(|i| match (i % 3, ty) {
@@ -658,12 +675,29 @@ mod tests {
                 .collect();
             let c = Column::from_values(ty, &vals).unwrap();
             let idx = [5usize, 0, 2, 2, 4];
-            let fast = c.gather(&idx);
-            let slow = c.take(&idx);
-            for j in 0..idx.len() {
-                assert_eq!(fast.get(j), slow.get(j), "{ty} row {j}");
+            for got in [c.gather(&idx), c.gather_compact(&idx)] {
+                for (j, &i) in idx.iter().enumerate() {
+                    assert_eq!(got.get(j), vals[i], "{ty} row {j}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn gather_compact_keeps_only_referenced_dictionary_entries() {
+        let vals =
+            [Value::Null, Value::str("a"), Value::str("b"), Value::str("c"), Value::str("d")];
+        let c = Column::from_values(SqlType::Text, &vals).unwrap();
+        // Same column the row-wise rebuild would produce: first-seen order,
+        // NULL slots on code 0 without an entry of their own.
+        let picked = [3usize, 0, 1, 3];
+        let want: Vec<Value> = picked.iter().map(|&i| vals[i].clone()).collect();
+        assert_eq!(c.gather_compact(&picked), Column::from_values(SqlType::Text, &want).unwrap());
+        match c.gather_compact(&[0]).data() {
+            ColumnData::Str(s) => assert!(s.dict.is_empty(), "a NULL references nothing"),
+            other => panic!("expected Str, got {other:?}"),
+        }
+        assert_eq!(c.gather_compact(&[]).len(), 0);
     }
 
     #[test]
@@ -723,9 +757,9 @@ mod tests {
     }
 
     #[test]
-    fn take_preserves_nulls() {
+    fn gather_preserves_nulls() {
         let c = Column::from_values(SqlType::Int, &[Value::Int(1), Value::Null]).unwrap();
-        let t = c.take(&[1, 0, 1]);
+        let t = c.gather(&[1, 0, 1]);
         assert_eq!(t.get(0), Value::Null);
         assert_eq!(t.get(1), Value::Int(1));
         assert_eq!(t.get(2), Value::Null);

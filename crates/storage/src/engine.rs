@@ -168,35 +168,19 @@ impl StorageEngine {
         Ok(self.table(name)?.read().unwrap().morsel_count(morsel_rows))
     }
 
-    /// Scans one morsel of a table at `snapshot`. Morsels concatenated in
-    /// index order reproduce [`StorageEngine::scan`] exactly.
+    /// Scans one morsel of a table at `snapshot`, zone-map pruned when
+    /// `prune` names a `(column, range)` (see [`TableStore::scan_morsel`]).
+    /// Unpruned morsels concatenated in index order reproduce
+    /// [`StorageEngine::scan`] exactly.
     pub fn scan_morsel(
         &self,
         name: &str,
         snapshot: Snapshot,
         morsel: usize,
         morsel_rows: usize,
+        prune: Option<(usize, &crate::zonemap::ScanRange)>,
     ) -> Result<Batch> {
-        self.table(name)?.read().unwrap().scan_morsel(snapshot.0, morsel, morsel_rows)
-    }
-
-    /// Morsel scan with zone-map pruning (see [`TableStore::scan_morsel_pruned`]).
-    pub fn scan_morsel_pruned(
-        &self,
-        name: &str,
-        snapshot: Snapshot,
-        morsel: usize,
-        morsel_rows: usize,
-        column: usize,
-        range: &crate::zonemap::ScanRange,
-    ) -> Result<Batch> {
-        self.table(name)?.read().unwrap().scan_morsel_pruned(
-            snapshot.0,
-            morsel,
-            morsel_rows,
-            column,
-            range,
-        )
+        self.table(name)?.read().unwrap().scan_morsel(snapshot.0, morsel, morsel_rows, prune)
     }
 
     /// Main-fragment blocks skipped by zone-map pruning so far.

@@ -6,6 +6,10 @@
 //!   and a **read-optimized main** (typed columns, dictionary-encoded
 //!   strings);
 //! * a **delta merge** folds the delta into the main fragment;
+//! * a **scan** is a selection + gather: the visible main rows are picked
+//!   once and every column is gathered at payload level, the morsel's delta
+//!   rows appended column by column — rows (`Vec<Vec<Value>>`) exist only in
+//!   the delta and at the API edge;
 //! * rows carry `(insert_ts, delete_ts)` stamps; readers operate against a
 //!   [`Snapshot`] so analytical scans see a consistent state while
 //!   transactional writes continue (MVCC-lite — single-statement

@@ -4,6 +4,7 @@ use crate::column::{Batch, Column};
 use crate::nse::{LoadMode, PageBuffer, PageStats};
 use crate::zonemap::{ScanRange, ZoneMaps, ZONE_BLOCK_ROWS};
 use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::Arc;
 use std::sync::Mutex;
 use vdm_catalog::TableDef;
@@ -109,7 +110,7 @@ impl TableStore {
     }
 
     /// Accounts page traffic for a scan touching main-fragment rows `rows`.
-    fn account_scan(&self, rows: std::ops::Range<usize>) {
+    fn account_scan(&self, rows: Range<usize>) {
         if let LoadMode::PageLoadable { page_rows } = self.load_mode {
             self.page_buffer.lock().unwrap().touch_range(rows, page_rows);
         }
@@ -135,20 +136,10 @@ impl TableStore {
     /// is located by binary search instead of a full stamp sweep — the cost
     /// is O(log table + delta rows), not O(table).
     pub fn inserted_between(&self, ts: u64, now: u64) -> Result<Batch> {
-        let mut rows: Vec<Vec<Value>> = Vec::new();
         let m_start = self.main_meta.partition_point(|m| m.insert_ts <= ts);
-        for (i, meta) in self.main_meta.iter().enumerate().skip(m_start) {
-            if meta.visible_at(now) {
-                rows.push(self.main.iter().map(|c| c.get(i)).collect());
-            }
-        }
         let d_start = self.delta_meta.partition_point(|m| m.insert_ts <= ts);
-        for (i, meta) in self.delta_meta.iter().enumerate().skip(d_start) {
-            if meta.visible_at(now) {
-                rows.push(self.delta[i].clone());
-            }
-        }
-        Batch::from_rows(Arc::clone(&self.schema), &rows)
+        let live = |m: &RowMeta| m.visible_at(now);
+        self.read(live, m_start..self.main_meta.len(), d_start..self.delta.len(), None)
     }
 
     /// Rows that were visible at `ts` and tombstoned by `now` — the
@@ -290,7 +281,7 @@ impl TableStore {
     /// Materializes all rows visible at `ts` as a columnar batch — the
     /// whole table as one morsel.
     pub fn scan(&self, ts: u64) -> Result<Batch> {
-        self.scan_morsel(ts, 0, usize::MAX)
+        self.scan_morsel(ts, 0, usize::MAX, None)
     }
 
     /// Number of fixed-size morsels covering the table's physical rows
@@ -302,86 +293,86 @@ impl TableStore {
         total.div_ceil(morsel_rows.max(1))
     }
 
-    /// Physical row range `[morsel * morsel_rows, ..)` of main++delta,
-    /// split into the main part and the delta part.
-    fn morsel_bounds(&self, morsel: usize, morsel_rows: usize) -> (usize, usize, usize, usize) {
-        let morsel_rows = morsel_rows.max(1);
-        let start = morsel * morsel_rows;
-        let end = start + morsel_rows;
-        let main_len = self.main_meta.len();
-        let m_start = start.min(main_len);
-        let m_end = end.min(main_len);
-        let d_start = start.saturating_sub(main_len).min(self.delta.len());
-        let d_end = end.saturating_sub(main_len).min(self.delta.len());
-        (m_start, m_end, d_start, d_end)
-    }
-
-    /// Materializes the rows of one morsel visible at `ts`.
-    pub fn scan_morsel(&self, ts: u64, morsel: usize, morsel_rows: usize) -> Result<Batch> {
-        let (m_start, m_end, d_start, d_end) = self.morsel_bounds(morsel, morsel_rows);
-        self.account_scan(m_start..m_end);
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        for i in m_start..m_end {
-            if self.main_meta[i].visible_at(ts) {
-                rows.push(self.main.iter().map(|c| c.get(i)).collect());
-            }
-        }
-        for i in d_start..d_end {
-            if self.delta_meta[i].visible_at(ts) {
-                rows.push(self.delta[i].clone());
-            }
-        }
-        Batch::from_rows(Arc::clone(&self.schema), &rows)
-    }
-
-    /// Morsel scan with zone-map pruning on the main fragment. Callers must
-    /// use a `morsel_rows` that is a multiple of [`ZONE_BLOCK_ROWS`] so each
-    /// block falls entirely inside one morsel and skipped blocks are counted
-    /// exactly once. The result is a superset of the matching rows —
-    /// callers re-apply the full predicate.
-    pub fn scan_morsel_pruned(
+    /// The rows of one morsel — physical rows `[morsel * morsel_rows, ..)`
+    /// of main++delta — visible at `ts`. With `prune = (column, range)`,
+    /// main-fragment blocks whose zone map excludes `range` are skipped:
+    /// the result is then a superset of the matching rows (the unindexed
+    /// delta is always read) and callers re-apply the full predicate. A
+    /// skipped block is counted by the morsel holding its head, so use a
+    /// `morsel_rows` that is a multiple of [`ZONE_BLOCK_ROWS`] for each
+    /// block to fall inside one morsel.
+    pub fn scan_morsel(
         &self,
         ts: u64,
         morsel: usize,
         morsel_rows: usize,
-        column: usize,
-        range: &ScanRange,
+        prune: Option<(usize, &ScanRange)>,
     ) -> Result<Batch> {
-        let (m_start, m_end, d_start, d_end) = self.morsel_bounds(morsel, morsel_rows);
-        self.account_scan(m_start..m_end);
-        let mut rows: Vec<Vec<Value>> = Vec::new();
+        let morsel_rows = morsel_rows.max(1);
+        let start = morsel.saturating_mul(morsel_rows);
+        let end = start.saturating_add(morsel_rows);
+        let (main_len, delta_len) = (self.main_meta.len(), self.delta.len());
+        let main = start.min(main_len)..end.min(main_len);
+        let delta = start.saturating_sub(main_len).min(delta_len)
+            ..end.saturating_sub(main_len).min(delta_len);
+        self.read(|m| m.visible_at(ts), main, delta, prune)
+    }
+
+    /// The one read path — scans, the insert feed and the delta merge:
+    /// rows `main` of the main fragment then rows `delta` of the delta,
+    /// those whose stamps pass `keep`, as one columnar batch. The kept main
+    /// rows are selected once (zone-map-excluded blocks are neither read
+    /// nor charged to the page buffer) and every column is gathered at
+    /// payload level; only the row-wise delta is read value by value, one
+    /// column at a time.
+    fn read(
+        &self,
+        keep: impl Fn(&RowMeta) -> bool,
+        main: Range<usize>,
+        delta: Range<usize>,
+        prune: Option<(usize, &ScanRange)>,
+    ) -> Result<Batch> {
+        let mut sel: Vec<usize> = Vec::with_capacity(main.len());
         let mut skipped = 0u64;
-        if m_start < m_end {
-            let first_block = m_start / ZONE_BLOCK_ROWS;
-            let last_block = m_end.div_ceil(ZONE_BLOCK_ROWS);
-            for block in first_block..last_block {
-                let b_start = (block * ZONE_BLOCK_ROWS).max(m_start);
-                let b_end = ((block + 1) * ZONE_BLOCK_ROWS).min(m_end);
-                if !self.zone_maps.block_may_match(column, block, range) {
-                    // Count a skip only from the morsel holding the block's
-                    // head, so unaligned morsels never double-count.
-                    if b_start == block * ZONE_BLOCK_ROWS {
-                        skipped += 1;
-                    }
-                    continue;
+        // Start of the run of adjacent blocks read since the last skip.
+        let mut run_start = main.start;
+        let mut b_start = main.start;
+        while b_start < main.end {
+            let block = b_start / ZONE_BLOCK_ROWS;
+            let b_end = ((block + 1) * ZONE_BLOCK_ROWS).min(main.end);
+            if prune.is_some_and(|(col, range)| !self.zone_maps.block_may_match(col, block, range))
+            {
+                if b_start == block * ZONE_BLOCK_ROWS {
+                    skipped += 1;
                 }
-                for i in b_start..b_end {
-                    if self.main_meta[i].visible_at(ts) {
-                        rows.push(self.main.iter().map(|c| c.get(i)).collect());
-                    }
-                }
+                self.account_scan(run_start..b_start);
+                run_start = b_end;
+            } else {
+                sel.extend((b_start..b_end).filter(|&i| keep(&self.main_meta[i])));
             }
+            b_start = b_end;
         }
-        // The delta is unindexed: its share of the morsel is always scanned.
-        for i in d_start..d_end {
-            if self.delta_meta[i].visible_at(ts) {
-                rows.push(self.delta[i].clone());
-            }
-        }
+        self.account_scan(run_start..main.end);
         if skipped > 0 {
             *self.blocks_skipped.lock().unwrap() += skipped;
         }
-        Batch::from_rows(Arc::clone(&self.schema), &rows)
+        let delta_sel: Vec<usize> = delta.filter(|&i| keep(&self.delta_meta[i])).collect();
+        let mut columns = Vec::with_capacity(self.schema.len());
+        for (c, f) in self.schema.fields().iter().enumerate() {
+            let from_delta = || {
+                let vals: Vec<Value> =
+                    delta_sel.iter().map(|&r| self.delta[r][c].clone()).collect();
+                Column::from_values(f.ty, &vals)
+            };
+            columns.push(if sel.is_empty() {
+                from_delta()?
+            } else if delta_sel.is_empty() {
+                self.main[c].gather_compact(&sel)
+            } else {
+                Column::concat(&[&self.main[c].gather_compact(&sel), &from_delta()?])?
+            });
+        }
+        Batch::new(Arc::clone(&self.schema), columns)
     }
 
     /// Total main-fragment blocks skipped by zone-map pruning so far.
@@ -406,30 +397,12 @@ impl TableStore {
     /// deleted before every possible reader (compaction at `ts`: row
     /// versions with `delete_ts <= ts` vanish; others keep their stamps).
     pub fn merge_delta(&mut self, ts: u64) -> Result<()> {
-        // Gather surviving (row, meta) pairs from both fragments.
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        let mut meta: Vec<RowMeta> = Vec::new();
-        for (i, m) in self.main_meta.iter().enumerate() {
-            if m.delete_ts > ts {
-                rows.push(self.main.iter().map(|c| c.get(i)).collect());
-                meta.push(*m);
-            }
-        }
-        for (i, m) in self.delta_meta.iter().enumerate() {
-            if m.delete_ts > ts {
-                rows.push(std::mem::take(&mut self.delta[i]));
-                meta.push(*m);
-            }
-        }
-        // Rebuild main columns (re-encoding string dictionaries).
-        let mut columns = Vec::with_capacity(self.schema.len());
-        for (i, f) in self.schema.fields().iter().enumerate() {
-            let vals: Vec<Value> = rows.iter().map(|r| r[i].clone()).collect();
-            columns.push(Column::from_values(f.ty, &vals)?);
-        }
-        self.zone_maps = ZoneMaps::build(&columns);
-        self.main = columns;
-        self.main_meta = meta;
+        let survives = |m: &RowMeta| m.delete_ts > ts;
+        let merged = self.read(survives, 0..self.main_meta.len(), 0..self.delta.len(), None)?;
+        self.main_meta =
+            self.main_meta.iter().chain(&self.delta_meta).copied().filter(survives).collect();
+        self.zone_maps = ZoneMaps::build(&merged.columns);
+        self.main = merged.columns;
         self.delta.clear();
         self.delta_meta.clear();
         self.merges += 1;
@@ -449,6 +422,7 @@ fn remove_keys(index: &mut [HashSet<Vec<Value>>], uniques: &[Vec<usize>], row: &
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::ColumnData;
     use vdm_catalog::TableBuilder;
     use vdm_types::SqlType;
 
@@ -542,12 +516,12 @@ mod tests {
             assert_eq!(n, 15usize.div_ceil(morsel_rows));
             let mut rows = Vec::new();
             for m in 0..n {
-                rows.extend(s.scan_morsel(3, m, morsel_rows).unwrap().to_rows());
+                rows.extend(s.scan_morsel(3, m, morsel_rows, None).unwrap().to_rows());
             }
             assert_eq!(rows, s.scan(3).unwrap().to_rows(), "morsel_rows={morsel_rows}");
         }
         // Out-of-range morsels are empty, not errors.
-        assert_eq!(s.scan_morsel(3, 99, 4).unwrap().num_rows(), 0);
+        assert_eq!(s.scan_morsel(3, 99, 4, None).unwrap().num_rows(), 0);
     }
 
     #[test]
@@ -575,10 +549,164 @@ mod tests {
         for (round, morsel_rows) in [ZONE_BLOCK_ROWS, 2 * ZONE_BLOCK_ROWS].into_iter().enumerate() {
             let mut rows = Vec::new();
             for m in 0..s.morsel_count(morsel_rows) {
-                rows.extend(s.scan_morsel_pruned(2, m, morsel_rows, 0, &range).unwrap().to_rows());
+                let pruned = s.scan_morsel(2, m, morsel_rows, Some((0, &range))).unwrap();
+                rows.extend(pruned.to_rows());
             }
             assert_eq!(rows, expected, "morsel_rows={morsel_rows}");
             assert_eq!(s.blocks_skipped(), 2 * (round as u64 + 1), "each block skipped once");
+        }
+    }
+
+    #[test]
+    fn pruned_scan_charges_pages_of_read_blocks_only() {
+        let mut s = TableStore::new(Arc::new(
+            TableBuilder::new("t").column("k", SqlType::Int, false).build().unwrap(),
+        ));
+        let n = 4 * ZONE_BLOCK_ROWS;
+        s.insert((0..n as i64).map(|i| vec![Value::Int(i)]).collect(), 1).unwrap();
+        s.merge_delta(1).unwrap();
+        let page_rows = ZONE_BLOCK_ROWS / 4;
+        s.set_load_mode(LoadMode::PageLoadable { page_rows }, 64);
+        // Only block 2 can hold the key: one morsel spans the table, and
+        // the three excluded blocks must not fault their pages in.
+        let key = Value::Int(2 * ZONE_BLOCK_ROWS as i64 + 7);
+        let hit = s.scan_morsel(1, 0, n, Some((0, &ScanRange::point(key)))).unwrap();
+        assert_eq!(hit.num_rows(), ZONE_BLOCK_ROWS);
+        assert_eq!(s.blocks_skipped(), 3);
+        assert_eq!(s.page_stats().loads, (ZONE_BLOCK_ROWS / page_rows) as u64);
+        // The unpruned scan reads — and is charged for — every page.
+        s.scan(1).unwrap();
+        let stats = s.page_stats();
+        assert_eq!(stats.loads + stats.hits, 5 * (ZONE_BLOCK_ROWS / page_rows) as u64);
+    }
+
+    /// Random insert / delete / merge scripts against a naive model that
+    /// keeps `(row, stamps)` in physical order and filters row by row.
+    #[test]
+    fn morsel_scans_match_a_row_by_row_visibility_oracle() {
+        use vdm_types::{Decimal, SplitMix64};
+        for seed in [1u64, 2, 3] {
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            let mut s = TableStore::new(Arc::new(
+                TableBuilder::new("t")
+                    .column("k", SqlType::Int, false)
+                    .column("doc", SqlType::Text, true)
+                    .column("amt", SqlType::Decimal { scale: 2 }, true)
+                    .column("day", SqlType::Date, true)
+                    .primary_key(&["k"])
+                    .build()
+                    .unwrap(),
+            ));
+            let mut model: Vec<(Vec<Value>, RowMeta)> = Vec::new();
+            let (mut ts, mut next_k, mut old_ts) = (0u64, 0i64, 0u64);
+            for step in 0..40 {
+                ts += 1;
+                // A late merge and a closing insert leave several main
+                // blocks and a non-empty delta behind every script.
+                let op = match step {
+                    36 => 1,
+                    39 => 2,
+                    _ => rng.random_range(0..8u32),
+                };
+                match op {
+                    0 => {
+                        let (m, r) = (rng.random_range(2..9i64), rng.random_range(0..2i64));
+                        let doomed = |row: &[Value]| matches!(row[0], Value::Int(k) if k % m == r);
+                        let n = s.delete_where(&doomed, ts);
+                        let live = model.iter_mut().filter(|(_, meta)| meta.visible_at(ts - 1));
+                        let hit =
+                            live.filter(|(row, _)| doomed(row)).map(|(_, m)| m.delete_ts = ts);
+                        assert_eq!(hit.count(), n, "seed {seed} step {step}");
+                    }
+                    1 => {
+                        s.merge_delta(ts).unwrap();
+                        model.retain(|(_, meta)| meta.delete_ts > ts);
+                    }
+                    _ => {
+                        let rows: Vec<Vec<Value>> = (0..rng.random_range(1..500usize))
+                            .map(|_| {
+                                next_k += 1;
+                                let mut row = vec![
+                                    Value::Int(next_k),
+                                    Value::str(format!("doc-{next_k}")),
+                                    Value::Dec(Decimal::from_units(rng.random_range(-999..999), 2)),
+                                    Value::Date(rng.random_range(19_000..19_400)),
+                                ];
+                                match rng.random_range(0..8usize) {
+                                    c @ 1..=3 => row[c] = Value::Null,
+                                    4 => row[2] = Value::Int(rng.random_range(0..50)),
+                                    _ => {}
+                                }
+                                row
+                            })
+                            .collect();
+                        let meta = RowMeta { insert_ts: ts, delete_ts: u64::MAX };
+                        model.extend(rows.iter().map(|r| (r.clone(), meta)));
+                        s.insert(rows, ts).unwrap();
+                    }
+                }
+                if step == 25 {
+                    old_ts = ts;
+                }
+            }
+            assert!(s.main_len() > 2 * ZONE_BLOCK_ROWS && s.delta_len() > 0, "seed {seed}");
+            let mid_k = Value::Int(next_k / 2);
+            let prunes = [
+                None,
+                Some((0, ScanRange::point(mid_k.clone()))),
+                Some((0, ScanRange::at_least(mid_k.clone()))),
+                Some((0, ScanRange::at_most(mid_k))),
+                Some((3, ScanRange::at_least(Value::Date(19_200)))),
+            ];
+            for (prune, at) in prunes.iter().flat_map(|p| [(p, old_ts), (p, ts)]) {
+                let in_range = |row: &[Value]| {
+                    prune.as_ref().is_none_or(|(c, range)| {
+                        !row[*c].is_null()
+                            && range.min.as_ref().is_none_or(|lo| row[*c].total_cmp(lo).is_ge())
+                            && range.max.as_ref().is_none_or(|hi| row[*c].total_cmp(hi).is_le())
+                    })
+                };
+                let want: Vec<&Vec<Value>> = model
+                    .iter()
+                    .filter(|(row, meta)| meta.visible_at(at) && in_range(row))
+                    .map(|(row, _)| row)
+                    .collect();
+                // Blocks the zone map must exclude: no NULL, and every
+                // physical row on one side of the range.
+                let excluded = (0..s.main_len().div_ceil(ZONE_BLOCK_ROWS))
+                    .filter(|b| {
+                        let Some((c, range)) = prune else { return false };
+                        let end = ((b + 1) * ZONE_BLOCK_ROWS).min(s.main_len());
+                        let all = |side: &dyn Fn(&Value) -> bool| {
+                            (b * ZONE_BLOCK_ROWS..end).all(|i| {
+                                let v = s.main[*c].get(i);
+                                !v.is_null() && side(&v)
+                            })
+                        };
+                        range.min.as_ref().is_some_and(|lo| all(&|v| v.total_cmp(lo).is_lt()))
+                            || range
+                                .max
+                                .as_ref()
+                                .is_some_and(|hi| all(&|v| v.total_cmp(hi).is_gt()))
+                    })
+                    .count() as u64;
+                for morsel_rows in [1usize, 3, 1024, 4096] {
+                    let skipped_before = s.blocks_skipped();
+                    let mut got: Vec<Vec<Value>> = Vec::new();
+                    for m in 0..s.morsel_count(morsel_rows) {
+                        let prune = prune.as_ref().map(|(c, range)| (*c, range));
+                        let b = s.scan_morsel(at, m, morsel_rows, prune).unwrap();
+                        match b.columns[1].data() {
+                            ColumnData::Str(doc) => assert!(doc.dict_size() <= b.num_rows()),
+                            other => panic!("expected Str, got {other:?}"),
+                        }
+                        got.extend(b.to_rows().into_iter().filter(|row| in_range(row)));
+                    }
+                    let ctx = format!("seed {seed} at {at} morsel_rows {morsel_rows} {prune:?}");
+                    assert_eq!(got.iter().collect::<Vec<_>>(), want, "{ctx}");
+                    assert_eq!(s.blocks_skipped() - skipped_before, excluded, "{ctx}");
+                }
+            }
         }
     }
 

@@ -115,6 +115,26 @@ if grep -rnE "profiler\.is_none|profile: (true|false)|Metrics::merge|fn run_budg
   echo "the executor records per-node stats only: no profile switch, no class counters, no second plan walker"; exit 1
 fi
 
+echo "== one scan body, one hash join (rows stop at the engine's edge) =="
+# The morsel scan is a selection + gather and the partitioned join serves
+# every input size: no pruned twin, no row-wise fork, no value-materializing
+# take; store.rs builds rows only for the tombstone feed.
+if grep -rnE "scan_morsel_pruned|hash_join_build_left|fn take\(" crates/; then
+  echo "the pruned scan twin, the row-wise join fork and take() are deleted; use scan_morsel / hash_join / gather"; exit 1
+fi
+JOINS="$(find crates/exec/src -name '*.rs' ! -name '*_tests.rs' -exec awk \
+  'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test && /fn hash_join/ { n++ } END { print n + 0 }' {} +)"
+if [ "$JOINS" != "1" ]; then
+  echo "vdm-exec must define exactly one hash join outside test modules; found $JOINS"; exit 1
+fi
+if ! awk '/^#\[cfg\(test\)\]/ { exit } /fn deleted_between/ { feed = 1 } feed && /^    }$/ { feed = 0 }
+    !feed && /from_rows/ { print FILENAME ":" FNR ": " $0; bad = 1 } END { exit bad }' crates/storage/src/store.rs; then
+  echo "store.rs may build a batch from rows only in deleted_between (the tombstone feed)"; exit 1
+fi
+
+echo "== non-test source size (scripts/loc.sh) =="
+scripts/loc.sh | tail -1
+
 echo "== metrics are registered only through vdm-obs (no stray metric name literals) =="
 if grep -rn '"vdm_' crates --include='*.rs' | grep -v '^crates/obs/src'; then
   echo "metric names must come from vdm_obs::names, not string literals"; exit 1
