@@ -334,8 +334,10 @@ impl QueryEnv<'_> {
     }
 
     /// The one optimizer call behind every statement: the active profile's
-    /// rules plus cost-based join ordering against current storage
-    /// statistics (and any feedback `overrides`).
+    /// rules, then — because statistics are supplied — the physical passes:
+    /// scans narrowed to the columns the statement touches and cost-based
+    /// join ordering against current storage statistics (and any feedback
+    /// `overrides`).
     fn optimize_bound(
         &self,
         bound: &PlanRef,

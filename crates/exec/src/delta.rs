@@ -66,9 +66,9 @@ pub fn eval_signed_delta(
     parallel: ParallelConfig,
 ) -> Result<SignedBatch> {
     match plan.as_ref() {
-        LogicalPlan::Scan { table, schema, .. } => {
-            let plus = engine.inserted_between(&table.name, as_of, now)?;
-            let minus = engine.deleted_between(&table.name, as_of, now)?;
+        LogicalPlan::Scan { table, cols, schema, .. } => {
+            let plus = engine.inserted_between(&table.name, as_of, now, cols.narrowed())?;
+            let minus = engine.deleted_between(&table.name, as_of, now, cols.narrowed())?;
             Ok(SignedBatch {
                 plus: Batch::new(Arc::clone(schema), plus.columns)?,
                 minus: Batch::new(Arc::clone(schema), minus.columns)?,

@@ -5,12 +5,14 @@
 //! dispatches an operator's morsels and chunks. At `threads: 1` the
 //! scheduler runs every item inline on the calling thread — no thread is
 //! spawned and no pool broadcast is issued — and that *is* the serial mode;
-//! there is no second interpreter.
+//! there is no second interpreter. A wave over fewer than
+//! [`MIN_DISPATCH_MORSELS`] morsels runs the same way at any thread count.
 //!
 //! * **scans** — and any filter/projection stack sitting directly on one —
 //!   split the table into fixed-size morsels, so filters and projections
 //!   run per morsel (filters through a [`kernels::FilterKernel`] compiled
-//!   once per operator);
+//!   once per operator); a scan the optimizer narrowed reads, and hands on,
+//!   only the table columns it lists ([`vdm_plan::ScanCols`]);
 //! * **projection chains** of pure pass-through/renaming nodes fuse into a
 //!   single composed column-mapping kernel
 //!   ([`vdm_plan::fusion`] + [`kernels::apply_column_map`]), with per-node
@@ -41,7 +43,7 @@
 //! execution. Operator-class totals are [`vdm_obs::Metrics::roll_up`] of
 //! that.
 
-use crate::kernels::{self, FilterKernel, FxHashMap};
+use crate::kernels::{self, FilterKernel, FxHashMap, RowScratch};
 use crate::ops;
 use crate::scheduler;
 use std::ops::Range;
@@ -50,7 +52,7 @@ use std::time::Instant;
 use vdm_expr::{AggExpr, Expr};
 use vdm_obs::{NodeIndex, QueryProfile};
 use vdm_plan::fusion;
-use vdm_plan::{JoinKind, LogicalPlan, PlanRef};
+use vdm_plan::{JoinKind, LogicalPlan, PlanRef, ScanCols};
 use vdm_storage::zonemap::ZONE_BLOCK_ROWS;
 use vdm_storage::{Batch, ScanRange, Snapshot, StorageEngine};
 use vdm_types::{Result, Schema, Value};
@@ -186,19 +188,36 @@ fn pool_workers(threads: usize) -> usize {
     threads.min(host_cores().max(2))
 }
 
-/// Runs `f` over indices `0..n` on the work-stealing scheduler. Results
-/// come back in index order and the worker-local partial profiles `f`
-/// records into are merged into `profile`, so the output is
-/// schedule-independent; errors surface as the failing index's error
-/// (lowest index wins — what a left-to-right run reports). The scheduler's
-/// steal and claim counts land in `profile`'s totals.
-fn parallel_map<T, F>(threads: usize, n: usize, profile: &mut QueryProfile, f: F) -> Result<Vec<T>>
+/// Morsels of input a wave must span before it is dispatched to other
+/// threads; a shorter wave runs inline on the calling thread (the serial
+/// mode). At the default morsel size that is 65 536 rows — about half the
+/// 122 880-row row group that is DuckDB's unit of parallelism. Below it a
+/// second worker buys at most 1.3× on an operator that lasts well under a
+/// millisecond, and only when the host runs the woken thread on a core of
+/// its own at once: what a short query costs would follow the host's
+/// scheduler, not the query (EXPERIMENTS.md, "Touched fields only").
+const MIN_DISPATCH_MORSELS: usize = 16;
+
+/// Runs `f` over indices `0..n` — one wave covering `morsels` morsels of
+/// input — on the work-stealing scheduler. Results come back in index order
+/// and the worker-local partial profiles `f` records into are merged into
+/// `profile`, so the output is schedule-independent; errors surface as the
+/// failing index's error (lowest index wins — what a left-to-right run
+/// reports). The scheduler's steal and claim counts land in `profile`'s
+/// totals.
+fn parallel_map<T, F>(
+    threads: usize,
+    morsels: usize,
+    n: usize,
+    profile: &mut QueryProfile,
+    f: F,
+) -> Result<Vec<T>>
 where
     T: Send,
     F: Fn(usize, &mut QueryProfile) -> Result<T> + Sync,
 {
-    let (out, states, stats) =
-        scheduler::run_with(pool_workers(threads), n, QueryProfile::default, f)?;
+    let workers = if morsels < MIN_DISPATCH_MORSELS { 1 } else { pool_workers(threads) };
+    let (out, states, stats) = scheduler::run_with(workers, n, QueryProfile::default, f)?;
     for partial in &states {
         profile.merge(partial);
     }
@@ -246,8 +265,11 @@ enum LeafStep<'p> {
 
 struct LeafPipeline<'p> {
     table: &'p str,
+    /// What the scan emits (table ordinals; `None` = every column).
+    cols: &'p ScanCols,
     scan_schema: &'p Arc<Schema>,
-    /// Zone-map pruning from the filter sitting directly on the scan.
+    /// Zone-map pruning from the filter sitting directly on the scan, its
+    /// column as a table ordinal.
     prune: Option<(usize, ScanRange)>,
     /// Operators above the scan, bottom-up.
     steps: Vec<LeafStep<'p>>,
@@ -278,8 +300,9 @@ impl LeafPipeline<'_> {
 /// on) rows the budget then cuts off.
 fn extract_leaf(plan: &PlanRef, stack: bool) -> Option<LeafPipeline<'_>> {
     match plan.as_ref() {
-        LogicalPlan::Scan { table, schema, .. } => Some(LeafPipeline {
+        LogicalPlan::Scan { table, cols, schema, .. } => Some(LeafPipeline {
             table: &table.name,
+            cols,
             scan_schema: schema,
             prune: None,
             steps: Vec::new(),
@@ -288,7 +311,7 @@ fn extract_leaf(plan: &PlanRef, stack: bool) -> Option<LeafPipeline<'_>> {
         LogicalPlan::Filter { input, predicate } if stack => {
             let mut p = extract_leaf(input, stack)?;
             if p.steps.is_empty() {
-                p.prune = prune_range(predicate);
+                p.prune = prune_range(predicate).map(|(c, r)| (p.cols.table_ordinal(c), r));
             }
             p.steps.push(LeafStep::Filter(FilterKernel::new(predicate)));
             p.nodes.push(plan);
@@ -359,7 +382,9 @@ fn run_leaf(pipe: &LeafPipeline<'_>, budget: Option<usize>, ctx: &mut Ctx<'_>) -
     while base < n && budget.is_none_or(|b| have < b) {
         let wave = (n - base).min(width);
         width = (width * 2).min(widest);
-        let batches = parallel_map(config.threads, wave, &mut ctx.profile, |i, prof| {
+        // A budget shrinks the morsels; the wave's span is in full-size ones.
+        let span = (wave * morsel_rows).div_ceil(config.morsel_rows);
+        let batches = parallel_map(config.threads, span, wave, &mut ctx.profile, |i, prof| {
             leaf_morsel(engine, snapshot, pipe, base + i, morsel_rows, &ids, prof)
         })?;
         have += batches.iter().map(Batch::num_rows).sum::<usize>();
@@ -388,7 +413,8 @@ fn leaf_morsel(
 ) -> Result<Batch> {
     let t = Instant::now();
     let prune = pipe.prune.as_ref().map(|(col, range)| (*col, range));
-    let raw = engine.scan_morsel(pipe.table, snapshot, morsel, morsel_rows, prune)?;
+    let cols = pipe.cols.narrowed();
+    let raw = engine.scan_morsel(pipe.table, snapshot, morsel, morsel_rows, prune, cols)?;
     let scan_nanos = nanos_since(t);
     let mut batch = Batch::new(Arc::clone(pipe.scan_schema), raw.columns)?;
     let mut rows = batch.num_rows() as u64;
@@ -554,7 +580,7 @@ fn filter(child: &Batch, predicate: &Expr, ctx: &mut Ctx<'_>) -> Result<Batch> {
     let chunk = ctx.config.morsel_rows;
     let n = chunk_count(child.num_rows(), chunk);
     let row_bytes = kernels::row_bytes(child);
-    let parts = parallel_map(ctx.config.threads, n, &mut ctx.profile, |i, prof| {
+    let parts = parallel_map(ctx.config.threads, n, n, &mut ctx.profile, |i, prof| {
         let range = chunk_range(i, chunk, child.num_rows());
         prof.morsel_bytes += (row_bytes * range.len()) as u64;
         kernel.filter(child, range)
@@ -577,7 +603,7 @@ fn project(
     let chunk = ctx.config.morsel_rows;
     let n = chunk_count(child.num_rows(), chunk);
     let row_bytes = kernels::row_bytes(child);
-    let parts = parallel_map(ctx.config.threads, n, &mut ctx.profile, |i, prof| {
+    let parts = parallel_map(ctx.config.threads, n, n, &mut ctx.profile, |i, prof| {
         let range = chunk_range(i, chunk, child.num_rows());
         prof.morsel_bytes += (row_bytes * range.len()) as u64;
         kernels::project_rows(child, exprs, Arc::clone(&schema), range)
@@ -669,7 +695,7 @@ pub(crate) fn hash_join(
 
     // Phase 1: scatter build rows into per-chunk, per-partition key lists.
     let build_bytes = kernels::row_bytes(build);
-    let scattered = parallel_map(config.threads, n_chunks, profile, |ci, prof| {
+    let scattered = parallel_map(config.threads, n_chunks, n_chunks, profile, |ci, prof| {
         let range = chunk_range(ci, chunk, build.num_rows());
         prof.morsel_bytes += (build_bytes * range.len()) as u64;
         let hashes = routing_hashes(build, &build_cols, range.clone(), columnar);
@@ -686,7 +712,7 @@ pub(crate) fn hash_join(
     // Phase 2: one hash map per partition. Chunks are visited in index
     // order, so every match list holds build-row indices ascending —
     // exactly a single-map build's entry order.
-    let maps = parallel_map(config.threads, n_parts, profile, |p, _prof| {
+    let maps = parallel_map(config.threads, n_chunks, n_parts, profile, |p, _prof| {
         let mut map: FxHashMap<Vec<Value>, Vec<usize>> = FxHashMap::default();
         for chunk_parts in &scattered {
             for (key, i) in &chunk_parts[p] {
@@ -701,13 +727,15 @@ pub(crate) fn hash_join(
     // payload-level columnar gather — no row materialization.
     let probe_chunks = chunk_count(probe.num_rows(), chunk);
     let probe_bytes = kernels::row_bytes(probe);
-    let parts = parallel_map(config.threads, probe_chunks, profile, |ci, prof| {
+    let parts = parallel_map(config.threads, probe_chunks, probe_chunks, profile, |ci, prof| {
         let range = chunk_range(ci, chunk, probe.num_rows());
         prof.morsel_bytes += (probe_bytes * range.len()) as u64;
         let hashes = routing_hashes(probe, &probe_cols, range.clone(), columnar);
         let mut probe_sel: Vec<usize> = Vec::new();
         let mut build_sel: Vec<Option<usize>> = Vec::new();
         let mut key = Vec::with_capacity(probe_cols.len());
+        let mut pair = RowScratch::new(residual, schema.len());
+        let probe_width = probe.columns.len();
         for (k, i) in range.enumerate() {
             key.clear();
             for &c in &probe_cols {
@@ -732,9 +760,11 @@ pub(crate) fn hash_join(
                     for &bi in matches {
                         let pass = match residual {
                             Some(f) => {
-                                let mut combined = probe.row(i);
-                                combined.extend(build.row(bi));
-                                f.eval_row(&combined)?.as_bool()? == Some(true)
+                                let row = pair.load(|c| match c.checked_sub(probe_width) {
+                                    Some(b) => build.columns[b].get(bi),
+                                    None => probe.columns[c].get(i),
+                                });
+                                f.eval_row(row)?.as_bool()? == Some(true)
                             }
                             None => true,
                         };
@@ -852,7 +882,7 @@ fn aggregate(
     ctx: &mut Ctx<'_>,
 ) -> Result<Batch> {
     let config = ctx.config;
-    let chunk = config.morsel_rows;
+    let (threads, chunk) = (config.threads, config.morsel_rows);
     // Global aggregates have a single group — nothing to partition; tiny
     // inputs aren't worth the scatter pass.
     if group_by.is_empty() || child.num_rows() < 2 * chunk {
@@ -869,7 +899,7 @@ fn aggregate(
             _ => None,
         })
         .collect();
-    let n_parts = (pool_workers(config.threads) * 4).next_power_of_two();
+    let n_parts = (pool_workers(threads) * 4).next_power_of_two();
     let mask = n_parts - 1;
     let n_chunks = chunk_count(child.num_rows(), chunk);
     let row_bytes = kernels::row_bytes(child);
@@ -879,7 +909,7 @@ fn aggregate(
     // in index order later yields global row order within each partition.
     // Keys are *not* materialized here — a representative row index stands
     // in for each group, so the hot loop allocates nothing per row.
-    let scattered = parallel_map(config.threads, n_chunks, &mut ctx.profile, |ci, prof| {
+    let scattered = parallel_map(threads, n_chunks, n_chunks, &mut ctx.profile, |ci, prof| {
         let range = chunk_range(ci, chunk, child.num_rows());
         prof.morsel_bytes += (row_bytes * range.len()) as u64;
         let mut parts: Vec<Vec<(u64, usize)>> = vec![Vec::new(); n_parts];
@@ -913,7 +943,7 @@ fn aggregate(
     // cross-worker merge, hence no merge-order sensitivity. Groups are
     // identified by hash + key comparison against the group's first row
     // (collision chains), so lookups never rebuild or rehash key vectors.
-    let built = parallel_map(config.threads, n_parts, &mut ctx.profile, |p, _prof| {
+    let built = parallel_map(threads, n_chunks, n_parts, &mut ctx.profile, |p, _prof| {
         let mut map: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
         let mut groups: Vec<(usize, Vec<vdm_expr::Accumulator>)> = Vec::new();
         for chunk_parts in &scattered {
@@ -1001,7 +1031,7 @@ fn aggregate_merge(
 ) -> Result<Batch> {
     let chunk = ctx.config.morsel_rows;
     let n = chunk_count(child.num_rows(), chunk);
-    let partials = parallel_map(ctx.config.threads, n, &mut ctx.profile, |i, _prof| {
+    let partials = parallel_map(ctx.config.threads, n, n, &mut ctx.profile, |i, _prof| {
         agg_partial(child, chunk_range(i, chunk, child.num_rows()), group_by, aggs)
     })?;
     let mut groups: FxHashMap<Vec<Value>, usize> = FxHashMap::default();
@@ -1258,6 +1288,61 @@ mod tests {
     }
 
     #[test]
+    fn erroring_filter_raises_the_same_error_at_every_thread_count() {
+        use vdm_expr::BinOp;
+        let (e, def) = many_rows_engine(4_000);
+        // `1 / (k - 3) > 0` does not compile to the columnar form; its
+        // division by zero sits in the first morsel, later morsels succeed.
+        let quotient =
+            Expr::int(1).binary(BinOp::Div, Expr::col(0).binary(BinOp::Sub, Expr::int(3)));
+        let failing = quotient.binary(BinOp::Gt, Expr::int(0)).or(Expr::col(1).eq(Expr::int(2)));
+        let scan = lower_to(&LogicalPlan::scan(def), &[0, 1]);
+        let plan = LogicalPlan::filter(scan, failing).unwrap();
+        let errors: Vec<String> = [1, 2, 4]
+            .iter()
+            .map(|&threads| {
+                let opts = ExecOptions { snapshot: None, parallel: cfg(threads) };
+                execute_with(&plan, &e, &opts).unwrap_err().to_string()
+            })
+            .collect();
+        assert!(errors[0].contains("zero"), "{errors:?}");
+        assert!(errors.iter().all(|err| *err == errors[0]), "{errors:?}");
+    }
+
+    /// `scan` narrowed to the table ordinals `cols`.
+    fn lower_to(scan: &PlanRef, cols: &[usize]) -> PlanRef {
+        let LogicalPlan::Scan { table, instance, .. } = scan.as_ref() else { unreachable!() };
+        LogicalPlan::scan_cols(Arc::clone(table), *instance, cols)
+    }
+
+    #[test]
+    fn narrowed_scan_prunes_by_table_ordinal_and_feeds_narrow_morsels() {
+        let (e, def) = many_rows_engine(3 * ZONE_BLOCK_ROWS as i64);
+        // Scan emits (amt, k): the filter's `$1 >= …` is table column 0,
+        // whose zone map must be the one consulted.
+        let scan = lower_to(&LogicalPlan::scan(Arc::clone(&def)), &[2, 0]);
+        let from = 2 * ZONE_BLOCK_ROWS as i64;
+        let pred = Expr::col(1).binary(vdm_expr::BinOp::GtEq, Expr::int(from));
+        let narrow = LogicalPlan::filter(scan, pred).unwrap();
+        let wide = LogicalPlan::project_cols(
+            LogicalPlan::filter(
+                LogicalPlan::scan(def),
+                Expr::col(0).binary(vdm_expr::BinOp::GtEq, Expr::int(from)),
+            )
+            .unwrap(),
+            &[2, 0],
+        )
+        .unwrap();
+        let skipped = e.blocks_skipped("t").unwrap();
+        let snap = e.snapshot();
+        let got = run_at(&narrow, &e, snap, 2);
+        assert_eq!(e.blocks_skipped("t").unwrap() - skipped, 2, "two leading blocks excluded");
+        assert_eq!(got.batch.to_rows(), run_at(&wide, &e, snap, 2).batch.to_rows());
+        assert_eq!(got.batch.schema.len(), 2);
+        assert_equivalent(&narrow, &e);
+    }
+
+    #[test]
     fn threads_one_runs_inline_on_the_calling_thread() {
         let (e, def) = many_rows_engine(4_000);
         let plan = LogicalPlan::aggregate(
@@ -1271,8 +1356,8 @@ mod tests {
             // The engine's one dispatch point: at `threads: 1` no item
             // leaves the calling thread, so nothing is spawned or broadcast.
             let mut totals = QueryProfile::default();
-            let ids =
-                parallel_map(1, 64, &mut totals, |_, _| Ok(std::thread::current().id())).unwrap();
+            let ids = parallel_map(1, 64, 64, &mut totals, |_, _| Ok(std::thread::current().id()))
+                .unwrap();
             assert!(ids.iter().all(|id| *id == caller));
             assert_eq!(totals.morsel_steals, 0);
             let x = run_at(&plan, &e, e.snapshot(), 1);
@@ -1283,5 +1368,19 @@ mod tests {
         check();
         let pool = WorkerPool::new(3);
         with_worker_pool(&pool, check);
+    }
+
+    #[test]
+    fn a_wave_under_the_dispatch_floor_runs_inline_at_any_thread_count() {
+        let caller = std::thread::current().id();
+        let ids_of = |morsels: usize| {
+            let mut totals = QueryProfile::default();
+            parallel_map(4, morsels, 64, &mut totals, |_, _| Ok(std::thread::current().id()))
+                .unwrap()
+        };
+        assert!(ids_of(MIN_DISPATCH_MORSELS - 1).iter().all(|id| *id == caller));
+        // Without an installed pool the scheduler spawns scoped workers, so
+        // at the floor no item stays on the caller.
+        assert!(ids_of(MIN_DISPATCH_MORSELS).iter().all(|id| *id != caller));
     }
 }

@@ -10,14 +10,16 @@
 //!   keys, and columnar key hashing ([`hash_keys`]) that hashes whole key
 //!   columns payload-at-a-time (string columns hash each *dictionary
 //!   entry* once and fan the result out over the codes);
-//! * **filtering** — [`CompiledPredicate`], a selection-vector evaluator
-//!   for conjunctions of `col ⟨cmp⟩ literal` atoms that scans typed
-//!   payloads directly instead of materializing `Value` rows, wrapped per
-//!   operator in a [`FilterKernel`];
+//! * **filtering** — [`FilterKernel`], the one predicate evaluator: trees
+//!   of `AND` / `OR` / `IS [NOT] NULL` over `col ⟨cmp⟩ literal` atoms
+//!   evaluate column-at-a-time to TRUE-masks over typed payloads; anything
+//!   else evaluates row-wise through [`RowScratch`], which materializes
+//!   only the columns the expression references;
 //! * **projection** — [`apply_column_map`], the execution kernel of a
 //!   fused pass-through/renaming projection chain: output column `j` is
 //!   input column `map[j]`, moved or memcpy'd wholesale; [`project_rows`]
-//!   is the row-wise fallback for computed expressions.
+//!   is the row-wise fallback for computed expressions (also through
+//!   [`RowScratch`]).
 //!
 //! Hash-consistency contract: two rows whose key values are equal under
 //! [`Value`] equality must receive the same routing hash. The columnar
@@ -228,52 +230,20 @@ pub fn hash_keys(batch: &Batch, cols: &[usize], rows: Range<usize>) -> Vec<u64> 
 }
 
 // ---------------------------------------------------------------------------
-// Selection-vector filtering.
+// Predicate evaluation.
 
-/// One compiled `col ⟨cmp⟩ literal` conjunct. String comparisons resolve
-/// per batch (dictionaries are batch-local); everything else is closed at
-/// compile time.
-#[derive(Debug, Clone)]
-enum CompiledAtom {
-    Int {
-        col: usize,
-        op: BinOp,
-        rhs: i64,
-    },
-    /// Numeric cross-type: an INT column against a DECIMAL literal (or any
-    /// decimal/decimal pair) compares through [`Decimal`].
-    Dec {
-        col: usize,
-        op: BinOp,
-        rhs: Decimal,
-    },
-    Date {
-        col: usize,
-        op: BinOp,
-        rhs: i32,
-    },
-    Bool {
-        col: usize,
-        op: BinOp,
-        rhs: bool,
-    },
-    Str {
-        col: usize,
-        op: BinOp,
-        rhs: Arc<str>,
-    },
-}
-
-/// A predicate compiled to a conjunction of typed payload comparisons,
-/// evaluated into a selection vector without materializing rows.
-///
-/// Semantics mirror `Expr::eval_row` exactly: a row is kept iff every
-/// conjunct evaluates to TRUE, and a NULL column value makes its conjunct
-/// UNKNOWN (row dropped) — so compiling only conjunctions of non-NULL
-/// literal atoms is lossless.
-#[derive(Debug, Clone)]
-pub struct CompiledPredicate {
-    atoms: Vec<CompiledAtom>,
+/// The columnar form of a predicate: any tree of `AND` / `OR` /
+/// `IS [NOT] NULL` over `col ⟨cmp⟩ literal` atoms. Each node evaluates to
+/// the mask of rows on which it is TRUE, so OR is a union and AND an
+/// intersection — exact under three-valued logic because a filter keeps
+/// TRUE only (`NULL OR TRUE` is TRUE, `NULL AND FALSE` is not), and none of
+/// these nodes can raise an error.
+#[derive(Debug)]
+enum Pred {
+    Atom(predicate::Atom),
+    IsNull { col: usize, negated: bool },
+    And(Vec<Pred>),
+    Or(Vec<Pred>),
 }
 
 #[inline]
@@ -290,189 +260,158 @@ fn keep(op: BinOp, ord: std::cmp::Ordering) -> bool {
     }
 }
 
-impl CompiledPredicate {
-    /// Compiles `pred` when every top-level conjunct is `col ⟨cmp⟩ lit`
-    /// (either side) with a non-NULL literal. Returns `None` — caller
-    /// falls back to row-at-a-time evaluation — for any other shape.
-    pub fn compile(pred: &Expr) -> Option<CompiledPredicate> {
-        let mut atoms = Vec::new();
-        for conj in predicate::split_conjunction(pred) {
-            let a = predicate::as_atom(conj)?;
-            let atom = match a.value {
-                Value::Int(v) => CompiledAtom::Int { col: a.col, op: a.op, rhs: v },
-                Value::Dec(d) => CompiledAtom::Dec { col: a.col, op: a.op, rhs: d },
-                Value::Date(d) => CompiledAtom::Date { col: a.col, op: a.op, rhs: d },
-                Value::Bool(b) => CompiledAtom::Bool { col: a.col, op: a.op, rhs: b },
-                Value::Str(s) => CompiledAtom::Str { col: a.col, op: a.op, rhs: s },
-                Value::Null => return None, // as_atom filters these already
-            };
-            atoms.push(atom);
+impl Pred {
+    /// `None` for any other shape (arithmetic, CASE, functions, NOT,
+    /// column-to-column comparisons): the caller evaluates row-wise.
+    fn compile(e: &Expr) -> Option<Pred> {
+        match e {
+            Expr::Binary { op: op @ (BinOp::And | BinOp::Or), left, right } => {
+                let mut parts = Vec::new();
+                for side in [left, right] {
+                    match (Pred::compile(side)?, op) {
+                        // Flatten left-deep chains: one pass per operand.
+                        (Pred::And(inner), BinOp::And) | (Pred::Or(inner), BinOp::Or) => {
+                            parts.extend(inner)
+                        }
+                        (other, _) => parts.push(other),
+                    }
+                }
+                Some(if *op == BinOp::And { Pred::And(parts) } else { Pred::Or(parts) })
+            }
+            Expr::IsNull(inner) | Expr::IsNotNull(inner) => match inner.as_ref() {
+                Expr::Col(col) => {
+                    Some(Pred::IsNull { col: *col, negated: matches!(e, Expr::IsNotNull(_)) })
+                }
+                _ => None,
+            },
+            _ => predicate::as_atom(e).map(Pred::Atom),
         }
-        Some(CompiledPredicate { atoms })
     }
 
-    /// Evaluates over `rows` of `batch`, appending kept row indices to
-    /// `sel` in ascending order. Returns `false` (leaving `sel` untouched
-    /// beyond its original length) when a column's physical type doesn't
-    /// pair with its compiled literal — the caller then row-evaluates.
-    pub fn eval_into(&self, batch: &Batch, rows: Range<usize>, sel: &mut Vec<usize>) -> bool {
-        let base = sel.len();
-        for (k, atom) in self.atoms.iter().enumerate() {
-            let ok = if k == 0 {
-                eval_atom_range(atom, batch, rows.clone(), sel)
-            } else {
-                eval_atom_retain(atom, batch, sel, base)
-            };
-            if !ok {
-                sel.truncate(base);
-                return false;
+    /// `mask[k]` ⇔ the predicate is TRUE on row `rows.start + k`. `None`
+    /// when a column's physical type doesn't pair with its literal.
+    fn mask(&self, batch: &Batch, rows: Range<usize>) -> Option<Vec<bool>> {
+        match self {
+            Pred::Atom(atom) => atom_mask(atom, &batch.columns[atom.col], rows),
+            Pred::IsNull { col, negated } => {
+                let c = &batch.columns[*col];
+                Some(rows.map(|i| c.is_null(i) != *negated).collect())
+            }
+            Pred::And(parts) | Pred::Or(parts) => {
+                let and = matches!(self, Pred::And(_));
+                let mut parts = parts.iter();
+                let mut mask = parts.next()?.mask(batch, rows.clone())?;
+                for part in parts {
+                    let other = part.mask(batch, rows.clone())?;
+                    for (m, o) in mask.iter_mut().zip(other) {
+                        *m = if and { *m & o } else { *m | o };
+                    }
+                }
+                Some(mask)
             }
         }
-        true
     }
 }
 
-/// First conjunct: scan the whole range, pushing matches.
-fn eval_atom_range(
-    atom: &CompiledAtom,
-    batch: &Batch,
-    rows: Range<usize>,
-    sel: &mut Vec<usize>,
-) -> bool {
-    atom_tester(atom, batch, |test| {
-        for i in rows.clone() {
-            if test(i) {
-                sel.push(i);
-            }
+/// One atom over typed payloads: a dense comparison loop per physical
+/// type (strings compare once per dictionary entry, then test codes), NULL
+/// slots cleared afterwards — a NULL makes its atom UNKNOWN, never TRUE.
+/// Numeric cross-type pairs (INT column against a DECIMAL literal and the
+/// reverse) compare through [`Decimal`], as [`Value::sql_cmp`] does.
+fn atom_mask(atom: &predicate::Atom, col: &Column, rows: Range<usize>) -> Option<Vec<bool>> {
+    let cmp = |ord| keep(atom.op, ord);
+    let r = rows.clone();
+    let mut mask: Vec<bool> = match (col.data(), &atom.value) {
+        (ColumnData::Int(v), Value::Int(rhs)) => v[r].iter().map(|x| cmp(x.cmp(rhs))).collect(),
+        (ColumnData::Int(v), Value::Dec(rhs)) => {
+            v[r].iter().map(|x| cmp(Decimal::from_int(*x).cmp(rhs))).collect()
         }
-    })
+        (ColumnData::Dec { units, scale }, Value::Dec(_) | Value::Int(_)) => {
+            let rhs = atom.value.as_dec().ok()?;
+            units[r].iter().map(|u| cmp(Decimal::from_units(*u, *scale).cmp(&rhs))).collect()
+        }
+        (ColumnData::Date(v), Value::Date(rhs)) => v[r].iter().map(|x| cmp(x.cmp(rhs))).collect(),
+        (ColumnData::Bool(v), Value::Bool(rhs)) => v[r].iter().map(|x| cmp(x.cmp(rhs))).collect(),
+        (ColumnData::Str(s), Value::Str(rhs)) => {
+            let verdict: Vec<bool> =
+                s.dict.iter().map(|d| cmp(d.as_ref().cmp(rhs.as_ref()))).collect();
+            // NULL slots carry code 0 over a possibly empty dictionary.
+            s.codes[r].iter().map(|&c| verdict.get(c as usize).copied().unwrap_or(false)).collect()
+        }
+        _ => return None,
+    };
+    for (k, m) in mask.iter_mut().enumerate() {
+        *m &= !col.is_null(rows.start + k);
+    }
+    Some(mask)
 }
 
-/// Later conjuncts: shrink the existing selection in place.
-fn eval_atom_retain(atom: &CompiledAtom, batch: &Batch, sel: &mut Vec<usize>, base: usize) -> bool {
-    atom_tester(atom, batch, |test| {
-        let mut w = base;
-        for r in base..sel.len() {
-            let i = sel[r];
-            if test(i) {
-                sel[w] = i;
-                w += 1;
-            }
-        }
-        sel.truncate(w);
-    })
+/// The one place the executor turns columns back into a `Value` row: a
+/// scratch row as wide as the input in which only the ordinals `exprs`
+/// reference are ever loaded (the rest stay NULL, unread). Filters that do
+/// not compile, computed projections, sort keys and join residuals all
+/// evaluate through it, so row-wise evaluation costs the columns an
+/// expression touches, not the input's width.
+pub struct RowScratch {
+    cols: Vec<usize>,
+    row: Vec<Value>,
 }
 
-/// Resolves one atom against the batch's physical column and hands the
-/// caller a `row -> keep` tester. Returns `false` when the column type
-/// doesn't pair with the literal (caller falls back).
-fn atom_tester(
-    atom: &CompiledAtom,
-    batch: &Batch,
-    mut scan: impl FnMut(&mut dyn FnMut(usize) -> bool),
-) -> bool {
-    match atom {
-        CompiledAtom::Int { col, op, rhs } => {
-            let c = &batch.columns[*col];
-            match c.data() {
-                ColumnData::Int(v) => {
-                    scan(&mut |i| !c.is_null(i) && keep(*op, v[i].cmp(rhs)));
-                    true
-                }
-                ColumnData::Dec { units, scale } => {
-                    let rhs = Decimal::from_int(*rhs);
-                    scan(&mut |i| {
-                        !c.is_null(i) && keep(*op, Decimal::from_units(units[i], *scale).cmp(&rhs))
-                    });
-                    true
-                }
-                _ => false,
-            }
+impl RowScratch {
+    /// Scratch for evaluating `exprs` over inputs `width` columns wide.
+    pub fn new<'e>(exprs: impl IntoIterator<Item = &'e Expr>, width: usize) -> RowScratch {
+        let mut cols = std::collections::BTreeSet::new();
+        for e in exprs {
+            e.referenced_columns(&mut cols);
         }
-        CompiledAtom::Dec { col, op, rhs } => {
-            let c = &batch.columns[*col];
-            match c.data() {
-                ColumnData::Dec { units, scale } => {
-                    scan(&mut |i| {
-                        !c.is_null(i) && keep(*op, Decimal::from_units(units[i], *scale).cmp(rhs))
-                    });
-                    true
-                }
-                ColumnData::Int(v) => {
-                    scan(&mut |i| !c.is_null(i) && keep(*op, Decimal::from_int(v[i]).cmp(rhs)));
-                    true
-                }
-                _ => false,
-            }
+        RowScratch { cols: cols.into_iter().collect(), row: vec![Value::Null; width] }
+    }
+
+    /// Loads the referenced ordinals from `value_at` and returns the row.
+    pub fn load(&mut self, value_at: impl Fn(usize) -> Value) -> &[Value] {
+        for &c in &self.cols {
+            self.row[c] = value_at(c);
         }
-        CompiledAtom::Date { col, op, rhs } => {
-            let c = &batch.columns[*col];
-            match c.data() {
-                ColumnData::Date(v) => {
-                    scan(&mut |i| !c.is_null(i) && keep(*op, v[i].cmp(rhs)));
-                    true
-                }
-                _ => false,
-            }
-        }
-        CompiledAtom::Bool { col, op, rhs } => {
-            let c = &batch.columns[*col];
-            match c.data() {
-                ColumnData::Bool(v) => {
-                    scan(&mut |i| !c.is_null(i) && keep(*op, v[i].cmp(rhs)));
-                    true
-                }
-                _ => false,
-            }
-        }
-        CompiledAtom::Str { col, op, rhs } => {
-            let c = &batch.columns[*col];
-            match c.data() {
-                ColumnData::Str(s) => {
-                    // Compare once per dictionary entry, then test codes.
-                    let verdict: Vec<bool> =
-                        s.dict.iter().map(|d| keep(*op, d.as_ref().cmp(rhs.as_ref()))).collect();
-                    scan(&mut |i| {
-                        !c.is_null(i) && verdict.get(s.codes[i] as usize).copied().unwrap_or(false)
-                    });
-                    true
-                }
-                _ => false,
-            }
-        }
+        &self.row
     }
 }
 
 /// A filter operator's predicate, prepared once per operator and applied
-/// to every morsel or chunk: the compiled selection-vector form when the
-/// predicate is a conjunction of `col ⟨cmp⟩ literal` atoms, row-at-a-time
-/// evaluation otherwise (or when a column's physical type doesn't pair
-/// with its literal).
+/// to every morsel or chunk — the executor's one predicate evaluator:
+/// column-at-a-time over typed payloads when the predicate is a tree of
+/// `AND` / `OR` / `IS [NOT] NULL` over `col ⟨cmp⟩ literal` atoms, row-wise
+/// over its referenced columns otherwise (or when a column's physical type
+/// doesn't pair with its literal). Both mirror `Expr::eval_row` exactly.
 pub struct FilterKernel<'e> {
     predicate: &'e Expr,
-    compiled: Option<CompiledPredicate>,
+    columnar: Option<Pred>,
 }
 
 impl<'e> FilterKernel<'e> {
-    /// Prepares `predicate` (compiles it when it has the atom shape).
+    /// Prepares `predicate` (compiles it when it has the tree shape).
     pub fn new(predicate: &'e Expr) -> FilterKernel<'e> {
-        FilterKernel { predicate, compiled: CompiledPredicate::compile(predicate) }
+        FilterKernel { predicate, columnar: Pred::compile(predicate) }
     }
 
-    /// The rows of `batch[rows]` on which the predicate is TRUE, in order,
-    /// assembled by a payload-level gather.
-    pub fn filter(&self, batch: &Batch, rows: Range<usize>) -> Result<Batch> {
+    /// The rows of `batch[rows]` on which the predicate is TRUE, ascending.
+    pub fn select(&self, batch: &Batch, rows: Range<usize>) -> Result<Vec<usize>> {
+        if let Some(mask) = self.columnar.as_ref().and_then(|p| p.mask(batch, rows.clone())) {
+            return Ok(rows.zip(mask).filter_map(|(i, keep)| keep.then_some(i)).collect());
+        }
+        let mut scratch = RowScratch::new([self.predicate], batch.schema.len());
         let mut keep = Vec::new();
-        let fast =
-            self.compiled.as_ref().is_some_and(|c| c.eval_into(batch, rows.clone(), &mut keep));
-        if !fast {
-            for r in rows {
-                if self.predicate.eval_row(&batch.row(r))?.as_bool()? == Some(true) {
-                    keep.push(r);
-                }
+        for r in rows {
+            let row = scratch.load(|c| batch.columns[c].get(r));
+            if self.predicate.eval_row(row)?.as_bool()? == Some(true) {
+                keep.push(r);
             }
         }
-        Ok(batch.gather(&keep))
+        Ok(keep)
+    }
+
+    /// [`FilterKernel::select`], assembled by a payload-level gather.
+    pub fn filter(&self, batch: &Batch, rows: Range<usize>) -> Result<Batch> {
+        Ok(batch.gather(&self.select(batch, rows)?))
     }
 }
 
@@ -499,14 +438,11 @@ pub fn project_rows(
     schema: Arc<Schema>,
     rows: Range<usize>,
 ) -> Result<Batch> {
+    let mut scratch = RowScratch::new(exprs.iter().map(|(e, _)| e), input.schema.len());
     let mut out_rows = Vec::with_capacity(rows.len());
     for r in rows {
-        let row = input.row(r);
-        let mut out = Vec::with_capacity(exprs.len());
-        for (e, _) in exprs {
-            out.push(e.eval_row(&row)?);
-        }
-        out_rows.push(out);
+        let row = scratch.load(|c| input.columns[c].get(r));
+        out_rows.push(exprs.iter().map(|(e, _)| e.eval_row(row)).collect::<Result<_>>()?);
     }
     Batch::from_rows(schema, &out_rows)
 }
@@ -576,43 +512,152 @@ mod tests {
         assert_eq!(&full[40..60], &sub[..]);
     }
 
-    #[test]
-    fn compiled_predicate_matches_row_eval() {
-        let b = batch(vec![
-            (SqlType::Int, vec![Value::Int(1), Value::Int(5), Value::Null, Value::Int(9)]),
-            (SqlType::Text, vec![Value::str("a"), Value::str("b"), Value::str("b"), Value::Null]),
-        ]);
-        let pred =
-            Expr::col(0).binary(BinOp::GtEq, Expr::int(2)).and(Expr::col(1).eq(Expr::str("b")));
-        let compiled = CompiledPredicate::compile(&pred).expect("compilable");
-        let mut sel = Vec::new();
-        assert!(compiled.eval_into(&b, 0..4, &mut sel));
-        let mut expect = Vec::new();
-        for i in 0..4 {
-            if pred.eval_row(&b.row(i)).unwrap().as_bool().unwrap() == Some(true) {
-                expect.push(i);
+    /// What `Expr::eval_row` over fully materialized rows keeps.
+    fn row_wise(pred: &Expr, b: &Batch) -> Result<Vec<usize>> {
+        let mut keep = Vec::new();
+        for i in 0..b.num_rows() {
+            if pred.eval_row(&b.row(i))?.as_bool()? == Some(true) {
+                keep.push(i);
             }
         }
-        assert_eq!(sel, expect);
-        assert_eq!(sel, vec![1]);
+        Ok(keep)
+    }
+
+    /// Int, Decimal, Date, Bool, dictionary Text and an all-NULL Text
+    /// column (empty dictionary), NULLs in every column.
+    fn typed_batch(rng: &mut vdm_types::SplitMix64, rows: usize) -> Batch {
+        let mut col = |gen: &mut dyn FnMut(&mut vdm_types::SplitMix64) -> Value| -> Vec<Value> {
+            (0..rows)
+                .map(|_| if rng.random_range(0..5u32) == 0 { Value::Null } else { gen(rng) })
+                .collect()
+        };
+        batch(vec![
+            (SqlType::Int, col(&mut |r| Value::Int(r.random_range(0..6)))),
+            (
+                SqlType::Decimal { scale: 2 },
+                col(&mut |r| Value::Dec(Decimal::from_units(r.random_range(0..600), 2))),
+            ),
+            (SqlType::Date, col(&mut |r| Value::Date(r.random_range(100..106)))),
+            (SqlType::Bool, col(&mut |r| Value::Bool(r.random_range(0..2u32) == 0))),
+            (SqlType::Text, col(&mut |r| Value::str(format!("s{}", r.random_range(0..4u32))))),
+            (SqlType::Text, vec![Value::Null; rows]),
+        ])
+    }
+
+    /// A random tree of AND / OR / IS [NOT] NULL over atoms; literals are
+    /// drawn near each column's values (Int columns also meet Decimal
+    /// literals and the Decimal column Int ones).
+    fn random_tree(rng: &mut vdm_types::SplitMix64, depth: usize) -> Expr {
+        if depth > 0 && rng.random_range(0..3u32) > 0 {
+            let (l, r) = (random_tree(rng, depth - 1), random_tree(rng, depth - 1));
+            return if rng.random_range(0..2u32) == 0 { l.and(r) } else { l.or(r) };
+        }
+        let col = rng.random_range(0..6usize);
+        match rng.random_range(0..6u32) {
+            0 => return Expr::IsNull(Box::new(Expr::col(col))),
+            1 => return Expr::IsNotNull(Box::new(Expr::col(col))),
+            _ => {}
+        }
+        let dec = |u: i128| Value::Dec(Decimal::from_units(u, 2));
+        let lit = match col {
+            0 if rng.random_range(0..3u32) == 0 => dec(rng.random_range(0..600)),
+            0 => Value::Int(rng.random_range(0..6)),
+            1 if rng.random_range(0..3u32) == 0 => Value::Int(rng.random_range(0..6)),
+            1 => dec(rng.random_range(0..600)),
+            2 => Value::Date(rng.random_range(100..106)),
+            3 => Value::Bool(rng.random_range(0..2u32) == 0),
+            _ => Value::str(format!("s{}", rng.random_range(0..5u32))),
+        };
+        let ops = [BinOp::Eq, BinOp::NotEq, BinOp::Lt, BinOp::LtEq, BinOp::Gt, BinOp::GtEq];
+        let op = ops[rng.random_range(0..ops.len())];
+        // Either operand order: `lit ⟨cmp⟩ col` flips the comparison.
+        if rng.random_range(0..4u32) == 0 {
+            Expr::Lit(lit).binary(op, Expr::col(col))
+        } else {
+            Expr::col(col).binary(op, Expr::Lit(lit))
+        }
     }
 
     #[test]
-    fn compiled_predicate_numeric_cross_type() {
-        // INT column vs DECIMAL literal goes through Decimal comparison.
-        let b = batch(vec![(SqlType::Int, vec![Value::Int(2), Value::Int(3)])]);
-        let pred = Expr::col(0).binary(BinOp::Gt, Expr::Lit(Value::Dec("2.5".parse().unwrap())));
-        let compiled = CompiledPredicate::compile(&pred).unwrap();
-        let mut sel = Vec::new();
-        assert!(compiled.eval_into(&b, 0..2, &mut sel));
-        assert_eq!(sel, vec![1]);
+    fn predicate_evaluator_matches_row_eval_on_random_trees() {
+        for seed in 0..40u64 {
+            let mut rng = vdm_types::SplitMix64::seed_from_u64(seed);
+            let b = typed_batch(&mut rng, 97);
+            for case in 0..50 {
+                let pred = random_tree(&mut rng, 4);
+                let kernel = FilterKernel::new(&pred);
+                assert!(kernel.columnar.is_some(), "seed {seed} case {case}: {pred}");
+                let want = row_wise(&pred, &b).unwrap();
+                assert_eq!(kernel.select(&b, 0..97).unwrap(), want, "seed {seed}: {pred}");
+                // A sub-range selects exactly the sub-range's share.
+                let part: Vec<usize> =
+                    want.iter().copied().filter(|i| (13..61).contains(i)).collect();
+                assert_eq!(kernel.select(&b, 13..61).unwrap(), part, "seed {seed}: {pred}");
+            }
+        }
     }
 
     #[test]
-    fn compiled_predicate_rejects_non_atom_shapes() {
-        assert!(CompiledPredicate::compile(&Expr::col(0).eq(Expr::col(1))).is_none());
+    fn three_valued_logic_keeps_true_only() {
+        let b = batch(vec![
+            (SqlType::Int, vec![Value::Null, Value::Null, Value::Int(1), Value::Int(2)]),
+            (SqlType::Int, vec![Value::Int(7), Value::Int(8), Value::Null, Value::Int(7)]),
+        ]);
+        let (null_side, seven) = (Expr::col(0).eq(Expr::int(1)), Expr::col(1).eq(Expr::int(7)));
+        // Row 0: NULL OR TRUE = TRUE (kept); row 1: NULL OR FALSE = NULL.
+        let or = null_side.clone().or(seven.clone());
+        assert_eq!(FilterKernel::new(&or).select(&b, 0..4).unwrap(), vec![0, 2, 3]);
+        // Row 1: NULL AND FALSE = FALSE, row 0: NULL AND TRUE = NULL — both
+        // dropped; only a TRUE AND TRUE row would survive.
+        let and = null_side.and(seven);
+        assert_eq!(FilterKernel::new(&and).select(&b, 0..4).unwrap(), Vec::<usize>::new());
+        assert_eq!(row_wise(&or, &b).unwrap(), vec![0, 2, 3]);
+    }
+
+    #[test]
+    fn type_mismatched_literal_falls_back_to_row_evaluation() {
+        // The tree compiles, but a Text literal does not pair with an Int
+        // payload: the whole predicate row-evaluates (cross-type rank
+        // order), never a partial columnar answer.
+        let b = batch(vec![(SqlType::Int, vec![Value::Int(1), Value::Null, Value::Int(3)])]);
+        let pred = Expr::col(0).binary(BinOp::Lt, Expr::str("x")).or(Expr::col(0).eq(Expr::int(3)));
+        let kernel = FilterKernel::new(&pred);
+        assert!(kernel.columnar.as_ref().is_some_and(|p| p.mask(&b, 0..3).is_none()));
+        assert_eq!(kernel.select(&b, 0..3).unwrap(), row_wise(&pred, &b).unwrap());
+        assert_eq!(kernel.select(&b, 0..3).unwrap(), vec![0, 2]);
+    }
+
+    #[test]
+    fn other_shapes_evaluate_row_wise_over_referenced_columns() {
+        let b = batch(vec![
+            (SqlType::Int, vec![Value::Int(1), Value::Int(3), Value::Int(5)]),
+            (SqlType::Text, vec![Value::str("a"), Value::str("b"), Value::Null]),
+            (SqlType::Int, vec![Value::Int(1), Value::Int(4), Value::Int(5)]),
+        ]);
+        let col_col = Expr::col(0).eq(Expr::col(2));
+        let not = Expr::Not(Box::new(Expr::col(0).eq(Expr::int(3))));
         let arith = Expr::col(0).binary(BinOp::Add, Expr::int(1)).eq(Expr::int(2));
-        assert!(CompiledPredicate::compile(&arith).is_none());
+        for pred in [col_col, not, arith] {
+            let kernel = FilterKernel::new(&pred);
+            assert!(kernel.columnar.is_none(), "{pred}");
+            assert_eq!(kernel.select(&b, 0..3).unwrap(), row_wise(&pred, &b).unwrap(), "{pred}");
+        }
+        // Only referenced ordinals are materialized; the rest stay NULL.
+        let mut scratch = RowScratch::new([&Expr::col(2)], 3);
+        assert_eq!(
+            scratch.load(|c| b.columns[c].get(1)),
+            &[Value::Null, Value::Null, Value::Int(4)]
+        );
+        // An erroring predicate raises the row-wise error, whatever range
+        // (morsel) the failing row falls in.
+        let quotient =
+            Expr::int(1).binary(BinOp::Div, Expr::col(0).binary(BinOp::Sub, Expr::int(3)));
+        let failing = quotient.binary(BinOp::Gt, Expr::int(0));
+        let want = row_wise(&failing, &b).unwrap_err().to_string();
+        let kernel = FilterKernel::new(&failing);
+        assert_eq!(kernel.select(&b, 0..3).unwrap_err().to_string(), want);
+        assert_eq!(kernel.select(&b, 1..2).unwrap_err().to_string(), want);
+        assert_eq!(kernel.select(&b, 2..3).unwrap(), vec![2]);
     }
 
     #[test]

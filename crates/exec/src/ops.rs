@@ -3,6 +3,7 @@
 //! [`Batch::gather`]. Filters, projections, the hash join and aggregation
 //! run on the kernels in [`crate::kernels`] and [`crate::executor`].
 
+use crate::kernels::RowScratch;
 use vdm_plan::SortKey;
 use vdm_storage::Batch;
 use vdm_types::{Result, Value};
@@ -22,14 +23,11 @@ pub fn distinct(input: &Batch) -> Result<Batch> {
 /// Stable sort by `keys` (NULL placement per key spec).
 pub fn sort(input: &Batch, keys: &[SortKey]) -> Result<Batch> {
     // Precompute key values per row.
+    let mut scratch = RowScratch::new(keys.iter().map(|k| &k.expr), input.schema.len());
     let mut key_vals: Vec<Vec<Value>> = Vec::with_capacity(input.num_rows());
     for i in 0..input.num_rows() {
-        let row = input.row(i);
-        let mut ks = Vec::with_capacity(keys.len());
-        for k in keys {
-            ks.push(k.expr.eval_row(&row)?);
-        }
-        key_vals.push(ks);
+        let row = scratch.load(|c| input.columns[c].get(i));
+        key_vals.push(keys.iter().map(|k| k.expr.eval_row(row)).collect::<Result<_>>()?);
     }
     let mut indices: Vec<usize> = (0..input.num_rows()).collect();
     indices.sort_by(|&a, &b| {

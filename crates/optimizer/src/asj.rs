@@ -64,11 +64,14 @@ struct SimpleAug {
 
 fn decompose_simple(plan: &PlanRef) -> Option<SimpleAug> {
     match plan.as_ref() {
-        LogicalPlan::Scan { table, schema, .. } => Some(SimpleAug {
-            table: Arc::clone(table),
-            out_scan: (0..schema.len()).map(Some).collect(),
-            pred: None,
-        }),
+        LogicalPlan::Scan { table, cols, schema, .. } => {
+            debug_assert!(cols.narrowed().is_none(), "ASJ runs before the lowering");
+            Some(SimpleAug {
+                table: Arc::clone(table),
+                out_scan: (0..schema.len()).map(Some).collect(),
+                pred: None,
+            })
+        }
         LogicalPlan::Filter { input, predicate } => {
             let inner = decompose_simple(input)?;
             // Translate the filter to scan ordinals (it sits above the same
@@ -253,7 +256,8 @@ fn thread(
     spec: &ThreadSpec,
 ) -> Option<ThreadOut> {
     match plan.as_ref() {
-        LogicalPlan::Scan { table, schema, .. } => {
+        LogicalPlan::Scan { table, cols, schema, .. } => {
+            debug_assert!(cols.narrowed().is_none(), "ASJ runs before the lowering");
             if table.name.to_ascii_lowercase() != spec.table {
                 return None;
             }

@@ -180,12 +180,17 @@ impl Optimizer {
             }
             prev_digest = Some(digest);
         }
-        // Cost-based join ordering runs once, after the rule fixpoint:
-        // UAJ/ASJ-eliminated joins are already gone and never enumerated.
-        // Gated on statistics being supplied so plain `optimize()` callers
-        // (and stats-less tests) see the rule-based planner unchanged.
-        if p.has(Capability::CostBasedJoinOrdering) {
-            if let Some(stats) = stats {
+        // The physical passes run once, after the rule fixpoint, gated on
+        // statistics being supplied so plain `optimize()` callers (and
+        // stats-less tests) see the rule-based planner's logical verdict
+        // unchanged. First the lowering: every scan narrows to the columns
+        // an ancestor references — before join ordering, so the subtree
+        // digests it keys observed cardinalities by are those of the plan
+        // that executes. Then cost-based join ordering: UAJ/ASJ-eliminated
+        // joins are already gone and never enumerated.
+        if let Some(stats) = stats {
+            plan = prune::lower_scans(&plan)?;
+            if p.has(Capability::CostBasedJoinOrdering) {
                 let mut card = Cardinality::new(&props, p.derive_options()).with_stats(stats);
                 if let Some(ov) = overrides {
                     card = card.with_overrides(ov);

@@ -35,14 +35,39 @@ use vdm_types::{Result, VdmError};
 /// Old-ordinal → new-ordinal mapping produced by pruning a subtree.
 type ColMap = Vec<Option<usize>>;
 
-/// `(node pointer, required set)` → pruned result, per pass invocation.
-type PruneMemo = HashMap<(usize, Vec<usize>), (PlanRef, ColMap)>;
+/// Per pass invocation: `(node pointer, required set)` → pruned result,
+/// and which of the two passes is walking.
+#[derive(Default)]
+struct PruneMemo {
+    done: HashMap<(usize, Vec<usize>), (PlanRef, ColMap)>,
+    /// The physical lowering: scans narrow to their required set and no
+    /// join is removed (the rule fixpoint already ran).
+    lowering: bool,
+}
 
 /// Runs the pruning/UAJ pass over a whole plan.
 pub fn prune_pass(plan: &PlanRef, ctx: &RewriteCtx<'_>) -> Result<PlanRef> {
+    run(plan, ctx, PruneMemo::default())
+}
+
+/// The physical lowering, run once after the rule fixpoint: the same
+/// required-set walk with the `Scan` arm returning the narrowed leaf, so
+/// every scan emits exactly the columns some ancestor references (one
+/// column when none does — `count(*)`) and everything above is re-wired
+/// through the `ColMap`s as for any other pruning. The logical rules never
+/// see its output.
+pub fn lower_scans(plan: &PlanRef) -> Result<PlanRef> {
+    let (profile, props) = (crate::Profile::named("lowering"), vdm_plan::PropertyCache::new());
+    run(
+        plan,
+        &RewriteCtx::new(&profile, &props),
+        PruneMemo { lowering: true, ..Default::default() },
+    )
+}
+
+fn run(plan: &PlanRef, ctx: &RewriteCtx<'_>, mut memo: PruneMemo) -> Result<PlanRef> {
     let all: BTreeSet<usize> = (0..plan.schema().len()).collect();
     let original = plan.schema();
-    let mut memo = PruneMemo::new();
     let (pruned, map) = prune(plan, &all, ctx, &mut memo)?;
     // Root required everything, so the mapping must be total; restore the
     // original column order/names with a projection if anything moved.
@@ -76,7 +101,7 @@ fn prune(
         required.insert(0);
     }
     let key = (Arc::as_ptr(plan) as usize, required.iter().copied().collect::<Vec<usize>>());
-    if let Some((done, map)) = memo.get(&key) {
+    if let Some((done, map)) = memo.done.get(&key) {
         return Ok((done.clone(), map.clone()));
     }
     let (out, map) = prune_node(plan, &required, ctx, memo)?;
@@ -91,7 +116,7 @@ fn prune(
     } else {
         out
     };
-    memo.insert(key, (out.clone(), map.clone()));
+    memo.done.insert(key, (out.clone(), map.clone()));
     Ok((out, map))
 }
 
@@ -140,9 +165,20 @@ fn prune_node(
 ) -> Result<(PlanRef, ColMap)> {
     let width = plan.schema().len();
     match plan.as_ref() {
-        LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => {
+        LogicalPlan::Scan { table, instance, cols, .. } if memo.lowering => {
+            let kept: Vec<usize> = required.iter().copied().collect();
+            if kept.len() == width {
+                return Ok((plan.clone(), identity_map(width)));
+            }
+            let emitted: Vec<usize> = kept.iter().map(|&o| cols.table_ordinal(o)).collect();
+            let narrowed = LogicalPlan::scan_cols(Arc::clone(table), *instance, &emitted);
+            Ok((narrowed, positions_map(width, &kept)))
+        }
+        LogicalPlan::Scan { cols, .. } => {
+            debug_assert!(cols.narrowed().is_none(), "UAJ/pruning runs before the lowering");
             Ok((plan.clone(), identity_map(width)))
         }
+        LogicalPlan::Values { .. } => Ok((plan.clone(), identity_map(width))),
         LogicalPlan::Project { input, exprs, .. } => {
             let kept: Vec<usize> = required.iter().copied().collect();
             let mut child_req = BTreeSet::new();
@@ -312,7 +348,7 @@ fn prune_join(
         required.iter().copied().filter(|&i| i >= nl).map(|i| i - nl).collect();
 
     // ---- UAJ elimination ----------------------------------------------
-    if ctx.has(Capability::UajElimination) && req_right.is_empty() {
+    if !memo.lowering && ctx.has(Capability::UajElimination) && req_right.is_empty() {
         let evidence = match kind {
             JoinKind::LeftOuter => {
                 // AJ 2a: right matches at most one row; AJ 2b: right empty.

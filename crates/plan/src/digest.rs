@@ -70,8 +70,13 @@ fn digest_memo(
     let mut h = Fnv::new();
     h.str(plan.op_name());
     match plan.as_ref() {
-        LogicalPlan::Scan { table, instance, .. } => {
+        LogicalPlan::Scan { table, instance, cols, .. } => {
             h.str(&table.name);
+            // An all-columns scan hashes as it always has; only a narrowed
+            // scan adds its column list.
+            if let Some(cols) = cols.narrowed() {
+                h.str(&format!("{cols:?}"));
+            }
             let id = match renumber.as_deref_mut() {
                 Some(map) => {
                     let next = map.len() as u64;

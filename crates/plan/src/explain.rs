@@ -98,8 +98,12 @@ fn render(
 
 fn render_node(plan: &PlanRef, out: &mut String) {
     match plan.as_ref() {
-        LogicalPlan::Scan { table, instance, .. } => {
-            let _ = writeln!(out, "Scan {} (inst {})", table.name, instance);
+        LogicalPlan::Scan { table, instance, cols, .. } => {
+            let _ = write!(out, "Scan {} (inst {})", table.name, instance);
+            if let Some(cols) = cols.narrowed() {
+                let _ = write!(out, " cols={}/{}", cols.len(), table.schema.len());
+            }
+            out.push('\n');
         }
         LogicalPlan::Values { rows, schema } => {
             let _ = writeln!(out, "Values {} row(s), {} col(s)", rows.len(), schema.len());

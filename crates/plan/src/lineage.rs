@@ -32,10 +32,10 @@ pub struct Origin {
 /// a pure (uncomputed) column reference all the way down.
 pub fn trace_column(plan: &PlanRef, ord: usize) -> Option<Origin> {
     match plan.as_ref() {
-        LogicalPlan::Scan { table, instance, .. } => Some(Origin {
+        LogicalPlan::Scan { table, instance, cols, .. } => Some(Origin {
             table: Arc::clone(table),
             instance: *instance,
-            column: ord,
+            column: cols.table_ordinal(ord),
             filtered: false,
             nulled: false,
         }),

@@ -52,6 +52,26 @@ impl SortKey {
 
 static NEXT_INSTANCE: AtomicUsize = AtomicUsize::new(1);
 
+/// The table columns a scan emits, in output order: every column in table
+/// order (what the binder and every rewrite rule see), or — after the
+/// optimizer's physical lowering — the narrowed list an ancestor actually
+/// references. [`ScanCols::table_ordinal`] is the one place a scan output
+/// ordinal turns into a table ordinal.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ScanCols(Option<Arc<[usize]>>);
+
+impl ScanCols {
+    /// Table ordinal behind output ordinal `ord` of the scan.
+    pub fn table_ordinal(&self, ord: usize) -> usize {
+        self.0.as_ref().map_or(ord, |cols| cols[ord])
+    }
+
+    /// The narrowed table-ordinal list; `None` = all columns.
+    pub fn narrowed(&self) -> Option<&[usize]> {
+        self.0.as_deref()
+    }
+}
+
 /// A logical relational operator.
 ///
 /// Output schemas are precomputed by the constructors; expressions in every
@@ -60,8 +80,9 @@ static NEXT_INSTANCE: AtomicUsize = AtomicUsize::new(1);
 #[derive(Debug, Clone, PartialEq)]
 pub enum LogicalPlan {
     /// Base-table scan. `instance` distinguishes several scans of the same
-    /// table (self joins) and identifies scans for lineage tracking.
-    Scan { table: Arc<TableDef>, instance: usize, schema: Arc<Schema> },
+    /// table (self joins) and identifies scans for lineage tracking; `cols`
+    /// is what the scan emits (`schema` = that projection of the table's).
+    Scan { table: Arc<TableDef>, instance: usize, cols: ScanCols, schema: Arc<Schema> },
     /// Literal rows (also models the empty relation of AJ 2b).
     Values { schema: Arc<Schema>, rows: Vec<Vec<Value>> },
     /// Projection: computes `exprs` over the input; output field `i` is
@@ -110,8 +131,19 @@ impl LogicalPlan {
         Arc::new(LogicalPlan::Scan {
             table,
             instance: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
+            cols: ScanCols::default(),
             schema,
         })
+    }
+
+    /// Scan instance `instance` of `table` narrowed to the table ordinals
+    /// `cols`, in that order. Listing every column in table order is the
+    /// all-columns scan, so it compares and hashes as [`LogicalPlan::scan`]'s.
+    pub fn scan_cols(table: Arc<TableDef>, instance: usize, cols: &[usize]) -> PlanRef {
+        let all = cols.len() == table.schema.len() && cols.iter().enumerate().all(|(i, c)| i == *c);
+        let schema = Arc::new(table.schema.select(cols));
+        let cols = ScanCols(if all { None } else { Some(cols.into()) });
+        Arc::new(LogicalPlan::Scan { table, instance, cols, schema })
     }
 
     /// Literal rows; validates row arity against the schema.
@@ -378,6 +410,32 @@ mod tests {
             _ => unreachable!(),
         };
         assert_ne!(ia, ib);
+    }
+
+    #[test]
+    fn narrowed_scan_maps_ordinals_and_all_columns_is_the_plain_scan() {
+        use crate::{explain, plan_digest, trace_column, unique_sets, DeriveOptions};
+        let t = customer();
+        let plain = LogicalPlan::scan(Arc::clone(&t));
+        let LogicalPlan::Scan { instance, .. } = plain.as_ref() else { unreachable!() };
+        // Every column in table order *is* the plain scan: equal, same
+        // digest, same text — no un-lowered plan's digest moves.
+        let all = LogicalPlan::scan_cols(Arc::clone(&t), *instance, &[0, 1, 2]);
+        assert_eq!(all, plain);
+        assert_eq!(plan_digest(&all), plan_digest(&plain));
+        assert_eq!(explain(&all), explain(&plain));
+        // (c_nationkey, c_custkey): ordinals map back through the accessor.
+        let narrow = LogicalPlan::scan_cols(Arc::clone(&t), *instance, &[2, 0]);
+        assert_ne!(narrow, plain);
+        assert_ne!(plan_digest(&narrow), plan_digest(&plain));
+        assert!(explain(&narrow).contains(&format!("Scan customer (inst {instance}) cols=2/3")));
+        assert_eq!(narrow.schema().field(0).name, "c_nationkey");
+        assert_eq!(trace_column(&narrow, 0).unwrap().column, 2);
+        assert_eq!(trace_column(&narrow, 1).unwrap().column, 0);
+        let key_at = |plan: &PlanRef| unique_sets(plan, &DeriveOptions::all());
+        assert_eq!(key_at(&narrow), vec![[1].into_iter().collect()], "the key moved to output 1");
+        let keyless = LogicalPlan::scan_cols(t, *instance, &[1]);
+        assert!(key_at(&keyless).is_empty(), "a scan that drops its key is not unique");
     }
 
     #[test]

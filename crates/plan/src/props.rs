@@ -128,12 +128,18 @@ fn derive(
     resolve: SetsResolver<'_>,
 ) -> Vec<BTreeSet<usize>> {
     match plan {
-        LogicalPlan::Scan { table, .. } => {
-            if opts.from_primary_key {
-                table.unique_sets().into_iter().map(|v| v.into_iter().collect()).collect()
-            } else {
-                Vec::new()
+        LogicalPlan::Scan { table, cols, schema, .. } => {
+            if !opts.from_primary_key {
+                return Vec::new();
             }
+            // A key survives narrowing when the scan still emits all of it.
+            let emitted: Vec<usize> = (0..schema.len()).map(|o| cols.table_ordinal(o)).collect();
+            let output_of = |t: usize| emitted.iter().position(|&e| e == t);
+            table
+                .unique_sets()
+                .into_iter()
+                .filter_map(|key| key.into_iter().map(output_of).collect())
+                .collect()
         }
         LogicalPlan::Values { rows, .. } => {
             if rows.len() <= 1 {
@@ -278,14 +284,15 @@ fn derive_join(
     out
 }
 
-/// Decomposes a plan into `(table_name, predicate-over-scan-ordinals,
+/// Decomposes a plan into `(table_name, predicate-over-table-ordinals,
 /// out_map)` when it is a (possibly projected/filtered) scan of one table.
-/// `out_map[i]` is the scan ordinal that output column `i` passes through
+/// `out_map[i]` is the table ordinal that output column `i` passes through
 /// unchanged, or `None` for computed columns.
 fn as_filtered_source(plan: &LogicalPlan) -> Option<(String, Vec<Expr>, Vec<Option<usize>>)> {
     match plan {
-        LogicalPlan::Scan { table, schema, .. } => {
-            Some((table.name.clone(), Vec::new(), (0..schema.len()).map(Some).collect()))
+        LogicalPlan::Scan { table, cols, schema, .. } => {
+            let map = (0..schema.len()).map(|o| Some(cols.table_ordinal(o))).collect();
+            Some((table.name.clone(), Vec::new(), map))
         }
         LogicalPlan::Filter { input, predicate } => {
             let (name, mut preds, map) = as_filtered_source(input)?;

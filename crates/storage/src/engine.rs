@@ -133,16 +133,28 @@ impl StorageEngine {
     }
 
     /// Rows inserted after `since` and still live at `now` (incremental
-    /// view maintenance feed).
-    pub fn inserted_between(&self, name: &str, since: Snapshot, now: Snapshot) -> Result<Batch> {
-        self.table(name)?.read().unwrap().inserted_between(since.0, now.0)
+    /// view maintenance feed), narrowed to the table ordinals `cols`.
+    pub fn inserted_between(
+        &self,
+        name: &str,
+        since: Snapshot,
+        now: Snapshot,
+        cols: Option<&[usize]>,
+    ) -> Result<Batch> {
+        self.table(name)?.read().unwrap().inserted_between(since.0, now.0, cols)
     }
 
     /// Rows visible at `since` but tombstoned in `(since, now]` — the
     /// retraction feed paired with [`StorageEngine::inserted_between`].
     /// Rows both inserted and deleted inside the window appear in neither.
-    pub fn deleted_between(&self, name: &str, since: Snapshot, now: Snapshot) -> Result<Batch> {
-        self.table(name)?.read().unwrap().deleted_between(since.0, now.0)
+    pub fn deleted_between(
+        &self,
+        name: &str,
+        since: Snapshot,
+        now: Snapshot,
+        cols: Option<&[usize]>,
+    ) -> Result<Batch> {
+        self.table(name)?.read().unwrap().deleted_between(since.0, now.0, cols)
     }
 
     /// Switches a table between column-loadable and page-loadable layouts
@@ -169,8 +181,9 @@ impl StorageEngine {
     }
 
     /// Scans one morsel of a table at `snapshot`, zone-map pruned when
-    /// `prune` names a `(column, range)` (see [`TableStore::scan_morsel`]).
-    /// Unpruned morsels concatenated in index order reproduce
+    /// `prune` names a `(table ordinal, range)` and narrowed to the table
+    /// ordinals `cols` when given (see [`TableStore::scan_morsel`]).
+    /// Unpruned, un-narrowed morsels concatenated in index order reproduce
     /// [`StorageEngine::scan`] exactly.
     pub fn scan_morsel(
         &self,
@@ -179,8 +192,11 @@ impl StorageEngine {
         morsel: usize,
         morsel_rows: usize,
         prune: Option<(usize, &crate::zonemap::ScanRange)>,
+        cols: Option<&[usize]>,
     ) -> Result<Batch> {
-        self.table(name)?.read().unwrap().scan_morsel(snapshot.0, morsel, morsel_rows, prune)
+        let table = self.table(name)?;
+        let store = table.read().unwrap();
+        store.scan_morsel(snapshot.0, morsel, morsel_rows, prune, cols)
     }
 
     /// Main-fragment blocks skipped by zone-map pruning so far.

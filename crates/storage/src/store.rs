@@ -135,11 +135,11 @@ impl TableStore {
     /// appends in commit order; merges preserve it), so the matching suffix
     /// is located by binary search instead of a full stamp sweep — the cost
     /// is O(log table + delta rows), not O(table).
-    pub fn inserted_between(&self, ts: u64, now: u64) -> Result<Batch> {
+    pub fn inserted_between(&self, ts: u64, now: u64, cols: Option<&[usize]>) -> Result<Batch> {
         let m_start = self.main_meta.partition_point(|m| m.insert_ts <= ts);
         let d_start = self.delta_meta.partition_point(|m| m.insert_ts <= ts);
         let live = |m: &RowMeta| m.visible_at(now);
-        self.read(live, m_start..self.main_meta.len(), d_start..self.delta.len(), None)
+        self.read(live, m_start..self.main_meta.len(), d_start..self.delta.len(), None, cols)
     }
 
     /// Rows that were visible at `ts` and tombstoned by `now` — the
@@ -147,17 +147,26 @@ impl TableStore {
     /// Served from the tombstone log (delete-timestamp order, binary
     /// searched), so the cost is O(log deletes + matches) and the feed stays
     /// correct after `merge_delta` compacts the deleted rows away.
-    pub fn deleted_between(&self, ts: u64, now: u64) -> Result<Batch> {
+    pub fn deleted_between(&self, ts: u64, now: u64, cols: Option<&[usize]>) -> Result<Batch> {
         let start = self.tombstones.partition_point(|t| t.delete_ts <= ts);
         let mut rows: Vec<Vec<Value>> = Vec::new();
         for t in &self.tombstones[start..] {
             // `insert_ts <= ts` keeps rows born inside the window out: those
             // cancel against the insert feed rather than retracting.
             if t.delete_ts <= now && t.insert_ts <= ts {
-                rows.push(t.row.clone());
+                rows.push(match cols {
+                    Some(cols) => cols.iter().map(|&c| t.row[c].clone()).collect(),
+                    None => t.row.clone(),
+                });
             }
         }
-        Batch::from_rows(Arc::clone(&self.schema), &rows)
+        Batch::from_rows(self.schema_of(cols), &rows)
+    }
+
+    /// The schema of a read that emits the table ordinals `cols` (`None` =
+    /// every column).
+    fn schema_of(&self, cols: Option<&[usize]>) -> Arc<Schema> {
+        cols.map_or_else(|| Arc::clone(&self.schema), |c| Arc::new(self.schema.select(c)))
     }
 
     /// The table definition.
@@ -281,7 +290,7 @@ impl TableStore {
     /// Materializes all rows visible at `ts` as a columnar batch — the
     /// whole table as one morsel.
     pub fn scan(&self, ts: u64) -> Result<Batch> {
-        self.scan_morsel(ts, 0, usize::MAX, None)
+        self.scan_morsel(ts, 0, usize::MAX, None, None)
     }
 
     /// Number of fixed-size morsels covering the table's physical rows
@@ -294,7 +303,8 @@ impl TableStore {
     }
 
     /// The rows of one morsel — physical rows `[morsel * morsel_rows, ..)`
-    /// of main++delta — visible at `ts`. With `prune = (column, range)`,
+    /// of main++delta — visible at `ts`, narrowed to the table ordinals
+    /// `cols` when given. With `prune = (table ordinal, range)`,
     /// main-fragment blocks whose zone map excludes `range` are skipped:
     /// the result is then a superset of the matching rows (the unindexed
     /// delta is always read) and callers re-apply the full predicate. A
@@ -307,6 +317,7 @@ impl TableStore {
         morsel: usize,
         morsel_rows: usize,
         prune: Option<(usize, &ScanRange)>,
+        cols: Option<&[usize]>,
     ) -> Result<Batch> {
         let morsel_rows = morsel_rows.max(1);
         let start = morsel.saturating_mul(morsel_rows);
@@ -315,22 +326,24 @@ impl TableStore {
         let main = start.min(main_len)..end.min(main_len);
         let delta = start.saturating_sub(main_len).min(delta_len)
             ..end.saturating_sub(main_len).min(delta_len);
-        self.read(|m| m.visible_at(ts), main, delta, prune)
+        self.read(|m| m.visible_at(ts), main, delta, prune, cols)
     }
 
     /// The one read path — scans, the insert feed and the delta merge:
     /// rows `main` of the main fragment then rows `delta` of the delta,
-    /// those whose stamps pass `keep`, as one columnar batch. The kept main
-    /// rows are selected once (zone-map-excluded blocks are neither read
-    /// nor charged to the page buffer) and every column is gathered at
-    /// payload level; only the row-wise delta is read value by value, one
-    /// column at a time.
+    /// those whose stamps pass `keep`, as one columnar batch of the table
+    /// ordinals `cols` (`None` = every column). The kept main rows are
+    /// selected once (zone-map-excluded blocks are neither read nor charged
+    /// to the page buffer) and each emitted column is gathered at payload
+    /// level; only the row-wise delta is read value by value, one column
+    /// at a time. A column the query never touches costs nothing here.
     fn read(
         &self,
         keep: impl Fn(&RowMeta) -> bool,
         main: Range<usize>,
         delta: Range<usize>,
         prune: Option<(usize, &ScanRange)>,
+        cols: Option<&[usize]>,
     ) -> Result<Batch> {
         let mut sel: Vec<usize> = Vec::with_capacity(main.len());
         let mut skipped = 0u64;
@@ -357,8 +370,10 @@ impl TableStore {
             *self.blocks_skipped.lock().unwrap() += skipped;
         }
         let delta_sel: Vec<usize> = delta.filter(|&i| keep(&self.delta_meta[i])).collect();
-        let mut columns = Vec::with_capacity(self.schema.len());
-        for (c, f) in self.schema.fields().iter().enumerate() {
+        let schema = self.schema_of(cols);
+        let mut columns = Vec::with_capacity(schema.len());
+        for (out, f) in schema.fields().iter().enumerate() {
+            let c = cols.map_or(out, |cols| cols[out]);
             let from_delta = || {
                 let vals: Vec<Value> =
                     delta_sel.iter().map(|&r| self.delta[r][c].clone()).collect();
@@ -372,7 +387,7 @@ impl TableStore {
                 Column::concat(&[&self.main[c].gather_compact(&sel), &from_delta()?])?
             });
         }
-        Batch::new(Arc::clone(&self.schema), columns)
+        Batch::new(schema, columns)
     }
 
     /// Total main-fragment blocks skipped by zone-map pruning so far.
@@ -398,7 +413,8 @@ impl TableStore {
     /// versions with `delete_ts <= ts` vanish; others keep their stamps).
     pub fn merge_delta(&mut self, ts: u64) -> Result<()> {
         let survives = |m: &RowMeta| m.delete_ts > ts;
-        let merged = self.read(survives, 0..self.main_meta.len(), 0..self.delta.len(), None)?;
+        let merged =
+            self.read(survives, 0..self.main_meta.len(), 0..self.delta.len(), None, None)?;
         self.main_meta =
             self.main_meta.iter().chain(&self.delta_meta).copied().filter(survives).collect();
         self.zone_maps = ZoneMaps::build(&merged.columns);
@@ -516,12 +532,12 @@ mod tests {
             assert_eq!(n, 15usize.div_ceil(morsel_rows));
             let mut rows = Vec::new();
             for m in 0..n {
-                rows.extend(s.scan_morsel(3, m, morsel_rows, None).unwrap().to_rows());
+                rows.extend(s.scan_morsel(3, m, morsel_rows, None, None).unwrap().to_rows());
             }
             assert_eq!(rows, s.scan(3).unwrap().to_rows(), "morsel_rows={morsel_rows}");
         }
         // Out-of-range morsels are empty, not errors.
-        assert_eq!(s.scan_morsel(3, 99, 4, None).unwrap().num_rows(), 0);
+        assert_eq!(s.scan_morsel(3, 99, 4, None, None).unwrap().num_rows(), 0);
     }
 
     #[test]
@@ -549,7 +565,7 @@ mod tests {
         for (round, morsel_rows) in [ZONE_BLOCK_ROWS, 2 * ZONE_BLOCK_ROWS].into_iter().enumerate() {
             let mut rows = Vec::new();
             for m in 0..s.morsel_count(morsel_rows) {
-                let pruned = s.scan_morsel(2, m, morsel_rows, Some((0, &range))).unwrap();
+                let pruned = s.scan_morsel(2, m, morsel_rows, Some((0, &range)), None).unwrap();
                 rows.extend(pruned.to_rows());
             }
             assert_eq!(rows, expected, "morsel_rows={morsel_rows}");
@@ -570,7 +586,7 @@ mod tests {
         // Only block 2 can hold the key: one morsel spans the table, and
         // the three excluded blocks must not fault their pages in.
         let key = Value::Int(2 * ZONE_BLOCK_ROWS as i64 + 7);
-        let hit = s.scan_morsel(1, 0, n, Some((0, &ScanRange::point(key)))).unwrap();
+        let hit = s.scan_morsel(1, 0, n, Some((0, &ScanRange::point(key))), None).unwrap();
         assert_eq!(hit.num_rows(), ZONE_BLOCK_ROWS);
         assert_eq!(s.blocks_skipped(), 3);
         assert_eq!(s.page_stats().loads, (ZONE_BLOCK_ROWS / page_rows) as u64);
@@ -695,7 +711,7 @@ mod tests {
                     let mut got: Vec<Vec<Value>> = Vec::new();
                     for m in 0..s.morsel_count(morsel_rows) {
                         let prune = prune.as_ref().map(|(c, range)| (*c, range));
-                        let b = s.scan_morsel(at, m, morsel_rows, prune).unwrap();
+                        let b = s.scan_morsel(at, m, morsel_rows, prune, None).unwrap();
                         match b.columns[1].data() {
                             ColumnData::Str(doc) => assert!(doc.dict_size() <= b.num_rows()),
                             other => panic!("expected Str, got {other:?}"),
@@ -719,14 +735,43 @@ mod tests {
         s.delete_where(&|r| r[0] == Value::Int(2), 3);
         s.insert(vec![row(5, "e")], 3).unwrap();
         s.delete_where(&|r| r[0] == Value::Int(5), 4);
-        let ins = s.inserted_between(1, 4).unwrap();
+        let ins = s.inserted_between(1, 4, None).unwrap();
         assert_eq!(ins.to_rows(), vec![row(4, "d")], "intra-window birth+death cancels");
-        let del = s.deleted_between(1, 4).unwrap();
+        let del = s.deleted_between(1, 4, None).unwrap();
         assert_eq!(del.to_rows(), vec![row(2, "b")]);
         // A window that predates the delete sees nothing retracted.
-        assert_eq!(s.deleted_between(3, 3).unwrap().num_rows(), 0);
+        assert_eq!(s.deleted_between(3, 3, None).unwrap().num_rows(), 0);
         // A window starting after the delete: the tombstone is out of range.
-        assert_eq!(s.deleted_between(4, 4).unwrap().num_rows(), 0);
+        assert_eq!(s.deleted_between(4, 4, None).unwrap().num_rows(), 0);
+    }
+
+    /// Every read door narrowed to `cols` is the full read projected: main
+    /// and delta rows, the insert feed and the tombstone feed, with the
+    /// zone-map column still named by its table ordinal.
+    #[test]
+    fn narrowed_reads_are_projections_of_full_reads() {
+        let mut s = store();
+        s.insert((0..2 * ZONE_BLOCK_ROWS as i64).map(|i| row(i, "m")).collect(), 1).unwrap();
+        s.merge_delta(1).unwrap();
+        s.insert(vec![row(-1, "d"), vec![Value::Int(-2), Value::Null]], 2).unwrap();
+        s.delete_where(&|r| r[0] == Value::Int(7) || r[0] == Value::Int(-1), 3);
+        let project = |b: Batch, cols: &[usize]| -> Vec<Vec<Value>> {
+            b.to_rows().iter().map(|r| cols.iter().map(|&c| r[c].clone()).collect()).collect()
+        };
+        for cols in [&[1usize, 0][..], &[1], &[0]] {
+            let range = ScanRange::at_least(Value::Int(ZONE_BLOCK_ROWS as i64));
+            for prune in [None, Some((0, &range))] {
+                let full = s.scan_morsel(3, 0, usize::MAX, prune, None).unwrap();
+                let narrow = s.scan_morsel(3, 0, usize::MAX, prune, Some(cols)).unwrap();
+                assert_eq!(narrow.schema.len(), cols.len());
+                assert_eq!(narrow.to_rows(), project(full, cols), "{cols:?} {prune:?}");
+            }
+            let ins = s.inserted_between(1, 3, Some(cols)).unwrap();
+            assert_eq!(ins.to_rows(), project(s.inserted_between(1, 3, None).unwrap(), cols));
+            let del = s.deleted_between(1, 3, Some(cols)).unwrap();
+            assert_eq!(del.to_rows(), project(s.deleted_between(1, 3, None).unwrap(), cols));
+            assert_eq!(del.num_rows(), 1, "row 7 retracts; row -1 was born inside the window");
+        }
     }
 
     #[test]
@@ -739,7 +784,7 @@ mod tests {
         assert_eq!(s.main_len(), 1);
         // ...but a maintainer whose snapshot predates the delete still gets
         // the retraction from the tombstone log.
-        assert_eq!(s.deleted_between(1, 5).unwrap().to_rows(), vec![row(1, "a")]);
+        assert_eq!(s.deleted_between(1, 5, None).unwrap().to_rows(), vec![row(1, "a")]);
     }
 
     #[test]

@@ -132,6 +132,30 @@ if ! awk '/^#\[cfg\(test\)\]/ { exit } /fn deleted_between/ { feed = 1 } feed &&
   echo "store.rs may build a batch from rows only in deleted_between (the tombstone feed)"; exit 1
 fi
 
+echo "== touched fields only (rows are built from referenced columns; one predicate evaluator) =="
+# Outside test modules, vdm-exec materializes a whole row (`.row(`) only for
+# DISTINCT and for aggregate keys/arguments; filters, projections, sort keys
+# and join residuals evaluate through kernels::RowScratch, which loads the
+# referenced columns only.
+WIDE_ROWS="$(for f in crates/exec/src/*.rs; do
+  case "$f" in *_tests.rs) continue ;; esac
+  awk '/^#\[cfg\(test\)\]/ { exit }
+    /^\/\/ Aggregation\.$/ { agg = 1 }
+    /^pub fn distinct\(/ { distinct = 1 } distinct && /^}$/ { distinct = 0 }
+    !agg && !distinct && /\.row\(/ { print FILENAME ":" FNR ": " $0 }' "$f"
+done)"
+if [ -n "$WIDE_ROWS" ]; then
+  echo "$WIDE_ROWS"
+  echo "evaluate row-wise through kernels::RowScratch (referenced columns only), not Batch::row"; exit 1
+fi
+# FilterKernel is the predicate evaluator: one columnar form (`Pred::mask`),
+# one entry point (`select`), and no conjunction-only sibling beside it.
+EVALUATORS="$(awk '/^#\[cfg\(test\)\]/ { exit } /fn mask\(|fn select\(/ { n++ } END { print n + 0 }' \
+  crates/exec/src/kernels.rs)"
+if [ "$EVALUATORS" != "2" ] || grep -rnE "CompiledPredicate|CompiledAtom|fn eval_into" crates/exec/src; then
+  echo "kernels.rs must define exactly one predicate evaluator (FilterKernel::select over Pred::mask)"; exit 1
+fi
+
 echo "== non-test source size (scripts/loc.sh) =="
 scripts/loc.sh | tail -1
 
