@@ -442,7 +442,10 @@ pub fn execute_resolved(
     let Execution { batch, profile, workers } = vdm_exec::execute_with(&bound, engine, &opts)?;
     let elapsed = start.elapsed();
     let metrics = Metrics::roll_up(&bound, &profile);
-    record_query(&metrics, &profile, &resolved.trace, elapsed);
+    // A plan-cache hit carries the trace of the optimization that filled the
+    // entry; only an optimization that ran for this statement is reported.
+    let optimized = (resolved.outcome != CacheOutcome::Hit).then_some(&resolved.trace);
+    record_query(&metrics, &profile, optimized, elapsed);
     qtrace::attr("rows", batch.num_rows());
     qtrace::attr("workers", workers);
     let latency_nanos = elapsed.as_nanos() as u64;
@@ -555,21 +558,23 @@ fn render_analyzed(
     })
 }
 
-/// Feeds one query's counters into the process-wide metrics registry.
+/// Feeds one query's counters into the process-wide metrics registry;
+/// `optimized` is the trace of the optimization this statement ran, if any.
 fn record_query(
     metrics: &Metrics,
     profile: &QueryProfile,
-    trace: &Trace,
+    optimized: Option<&Trace>,
     elapsed: std::time::Duration,
 ) {
     let reg = MetricsRegistry::global();
     reg.inc(names::QUERIES_TOTAL, 1);
     reg.observe(names::QUERY_SECONDS, elapsed.as_secs_f64());
-    reg.observe(names::OPTIMIZE_SECONDS, trace.optimize_nanos as f64 / 1e9);
     reg.inc(names::ROWS_SCANNED_TOTAL, metrics.rows_scanned as u64);
     reg.inc(names::ROWS_JOINED_TOTAL, metrics.join_output_rows as u64);
     reg.inc(names::MORSEL_STEALS_TOTAL, profile.morsel_steals);
     reg.inc(names::MORSEL_SIZE_BYTES, profile.morsel_bytes);
+    let Some(trace) = optimized else { return };
+    reg.observe(names::OPTIMIZE_SECONDS, trace.optimize_nanos as f64 / 1e9);
     for (rule, n) in trace.hit_counts() {
         reg.inc(&vdm_obs::registry::label(names::REWRITE_FIRED_TOTAL, "rule", &rule), n);
     }

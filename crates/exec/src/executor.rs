@@ -20,9 +20,10 @@
 //! * **joins** — one [`hash_join`] at every input size, for the plan
 //!   walker and for [`crate::delta`] — partition the build side by key
 //!   hash (columnar branch-free hashing when both sides' key columns share
-//!   a physical type), build per-partition hash maps, probe chunks of the
-//!   other side and assemble the output by payload-level gather; a build
-//!   side of one chunk is one partition and runs inline;
+//!   a physical type), chain each partition's row ids by hash slot (no key
+//!   is materialized; a probe compares the key columns in place), probe
+//!   chunks of the other side and assemble the output by payload-level
+//!   gather; a build side of one chunk is one partition and runs inline;
 //! * **aggregations** radix-partition rows by group-key hash so each
 //!   worker owns a disjoint key range and groups never merge across
 //!   workers ([`vdm_expr::Accumulator::merge`] is only needed on the
@@ -54,7 +55,7 @@ use vdm_obs::{NodeIndex, QueryProfile};
 use vdm_plan::fusion;
 use vdm_plan::{JoinKind, LogicalPlan, PlanRef, ScanCols};
 use vdm_storage::zonemap::ZONE_BLOCK_ROWS;
-use vdm_storage::{Batch, ScanRange, Snapshot, StorageEngine};
+use vdm_storage::{Batch, ScanFilter, ScanRange, Snapshot, StorageEngine};
 use vdm_types::{Result, Schema, Value};
 
 /// How the engine splits and dispatches work.
@@ -140,23 +141,23 @@ fn nanos_since(start: std::time::Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Extracts a prunable `(column, range)` from a filter predicate: the
-/// first conjunct of the form `col ⟨cmp⟩ literal` over an orderable type.
-fn prune_range(predicate: &vdm_expr::Expr) -> Option<(usize, vdm_storage::ScanRange)> {
+/// The prunable `(table ordinal, range)` of every conjunct of the filter on
+/// a scan emitting `cols` that has the form `col ⟨cmp⟩ literal` over an
+/// orderable type: a block that any one of them excludes cannot hold a match.
+fn prune_ranges(predicate: &Expr, cols: &ScanCols) -> Vec<(usize, ScanRange)> {
     use vdm_expr::{predicate as preds, BinOp};
-    use vdm_storage::ScanRange;
-    for conj in preds::split_conjunction(predicate) {
-        if let Some(atom) = preds::as_atom(conj) {
+    let atoms = preds::split_conjunction(predicate).into_iter().filter_map(preds::as_atom);
+    atoms
+        .filter_map(|atom| {
             let range = match atom.op {
-                BinOp::Eq => ScanRange::point(atom.value.clone()),
-                BinOp::Gt | BinOp::GtEq => ScanRange::at_least(atom.value.clone()),
-                BinOp::Lt | BinOp::LtEq => ScanRange::at_most(atom.value.clone()),
-                _ => continue,
+                BinOp::Eq => ScanRange::point(atom.value),
+                BinOp::Gt | BinOp::GtEq => ScanRange::at_least(atom.value),
+                BinOp::Lt | BinOp::LtEq => ScanRange::at_most(atom.value),
+                _ => return None,
             };
-            return Some((atom.col, range));
-        }
-    }
-    None
+            Some((cols.table_ordinal(atom.col), range))
+        })
+        .collect()
 }
 
 struct Ctx<'a> {
@@ -268,9 +269,9 @@ struct LeafPipeline<'p> {
     /// What the scan emits (table ordinals; `None` = every column).
     cols: &'p ScanCols,
     scan_schema: &'p Arc<Schema>,
-    /// Zone-map pruning from the filter sitting directly on the scan, its
-    /// column as a table ordinal.
-    prune: Option<(usize, ScanRange)>,
+    /// Zone-map pruning from the filter sitting directly on the scan, one
+    /// range per prunable conjunct, its column as a table ordinal.
+    ranges: Vec<(usize, ScanRange)>,
     /// Operators above the scan, bottom-up.
     steps: Vec<LeafStep<'p>>,
     /// The covered plan nodes: the scan first, then one per node a step
@@ -304,14 +305,14 @@ fn extract_leaf(plan: &PlanRef, stack: bool) -> Option<LeafPipeline<'_>> {
             table: &table.name,
             cols,
             scan_schema: schema,
-            prune: None,
+            ranges: Vec::new(),
             steps: Vec::new(),
             nodes: vec![plan],
         }),
         LogicalPlan::Filter { input, predicate } if stack => {
             let mut p = extract_leaf(input, stack)?;
             if p.steps.is_empty() {
-                p.prune = prune_range(predicate).map(|(c, r)| (p.cols.table_ordinal(c), r));
+                p.ranges = prune_ranges(predicate, p.cols);
             }
             p.steps.push(LeafStep::Filter(FilterKernel::new(predicate)));
             p.nodes.push(plan);
@@ -355,7 +356,7 @@ fn run_leaf(pipe: &LeafPipeline<'_>, budget: Option<usize>, ctx: &mut Ctx<'_>) -
     let config = ctx.config;
     // Pruned scans align morsels to zone-map blocks so every block belongs
     // to exactly one morsel and is skipped (and counted) at most once.
-    let morsel_rows = if pipe.prune.is_some() {
+    let morsel_rows = if !pipe.ranges.is_empty() {
         config.morsel_rows.div_ceil(ZONE_BLOCK_ROWS).max(1) * ZONE_BLOCK_ROWS
     } else {
         budget.map_or(config.morsel_rows, |b| b.clamp(1, config.morsel_rows))
@@ -412,13 +413,24 @@ fn leaf_morsel(
     prof: &mut QueryProfile,
 ) -> Result<Batch> {
     let t = Instant::now();
-    let prune = pipe.prune.as_ref().map(|(col, range)| (*col, range));
     let cols = pipe.cols.narrowed();
-    let raw = engine.scan_morsel(pipe.table, snapshot, morsel, morsel_rows, prune, cols)?;
+    // The filter directly on the scan refines the morsel's selection before
+    // the gather; storage returns a superset (the delta comes back whole), so
+    // the step below still runs, over the survivors.
+    let pushed = match pipe.steps.first() {
+        Some(LeafStep::Filter(kernel)) => kernel.pushed(cols),
+        _ => None,
+    };
+    let filter = ScanFilter { ranges: &pipe.ranges, mask: pushed.as_deref() };
+    let (raw, visible) =
+        engine.scan_morsel(pipe.table, snapshot, morsel, morsel_rows, filter, cols)?;
     let scan_nanos = nanos_since(t);
     let mut batch = Batch::new(Arc::clone(pipe.scan_schema), raw.columns)?;
-    let mut rows = batch.num_rows() as u64;
-    prof.morsel_bytes += kernels::row_bytes(&batch) as u64 * rows;
+    // Bytes are charged for the rows gathered; the scan's ledger line is the
+    // visible rows, whatever the filter let through early — they are the
+    // filter's `rows_in`.
+    prof.morsel_bytes += (kernels::row_bytes(&batch) * batch.num_rows()) as u64;
+    let mut rows = visible as u64;
     prof.record_morsel(ids[0], rows, rows, scan_nanos);
     // `ids` holds one entry per covered plan node; steps advance the
     // cursor by however many nodes they absorb (FusedMap covers several).
@@ -632,18 +644,50 @@ fn routing_hashes(batch: &Batch, cols: &[usize], range: Range<usize>, columnar: 
         .collect()
 }
 
-/// Join key of row `i` taken from `cols`; `None` when any part is NULL
-/// (NULL keys never match under SQL equi-join semantics).
-fn key_at(batch: &Batch, i: usize, cols: &[usize]) -> Option<Vec<Value>> {
-    let mut key = Vec::with_capacity(cols.len());
-    for &c in cols {
-        let v = batch.columns[c].get(i);
-        if v.is_null() {
-            return None;
+/// One partition of a join's build side: its row ids in build-row order,
+/// chained per hash slot. No key and no hash is stored — a probe walks the
+/// chain of its slot and compares the key columns in place.
+struct JoinTable {
+    rows: Vec<usize>,
+    /// Per slot, 1 + the index in `rows` of its first entry; 0 = empty.
+    heads: Vec<usize>,
+    /// Per entry, 1 + the index of the next entry in its slot; 0 = last.
+    next: Vec<usize>,
+    /// The hash bits below `shift` chose the partition; slots use the rest.
+    shift: u32,
+}
+
+impl JoinTable {
+    /// Chains `entries` — `(routing hash, row id)`, ascending by row.
+    fn build(entries: &[(u64, usize)], shift: u32) -> JoinTable {
+        let mut table = JoinTable {
+            rows: entries.iter().map(|&(_, row)| row).collect(),
+            heads: vec![0; (entries.len() * 2).next_power_of_two()],
+            next: vec![0; entries.len()],
+            shift,
+        };
+        // Last entry first, each pushed onto the front of its chain: a slot
+        // then lists its entries in build-row order.
+        for (k, &(hash, _)) in entries.iter().enumerate().rev() {
+            let slot = table.slot(hash);
+            table.next[k] = std::mem::replace(&mut table.heads[slot], k + 1);
         }
-        key.push(v);
+        table
     }
-    Some(key)
+
+    fn slot(&self, hash: u64) -> usize {
+        (hash >> self.shift) as usize & (self.heads.len() - 1)
+    }
+
+    /// The build rows sharing `hash`'s slot, ascending.
+    fn candidates(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+        let mut at = self.heads[self.slot(hash)];
+        std::iter::from_fn(move || {
+            let k = at.checked_sub(1)?;
+            at = self.next[k];
+            Some(self.rows[k])
+        })
+    }
 }
 
 /// The hash join: builds on the right input and probes with the left,
@@ -656,11 +700,13 @@ fn key_at(batch: &Batch, i: usize, cols: &[usize]) -> Option<Vec<Value>> {
 /// joins, a left row whose matches all fail the residual filter is still
 /// emitted once, NULL-padded.
 ///
-/// The build side is partitioned by key hash into per-partition maps with
-/// match lists in build-row order, chunks of the probe side probe them
-/// concurrently, and chunk outputs concatenate in chunk order. Chunk and
-/// partition counts follow the input sizes, so a one-chunk build side is
-/// one partition and every phase runs inline on the calling thread.
+/// The build side is partitioned by key hash into per-partition
+/// [`JoinTable`]s of row ids, chunks of the probe side probe them
+/// concurrently — a probe row walks its slot's chain and compares the key
+/// columns cell against cell ([`kernels::cells_equal`]) — and chunk outputs
+/// concatenate in chunk order. Chunk and partition counts follow the input
+/// sizes, so a one-chunk build side is one partition and every phase runs
+/// inline on the calling thread.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn hash_join(
     left: &Batch,
@@ -687,39 +733,35 @@ pub(crate) fn hash_join(
         .iter()
         .zip(&probe_cols)
         .all(|(&b, &p)| build.columns[b].sql_type() == probe.columns[p].sql_type());
+    // NULL keys never match: such rows are neither inserted nor probed.
+    let null_key =
+        |side: &Batch, cols: &[usize], i: usize| cols.iter().any(|&c| side.columns[c].is_null(i));
 
     let chunk = config.morsel_rows;
     let n_chunks = chunk_count(build.num_rows(), chunk);
     let n_parts = (pool_workers(config.threads) * 4).min(n_chunks).next_power_of_two();
     let mask = n_parts - 1;
 
-    // Phase 1: scatter build rows into per-chunk, per-partition key lists.
+    // Phase 1: scatter build rows into per-chunk, per-partition entry lists.
     let build_bytes = kernels::row_bytes(build);
     let scattered = parallel_map(config.threads, n_chunks, n_chunks, profile, |ci, prof| {
         let range = chunk_range(ci, chunk, build.num_rows());
         prof.morsel_bytes += (build_bytes * range.len()) as u64;
         let hashes = routing_hashes(build, &build_cols, range.clone(), columnar);
-        let mut parts: Vec<Vec<(Vec<Value>, usize)>> = vec![Vec::new(); n_parts];
-        for (k, i) in range.enumerate() {
-            if let Some(key) = key_at(build, i, &build_cols) {
-                let p = (hashes[k] as usize) & mask;
-                parts[p].push((key, i));
+        let mut parts: Vec<Vec<(u64, usize)>> = vec![Vec::new(); n_parts];
+        for (h, i) in hashes.into_iter().zip(range) {
+            if !null_key(build, &build_cols, i) {
+                parts[(h as usize) & mask].push((h, i));
             }
         }
         Ok(parts)
     })?;
 
-    // Phase 2: one hash map per partition. Chunks are visited in index
-    // order, so every match list holds build-row indices ascending —
-    // exactly a single-map build's entry order.
-    let maps = parallel_map(config.threads, n_chunks, n_parts, profile, |p, _prof| {
-        let mut map: FxHashMap<Vec<Value>, Vec<usize>> = FxHashMap::default();
-        for chunk_parts in &scattered {
-            for (key, i) in &chunk_parts[p] {
-                map.entry(key.clone()).or_default().push(*i);
-            }
-        }
-        Ok(map)
+    // Phase 2: one table per partition. Chunks are visited in index order,
+    // so every chain holds build-row indices ascending.
+    let tables = parallel_map(config.threads, n_chunks, n_parts, profile, |p, _prof| {
+        let entries: Vec<_> = scattered.iter().flat_map(|parts| &parts[p]).copied().collect();
+        Ok(JoinTable::build(&entries, mask.count_ones()))
     })?;
 
     // Phase 3: probe in parallel over chunks of the probe side. Matches
@@ -733,70 +775,46 @@ pub(crate) fn hash_join(
         let hashes = routing_hashes(probe, &probe_cols, range.clone(), columnar);
         let mut probe_sel: Vec<usize> = Vec::new();
         let mut build_sel: Vec<Option<usize>> = Vec::new();
-        let mut key = Vec::with_capacity(probe_cols.len());
         let mut pair = RowScratch::new(residual, schema.len());
         let probe_width = probe.columns.len();
-        for (k, i) in range.enumerate() {
-            key.clear();
-            for &c in &probe_cols {
-                key.push(probe.columns[c].get(i));
-            }
-            let matches = if key.iter().any(Value::is_null) {
-                None // NULL keys never match
-            } else {
-                maps[(hashes[k] as usize) & mask].get(key.as_slice())
-            };
-            if build_left {
-                // Inner join; output order `build ++ probe` = left ++ right.
-                if let Some(matches) = matches {
-                    for &bi in matches {
-                        probe_sel.push(i);
-                        build_sel.push(Some(bi));
-                    }
-                }
-            } else {
-                let mut emitted = false;
-                if let Some(matches) = matches {
-                    for &bi in matches {
-                        let pass = match residual {
-                            Some(f) => {
-                                let row = pair.load(|c| match c.checked_sub(probe_width) {
-                                    Some(b) => build.columns[b].get(bi),
-                                    None => probe.columns[c].get(i),
-                                });
-                                f.eval_row(row)?.as_bool()? == Some(true)
-                            }
-                            None => true,
-                        };
-                        if pass {
-                            probe_sel.push(i);
-                            build_sel.push(Some(bi));
-                            emitted = true;
+        for (h, i) in hashes.into_iter().zip(range) {
+            let candidates = (!null_key(probe, &probe_cols, i))
+                .then(|| tables[(h as usize) & mask].candidates(h));
+            let mut emitted = false;
+            for bi in candidates.into_iter().flatten() {
+                let keys_equal = build_cols.iter().zip(&probe_cols).all(|(&b, &p)| {
+                    kernels::cells_equal(&build.columns[b], bi, &probe.columns[p], i)
+                });
+                // A residual implies `probe ++ build` = `left ++ right`.
+                let pass = keys_equal
+                    && match residual {
+                        Some(f) => {
+                            let row = pair.load(|c| match c.checked_sub(probe_width) {
+                                Some(b) => build.columns[b].get(bi),
+                                None => probe.columns[c].get(i),
+                            });
+                            f.eval_row(row)?.as_bool()? == Some(true)
                         }
-                    }
-                }
-                if !emitted && kind == JoinKind::LeftOuter {
+                        None => true,
+                    };
+                if pass {
                     probe_sel.push(i);
-                    build_sel.push(None);
+                    build_sel.push(Some(bi));
+                    emitted = true;
                 }
             }
+            if !emitted && kind == JoinKind::LeftOuter {
+                probe_sel.push(i);
+                build_sel.push(None);
+            }
         }
-        let mut columns = Vec::with_capacity(schema.len());
-        if build_left {
-            for c in &build.columns {
-                columns.push(c.gather_opt(&build_sel));
-            }
-            for c in &probe.columns {
-                columns.push(c.gather(&probe_sel));
-            }
+        let probe_out = probe.columns.iter().map(|c| c.gather(&probe_sel));
+        let build_out = build.columns.iter().map(|c| c.gather_opt(&build_sel));
+        let columns = if build_left {
+            build_out.chain(probe_out).collect()
         } else {
-            for c in &probe.columns {
-                columns.push(c.gather(&probe_sel));
-            }
-            for c in &build.columns {
-                columns.push(c.gather_opt(&build_sel));
-            }
-        }
+            probe_out.chain(build_out).collect()
+        };
         Batch::new(Arc::clone(&schema), columns)
     })?;
     merge_parts(schema, parts)
@@ -1340,6 +1358,28 @@ mod tests {
         assert_eq!(got.batch.to_rows(), run_at(&wide, &e, snap, 2).batch.to_rows());
         assert_eq!(got.batch.schema.len(), 2);
         assert_equivalent(&narrow, &e);
+    }
+
+    #[test]
+    fn every_prunable_conjunct_prunes() {
+        let (e, def) = many_rows_engine(3 * ZONE_BLOCK_ROWS as i64);
+        // `grp = 3` holds somewhere in every block; `k`, under the second
+        // conjunct, ascends with position, so its range alone excludes the
+        // two leading blocks — each once, morsels being block-aligned.
+        let from = 2 * ZONE_BLOCK_ROWS as i64;
+        let pred = Expr::col(1)
+            .eq(Expr::int(3))
+            .and(Expr::col(0).binary(vdm_expr::BinOp::GtEq, Expr::int(from)));
+        let plan = LogicalPlan::filter(LogicalPlan::scan(def), pred).unwrap();
+        let skipped = e.blocks_skipped("t").unwrap();
+        let got = run_at(&plan, &e, e.snapshot(), 2);
+        assert_eq!(e.blocks_skipped("t").unwrap() - skipped, 2);
+        // 3 blocks of keys in main, half as many again in the delta.
+        let matching = (from..9 * from / 4).filter(|k| k % 13 == 3).count();
+        assert_eq!(got.batch.num_rows(), matching);
+        // One block of main plus the unindexed delta were visible to the scan.
+        assert_eq!(got.profile.rows_out(1), Some(ZONE_BLOCK_ROWS as u64 * 5 / 2));
+        assert_equivalent(&plan, &e);
     }
 
     #[test]

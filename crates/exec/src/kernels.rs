@@ -34,7 +34,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 use vdm_expr::{predicate, BinOp, Expr};
-use vdm_storage::{Batch, Column, ColumnData};
+use vdm_storage::{Batch, Column, ColumnData, MaskFn};
 use vdm_types::{Decimal, Result, Schema, Value};
 
 // ---------------------------------------------------------------------------
@@ -171,49 +171,57 @@ fn str_hash(s: &str) -> u64 {
 fn hash_column_into(col: &Column, rows: Range<usize>, hashes: &mut [u64]) {
     debug_assert_eq!(hashes.len(), rows.len());
     let start = rows.start;
-    // Stage payloads in a scratch vector so NULL slots can be *replaced*
-    // by the sentinel before mixing — the dense per-type loops stay
-    // branch-free and vectorizable, and the null patch-up touches only
-    // the mask.
-    let mut payloads = vec![0u64; hashes.len()];
+    let valid = col.validity().map(|v| &v[rows]);
     match col.data() {
-        ColumnData::Int(v) => {
-            for (k, p) in payloads.iter_mut().enumerate() {
-                *p = v[start + k] as u64;
-            }
-        }
-        ColumnData::Dec { units, .. } => {
-            for (k, p) in payloads.iter_mut().enumerate() {
-                let u = units[start + k];
-                *p = (u as u64).wrapping_add(mix64((u >> 64) as u64));
-            }
-        }
-        ColumnData::Bool(v) => {
-            for (k, p) in payloads.iter_mut().enumerate() {
-                *p = v[start + k] as u64;
-            }
-        }
-        ColumnData::Date(v) => {
-            for (k, p) in payloads.iter_mut().enumerate() {
-                *p = v[start + k] as u64;
-            }
-        }
+        ColumnData::Int(v) => mix_into(hashes, valid, |k| v[start + k] as u64),
+        ColumnData::Dec { units, .. } => mix_into(hashes, valid, |k| {
+            let u = units[start + k];
+            (u as u64).wrapping_add(mix64((u >> 64) as u64))
+        }),
+        ColumnData::Bool(v) => mix_into(hashes, valid, |k| v[start + k] as u64),
+        ColumnData::Date(v) => mix_into(hashes, valid, |k| v[start + k] as u64),
         ColumnData::Str(s) => {
             let dict_hashes: Vec<u64> = s.dict.iter().map(|d| str_hash(d)).collect();
-            for (k, p) in payloads.iter_mut().enumerate() {
-                // NULL slots carry code 0 over a possibly empty dict;
-                // whatever lands here is overwritten by the sentinel below.
-                *p = dict_hashes.get(s.codes[start + k] as usize).copied().unwrap_or(0);
+            // NULL slots carry code 0 over a possibly empty dictionary.
+            mix_into(hashes, valid, |k| {
+                dict_hashes.get(s.codes[start + k] as usize).copied().unwrap_or(0)
+            })
+        }
+    }
+}
+
+/// Combines `payload(k)` into `hashes[k]`; a NULL slot contributes the
+/// sentinel instead. A column without a validity mask (NOT NULL keys) takes
+/// the dense loop, which stays branch-free and vectorizable.
+fn mix_into(hashes: &mut [u64], valid: Option<&[bool]>, payload: impl Fn(usize) -> u64) {
+    match valid {
+        None => hashes.iter_mut().enumerate().for_each(|(k, h)| *h = combine(*h, payload(k))),
+        Some(valid) => {
+            for (k, (h, ok)) in hashes.iter_mut().zip(valid).enumerate() {
+                *h = combine(*h, if *ok { payload(k) } else { NULL_PAYLOAD });
             }
         }
     }
-    for (k, p) in payloads.iter_mut().enumerate() {
-        if col.is_null(start + k) {
-            *p = NULL_PAYLOAD;
+}
+
+/// `a[i] == b[j]` for two non-NULL cells, under [`Value`] equality: typed
+/// payloads compare in place (strings by content, so the two sides may carry
+/// different dictionaries); only a cross-type pair — `INT` against `DECIMAL`,
+/// two decimal scales — goes through `Value`.
+pub fn cells_equal(a: &Column, i: usize, b: &Column, j: usize) -> bool {
+    match (a.data(), b.data()) {
+        (ColumnData::Int(x), ColumnData::Int(y)) => x[i] == y[j],
+        (ColumnData::Dec { units: x, scale: s }, ColumnData::Dec { units: y, scale: t })
+            if s == t =>
+        {
+            x[i] == y[j]
         }
-    }
-    for (h, p) in hashes.iter_mut().zip(&payloads) {
-        *h = combine(*h, *p);
+        (ColumnData::Bool(x), ColumnData::Bool(y)) => x[i] == y[j],
+        (ColumnData::Date(x), ColumnData::Date(y)) => x[i] == y[j],
+        (ColumnData::Str(x), ColumnData::Str(y)) => {
+            x.dict[x.codes[i] as usize] == y.dict[y.codes[j] as usize]
+        }
+        _ => a.get(i) == b.get(j),
     }
 }
 
@@ -288,21 +296,29 @@ impl Pred {
         }
     }
 
-    /// `mask[k]` ⇔ the predicate is TRUE on row `rows.start + k`. `None`
-    /// when a column's physical type doesn't pair with its literal.
-    fn mask(&self, batch: &Batch, rows: Range<usize>) -> Option<Vec<bool>> {
+    /// `mask[k]` ⇔ the predicate is TRUE on row `rows.start + k` of
+    /// `columns`, where the predicate's column `c` is `columns[c]`, or
+    /// `columns[ordinals[c]]` over a table's unnarrowed columns. `None` when
+    /// a column's physical type doesn't pair with its literal.
+    fn mask(
+        &self,
+        columns: &[Column],
+        ordinals: Option<&[usize]>,
+        rows: Range<usize>,
+    ) -> Option<Vec<bool>> {
+        let column = |c: usize| &columns[ordinals.map_or(c, |o| o[c])];
         match self {
-            Pred::Atom(atom) => atom_mask(atom, &batch.columns[atom.col], rows),
+            Pred::Atom(atom) => atom_mask(atom, column(atom.col), rows),
             Pred::IsNull { col, negated } => {
-                let c = &batch.columns[*col];
+                let c = column(*col);
                 Some(rows.map(|i| c.is_null(i) != *negated).collect())
             }
             Pred::And(parts) | Pred::Or(parts) => {
                 let and = matches!(self, Pred::And(_));
                 let mut parts = parts.iter();
-                let mut mask = parts.next()?.mask(batch, rows.clone())?;
+                let mut mask = parts.next()?.mask(columns, ordinals, rows.clone())?;
                 for part in parts {
-                    let other = part.mask(batch, rows.clone())?;
+                    let other = part.mask(columns, ordinals, rows.clone())?;
                     for (m, o) in mask.iter_mut().zip(other) {
                         *m = if and { *m & o } else { *m | o };
                     }
@@ -333,15 +349,21 @@ fn atom_mask(atom: &predicate::Atom, col: &Column, rows: Range<usize>) -> Option
         (ColumnData::Date(v), Value::Date(rhs)) => v[r].iter().map(|x| cmp(x.cmp(rhs))).collect(),
         (ColumnData::Bool(v), Value::Bool(rhs)) => v[r].iter().map(|x| cmp(x.cmp(rhs))).collect(),
         (ColumnData::Str(s), Value::Str(rhs)) => {
-            let verdict: Vec<bool> =
-                s.dict.iter().map(|d| cmp(d.as_ref().cmp(rhs.as_ref()))).collect();
+            let test = |d: &Arc<str>| cmp(d.as_ref().cmp(rhs.as_ref()));
             // NULL slots carry code 0 over a possibly empty dictionary.
-            s.codes[r].iter().map(|&c| verdict.get(c as usize).copied().unwrap_or(false)).collect()
+            if s.dict.len() > r.len() {
+                // A run of a table's main fragment under its whole
+                // dictionary: one comparison per row, not per entry.
+                s.codes[r].iter().map(|&c| s.dict.get(c as usize).is_some_and(test)).collect()
+            } else {
+                let verdict: Vec<bool> = s.dict.iter().map(test).collect();
+                s.codes[r].iter().map(|&c| verdict.get(c as usize) == Some(&true)).collect()
+            }
         }
         _ => return None,
     };
-    for (k, m) in mask.iter_mut().enumerate() {
-        *m &= !col.is_null(rows.start + k);
+    if let Some(valid) = col.validity() {
+        mask.iter_mut().zip(&valid[rows]).for_each(|(m, ok)| *m &= *ok);
     }
     Some(mask)
 }
@@ -395,7 +417,8 @@ impl<'e> FilterKernel<'e> {
 
     /// The rows of `batch[rows]` on which the predicate is TRUE, ascending.
     pub fn select(&self, batch: &Batch, rows: Range<usize>) -> Result<Vec<usize>> {
-        if let Some(mask) = self.columnar.as_ref().and_then(|p| p.mask(batch, rows.clone())) {
+        let columnar = self.columnar.as_ref();
+        if let Some(mask) = columnar.and_then(|p| p.mask(&batch.columns, None, rows.clone())) {
             return Ok(rows.zip(mask).filter_map(|(i, keep)| keep.then_some(i)).collect());
         }
         let mut scratch = RowScratch::new([self.predicate], batch.schema.len());
@@ -407,6 +430,16 @@ impl<'e> FilterKernel<'e> {
             }
         }
         Ok(keep)
+    }
+
+    /// The predicate as a scan may apply it ahead of its gather
+    /// ([`vdm_storage::ScanFilter::mask`]): the columnar form over a table's
+    /// main-fragment columns, the predicate's column `c` being table ordinal
+    /// `ordinals[c]`. `None` unless the predicate compiled — the row-wise
+    /// fallback can raise, and an error belongs to the filter operator.
+    pub fn pushed<'a>(&'a self, ordinals: Option<&'a [usize]>) -> Option<Box<MaskFn<'a>>> {
+        let pred = self.columnar.as_ref()?;
+        Some(Box::new(move |main: &[Column], rows: Range<usize>| pred.mask(main, ordinals, rows)))
     }
 
     /// [`FilterKernel::select`], assembled by a payload-level gather.
@@ -597,6 +630,41 @@ mod tests {
         }
     }
 
+    /// A pushed string atom meets runs of a main fragment under the table's
+    /// whole dictionary: a run shorter than the dictionary compares per row,
+    /// a longer one per entry — the same mask on both sides of that line.
+    #[test]
+    fn pushed_string_atom_over_runs_shorter_and_longer_than_the_dictionary() {
+        let mut rng = vdm_types::SplitMix64::seed_from_u64(7);
+        let names: Vec<Value> = (0..200)
+            .map(|_| match rng.random_range(0..80u32) {
+                0..8 => Value::Null,
+                k => Value::str(format!("s{k:02}")),
+            })
+            .collect();
+        let narrowed = batch(vec![(SqlType::Text, names.clone())]);
+        let main = batch(vec![(SqlType::Int, vec![Value::Int(0); 200]), (SqlType::Text, names)]);
+        let ColumnData::Str(s) = main.columns[1].data() else { panic!("expected Str") };
+        assert!((11..200).contains(&s.dict.len()), "{} entries", s.dict.len());
+        for op in [BinOp::Eq, BinOp::NotEq, BinOp::Lt, BinOp::GtEq] {
+            for lit in ["s40", "s07", ""] {
+                // The filter's column 0 is table ordinal 1.
+                let pred = Expr::col(0).binary(op, Expr::str(lit));
+                let kernel = FilterKernel::new(&pred);
+                let pushed = kernel.pushed(Some(&[1])).expect("an atom compiles");
+                let want = row_wise(&pred, &narrowed).unwrap();
+                for run in [0..200, 50..60, 199..200, 60..60] {
+                    let mask = pushed(&main.columns, run.clone()).expect("Text pairs with Str");
+                    let got: Vec<usize> =
+                        run.clone().zip(mask).filter_map(|(i, keep)| keep.then_some(i)).collect();
+                    let part: Vec<usize> =
+                        want.iter().copied().filter(|i| run.contains(i)).collect();
+                    assert_eq!(got, part, "{pred} over {run:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn three_valued_logic_keeps_true_only() {
         let b = batch(vec![
@@ -622,7 +690,7 @@ mod tests {
         let b = batch(vec![(SqlType::Int, vec![Value::Int(1), Value::Null, Value::Int(3)])]);
         let pred = Expr::col(0).binary(BinOp::Lt, Expr::str("x")).or(Expr::col(0).eq(Expr::int(3)));
         let kernel = FilterKernel::new(&pred);
-        assert!(kernel.columnar.as_ref().is_some_and(|p| p.mask(&b, 0..3).is_none()));
+        assert!(kernel.columnar.as_ref().is_some_and(|p| p.mask(&b.columns, None, 0..3).is_none()));
         assert_eq!(kernel.select(&b, 0..3).unwrap(), row_wise(&pred, &b).unwrap());
         assert_eq!(kernel.select(&b, 0..3).unwrap(), vec![0, 2]);
     }

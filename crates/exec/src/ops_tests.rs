@@ -6,6 +6,7 @@
 //! at all of them.
 
 use crate::executor::hash_join;
+use crate::kernels;
 use crate::{execute_with, ExecOptions, Execution, Metrics, ParallelConfig, QueryProfile};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -741,10 +742,11 @@ fn reference_join_build_left(
     Batch::from_rows(schema, &rows)
 }
 
-/// `rows` random rows `(k, p, s)`: a join key from a small domain (many
+/// `rows` random rows `(k, p, s)`: a join key drawn from `domain` (many
 /// duplicates, one NULL in six) stored as INT or DECIMAL(2), the row's
-/// position as payload so output order is visible, and a nullable string.
-fn join_side(rng: &mut SplitMix64, rows: usize, dec_key: bool) -> Batch {
+/// position as payload so output order is visible, and a nullable string
+/// whose dictionary is in this side's first-seen order.
+fn join_side(rng: &mut SplitMix64, rows: usize, dec_key: bool, domain: &[i64]) -> Batch {
     let key_ty = if dec_key { SqlType::Decimal { scale: 2 } } else { SqlType::Int };
     let schema = Arc::new(Schema::new(vec![
         Field::new("k", key_ty, true),
@@ -753,10 +755,10 @@ fn join_side(rng: &mut SplitMix64, rows: usize, dec_key: bool) -> Batch {
     ]));
     let rows: Vec<Vec<Value>> = (0..rows)
         .map(|p| {
-            let k = match rng.random_range(0..6i64) {
+            let k = match rng.random_range(0..=domain.len()) {
                 0 => Value::Null,
-                k if dec_key => Value::Dec(Decimal::from_units(k as i128 * 100, 2)),
-                k => Value::Int(k),
+                i if dec_key => Value::Dec(Decimal::from_units(domain[i - 1] as i128 * 100, 2)),
+                i => Value::Int(domain[i - 1]),
             };
             let s = match rng.random_range(0..4u32) {
                 0 => Value::Null,
@@ -768,6 +770,27 @@ fn join_side(rng: &mut SplitMix64, rows: usize, dec_key: bool) -> Batch {
     Batch::from_rows(schema, &rows).unwrap()
 }
 
+/// Five INT keys whose columnar routing hashes agree in their low 12 bits:
+/// at these sizes they share a partition and a slot, so one chain carries
+/// several distinct keys.
+fn colliding_keys() -> Vec<i64> {
+    let ints: Vec<Vec<Value>> = (0..200_000).map(|i| vec![Value::Int(i)]).collect();
+    let schema = Arc::new(Schema::new(vec![Field::new("k", SqlType::Int, false)]));
+    let hashes = kernels::hash_keys(&Batch::from_rows(schema, &ints).unwrap(), &[0], 0..ints.len());
+    let keys: Vec<i64> = (0..ints.len())
+        .filter(|&i| (hashes[i] ^ hashes[0]) & 0xfff == 0)
+        .map(|i| i as i64)
+        .collect();
+    assert!(keys.len() >= 5, "{keys:?}");
+    keys[..5].to_vec()
+}
+
+/// The one hash join against the row-wise reference — same rows in the same
+/// order — over NULL keys, duplicate build keys (a probe row's matches in
+/// build-row order), INT-vs-DECIMAL key pairs, string keys under different
+/// dictionaries, composite keys, distinct keys chained in one slot, a
+/// residual on every kind, empty sides, and build sides of one chunk up to
+/// several partitions, at every thread count.
 #[test]
 fn one_hash_join_matches_the_row_wise_reference() {
     // Four-row chunks: sizes 7 / 8 / 9 straddle the two-morsel line below
@@ -776,10 +799,12 @@ fn one_hash_join_matches_the_row_wise_reference() {
     let sizes = [0usize, 3, 7, 8, 9, 40];
     let residual = Expr::col(1).binary(BinOp::Lt, Expr::col(4));
     let mut rng = SplitMix64::seed_from_u64(16);
+    let domains = [(1..=5).collect(), colliding_keys()];
+    let ons: [&[(usize, usize)]; 3] = [&[(0, 0)], &[(2, 2)], &[(0, 0), (2, 2)]];
     for (&l, &r) in sizes.iter().flat_map(|l| sizes.iter().map(move |r| (l, r))) {
-        for dec_right in [false, true] {
-            let left = join_side(&mut rng, l, false);
-            let right = join_side(&mut rng, r, dec_right);
+        for (domain, dec_right) in domains.iter().flat_map(|d| [(d, false), (d, true)]) {
+            let left = join_side(&mut rng, l, false, domain);
+            let right = join_side(&mut rng, r, dec_right, domain);
             let fields = left.schema.fields().iter().chain(right.schema.fields()).cloned();
             let schema = Arc::new(Schema::new(fields.collect()));
             for (kind, residual) in [
@@ -788,23 +813,34 @@ fn one_hash_join_matches_the_row_wise_reference() {
                 (JoinKind::LeftOuter, None),
                 (JoinKind::LeftOuter, Some(&residual)),
             ] {
-                let on = [(0, 0)];
-                let want = reference_join(&left, &right, kind, &on, residual, Arc::clone(&schema))
-                    .unwrap()
-                    .to_rows();
-                for threads in [1, 2, 4] {
-                    let config = ParallelConfig { threads, morsel_rows: 4 };
-                    let mut profile = QueryProfile::default();
-                    let schema = Arc::clone(&schema);
-                    let got =
-                        hash_join(&left, &right, kind, &on, residual, schema, config, &mut profile)
-                            .unwrap();
-                    assert_eq!(
-                        got.to_rows(),
-                        want,
-                        "{l} x {r} rows, dec_right={dec_right}, {kind:?}, residual={}, threads={threads}",
-                        residual.is_some()
-                    );
+                for on in ons {
+                    let want =
+                        reference_join(&left, &right, kind, on, residual, Arc::clone(&schema))
+                            .unwrap()
+                            .to_rows();
+                    for threads in [1, 2, 4] {
+                        let config = ParallelConfig { threads, morsel_rows: 4 };
+                        let mut profile = QueryProfile::default();
+                        let schema = Arc::clone(&schema);
+                        let got = hash_join(
+                            &left,
+                            &right,
+                            kind,
+                            on,
+                            residual,
+                            schema,
+                            config,
+                            &mut profile,
+                        )
+                        .unwrap();
+                        assert_eq!(
+                            got.to_rows(),
+                            want,
+                            "{l} x {r} rows, keys {domain:?}, dec_right={dec_right}, {kind:?} on \
+                             {on:?}, residual={}, threads={threads}",
+                            residual.is_some()
+                        );
+                    }
                 }
             }
         }

@@ -194,6 +194,11 @@ impl Column {
         &self.data
     }
 
+    /// The validity mask (`false` = NULL); `None` when every row is valid.
+    pub fn validity(&self) -> Option<&[bool]> {
+        self.validity.as_deref()
+    }
+
     /// True when row `i` is NULL.
     pub fn is_null(&self, i: usize) -> bool {
         self.validity.as_ref().is_some_and(|v| !v[i])

@@ -180,10 +180,10 @@ impl StorageEngine {
         Ok(self.table(name)?.read().unwrap().morsel_count(morsel_rows))
     }
 
-    /// Scans one morsel of a table at `snapshot`, zone-map pruned when
-    /// `prune` names a `(table ordinal, range)` and narrowed to the table
-    /// ordinals `cols` when given (see [`TableStore::scan_morsel`]).
-    /// Unpruned, un-narrowed morsels concatenated in index order reproduce
+    /// Scans one morsel of a table at `snapshot` — refined by `filter`,
+    /// narrowed to the table ordinals `cols` when given — and counts its
+    /// visible rows (see [`TableStore::scan_morsel`]). Unfiltered,
+    /// un-narrowed morsels concatenated in index order reproduce
     /// [`StorageEngine::scan`] exactly.
     pub fn scan_morsel(
         &self,
@@ -191,12 +191,12 @@ impl StorageEngine {
         snapshot: Snapshot,
         morsel: usize,
         morsel_rows: usize,
-        prune: Option<(usize, &crate::zonemap::ScanRange)>,
+        filter: crate::store::ScanFilter<'_>,
         cols: Option<&[usize]>,
-    ) -> Result<Batch> {
+    ) -> Result<(Batch, usize)> {
         let table = self.table(name)?;
         let store = table.read().unwrap();
-        store.scan_morsel(snapshot.0, morsel, morsel_rows, prune, cols)
+        store.scan_morsel(snapshot.0, morsel, morsel_rows, filter, cols)
     }
 
     /// Main-fragment blocks skipped by zone-map pruning so far.

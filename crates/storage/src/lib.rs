@@ -7,9 +7,10 @@
 //!   strings);
 //! * a **delta merge** folds the delta into the main fragment;
 //! * a **scan** is a selection + gather: the visible main rows are picked
-//!   once and every column is gathered at payload level, the morsel's delta
-//!   rows appended column by column — rows (`Vec<Vec<Value>>`) exist only in
-//!   the delta and at the API edge;
+//!   once, a caller-supplied [`ScanFilter`] drops the ones it rejects, and
+//!   every column is gathered at payload level, the morsel's delta rows
+//!   appended column by column — rows (`Vec<Vec<Value>>`) exist only in the
+//!   delta and at the API edge;
 //! * rows carry `(insert_ts, delete_ts)` stamps; readers operate against a
 //!   [`Snapshot`] so analytical scans see a consistent state while
 //!   transactional writes continue (MVCC-lite — single-statement
@@ -27,5 +28,5 @@ pub mod zonemap;
 pub use column::{Batch, Column, ColumnData};
 pub use engine::{Snapshot, StorageEngine};
 pub use nse::{LoadMode, PageStats};
-pub use store::TableStore;
+pub use store::{MaskFn, ScanFilter, TableStore};
 pub use zonemap::ScanRange;

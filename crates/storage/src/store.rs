@@ -24,6 +24,24 @@ impl RowMeta {
     }
 }
 
+/// A predicate over the main fragment: its columns (by table ordinal) and a
+/// row range to the mask of rows on which it is TRUE, `None` when it cannot
+/// be evaluated there.
+pub type MaskFn<'a> = dyn Fn(&[Column], Range<usize>) -> Option<Vec<bool>> + Sync + 'a;
+
+/// The filter sitting on a scan, in storage's own vocabulary: what lets a
+/// read skip blocks and drop rows before it gathers them. The result is a
+/// superset of the matches — zone maps are per block, and the row-wise delta
+/// comes back unfiltered — so the caller re-applies the full predicate.
+#[derive(Clone, Copy, Default)]
+pub struct ScanFilter<'a> {
+    /// Conjuncts `(table ordinal, range)`: a main-fragment block whose zone
+    /// map excludes any one of them holds no match and is skipped.
+    pub ranges: &'a [(usize, ScanRange)],
+    /// The whole predicate; it must not be able to fail.
+    pub mask: Option<&'a MaskFn<'a>>,
+}
+
 /// One tombstoned row version, logged at delete time so incremental view
 /// maintenance can retrieve retraction deltas even after a delta merge
 /// compacted the fragment that held the row.
@@ -139,7 +157,8 @@ impl TableStore {
         let m_start = self.main_meta.partition_point(|m| m.insert_ts <= ts);
         let d_start = self.delta_meta.partition_point(|m| m.insert_ts <= ts);
         let live = |m: &RowMeta| m.visible_at(now);
-        self.read(live, m_start..self.main_meta.len(), d_start..self.delta.len(), None, cols)
+        let (main, delta) = (m_start..self.main_meta.len(), d_start..self.delta.len());
+        Ok(self.read(live, main, delta, ScanFilter::default(), cols)?.0)
     }
 
     /// Rows that were visible at `ts` and tombstoned by `now` — the
@@ -290,7 +309,7 @@ impl TableStore {
     /// Materializes all rows visible at `ts` as a columnar batch — the
     /// whole table as one morsel.
     pub fn scan(&self, ts: u64) -> Result<Batch> {
-        self.scan_morsel(ts, 0, usize::MAX, None, None)
+        Ok(self.scan_morsel(ts, 0, usize::MAX, ScanFilter::default(), None)?.0)
     }
 
     /// Number of fixed-size morsels covering the table's physical rows
@@ -304,21 +323,20 @@ impl TableStore {
 
     /// The rows of one morsel — physical rows `[morsel * morsel_rows, ..)`
     /// of main++delta — visible at `ts`, narrowed to the table ordinals
-    /// `cols` when given. With `prune = (table ordinal, range)`,
-    /// main-fragment blocks whose zone map excludes `range` are skipped:
-    /// the result is then a superset of the matching rows (the unindexed
-    /// delta is always read) and callers re-apply the full predicate. A
-    /// skipped block is counted by the morsel holding its head, so use a
-    /// `morsel_rows` that is a multiple of [`ZONE_BLOCK_ROWS`] for each
-    /// block to fall inside one morsel.
+    /// `cols` when given, and how many rows were visible. `filter` may leave
+    /// rows out (see [`ScanFilter`]): the batch is then a superset of the
+    /// matching rows and callers re-apply the full predicate. A skipped
+    /// block is counted by the morsel holding its head and contributes no
+    /// visible rows, so use a `morsel_rows` that is a multiple of
+    /// [`ZONE_BLOCK_ROWS`] for each block to fall inside one morsel.
     pub fn scan_morsel(
         &self,
         ts: u64,
         morsel: usize,
         morsel_rows: usize,
-        prune: Option<(usize, &ScanRange)>,
+        filter: ScanFilter<'_>,
         cols: Option<&[usize]>,
-    ) -> Result<Batch> {
+    ) -> Result<(Batch, usize)> {
         let morsel_rows = morsel_rows.max(1);
         let start = morsel.saturating_mul(morsel_rows);
         let end = start.saturating_add(morsel_rows);
@@ -326,26 +344,47 @@ impl TableStore {
         let main = start.min(main_len)..end.min(main_len);
         let delta = start.saturating_sub(main_len).min(delta_len)
             ..end.saturating_sub(main_len).min(delta_len);
-        self.read(|m| m.visible_at(ts), main, delta, prune, cols)
+        self.read(|m| m.visible_at(ts), main, delta, filter, cols)
     }
 
     /// The one read path — scans, the insert feed and the delta merge:
     /// rows `main` of the main fragment then rows `delta` of the delta,
     /// those whose stamps pass `keep`, as one columnar batch of the table
-    /// ordinals `cols` (`None` = every column). The kept main rows are
+    /// ordinals `cols` (`None` = every column), with the number of rows that
+    /// passed `keep` in the blocks read. Three steps: the kept main rows are
     /// selected once (zone-map-excluded blocks are neither read nor charged
-    /// to the page buffer) and each emitted column is gathered at payload
-    /// level; only the row-wise delta is read value by value, one column
-    /// at a time. A column the query never touches costs nothing here.
+    /// to the page buffer); the filter's mask, evaluated over the
+    /// predicate's own columns one run of adjacent blocks at a time, drops
+    /// the rows it rejects from the selection; each emitted column is
+    /// gathered at payload level. Only the row-wise delta is read value by
+    /// value, one column at a time. A column the query never touches, and a
+    /// row the filter rejects, cost nothing past the selection.
     fn read(
         &self,
         keep: impl Fn(&RowMeta) -> bool,
         main: Range<usize>,
         delta: Range<usize>,
-        prune: Option<(usize, &ScanRange)>,
+        filter: ScanFilter<'_>,
         cols: Option<&[usize]>,
-    ) -> Result<Batch> {
-        let mut sel: Vec<usize> = Vec::with_capacity(main.len());
+    ) -> Result<(Batch, usize)> {
+        // A mask is expected to keep few rows; without one, most are kept.
+        let mut sel = Vec::with_capacity(if filter.mask.is_some() { 0 } else { main.len() });
+        let mut visible = 0usize;
+        let mut read_run = |run: Range<usize>| {
+            if run.is_empty() {
+                return;
+            }
+            self.account_scan(run.clone());
+            let hits = filter.mask.and_then(|mask| mask(&self.main, run.clone()));
+            for (k, i) in run.enumerate() {
+                if keep(&self.main_meta[i]) {
+                    visible += 1;
+                    if hits.as_ref().is_none_or(|h| h[k]) {
+                        sel.push(i);
+                    }
+                }
+            }
+        };
         let mut skipped = 0u64;
         // Start of the run of adjacent blocks read since the last skip.
         let mut run_start = main.start;
@@ -353,19 +392,19 @@ impl TableStore {
         while b_start < main.end {
             let block = b_start / ZONE_BLOCK_ROWS;
             let b_end = ((block + 1) * ZONE_BLOCK_ROWS).min(main.end);
-            if prune.is_some_and(|(col, range)| !self.zone_maps.block_may_match(col, block, range))
-            {
+            let excluded = |(col, range): &(usize, ScanRange)| {
+                !self.zone_maps.block_may_match(*col, block, range)
+            };
+            if filter.ranges.iter().any(excluded) {
                 if b_start == block * ZONE_BLOCK_ROWS {
                     skipped += 1;
                 }
-                self.account_scan(run_start..b_start);
+                read_run(run_start..b_start);
                 run_start = b_end;
-            } else {
-                sel.extend((b_start..b_end).filter(|&i| keep(&self.main_meta[i])));
             }
             b_start = b_end;
         }
-        self.account_scan(run_start..main.end);
+        read_run(run_start..main.end);
         if skipped > 0 {
             *self.blocks_skipped.lock().unwrap() += skipped;
         }
@@ -387,7 +426,7 @@ impl TableStore {
                 Column::concat(&[&self.main[c].gather_compact(&sel), &from_delta()?])?
             });
         }
-        Batch::new(schema, columns)
+        Ok((Batch::new(schema, columns)?, visible + delta_sel.len()))
     }
 
     /// Total main-fragment blocks skipped by zone-map pruning so far.
@@ -413,8 +452,8 @@ impl TableStore {
     /// versions with `delete_ts <= ts` vanish; others keep their stamps).
     pub fn merge_delta(&mut self, ts: u64) -> Result<()> {
         let survives = |m: &RowMeta| m.delete_ts > ts;
-        let merged =
-            self.read(survives, 0..self.main_meta.len(), 0..self.delta.len(), None, None)?;
+        let (main, delta) = (0..self.main_meta.len(), 0..self.delta.len());
+        let (merged, _) = self.read(survives, main, delta, ScanFilter::default(), None)?;
         self.main_meta =
             self.main_meta.iter().chain(&self.delta_meta).copied().filter(survives).collect();
         self.zone_maps = ZoneMaps::build(&merged.columns);
@@ -532,12 +571,17 @@ mod tests {
             assert_eq!(n, 15usize.div_ceil(morsel_rows));
             let mut rows = Vec::new();
             for m in 0..n {
-                rows.extend(s.scan_morsel(3, m, morsel_rows, None, None).unwrap().to_rows());
+                rows.extend(
+                    s.scan_morsel(3, m, morsel_rows, ScanFilter::default(), None)
+                        .unwrap()
+                        .0
+                        .to_rows(),
+                );
             }
             assert_eq!(rows, s.scan(3).unwrap().to_rows(), "morsel_rows={morsel_rows}");
         }
         // Out-of-range morsels are empty, not errors.
-        assert_eq!(s.scan_morsel(3, 99, 4, None, None).unwrap().num_rows(), 0);
+        assert_eq!(s.scan_morsel(3, 99, 4, ScanFilter::default(), None).unwrap().0.num_rows(), 0);
     }
 
     #[test]
@@ -559,14 +603,14 @@ mod tests {
         // Keys ascend with position, so the range excludes exactly the first
         // two blocks and the pruned scan returns exactly the matching rows.
         let first_kept = Value::Int(2 * ZONE_BLOCK_ROWS as i64);
-        let range = ScanRange::at_least(first_kept.clone());
+        let ranges = [(0, ScanRange::at_least(first_kept.clone()))];
+        let pruned = ScanFilter { ranges: &ranges, mask: None };
         let mut expected = s.scan(2).unwrap().to_rows();
         expected.retain(|r| r[0].total_cmp(&first_kept).is_ge());
         for (round, morsel_rows) in [ZONE_BLOCK_ROWS, 2 * ZONE_BLOCK_ROWS].into_iter().enumerate() {
             let mut rows = Vec::new();
             for m in 0..s.morsel_count(morsel_rows) {
-                let pruned = s.scan_morsel(2, m, morsel_rows, Some((0, &range)), None).unwrap();
-                rows.extend(pruned.to_rows());
+                rows.extend(s.scan_morsel(2, m, morsel_rows, pruned, None).unwrap().0.to_rows());
             }
             assert_eq!(rows, expected, "morsel_rows={morsel_rows}");
             assert_eq!(s.blocks_skipped(), 2 * (round as u64 + 1), "each block skipped once");
@@ -586,8 +630,10 @@ mod tests {
         // Only block 2 can hold the key: one morsel spans the table, and
         // the three excluded blocks must not fault their pages in.
         let key = Value::Int(2 * ZONE_BLOCK_ROWS as i64 + 7);
-        let hit = s.scan_morsel(1, 0, n, Some((0, &ScanRange::point(key))), None).unwrap();
-        assert_eq!(hit.num_rows(), ZONE_BLOCK_ROWS);
+        let ranges = [(0, ScanRange::point(key))];
+        let (hit, visible) =
+            s.scan_morsel(1, 0, n, ScanFilter { ranges: &ranges, mask: None }, None).unwrap();
+        assert_eq!((hit.num_rows(), visible), (ZONE_BLOCK_ROWS, ZONE_BLOCK_ROWS));
         assert_eq!(s.blocks_skipped(), 3);
         assert_eq!(s.page_stats().loads, (ZONE_BLOCK_ROWS / page_rows) as u64);
         // The unpruned scan reads — and is charged for — every page.
@@ -597,7 +643,8 @@ mod tests {
     }
 
     /// Random insert / delete / merge scripts against a naive model that
-    /// keeps `(row, stamps)` in physical order and filters row by row.
+    /// keeps `(row, stamps)` in physical order and filters row by row; then
+    /// random pushed predicates against the unrefined read.
     #[test]
     fn morsel_scans_match_a_row_by_row_visibility_oracle() {
         use vdm_types::{Decimal, SplitMix64};
@@ -706,22 +753,58 @@ mod tests {
                                 .is_some_and(|hi| all(&|v| v.total_cmp(hi).is_gt()))
                     })
                     .count() as u64;
+                // What a pushed predicate adds to the range: a random cut
+                // on `amt`, or a NULL `doc`. Odd-headed runs decline to
+                // evaluate it, which must read like no mask at all.
+                let cut = Value::Dec(Decimal::from_units(rng.random_range(-999..999), 2));
+                let pred = |row: &[Value]| {
+                    in_range(row) && (row[1].is_null() || row[2].total_cmp(&cut).is_lt())
+                };
+                let mask = |main: &[Column], rows: Range<usize>| {
+                    let row = |i| main.iter().map(|c| c.get(i)).collect::<Vec<_>>();
+                    rows.start.is_multiple_of(2).then(|| rows.map(|i| pred(&row(i))).collect())
+                };
+                let plain = ScanFilter { ranges: prune.as_slice(), mask: None };
+                let refined = ScanFilter { mask: Some(&mask), ..plain };
+                let recheck = |b: &Batch| -> Vec<Vec<Value>> {
+                    b.to_rows().into_iter().filter(|row| pred(row)).collect()
+                };
+                let mut dropped = 0;
                 for morsel_rows in [1usize, 3, 1024, 4096] {
+                    let ctx = format!("seed {seed} at {at} morsel_rows {morsel_rows} {prune:?}");
                     let skipped_before = s.blocks_skipped();
                     let mut got: Vec<Vec<Value>> = Vec::new();
+                    let mut morsels: Vec<Batch> = Vec::new();
                     for m in 0..s.morsel_count(morsel_rows) {
-                        let prune = prune.as_ref().map(|(c, range)| (*c, range));
-                        let b = s.scan_morsel(at, m, morsel_rows, prune, None).unwrap();
+                        let (b, visible) = s.scan_morsel(at, m, morsel_rows, plain, None).unwrap();
+                        assert_eq!(visible, b.num_rows(), "{ctx}");
                         match b.columns[1].data() {
                             ColumnData::Str(doc) => assert!(doc.dict_size() <= b.num_rows()),
                             other => panic!("expected Str, got {other:?}"),
                         }
                         got.extend(b.to_rows().into_iter().filter(|row| in_range(row)));
+                        morsels.push(b);
                     }
-                    let ctx = format!("seed {seed} at {at} morsel_rows {morsel_rows} {prune:?}");
                     assert_eq!(got.iter().collect::<Vec<_>>(), want, "{ctx}");
                     assert_eq!(s.blocks_skipped() - skipped_before, excluded, "{ctx}");
+                    // A refined read then the caller's re-check is the plain
+                    // read then the same filter; it counts the same visible
+                    // rows, and narrows like any other read.
+                    for (m, b) in morsels.iter().enumerate() {
+                        let (r, visible) =
+                            s.scan_morsel(at, m, morsel_rows, refined, None).unwrap();
+                        assert_eq!(visible, b.num_rows(), "{ctx} morsel {m}");
+                        assert_eq!(recheck(&r), recheck(b), "{ctx} morsel {m}");
+                        dropped += b.num_rows() - r.num_rows();
+                        let cols = [2usize, 0];
+                        let (narrow, _) =
+                            s.scan_morsel(at, m, morsel_rows, refined, Some(&cols)).unwrap();
+                        let projected: Vec<Vec<Value>> =
+                            r.to_rows().iter().map(|r| vec![r[2].clone(), r[0].clone()]).collect();
+                        assert_eq!(narrow.to_rows(), projected, "{ctx} morsel {m}");
+                    }
                 }
+                assert!(dropped > 0, "seed {seed} at {at} {prune:?}: the mask refined nothing");
             }
         }
     }
@@ -759,10 +842,11 @@ mod tests {
             b.to_rows().iter().map(|r| cols.iter().map(|&c| r[c].clone()).collect()).collect()
         };
         for cols in [&[1usize, 0][..], &[1], &[0]] {
-            let range = ScanRange::at_least(Value::Int(ZONE_BLOCK_ROWS as i64));
-            for prune in [None, Some((0, &range))] {
-                let full = s.scan_morsel(3, 0, usize::MAX, prune, None).unwrap();
-                let narrow = s.scan_morsel(3, 0, usize::MAX, prune, Some(cols)).unwrap();
+            let ranges = [(0, ScanRange::at_least(Value::Int(ZONE_BLOCK_ROWS as i64)))];
+            for prune in [&[][..], &ranges] {
+                let filter = ScanFilter { ranges: prune, mask: None };
+                let (full, _) = s.scan_morsel(3, 0, usize::MAX, filter, None).unwrap();
+                let (narrow, _) = s.scan_morsel(3, 0, usize::MAX, filter, Some(cols)).unwrap();
                 assert_eq!(narrow.schema.len(), cols.len());
                 assert_eq!(narrow.to_rows(), project(full, cols), "{cols:?} {prune:?}");
             }

@@ -127,6 +127,17 @@ JOINS="$(find crates/exec/src -name '*.rs' ! -name '*_tests.rs' -exec awk \
 if [ "$JOINS" != "1" ]; then
   echo "vdm-exec must define exactly one hash join outside test modules; found $JOINS"; exit 1
 fi
+# A pushed filter refines the one read body (no filtered twin), and the join
+# chains row ids: no materialized `Vec<Value>` key, map or `key_at` above
+# the aggregation section.
+READS="$(awk '/^#\[cfg\(test\)\]/ { exit } /fn read\(/ { n++ } END { print n + 0 }' crates/storage/src/store.rs)"
+if [ "$READS" != "1" ] || grep -rnE "fn (scan_morsel|read)_(filtered|refined|pushed)" crates/storage/src; then
+  echo "store.rs must define exactly one read body (fn read) and no filtered twin; found $READS"; exit 1
+fi
+if awk '/^\/\/ Aggregation\.$/ { exit } /FxHashMap<Vec<Value>|fn key_at/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+    END { exit !bad }' crates/exec/src/executor.rs; then
+  echo "the hash join keeps no Vec<Value> keys: chain row ids (JoinTable) and compare cells in place"; exit 1
+fi
 if ! awk '/^#\[cfg\(test\)\]/ { exit } /fn deleted_between/ { feed = 1 } feed && /^    }$/ { feed = 0 }
     !feed && /from_rows/ { print FILENAME ":" FNR ": " $0; bad = 1 } END { exit bad }' crates/storage/src/store.rs; then
   echo "store.rs may build a batch from rows only in deleted_between (the tombstone feed)"; exit 1
@@ -157,7 +168,13 @@ if [ "$EVALUATORS" != "2" ] || grep -rnE "CompiledPredicate|CompiledAtom|fn eval
 fi
 
 echo "== non-test source size (scripts/loc.sh) =="
-scripts/loc.sh | tail -1
+# The size to beat is PR 17's 24 295 lines; PR 18 (pushed leaf filter, row-id
+# join table) may add at most 120.
+LOC_TOTAL="$(scripts/loc.sh | awk '$1 == "total" { print $2 }')"
+echo "total $LOC_TOTAL"
+if [ "$LOC_TOTAL" -gt $((24295 + 120)) ]; then
+  echo "non-test source grew past 24 295 + 120 lines"; exit 1
+fi
 
 echo "== metrics are registered only through vdm-obs (no stray metric name literals) =="
 if grep -rn '"vdm_' crates --include='*.rs' | grep -v '^crates/obs/src'; then

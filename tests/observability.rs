@@ -215,6 +215,27 @@ fn registry_exports_prometheus_and_json_with_uaj_hits() {
     assert!(json.contains("vdm_rewrite_fired_total{rule=\\\"uaj-removal\\\"}"), "{json}");
 }
 
+/// A plan-cache hit ran no optimizer: it must not replay the cached trace
+/// into `vdm_optimize_seconds` / `vdm_rewrite_fired_total`.
+#[test]
+fn plan_cache_hits_report_no_optimization() {
+    let _serial = serial();
+    let server = vdm_serve::Server::from_database(db());
+    let session = server.session();
+    let prepared = session.prepare(&format!("{FIG5_UAJ} where o_orderkey > ?")).unwrap();
+    let rule = vdm_obs::registry::label("vdm_rewrite_fired_total", "rule", "uaj-removal");
+    let reg = vdm_obs::MetricsRegistry::global();
+    let optimizations = || reg.histogram("vdm_optimize_seconds").map_or(0, |h| h.count());
+    let before = (reg.counter("vdm_queries_total"), reg.counter(&rule), optimizations());
+    // One miss fills the cache, three hits read it.
+    for _ in 0..4 {
+        assert_eq!(prepared.execute(&[vdm_types::Value::Int(10)]).unwrap().num_rows(), 2);
+    }
+    assert_eq!(reg.counter("vdm_queries_total"), before.0 + 4);
+    assert_eq!(reg.counter(&rule), before.1 + 1, "uaj-removal fired in one optimization");
+    assert_eq!(optimizations(), before.2 + 1);
+}
+
 #[test]
 fn golden_explain_analyze_cached_view_header() {
     let _serial = serial();

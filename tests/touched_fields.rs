@@ -300,6 +300,45 @@ fn star_keeps_every_column_and_count_star_keeps_one() {
     assert_eq!(db.query("select count(*) from acdoca").unwrap().row(0), vec![Value::Int(600)]);
 }
 
+/// The paging shapes' ledger — every node's `rows_in` / `rows_out` and the
+/// `rows_scanned` roll-up, at every thread count — is the one in
+/// `tests/golden/paging_ledger.txt`, blessed at commit `6f1762f`, before a
+/// scan's leaf filter refined the morsel selection ahead of the gather
+/// (`UPDATE_GOLDEN=1 cargo test --test touched_fields`): what a scan drops
+/// early must not show in what it reports reading.
+#[test]
+fn paging_ledger_is_the_one_blessed_before_the_filter_was_pushed() {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/paging_ledger.txt");
+    let mut lines = Vec::new();
+    for unmerged in [false, true] {
+        let db = erp_database(unmerged);
+        for (shape, sql) in &SHAPES[..3] {
+            let plan = db.optimized_plan(sql).unwrap();
+            let ledger = |threads: usize| {
+                let x = run(&plan, db.engine(), threads);
+                let scanned = vdm_exec::Metrics::roll_up(&plan, &x.profile).rows_scanned;
+                let nodes: BTreeMap<_, _> = x.profile.nodes.iter().collect();
+                let nodes =
+                    nodes.iter().map(|(id, s)| format!(" {id}:{}>{}", s.rows_in, s.rows_out));
+                format!(
+                    "{shape} unmerged={unmerged} rows_scanned={scanned}{}",
+                    nodes.collect::<String>()
+                )
+            };
+            lines.push(ledger(1));
+            for threads in [2, 4] {
+                assert_eq!(&ledger(threads), lines.last().unwrap(), "threads={threads}");
+            }
+        }
+    }
+    let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &text).unwrap();
+    }
+    assert_eq!(text, std::fs::read_to_string(&path).unwrap_or_default());
+}
+
 /// `htap_mixed`'s three dynamic views, maintained through narrowed
 /// insert/retract feeds.
 #[test]
