@@ -508,7 +508,7 @@ fn render_explain_analyze(
         .map(|(ratio, node)| format!("[misestimate: worst \u{d7}{ratio:.1} at node #{node}]\n"))
         .unwrap_or_default();
     format!(
-        "== EXPLAIN ANALYZE ({} thread(s)) [plan cache: {}] ==\n{}{}\n{}== rewrite trace ==\n{}== execution summary ==\n{} row(s) returned, elapsed time={}\nrows scanned: {}, join probe rows: {}, rows joined: {}, operators: {}\n",
+        "== EXPLAIN ANALYZE ({} thread(s)) [plan cache: {}] ==\n{}{}\n{}== rewrite trace ==\n{}== execution summary ==\n{} row(s) returned, elapsed time={}\nrows scanned: {}, join probe rows: {}, rows joined: {}, operators: {}\npipelines: {}, dispatched: {}\n",
         workers,
         resolved.outcome.label(),
         misestimate,
@@ -521,6 +521,8 @@ fn render_explain_analyze(
         metrics.join_probe_rows,
         metrics.join_output_rows,
         metrics.operators,
+        profile.pipelines,
+        profile.dispatched,
     )
 }
 

@@ -79,10 +79,11 @@ pub fn eval_signed_delta(
         LogicalPlan::Filter { input, predicate } => {
             let d = eval_signed_delta(input, engine, as_of, now, parallel)?;
             let kernel = FilterKernel::new(predicate);
-            Ok(SignedBatch {
-                plus: kernel.filter(&d.plus, 0..d.plus.num_rows())?,
-                minus: kernel.filter(&d.minus, 0..d.minus.num_rows())?,
-            })
+            let keep = |bag: &Batch| -> Result<Batch> {
+                let columns: Vec<_> = bag.columns.iter().collect();
+                Ok(bag.gather(&kernel.select(&columns, 0..bag.num_rows(), None)?))
+            };
+            Ok(SignedBatch { plus: keep(&d.plus)?, minus: keep(&d.minus)? })
         }
         LogicalPlan::Project { input, exprs, schema } => {
             let d = eval_signed_delta(input, engine, as_of, now, parallel)?;

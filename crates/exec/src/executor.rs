@@ -2,61 +2,64 @@
 //!
 //! Every plan runs through the same operators at every thread count; the
 //! thread count only decides how the work-stealing [`crate::scheduler`]
-//! dispatches an operator's morsels and chunks. At `threads: 1` the
-//! scheduler runs every item inline on the calling thread — no thread is
-//! spawned and no pool broadcast is issued — and that *is* the serial mode;
-//! there is no second interpreter. A wave over fewer than
-//! [`MIN_DISPATCH_MORSELS`] morsels runs the same way at any thread count.
+//! dispatches a pipeline's morsels. At `threads: 1` the scheduler runs every
+//! item inline on the calling thread — nothing is spawned or broadcast — and
+//! that *is* the serial mode; there is no second interpreter. A wave over
+//! fewer than [`MIN_DISPATCH_MORSELS`] morsels runs the same way at any
+//! thread count.
 //!
-//! * **scans** — and any filter/projection stack sitting directly on one —
-//!   split the table into fixed-size morsels, so filters and projections
-//!   run per morsel (filters through a [`kernels::FilterKernel`] compiled
-//!   once per operator); a scan the optimizer narrowed reads, and hands on,
-//!   only the table columns it lists ([`vdm_plan::ScanCols`]);
-//! * **projection chains** of pure pass-through/renaming nodes fuse into a
-//!   single composed column-mapping kernel
-//!   ([`vdm_plan::fusion`] + [`kernels::apply_column_map`]), with per-node
-//!   stats attributed back to every covered node;
-//! * **joins** — one [`hash_join`] at every input size, for the plan
-//!   walker and for [`crate::delta`] — partition the build side by key
-//!   hash (columnar branch-free hashing when both sides' key columns share
-//!   a physical type), chain each partition's row ids by hash slot (no key
-//!   is materialized; a probe compares the key columns in place), probe
-//!   chunks of the other side and assemble the output by payload-level
-//!   gather; a build side of one chunk is one partition and runs inline;
-//! * **aggregations** radix-partition rows by group-key hash so each
-//!   worker owns a disjoint key range and groups never merge across
-//!   workers ([`vdm_expr::Accumulator::merge`] is only needed on the
-//!   small-input and global-aggregate path);
-//! * **UNION ALL** concatenates branch results columnar-wise.
+//! There is one streaming body, the **pipeline**: a source — a table scan
+//! split into fixed-size morsels, or a materialized batch chunked the same
+//! way — the `Filter` / `Project` / `Join` nodes stacked on it as steps, and
+//! a sink. One worker carries a [`Morsel`] through every step into the sink:
 //!
-//! Results — *including row order* — do not depend on scheduling or on the
-//! worker count: every merge happens in morsel/chunk index order. The one
-//! exception is a scan's `rows_in` (`Metrics::rows_scanned`) under a
-//! pushed-down LIMIT: the budgeted leaf pipeline dispatches whole waves of
-//! budget-sized morsels and stops once the completed prefix covers the
-//! budget, so it scans at most `budget + workers * morsel_rows` rows
-//! (exactly `budget` in the serial mode when the table's head is live).
+//! * **steps pass a selection vector, not a copy.** A filter (a
+//!   [`kernels::FilterKernel`] compiled once per operator) refines the
+//!   selection; adjacent pass-through/renaming projections compose into one
+//!   column mapping ([`vdm_plan::fusion`]) that keeps it; a probe reads keys
+//!   at the selected rows and, when no probe row matched twice, appends the
+//!   gathered build columns beside the morsel's own. Only a probe that
+//!   expands, a computed projection and the sink copy rows;
+//! * **build sides are the breakers.** A join's build input runs first and
+//!   is chained by key hash into partitioned [`JoinTable`]s of row ids (no
+//!   key is materialized); its other input continues the pipeline. A
+//!   commutable inner join materializes both inputs, builds on the smaller
+//!   and seeds a pipeline with the larger. `Sort`, `Distinct`, `Limit`,
+//!   `UnionAll` and `Aggregate` outputs are batches, sources for what is
+//!   stacked on them — and so is what survives a filter the scan applied
+//!   ahead of its gather: ragged morsels, re-chunked into full ones;
+//! * **the sink** materializes the morsels in morsel order or — under an
+//!   `Aggregate` — folds each into a partial ([`group_rows`]: row-id chains
+//!   over key columns, no `Vec<Value>` key) and merges the partials in morsel
+//!   order through the same table ([`vdm_expr::Accumulator::merge`]).
 //!
-//! There is one plan walker (`run`; a LIMIT budget is its argument)
-//! and one ledger: every node the walker runs records rows in, rows out,
-//! self time, calls and workers into the [`QueryProfile`], on every
-//! execution. Operator-class totals are [`vdm_obs::Metrics::roll_up`] of
-//! that.
+//! Results — *including row and group order* — do not depend on scheduling,
+//! worker count or morsel size: every merge happens in morsel index order,
+//! and an error is the lowest-index morsel's. The one exception is a scan's
+//! `rows_in` (`Metrics::rows_scanned`) under a pushed-down LIMIT: the
+//! budgeted scan dispatches whole waves of budget-sized morsels, so it scans
+//! at most `budget + workers * morsel_rows` rows (exactly `budget` in the
+//! serial mode when the table's head is live).
+//!
+//! There is one plan walker (`run`; a LIMIT budget is its argument) and one
+//! ledger: every node records rows in and out, self time, calls (one per
+//! morsel in a pipeline) and workers into the [`QueryProfile`], on every
+//! execution. Operator-class totals are [`vdm_obs::Metrics::roll_up`] of it.
 
-use crate::kernels::{self, FilterKernel, FxHashMap, RowScratch};
+use crate::kernels::{self, FilterKernel, RowScratch};
 use crate::ops;
 use crate::scheduler;
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
-use vdm_expr::{AggExpr, Expr};
+use vdm_expr::{Accumulator, AggExpr, Expr};
 use vdm_obs::{NodeIndex, QueryProfile};
 use vdm_plan::fusion;
 use vdm_plan::{JoinKind, LogicalPlan, PlanRef, ScanCols};
 use vdm_storage::zonemap::ZONE_BLOCK_ROWS;
-use vdm_storage::{Batch, ScanFilter, ScanRange, Snapshot, StorageEngine};
-use vdm_types::{Result, Schema, Value};
+use vdm_storage::{Batch, Column, ColumnData, ScanFilter, ScanRange, Snapshot, StorageEngine};
+use vdm_types::{Result, Schema, Value, VdmError};
 
 /// How the engine splits and dispatches work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,18 +176,10 @@ struct Ctx<'a> {
     child_nanos: u64,
 }
 
-impl Ctx<'_> {
-    /// The profile key of `plan`, a node of the plan being executed.
-    fn id_of(&self, plan: &PlanRef) -> usize {
-        self.index.id_of(plan).expect("every node the walker reaches is in the plan's index")
-    }
-}
-
-/// OS worker threads actually spawned for a logical `threads` setting:
-/// capped at the machine's available parallelism, because oversubscribing
-/// cores only adds spawn and context-switch cost (results are
-/// schedule-independent, so the cap cannot change output). A floor of two
-/// keeps cross-worker merge paths exercised even on single-core hosts.
+/// OS worker threads actually spawned for a logical `threads` setting: capped
+/// at the machine's available parallelism, because oversubscribing cores only
+/// adds spawn and context-switch cost (results are schedule-independent). A
+/// floor of two keeps cross-worker merge paths exercised on single-core hosts.
 fn pool_workers(threads: usize) -> usize {
     threads.min(host_cores().max(2))
 }
@@ -193,10 +188,10 @@ fn pool_workers(threads: usize) -> usize {
 /// threads; a shorter wave runs inline on the calling thread (the serial
 /// mode). At the default morsel size that is 65 536 rows — about half the
 /// 122 880-row row group that is DuckDB's unit of parallelism. Below it a
-/// second worker buys at most 1.3× on an operator that lasts well under a
-/// millisecond, and only when the host runs the woken thread on a core of
-/// its own at once: what a short query costs would follow the host's
-/// scheduler, not the query (EXPERIMENTS.md, "Touched fields only").
+/// second worker buys at most 1.3× on a wave that lasts well under a
+/// millisecond, and only when the host runs the woken thread on its own core
+/// at once: a short query's cost would follow the host's scheduler, not the
+/// query (EXPERIMENTS.md, "Touched fields only").
 const MIN_DISPATCH_MORSELS: usize = 16;
 
 /// Runs `f` over indices `0..n` — one wave covering `morsels` morsels of
@@ -204,8 +199,7 @@ const MIN_DISPATCH_MORSELS: usize = 16;
 /// and the worker-local partial profiles `f` records into are merged into
 /// `profile`, so the output is schedule-independent; errors surface as the
 /// failing index's error (lowest index wins — what a left-to-right run
-/// reports). The scheduler's steal and claim counts land in `profile`'s
-/// totals.
+/// reports). Steal, claim and dispatch counts land in `profile`'s totals.
 fn parallel_map<T, F>(
     threads: usize,
     morsels: usize,
@@ -218,6 +212,7 @@ where
     F: Fn(usize, &mut QueryProfile) -> Result<T> + Sync,
 {
     let workers = if morsels < MIN_DISPATCH_MORSELS { 1 } else { pool_workers(threads) };
+    profile.dispatched += (workers > 1) as u64;
     let (out, states, stats) = scheduler::run_with(workers, n, QueryProfile::default, f)?;
     for partial in &states {
         profile.merge(partial);
@@ -233,135 +228,219 @@ fn chunk_range(i: usize, chunk: usize, total: usize) -> Range<usize> {
     start..(start + chunk).min(total)
 }
 
-fn chunk_count(total: usize, chunk: usize) -> usize {
-    total.div_ceil(chunk).max(1)
-}
-
-/// Merges one operator's morsel/chunk outputs in index order. A lone part
-/// — every operator in the serial mode over a small input — is adopted as
-/// is instead of being copied (and its string dictionaries re-interned).
-fn merge_parts(schema: Arc<Schema>, mut parts: Vec<Batch>) -> Result<Batch> {
-    if parts.len() == 1 {
-        return Batch::new(schema, parts.remove(0).columns);
-    }
-    Batch::concat(schema, &parts)
-}
-
 // ---------------------------------------------------------------------------
-// Leaf pipelines: Scan with optional Filter/Project stack, fused per morsel.
+// Pipelines: a source, the steps stacked on it, a sink — one morsel at a time.
 
-enum LeafStep<'p> {
-    Filter(FilterKernel<'p>),
-    Project(&'p [(Expr, String)], &'p Arc<Schema>),
-    /// One or more adjacent pass-through/renaming projections, composed
-    /// into a single column mapping executed by
-    /// [`kernels::apply_column_map`]. `covered` is how many plan nodes
-    /// (and `nodes` entries) the mapping absorbs.
-    FusedMap {
-        mapping: Vec<usize>,
-        schema: &'p Arc<Schema>,
-        covered: usize,
+/// What a pipeline carries from source to sink: columns, and which of their
+/// rows are live. Steps refine `sel` and add or reorder columns; only the sink
+/// ([`Morsel::into_columns`]), an expanding probe and a computed projection copy.
+struct Morsel<'a> {
+    /// Borrowed from a batch source, owned otherwise.
+    cols: Vec<Cow<'a, Column>>,
+    /// The rows of `cols` the morsel covers; each holds at least `span.end`.
+    span: Range<usize>,
+    /// The live rows of `span`, ascending; `None` = all of them.
+    sel: Option<Vec<usize>>,
+}
+
+impl<'a> Morsel<'a> {
+    /// Every row of owned `cols`, live.
+    fn dense(cols: Vec<Column>, rows: usize) -> Morsel<'a> {
+        Morsel { cols: cols.into_iter().map(Cow::Owned).collect(), span: 0..rows, sel: None }
+    }
+
+    fn rows(&self) -> usize {
+        self.sel.as_ref().map_or(self.span.len(), Vec::len)
+    }
+
+    fn live(&self) -> Cow<'_, [usize]> {
+        match &self.sel {
+            Some(sel) => Cow::Borrowed(sel),
+            None => Cow::Owned(self.span.clone().collect()),
+        }
+    }
+
+    fn columns(&self) -> Vec<&Column> {
+        self.cols.iter().map(Cow::as_ref).collect()
+    }
+
+    /// The live rows, gathered: a column that is all live moves as it is, and
+    /// a dictionary longer than the rows left of it is compacted — or every
+    /// part of a selective read would carry, and the merge re-intern, all of it.
+    fn into_columns(mut self) -> Vec<Column> {
+        let dense = self.sel.is_none();
+        let live = self.sel.take().unwrap_or_else(|| self.span.clone().collect());
+        let gather = |c: Cow<'_, Column>| match c.data() {
+            ColumnData::Str(s) if s.dict.len() > live.len() => c.gather_compact(&live),
+            _ if dense && self.span == (0..c.len()) => c.into_owned(),
+            _ => c.gather(&live),
+        };
+        self.cols.into_iter().map(gather).collect()
+    }
+}
+
+enum Source<'p> {
+    Scan {
+        table: &'p str,
+        /// What the scan emits (table ordinals; `None` = every column).
+        cols: &'p ScanCols,
+        /// Zone-map pruning from the filter sitting directly on the scan, one
+        /// range per prunable conjunct, its column as a table ordinal.
+        ranges: Vec<(usize, ScanRange)>,
+        engine: &'p StorageEngine,
+        snapshot: Snapshot,
+        id: usize,
     },
+    /// A breaker's output, chunked by `morsel_rows`.
+    Batch(Cow<'p, Batch>),
 }
 
-struct LeafPipeline<'p> {
-    table: &'p str,
-    /// What the scan emits (table ordinals; `None` = every column).
-    cols: &'p ScanCols,
-    scan_schema: &'p Arc<Schema>,
-    /// Zone-map pruning from the filter sitting directly on the scan, one
-    /// range per prunable conjunct, its column as a table ordinal.
-    ranges: Vec<(usize, ScanRange)>,
-    /// Operators above the scan, bottom-up.
-    steps: Vec<LeafStep<'p>>,
-    /// The covered plan nodes: the scan first, then one per node a step
-    /// absorbs, in `steps` order.
-    nodes: Vec<&'p PlanRef>,
+enum Op<'p> {
+    Filter(FilterKernel<'p>),
+    /// A projection that computes: evaluated over the live rows.
+    Project(&'p [(Expr, String)], &'p Arc<Schema>),
+    /// Adjacent pass-through/renaming projections, composed: out `j` = in `map[j]`.
+    Map(Vec<usize>),
+    Probe(Probe<'p>),
 }
 
-impl LeafPipeline<'_> {
-    fn output_schema(&self) -> Arc<Schema> {
-        for step in self.steps.iter().rev() {
-            match step {
-                LeafStep::Project(_, s) | LeafStep::FusedMap { schema: s, .. } => {
-                    return Arc::clone(s)
-                }
-                LeafStep::Filter(_) => {}
-            }
-        }
-        Arc::clone(self.scan_schema)
-    }
+struct Step<'p> {
+    op: Op<'p>,
+    /// Profile ids of the plan nodes the step covers, innermost first (a
+    /// composed column map covers several; its time goes to the last).
+    ids: Vec<usize>,
 }
 
-/// Recognizes a scan-rooted pipeline (`Scan`, `Filter(Scan)`,
-/// `Project(…(Scan))`, …) that can run morsel-at-a-time without any
-/// cross-morsel state. Zone-map pruning attaches at a filter directly over
-/// the scan. With `stack` off only the bare scan is recognized: under a
-/// LIMIT budget the last wave over-reads, and no operator may see (or fail
-/// on) rows the budget then cuts off.
-fn extract_leaf(plan: &PlanRef, stack: bool) -> Option<LeafPipeline<'_>> {
+struct Pipeline<'p> {
+    source: Source<'p>,
+    /// Operators above the source, bottom-up.
+    steps: Vec<Step<'p>>,
+}
+
+/// The pipeline rooted at `plan`: its `Filter` / `Project` / `Join` nodes
+/// down to the first scan or breaker become steps; the breakers below — join
+/// build sides, and the source if it is not a scan — are executed here.
+fn pipeline<'p>(plan: &'p PlanRef, ctx: &mut Ctx<'p>) -> Result<Pipeline<'p>> {
+    let id = ctx.index.id_of(plan).expect("every node the walker reaches is in the index");
     match plan.as_ref() {
-        LogicalPlan::Scan { table, cols, schema, .. } => Some(LeafPipeline {
-            table: &table.name,
-            cols,
-            scan_schema: schema,
-            ranges: Vec::new(),
+        LogicalPlan::Scan { table, cols, .. } => Ok(Pipeline {
+            source: Source::Scan {
+                table: &table.name,
+                cols,
+                ranges: Vec::new(),
+                engine: ctx.engine,
+                snapshot: ctx.snapshot,
+                id,
+            },
             steps: Vec::new(),
-            nodes: vec![plan],
         }),
-        LogicalPlan::Filter { input, predicate } if stack => {
-            let mut p = extract_leaf(input, stack)?;
-            if p.steps.is_empty() {
-                p.ranges = prune_ranges(predicate, p.cols);
+        LogicalPlan::Filter { input, predicate } => {
+            let mut p = pipeline(input, ctx)?;
+            let kernel = FilterKernel::new(predicate);
+            let mut pushed = false;
+            if let (Source::Scan { cols, ranges, .. }, true) = (&mut p.source, p.steps.is_empty()) {
+                *ranges = prune_ranges(predicate, cols);
+                pushed = kernel.pushed(None).is_some();
             }
-            p.steps.push(LeafStep::Filter(FilterKernel::new(predicate)));
-            p.nodes.push(plan);
-            Some(p)
-        }
-        LogicalPlan::Project { input, exprs, schema } if stack => {
-            let mut p = extract_leaf(input, stack)?;
-            match fusion::column_mapping(exprs) {
-                // Pure column mapping: fuse into the step below when that
-                // is itself a (possibly already fused) column mapping.
-                Some(outer) => match p.steps.last_mut() {
-                    Some(LeafStep::FusedMap { mapping, schema: s, covered }) => {
-                        // out[j] = prev[outer[j]] — compose in place.
-                        *mapping = outer.iter().map(|&j| mapping[j]).collect();
-                        *s = schema;
-                        *covered += 1;
-                    }
-                    _ => p.steps.push(LeafStep::FusedMap { mapping: outer, schema, covered: 1 }),
-                },
-                None => p.steps.push(LeafStep::Project(exprs, schema)),
+            p.steps.push(Step { op: Op::Filter(kernel), ids: vec![id] });
+            // A filter the scan applies ahead of its gather leaves ragged
+            // morsels — a page of a few hundred rows spread over every morsel
+            // of the table, each paying every later step's fixed cost: what
+            // survives is a breaker's output, re-chunked into full morsels.
+            if pushed {
+                let kept = materialize(p, &input.schema(), None, ctx.config, &mut ctx.profile)?;
+                p = Pipeline { source: Source::Batch(Cow::Owned(kept)), steps: Vec::new() };
             }
-            p.nodes.push(plan);
-            Some(p)
+            Ok(p)
         }
-        _ => None,
+        LogicalPlan::Project { input, .. } => {
+            let mut p = pipeline(input, ctx)?;
+            push_project(&mut p, plan, id);
+            Ok(p)
+        }
+        LogicalPlan::Join { left, right, kind, on, filter, .. } => {
+            let (right_rows, mut p, build, build_left) =
+                if *kind == JoinKind::Inner && filter.is_none() {
+                    let (lb, rb) = (run(left, None, ctx)?, run(right, None, ctx)?);
+                    let right_rows = rb.num_rows();
+                    let build_left = lb.num_rows() < rb.num_rows();
+                    let (build, probe) = if build_left { (lb, rb) } else { (rb, lb) };
+                    let p = Pipeline { source: Source::Batch(Cow::Owned(probe)), steps: vec![] };
+                    (right_rows, p, build, build_left)
+                } else {
+                    let rb = run(right, None, ctx)?;
+                    (rb.num_rows(), pipeline(left, ctx)?, rb, false)
+                };
+            let probe_schema = if build_left { right.schema() } else { left.schema() };
+            let join = JoinSpec { kind: *kind, on, residual: filter.as_ref(), build_left };
+            let (start, rows, build) = (Instant::now(), build.num_rows(), Cow::Owned(build));
+            let probe = Probe::new(build, &probe_schema, join, ctx.config, &mut ctx.profile)?;
+            // The build side enters the join's ledger here, once; the probe
+            // side morsel by morsel.
+            let stats = ctx.profile.nodes.entry(id).or_default();
+            stats.rows_in += rows as u64;
+            stats.build_rows += right_rows as u64;
+            stats.nanos += nanos_since(start);
+            p.steps.push(Step { op: Op::Probe(probe), ids: vec![id] });
+            Ok(p)
+        }
+        _ => Ok(Pipeline {
+            source: Source::Batch(Cow::Owned(run(plan, None, ctx)?)),
+            steps: Vec::new(),
+        }),
     }
 }
 
-/// Runs a leaf pipeline morsel by morsel, every covered node recorded per
-/// morsel by the workers. Without a budget one wave covers the table.
-/// With one (the pipeline is then the bare scan), morsels are no larger
-/// than the budget and waves dispatch in index order until the completed
-/// prefix covers it: the first wave is one morsel per worker, so the serial
-/// mode reads exactly `budget` rows when the table's head is live; waves
-/// then double (deleted heads cost O(log) dispatches) up to
-/// `workers * morsel_rows` rows. Scanned rows stay within
-/// `budget + workers * morsel_rows`, keeping pushed-down LIMIT O(k) instead
-/// of O(table).
-fn run_leaf(pipe: &LeafPipeline<'_>, budget: Option<usize>, ctx: &mut Ctx<'_>) -> Result<Batch> {
-    let start = Instant::now();
-    let config = ctx.config;
-    // Pruned scans align morsels to zone-map blocks so every block belongs
-    // to exactly one morsel and is skipped (and counted) at most once.
-    let morsel_rows = if !pipe.ranges.is_empty() {
-        config.morsel_rows.div_ceil(ZONE_BLOCK_ROWS).max(1) * ZONE_BLOCK_ROWS
-    } else {
-        budget.map_or(config.morsel_rows, |b| b.clamp(1, config.morsel_rows))
+/// Stacks the `Project` node `plan` on `p`: a pure column mapping composes
+/// into the step below when that is itself a column mapping.
+fn push_project<'p>(p: &mut Pipeline<'p>, plan: &'p PlanRef, id: usize) {
+    let LogicalPlan::Project { exprs, schema, .. } = plan.as_ref() else {
+        unreachable!("push_project takes a Project node")
     };
-    let n = ctx.engine.morsel_count(pipe.table, morsel_rows)?;
+    match (fusion::column_mapping(exprs), p.steps.last_mut()) {
+        // out[j] = prev[outer[j]] — compose in place.
+        (Some(outer), Some(Step { op: Op::Map(map), ids })) => {
+            *map = outer.iter().map(|&j| map[j]).collect();
+            ids.push(id);
+        }
+        (Some(outer), _) => p.steps.push(Step { op: Op::Map(outer), ids: vec![id] }),
+        (None, _) => p.steps.push(Step { op: Op::Project(exprs, schema), ids: vec![id] }),
+    }
+}
+
+/// Runs `pipe`: each morsel goes through the steps and into `sink` on one
+/// worker, and what `sink` made of them comes back in morsel order; covered
+/// nodes and `sink_id` (the node the sink stands for) are recorded per morsel
+/// by the workers. One wave, one dispatch, covers the source — except under a
+/// `budget` (the pipeline is then a bare scan: the last wave over-reads, and
+/// no operator may see, or fail on, rows the budget cuts off). Morsels are
+/// then no larger than the budget and waves dispatch in index order until the
+/// completed prefix covers it: first one morsel per worker (the serial mode
+/// reads exactly `budget` rows when the table's head is live), then doubling
+/// (deleted heads cost O(log) dispatches) up to `workers * morsel_rows` rows,
+/// keeping pushed-down LIMIT O(k) instead of O(table).
+fn run_pipeline<T: Send>(
+    pipe: &Pipeline<'_>,
+    sink_id: Option<usize>,
+    budget: Option<usize>,
+    config: ParallelConfig,
+    profile: &mut QueryProfile,
+    sink: impl Fn(Morsel<'_>) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    let (morsel_rows, n) = match &pipe.source {
+        // Pruned scans align morsels to zone-map blocks so every block
+        // belongs to exactly one morsel and is skipped (and counted) at most
+        // once.
+        Source::Scan { table, ranges, engine, .. } => {
+            let rows = if !ranges.is_empty() {
+                config.morsel_rows.div_ceil(ZONE_BLOCK_ROWS).max(1) * ZONE_BLOCK_ROWS
+            } else {
+                budget.map_or(config.morsel_rows, |b| b.clamp(1, config.morsel_rows))
+            };
+            (rows, engine.morsel_count(table, rows)?)
+        }
+        Source::Batch(batch) => (config.morsel_rows, batch.num_rows().div_ceil(config.morsel_rows)),
+    };
     let (mut width, widest) = match budget {
         Some(_) => {
             let workers = pool_workers(config.threads);
@@ -369,280 +448,178 @@ fn run_leaf(pipe: &LeafPipeline<'_>, budget: Option<usize>, ctx: &mut Ctx<'_>) -
         }
         None => (n, n),
     };
-    let engine = ctx.engine;
-    let snapshot = ctx.snapshot;
-    // Pre-resolved node ids, so worker closures record into plain maps. The
-    // run is counted here: workers record morsels, and a pipeline over an
-    // empty table dispatches none.
-    let ids: Vec<usize> = pipe.nodes.iter().map(|node| ctx.id_of(node)).collect();
-    for id in &ids {
-        ctx.profile.nodes.entry(*id).or_default().runs += 1;
+    // The run is counted here: workers record morsels, and a pipeline over
+    // an empty source dispatches none.
+    for id in pipe.ids().chain(sink_id) {
+        profile.nodes.entry(id).or_default().runs += 1;
     }
-    let mut parts: Vec<Batch> = Vec::new();
+    profile.pipelines += 1;
+    let top = pipe.ids().last();
+    let mut parts: Vec<T> = Vec::new();
     let (mut have, mut base) = (0usize, 0usize);
     while base < n && budget.is_none_or(|b| have < b) {
         let wave = (n - base).min(width);
         width = (width * 2).min(widest);
         // A budget shrinks the morsels; the wave's span is in full-size ones.
         let span = (wave * morsel_rows).div_ceil(config.morsel_rows);
-        let batches = parallel_map(config.threads, span, wave, &mut ctx.profile, |i, prof| {
-            leaf_morsel(engine, snapshot, pipe, base + i, morsel_rows, &ids, prof)
+        let done = parallel_map(config.threads, span, wave, profile, |i, prof| {
+            let morsel = pipe.morsel(base + i, morsel_rows, prof)?;
+            let (start, rows) = (Instant::now(), morsel.rows());
+            let part = sink(morsel)?;
+            // The sink's time is its node's, or — materializing — the top
+            // node's, whose rows these are.
+            match (sink_id, top) {
+                (Some(id), _) => _ = prof.record_morsel(id, rows as u64, 0, nanos_since(start)),
+                (None, Some(top)) => prof.nodes.entry(top).or_default().nanos += nanos_since(start),
+                (None, None) => {}
+            }
+            Ok((rows, part))
         })?;
-        have += batches.iter().map(Batch::num_rows).sum::<usize>();
-        parts.extend(batches);
+        for (rows, part) in done {
+            have += rows;
+            parts.push(part);
+        }
         base += wave;
     }
-    let out = truncate(merge_parts(pipe.output_schema(), parts)?, budget);
-    // The last wave over-reads: what the budget cut off the scan read
-    // (`rows_in`) but did not emit.
-    ctx.profile.nodes.get_mut(&ids[0]).expect("recorded above").rows_out -=
-        (have - out.num_rows()) as u64;
-    // Charge the pipeline's wall time as child time of the enclosing
-    // operator (the covered nodes' own time is the workers' kernel time).
-    ctx.child_nanos += nanos_since(start);
-    Ok(out)
+    Ok(parts)
 }
 
-fn leaf_morsel(
-    engine: &StorageEngine,
-    snapshot: Snapshot,
-    pipe: &LeafPipeline<'_>,
-    morsel: usize,
-    morsel_rows: usize,
-    ids: &[usize],
-    prof: &mut QueryProfile,
-) -> Result<Batch> {
-    let t = Instant::now();
-    let cols = pipe.cols.narrowed();
-    // The filter directly on the scan refines the morsel's selection before
-    // the gather; storage returns a superset (the delta comes back whole), so
-    // the step below still runs, over the survivors.
-    let pushed = match pipe.steps.first() {
-        Some(LeafStep::Filter(kernel)) => kernel.pushed(cols),
-        _ => None,
-    };
-    let filter = ScanFilter { ranges: &pipe.ranges, mask: pushed.as_deref() };
-    let (raw, visible) =
-        engine.scan_morsel(pipe.table, snapshot, morsel, morsel_rows, filter, cols)?;
-    let scan_nanos = nanos_since(t);
-    let mut batch = Batch::new(Arc::clone(pipe.scan_schema), raw.columns)?;
-    // Bytes are charged for the rows gathered; the scan's ledger line is the
-    // visible rows, whatever the filter let through early — they are the
-    // filter's `rows_in`.
-    prof.morsel_bytes += (kernels::row_bytes(&batch) * batch.num_rows()) as u64;
-    let mut rows = visible as u64;
-    prof.record_morsel(ids[0], rows, rows, scan_nanos);
-    // `ids` holds one entry per covered plan node; steps advance the
-    // cursor by however many nodes they absorb (FusedMap covers several).
-    let mut next = 1usize;
-    for step in &pipe.steps {
-        let t = Instant::now();
-        let covered = match step {
-            LeafStep::Filter(kernel) => {
-                batch = kernel.filter(&batch, 0..batch.num_rows())?;
-                1
+impl Pipeline<'_> {
+    /// Profile ids of the covered plan nodes, bottom-up.
+    fn ids(&self) -> impl Iterator<Item = usize> + '_ {
+        let scan = match &self.source {
+            Source::Scan { id, .. } => Some(*id),
+            Source::Batch(_) => None,
+        };
+        scan.into_iter().chain(self.steps.iter().flat_map(|s| &s.ids).copied())
+    }
+
+    /// Morsel `index` of the source, carried through every step, each
+    /// covered node recorded into `prof`.
+    fn morsel(
+        &self,
+        index: usize,
+        morsel_rows: usize,
+        prof: &mut QueryProfile,
+    ) -> Result<Morsel<'_>> {
+        let (mut morsel, mut rows) = match &self.source {
+            Source::Scan { table, cols, ranges, engine, snapshot, id } => {
+                let start = Instant::now();
+                let cols = cols.narrowed();
+                // The filter directly on the scan refines the selection
+                // before the gather; storage returns a superset (the delta
+                // comes back whole), so the step below still runs.
+                let pushed = match self.steps.first() {
+                    Some(Step { op: Op::Filter(kernel), .. }) => kernel.pushed(cols),
+                    _ => None,
+                };
+                let filter = ScanFilter { ranges, mask: pushed.as_deref() };
+                let (raw, visible) =
+                    engine.scan_morsel(table, *snapshot, index, morsel_rows, filter, cols)?;
+                // Bytes are charged for the rows gathered; the scan's ledger
+                // line is the visible rows, whatever the filter let through
+                // early — they are the filter's `rows_in`.
+                prof.morsel_bytes += (kernels::row_bytes(&raw.columns) * raw.num_rows()) as u64;
+                prof.record_morsel(*id, visible as u64, visible as u64, nanos_since(start));
+                let rows = raw.num_rows();
+                (Morsel::dense(raw.columns, rows), visible as u64)
             }
-            LeafStep::Project(exprs, schema) => {
-                batch =
-                    kernels::project_rows(&batch, exprs, Arc::clone(schema), 0..batch.num_rows())?;
-                1
-            }
-            LeafStep::FusedMap { mapping, schema, covered } => {
-                batch = kernels::apply_column_map(&batch, mapping, Arc::clone(schema))?;
-                *covered
+            Source::Batch(batch) => {
+                let span = chunk_range(index, morsel_rows, batch.num_rows());
+                prof.morsel_bytes += (kernels::row_bytes(&batch.columns) * span.len()) as u64;
+                let cols = batch.columns.iter().map(Cow::Borrowed).collect();
+                let rows = span.len() as u64;
+                (Morsel { cols, span, sel: None }, rows)
             }
         };
-        let step_nanos = nanos_since(t);
-        let rows_in = std::mem::replace(&mut rows, batch.num_rows() as u64);
-        // Every covered node reports this morsel's rows; the kernel time
-        // goes to the outermost covered node (the last id).
-        for (k, id) in ids[next..next + covered].iter().enumerate() {
-            let nanos = if k + 1 == covered { step_nanos } else { 0 };
-            prof.record_morsel(*id, rows_in, rows, nanos);
+        for step in &self.steps {
+            let start = Instant::now();
+            morsel = step.op.apply(morsel)?;
+            let nanos = nanos_since(start);
+            let rows_in = std::mem::replace(&mut rows, morsel.rows() as u64);
+            // Every covered node reports this morsel's rows; the kernel time
+            // goes to the outermost covered node (the last id).
+            for (k, id) in step.ids.iter().enumerate() {
+                let nanos = if k + 1 == step.ids.len() { nanos } else { 0 };
+                prof.record_morsel(*id, rows_in, rows, nanos);
+            }
         }
-        next += covered;
+        Ok(morsel)
     }
-    Ok(batch)
 }
 
-// ---------------------------------------------------------------------------
-// The recursive executor.
-
-/// Executes `plan` needing at most `budget` output rows (`None` = all of
-/// them) and records every node it runs. A budget is sound without an
-/// intervening Sort and is pushed only where truncation cannot change
-/// which rows *could* appear under LIMIT-without-ORDER semantics — scans,
-/// projections, unions, stacked limits, literal rows; every other operator
-/// runs (and is recorded) in full and is truncated afterwards.
-fn run(plan: &PlanRef, budget: Option<usize>, ctx: &mut Ctx<'_>) -> Result<Batch> {
-    let pushes_budget = matches!(
-        plan.as_ref(),
-        LogicalPlan::Scan { .. }
-            | LogicalPlan::Values { .. }
-            | LogicalPlan::Project { .. }
-            | LogicalPlan::UnionAll { .. }
-            | LogicalPlan::Limit { .. }
-    );
-    if budget.is_some() && !pushes_budget {
-        return Ok(truncate(run(plan, None, ctx)?, budget));
-    }
-    if let Some(pipe) = extract_leaf(plan, budget.is_none()) {
-        return run_leaf(&pipe, budget, ctx);
-    }
-    // Self time is the node's elapsed time minus what its children
-    // accumulated in `child_nanos` meanwhile.
-    let start = Instant::now();
-    let saved_children = std::mem::take(&mut ctx.child_nanos);
-    let mut build_rows = 0;
-    let (rows_in, out) = match plan.as_ref() {
-        LogicalPlan::Scan { .. } => unreachable!("every scan roots a leaf pipeline"),
-        LogicalPlan::Values { schema, rows } => {
-            let take = budget.map_or(rows.len(), |b| b.min(rows.len()));
-            (0, Batch::from_rows(Arc::clone(schema), &rows[..take])?)
-        }
-        // Scan-rooted projection chains are absorbed by the leaf pipeline
-        // above; this catches chains sitting on joins, aggregates, unions, …
-        // and on a budgeted scan, which is truncated before they see it.
-        // A chain of pure column maps runs as one composed kernel pass.
-        // Column maps preserve cardinality, so every covered node reports
-        // the chain's row count (exactly what node-by-node execution would)
-        // and the budget passes straight through; the kernel's time goes
-        // to the outermost node, recorded below like any other operator.
-        LogicalPlan::Project { input, exprs, schema } => {
-            match fusion::fused_projection_chain(plan, 2) {
-                Some(chain) => {
-                    let child = run(chain.input, budget, ctx)?;
-                    let rows = child.num_rows();
-                    for inner in &chain.nodes[1..] {
-                        let id = ctx.id_of(inner);
-                        ctx.profile.record(id, rows as u64, rows as u64, 0);
+impl Op<'_> {
+    fn apply<'a>(&self, mut m: Morsel<'a>) -> Result<Morsel<'a>> {
+        match self {
+            Op::Filter(kernel) => {
+                let keep = kernel.select(&m.columns(), m.span.clone(), m.sel.as_deref())?;
+                m.sel = (keep.len() < m.span.len()).then_some(keep);
+                Ok(m)
+            }
+            Op::Project(exprs, schema) => {
+                let live = m.live();
+                let cols = kernels::project_rows(&m.columns(), exprs, schema, &live)?;
+                Ok(Morsel::dense(cols, live.len()))
+            }
+            Op::Map(map) => {
+                // A column's last use moves it; an earlier one copies.
+                let mut uses = vec![0usize; m.cols.len()];
+                map.iter().for_each(|&c| uses[c] += 1);
+                let mut from: Vec<_> = m.cols.into_iter().map(Some).collect();
+                let mut take = |c: usize| {
+                    uses[c] -= 1;
+                    if uses[c] == 0 {
+                        from[c].take()
+                    } else {
+                        from[c].clone()
                     }
-                    let schema = Arc::clone(chain.schema);
-                    (rows, kernels::apply_column_map(&child, &chain.mapping, schema)?)
-                }
-                None => {
-                    let child = run(input, budget, ctx)?;
-                    (child.num_rows(), project(&child, exprs, Arc::clone(schema), ctx)?)
-                }
+                };
+                m.cols = map.iter().filter_map(|&c| take(c)).collect();
+                Ok(m)
             }
+            Op::Probe(probe) => probe.probe(m),
         }
-        LogicalPlan::Filter { input, predicate } => {
-            let child = run(input, None, ctx)?;
-            (child.num_rows(), filter(&child, predicate, ctx)?)
+    }
+}
+
+/// Runs `pipe` into the sink that materializes the morsels in morsel order.
+fn materialize(
+    pipe: Pipeline<'_>,
+    schema: &Arc<Schema>,
+    budget: Option<usize>,
+    config: ParallelConfig,
+    profile: &mut QueryProfile,
+) -> Result<Batch> {
+    // A breaker's output with nothing stacked on it is the result.
+    let pipe = match pipe {
+        Pipeline { source: Source::Batch(done), steps } if steps.is_empty() => {
+            return Ok(done.into_owned());
         }
-        LogicalPlan::Join { left, right, kind, on, filter, schema, .. } => {
-            let lb = run(left, None, ctx)?;
-            let rb = run(right, None, ctx)?;
-            build_rows = rb.num_rows() as u64;
-            let (residual, schema) = (filter.as_ref(), Arc::clone(schema));
-            let out =
-                hash_join(&lb, &rb, *kind, on, residual, schema, ctx.config, &mut ctx.profile)?;
-            (lb.num_rows() + rb.num_rows(), out)
-        }
-        LogicalPlan::UnionAll { inputs, schema } => {
-            let mut parts = Vec::with_capacity(inputs.len());
-            let mut have = 0usize;
-            for inp in inputs {
-                if budget.is_some_and(|b| have >= b) {
-                    break;
-                }
-                let part = run(inp, budget.map(|b| b - have), ctx)?;
-                have += part.num_rows();
-                parts.push(part);
-            }
-            (have, truncate(Batch::concat(Arc::clone(schema), &parts)?, budget))
-        }
-        LogicalPlan::Aggregate { input, group_by, aggs, schema } => {
-            let child = run(input, None, ctx)?;
-            (child.num_rows(), aggregate(&child, group_by, aggs, Arc::clone(schema), ctx)?)
-        }
-        LogicalPlan::Distinct { input } => {
-            let child = run(input, None, ctx)?;
-            (child.num_rows(), ops::distinct(&child)?)
-        }
-        LogicalPlan::Sort { input, keys } => {
-            let child = run(input, None, ctx)?;
-            (child.num_rows(), ops::sort(&child, keys)?)
-        }
-        LogicalPlan::Limit { input, skip, fetch } => {
-            let skip_rows = *skip as usize;
-            let inner = match fetch {
-                Some(f) => {
-                    Some(budget.unwrap_or(usize::MAX).min(skip_rows.saturating_add(*f as usize)))
-                }
-                None => budget.map(|b| b.saturating_add(skip_rows)),
-            };
-            let child = run(input, inner, ctx)?;
-            (child.num_rows(), truncate(ops::limit(&child, *skip, *fetch), budget))
-        }
+        pipe => pipe,
     };
-    let total = nanos_since(start);
-    let id = ctx.id_of(plan);
-    let self_nanos = total.saturating_sub(ctx.child_nanos);
-    ctx.profile.record(id, rows_in as u64, out.num_rows() as u64, self_nanos).build_rows +=
-        build_rows;
-    ctx.child_nanos = saved_children + total;
+    let mut parts = run_pipeline(&pipe, None, budget, config, profile, |m| {
+        Batch::new(Arc::clone(schema), m.into_columns())
+    })?;
+    let start = Instant::now();
+    let have: usize = parts.iter().map(Batch::num_rows).sum();
+    // A lone part (every small input) is adopted, not copied and re-interned.
+    let merged = match parts.len() {
+        1 => parts.remove(0),
+        _ => Batch::concat(Arc::clone(schema), &parts)?,
+    };
+    let out = slice(merged, 0, budget);
+    // Merging the parts is the top node's; so is what a budget cut off: the
+    // last wave over-reads, which the scan read (`rows_in`) but did not emit.
+    if let Some(top) = pipe.ids().last() {
+        let stats = profile.nodes.entry(top).or_default();
+        stats.nanos += nanos_since(start);
+        stats.rows_out -= (have - out.num_rows()) as u64;
+    }
     Ok(out)
 }
 
-/// Filter over a materialized batch: selection-vector kernel per chunk,
-/// chunked across the pool.
-fn filter(child: &Batch, predicate: &Expr, ctx: &mut Ctx<'_>) -> Result<Batch> {
-    let kernel = FilterKernel::new(predicate);
-    let chunk = ctx.config.morsel_rows;
-    let n = chunk_count(child.num_rows(), chunk);
-    let row_bytes = kernels::row_bytes(child);
-    let parts = parallel_map(ctx.config.threads, n, n, &mut ctx.profile, |i, prof| {
-        let range = chunk_range(i, chunk, child.num_rows());
-        prof.morsel_bytes += (row_bytes * range.len()) as u64;
-        kernel.filter(child, range)
-    })?;
-    merge_parts(Arc::clone(&child.schema), parts)
-}
-
-/// Projection over a materialized batch. Pure column mappings apply as a
-/// single whole-batch kernel; computed projections evaluate row-at-a-time,
-/// chunked across the pool.
-fn project(
-    child: &Batch,
-    exprs: &[(Expr, String)],
-    schema: Arc<Schema>,
-    ctx: &mut Ctx<'_>,
-) -> Result<Batch> {
-    if let Some(map) = fusion::column_mapping(exprs) {
-        return kernels::apply_column_map(child, &map, schema);
-    }
-    let chunk = ctx.config.morsel_rows;
-    let n = chunk_count(child.num_rows(), chunk);
-    let row_bytes = kernels::row_bytes(child);
-    let parts = parallel_map(ctx.config.threads, n, n, &mut ctx.profile, |i, prof| {
-        let range = chunk_range(i, chunk, child.num_rows());
-        prof.morsel_bytes += (row_bytes * range.len()) as u64;
-        kernels::project_rows(child, exprs, Arc::clone(&schema), range)
-    })?;
-    merge_parts(schema, parts)
-}
-
 // ---------------------------------------------------------------------------
-// The partitioned hash join.
-
-/// Per-chunk partition-routing hashes for the key columns `cols` over
-/// `range`. The columnar kernel hashes typed payloads directly; it is
-/// only consistent *across two batches* when each key column pair shares
-/// a physical type (see [`kernels`] module docs), which the caller gates
-/// via `columnar`. Otherwise keys hash through `Value::hash`, canonical
-/// across the Int/Dec numeric family.
-fn routing_hashes(batch: &Batch, cols: &[usize], range: Range<usize>, columnar: bool) -> Vec<u64> {
-    if columnar {
-        return kernels::hash_keys(batch, cols, range);
-    }
-    range
-        .map(|i| {
-            let key: Vec<Value> = cols.iter().map(|&c| batch.columns[c].get(i)).collect();
-            kernels::hash_values(&key)
-        })
-        .collect()
-}
+// The partitioned hash join: a breaker (the build side) and a step (the probe).
 
 /// One partition of a join's build side: its row ids in build-row order,
 /// chained per hash slot. No key and no hash is stored — a probe walks the
@@ -690,23 +667,181 @@ impl JoinTable {
     }
 }
 
-/// The hash join: builds on the right input and probes with the left,
-/// except that an inner equi-join without residual commutes and builds on
-/// its smaller input (the economics the paper points at when discussing
-/// limit pushdown, §4.4). Output columns are `left ++ right`; rows come in
-/// probe-row order, a probe row's matches in build-row order.
-///
-/// NULL join keys never match (SQL equi-join semantics). For left-outer
-/// joins, a left row whose matches all fail the residual filter is still
-/// emitted once, NULL-padded.
-///
-/// The build side is partitioned by key hash into per-partition
-/// [`JoinTable`]s of row ids, chunks of the probe side probe them
-/// concurrently — a probe row walks its slot's chain and compares the key
-/// columns cell against cell ([`kernels::cells_equal`]) — and chunk outputs
-/// concatenate in chunk order. Chunk and partition counts follow the input
-/// sizes, so a one-chunk build side is one partition and every phase runs
-/// inline on the calling thread.
+struct JoinSpec<'p> {
+    kind: JoinKind,
+    on: &'p [(usize, usize)],
+    residual: Option<&'p Expr>,
+    /// The build side is the left input (output = `build ++ probe`): inner, no residual.
+    build_left: bool,
+}
+
+/// Routing hashes of the key columns `cols` over `range`: typed payloads
+/// when `columnar` — consistent across two batches only if each key column
+/// pair shares a physical type (see [`kernels`]) — otherwise cell by cell
+/// through `Value::hash`, canonical across the Int/Dec family.
+fn routing_hashes(cols: &[&Column], range: Range<usize>, columnar: bool) -> Vec<u64> {
+    use std::hash::{Hash, Hasher};
+    if columnar {
+        return kernels::hash_keys(cols, range);
+    }
+    let cells = |i: usize| {
+        let mut h = kernels::FxHasher::default();
+        cols.iter().for_each(|c| c.get(i).hash(&mut h));
+        h.finish()
+    };
+    range.map(cells).collect()
+}
+
+/// A join's build side, hashed: the `Join` node as a pipeline step. NULL keys
+/// never match (SQL equi-join semantics); a LEFT OUTER probe row whose matches
+/// all fail the residual is emitted once, NULL-padded. Rows come out in
+/// probe-row order, a row's matches in build-row order.
+struct Probe<'p> {
+    build: Cow<'p, Batch>,
+    /// One table per partition of the build side's key hashes.
+    tables: Vec<JoinTable>,
+    build_keys: Vec<usize>,
+    probe_keys: Vec<usize>,
+    /// Each key column pair has one physical type on both sides, so both hash
+    /// payloads (`Int(2) == Dec(2.00)` must not land in different partitions).
+    columnar: bool,
+    join: JoinSpec<'p>,
+}
+
+impl<'p> Probe<'p> {
+    /// Partitions `build` by key hash and chains each partition's row ids; chunk
+    /// and partition counts follow its size (one chunk: one partition, inline).
+    fn new(
+        build: Cow<'p, Batch>,
+        probe_schema: &Schema,
+        join: JoinSpec<'p>,
+        config: ParallelConfig,
+        profile: &mut QueryProfile,
+    ) -> Result<Probe<'p>> {
+        let side = |&(lc, rc): &(usize, usize)| if join.build_left { (lc, rc) } else { (rc, lc) };
+        let (build_keys, probe_keys): (Vec<usize>, Vec<usize>) = join.on.iter().map(side).unzip();
+        let keys: Vec<&Column> = build_keys.iter().map(|&c| &build.columns[c]).collect();
+        let columnar =
+            keys.iter().zip(&probe_keys).all(|(b, &p)| b.sql_type() == probe_schema.field(p).ty);
+        // NULL keys never match: such rows are not inserted.
+        let nullable: Vec<&[bool]> = keys.iter().filter_map(|c| c.validity()).collect();
+
+        let chunk = config.morsel_rows;
+        let n_chunks = build.num_rows().div_ceil(chunk).max(1);
+        let n_parts = (pool_workers(config.threads) * 4).min(n_chunks).next_power_of_two();
+        let mask = n_parts - 1;
+
+        // Phase 1: scatter build rows into per-chunk, per-partition entry lists.
+        let scattered = parallel_map(config.threads, n_chunks, n_chunks, profile, |ci, _prof| {
+            let range = chunk_range(ci, chunk, build.num_rows());
+            let hashes = routing_hashes(&keys, range.clone(), columnar);
+            let mut parts: Vec<Vec<(u64, usize)>> = vec![Vec::new(); n_parts];
+            for (h, i) in hashes.into_iter().zip(range) {
+                if nullable.iter().all(|valid| valid[i]) {
+                    parts[(h as usize) & mask].push((h, i));
+                }
+            }
+            Ok(parts)
+        })?;
+
+        // Phase 2: one table per partition. Chunks are visited in index
+        // order, so every chain holds build-row indices ascending.
+        let tables = parallel_map(config.threads, n_chunks, n_parts, profile, |p, _prof| {
+            let entries: Vec<_> = scattered.iter().flat_map(|parts| &parts[p]).copied().collect();
+            Ok(JoinTable::build(&entries, mask.count_ones()))
+        })?;
+        Ok(Probe { build, tables, build_keys, probe_keys, columnar, join })
+    }
+
+    /// Probes with the live rows of `m`, keys compared cell against cell
+    /// ([`kernels::cells_equal`]). When no probe row matched twice — observed
+    /// here (every N:1 augmentation join), never taken from the declared
+    /// cardinality: a wrong declaration costs a gather, not a row — the build
+    /// columns are gathered to line up with the morsel's rows and appended
+    /// beside its own (an inner join also refines the selection); only a probe
+    /// that expands, or a morsel not starting at row 0, gathers the probe side.
+    fn probe<'a>(&self, m: Morsel<'a>) -> Result<Morsel<'a>> {
+        let (build, join) = (self.build.as_ref(), &self.join);
+        let columns = m.columns();
+        let keys: Vec<&Column> = self.probe_keys.iter().map(|&c| columns[c]).collect();
+        let build_keys: Vec<&Column> = self.build_keys.iter().map(|&c| &build.columns[c]).collect();
+        let same_type = |(b, p): (&&Column, &&Column)| b.sql_type() == p.sql_type();
+        if self.columnar && !build_keys.iter().zip(&keys).all(same_type) {
+            return Err(VdmError::Exec("join key column differs from its plan type".into()));
+        }
+        let hashes = routing_hashes(&keys, m.span.clone(), self.columnar);
+        let nullable: Vec<&[bool]> = keys.iter().filter_map(|c| c.validity()).collect();
+        let mask = self.tables.len() - 1;
+        // A residual implies `probe ++ build` = `left ++ right`.
+        let probe_width = columns.len();
+        let mut pair = RowScratch::new(join.residual, probe_width + build.columns.len());
+        let mut probe_sel: Vec<usize> = Vec::with_capacity(m.rows());
+        let mut build_sel: Vec<Option<usize>> = Vec::with_capacity(m.rows());
+        let mut expands = false;
+        for &i in m.live().iter() {
+            let h = hashes[i - m.span.start];
+            let candidates = nullable
+                .iter()
+                .all(|valid| valid[i])
+                .then(|| self.tables[(h as usize) & mask].candidates(h));
+            let mut emitted = false;
+            for bi in candidates.into_iter().flatten() {
+                let keys_equal =
+                    build_keys.iter().zip(&keys).all(|(b, p)| kernels::cells_equal(b, bi, p, i));
+                let pass = keys_equal
+                    && match join.residual {
+                        Some(f) => {
+                            let row = pair.load(|c| match c.checked_sub(probe_width) {
+                                Some(b) => build.columns[b].get(bi),
+                                None => columns[c].get(i),
+                            });
+                            f.eval_row(row)?.as_bool()? == Some(true)
+                        }
+                        None => true,
+                    };
+                if pass {
+                    expands |= emitted;
+                    probe_sel.push(i);
+                    build_sel.push(Some(bi));
+                    emitted = true;
+                }
+            }
+            if !emitted && join.kind == JoinKind::LeftOuter {
+                probe_sel.push(i);
+                build_sel.push(None);
+            }
+        }
+        drop(columns);
+        let (cols, span, sel) = if !expands && m.span.start == 0 {
+            // Rows outside the selection are never read: they repeat a build
+            // row rather than carry a NULL, so a probe that matched every
+            // live row adds no validity mask.
+            let mut aligned = vec![(build.num_rows() > 0).then_some(0); m.span.end];
+            for (&i, &bi) in probe_sel.iter().zip(&build_sel) {
+                aligned[i] = bi;
+            }
+            build_sel = aligned;
+            let sel = (probe_sel.len() < m.span.len()).then_some(probe_sel);
+            (m.cols, m.span, sel)
+        } else {
+            let cols = m.cols.iter().map(|c| Cow::Owned(c.gather(&probe_sel))).collect();
+            (cols, 0..probe_sel.len(), None)
+        };
+        let built = build.columns.iter().map(|c| Cow::Owned(c.gather_opt(&build_sel)));
+        let cols = if join.build_left {
+            built.chain(cols).collect()
+        } else {
+            cols.into_iter().chain(built).collect()
+        };
+        Ok(Morsel { cols, span, sel })
+    }
+}
+
+/// The hash join over two materialized inputs, for [`crate::delta`] and the
+/// operator tests: builds on the right input and probes with the left, except
+/// that an inner equi-join without residual builds on its smaller input (the
+/// paper's §4.4 economics); the probe side seeds a one-step pipeline. Output
+/// columns are `left ++ right`; `profile` is scratch (the step is node 0).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn hash_join(
     left: &Batch,
@@ -722,371 +857,245 @@ pub(crate) fn hash_join(
     let build_left =
         kind == JoinKind::Inner && residual.is_none() && left.num_rows() < right.num_rows();
     let (build, probe) = if build_left { (left, right) } else { (right, left) };
-    let build_cols: Vec<usize> =
-        on.iter().map(|&(lc, rc)| if build_left { lc } else { rc }).collect();
-    let probe_cols: Vec<usize> =
-        on.iter().map(|&(lc, rc)| if build_left { rc } else { lc }).collect();
-    // Columnar routing hashes are safe only when each key column pair has
-    // the same physical type on both sides (`Int(2) == Dec(2.00)` must not
-    // land in different partitions).
-    let columnar = build_cols
-        .iter()
-        .zip(&probe_cols)
-        .all(|(&b, &p)| build.columns[b].sql_type() == probe.columns[p].sql_type());
-    // NULL keys never match: such rows are neither inserted nor probed.
-    let null_key =
-        |side: &Batch, cols: &[usize], i: usize| cols.iter().any(|&c| side.columns[c].is_null(i));
-
-    let chunk = config.morsel_rows;
-    let n_chunks = chunk_count(build.num_rows(), chunk);
-    let n_parts = (pool_workers(config.threads) * 4).min(n_chunks).next_power_of_two();
-    let mask = n_parts - 1;
-
-    // Phase 1: scatter build rows into per-chunk, per-partition entry lists.
-    let build_bytes = kernels::row_bytes(build);
-    let scattered = parallel_map(config.threads, n_chunks, n_chunks, profile, |ci, prof| {
-        let range = chunk_range(ci, chunk, build.num_rows());
-        prof.morsel_bytes += (build_bytes * range.len()) as u64;
-        let hashes = routing_hashes(build, &build_cols, range.clone(), columnar);
-        let mut parts: Vec<Vec<(u64, usize)>> = vec![Vec::new(); n_parts];
-        for (h, i) in hashes.into_iter().zip(range) {
-            if !null_key(build, &build_cols, i) {
-                parts[(h as usize) & mask].push((h, i));
-            }
-        }
-        Ok(parts)
-    })?;
-
-    // Phase 2: one table per partition. Chunks are visited in index order,
-    // so every chain holds build-row indices ascending.
-    let tables = parallel_map(config.threads, n_chunks, n_parts, profile, |p, _prof| {
-        let entries: Vec<_> = scattered.iter().flat_map(|parts| &parts[p]).copied().collect();
-        Ok(JoinTable::build(&entries, mask.count_ones()))
-    })?;
-
-    // Phase 3: probe in parallel over chunks of the probe side. Matches
-    // accumulate as index pairs; the output batch is assembled by a
-    // payload-level columnar gather — no row materialization.
-    let probe_chunks = chunk_count(probe.num_rows(), chunk);
-    let probe_bytes = kernels::row_bytes(probe);
-    let parts = parallel_map(config.threads, probe_chunks, probe_chunks, profile, |ci, prof| {
-        let range = chunk_range(ci, chunk, probe.num_rows());
-        prof.morsel_bytes += (probe_bytes * range.len()) as u64;
-        let hashes = routing_hashes(probe, &probe_cols, range.clone(), columnar);
-        let mut probe_sel: Vec<usize> = Vec::new();
-        let mut build_sel: Vec<Option<usize>> = Vec::new();
-        let mut pair = RowScratch::new(residual, schema.len());
-        let probe_width = probe.columns.len();
-        for (h, i) in hashes.into_iter().zip(range) {
-            let candidates = (!null_key(probe, &probe_cols, i))
-                .then(|| tables[(h as usize) & mask].candidates(h));
-            let mut emitted = false;
-            for bi in candidates.into_iter().flatten() {
-                let keys_equal = build_cols.iter().zip(&probe_cols).all(|(&b, &p)| {
-                    kernels::cells_equal(&build.columns[b], bi, &probe.columns[p], i)
-                });
-                // A residual implies `probe ++ build` = `left ++ right`.
-                let pass = keys_equal
-                    && match residual {
-                        Some(f) => {
-                            let row = pair.load(|c| match c.checked_sub(probe_width) {
-                                Some(b) => build.columns[b].get(bi),
-                                None => probe.columns[c].get(i),
-                            });
-                            f.eval_row(row)?.as_bool()? == Some(true)
-                        }
-                        None => true,
-                    };
-                if pass {
-                    probe_sel.push(i);
-                    build_sel.push(Some(bi));
-                    emitted = true;
-                }
-            }
-            if !emitted && kind == JoinKind::LeftOuter {
-                probe_sel.push(i);
-                build_sel.push(None);
-            }
-        }
-        let probe_out = probe.columns.iter().map(|c| c.gather(&probe_sel));
-        let build_out = build.columns.iter().map(|c| c.gather_opt(&build_sel));
-        let columns = if build_left {
-            build_out.chain(probe_out).collect()
-        } else {
-            probe_out.chain(build_out).collect()
-        };
-        Batch::new(Arc::clone(&schema), columns)
-    })?;
-    merge_parts(schema, parts)
+    if probe.num_rows() == 0 {
+        return Ok(Batch::empty(schema)); // no probe row, no output row: build nothing
+    }
+    let (build, probe) = (Cow::Borrowed(build), Cow::Borrowed(probe));
+    let join = JoinSpec { kind, on, residual, build_left };
+    let step = Probe::new(build, &probe.schema, join, config, profile)?;
+    let steps = vec![Step { op: Op::Probe(step), ids: vec![0] }];
+    materialize(Pipeline { source: Source::Batch(probe), steps }, &schema, None, config, profile)
 }
 
 // ---------------------------------------------------------------------------
-// Aggregation.
-//
-// Two strategies:
-//
-// * **partition-wise** (the default for grouped aggregation): rows are
-//   radix-partitioned by group-key hash, each worker owns a disjoint set
-//   of partitions — and therefore a disjoint key range — so a group's
-//   accumulator is updated by exactly one worker in global row order and
-//   no cross-worker state merge ever happens. Finished groups carry their
-//   global first-row index; one final sort by that index yields
-//   first-seen output order, whatever the partitioning.
-// * **chunk partials** (global aggregates and small inputs): thread-local
-//   partial states per chunk, merged in chunk order via
-//   [`vdm_expr::Accumulator::merge`].
+// Aggregation: the pipeline's other sink.
 
-type AggPartial = (Vec<Vec<Value>>, Vec<Vec<vdm_expr::Accumulator>>);
+/// Groups and their aggregate states: one morsel's partial or, merged, the result.
+struct Groups {
+    /// One column per key expression, one row per group, first-seen order.
+    keys: Vec<Column>,
+    /// Per group, one accumulator per aggregate.
+    states: Vec<Vec<Accumulator>>,
+}
 
-/// Hash aggregation over one row range, producing partial states
-/// instead of finished values (group order: first-seen within the range).
-fn agg_partial(
-    input: &Batch,
-    range: Range<usize>,
-    group_by: &[(Expr, String)],
-    aggs: &[(AggExpr, String)],
-) -> Result<AggPartial> {
-    let mut groups: FxHashMap<Vec<Value>, usize> = FxHashMap::default();
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut states: Vec<Vec<vdm_expr::Accumulator>> = Vec::new();
-    if group_by.is_empty() {
-        groups.insert(Vec::new(), 0);
-        order.push(Vec::new());
-        states.push(aggs.iter().map(|(a, _)| a.accumulator()).collect());
-    }
-    for i in range {
-        let row = input.row(i);
-        let mut key = Vec::with_capacity(group_by.len());
-        for (e, _) in group_by {
-            key.push(e.eval_row(&row)?);
-        }
-        let slot = match groups.get(&key) {
-            Some(&s) => s,
-            None => {
-                let s = order.len();
-                groups.insert(key.clone(), s);
-                order.push(key);
-                states.push(aggs.iter().map(|(a, _)| a.accumulator()).collect());
-                s
+/// The group table: assigns each of the `n` rows of the key columns `keys`
+/// to a group — rows agreeing on every key, NULLs together — in first-seen
+/// order; returns each row's group and each group's first row. Groups chain
+/// per hash slot like a [`JoinTable`]'s rows; keys compare in place.
+fn group_rows(keys: &[Column], n: usize) -> (Vec<usize>, Vec<usize>) {
+    let keys: Vec<&Column> = keys.iter().collect();
+    let same_key = |a: usize, b: usize| {
+        keys.iter().all(|c| match (c.is_null(a), c.is_null(b)) {
+            (false, false) => kernels::cells_equal(c, a, c, b),
+            (a_null, b_null) => a_null && b_null,
+        })
+    };
+    let hashes = kernels::hash_keys(&keys, 0..n);
+    // Per slot, 1 + the id of its first group; per group, 1 + the next.
+    let mut heads = vec![0usize; (n * 2).next_power_of_two()];
+    let mut next: Vec<usize> = Vec::new();
+    let mut first_rows: Vec<usize> = Vec::new();
+    let group_of = (0..n)
+        .map(|row| {
+            let slot = hashes[row] as usize & (heads.len() - 1);
+            let mut at = heads[slot];
+            while let Some(group) = at.checked_sub(1) {
+                if same_key(first_rows[group], row) {
+                    return group;
+                }
+                at = next[group];
             }
-        };
-        for (j, (agg, _)) in aggs.iter().enumerate() {
-            let v = match &agg.arg {
-                Some(a) => a.eval_row(&row)?,
-                None => Value::Int(1), // COUNT(*) placeholder
-            };
-            states[slot][j].update(&v)?;
-        }
-    }
-    Ok((order, states))
-}
-
-/// One aggregate's input value for row `i`: plain-column arguments read
-/// the column directly (no row materialization), computed arguments fall
-/// back to row evaluation, `COUNT(*)` uses its placeholder.
-fn agg_arg_value(child: &Batch, i: usize, agg: &AggExpr) -> Result<Value> {
-    match &agg.arg {
-        None => Ok(Value::Int(1)), // COUNT(*) placeholder
-        Some(Expr::Col(c)) => Ok(child.columns[*c].get(i)),
-        Some(e) => e.eval_row(&child.row(i)),
-    }
-}
-
-fn aggregate(
-    child: &Batch,
-    group_by: &[(Expr, String)],
-    aggs: &[(AggExpr, String)],
-    schema: Arc<Schema>,
-    ctx: &mut Ctx<'_>,
-) -> Result<Batch> {
-    let config = ctx.config;
-    let (threads, chunk) = (config.threads, config.morsel_rows);
-    // Global aggregates have a single group — nothing to partition; tiny
-    // inputs aren't worth the scatter pass.
-    if group_by.is_empty() || child.num_rows() < 2 * chunk {
-        return aggregate_merge(child, group_by, aggs, schema, ctx);
-    }
-
-    // Columnar key extraction/hashing applies when every group expression
-    // is a plain column (a single batch hashes consistently within each
-    // column, so no cross-batch type gate is needed here).
-    let key_cols: Option<Vec<usize>> = group_by
-        .iter()
-        .map(|(e, _)| match e {
-            Expr::Col(i) => Some(*i),
-            _ => None,
+            first_rows.push(row);
+            next.push(std::mem::replace(&mut heads[slot], first_rows.len()));
+            first_rows.len() - 1
         })
         .collect();
-    let n_parts = (pool_workers(threads) * 4).next_power_of_two();
-    let mask = n_parts - 1;
-    let n_chunks = chunk_count(child.num_rows(), chunk);
-    let row_bytes = kernels::row_bytes(child);
-
-    // Phase 1: scatter (hash, row) pairs into per-chunk partition lists by
-    // group-key hash. Intra-chunk order is preserved, so visiting chunks
-    // in index order later yields global row order within each partition.
-    // Keys are *not* materialized here — a representative row index stands
-    // in for each group, so the hot loop allocates nothing per row.
-    let scattered = parallel_map(threads, n_chunks, n_chunks, &mut ctx.profile, |ci, prof| {
-        let range = chunk_range(ci, chunk, child.num_rows());
-        prof.morsel_bytes += (row_bytes * range.len()) as u64;
-        let mut parts: Vec<Vec<(u64, usize)>> = vec![Vec::new(); n_parts];
-        match &key_cols {
-            Some(cols) => {
-                let hashes = kernels::hash_keys(child, cols, range.clone());
-                for (k, i) in range.enumerate() {
-                    let h = hashes[k];
-                    parts[(h as usize) & mask].push((h, i));
-                }
-            }
-            None => {
-                let mut key = Vec::with_capacity(group_by.len());
-                for i in range {
-                    let row = child.row(i);
-                    key.clear();
-                    for (e, _) in group_by {
-                        key.push(e.eval_row(&row)?);
-                    }
-                    let h = kernels::hash_values(&key);
-                    parts[(h as usize) & mask].push((h, i));
-                }
-            }
-        }
-        Ok(parts)
-    })?;
-
-    // Phase 2: exclusive per-partition build. Equal keys always hash to
-    // the same partition, so each group belongs to exactly one partition
-    // and its accumulators see updates in global row order — no
-    // cross-worker merge, hence no merge-order sensitivity. Groups are
-    // identified by hash + key comparison against the group's first row
-    // (collision chains), so lookups never rebuild or rehash key vectors.
-    let built = parallel_map(threads, n_chunks, n_parts, &mut ctx.profile, |p, _prof| {
-        let mut map: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-        let mut groups: Vec<(usize, Vec<vdm_expr::Accumulator>)> = Vec::new();
-        for chunk_parts in &scattered {
-            for &(h, i) in &chunk_parts[p] {
-                let slots = map.entry(h).or_default();
-                let mut slot = usize::MAX;
-                for &s in slots.iter() {
-                    if group_keys_equal(child, group_by, &key_cols, groups[s].0, i)? {
-                        slot = s;
-                        break;
-                    }
-                }
-                if slot == usize::MAX {
-                    slot = groups.len();
-                    slots.push(slot);
-                    groups.push((i, aggs.iter().map(|(a, _)| a.accumulator()).collect()));
-                }
-                for (j, (agg, _)) in aggs.iter().enumerate() {
-                    let v = agg_arg_value(child, i, agg)?;
-                    groups[slot].1[j].update(&v)?;
-                }
-            }
-        }
-        Ok(groups)
-    })?;
-
-    // Phase 3: groups ordered by global first occurrence give first-seen
-    // output order; the key values are materialized once per group from
-    // its representative row.
-    let mut all: Vec<(usize, Vec<vdm_expr::Accumulator>)> = built.into_iter().flatten().collect();
-    all.sort_unstable_by_key(|(first, _)| *first);
-    let mut rows = Vec::with_capacity(all.len());
-    for (repr, accs) in all {
-        let mut row: Vec<Value> = match &key_cols {
-            Some(cols) => cols.iter().map(|&c| child.columns[c].get(repr)).collect(),
-            None => {
-                let r = child.row(repr);
-                group_by.iter().map(|(e, _)| e.eval_row(&r)).collect::<Result<_>>()?
-            }
-        };
-        for acc in &accs {
-            row.push(acc.finish()?);
-        }
-        rows.push(row);
-    }
-    Batch::from_rows(schema, &rows)
+    (group_of, first_rows)
 }
 
-/// True when rows `a` and `b` agree on every group-key expression. Plain
-/// column keys compare column values directly; computed keys re-evaluate
-/// per expression with short-circuiting. Uses `Value` equality, i.e. the
-/// same NULL-groups-together and Int/Dec-family semantics as a
-/// `Vec<Value>`-keyed map.
-fn group_keys_equal(
-    child: &Batch,
-    group_by: &[(Expr, String)],
-    key_cols: &Option<Vec<usize>>,
-    a: usize,
-    b: usize,
-) -> Result<bool> {
-    match key_cols {
-        Some(cols) => Ok(cols.iter().all(|&c| child.columns[c].get(a) == child.columns[c].get(b))),
-        None => {
-            let ra = child.row(a);
-            let rb = child.row(b);
-            for (e, _) in group_by {
-                if e.eval_row(&ra)? != e.eval_row(&rb)? {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
-        }
-    }
-}
-
-/// Chunk-partial aggregation: thread-local partial states merged in
-/// chunk order — a group's global first occurrence lies in the earliest
-/// chunk containing it, so the merged order is first-seen order.
-fn aggregate_merge(
-    child: &Batch,
+/// One morsel's aggregate partial: group expressions evaluated once into key
+/// columns over the live rows, the rows grouped, each row's aggregate
+/// arguments fed to its group's accumulators in row order.
+fn group_morsel(
+    m: &Morsel<'_>,
     group_by: &[(Expr, String)],
     aggs: &[(AggExpr, String)],
-    schema: Arc<Schema>,
-    ctx: &mut Ctx<'_>,
+    schema: &Schema,
+) -> Result<Groups> {
+    let (live, columns) = (m.live(), m.columns());
+    let keys = kernels::project_rows(&columns, group_by, schema, &live)?;
+    let (group_of, first_rows) = group_rows(&keys, live.len());
+    let fresh = || aggs.iter().map(|(a, _)| a.accumulator()).collect::<Vec<_>>();
+    let mut states: Vec<Vec<Accumulator>> = first_rows.iter().map(|_| fresh()).collect();
+    // Plain-column arguments read the column; computed ones evaluate over a
+    // scratch row of the columns they reference.
+    let computed = aggs.iter().filter_map(|(a, _)| a.arg.as_ref());
+    let mut scratch =
+        RowScratch::new(computed.filter(|e| !matches!(e, Expr::Col(_))), columns.len());
+    for (&row, &group) in live.iter().zip(&group_of) {
+        let values = scratch.load(|c| columns[c].get(row));
+        for ((agg, _), state) in aggs.iter().zip(&mut states[group]) {
+            let v = match &agg.arg {
+                None => Value::Int(1), // COUNT(*) placeholder
+                Some(Expr::Col(c)) => columns[*c].get(row),
+                Some(e) => e.eval_row(values)?,
+            };
+            state.update(&v)?;
+        }
+    }
+    Ok(Groups { keys: keys.iter().map(|c| c.gather_compact(&first_rows)).collect(), states })
+}
+
+/// Merges the morsels' partials in morsel order (a group first occurs in the
+/// earliest morsel containing it, so the merged order is first-seen order) by
+/// grouping their groups through the same table, and finishes each group.
+fn merge_groups(
+    partials: Vec<Groups>,
+    group_by: &[(Expr, String)],
+    aggs: &[(AggExpr, String)],
+    schema: &Arc<Schema>,
 ) -> Result<Batch> {
-    let chunk = ctx.config.morsel_rows;
-    let n = chunk_count(child.num_rows(), chunk);
-    let partials = parallel_map(ctx.config.threads, n, n, &mut ctx.profile, |i, _prof| {
-        agg_partial(child, chunk_range(i, chunk, child.num_rows()), group_by, aggs)
-    })?;
-    let mut groups: FxHashMap<Vec<Value>, usize> = FxHashMap::default();
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut states: Vec<Vec<vdm_expr::Accumulator>> = Vec::new();
-    for (p_order, p_states) in partials {
-        for (key, accs) in p_order.into_iter().zip(p_states) {
-            match groups.get(&key) {
-                Some(&slot) => {
-                    for (j, acc) in accs.iter().enumerate() {
-                        states[slot][j].merge(acc)?;
-                    }
-                }
-                None => {
-                    groups.insert(key.clone(), order.len());
-                    order.push(key);
-                    states.push(accs);
-                }
+    if partials.is_empty() && !group_by.is_empty() {
+        return Ok(Batch::empty(Arc::clone(schema)));
+    }
+    let key = |k| Column::concat(&partials.iter().map(|p| &p.keys[k]).collect::<Vec<_>>());
+    let keys: Vec<Column> = (0..group_by.len()).map(key).collect::<Result<_>>()?;
+    let mut states: Vec<Vec<Accumulator>> = partials.into_iter().flat_map(|p| p.states).collect();
+    let (group_of, mut first_rows) = group_rows(&keys, states.len());
+    for (row, &group) in group_of.iter().enumerate() {
+        let (merged, rest) = states.split_at_mut(row);
+        if let Some(into) = merged.get_mut(first_rows[group]) {
+            for (state, other) in into.iter_mut().zip(&rest[0]) {
+                state.merge(other)?;
             }
         }
     }
-    let mut rows = Vec::with_capacity(order.len());
-    for (key, accs) in order.into_iter().zip(states.iter()) {
-        let mut row = key;
-        for acc in accs {
-            row.push(acc.finish()?);
-        }
-        rows.push(row);
+    // A global aggregate over no rows is still one row.
+    if group_by.is_empty() && states.is_empty() {
+        states.push(aggs.iter().map(|(a, _)| a.accumulator()).collect());
+        first_rows.push(0);
     }
-    Batch::from_rows(schema, &rows)
+    let mut columns: Vec<Column> = keys.iter().map(|c| c.gather(&first_rows)).collect();
+    for (j, field) in schema.fields().iter().enumerate().skip(group_by.len()) {
+        let finish = |&row: &usize| states[row][j - group_by.len()].finish();
+        let values: Vec<Value> = first_rows.iter().map(finish).collect::<Result<_>>()?;
+        columns.push(Column::from_values(field.ty, &values)?);
+    }
+    Batch::new(Arc::clone(schema), columns)
 }
 
-/// The first `budget` rows of `batch` (all of them without a budget).
-fn truncate(batch: Batch, budget: Option<usize>) -> Batch {
-    match budget {
-        Some(b) if batch.num_rows() > b => batch.gather(&(0..b).collect::<Vec<usize>>()),
-        _ => batch,
+// ---------------------------------------------------------------------------
+// The recursive executor.
+
+/// Executes `plan` needing at most `budget` output rows (`None` = all of
+/// them) and records every node it runs. A budget is sound without an
+/// intervening Sort and is pushed only where truncation cannot change
+/// which rows *could* appear under LIMIT-without-ORDER semantics — scans,
+/// projections, unions, stacked limits, literal rows; every other operator
+/// runs (and is recorded) in full and is truncated afterwards.
+fn run<'p>(plan: &'p PlanRef, budget: Option<usize>, ctx: &mut Ctx<'p>) -> Result<Batch> {
+    let pushes_budget = matches!(
+        plan.as_ref(),
+        LogicalPlan::Scan { .. }
+            | LogicalPlan::Values { .. }
+            | LogicalPlan::Project { .. }
+            | LogicalPlan::UnionAll { .. }
+            | LogicalPlan::Limit { .. }
+    );
+    if budget.is_some() && !pushes_budget {
+        return Ok(slice(run(plan, None, ctx)?, 0, budget));
+    }
+    // Self time is elapsed time minus what the children accumulated in
+    // `child_nanos` meanwhile. A pipeline's nodes are recorded by the workers
+    // (`rows_in` is `None`); its wall time is the enclosing operator's child time.
+    let start = Instant::now();
+    let saved_children = std::mem::take(&mut ctx.child_nanos);
+    let id = ctx.index.id_of(plan).expect("every node the walker reaches is in the index");
+    let (rows_in, out) = match plan.as_ref() {
+        LogicalPlan::Aggregate { input, group_by, aggs, schema } => {
+            let pipe = pipeline(input, ctx)?;
+            let sink = |m: Morsel<'_>| group_morsel(&m, group_by, aggs, schema);
+            let partials = run_pipeline(&pipe, Some(id), None, ctx.config, &mut ctx.profile, sink)?;
+            let merging = Instant::now();
+            let out = merge_groups(partials, group_by, aggs, schema)?;
+            let stats = ctx.profile.nodes.entry(id).or_default();
+            stats.rows_out += out.num_rows() as u64;
+            stats.nanos += nanos_since(merging);
+            (None, out)
+        }
+        LogicalPlan::Scan { .. }
+        | LogicalPlan::Filter { .. }
+        | LogicalPlan::Project { .. }
+        | LogicalPlan::Join { .. } => {
+            let pipe = match (plan.as_ref(), budget) {
+                // Under a budget a projection runs over what it left of the input.
+                (LogicalPlan::Project { input, .. }, Some(_)) => {
+                    let source = Source::Batch(Cow::Owned(run(input, budget, ctx)?));
+                    let mut pipe = Pipeline { source, steps: Vec::new() };
+                    push_project(&mut pipe, plan, id);
+                    pipe
+                }
+                _ => pipeline(plan, ctx)?,
+            };
+            (None, materialize(pipe, &plan.schema(), budget, ctx.config, &mut ctx.profile)?)
+        }
+        LogicalPlan::Values { schema, rows } => {
+            let take = budget.map_or(rows.len(), |b| b.min(rows.len()));
+            (Some(0), Batch::from_rows(Arc::clone(schema), &rows[..take])?)
+        }
+        LogicalPlan::UnionAll { inputs, schema } => {
+            let mut parts = Vec::with_capacity(inputs.len());
+            let mut have = 0usize;
+            for inp in inputs {
+                if budget.is_some_and(|b| have >= b) {
+                    break;
+                }
+                let part = run(inp, budget.map(|b| b - have), ctx)?;
+                have += part.num_rows();
+                parts.push(part);
+            }
+            (Some(have), slice(Batch::concat(Arc::clone(schema), &parts)?, 0, budget))
+        }
+        // DISTINCT: every column a key, each group's first row kept.
+        LogicalPlan::Distinct { input } => {
+            let child = run(input, None, ctx)?;
+            let first_rows = group_rows(&child.columns, child.num_rows()).1;
+            (Some(child.num_rows()), child.gather(&first_rows))
+        }
+        LogicalPlan::Sort { input, keys } => {
+            let child = run(input, None, ctx)?;
+            (Some(child.num_rows()), ops::sort(&child, keys)?)
+        }
+        LogicalPlan::Limit { input, skip, fetch } => {
+            let skip_rows = *skip as usize;
+            let inner = match fetch {
+                Some(f) => {
+                    Some(budget.unwrap_or(usize::MAX).min(skip_rows.saturating_add(*f as usize)))
+                }
+                None => budget.map(|b| b.saturating_add(skip_rows)),
+            };
+            let child = run(input, inner, ctx)?;
+            let take = fetch.map(|f| f as usize).into_iter().chain(budget).min();
+            (Some(child.num_rows()), slice(child, skip_rows, take))
+        }
+    };
+    let total = nanos_since(start);
+    if let Some(rows_in) = rows_in {
+        let self_nanos = total.saturating_sub(ctx.child_nanos);
+        ctx.profile.record(id, rows_in as u64, out.num_rows() as u64, self_nanos);
+    }
+    ctx.child_nanos = saved_children + total;
+    Ok(out)
+}
+
+/// Rows `skip..skip + fetch` of `batch` (LIMIT/OFFSET, and a budget's cut) —
+/// the batch itself when that is all of it.
+fn slice(batch: Batch, skip: usize, fetch: Option<usize>) -> Batch {
+    let start = skip.min(batch.num_rows());
+    let end = fetch.map_or(batch.num_rows(), |f| start.saturating_add(f).min(batch.num_rows()));
+    match end - start == batch.num_rows() {
+        true => batch,
+        false => batch.gather(&(start..end).collect::<Vec<usize>>()),
     }
 }
 
@@ -1323,6 +1332,39 @@ mod tests {
                 execute_with(&plan, &e, &opts).unwrap_err().to_string()
             })
             .collect();
+        assert!(errors[0].contains("zero"), "{errors:?}");
+        assert!(errors.iter().all(|err| *err == errors[0]), "{errors:?}");
+    }
+
+    /// A row-wise predicate sees the selected rows only: `1 / (k - 3)` above a
+    /// filter that dropped `k = 3` — behind a column map, so the filter is a
+    /// selection over the morsel, not pushed into the scan — never divides by
+    /// zero; below it, it raises the same error at every thread count and
+    /// morsel size.
+    #[test]
+    fn a_raising_predicate_sees_only_the_rows_still_selected() {
+        use vdm_expr::BinOp;
+        let (e, def) = many_rows_engine(4_000);
+        let quotient =
+            Expr::int(1).binary(BinOp::Div, Expr::col(0).binary(BinOp::Sub, Expr::int(3)));
+        let raising = quotient.binary(BinOp::LtEq, Expr::int(1));
+        let safe = Expr::col(0).binary(BinOp::NotEq, Expr::int(3));
+        let mapped = || LogicalPlan::project_cols(LogicalPlan::scan(Arc::clone(&def)), &[0, 1]);
+        let stack = |lower: &Expr, upper: &Expr| {
+            let lower = LogicalPlan::filter(mapped().unwrap(), lower.clone()).unwrap();
+            LogicalPlan::filter(lower, upper.clone()).unwrap()
+        };
+        let (after, before) = (stack(&safe, &raising), stack(&raising, &safe));
+        let mut errors = Vec::new();
+        for morsel_rows in [7, 64, 4096] {
+            for threads in [1, 2, 4] {
+                let parallel = ParallelConfig { threads, morsel_rows };
+                let opts = ExecOptions { snapshot: None, parallel };
+                let rows = execute_with(&after, &e, &opts).unwrap().batch.num_rows();
+                assert_eq!(rows, 4_000 + 2_000 - 1, "{parallel:?}");
+                errors.push(execute_with(&before, &e, &opts).unwrap_err().to_string());
+            }
+        }
         assert!(errors[0].contains("zero"), "{errors:?}");
         assert!(errors.iter().all(|err| *err == errors[0]), "{errors:?}");
     }

@@ -6,31 +6,29 @@
 //! payload slices, no `unsafe` SIMD intrinsics):
 //!
 //! * **hashing** — a branch-free splitmix64 finalizer ([`mix64`]), an
-//!   FxHash-style [`Hasher`] replacing SipHash for `Vec<Value>` hash-table
-//!   keys, and columnar key hashing ([`hash_keys`]) that hashes whole key
-//!   columns payload-at-a-time (string columns hash each *dictionary
-//!   entry* once and fan the result out over the codes);
+//!   FxHash-style [`Hasher`] replacing SipHash for `Value` rows, and
+//!   columnar key hashing ([`hash_keys`]) that hashes whole key columns
+//!   payload-at-a-time (string columns hash each *dictionary entry* once
+//!   and fan the result out over the codes);
 //! * **filtering** — [`FilterKernel`], the one predicate evaluator: trees
 //!   of `AND` / `OR` / `IS [NOT] NULL` over `col ⟨cmp⟩ literal` atoms
-//!   evaluate column-at-a-time to TRUE-masks over typed payloads; anything
+//!   evaluate column-at-a-time into one TRUE-mask over typed payloads (an
+//!   `OR` of `=` atoms on one column as a single membership test); anything
 //!   else evaluates row-wise through [`RowScratch`], which materializes
-//!   only the columns the expression references;
-//! * **projection** — [`apply_column_map`], the execution kernel of a
-//!   fused pass-through/renaming projection chain: output column `j` is
-//!   input column `map[j]`, moved or memcpy'd wholesale; [`project_rows`]
-//!   is the row-wise fallback for computed expressions (also through
-//!   [`RowScratch`]).
+//!   only the columns the expression references. Either way a caller's
+//!   selection vector goes in and a refined one comes out;
+//! * **projection** — [`project_rows`]: a plain column reference gathers,
+//!   a computed expression evaluates row-wise (also through [`RowScratch`]).
 //!
 //! Hash-consistency contract: two rows whose key values are equal under
-//! [`Value`] equality must receive the same routing hash. The columnar
-//! path guarantees this only *within one physical column type* (equal
-//! values of one column share a payload representation), so callers
-//! hashing across two batches — the join build/probe sides — must check
-//! [`Column::sql_type`] equality first and otherwise fall back to
-//! [`hash_values`], which hashes through `Value::hash` (canonical across
-//! the numeric family).
+//! [`Value`] equality must receive the same routing hash. The columnar path
+//! guarantees this only *within one physical column type*, so callers hashing
+//! across two batches — the join's build/probe sides — must check
+//! [`Column::sql_type`] equality first and otherwise hash through
+//! `Value::hash` (canonical across the numeric family), as [`hash_values`] does.
 
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BTreeMap;
+use std::hash::Hasher;
 use std::ops::Range;
 use std::sync::Arc;
 use vdm_expr::{predicate, BinOp, Expr};
@@ -64,9 +62,8 @@ fn combine(h: u64, payload: u64) -> u64 {
 }
 
 /// FxHash-style multiplicative hasher — replaces the standard library's
-/// SipHash for interior hash tables keyed by `Vec<Value>`, where DoS
-/// resistance buys nothing and the per-key cost dominates aggregation and
-/// join build/probe time.
+/// SipHash for hashing `Value` rows (cross-type join keys, result
+/// digests), where DoS resistance buys nothing.
 #[derive(Default, Clone)]
 pub struct FxHasher {
     hash: u64,
@@ -142,12 +139,6 @@ impl Hasher for FxHasher {
         self.add((v >> 64) as u64);
     }
 }
-
-/// `BuildHasher` for [`FxHasher`]-keyed maps.
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
-
-/// `HashMap` using [`FxHasher`] — drop-in for hash-join and group-by maps.
-pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// Routing hash of a materialized key through `Value::hash` (canonical
 /// across Int/Dec) — the fallback when columnar hashing is not applicable.
@@ -225,14 +216,14 @@ pub fn cells_equal(a: &Column, i: usize, b: &Column, j: usize) -> bool {
     }
 }
 
-/// Routing hashes for the composite key `cols` over `rows` of `batch`,
+/// Routing hashes for the composite key `cols` over their `rows`,
 /// computed column-at-a-time. Consistent with [`Value`] equality within
 /// each physical column type (see the module docs for the cross-batch
 /// contract).
-pub fn hash_keys(batch: &Batch, cols: &[usize], rows: Range<usize>) -> Vec<u64> {
+pub fn hash_keys(cols: &[&Column], rows: Range<usize>) -> Vec<u64> {
     let mut hashes = vec![KEY_SEED; rows.len()];
-    for &c in cols {
-        hash_column_into(&batch.columns[c], rows.clone(), &mut hashes);
+    for col in cols {
+        hash_column_into(col, rows.clone(), &mut hashes);
     }
     hashes
 }
@@ -249,7 +240,17 @@ pub fn hash_keys(batch: &Batch, cols: &[usize], rows: Range<usize>) -> Vec<u64> 
 #[derive(Debug)]
 enum Pred {
     Atom(predicate::Atom),
-    IsNull { col: usize, negated: bool },
+    /// `col = v₁ OR col = v₂ OR …` — the paper's DAC predicate — as one
+    /// membership test: the `=` atoms of an `OR` on one column, literals all INT
+    /// or all TEXT. `runs`: the INT literals as sorted, coalesced inclusive ranges.
+    AnyOf {
+        atoms: Vec<predicate::Atom>,
+        runs: Vec<(i64, i64)>,
+    },
+    IsNull {
+        col: usize,
+        negated: bool,
+    },
     And(Vec<Pred>),
     Or(Vec<Pred>),
 }
@@ -266,6 +267,79 @@ fn keep(op: BinOp, ord: std::cmp::Ordering) -> bool {
         BinOp::GtEq => ord != Less,
         _ => false,
     }
+}
+
+/// How a node's verdict lands in the mask under construction.
+#[derive(Clone, Copy, PartialEq)]
+enum Fold {
+    Set,
+    And,
+    Or,
+}
+
+/// A leaf's target: buffer, how, validity (a NULL is UNKNOWN: it folds in FALSE).
+type Target<'m> = (&'m mut [bool], Fold, Option<&'m [bool]>);
+
+fn fold_into((out, how, valid): Target<'_>, tests: impl Iterator<Item = bool>) {
+    fn fold(out: &mut [bool], how: Fold, tests: impl Iterator<Item = bool>) {
+        match how {
+            Fold::Set => out.iter_mut().zip(tests).for_each(|(o, t)| *o = t),
+            Fold::And => out.iter_mut().zip(tests).for_each(|(o, t)| *o &= t),
+            Fold::Or => out.iter_mut().zip(tests).for_each(|(o, t)| *o |= t),
+        }
+    }
+    match valid {
+        Some(valid) => fold(out, how, tests.zip(valid).map(|(t, ok)| t & ok)),
+        None => fold(out, how, tests),
+    }
+}
+
+/// A test on string content: once per dictionary entry, then per code — or
+/// per row, when the run is shorter than the dictionary (a table's main
+/// fragment). NULL slots carry code 0 over a possibly empty dictionary.
+fn fold_str(
+    s: &vdm_storage::column::StrColumn,
+    rows: Range<usize>,
+    target: Target<'_>,
+    test: impl Fn(&str) -> bool,
+) {
+    let codes = s.codes[rows].iter();
+    if s.dict.len() > codes.len() {
+        fold_into(target, codes.map(|&c| s.dict.get(c as usize).is_some_and(|d| test(d))));
+    } else {
+        let verdict: Vec<bool> = s.dict.iter().map(|d| test(d)).collect();
+        fold_into(target, codes.map(|&c| verdict.get(c as usize) == Some(&true)));
+    }
+}
+
+/// The `=` atoms among an `OR`'s operands, grouped per column and literal
+/// type into [`Pred::AnyOf`]s (an `OR` commutes, and no operand can raise).
+fn fold_equalities(parts: Vec<Pred>) -> Vec<Pred> {
+    let mut groups: BTreeMap<(usize, bool), Vec<predicate::Atom>> = BTreeMap::new();
+    let mut out = Vec::new();
+    for part in parts {
+        match part {
+            Pred::Atom(a)
+                if a.op == BinOp::Eq && matches!(a.value, Value::Int(_) | Value::Str(_)) =>
+            {
+                groups.entry((a.col, matches!(a.value, Value::Int(_)))).or_default().push(a)
+            }
+            other => out.push(other),
+        }
+    }
+    for atoms in groups.into_values() {
+        let mut ints: Vec<i64> = atoms.iter().filter_map(|a| a.value.as_int().ok()).collect();
+        ints.sort_unstable();
+        let mut runs: Vec<(i64, i64)> = Vec::new();
+        for x in ints {
+            match runs.last_mut() {
+                Some(run) if x <= run.1.saturating_add(1) => run.1 = x,
+                _ => runs.push((x, x)),
+            }
+        }
+        out.push(Pred::AnyOf { atoms, runs });
+    }
+    out
 }
 
 impl Pred {
@@ -296,84 +370,139 @@ impl Pred {
         }
     }
 
-    /// `mask[k]` ⇔ the predicate is TRUE on row `rows.start + k` of
-    /// `columns`, where the predicate's column `c` is `columns[c]`, or
-    /// `columns[ordinals[c]]` over a table's unnarrowed columns. `None` when
-    /// a column's physical type doesn't pair with its literal.
-    fn mask(
-        &self,
-        columns: &[Column],
-        ordinals: Option<&[usize]>,
-        rows: Range<usize>,
-    ) -> Option<Vec<bool>> {
-        let column = |c: usize| &columns[ordinals.map_or(c, |o| o[c])];
+    /// Every `OR`'s same-column `=` atoms folded — once, after flattening.
+    fn folded(self) -> Pred {
         match self {
-            Pred::Atom(atom) => atom_mask(atom, column(atom.col), rows),
-            Pred::IsNull { col, negated } => {
-                let c = column(*col);
-                Some(rows.map(|i| c.is_null(i) != *negated).collect())
+            Pred::And(parts) => Pred::And(parts.into_iter().map(Pred::folded).collect()),
+            Pred::Or(parts) => {
+                Pred::Or(fold_equalities(parts.into_iter().map(Pred::folded).collect()))
             }
+            leaf => leaf,
+        }
+    }
+
+    /// `mask[k]` ⇔ the predicate is TRUE on row `rows.start + k` of
+    /// `columns`. `None` when a column's physical type doesn't pair with its
+    /// literal.
+    fn mask(&self, columns: &[&Column], rows: Range<usize>) -> Option<Vec<bool>> {
+        let mut out = vec![false; rows.len()];
+        self.accumulate(columns, rows, Fold::Set, &mut out)?;
+        Some(out)
+    }
+
+    /// Folds this node's TRUE-mask over `rows` into `out`: the operands of an
+    /// `AND` / `OR` accumulate into the one buffer, and only an alternation
+    /// nested the other way round takes a buffer of its own.
+    fn accumulate(
+        &self,
+        columns: &[&Column],
+        rows: Range<usize>,
+        how: Fold,
+        out: &mut [bool],
+    ) -> Option<()> {
+        let valid = |c: usize| columns[c].validity().map(|v| &v[rows.clone()]);
+        match self {
+            Pred::Atom(atom) => {
+                atom_mask(atom, columns[atom.col], rows.clone(), (out, how, valid(atom.col)))?
+            }
+            Pred::AnyOf { atoms, runs } => {
+                let col = atoms[0].col;
+                any_of_mask(atoms, runs, columns[col], rows.clone(), (out, how, valid(col)))?
+            }
+            Pred::IsNull { col, negated } => match valid(*col) {
+                Some(valid) => fold_into((out, how, None), valid.iter().map(|ok| ok == negated)),
+                None => fold_into((out, how, None), rows.map(|_| *negated)),
+            },
             Pred::And(parts) | Pred::Or(parts) => {
-                let and = matches!(self, Pred::And(_));
-                let mut parts = parts.iter();
-                let mut mask = parts.next()?.mask(columns, ordinals, rows.clone())?;
-                for part in parts {
-                    let other = part.mask(columns, ordinals, rows.clone())?;
-                    for (m, o) in mask.iter_mut().zip(other) {
-                        *m = if and { *m & o } else { *m | o };
-                    }
+                let inner = if matches!(self, Pred::And(_)) { Fold::And } else { Fold::Or };
+                if how != Fold::Set && how != inner {
+                    let own = self.mask(columns, rows)?;
+                    fold_into((out, how, None), own.into_iter());
+                    return Some(());
                 }
-                Some(mask)
+                for (n, part) in parts.iter().enumerate() {
+                    let how = if n == 0 { how } else { inner };
+                    part.accumulate(columns, rows.clone(), how, out)?;
+                }
             }
         }
+        Some(())
     }
 }
 
 /// One atom over typed payloads: a dense comparison loop per physical
-/// type (strings compare once per dictionary entry, then test codes), NULL
-/// slots cleared afterwards — a NULL makes its atom UNKNOWN, never TRUE.
-/// Numeric cross-type pairs (INT column against a DECIMAL literal and the
-/// reverse) compare through [`Decimal`], as [`Value::sql_cmp`] does.
-fn atom_mask(atom: &predicate::Atom, col: &Column, rows: Range<usize>) -> Option<Vec<bool>> {
+/// type. Numeric cross-type pairs (INT column against a DECIMAL literal and
+/// the reverse) compare through [`Decimal`], as [`Value::sql_cmp`] does.
+fn atom_mask(
+    atom: &predicate::Atom,
+    col: &Column,
+    r: Range<usize>,
+    target: Target<'_>,
+) -> Option<()> {
     let cmp = |ord| keep(atom.op, ord);
-    let r = rows.clone();
-    let mut mask: Vec<bool> = match (col.data(), &atom.value) {
-        (ColumnData::Int(v), Value::Int(rhs)) => v[r].iter().map(|x| cmp(x.cmp(rhs))).collect(),
+    match (col.data(), &atom.value) {
+        (ColumnData::Int(v), Value::Int(rhs)) => {
+            fold_into(target, v[r].iter().map(|x| cmp(x.cmp(rhs))))
+        }
         (ColumnData::Int(v), Value::Dec(rhs)) => {
-            v[r].iter().map(|x| cmp(Decimal::from_int(*x).cmp(rhs))).collect()
+            fold_into(target, v[r].iter().map(|x| cmp(Decimal::from_int(*x).cmp(rhs))))
         }
         (ColumnData::Dec { units, scale }, Value::Dec(_) | Value::Int(_)) => {
             let rhs = atom.value.as_dec().ok()?;
-            units[r].iter().map(|u| cmp(Decimal::from_units(*u, *scale).cmp(&rhs))).collect()
+            let lhs = units[r].iter().map(|u| Decimal::from_units(*u, *scale));
+            fold_into(target, lhs.map(|x| cmp(x.cmp(&rhs))))
         }
-        (ColumnData::Date(v), Value::Date(rhs)) => v[r].iter().map(|x| cmp(x.cmp(rhs))).collect(),
-        (ColumnData::Bool(v), Value::Bool(rhs)) => v[r].iter().map(|x| cmp(x.cmp(rhs))).collect(),
+        (ColumnData::Date(v), Value::Date(rhs)) => {
+            fold_into(target, v[r].iter().map(|x| cmp(x.cmp(rhs))))
+        }
+        (ColumnData::Bool(v), Value::Bool(rhs)) => {
+            fold_into(target, v[r].iter().map(|x| cmp(x.cmp(rhs))))
+        }
         (ColumnData::Str(s), Value::Str(rhs)) => {
-            let test = |d: &Arc<str>| cmp(d.as_ref().cmp(rhs.as_ref()));
-            // NULL slots carry code 0 over a possibly empty dictionary.
-            if s.dict.len() > r.len() {
-                // A run of a table's main fragment under its whole
-                // dictionary: one comparison per row, not per entry.
-                s.codes[r].iter().map(|&c| s.dict.get(c as usize).is_some_and(test)).collect()
-            } else {
-                let verdict: Vec<bool> = s.dict.iter().map(test).collect();
-                s.codes[r].iter().map(|&c| verdict.get(c as usize) == Some(&true)).collect()
-            }
+            fold_str(s, r, target, |d| cmp(d.cmp(rhs.as_ref())))
         }
         _ => return None,
-    };
-    if let Some(valid) = col.validity() {
-        mask.iter_mut().zip(&valid[rows]).for_each(|(m, ok)| *m &= *ok);
     }
-    Some(mask)
+    Some(())
+}
+
+/// `col ∈ {literals of atoms}` in one pass: INT payloads test the coalesced
+/// `runs` (a contiguous code list is one range test), strings each dictionary
+/// entry once; an INT list over a DECIMAL column compares literal by literal.
+fn any_of_mask(
+    atoms: &[predicate::Atom],
+    runs: &[(i64, i64)],
+    col: &Column,
+    r: Range<usize>,
+    target: Target<'_>,
+) -> Option<()> {
+    let ints = !runs.is_empty();
+    match col.data() {
+        ColumnData::Int(v) if ints => {
+            // Branch-free: the verdict must not depend on a predicted jump.
+            let member =
+                |x: &i64| runs.iter().fold(false, |m, (lo, hi)| m | ((lo <= x) & (x <= hi)));
+            fold_into(target, v[r].iter().map(member))
+        }
+        ColumnData::Dec { units, scale } if ints => {
+            let literals: Vec<Decimal> =
+                atoms.iter().filter_map(|a| a.value.as_dec().ok()).collect();
+            let member = |x: Decimal| literals.iter().any(|l| x.cmp(l).is_eq());
+            fold_into(target, units[r].iter().map(|u| member(Decimal::from_units(*u, *scale))))
+        }
+        ColumnData::Str(s) if !ints => fold_str(s, r, target, |d| {
+            atoms.iter().any(|a| matches!(&a.value, Value::Str(v) if v.as_ref() == d))
+        }),
+        _ => return None,
+    }
+    Some(())
 }
 
 /// The one place the executor turns columns back into a `Value` row: a
 /// scratch row as wide as the input in which only the ordinals `exprs`
 /// reference are ever loaded (the rest stay NULL, unread). Filters that do
-/// not compile, computed projections, sort keys and join residuals all
-/// evaluate through it, so row-wise evaluation costs the columns an
-/// expression touches, not the input's width.
+/// not compile, computed projections, aggregate arguments, sort keys and join
+/// residuals evaluate through it: row-wise costs the columns touched, not the width.
 pub struct RowScratch {
     cols: Vec<usize>,
     row: Vec<Value>,
@@ -398,12 +527,11 @@ impl RowScratch {
     }
 }
 
-/// A filter operator's predicate, prepared once per operator and applied
-/// to every morsel or chunk — the executor's one predicate evaluator:
-/// column-at-a-time over typed payloads when the predicate is a tree of
-/// `AND` / `OR` / `IS [NOT] NULL` over `col ⟨cmp⟩ literal` atoms, row-wise
-/// over its referenced columns otherwise (or when a column's physical type
-/// doesn't pair with its literal). Both mirror `Expr::eval_row` exactly.
+/// A filter operator's predicate, prepared once per operator and applied to
+/// every morsel — the executor's one predicate evaluator: column-at-a-time
+/// over typed payloads when the predicate is a tree of `AND` / `OR` /
+/// `IS [NOT] NULL` over `col ⟨cmp⟩ literal` atoms, row-wise over its referenced
+/// columns otherwise (or on a type mismatch). Both mirror `Expr::eval_row`.
 pub struct FilterKernel<'e> {
     predicate: &'e Expr,
     columnar: Option<Pred>,
@@ -412,19 +540,43 @@ pub struct FilterKernel<'e> {
 impl<'e> FilterKernel<'e> {
     /// Prepares `predicate` (compiles it when it has the tree shape).
     pub fn new(predicate: &'e Expr) -> FilterKernel<'e> {
-        FilterKernel { predicate, columnar: Pred::compile(predicate) }
+        FilterKernel { predicate, columnar: Pred::compile(predicate).map(Pred::folded) }
     }
 
-    /// The rows of `batch[rows]` on which the predicate is TRUE, ascending.
-    pub fn select(&self, batch: &Batch, rows: Range<usize>) -> Result<Vec<usize>> {
-        let columnar = self.columnar.as_ref();
-        if let Some(mask) = columnar.and_then(|p| p.mask(&batch.columns, None, rows.clone())) {
-            return Ok(rows.zip(mask).filter_map(|(i, keep)| keep.then_some(i)).collect());
+    /// The rows on which the predicate is TRUE, ascending, out of `sel`
+    /// (ascending rows of `span`; `None` = all). The columnar form evaluates
+    /// dense over `span` and intersects — it cannot raise; the row-wise form
+    /// evaluates the selected rows only.
+    pub fn select(
+        &self,
+        columns: &[&Column],
+        span: Range<usize>,
+        sel: Option<&[usize]>,
+    ) -> Result<Vec<usize>> {
+        let all: Vec<usize>;
+        let candidates = match sel {
+            Some(sel) => sel,
+            None => {
+                all = span.clone().collect();
+                &all
+            }
+        };
+        if let Some(mask) = self.columnar.as_ref().and_then(|p| p.mask(columns, span.clone())) {
+            // Branch-free compaction: every candidate is written, and only a
+            // kept one advances the cursor.
+            let mut keep = vec![0usize; candidates.len() + 1];
+            let mut kept = 0usize;
+            for &i in candidates {
+                keep[kept] = i;
+                kept += mask[i - span.start] as usize;
+            }
+            keep.truncate(kept);
+            return Ok(keep);
         }
-        let mut scratch = RowScratch::new([self.predicate], batch.schema.len());
+        let mut scratch = RowScratch::new([self.predicate], columns.len());
         let mut keep = Vec::new();
-        for r in rows {
-            let row = scratch.load(|c| batch.columns[c].get(r));
+        for &r in candidates {
+            let row = scratch.load(|c| columns[c].get(r));
             if self.predicate.eval_row(row)?.as_bool()? == Some(true) {
                 keep.push(r);
             }
@@ -434,82 +586,86 @@ impl<'e> FilterKernel<'e> {
 
     /// The predicate as a scan may apply it ahead of its gather
     /// ([`vdm_storage::ScanFilter::mask`]): the columnar form over a table's
-    /// main-fragment columns, the predicate's column `c` being table ordinal
-    /// `ordinals[c]`. `None` unless the predicate compiled — the row-wise
-    /// fallback can raise, and an error belongs to the filter operator.
+    /// main-fragment columns, predicate column `c` being table ordinal
+    /// `ordinals[c]`. `None` unless it compiled — the row-wise fallback can
+    /// raise, and an error belongs to the filter operator.
     pub fn pushed<'a>(&'a self, ordinals: Option<&'a [usize]>) -> Option<Box<MaskFn<'a>>> {
         let pred = self.columnar.as_ref()?;
-        Some(Box::new(move |main: &[Column], rows: Range<usize>| pred.mask(main, ordinals, rows)))
-    }
-
-    /// [`FilterKernel::select`], assembled by a payload-level gather.
-    pub fn filter(&self, batch: &Batch, rows: Range<usize>) -> Result<Batch> {
-        Ok(batch.gather(&self.select(batch, rows)?))
+        Some(Box::new(move |main: &[Column], rows: Range<usize>| {
+            let columns: Vec<&Column> = match ordinals {
+                Some(ordinals) => ordinals.iter().map(|&o| &main[o]).collect(),
+                None => main.iter().collect(),
+            };
+            pred.mask(&columns, rows)
+        }))
     }
 }
 
 // ---------------------------------------------------------------------------
 // Projection execution.
 
-/// Projection of a whole batch: pure column maps move whole columns
-/// ([`apply_column_map`]), anything else evaluates row-wise.
+/// Projection of a whole batch ([`project_rows`] over all of its rows).
 pub fn project_batch(
     input: &Batch,
     exprs: &[(Expr, String)],
     schema: Arc<Schema>,
 ) -> Result<Batch> {
-    match vdm_plan::column_mapping(exprs) {
-        Some(map) => apply_column_map(input, &map, schema),
-        None => project_rows(input, exprs, schema, 0..input.num_rows()),
-    }
+    let columns: Vec<&Column> = input.columns.iter().collect();
+    let rows: Vec<usize> = (0..input.num_rows()).collect();
+    let projected = project_rows(&columns, exprs, &schema, &rows)?;
+    Batch::new(schema, projected)
 }
 
-/// Row-at-a-time projection of `input[rows]` (computed expressions).
+/// `exprs` over `rows` of `columns`, output `j` typed as `schema`'s field
+/// `j`: a plain column reference is gathered, anything else evaluates
+/// row-at-a-time (row by row, expressions in order).
 pub fn project_rows(
-    input: &Batch,
+    columns: &[&Column],
     exprs: &[(Expr, String)],
-    schema: Arc<Schema>,
-    rows: Range<usize>,
-) -> Result<Batch> {
-    let mut scratch = RowScratch::new(exprs.iter().map(|(e, _)| e), input.schema.len());
-    let mut out_rows = Vec::with_capacity(rows.len());
-    for r in rows {
-        let row = scratch.load(|c| input.columns[c].get(r));
-        out_rows.push(exprs.iter().map(|(e, _)| e.eval_row(row)).collect::<Result<_>>()?);
+    schema: &Schema,
+    rows: &[usize],
+) -> Result<Vec<Column>> {
+    let computed = || exprs.iter().map(|(e, _)| e).filter(|e| !matches!(e, Expr::Col(_)));
+    let mut scratch = RowScratch::new(computed(), columns.len());
+    let mut values: Vec<Vec<Value>> = computed().map(|_| Vec::with_capacity(rows.len())).collect();
+    for &r in rows {
+        let row = scratch.load(|c| columns[c].get(r));
+        for (e, out) in computed().zip(&mut values) {
+            out.push(e.eval_row(row)?);
+        }
     }
-    Batch::from_rows(schema, &out_rows)
+    let mut values = values.into_iter();
+    let typed = exprs.iter().zip(schema.fields());
+    typed
+        .map(|((e, _), field)| match e {
+            Expr::Col(c) => Ok(columns[*c].gather(rows)),
+            _ => Column::from_values(field.ty, &values.next().expect("one per computed expr")),
+        })
+        .collect()
 }
 
-/// Applies a pure column mapping in one move: output column `j` is input
-/// column `map[j]`, cloned at the payload level (a memcpy the compiler
-/// vectorizes, and an `Arc` bump per dictionary) — no per-row expression
-/// evaluation, no row materialization.
-pub fn apply_column_map(input: &Batch, map: &[usize], schema: Arc<Schema>) -> Result<Batch> {
-    let columns: Vec<Column> = map.iter().map(|&c| input.columns[c].clone()).collect();
-    Batch::new(schema, columns)
-}
-
-/// Estimated payload bytes of one row of `batch` — feeds the
+/// Estimated payload bytes of one row of `columns` — feeds the
 /// `vdm_morsel_size_bytes` dispatch counter (dictionary-encoded strings
 /// count their 4-byte codes; dictionaries are shared, not per-row).
-pub fn row_bytes(batch: &Batch) -> usize {
-    batch
-        .columns
-        .iter()
-        .map(|c| match c.data() {
-            ColumnData::Int(_) => 8,
-            ColumnData::Dec { .. } => 16,
-            ColumnData::Bool(_) => 1,
-            ColumnData::Date(_) => 4,
-            ColumnData::Str(_) => 4,
-        })
-        .sum()
+pub fn row_bytes<'c>(columns: impl IntoIterator<Item = &'c Column>) -> usize {
+    let width = |c: &Column| match c.data() {
+        ColumnData::Int(_) => 8,
+        ColumnData::Dec { .. } => 16,
+        ColumnData::Bool(_) => 1,
+        ColumnData::Date(_) => 4,
+        ColumnData::Str(_) => 4,
+    };
+    columns.into_iter().map(width).sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use vdm_types::{Field, SqlType};
+
+    fn cols(b: &Batch) -> Vec<&Column> {
+        b.columns.iter().collect()
+    }
 
     fn batch(vals: Vec<(SqlType, Vec<Value>)>) -> Batch {
         let fields: Vec<Field> = vals
@@ -527,8 +683,8 @@ mod tests {
         // Equal values → equal hashes, across two batches of the same type.
         let a = batch(vec![(SqlType::Text, vec![Value::str("x"), Value::str("y"), Value::Null])]);
         let b = batch(vec![(SqlType::Text, vec![Value::Null, Value::str("y"), Value::str("x")])]);
-        let ha = hash_keys(&a, &[0], 0..3);
-        let hb = hash_keys(&b, &[0], 0..3);
+        let ha = hash_keys(&cols(&a), 0..3);
+        let hb = hash_keys(&cols(&b), 0..3);
         assert_eq!(ha[0], hb[2], "same string, different dictionaries");
         assert_eq!(ha[1], hb[1]);
         assert_eq!(ha[2], hb[0], "NULLs hash to one sentinel");
@@ -540,8 +696,8 @@ mod tests {
     fn columnar_hash_subrange_offsets_correctly() {
         let vals: Vec<Value> = (0..100).map(Value::Int).collect();
         let b = batch(vec![(SqlType::Int, vals)]);
-        let full = hash_keys(&b, &[0], 0..100);
-        let sub = hash_keys(&b, &[0], 40..60);
+        let full = hash_keys(&cols(&b), 0..100);
+        let sub = hash_keys(&cols(&b), 40..60);
         assert_eq!(&full[40..60], &sub[..]);
     }
 
@@ -621,11 +777,19 @@ mod tests {
                 let kernel = FilterKernel::new(&pred);
                 assert!(kernel.columnar.is_some(), "seed {seed} case {case}: {pred}");
                 let want = row_wise(&pred, &b).unwrap();
-                assert_eq!(kernel.select(&b, 0..97).unwrap(), want, "seed {seed}: {pred}");
+                assert_eq!(
+                    kernel.select(&cols(&b), 0..97, None).unwrap(),
+                    want,
+                    "seed {seed}: {pred}"
+                );
                 // A sub-range selects exactly the sub-range's share.
                 let part: Vec<usize> =
                     want.iter().copied().filter(|i| (13..61).contains(i)).collect();
-                assert_eq!(kernel.select(&b, 13..61).unwrap(), part, "seed {seed}: {pred}");
+                assert_eq!(
+                    kernel.select(&cols(&b), 13..61, None).unwrap(),
+                    part,
+                    "seed {seed}: {pred}"
+                );
             }
         }
     }
@@ -674,11 +838,14 @@ mod tests {
         let (null_side, seven) = (Expr::col(0).eq(Expr::int(1)), Expr::col(1).eq(Expr::int(7)));
         // Row 0: NULL OR TRUE = TRUE (kept); row 1: NULL OR FALSE = NULL.
         let or = null_side.clone().or(seven.clone());
-        assert_eq!(FilterKernel::new(&or).select(&b, 0..4).unwrap(), vec![0, 2, 3]);
+        assert_eq!(FilterKernel::new(&or).select(&cols(&b), 0..4, None).unwrap(), vec![0, 2, 3]);
         // Row 1: NULL AND FALSE = FALSE, row 0: NULL AND TRUE = NULL — both
         // dropped; only a TRUE AND TRUE row would survive.
         let and = null_side.and(seven);
-        assert_eq!(FilterKernel::new(&and).select(&b, 0..4).unwrap(), Vec::<usize>::new());
+        assert_eq!(
+            FilterKernel::new(&and).select(&cols(&b), 0..4, None).unwrap(),
+            Vec::<usize>::new()
+        );
         assert_eq!(row_wise(&or, &b).unwrap(), vec![0, 2, 3]);
     }
 
@@ -690,9 +857,9 @@ mod tests {
         let b = batch(vec![(SqlType::Int, vec![Value::Int(1), Value::Null, Value::Int(3)])]);
         let pred = Expr::col(0).binary(BinOp::Lt, Expr::str("x")).or(Expr::col(0).eq(Expr::int(3)));
         let kernel = FilterKernel::new(&pred);
-        assert!(kernel.columnar.as_ref().is_some_and(|p| p.mask(&b.columns, None, 0..3).is_none()));
-        assert_eq!(kernel.select(&b, 0..3).unwrap(), row_wise(&pred, &b).unwrap());
-        assert_eq!(kernel.select(&b, 0..3).unwrap(), vec![0, 2]);
+        assert!(kernel.columnar.as_ref().is_some_and(|p| p.mask(&cols(&b), 0..3).is_none()));
+        assert_eq!(kernel.select(&cols(&b), 0..3, None).unwrap(), row_wise(&pred, &b).unwrap());
+        assert_eq!(kernel.select(&cols(&b), 0..3, None).unwrap(), vec![0, 2]);
     }
 
     #[test]
@@ -708,7 +875,11 @@ mod tests {
         for pred in [col_col, not, arith] {
             let kernel = FilterKernel::new(&pred);
             assert!(kernel.columnar.is_none(), "{pred}");
-            assert_eq!(kernel.select(&b, 0..3).unwrap(), row_wise(&pred, &b).unwrap(), "{pred}");
+            assert_eq!(
+                kernel.select(&cols(&b), 0..3, None).unwrap(),
+                row_wise(&pred, &b).unwrap(),
+                "{pred}"
+            );
         }
         // Only referenced ordinals are materialized; the rest stay NULL.
         let mut scratch = RowScratch::new([&Expr::col(2)], 3);
@@ -723,13 +894,13 @@ mod tests {
         let failing = quotient.binary(BinOp::Gt, Expr::int(0));
         let want = row_wise(&failing, &b).unwrap_err().to_string();
         let kernel = FilterKernel::new(&failing);
-        assert_eq!(kernel.select(&b, 0..3).unwrap_err().to_string(), want);
-        assert_eq!(kernel.select(&b, 1..2).unwrap_err().to_string(), want);
-        assert_eq!(kernel.select(&b, 2..3).unwrap(), vec![2]);
+        assert_eq!(kernel.select(&cols(&b), 0..3, None).unwrap_err().to_string(), want);
+        assert_eq!(kernel.select(&cols(&b), 1..2, None).unwrap_err().to_string(), want);
+        assert_eq!(kernel.select(&cols(&b), 2..3, None).unwrap(), vec![2]);
     }
 
     #[test]
-    fn column_map_kernel_selects_and_duplicates() {
+    fn a_pure_column_map_selects_and_duplicates() {
         let b = batch(vec![
             (SqlType::Int, vec![Value::Int(1), Value::Int(2)]),
             (SqlType::Text, vec![Value::str("a"), Value::Null]),
@@ -739,7 +910,9 @@ mod tests {
             Field::new("k", SqlType::Int, true),
             Field::new("k2", SqlType::Int, true),
         ]));
-        let out = apply_column_map(&b, &[1, 0, 0], schema).unwrap();
+        let exprs: Vec<(Expr, String)> =
+            [1, 0, 0].iter().map(|&c| (Expr::col(c), format!("c{c}"))).collect();
+        let out = project_batch(&b, &exprs, schema).unwrap();
         assert_eq!(out.to_rows()[0], vec![Value::str("a"), Value::Int(1), Value::Int(1)]);
         assert_eq!(out.to_rows()[1], vec![Value::Null, Value::Int(2), Value::Int(2)]);
     }

@@ -1,13 +1,12 @@
 //! Query execution.
 //!
-//! A materializing, hash-based executor over logical plans: each operator
-//! consumes its children's batches fully and produces one output batch.
-//! At the data sizes of the paper's experiments (10⁴–10⁶ rows in memory)
-//! this is simple and fast enough, and it makes the *cost asymmetries* the
-//! optimizations exploit directly visible: an unused augmentation join
-//! still builds its hash table, a limit that isn't pushed below a join pays
-//! for the whole join, and so on — exactly the effects Tables 1–4 and
-//! Fig. 14 measure.
+//! A hash-based executor over logical plans: a morsel of a scan is carried
+//! through the filters, projections and join probes stacked on it into one
+//! sink, and only join build sides, sorts, DISTINCT, unions and aggregate
+//! outputs materialize. It keeps the *cost asymmetries* the optimizations
+//! exploit directly visible: an unused augmentation join still builds its
+//! hash table, a limit that isn't pushed below a join pays for the whole
+//! join, and so on — exactly the effects Tables 1–4 and Fig. 14 measure.
 //!
 //! There is one engine ([`execute_with`]): operators work morsel-at-a-time
 //! on columnar [`kernels`], dispatched by the work-stealing [`scheduler`].

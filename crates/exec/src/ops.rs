@@ -1,24 +1,11 @@
-//! Whole-batch operators: DISTINCT, sort and LIMIT/OFFSET. Each picks row
-//! indices and assembles its output with one payload-level
-//! [`Batch::gather`]. Filters, projections, the hash join and aggregation
-//! run on the kernels in [`crate::kernels`] and [`crate::executor`].
+//! The whole-batch sort: picks row indices and assembles its output with one
+//! payload-level [`Batch::gather`]. Everything else runs on the kernels in
+//! [`crate::kernels`] and [`crate::executor`].
 
 use crate::kernels::RowScratch;
 use vdm_plan::SortKey;
 use vdm_storage::Batch;
 use vdm_types::{Result, Value};
-
-/// Duplicate elimination over all columns (first occurrence wins).
-pub fn distinct(input: &Batch) -> Result<Batch> {
-    let mut seen: std::collections::HashSet<Vec<Value>> = std::collections::HashSet::new();
-    let mut keep = Vec::new();
-    for i in 0..input.num_rows() {
-        if seen.insert(input.row(i)) {
-            keep.push(i);
-        }
-    }
-    Ok(input.gather(&keep))
-}
 
 /// Stable sort by `keys` (NULL placement per key spec).
 pub fn sort(input: &Batch, keys: &[SortKey]) -> Result<Batch> {
@@ -66,15 +53,4 @@ pub fn sort(input: &Batch, keys: &[SortKey]) -> Result<Batch> {
         std::cmp::Ordering::Equal
     });
     Ok(input.gather(&indices))
-}
-
-/// LIMIT/OFFSET.
-pub fn limit(input: &Batch, skip: u64, fetch: Option<u64>) -> Batch {
-    let start = (skip as usize).min(input.num_rows());
-    let end = match fetch {
-        Some(f) => (start + f as usize).min(input.num_rows()),
-        None => input.num_rows(),
-    };
-    let indices: Vec<usize> = (start..end).collect();
-    input.gather(&indices)
 }

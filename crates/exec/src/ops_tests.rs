@@ -776,7 +776,8 @@ fn join_side(rng: &mut SplitMix64, rows: usize, dec_key: bool, domain: &[i64]) -
 fn colliding_keys() -> Vec<i64> {
     let ints: Vec<Vec<Value>> = (0..200_000).map(|i| vec![Value::Int(i)]).collect();
     let schema = Arc::new(Schema::new(vec![Field::new("k", SqlType::Int, false)]));
-    let hashes = kernels::hash_keys(&Batch::from_rows(schema, &ints).unwrap(), &[0], 0..ints.len());
+    let batch = Batch::from_rows(schema, &ints).unwrap();
+    let hashes = kernels::hash_keys(&[&batch.columns[0]], 0..ints.len());
     let keys: Vec<i64> = (0..ints.len())
         .filter(|&i| (hashes[i] ^ hashes[0]) & 0xfff == 0)
         .map(|i| i as i64)
@@ -842,6 +843,248 @@ fn one_hash_join_matches_the_row_wise_reference() {
                         );
                     }
                 }
+            }
+        }
+    }
+}
+
+/// Operator-at-a-time evaluation of `plan` by reference operators — a whole
+/// scan, then one row-wise pass per node ([`reference_join`] for joins, a
+/// `Vec<Value>`-keyed map in first-seen order for aggregates): the oracle
+/// [`pipelines_match_operator_at_a_time_evaluation`] holds the engine to.
+fn reference(plan: &PlanRef, e: &StorageEngine, snap: Snapshot) -> Result<Batch> {
+    let truth = |pred: &Expr, row: &[Value]| Ok(pred.eval_row(row)?.as_bool()? == Some(true));
+    match plan.as_ref() {
+        LogicalPlan::Scan { table, cols, schema, .. } => {
+            let all = e.scan(&table.name, snap)?;
+            let columns = match cols.narrowed() {
+                Some(ordinals) => ordinals.iter().map(|&c| all.columns[c].clone()).collect(),
+                None => all.columns,
+            };
+            Batch::new(Arc::clone(schema), columns)
+        }
+        LogicalPlan::Filter { input, predicate } => {
+            let input = reference(input, e, snap)?;
+            let mut keep = Vec::new();
+            for row in input.to_rows() {
+                if truth(predicate, &row)? {
+                    keep.push(row);
+                }
+            }
+            Batch::from_rows(Arc::clone(&input.schema), &keep)
+        }
+        LogicalPlan::Project { input, exprs, schema } => {
+            let rows = reference(input, e, snap)?.to_rows();
+            let eval = |row: &Vec<Value>| exprs.iter().map(|(x, _)| x.eval_row(row)).collect();
+            let out: Vec<Vec<Value>> = rows.iter().map(eval).collect::<Result<_>>()?;
+            Batch::from_rows(Arc::clone(schema), &out)
+        }
+        LogicalPlan::Join { left, right, kind, on, filter, schema, .. } => {
+            let (l, r) = (reference(left, e, snap)?, reference(right, e, snap)?);
+            reference_join(&l, &r, *kind, on, filter.as_ref(), Arc::clone(schema))
+        }
+        LogicalPlan::Aggregate { input, group_by, aggs, schema } => {
+            let fresh = || aggs.iter().map(|(a, _)| a.accumulator()).collect::<Vec<_>>();
+            let mut slot_of: HashMap<Vec<Value>, usize> = HashMap::new();
+            let mut groups: Vec<(Vec<Value>, Vec<vdm_expr::Accumulator>)> = Vec::new();
+            if group_by.is_empty() {
+                slot_of.insert(Vec::new(), 0);
+                groups.push((Vec::new(), fresh()));
+            }
+            for row in reference(input, e, snap)?.to_rows() {
+                let key: Vec<Value> =
+                    group_by.iter().map(|(x, _)| x.eval_row(&row)).collect::<Result<_>>()?;
+                let slot = *slot_of.entry(key.clone()).or_insert_with(|| {
+                    groups.push((key, fresh()));
+                    groups.len() - 1
+                });
+                for ((agg, _), acc) in aggs.iter().zip(&mut groups[slot].1) {
+                    let v = agg.arg.as_ref().map_or(Ok(Value::Int(1)), |a| a.eval_row(&row))?;
+                    acc.update(&v)?;
+                }
+            }
+            let mut out = Vec::new();
+            for (mut row, accs) in groups {
+                for acc in &accs {
+                    row.push(acc.finish()?);
+                }
+                out.push(row);
+            }
+            Batch::from_rows(Arc::clone(schema), &out)
+        }
+        other => panic!("no reference operator for {}", other.op_name()),
+    }
+}
+
+/// `fact(k, g, d, amt, s)` — main fragment, unmerged delta, rows deleted from
+/// both — beside `dim(id, name, w)` (unique ids, with gaps: an inner join
+/// drops rows, a left join pads them) and `multi(id, seq, tag)` (0–3 rows
+/// per id: a join on it expands).
+fn pipeline_world() -> (StorageEngine, [Arc<TableDef>; 3]) {
+    let dec = |u: i64| Value::Dec(Decimal::from_units(u as i128, 2));
+    let fact = TableBuilder::new("fact")
+        .column("k", SqlType::Int, false)
+        .column("g", SqlType::Int, true)
+        .column("d", SqlType::Int, false)
+        .column("amt", SqlType::Decimal { scale: 2 }, false)
+        .column("s", SqlType::Text, true)
+        .primary_key(&["k"]);
+    let dim = TableBuilder::new("dim")
+        .column("id", SqlType::Int, false)
+        .column("name", SqlType::Text, false)
+        .column("w", SqlType::Int, false)
+        .primary_key(&["id"]);
+    let multi = TableBuilder::new("multi")
+        .column("id", SqlType::Int, false)
+        .column("seq", SqlType::Int, false)
+        .column("tag", SqlType::Text, true)
+        .primary_key(&["id", "seq"]);
+    let defs = [fact, dim, multi].map(|t| Arc::new(t.build().unwrap()));
+    let e = StorageEngine::new();
+    defs.iter().for_each(|t| e.create_table(Arc::clone(t)).unwrap());
+    let mut rng = SplitMix64::seed_from_u64(19);
+    let mut fact_row = |k: i64| {
+        let g = if rng.random_range(0..7u32) == 0 { Value::Null } else { Value::Int(k % 5) };
+        let s = match rng.random_range(0..4u32) {
+            0 => Value::Null,
+            tag => Value::str(format!("s{tag}")),
+        };
+        vec![Value::Int(k), g, Value::Int(rng.random_range(0..14)), dec(k * 37 % 1000), s]
+    };
+    e.insert("fact", (0..230).map(&mut fact_row).collect()).unwrap();
+    let dims = (0..12i64).filter(|id| id % 4 != 3);
+    e.insert(
+        "dim",
+        dims.map(|id| vec![Value::Int(id), Value::str(format!("n{id}")), Value::Int(id * 20)])
+            .collect(),
+    )
+    .unwrap();
+    let multis = (0..12i64).flat_map(|id| (0..id % 4).map(move |seq| (id, seq)));
+    let tag = |seq: i64| if seq == 1 { Value::Null } else { Value::str(format!("t{seq}")) };
+    e.insert(
+        "multi",
+        multis.map(|(id, seq)| vec![Value::Int(id), Value::Int(seq), tag(seq)]).collect(),
+    )
+    .unwrap();
+    for t in ["fact", "dim", "multi"] {
+        e.merge_delta(t).unwrap();
+    }
+    e.insert("fact", (230..300).map(&mut fact_row).collect()).unwrap();
+    e.insert("dim", vec![vec![Value::Int(12), Value::str("n12"), Value::Int(5)]]).unwrap();
+    let doomed = |r: &[Value]| matches!(r[0], Value::Int(k) if k % 11 == 4 || k == 0);
+    assert!(e.delete_where("fact", &doomed).unwrap() > 20);
+    (e, defs)
+}
+
+/// A random stack of 1–5 steps over `fact` — columnar and row-wise filters
+/// (one that keeps nothing), column maps, computed projections, an N:1 left
+/// join, an inner join that drops rows, a 1:N join that expands, a residual
+/// join — under one of four sinks.
+fn random_stack(rng: &mut SplitMix64, [fact, dim, multi]: &[Arc<TableDef>; 3]) -> PlanRef {
+    let mut plan = LogicalPlan::scan(Arc::clone(fact));
+    let typed = |plan: &PlanRef, ty: SqlType| -> Vec<usize> {
+        let schema = plan.schema();
+        (0..schema.len()).filter(|&c| schema.field(c).ty == ty).collect()
+    };
+    let pick = |rng: &mut SplitMix64, from: &[usize]| from[rng.random_range(0..from.len())];
+    let mut expansions = 0;
+    for _ in 0..rng.random_range(1..=5usize) {
+        // Every step keeps at least one INT column, so one is always at hand.
+        let ints = typed(&plan, SqlType::Int);
+        let (a, b) = (pick(rng, &ints), pick(rng, &ints));
+        let width = plan.schema().len();
+        plan = match rng.random_range(0..9u32) {
+            0 => {
+                let bound = Expr::int(rng.random_range(0..12));
+                let pred = Expr::col(a).binary(BinOp::Lt, bound).or(Expr::col(b).eq(Expr::int(3)));
+                LogicalPlan::filter(plan, pred.or(Expr::IsNull(Box::new(Expr::col(a)))))
+            }
+            1 => {
+                let sum = Expr::col(a).binary(BinOp::Add, Expr::col(b));
+                LogicalPlan::filter(plan, sum.binary(BinOp::Gt, Expr::int(rng.random_range(0..9))))
+            }
+            2 => LogicalPlan::filter(plan, Expr::col(a).binary(BinOp::Lt, Expr::int(-1))),
+            3 => {
+                // Reorder, drop and duplicate; `a` survives.
+                let mut map: Vec<usize> =
+                    (0..width).filter(|_| rng.random_range(0..3u32) > 0).collect();
+                map.insert(rng.random_range(0..=map.len()), a);
+                LogicalPlan::project_cols(plan, &map)
+            }
+            4 => {
+                let sum = Expr::col(a).binary(BinOp::Add, Expr::col(b));
+                let mut exprs = vec![(Expr::col(a), "a".to_string()), (sum, "sum".to_string())];
+                exprs.extend((0..width).map(|c| (Expr::col(c), format!("c{c}"))));
+                LogicalPlan::project(plan, exprs)
+            }
+            5 => LogicalPlan::left_join(plan, LogicalPlan::scan(Arc::clone(dim)), vec![(a, 0)]),
+            6 => LogicalPlan::inner_join(plan, LogicalPlan::scan(Arc::clone(dim)), vec![(a, 0)]),
+            7 if expansions < 2 => {
+                expansions += 1;
+                LogicalPlan::inner_join(plan, LogicalPlan::scan(Arc::clone(multi)), vec![(a, 0)])
+            }
+            _ => {
+                let residual = Expr::col(width + 2).binary(BinOp::Gt, Expr::col(b));
+                let dim = LogicalPlan::scan(Arc::clone(dim));
+                let kind = [JoinKind::Inner, JoinKind::LeftOuter][rng.random_range(0..2usize)];
+                LogicalPlan::join(plan, dim, kind, vec![(a, 0)], Some(residual), None, false)
+            }
+        }
+        .unwrap();
+    }
+    let ints = typed(&plan, SqlType::Int);
+    let keys: Vec<usize> = (0..plan.schema().len()).collect();
+    let (a, key) = (pick(rng, &ints), pick(rng, &keys));
+    let sum = AggExpr::new(AggFunc::Sum, Expr::col(a));
+    let aggs = vec![(AggExpr::count_star(), "n".to_string()), (sum, "sum".to_string())];
+    match rng.random_range(0..4u32) {
+        0 => plan,
+        1 => {
+            let bucket = Expr::col(a).binary(BinOp::Add, Expr::int(1));
+            let group = vec![(Expr::col(key), "key".to_string()), (bucket, "bucket".to_string())];
+            LogicalPlan::aggregate(plan, group, aggs).unwrap()
+        }
+        2 => LogicalPlan::aggregate(plan, vec![], aggs).unwrap(),
+        _ => {
+            let mut distinct = AggExpr::new(AggFunc::Count, Expr::col(a));
+            distinct.distinct = true;
+            let group = vec![(Expr::col(key), "key".to_string())];
+            LogicalPlan::aggregate(plan, group, vec![(distinct, "distinct".to_string())]).unwrap()
+        }
+    }
+}
+
+/// The engine's pipelines against [`reference`]: same rows in the same order
+/// (group order included) at every morsel size and thread count — random
+/// stacks, then batch-sourced pipelines: a filter and a computed projection
+/// over an aggregate's output, and that output probing a join, in morsels
+/// smaller than it.
+#[test]
+fn pipelines_match_operator_at_a_time_evaluation() {
+    let (e, defs) = pipeline_world();
+    let snap = e.snapshot();
+    let mut rng = SplitMix64::seed_from_u64(2019);
+    let mut plans: Vec<PlanRef> = (0..80).map(|_| random_stack(&mut rng, &defs)).collect();
+    let per_key = LogicalPlan::aggregate(
+        LogicalPlan::scan(Arc::clone(&defs[0])),
+        vec![(Expr::col(2), "d".into()), (Expr::col(1), "g".into())],
+        vec![(AggExpr::count_star(), "n".into())],
+    )
+    .unwrap();
+    let having =
+        LogicalPlan::filter(Arc::clone(&per_key), Expr::col(2).binary(BinOp::Gt, Expr::int(3)));
+    let doubled = Expr::col(2).binary(BinOp::Mul, Expr::int(2));
+    plans.push(LogicalPlan::project(having.unwrap(), vec![(doubled, "n2".into())]).unwrap());
+    let dim = LogicalPlan::scan(Arc::clone(&defs[1]));
+    plans.push(LogicalPlan::left_join(per_key, dim, vec![(0, 0)]).unwrap());
+    for (n, plan) in plans.iter().enumerate() {
+        let want = reference(plan, &e, snap).unwrap().to_rows();
+        for morsel_rows in [7, 64, 4096] {
+            for threads in [1, 2, 4] {
+                let parallel = ParallelConfig { threads, morsel_rows };
+                let opts = ExecOptions { snapshot: Some(snap), parallel };
+                let got = execute_with(plan, &e, &opts).unwrap().batch.to_rows();
+                assert_eq!(got, want, "stack {n} at {parallel:?}:\n{}", vdm_plan::explain(plan));
             }
         }
     }

@@ -98,9 +98,13 @@ pub struct QueryProfile {
     pub morsel_steals: u64,
     /// Claim batches the work-stealing scheduler dispatched.
     pub morsel_claims: u64,
-    /// Estimated payload bytes dispatched in scan morsels and operator
-    /// chunks (feeds the `vdm_morsel_size_bytes` registry counter).
+    /// Estimated payload bytes of the morsels pipelines were fed — scan morsels
+    /// and chunks of breaker output (the `vdm_morsel_size_bytes` counter).
     pub morsel_bytes: u64,
+    /// Pipelines run (a scan or breaker output carried morsel by morsel to a sink).
+    pub pipelines: u64,
+    /// Waves of morsels handed to the worker pool rather than run inline.
+    pub dispatched: u64,
 }
 
 impl QueryProfile {
@@ -138,6 +142,8 @@ impl QueryProfile {
         self.morsel_steals += other.morsel_steals;
         self.morsel_claims += other.morsel_claims;
         self.morsel_bytes += other.morsel_bytes;
+        self.pipelines += other.pipelines;
+        self.dispatched += other.dispatched;
     }
 
     /// Rows produced by node `id`, if it executed.

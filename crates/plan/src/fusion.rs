@@ -9,17 +9,14 @@
 //! as a single column-select kernel instead of N per-row evaluation
 //! passes.
 //!
-//! This module only *detects and composes* chains; executing the fused
-//! mapping (and attributing per-node stats back to the covered nodes)
-//! is the executor's job. Fusion is deliberately an execution-time
+//! This module only *detects* column mappings; composing a chain into one
+//! pipeline step, executing it and attributing per-node stats back to the
+//! covered nodes is the executor's job. Fusion is deliberately an execution-time
 //! rewrite, not an optimizer rule: the logical plan keeps its per-node
 //! shape so EXPLAIN, lineage, and rewrite traces still see every
 //! projection the view unfolder produced.
 
-use crate::node::{LogicalPlan, PlanRef};
-use std::sync::Arc;
 use vdm_expr::Expr;
-use vdm_types::Schema;
 
 /// Returns the column mapping of a pure pass-through/renaming projection:
 /// `Some(m)` with `m[j] = i` iff every output expression `j` is
@@ -34,116 +31,19 @@ pub fn column_mapping(exprs: &[(Expr, String)]) -> Option<Vec<usize>> {
         .collect()
 }
 
-/// A maximal run of adjacent column-mapping `Project` nodes, composed
-/// into a single mapping over the chain's input.
-#[derive(Debug)]
-pub struct FusedChain<'p> {
-    /// The first non-column-mapping descendant — the fused kernel's input.
-    pub input: &'p PlanRef,
-    /// Composed mapping: output column `j` of the chain is column
-    /// `mapping[j]` of `input`.
-    pub mapping: Vec<usize>,
-    /// The covered `Project` nodes, outermost first. Stats attribution
-    /// records each of these ids against the fused group.
-    pub nodes: Vec<&'p PlanRef>,
-    /// Output schema of the chain (= the outermost node's schema).
-    pub schema: &'p Arc<Schema>,
-}
-
-/// Detects the maximal column-mapping projection chain rooted at `plan`.
-/// Returns `None` unless the chain covers at least `min_len` nodes.
-pub fn fused_projection_chain(plan: &PlanRef, min_len: usize) -> Option<FusedChain<'_>> {
-    let LogicalPlan::Project { exprs, schema, .. } = plan.as_ref() else {
-        return None;
-    };
-    let mut mapping = column_mapping(exprs)?;
-    let mut nodes = vec![plan];
-    let mut cursor = match plan.as_ref() {
-        LogicalPlan::Project { input, .. } => input,
-        _ => unreachable!(),
-    };
-    while let LogicalPlan::Project { input, exprs, .. } = cursor.as_ref() {
-        let Some(inner) = column_mapping(exprs) else { break };
-        for m in &mut mapping {
-            *m = inner[*m];
-        }
-        nodes.push(cursor);
-        cursor = input;
-    }
-    if nodes.len() < min_len {
-        return None;
-    }
-    Some(FusedChain { input: cursor, mapping, nodes, schema })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vdm_types::{Field, SqlType};
-
-    fn schema(names: &[&str]) -> Arc<Schema> {
-        Arc::new(Schema::new(
-            names.iter().map(|n| Field::new(n.to_string(), SqlType::Int, true)).collect(),
-        ))
-    }
-
-    fn values(width: usize) -> PlanRef {
-        Arc::new(LogicalPlan::Values { schema: schema(&vec!["v"; width]), rows: vec![] })
-    }
-
-    fn project(input: PlanRef, cols: &[usize]) -> PlanRef {
-        let s = schema(&cols.iter().map(|_| "p").collect::<Vec<_>>());
-        Arc::new(LogicalPlan::Project {
-            input,
-            exprs: cols.iter().map(|&c| (Expr::col(c), format!("c{c}"))).collect(),
-            schema: s,
-        })
-    }
 
     #[test]
-    fn composes_reorder_rename_and_duplication() {
-        // base(4 cols) → keep [2,0,3] → keep [1,1,2] ⇒ [0,0,3] over base.
-        let base = values(4);
-        let chain = project(project(base, &[2, 0, 3]), &[1, 1, 2]);
-        let fused = fused_projection_chain(&chain, 2).expect("chain of 2");
-        assert_eq!(fused.mapping, vec![0, 0, 3]);
-        assert_eq!(fused.nodes.len(), 2);
-        assert!(matches!(fused.input.as_ref(), LogicalPlan::Values { .. }));
-    }
-
-    #[test]
-    fn stops_at_computed_projection() {
-        let base = values(2);
-        let computed = Arc::new(LogicalPlan::Project {
-            input: base,
-            exprs: vec![(Expr::col(0).binary(vdm_expr::BinOp::Add, Expr::int(1)), "x".into())],
-            schema: schema(&["x"]),
-        });
-        let chain = project(project(computed.clone(), &[0]), &[0]);
-        let fused = fused_projection_chain(&chain, 2).expect("two pass-throughs above");
-        assert_eq!(fused.nodes.len(), 2);
-        assert!(Arc::ptr_eq(fused.input, &computed), "fusion must stop above the computed node");
-        // The computed node itself is not a chain head.
-        assert!(fused_projection_chain(&computed, 1).is_none());
-    }
-
-    #[test]
-    fn honors_min_len() {
-        let single = project(values(3), &[1]);
-        assert!(fused_projection_chain(&single, 2).is_none());
-        let fused = fused_projection_chain(&single, 1).expect("min_len=1 takes singletons");
-        assert_eq!(fused.mapping, vec![1]);
-    }
-
-    #[test]
-    fn deep_chain_composes_to_identity() {
-        // 28 stacked identity projections — the browser shape.
-        let mut plan = values(3);
-        for _ in 0..28 {
-            plan = project(plan, &[0, 1, 2]);
-        }
-        let fused = fused_projection_chain(&plan, 2).unwrap();
-        assert_eq!(fused.nodes.len(), 28);
-        assert_eq!(fused.mapping, vec![0, 1, 2]);
+    fn only_pure_column_references_map() {
+        let cols = |cs: &[usize]| -> Vec<(Expr, String)> {
+            cs.iter().map(|&c| (Expr::col(c), format!("c{c}"))).collect()
+        };
+        // Reorder, rename, duplicate.
+        assert_eq!(column_mapping(&cols(&[2, 0, 0])), Some(vec![2, 0, 0]));
+        let mut computed = cols(&[1]);
+        computed.push((Expr::col(0).binary(vdm_expr::BinOp::Add, Expr::int(1)), "x".into()));
+        assert_eq!(column_mapping(&computed), None);
     }
 }

@@ -35,7 +35,7 @@ pub use delta::{
 };
 pub use digest::{plan_digest, plan_digest_canonical};
 pub use explain::{explain, explain_annotated, number_nodes};
-pub use fusion::{column_mapping, fused_projection_chain, FusedChain};
+pub use fusion::column_mapping;
 pub use lineage::{column_lineage, trace_column, Origin};
 pub use node::{DeclaredCardinality, JoinKind, LogicalPlan, PlanRef, ScanCols, SortKey};
 pub use params::{bind_params, contains_params, max_param_index};

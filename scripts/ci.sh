@@ -127,16 +127,28 @@ JOINS="$(find crates/exec/src -name '*.rs' ! -name '*_tests.rs' -exec awk \
 if [ "$JOINS" != "1" ]; then
   echo "vdm-exec must define exactly one hash join outside test modules; found $JOINS"; exit 1
 fi
-# A pushed filter refines the one read body (no filtered twin), and the join
-# chains row ids: no materialized `Vec<Value>` key, map or `key_at` above
-# the aggregation section.
+# A pushed filter refines the one read body (no filtered twin), and neither
+# the join nor the aggregate keeps a materialized key: row ids chain
+# (JoinTable, group_rows) and cells compare in place, so no `Vec<Value>`-keyed
+# map, `key_at` or whole-row `.row(` anywhere in executor.rs outside tests.
 READS="$(awk '/^#\[cfg\(test\)\]/ { exit } /fn read\(/ { n++ } END { print n + 0 }' crates/storage/src/store.rs)"
 if [ "$READS" != "1" ] || grep -rnE "fn (scan_morsel|read)_(filtered|refined|pushed)" crates/storage/src; then
   echo "store.rs must define exactly one read body (fn read) and no filtered twin; found $READS"; exit 1
 fi
-if awk '/^\/\/ Aggregation\.$/ { exit } /FxHashMap<Vec<Value>|fn key_at/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+if awk '/^#\[cfg\(test\)\]/ { exit } /FxHashMap<Vec<Value>|HashMap<Vec<Value>|fn key_at|\.row\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
     END { exit !bad }' crates/exec/src/executor.rs; then
-  echo "the hash join keeps no Vec<Value> keys: chain row ids (JoinTable) and compare cells in place"; exit 1
+  echo "executor.rs keeps no Vec<Value> keys and builds no rows: chain row ids and compare cells in place"; exit 1
+fi
+# A morsel stays a morsel: the pipeline is the only streaming body. One
+# `parallel_map(` call feeds streaming steps (run_pipeline's; the other two
+# build a join's hash tables, and one line is the definition), and no
+# operator-at-a-time filter/project wave body is left beside it.
+DISPATCHES="$(awk '/^#\[cfg\(test\)\]/ { exit } /parallel_map\(/ { n++ } END { print n + 0 }' crates/exec/src/executor.rs)"
+STREAMING="$(awk '/^#\[cfg\(test\)\]/ { exit } /^fn / { body = $2 } body ~ /^run_pipeline/ && /parallel_map\(/ { n++ }
+    END { print n + 0 }' crates/exec/src/executor.rs)"
+if [ "$DISPATCHES" != "3" ] || [ "$STREAMING" != "1" ] \
+    || grep -nE "^fn (filter|project|aggregate|agg_partial)\(" crates/exec/src/executor.rs; then
+  echo "executor.rs: one parallel_map call in run_pipeline (+ two in the join build), no wave bodies; found $DISPATCHES/$STREAMING"; exit 1
 fi
 if ! awk '/^#\[cfg\(test\)\]/ { exit } /fn deleted_between/ { feed = 1 } feed && /^    }$/ { feed = 0 }
     !feed && /from_rows/ { print FILENAME ":" FNR ": " $0; bad = 1 } END { exit bad }' crates/storage/src/store.rs; then
@@ -144,16 +156,13 @@ if ! awk '/^#\[cfg\(test\)\]/ { exit } /fn deleted_between/ { feed = 1 } feed &&
 fi
 
 echo "== touched fields only (rows are built from referenced columns; one predicate evaluator) =="
-# Outside test modules, vdm-exec materializes a whole row (`.row(`) only for
-# DISTINCT and for aggregate keys/arguments; filters, projections, sort keys
-# and join residuals evaluate through kernels::RowScratch, which loads the
-# referenced columns only.
+# Outside test modules, vdm-exec never materializes a whole row (`.row(`):
+# filters, projections, sort keys, join residuals and aggregate arguments
+# evaluate through kernels::RowScratch, which loads the referenced columns
+# only, and DISTINCT and GROUP BY keys compare cells in place.
 WIDE_ROWS="$(for f in crates/exec/src/*.rs; do
   case "$f" in *_tests.rs) continue ;; esac
-  awk '/^#\[cfg\(test\)\]/ { exit }
-    /^\/\/ Aggregation\.$/ { agg = 1 }
-    /^pub fn distinct\(/ { distinct = 1 } distinct && /^}$/ { distinct = 0 }
-    !agg && !distinct && /\.row\(/ { print FILENAME ":" FNR ": " $0 }' "$f"
+  awk '/^#\[cfg\(test\)\]/ { exit } /\.row\(/ { print FILENAME ":" FNR ": " $0 }' "$f"
 done)"
 if [ -n "$WIDE_ROWS" ]; then
   echo "$WIDE_ROWS"
@@ -168,12 +177,12 @@ if [ "$EVALUATORS" != "2" ] || grep -rnE "CompiledPredicate|CompiledAtom|fn eval
 fi
 
 echo "== non-test source size (scripts/loc.sh) =="
-# The size to beat is PR 17's 24 295 lines; PR 18 (pushed leaf filter, row-id
-# join table) may add at most 120.
+# The size to beat is PR 18's 24 396 lines; PR 19 (pipelines under a selection
+# vector, one group table, the folded DAC mask) may add at most 100.
 LOC_TOTAL="$(scripts/loc.sh | awk '$1 == "total" { print $2 }')"
 echo "total $LOC_TOTAL"
-if [ "$LOC_TOTAL" -gt $((24295 + 120)) ]; then
-  echo "non-test source grew past 24 295 + 120 lines"; exit 1
+if [ "$LOC_TOTAL" -gt $((24396 + 100)) ]; then
+  echo "non-test source grew past 24 396 + 100 lines"; exit 1
 fi
 
 echo "== metrics are registered only through vdm-obs (no stray metric name literals) =="

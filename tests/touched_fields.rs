@@ -300,27 +300,27 @@ fn star_keeps_every_column_and_count_star_keeps_one() {
     assert_eq!(db.query("select count(*) from acdoca").unwrap().row(0), vec![Value::Int(600)]);
 }
 
-/// The paging shapes' ledger — every node's `rows_in` / `rows_out` and the
-/// `rows_scanned` roll-up, at every thread count — is the one in
-/// `tests/golden/paging_ledger.txt`, blessed at commit `6f1762f`, before a
-/// scan's leaf filter refined the morsel selection ahead of the gather
-/// (`UPDATE_GOLDEN=1 cargo test --test touched_fields`): what a scan drops
-/// early must not show in what it reports reading.
-#[test]
-fn paging_ledger_is_the_one_blessed_before_the_filter_was_pushed() {
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/paging_ledger.txt");
+/// One ledger line per shape × {merged, unmerged}: every node's `rows_in`
+/// (`(build_rows)` appended when `build_rows` is set) and `rows_out` plus
+/// the `rows_scanned` roll-up, asserted equal at every thread count, held
+/// against `tests/golden/<file>` (`UPDATE_GOLDEN=1 cargo test --test
+/// touched_fields` re-blesses).
+fn assert_ledger(file: &str, shapes: &[(&str, &str)], build_rows: bool) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(file);
     let mut lines = Vec::new();
     for unmerged in [false, true] {
         let db = erp_database(unmerged);
-        for (shape, sql) in &SHAPES[..3] {
+        for (shape, sql) in shapes {
             let plan = db.optimized_plan(sql).unwrap();
             let ledger = |threads: usize| {
                 let x = run(&plan, db.engine(), threads);
                 let scanned = vdm_exec::Metrics::roll_up(&plan, &x.profile).rows_scanned;
                 let nodes: BTreeMap<_, _> = x.profile.nodes.iter().collect();
-                let nodes =
-                    nodes.iter().map(|(id, s)| format!(" {id}:{}>{}", s.rows_in, s.rows_out));
+                let nodes = nodes.iter().map(|(id, s)| {
+                    let build =
+                        if build_rows { format!("({})", s.build_rows) } else { String::new() };
+                    format!(" {id}:{}{build}>{}", s.rows_in, s.rows_out)
+                });
                 format!(
                     "{shape} unmerged={unmerged} rows_scanned={scanned}{}",
                     nodes.collect::<String>()
@@ -337,6 +337,26 @@ fn paging_ledger_is_the_one_blessed_before_the_filter_was_pushed() {
         std::fs::write(&path, &text).unwrap();
     }
     assert_eq!(text, std::fs::read_to_string(&path).unwrap_or_default());
+}
+
+/// The paging shapes' ledger is the one in `paging_ledger.txt`, blessed at
+/// commit `6f1762f`, before a scan's leaf filter refined the morsel
+/// selection ahead of the gather: what a scan drops early must not show in
+/// what it reports reading.
+#[test]
+fn paging_ledger_is_the_one_blessed_before_the_filter_was_pushed() {
+    assert_ledger("paging_ledger.txt", &SHAPES[..3], false);
+}
+
+/// The `olap_rollup` shapes' ledger, `build_rows` included, is the one in
+/// `rollup_ledger.txt`, blessed at commit `48c0a24`, when every operator
+/// above the scan still ran as a wave of its own: carrying a morsel through
+/// probe, filter and partial aggregate under a selection vector must not
+/// move a row count (a join's `rows_in` stays probe + build, the build side
+/// counted once).
+#[test]
+fn rollup_ledger_is_the_one_blessed_before_morsels_were_carried_through() {
+    assert_ledger("rollup_ledger.txt", &SHAPES[3..6], true);
 }
 
 /// `htap_mixed`'s three dynamic views, maintained through narrowed
