@@ -119,7 +119,7 @@ fn profile_json(
     obj([
         ("workload", Json::Str("browser".into())),
         ("threads", int(threads)),
-        ("rewrite_hits", obj(trace.hit_counts().iter().map(|(rule, n)| (rule.as_str(), int(*n))))),
+        ("rewrite_hits", obj(trace.hit_counts().iter().map(|(rule, n)| (*rule, int(*n))))),
         ("operators", Json::Arr(operators.collect())),
     ])
 }

@@ -345,7 +345,17 @@ impl QueryEnv<'_> {
     ) -> Result<(PlanRef, Trace)> {
         let _opt = qtrace::span("optimize");
         let stats = EngineStats::new(self.engine);
-        self.state.optimizer.optimize_traced_with(bound, Some(&stats), overrides)
+        let optimized =
+            self.state.optimizer.optimize_traced_with(bound, Some(&stats), overrides)?;
+        // The per-pass split (`*` = the pass changed the plan), for a trace
+        // someone asked for: otherwise a pass costs its `Instant` pair.
+        if qtrace::explicit() {
+            for &(round, pass, nanos, changed) in &optimized.1.passes {
+                let (us, mark) = (nanos as f64 / 1e3, if changed { "*" } else { "" });
+                qtrace::attr(&format!("r{round}[{pass}]"), format_args!("{us:.1}us{mark}"));
+            }
+        }
+        Ok(optimized)
     }
 
     /// `EXPLAIN` text for a SELECT: the bound and the optimized plan (one
@@ -578,6 +588,6 @@ fn record_query(
     let Some(trace) = optimized else { return };
     reg.observe(names::OPTIMIZE_SECONDS, trace.optimize_nanos as f64 / 1e9);
     for (rule, n) in trace.hit_counts() {
-        reg.inc(&vdm_obs::registry::label(names::REWRITE_FIRED_TOTAL, "rule", &rule), n);
+        reg.inc(&vdm_obs::registry::label(names::REWRITE_FIRED_TOTAL, "rule", rule), n);
     }
 }

@@ -5,15 +5,14 @@
 //! them for what is diagnostic data. Instead the collector is
 //! thread-local: `Optimizer::optimize_traced` brackets a run with
 //! [`begin_collect`]/[`finish_collect`], announces each pass with
-//! [`begin_pass`] (which pre-numbers the pass's input nodes), and fire
-//! sites call [`fired`] — a no-op when no collection is active, so the
-//! passes stay zero-cost on the plain `optimize` path of library users
-//! that never trace.
+//! [`begin_pass`], and fire sites call [`fired`] — a no-op when no
+//! collection is active. The collector's work is proportional to what
+//! fires: a pass's input is numbered when its first rule fires, and a firing
+//! counts the nodes of the two subtrees it names, nothing else.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
-use vdm_plan::{explain, plan_stats, PlanRef};
+use vdm_plan::{number_nodes, LogicalPlan, NodeMap, PlanRef};
 
 /// One rewrite-rule firing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,9 +20,9 @@ pub struct RewriteEvent {
     /// Fixpoint round (0 = the pre-round constant folding / pushdown).
     pub round: usize,
     /// Pass name as reported to the pass-level trace.
-    pub pass: String,
+    pub pass: &'static str,
     /// Rule name, e.g. `uaj-removal`.
-    pub rule: String,
+    pub rule: &'static str,
     /// Pre-order id of the rewritten node within the pass's input plan.
     /// `None` when the node was itself built earlier in the same pass.
     pub node_id: Option<usize>,
@@ -60,9 +59,11 @@ impl RewriteEvent {
 #[derive(Default)]
 struct Collector {
     round: usize,
-    pass: String,
-    /// Node address -> pre-order id in the current pass's input plan.
-    ids: HashMap<usize, usize>,
+    pass: &'static str,
+    /// The current pass's input plan, and — once a rule has fired in the
+    /// pass — its nodes' pre-order ids.
+    input: Option<PlanRef>,
+    ids: Option<NodeMap<*const LogicalPlan, usize>>,
     events: Vec<RewriteEvent>,
 }
 
@@ -81,36 +82,32 @@ pub fn is_collecting() -> bool {
     ACTIVE.with(|a| a.borrow().is_some())
 }
 
-/// Announces the pass about to run and pre-numbers its input plan so
-/// [`fired`] can attribute node ids.
-pub fn begin_pass(round: usize, pass: &str, input: &PlanRef) {
+/// Announces the pass about to run over `input`, the plan [`fired`]
+/// attributes node ids within.
+pub fn begin_pass(round: usize, pass: &'static str, input: &PlanRef) {
     ACTIVE.with(|a| {
         if let Some(c) = a.borrow_mut().as_mut() {
-            c.round = round;
-            c.pass = pass.to_string();
-            c.ids = explain::number_nodes(input)
-                .into_iter()
-                .map(|(ptr, id)| (ptr as usize, id))
-                .collect();
+            (c.round, c.pass, c.input, c.ids) = (round, pass, Some(input.clone()), None);
         }
     });
 }
 
 /// Reports that `rule` rewrote `node` into `replacement` (or removed it)
 /// because of `evidence`. No-op unless a collection is active.
-pub fn fired(rule: &str, node: &PlanRef, replacement: Option<&PlanRef>, evidence: &str) {
+pub fn fired(rule: &'static str, node: &PlanRef, replacement: Option<&PlanRef>, evidence: &str) {
     ACTIVE.with(|a| {
         if let Some(c) = a.borrow_mut().as_mut() {
-            let ptr = std::sync::Arc::as_ptr(node) as usize;
+            let ids =
+                c.ids.get_or_insert_with(|| c.input.as_ref().map(number_nodes).unwrap_or_default());
             c.events.push(RewriteEvent {
                 round: c.round,
-                pass: c.pass.clone(),
-                rule: rule.to_string(),
-                node_id: c.ids.get(&ptr).copied(),
+                pass: c.pass,
+                rule,
+                node_id: ids.get(&std::sync::Arc::as_ptr(node)).copied(),
                 node: node.op_name(),
                 evidence: evidence.to_string(),
-                nodes_before: plan_stats(node).nodes,
-                nodes_after: replacement.map(|p| plan_stats(p).nodes).unwrap_or(0),
+                nodes_before: number_nodes(node).len(),
+                nodes_after: replacement.map_or(0, |p| number_nodes(p).len()),
             });
         }
     });

@@ -162,6 +162,8 @@ struct OpenSpan {
 }
 
 struct Collector {
+    /// Someone asked for this trace ([`root_forced`]).
+    explicit: bool,
     trace_id: u64,
     origin: Instant,
     spans: Vec<Span>,
@@ -200,7 +202,8 @@ pub fn root_forced(name: &str) -> RootGuard {
 fn root_inner(name: &str, forced: bool) -> RootGuard {
     COLLECTOR.with(|cell| {
         let mut slot = cell.borrow_mut();
-        if slot.is_some() {
+        if let Some(col) = slot.as_mut() {
+            col.explicit |= forced;
             drop(slot);
             return RootGuard { owner: false, span: open_span(name) };
         }
@@ -209,6 +212,7 @@ fn root_inner(name: &str, forced: bool) -> RootGuard {
         }
         let now = Instant::now();
         *slot = Some(Collector {
+            explicit: forced,
             trace_id: NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed),
             origin: now,
             spans: vec![Span {
@@ -223,6 +227,13 @@ fn root_inner(name: &str, forced: bool) -> RootGuard {
         });
         RootGuard { owner: true, span: SpanGuard { open: true } }
     })
+}
+
+/// True inside a trace someone asked for (`EXPLAIN TRACE`, an explicit
+/// trace scope): detail that is only worth its cost when it is read — the
+/// optimizer's per-pass split — is recorded under this, not on every query.
+pub fn explicit() -> bool {
+    COLLECTOR.with(|cell| cell.borrow().as_ref().is_some_and(|col| col.explicit))
 }
 
 /// Opens a child span of the innermost open span. Inert when no trace is

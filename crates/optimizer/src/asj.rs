@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use vdm_catalog::TableDef;
 use vdm_expr::{predicate, Expr};
-use vdm_plan::{transform_up, DeclaredCardinality, JoinKind, LogicalPlan, PlanRef};
+use vdm_plan::{map_children, transform_up, DeclaredCardinality, JoinKind, LogicalPlan, PlanRef};
 use vdm_types::{Result, Value};
 
 /// Runs the ASJ pass bottom-up over the whole plan (nested ASJs collapse
@@ -324,7 +324,7 @@ fn thread(
                 }
             }
             Some(ThreadOut {
-                plan: LogicalPlan::filter(inner.plan, predicate.clone()).ok()?,
+                plan: map_children(plan, vec![inner.plan]).ok()?,
                 appended: inner.appended,
                 scan_map: inner.scan_map,
                 preds,
@@ -332,27 +332,9 @@ fn thread(
                 nulled: inner.nulled,
             })
         }
-        LogicalPlan::Sort { input, keys } => {
+        LogicalPlan::Sort { input, .. } | LogicalPlan::Limit { input, .. } => {
             let inner = thread(input, key_anchor, key_scan, needed, spec)?;
-            Some(ThreadOut {
-                plan: LogicalPlan::sort(inner.plan, keys.clone()).ok()?,
-                appended: inner.appended,
-                scan_map: inner.scan_map,
-                preds: inner.preds,
-                justified: inner.justified,
-                nulled: inner.nulled,
-            })
-        }
-        LogicalPlan::Limit { input, skip, fetch } => {
-            let inner = thread(input, key_anchor, key_scan, needed, spec)?;
-            Some(ThreadOut {
-                plan: LogicalPlan::limit(inner.plan, *skip, *fetch),
-                appended: inner.appended,
-                scan_map: inner.scan_map,
-                preds: inner.preds,
-                justified: inner.justified,
-                nulled: inner.nulled,
-            })
+            Some(ThreadOut { plan: map_children(plan, vec![inner.plan]).ok()?, ..inner })
         }
         LogicalPlan::Join { left, right, kind, on, filter, declared, asj_intent, .. } => {
             let nl = left.schema().len();
@@ -687,26 +669,11 @@ fn thread_case(
                 appended_at,
             })
         }
-        LogicalPlan::Filter { input, predicate } => {
+        LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Limit { input, .. } => {
             let inner = thread_case(input, bid_ord, key_ords, branches, full_power, through_union)?;
-            Some(CaseThread {
-                plan: LogicalPlan::filter(inner.plan, predicate.clone()).ok()?,
-                appended_at: inner.appended_at,
-            })
-        }
-        LogicalPlan::Sort { input, keys } => {
-            let inner = thread_case(input, bid_ord, key_ords, branches, full_power, through_union)?;
-            Some(CaseThread {
-                plan: LogicalPlan::sort(inner.plan, keys.clone()).ok()?,
-                appended_at: inner.appended_at,
-            })
-        }
-        LogicalPlan::Limit { input, skip, fetch } => {
-            let inner = thread_case(input, bid_ord, key_ords, branches, full_power, through_union)?;
-            Some(CaseThread {
-                plan: LogicalPlan::limit(inner.plan, *skip, *fetch),
-                appended_at: inner.appended_at,
-            })
+            Some(CaseThread { plan: map_children(plan, vec![inner.plan]).ok()?, ..inner })
         }
         LogicalPlan::UnionAll { inputs, .. } => {
             if inputs.len() != branches.len() {

@@ -5,7 +5,7 @@
 use crate::ctx::RewriteCtx;
 use std::collections::BTreeSet;
 use vdm_expr::{fold, predicate, Expr};
-use vdm_plan::{transform_up, JoinKind, LogicalPlan, PlanRef};
+use vdm_plan::{map_children, transform_up, JoinKind, LogicalPlan, PlanRef};
 use vdm_types::Result;
 
 /// Folds constants in every expression of the plan. Nodes whose
@@ -114,7 +114,7 @@ fn push_conjuncts(plan: &PlanRef, conjuncts: Vec<Expr>) -> Result<(PlanRef, Vec<
             } else {
                 LogicalPlan::filter(new_input, Expr::conjunction(rest))?
             };
-            Ok((LogicalPlan::project(inner, exprs.clone())?, kept))
+            Ok((map_children(plan, vec![inner])?, kept))
         }
         LogicalPlan::Filter { input, predicate } => {
             // Merge with the existing filter and push the union of
@@ -130,7 +130,7 @@ fn push_conjuncts(plan: &PlanRef, conjuncts: Vec<Expr>) -> Result<(PlanRef, Vec<
             };
             Ok((out, Vec::new()))
         }
-        LogicalPlan::Join { left, right, kind, on, filter, declared, asj_intent, .. } => {
+        LogicalPlan::Join { left, right, kind, .. } => {
             let nl = left.schema().len();
             let mut to_left = Vec::new();
             let mut to_right = Vec::new();
@@ -165,16 +165,7 @@ fn push_conjuncts(plan: &PlanRef, conjuncts: Vec<Expr>) -> Result<(PlanRef, Vec<
             } else {
                 LogicalPlan::filter(new_right, Expr::conjunction(rest_r))?
             };
-            let new_join = LogicalPlan::join(
-                new_left,
-                new_right,
-                *kind,
-                on.clone(),
-                filter.clone(),
-                *declared,
-                *asj_intent,
-            )?;
-            Ok((new_join, kept))
+            Ok((map_children(plan, vec![new_left, new_right])?, kept))
         }
         LogicalPlan::UnionAll { inputs, .. } => {
             if conjuncts.is_empty() {
@@ -190,7 +181,7 @@ fn push_conjuncts(plan: &PlanRef, conjuncts: Vec<Expr>) -> Result<(PlanRef, Vec<
                 };
                 new_children.push(wrapped);
             }
-            Ok((LogicalPlan::union_all(new_children)?, Vec::new()))
+            Ok((map_children(plan, new_children)?, Vec::new()))
         }
         _ => Ok((plan.clone(), conjuncts)),
     }

@@ -99,6 +99,7 @@ impl Optimizer {
         let events = vdm_obs::rewrite::finish_collect();
         let (out, mut trace) = result?;
         trace.events = events;
+        trace.counted = None;
         trace.optimize_nanos = started.elapsed().as_nanos() as u64;
         let reg = vdm_obs::registry::MetricsRegistry::global();
         reg.inc(vdm_obs::names::OPT_PROPERTY_CACHE_HITS_TOTAL, trace.cache.hits);
@@ -118,10 +119,10 @@ impl Optimizer {
         let mut trace = Trace::default();
         let mut plan = plan.clone();
         if p.has(Capability::ConstantFolding) {
-            plan = trace.step("constant folding", plan, |pl| filters::fold_constants(&pl))?;
+            plan = trace.step("constant folding", &plan, filters::fold_constants)?;
         }
         if p.has(Capability::FilterPushdown) {
-            plan = trace.step("filter pushdown", plan, |pl| filters::pushdown_filters(&pl))?;
+            plan = trace.step("filter pushdown", &plan, filters::pushdown_filters)?;
         }
         // Fixpoint loop: rules enable each other (an ASJ rewrite exposes a
         // UAJ; a UAJ removal exposes a limit pushdown; ...). Convergence is
@@ -144,9 +145,9 @@ impl Optimizer {
         macro_rules! pass {
             ($idx:expr, $name:expr, $f:expr) => {
                 if !skip(&noop[$idx], &plan) {
-                    let input = plan.clone();
-                    plan = trace.step($name, plan, $f)?;
-                    noop[$idx] = std::sync::Arc::ptr_eq(&plan, &input).then(|| plan.clone());
+                    let out = trace.step($name, &plan, $f)?;
+                    noop[$idx] = std::sync::Arc::ptr_eq(&out, &plan).then(|| out.clone());
+                    plan = out;
                 }
             };
         }
@@ -154,22 +155,22 @@ impl Optimizer {
             trace.round = round;
             let prev = plan.clone();
             if p.any_asj() {
-                pass!(0, "ASJ elimination", |pl| asj::asj_pass(&pl, &ctx));
+                pass!(0, "ASJ elimination", |pl| asj::asj_pass(pl, &ctx));
             }
             if p.has(Capability::ProjectionPruning) || p.has(Capability::UajElimination) {
-                pass!(1, "pruning + UAJ elimination", |pl| prune::prune_pass(&pl, &ctx));
+                pass!(1, "pruning + UAJ elimination", |pl| prune::prune_pass(pl, &ctx));
             }
             if p.has(Capability::LimitPushdownAj) {
-                pass!(2, "limit pushdown", |pl| limit_pushdown::limit_pass(&pl, &ctx));
+                pass!(2, "limit pushdown", |pl| limit_pushdown::limit_pass(pl, &ctx));
             }
             if p.has(Capability::AllowPrecisionLoss) {
-                pass!(3, "precision-loss interchange", |pl| precision::precision_pass(&pl));
+                pass!(3, "precision-loss interchange", precision::precision_pass);
             }
             if p.has(Capability::EagerAggregation) {
-                pass!(4, "eager aggregation", |pl| precision::eager_agg_pass(&pl, &ctx));
+                pass!(4, "eager aggregation", |pl| precision::eager_agg_pass(pl, &ctx));
             }
             if p.has(Capability::RemoveRedundantDistinct) {
-                pass!(5, "distinct removal", |pl| filters::remove_redundant_distinct(&pl, &ctx));
+                pass!(5, "distinct removal", |pl| filters::remove_redundant_distinct(pl, &ctx));
             }
             if std::sync::Arc::ptr_eq(&plan, &prev) {
                 break;
@@ -189,17 +190,17 @@ impl Optimizer {
         // that executes. Then cost-based join ordering: UAJ/ASJ-eliminated
         // joins are already gone and never enumerated.
         if let Some(stats) = stats {
-            plan = prune::lower_scans(&plan)?;
+            plan = trace.timed("scan lowering", &plan, prune::lower_scans)?;
             if p.has(Capability::CostBasedJoinOrdering) {
                 let mut card = Cardinality::new(&props, p.derive_options()).with_stats(stats);
                 if let Some(ov) = overrides {
                     card = card.with_overrides(ov);
                 }
                 plan = trace
-                    .step("join ordering", plan, |pl| join_order::join_order_pass(&pl, &card))?;
+                    .step("join ordering", &plan, |pl| join_order::join_order_pass(pl, &card))?;
             }
         }
-        let out = filters::cleanup(&plan)?;
+        let out = trace.timed("cleanup", &plan, filters::cleanup)?;
         trace.cache = props.stats();
         Ok((out, trace))
     }
@@ -209,9 +210,15 @@ impl Optimizer {
 #[derive(Debug, Default, Clone)]
 pub struct Trace {
     round: usize,
+    /// The plan the last counted pass returned, with its stats: the next
+    /// pass that changes it starts from these instead of re-counting.
+    counted: Option<(PlanRef, vdm_plan::PlanStats)>,
     /// `(round, pass name, stats before, stats after)` for every pass that
-    /// changed the plan.
-    pub steps: Vec<(usize, String, vdm_plan::PlanStats, vdm_plan::PlanStats)>,
+    /// changed the plan's operator counts.
+    pub steps: Vec<(usize, &'static str, vdm_plan::PlanStats, vdm_plan::PlanStats)>,
+    /// `(round, pass name, nanoseconds, changed)` for every pass that ran,
+    /// in order — `changed` = it returned a plan other than its input.
+    pub passes: Vec<(usize, &'static str, u64, bool)>,
     /// Every individual rule firing, in order (filled by
     /// [`Optimizer::optimize_traced_with`]).
     pub events: Vec<vdm_obs::RewriteEvent>,
@@ -222,28 +229,50 @@ pub struct Trace {
 }
 
 impl Trace {
+    /// Runs one pass under a stopwatch.
+    fn timed(
+        &mut self,
+        name: &'static str,
+        plan: &PlanRef,
+        f: impl FnOnce(&PlanRef) -> Result<PlanRef>,
+    ) -> Result<PlanRef> {
+        let started = std::time::Instant::now();
+        let out = f(plan)?;
+        let changed = !std::sync::Arc::ptr_eq(&out, plan);
+        self.passes.push((self.round, name, started.elapsed().as_nanos() as u64, changed));
+        Ok(out)
+    }
+
+    /// Runs one rule pass: announced to the rewrite collector, timed, and —
+    /// only when it returned a plan other than its input — counted.
     fn step(
         &mut self,
-        name: &str,
-        plan: PlanRef,
-        f: impl FnOnce(PlanRef) -> Result<PlanRef>,
+        name: &'static str,
+        plan: &PlanRef,
+        f: impl FnOnce(&PlanRef) -> Result<PlanRef>,
     ) -> Result<PlanRef> {
-        let before = plan_stats(&plan);
-        vdm_obs::rewrite::begin_pass(self.round, name, &plan);
-        let out = f(plan)?;
-        let after = plan_stats(&out);
-        if before != after {
-            self.steps.push((self.round, name.to_string(), before, after));
+        vdm_obs::rewrite::begin_pass(self.round, name, plan);
+        let out = self.timed(name, plan, f)?;
+        if !std::sync::Arc::ptr_eq(&out, plan) {
+            let before = match self.counted.take() {
+                Some((counted, stats)) if std::sync::Arc::ptr_eq(&counted, plan) => stats,
+                _ => plan_stats(plan),
+            };
+            let after = plan_stats(&out);
+            if before != after {
+                self.steps.push((self.round, name, before, after.clone()));
+            }
+            self.counted = Some((out.clone(), after));
         }
         Ok(out)
     }
 
     /// Firings per rule name — the counts the metrics registry exposes as
     /// `vdm_rewrite_fired_total{rule="..."}`.
-    pub fn hit_counts(&self) -> std::collections::BTreeMap<String, u64> {
+    pub fn hit_counts(&self) -> std::collections::BTreeMap<&'static str, u64> {
         let mut counts = std::collections::BTreeMap::new();
         for e in &self.events {
-            *counts.entry(e.rule.clone()).or_insert(0) += 1;
+            *counts.entry(e.rule).or_insert(0) += 1;
         }
         counts
     }

@@ -8,7 +8,7 @@
 //! changes which side is worth building the hash table on.
 
 use crate::ctx::RewriteCtx;
-use vdm_plan::{transform_up, JoinKind, LogicalPlan, PlanRef};
+use vdm_plan::{map_children, transform_up, JoinKind, LogicalPlan, PlanRef};
 use vdm_types::Result;
 
 /// Runs the limit-pushdown pass bottom-up.
@@ -43,7 +43,7 @@ fn push_limit(
     ctx: &RewriteCtx<'_>,
 ) -> Result<Option<PlanRef>> {
     match input.as_ref() {
-        LogicalPlan::Join { left, right, kind, on, filter, declared, asj_intent, .. } => {
+        LogicalPlan::Join { left, right, kind, on, filter, declared, .. } => {
             // Only across *augmentation* joins: row-for-row correspondence.
             let augmentative = *kind == JoinKind::LeftOuter
                 && filter.is_none()
@@ -61,23 +61,13 @@ fn push_limit(
                 Some(deeper) => deeper,
                 None => limited_left,
             };
-            let new_join = LogicalPlan::join(
-                new_left,
-                right.clone(),
-                *kind,
-                on.clone(),
-                filter.clone(),
-                *declared,
-                *asj_intent,
-            )?;
-            Ok(Some(new_join))
+            Ok(Some(map_children(input, vec![new_left, right.clone()])?))
         }
-        LogicalPlan::Project { input: inner, exprs, .. } => {
+        LogicalPlan::Project { input: inner, .. } => {
             // LIMIT commutes with projection.
-            match push_limit(inner, skip, fetch, ctx)? {
-                Some(new_inner) => Ok(Some(LogicalPlan::project(new_inner, exprs.clone())?)),
-                None => Ok(None),
-            }
+            push_limit(inner, skip, fetch, ctx)?
+                .map(|new| map_children(input, vec![new]))
+                .transpose()
         }
         LogicalPlan::UnionAll { inputs, .. } => {
             // LIMIT k OFFSET n over UNION ALL: every child needs at most
@@ -104,8 +94,7 @@ fn push_limit(
             if !changed {
                 return Ok(None);
             }
-            let union = LogicalPlan::union_all(new_children)?;
-            Ok(Some(LogicalPlan::limit(union, skip, fetch)))
+            Ok(Some(LogicalPlan::limit(map_children(input, new_children)?, skip, fetch)))
         }
         _ => Ok(None),
     }

@@ -448,24 +448,6 @@ fn prune_join(
     Ok((new_plan, map))
 }
 
-/// Statically-empty relation detection (AJ 2b: `R ⟕ ∅`) — thin wrapper
-/// over [`vdm_plan::statically_empty`], kept for callers outside the
-/// rewrite context (tests, diagnostics).
-pub fn statically_empty(plan: &PlanRef) -> bool {
-    vdm_plan::statically_empty(plan)
-}
-
-/// Traces an output ordinal down a pure-column chain to its originating
-/// scan. Returns `(table, instance, scan ordinal, filtered, nulled)` —
-/// thin adapter over [`vdm_plan::lineage`].
-pub fn trace_to_scan(
-    plan: &PlanRef,
-    ord: usize,
-) -> Option<(Arc<TableDef>, usize, usize, bool, bool)> {
-    let o = vdm_plan::lineage::trace_column(plan, ord)?;
-    Some((o.table, o.instance, o.column, o.filtered, o.nulled))
-}
-
 /// AJ 1 witness: an inner equi-join with a guaranteed *exactly one* match —
 /// declared `MANY TO EXACT ONE`, or a foreign key over non-nullable columns
 /// referencing an unfiltered scan of the target table (AJ 1a).

@@ -20,10 +20,10 @@
 //! hit path, and nothing escapes the optimizer invocation.
 
 use crate::lineage::{self, Origin};
-use crate::node::{DeclaredCardinality, PlanRef};
+use crate::node::{DeclaredCardinality, NodeMap, PlanRef};
 use crate::props::{self, DeriveOptions};
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -54,35 +54,22 @@ impl CacheStats {
 type UniqueKey = (usize, DeriveOptions);
 
 /// Pointer-identity-keyed memo of derived plan properties.
+#[derive(Default)]
 pub struct PropertyCache {
-    unique: RefCell<HashMap<UniqueKey, Rc<Vec<BTreeSet<usize>>>>>,
-    empty: RefCell<HashMap<usize, bool>>,
-    lineage: RefCell<HashMap<usize, Rc<Vec<Option<Origin>>>>>,
-    nullable: RefCell<HashMap<usize, Rc<BTreeSet<usize>>>>,
+    unique: RefCell<NodeMap<UniqueKey, Rc<Vec<BTreeSet<usize>>>>>,
+    empty: RefCell<NodeMap<usize, bool>>,
+    lineage: RefCell<NodeMap<usize, Rc<Vec<Option<Origin>>>>>,
+    nullable: RefCell<NodeMap<usize, Rc<BTreeSet<usize>>>>,
     /// Strong refs backing every pointer key (see module docs).
     keepalive: RefCell<Vec<PlanRef>>,
     hits: Cell<u64>,
     misses: Cell<u64>,
 }
 
-impl Default for PropertyCache {
-    fn default() -> Self {
-        PropertyCache::new()
-    }
-}
-
 impl PropertyCache {
     /// A fresh, empty cache.
     pub fn new() -> PropertyCache {
-        PropertyCache {
-            unique: RefCell::new(HashMap::new()),
-            empty: RefCell::new(HashMap::new()),
-            lineage: RefCell::new(HashMap::new()),
-            nullable: RefCell::new(HashMap::new()),
-            keepalive: RefCell::new(Vec::new()),
-            hits: Cell::new(0),
-            misses: Cell::new(0),
-        }
+        PropertyCache::default()
     }
 
     /// Counters so far.

@@ -9,7 +9,7 @@
 //! DAG memo, so equal digests mean "no observable rewrite happened" and
 //! each shared node is hashed once.
 
-use crate::node::{LogicalPlan, PlanRef};
+use crate::node::{LogicalPlan, NodeMap, PlanRef};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -42,7 +42,7 @@ impl Fnv {
 /// Structural digest of a plan DAG. Two plans with equal digests are
 /// structurally identical for fixpoint purposes; shared nodes hash once.
 pub fn plan_digest(plan: &PlanRef) -> u64 {
-    let mut memo: HashMap<*const LogicalPlan, u64> = HashMap::new();
+    let mut memo: NodeMap<*const LogicalPlan, u64> = NodeMap::default();
     digest_memo(plan, &mut memo, None)
 }
 
@@ -53,14 +53,14 @@ pub fn plan_digest(plan: &PlanRef) -> u64 {
 /// equal (used to assert a cached plan matches a cold re-optimize) while
 /// still distinguishing *which* scans a DAG shares.
 pub fn plan_digest_canonical(plan: &PlanRef) -> u64 {
-    let mut memo: HashMap<*const LogicalPlan, u64> = HashMap::new();
+    let mut memo: NodeMap<*const LogicalPlan, u64> = NodeMap::default();
     let mut renumber: HashMap<usize, u64> = HashMap::new();
     digest_memo(plan, &mut memo, Some(&mut renumber))
 }
 
 fn digest_memo(
     plan: &PlanRef,
-    memo: &mut HashMap<*const LogicalPlan, u64>,
+    memo: &mut NodeMap<*const LogicalPlan, u64>,
     mut renumber: Option<&mut HashMap<usize, u64>>,
 ) -> u64 {
     let key = Arc::as_ptr(plan);

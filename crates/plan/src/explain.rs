@@ -4,8 +4,7 @@
 //! and referenced by id afterwards, mirroring how SAP HANA displays shared
 //! subqueries.
 
-use crate::node::{JoinKind, LogicalPlan, PlanRef};
-use std::collections::HashMap;
+use crate::node::{JoinKind, LogicalPlan, NodeMap, PlanRef};
 use std::fmt::Write;
 
 /// Renders a plan tree as indented text.
@@ -17,10 +16,10 @@ pub fn explain(plan: &PlanRef) -> String {
 /// line (e.g. the `[#id rows=… time=…]` notes of EXPLAIN ANALYZE).
 /// Shared subtrees are annotated once, at their first (defining) render.
 pub fn explain_annotated(plan: &PlanRef, note: &dyn Fn(&PlanRef) -> Option<String>) -> String {
-    let mut shared: HashMap<*const LogicalPlan, usize> = HashMap::new();
-    collect_shared(plan, &mut HashMap::new(), &mut shared);
+    let mut shared: NodeMap<*const LogicalPlan, usize> = NodeMap::default();
+    collect_shared(plan, &mut NodeMap::default(), &mut shared);
     let mut out = String::new();
-    let mut printed: HashMap<*const LogicalPlan, usize> = HashMap::new();
+    let mut printed: NodeMap<*const LogicalPlan, usize> = NodeMap::default();
     render(plan, 0, &shared, &mut printed, note, &mut out);
     out
 }
@@ -28,8 +27,8 @@ pub fn explain_annotated(plan: &PlanRef, note: &dyn Fn(&PlanRef) -> Option<Strin
 /// Numbers every distinct node of the DAG in pre-order (root = 0); shared
 /// subtrees keep the id of their first visit. These are the stable node
 /// ids the observability layer keys rewrite events and runtime profiles by.
-pub fn number_nodes(plan: &PlanRef) -> HashMap<*const LogicalPlan, usize> {
-    fn walk(plan: &PlanRef, ids: &mut HashMap<*const LogicalPlan, usize>) {
+pub fn number_nodes(plan: &PlanRef) -> NodeMap<*const LogicalPlan, usize> {
+    fn walk(plan: &PlanRef, ids: &mut NodeMap<*const LogicalPlan, usize>) {
         let ptr = std::sync::Arc::as_ptr(plan);
         if ids.contains_key(&ptr) {
             return;
@@ -39,15 +38,17 @@ pub fn number_nodes(plan: &PlanRef) -> HashMap<*const LogicalPlan, usize> {
             walk(c, ids);
         }
     }
-    let mut ids = HashMap::new();
+    // Sized for a VDM view's plan up front: a rewrite firing counts two
+    // subtrees through here, and growing from empty was most of that.
+    let mut ids = NodeMap::with_capacity_and_hasher(128, Default::default());
     walk(plan, &mut ids);
     ids
 }
 
 fn collect_shared(
     plan: &PlanRef,
-    refcount: &mut HashMap<*const LogicalPlan, usize>,
-    shared: &mut HashMap<*const LogicalPlan, usize>,
+    refcount: &mut NodeMap<*const LogicalPlan, usize>,
+    shared: &mut NodeMap<*const LogicalPlan, usize>,
 ) {
     let ptr = std::sync::Arc::as_ptr(plan);
     let count = refcount.entry(ptr).or_insert(0);
@@ -68,8 +69,8 @@ fn collect_shared(
 fn render(
     plan: &PlanRef,
     indent: usize,
-    shared: &HashMap<*const LogicalPlan, usize>,
-    printed: &mut HashMap<*const LogicalPlan, usize>,
+    shared: &NodeMap<*const LogicalPlan, usize>,
+    printed: &mut NodeMap<*const LogicalPlan, usize>,
     note: &dyn Fn(&PlanRef) -> Option<String>,
     out: &mut String,
 ) {

@@ -37,7 +37,7 @@ pub use digest::{plan_digest, plan_digest_canonical};
 pub use explain::{explain, explain_annotated, number_nodes};
 pub use fusion::column_mapping;
 pub use lineage::{column_lineage, trace_column, Origin};
-pub use node::{DeclaredCardinality, JoinKind, LogicalPlan, PlanRef, ScanCols, SortKey};
+pub use node::{DeclaredCardinality, JoinKind, LogicalPlan, NodeMap, PlanRef, ScanCols, SortKey};
 pub use params::{bind_params, contains_params, max_param_index};
 pub use props::{statically_empty, unique_sets, DeriveOptions};
 pub use registry::ViewRegistry;

@@ -1,5 +1,7 @@
 //! Logical plan nodes and validating constructors.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use vdm_catalog::TableDef;
@@ -9,6 +11,29 @@ use vdm_types::{Field, Result, Schema, SqlType, Value, VdmError};
 /// Shared plan handle. Plans form DAGs: sharing a subquery is just cloning
 /// the `Arc`.
 pub type PlanRef = Arc<LogicalPlan>;
+
+/// Map keyed by plan-node addresses — every per-walk memo and the property
+/// cache. The keys are addresses this program handed out, so nothing is
+/// gained by SipHash's flood resistance.
+pub type NodeMap<K, V> = HashMap<K, V, BuildHasherDefault<AddrHasher>>;
+
+/// Multiply-shift over the address words: the multiply spreads an
+/// allocation's aligned address over the high bits, the rotate brings them
+/// down to where the table takes its bucket index.
+#[derive(Default)]
+pub struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_usize(b as usize));
+    }
+    fn write_usize(&mut self, word: usize) {
+        self.0 = (self.0.rotate_left(5) ^ word as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
 
 /// Join kinds. The paper's augmentation-join analysis needs exactly these
 /// two; other kinds (right/full outer, semi, anti) are out of scope.
@@ -350,6 +375,21 @@ impl LogicalPlan {
             | LogicalPlan::Limit { input, .. } => vec![input],
             LogicalPlan::Join { left, right, .. } => vec![left, right],
             LogicalPlan::UnionAll { inputs, .. } => inputs.iter().collect(),
+        }
+    }
+
+    /// The child slots in [`LogicalPlan::children`] order.
+    pub(crate) fn children_mut(&mut self) -> Vec<&mut PlanRef> {
+        match self {
+            LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => vec![],
+            LogicalPlan::Project { input, .. }
+            | LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Distinct { input }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. } => vec![input],
+            LogicalPlan::Join { left, right, .. } => vec![left, right],
+            LogicalPlan::UnionAll { inputs, .. } => inputs.iter_mut().collect(),
         }
     }
 

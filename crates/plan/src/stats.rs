@@ -3,8 +3,7 @@
 //! BY, one DISTINCT"; 62 table instances when shared subtrees are counted
 //! per reference).
 
-use crate::node::{LogicalPlan, PlanRef};
-use std::collections::HashSet;
+use crate::node::{LogicalPlan, NodeMap, PlanRef};
 
 /// Operator counts over a plan DAG.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -32,24 +31,34 @@ pub struct PlanStats {
     pub depth: usize,
 }
 
-/// Computes [`PlanStats`] for a plan DAG.
+/// Computes [`PlanStats`] for a plan DAG in one walk that visits every
+/// distinct node once: the per-path figures (`table_references`, `depth`)
+/// are memoized per node, so shared subtrees multiply without being
+/// re-walked.
 pub fn plan_stats(plan: &PlanRef) -> PlanStats {
     let mut stats = PlanStats::default();
-    let mut seen: HashSet<*const LogicalPlan> = HashSet::new();
-    count_dag(plan, &mut stats, &mut seen);
-    stats.table_references = count_refs(plan);
-    stats.depth = depth(plan);
+    (stats.table_references, stats.depth) = count_dag(plan, &mut stats, &mut NodeMap::default());
     stats
 }
 
-fn count_dag(plan: &PlanRef, stats: &mut PlanStats, seen: &mut HashSet<*const LogicalPlan>) {
-    let ptr = Arc_as_ptr(plan);
-    if !seen.insert(ptr) {
-        return;
+/// Counts `plan`'s operators into `stats` on its first visit; returns its
+/// `(scan references per path, depth)`.
+fn count_dag(
+    plan: &PlanRef,
+    stats: &mut PlanStats,
+    seen: &mut NodeMap<*const LogicalPlan, (usize, usize)>,
+) -> (usize, usize) {
+    let ptr = std::sync::Arc::as_ptr(plan);
+    if let Some(&per_path) = seen.get(&ptr) {
+        return per_path;
     }
     stats.nodes += 1;
+    let mut refs = 0;
     match plan.as_ref() {
-        LogicalPlan::Scan { .. } => stats.table_instances += 1,
+        LogicalPlan::Scan { .. } => {
+            stats.table_instances += 1;
+            refs = 1;
+        }
         LogicalPlan::Values { .. } => {}
         LogicalPlan::Project { .. } => stats.projects += 1,
         LogicalPlan::Filter { .. } => stats.filters += 1,
@@ -68,25 +77,14 @@ fn count_dag(plan: &PlanRef, stats: &mut PlanStats, seen: &mut HashSet<*const Lo
         LogicalPlan::Sort { .. } => stats.sorts += 1,
         LogicalPlan::Limit { .. } => stats.limits += 1,
     }
+    let mut below = 0;
     for child in plan.children() {
-        count_dag(child, stats, seen);
+        let (child_refs, child_depth) = count_dag(child, stats, seen);
+        refs += child_refs;
+        below = below.max(child_depth);
     }
-}
-
-fn count_refs(plan: &PlanRef) -> usize {
-    match plan.as_ref() {
-        LogicalPlan::Scan { .. } => 1,
-        _ => plan.children().iter().map(|c| count_refs(c)).sum(),
-    }
-}
-
-fn depth(plan: &PlanRef) -> usize {
-    1 + plan.children().iter().map(|c| depth(c)).max().unwrap_or(0)
-}
-
-#[allow(non_snake_case)]
-fn Arc_as_ptr(p: &PlanRef) -> *const LogicalPlan {
-    std::sync::Arc::as_ptr(p)
+    seen.insert(ptr, (refs, below + 1));
+    (refs, below + 1)
 }
 
 #[cfg(test)]
@@ -125,6 +123,22 @@ mod tests {
         assert_eq!(s.unions, 1);
         assert_eq!(s.max_union_width, 5);
         assert_eq!(s.table_instances, 5);
+    }
+
+    /// 24 levels, each the level below inner-joined with itself and
+    /// projected back to one column: a per-path walk would visit 2^25 nodes.
+    #[test]
+    fn per_path_figures_are_memoized_per_node() {
+        let mut level = LogicalPlan::scan(table("t"));
+        for _ in 0..24 {
+            let join = LogicalPlan::inner_join(Arc::clone(&level), level, vec![(0, 0)]).unwrap();
+            level = LogicalPlan::project_cols(join, &[0]).unwrap();
+        }
+        let started = std::time::Instant::now();
+        let s = plan_stats(&level);
+        assert_eq!((s.nodes, s.joins, s.table_instances), (49, 24, 1));
+        assert_eq!((s.table_references, s.depth), (1 << 24, 49));
+        assert!(started.elapsed().as_millis() < 1_000, "{:?}", started.elapsed());
     }
 
     #[test]

@@ -10,20 +10,39 @@
 //! one visit and one result per node, so shared inputs stay shared in the
 //! output (pointer-equal subtrees stay pointer-equal, rewritten or not).
 
-use crate::node::{LogicalPlan, PlanRef};
-use std::collections::HashMap;
+use crate::node::{LogicalPlan, NodeMap, PlanRef};
 use std::sync::Arc;
 use vdm_types::Result;
 
-/// Rebuilds `plan` over `new_children`, preserving `Arc` identity when no
-/// child actually changed (`Arc::ptr_eq`). The single-level building block
-/// of [`transform_up`]; usable on its own for one-off node surgery.
+/// Rebuilds `plan` over `new_children` — the one "same node, new children"
+/// door. `Arc` identity is preserved when no child actually changed
+/// (`Arc::ptr_eq`). A node's schema, and everything its validating
+/// constructor checks, is a property of (its parameters, its children's
+/// schemas): when every new child hands back the *same* `Arc<Schema>` as the
+/// child it replaces (a `Filter` / `Sort` / `Limit` / `Distinct` passes its
+/// input's through), the node keeps its own schema and the constructor is
+/// skipped. Debug builds assert the constructor agrees.
 pub fn map_children(plan: &PlanRef, new_children: Vec<PlanRef>) -> Result<PlanRef> {
     let old_children = plan.children();
     debug_assert_eq!(old_children.len(), new_children.len());
     if old_children.iter().zip(&new_children).all(|(o, n)| Arc::ptr_eq(o, n)) {
         return Ok(plan.clone());
     }
+    if old_children.iter().zip(&new_children).all(|(o, n)| Arc::ptr_eq(&o.schema(), &n.schema())) {
+        debug_assert!(
+            matches!(rebuild(plan, new_children.clone()), Ok(v) if v.schema() == plan.schema()),
+            "{}: a rebuild over children of unchanged schema changed the node's",
+            plan.op_name()
+        );
+        let mut node = LogicalPlan::clone(plan);
+        node.children_mut().into_iter().zip(new_children).for_each(|(slot, new)| *slot = new);
+        return Ok(Arc::new(node));
+    }
+    rebuild(plan, new_children)
+}
+
+/// `plan`'s validating constructor over its own parameters and new children.
+fn rebuild(plan: &PlanRef, new_children: Vec<PlanRef>) -> Result<PlanRef> {
     let mut kids = new_children.into_iter();
     Ok(match plan.as_ref() {
         LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => unreachable!("no children"),
@@ -67,14 +86,14 @@ pub fn transform_up(
     f: &mut dyn FnMut(PlanRef) -> Result<PlanRef>,
 ) -> Result<PlanRef> {
     // Keys point into the input DAG, which outlives the walk via `plan`.
-    let mut memo: HashMap<*const LogicalPlan, PlanRef> = HashMap::new();
+    let mut memo: NodeMap<*const LogicalPlan, PlanRef> = NodeMap::default();
     transform_up_memo(plan, f, &mut memo)
 }
 
 fn transform_up_memo(
     plan: &PlanRef,
     f: &mut dyn FnMut(PlanRef) -> Result<PlanRef>,
-    memo: &mut HashMap<*const LogicalPlan, PlanRef>,
+    memo: &mut NodeMap<*const LogicalPlan, PlanRef>,
 ) -> Result<PlanRef> {
     let key = Arc::as_ptr(plan);
     if let Some(done) = memo.get(&key) {
@@ -122,6 +141,40 @@ mod tests {
         assert!(Arc::ptr_eq(&out, &join), "identity transform must not rebuild");
         // Shared filter + its scan visited once each, plus the join.
         assert_eq!(visits, 3);
+    }
+
+    /// A filter slipped under a join's left input keeps that input's
+    /// `Arc<Schema>`: the join is rebuilt without its validating constructor
+    /// and must still be the node that constructor builds from the same parts.
+    #[test]
+    fn schema_preserving_swap_shares_the_schema_and_equals_the_validated_node() {
+        let (l, r) = (scan(), scan());
+        let join = LogicalPlan::left_join(l.clone(), r.clone(), vec![(0, 0)]).unwrap();
+        let filtered = LogicalPlan::filter(l, Expr::col(1).eq(Expr::int(7))).unwrap();
+        let out = map_children(&join, vec![filtered.clone(), r.clone()]).unwrap();
+        assert!(Arc::ptr_eq(&out.schema(), &join.schema()), "the schema Arc is reused");
+        assert_eq!(out, LogicalPlan::left_join(filtered, r, vec![(0, 0)]).unwrap());
+        assert_ne!(out, join);
+    }
+
+    /// A child that narrows takes the validating path: the parent's schema
+    /// is re-derived, and parameters the new child no longer satisfies fail.
+    #[test]
+    fn narrowing_swap_revalidates_and_rederives_the_schema() {
+        let (l, r) = (scan(), scan());
+        let join = LogicalPlan::inner_join(l.clone(), r.clone(), vec![(1, 0)]).unwrap();
+        let sorted = LogicalPlan::sort(join, vec![crate::SortKey::asc(3)]).unwrap();
+        let LogicalPlan::Sort { input: join, .. } = sorted.as_ref() else { unreachable!() };
+        let narrow = LogicalPlan::project_cols(r, &[0]).unwrap();
+        let out = map_children(join, vec![l.clone(), narrow.clone()]).unwrap();
+        assert_eq!(out.schema().len(), 3, "two left columns and the one the projection kept");
+        assert_eq!(out, LogicalPlan::inner_join(l.clone(), narrow.clone(), vec![(1, 0)]).unwrap());
+        // The sort key `$3` is gone from the narrowed join; so is left key 1
+        // once the left input narrows.
+        assert!(map_children(&sorted, vec![out]).is_err());
+        assert!(
+            map_children(join, vec![LogicalPlan::project_cols(l, &[0]).unwrap(), narrow]).is_err()
+        );
     }
 
     #[test]

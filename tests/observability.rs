@@ -357,19 +357,43 @@ fn serve_query_trace_forms_one_causal_tree() {
     });
     let trace = trace.expect("with_trace owns the trace");
 
+    // The optimize span carries the per-pass split: one attribute per pass
+    // that ran, in order (one round — nothing fires after the pushdown).
+    let passes: String = [
+        "constant folding",
+        "filter pushdown",
+        "ASJ elimination",
+        "pruning + UAJ elimination",
+        "limit pushdown",
+        "precision-loss interchange",
+        "eager aggregation",
+        "distinct removal",
+        "scan lowering",
+        "join ordering",
+        "cleanup",
+    ]
+    .iter()
+    .map(|pass| format!(" r0[{pass}]=_"))
+    .collect();
     assert_eq!(
         trace_skeleton(&trace),
-        "browser_page\n\
-         \x20 query session=_ shape=_\n\
-         \x20   select_plan digest=_\n\
-         \x20     plan_cache.lookup outcome=miss\n\
-         \x20     bind\n\
-         \x20     optimize\n\
-         \x20   execute rows=_ workers=_\n\
-         \x20 view.maintain view=live_b outcome=noop\n",
+        format!(
+            "browser_page\n\
+             \x20 query session=_ shape=_\n\
+             \x20   select_plan digest=_\n\
+             \x20     plan_cache.lookup outcome=miss\n\
+             \x20     bind\n\
+             \x20     optimize{passes}\n\
+             \x20   execute rows=_ workers=_\n\
+             \x20 view.maintain view=live_b outcome=noop\n"
+        ),
         "unexpected trace shape:\n{}",
         trace.render()
     );
+    let optimize = trace.spans.iter().find(|s| s.name == "optimize").unwrap();
+    let pushdown = optimize.attr("r0[filter pushdown]").unwrap();
+    assert!(pushdown.ends_with("us*"), "the pushdown changed the plan: {pushdown}");
+    assert!(optimize.attr("r0[cleanup]").unwrap().ends_with("us"), "cleanup did not");
 
     // Exactly one root; every other span is causally linked to it.
     assert_eq!(trace.spans[0].parent, None);
@@ -434,6 +458,14 @@ fn explain_trace_statement_renders_the_span_tree() {
     assert!(text.contains("select_plan"), "{text}");
     assert!(text.contains("execute"), "{text}");
     assert!(text.contains("row(s) returned"), "{text}");
+    // An asked-for trace carries the optimizer's per-pass split (`*`: the
+    // UAJ removal changed the plan); a plain query's trace does not pay for it.
+    assert!(text.contains(" r0[pruning + UAJ elimination]="), "{text}");
+    assert!(text.contains("us* r0[limit pushdown]="), "{text}");
+    db.query(FIG8_ASJ).unwrap();
+    let plain = db.last_trace().expect("automatic tracing is on");
+    let optimize = plain.spans.iter().find(|s| s.name == "optimize").expect("a cold plan");
+    assert!(optimize.attrs.is_empty(), "{optimize:?}");
 
     // The facade method also stores the trace object for export.
     db.explain_trace(FIG5_UAJ).unwrap();

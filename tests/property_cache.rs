@@ -157,12 +157,37 @@ fn every_profile_matches_the_blessed_optimize_digests() {
             ));
         }
     }
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/optimize_digests.txt");
+    assert_golden("optimize_digests.txt", &actual);
+}
+
+/// Compares against `tests/golden/<file>` (`UPDATE_GOLDEN=1` re-blesses).
+fn assert_golden(file: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(file);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &actual).unwrap();
+        std::fs::write(&path, actual).unwrap();
     }
-    let blessed = std::fs::read_to_string(&path).expect("tests/golden/optimize_digests.txt");
-    assert_eq!(actual, blessed, "optimizer output drifted from the blessed reference");
+    let blessed = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{file}: {e}"));
+    assert_eq!(actual, blessed, "optimizer output drifted from the blessed {file}");
+}
+
+/// The rewrite trace is complete and stable: for the browser plans under
+/// every profile, each firing's round, pass, rule, node id, evidence and
+/// subtree sizes, in firing order, equal what the optimizer reported when
+/// it numbered the plan at every pass and sized both subtrees with
+/// `plan_stats` at every firing. Blessed at `41d6c4f`.
+#[test]
+fn every_profile_matches_the_blessed_rewrite_events() {
+    let plans = browser_plans();
+    let mut actual = String::new();
+    for profile in Profile::paper_systems() {
+        let opt = Optimizer::new(profile.clone());
+        for (i, plan) in plans.iter().enumerate() {
+            let (_, trace) = opt.optimize_traced_with(plan, None, None).unwrap();
+            actual.push_str(&format!("-- {} plan {i}: {}\n", profile.name(), trace.events.len()));
+            actual.push_str(&trace.render_events());
+        }
+    }
+    assert_golden("rewrite_events.txt", &actual);
 }
 
 /// The cache's in-tree reference: on every node of the browser plan, under
