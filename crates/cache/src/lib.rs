@@ -755,8 +755,8 @@ pub struct ViewCache {
     /// happens *before* the (possibly expensive) materialization and two
     /// racing `register` calls can't both materialize.
     reserved: Mutex<HashSet<String>>,
-    /// Executor configuration for view materialization and maintenance,
-    /// shared with every registered view.
+    /// The owner's one executor configuration, shared with every registered
+    /// view.
     parallel: Arc<Mutex<ParallelConfig>>,
 }
 
@@ -767,10 +767,16 @@ impl ViewCache {
     }
 
     /// Sets the executor configuration under which views materialize,
-    /// refresh and maintain — the owner forwards its own, so `threads: 1`
-    /// keeps maintenance inline on the calling thread too.
+    /// refresh and maintain. The owner's queries read it back through
+    /// [`ViewCache::parallelism`], so `threads: 1` keeps queries and
+    /// maintenance inline on the calling thread alike.
     pub fn set_parallelism(&self, config: ParallelConfig) {
         *self.parallel.lock().unwrap() = config;
+    }
+
+    /// The executor configuration views (and the owner's queries) run under.
+    pub fn parallelism(&self) -> ParallelConfig {
+        *self.parallel.lock().unwrap()
     }
 
     /// Registers and immediately materializes a cached view. The name is

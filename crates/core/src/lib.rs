@@ -14,19 +14,20 @@
 //! assert_eq!(batch.row(0)[0], vdm_types::Value::str("hello"));
 //! ```
 //!
-//! Internally the facade is split for the benefit of `vdm-serve`, the
-//! concurrent serving layer:
+//! The facade is one of two handles on the same machinery — `vdm-serve`'s
+//! `Server` is the other:
 //!
 //! * [`DbState`] — catalog/views/macros/optimizer + a metadata version
 //!   counter; the part DDL mutates and bind/optimize reads.
-//! * [`PlanCache`] — bounded LRU of optimized parameterized plans keyed by
-//!   (canonical statement shape, profile fingerprint, parameter types).
-//! * [`QueryEnv`] — the one statement pipeline both `Database` methods
-//!   and serve sessions run through; rows, `EXPLAIN`, `EXPLAIN ANALYZE`
-//!   and `EXPLAIN TRACE` are [`RunMode`]s of the same run.
+//! * [`Runtime`] — storage, cached views (whose shared cell is the executor
+//!   configuration), the [`PlanCache`] and the last trace; internally
+//!   synchronized. [`Runtime::run`] is the one read body: rows, `EXPLAIN`,
+//!   `EXPLAIN ANALYZE` and `EXPLAIN TRACE` are [`RunMode`]s of the same run.
 //!
-//! `Database` itself is the single-owner facade over that machinery:
-//! reads (`query`, `explain*`) take `&self`; statement execution
+//! `Database` owns a `DbState` beside a `Runtime` and runs every read as
+//! session 0 over a plain borrow of its state; a `Server` moves both out
+//! (`let (state, rt) = db.into()`) and puts the state behind an `RwLock`.
+//! Reads (`query`, `explain*`) take `&self`; statement execution
 //! (`execute*`) takes `&mut self` because DDL must mutate [`DbState`] —
 //! the same operations `vdm-serve` routes through a write lock
 //! ([`apply_statement`]). `set_profile` / `set_parallelism` stay
@@ -35,7 +36,7 @@
 //! deployment must serialize them against running queries (which the
 //! serving layer's state lock does).
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 pub use vdm_cache::{CacheMode, CachedView, MaintainOutcome, ViewCache};
 use vdm_catalog::Catalog;
 pub use vdm_exec::ParallelConfig;
@@ -55,8 +56,8 @@ mod state;
 pub use feedback::EngineStats;
 pub use plan_cache::{CachedPlan, PlanCache, PlanCacheKey, PlanCacheStats};
 pub use session::{
-    execute_resolved, execute_select, param_types_of, parse_script, parse_select, CacheOutcome,
-    Executed, QueryEnv, ResolvedPlan, RunMode,
+    execute_select, param_types_of, parse_script, parse_select, CacheOutcome, QueryEnv,
+    ResolvedPlan, RunMode, Runtime,
 };
 pub use state::DbState;
 
@@ -97,69 +98,29 @@ impl StatementResult {
     }
 }
 
-/// The assembled database.
+/// The assembled database: one owner's handle on a [`Runtime`].
 pub struct Database {
     state: DbState,
-    engine: StorageEngine,
-    cache: ViewCache,
-    plan_cache: PlanCache,
-    parallel: ParallelConfig,
-    /// The most recent finished query trace (see [`Database::last_trace`]).
-    last_trace: Mutex<Option<QueryTrace>>,
+    rt: Runtime,
 }
 
-/// A [`Database`] decomposed into its shareable pieces — what a serving
-/// layer spreads across its own synchronization (state behind a lock,
-/// engine/caches internally synchronized).
-pub struct DatabaseParts {
-    pub state: DbState,
-    pub engine: StorageEngine,
-    pub views: ViewCache,
-    pub plan_cache: PlanCache,
-    pub parallel: ParallelConfig,
+/// Moves a database's state and runtime out — how a serving layer takes
+/// them over (`let (state, rt) = db.into()`).
+impl From<Database> for (DbState, Runtime) {
+    fn from(db: Database) -> (DbState, Runtime) {
+        (db.state, db.rt)
+    }
 }
 
 impl Database {
     /// Database with the given optimizer profile.
     pub fn new(profile: Profile) -> Database {
-        Database {
-            state: DbState::new(profile),
-            engine: StorageEngine::new(),
-            cache: ViewCache::new(),
-            plan_cache: PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY),
-            parallel: ParallelConfig::default(),
-            last_trace: Mutex::new(None),
-        }
+        Database { state: DbState::new(profile), rt: Runtime::new(DEFAULT_PLAN_CACHE_CAPACITY) }
     }
 
     /// Database with every optimizer capability (the paper's HANA column).
     pub fn hana() -> Database {
         Database::new(Profile::hana())
-    }
-
-    /// Rebuilds a `Database` from [`DatabaseParts`] (the inverse of
-    /// [`Database::into_parts`]).
-    pub fn from_parts(parts: DatabaseParts) -> Database {
-        parts.views.set_parallelism(parts.parallel);
-        Database {
-            state: parts.state,
-            engine: parts.engine,
-            cache: parts.views,
-            plan_cache: parts.plan_cache,
-            parallel: parts.parallel,
-            last_trace: Mutex::new(None),
-        }
-    }
-
-    /// Decomposes the database for a serving layer to share.
-    pub fn into_parts(self) -> DatabaseParts {
-        DatabaseParts {
-            state: self.state,
-            engine: self.engine,
-            views: self.cache,
-            plan_cache: self.plan_cache,
-            parallel: self.parallel,
-        }
     }
 
     /// Swaps the optimizer profile (e.g. to compare systems on one
@@ -171,30 +132,29 @@ impl Database {
         self.state.set_profile(profile);
     }
 
-    /// Sets the executor's worker-pool configuration. The default uses all
-    /// available cores; `threads: 1` is the serial mode (every morsel runs
-    /// inline on the calling thread).
+    /// Sets the executor configuration of every query and cached view. The
+    /// default uses all available cores; `threads: 1` is the serial mode
+    /// (every morsel runs inline on the calling thread).
     /// `&mut self` like [`Database::set_profile`], and for the same
     /// reason.
     pub fn set_parallelism(&mut self, config: ParallelConfig) {
-        self.parallel = config;
-        self.cache.set_parallelism(config);
+        self.rt.views.set_parallelism(config);
     }
 
     /// The active executor configuration.
     pub fn parallelism(&self) -> ParallelConfig {
-        self.parallel
+        self.rt.parallelism()
     }
 
     /// Replaces the plan cache with a fresh one of the given capacity
     /// (0 disables caching — the baseline benches measure against).
     pub fn set_plan_cache_capacity(&mut self, capacity: usize) {
-        self.plan_cache = PlanCache::new(capacity);
+        self.rt.plan_cache = PlanCache::new(capacity);
     }
 
     /// The plan cache (stats, capacity).
     pub fn plan_cache(&self) -> &PlanCache {
-        &self.plan_cache
+        &self.rt.plan_cache
     }
 
     /// The active optimizer.
@@ -222,7 +182,7 @@ impl Database {
     /// Split borrow for data generators that register schema and load data
     /// in one call (`gen.build(catalog, engine)`).
     pub fn catalog_and_engine(&mut self) -> (&mut Catalog, &StorageEngine) {
-        (&mut self.state.catalog, &self.engine)
+        (&mut self.state.catalog, &self.rt.engine)
     }
 
     /// Bumps the metadata version, invalidating every cached plan. Only
@@ -234,7 +194,7 @@ impl Database {
 
     /// Storage access.
     pub fn engine(&self) -> &StorageEngine {
-        &self.engine
+        &self.rt.engine
     }
 
     /// Plan-view registry access (for the VDM layer). See
@@ -258,22 +218,17 @@ impl Database {
         sql: &str,
         mode: CacheMode,
     ) -> Result<Arc<CachedView>> {
-        let plan = self.optimized_plan(sql)?;
-        self.cache.register(name, plan, mode, &self.engine)
+        self.rt.create_cached_view(&self.state, name, sql, mode)
     }
 
     /// Looks up a cached view.
     pub fn cached_view(&self, name: &str) -> Option<Arc<CachedView>> {
-        self.cache.get(name)
+        self.rt.views.get(name)
     }
 
     /// Reads a cached view (SCV: last refresh; DCV: maintained first).
     pub fn read_cached(&self, name: &str) -> Result<Arc<Batch>> {
-        let view = self
-            .cache
-            .get(name)
-            .ok_or_else(|| VdmError::Catalog(format!("unknown cached view {name:?}")))?;
-        view.read(&self.engine)
+        self.rt.read_cached(name)
     }
 
     /// `EXPLAIN ANALYZE` for a cached-view read: performs the read (DCV
@@ -282,12 +237,9 @@ impl Database {
     /// `full refresh` — followed by the maintenance counters and the
     /// view's definition plan.
     pub fn explain_analyze_cached(&self, name: &str) -> Result<String> {
-        let view = self
-            .cache
-            .get(name)
-            .ok_or_else(|| VdmError::Catalog(format!("unknown cached view {name:?}")))?;
+        let view = self.rt.view(name)?;
         let started = std::time::Instant::now();
-        let (data, outcome) = view.read_with_outcome(&self.engine)?;
+        let (data, outcome) = view.read_with_outcome(&self.rt.engine)?;
         let elapsed = started.elapsed();
         let stats = view.stats();
         Ok(format!(
@@ -308,46 +260,13 @@ impl Database {
     }
 
     /// Refreshes every static cached view (the periodic refresh tick).
-    /// Readers of those views are only blocked for the `Arc` swap, never
-    /// for the recomputation.
     pub fn refresh_cached_views(&self) -> Result<usize> {
-        self.cache.refresh_all_static(&self.engine)
+        self.rt.refresh_cached_views()
     }
 
     /// The cached-view registry.
     pub fn view_cache(&self) -> &ViewCache {
-        &self.cache
-    }
-
-    /// The per-query environment over this database's state.
-    fn env(&self) -> QueryEnv<'_> {
-        QueryEnv {
-            state: &self.state,
-            engine: &self.engine,
-            plan_cache: &self.plan_cache,
-            parallel: self.parallel,
-        }
-    }
-
-    /// Runs one read statement through the shared pipeline, keeping the
-    /// finished trace for [`Database::last_trace`].
-    fn run(
-        &self,
-        sel: &vdm_sql::SelectStmt,
-        shape: Option<&str>,
-        params: &[Value],
-        mode: RunMode,
-    ) -> Result<StatementResult> {
-        let (result, trace) = self.env().run(sel, shape, params, mode);
-        if let Some(trace) = trace {
-            *self.last_trace.lock().unwrap() = Some(trace);
-        }
-        result
-    }
-
-    fn run_sql(&self, sql: &str, params: &[Value], mode: RunMode) -> Result<StatementResult> {
-        let (sel, shape, _) = parse_select(sql)?;
-        self.run(&sel, Some(&shape), params, mode)
+        &self.rt.views
     }
 
     /// Executes a single statement.
@@ -363,8 +282,8 @@ impl Database {
         parse_script(sql)?
             .iter()
             .map(|(stmt, shape)| match RunMode::of(stmt, shape.as_deref())? {
-                Some((mode, sel, shape)) => self.run(sel, shape, &[], mode),
-                None => apply_statement(&mut self.state, &self.engine, stmt),
+                Some((mode, sel, shape)) => self.rt.run(&self.state, sel, shape, &[], mode, 0),
+                None => apply_statement(&mut self.state, &self.rt.engine, stmt),
             })
             .collect()
     }
@@ -380,7 +299,8 @@ impl Database {
     /// `params` in at execution time. The optimized parameterized plan is
     /// cached by statement shape, so repeated calls skip bind + optimize.
     pub fn query_with_params(&self, sql: &str, params: &[Value]) -> Result<Batch> {
-        self.run_sql(sql, params, RunMode::Rows)?.rows()
+        let (sel, shape, _) = parse_select(sql)?;
+        self.rt.run(&self.state, &sel, Some(&shape), params, RunMode::Rows, 0)?.rows()
     }
 
     /// The trace of the most recent traced read on this handle (each
@@ -388,7 +308,7 @@ impl Database {
     /// [`vdm_obs::trace::set_enabled`] — is on). Render with
     /// [`QueryTrace::render`] or export via [`QueryTrace::to_json`].
     pub fn last_trace(&self) -> Option<QueryTrace> {
-        self.last_trace.lock().unwrap().clone()
+        self.rt.last_trace()
     }
 
     /// `EXPLAIN TRACE` for a SELECT: runs the query under a forced trace
@@ -396,7 +316,8 @@ impl Database {
     /// tree. The same output is available via SQL:
     /// `db.execute("explain trace select ...")`.
     pub fn explain_trace(&self, sql: &str) -> Result<String> {
-        self.run_sql(sql, &[], RunMode::Trace)?.explained()
+        let (sel, shape, _) = parse_select(sql)?;
+        self.rt.run(&self.state, &sel, Some(&shape), &[], RunMode::Trace, 0)?.explained()
     }
 
     /// Binds a SELECT to its *unoptimized* logical plan.
@@ -411,22 +332,25 @@ impl Database {
     /// [`Database::optimizer`] directly.
     pub fn optimized_plan(&self, sql: &str) -> Result<PlanRef> {
         let (sel, shape, _) = parse_select(sql)?;
-        Ok(self.env().select_plan(&sel, Some(&shape), &[])?.plan)
+        Ok(self.rt.env(&self.state).select_plan(&sel, Some(&shape), &[])?.plan)
     }
 
     /// Executes a prebuilt plan as given, without optimizing it (baseline
     /// measurement, or a plan the caller optimized itself).
     pub fn execute_plan_unoptimized(&self, plan: &PlanRef) -> Result<(Batch, Metrics)> {
-        let opts = ExecOptions { parallel: self.parallel, ..ExecOptions::default() };
-        let x = vdm_exec::execute_with(plan, &self.engine, &opts)?;
+        let opts = ExecOptions { parallel: self.parallelism(), ..ExecOptions::default() };
+        let x = vdm_exec::execute_with(plan, &self.rt.engine, &opts)?;
         Ok((x.batch, Metrics::roll_up(plan, &x.profile)))
     }
 
-    /// EXPLAIN text for a SELECT: both the bound and the optimized plan,
-    /// with operator-count summaries and the optimizer's pass trace — the
-    /// same text `db.execute("explain select ...")` returns.
+    /// EXPLAIN text for a SELECT: the bound plan and the optimized plan the
+    /// next [`Database::query`] runs (resolved through the plan cache, so a
+    /// feedback re-optimization shows), with operator-count summaries and
+    /// the optimizer's pass trace — the same text
+    /// `db.execute("explain select ...")` returns.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        self.run_sql(sql, &[], RunMode::Explain)?.explained()
+        let (sel, shape, _) = parse_select(sql)?;
+        self.rt.run(&self.state, &sel, Some(&shape), &[], RunMode::Explain, 0)?.explained()
     }
 
     /// EXPLAIN ANALYZE for a SELECT: resolves the plan through the plan
@@ -435,7 +359,8 @@ impl Database {
     /// with runtime stats, the structured rewrite trace, and an execution
     /// summary.
     pub fn explain_analyze(&self, sql: &str) -> Result<String> {
-        self.run_sql(sql, &[], RunMode::Analyze)?.explained()
+        let (sel, shape, _) = parse_select(sql)?;
+        self.rt.run(&self.state, &sel, Some(&shape), &[], RunMode::Analyze, 0)?.explained()
     }
 
     /// The process-wide metrics registry (JSON / Prometheus exporters).
@@ -455,7 +380,7 @@ impl Database {
 /// owns the parts) and `vdm-serve` (which borrows them under its write
 /// lock). DDL arms bump the metadata version so stamped plans go stale.
 /// Reads never get here: callers route them through [`RunMode::of`] to
-/// [`QueryEnv::run`].
+/// [`Runtime::run`].
 pub fn apply_statement(
     state: &mut DbState,
     engine: &StorageEngine,
@@ -529,7 +454,7 @@ pub fn apply_statement(
         | Statement::Explain(_)
         | Statement::ExplainAnalyze(_)
         | Statement::ExplainTrace(_) => {
-            Err(VdmError::Exec("read statements run through QueryEnv::run".into()))
+            Err(VdmError::Exec("read statements run through Runtime::run".into()))
         }
     }
 }

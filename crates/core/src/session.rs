@@ -2,25 +2,28 @@
 //! with rows / EXPLAIN / EXPLAIN ANALYZE / EXPLAIN TRACE as render modes
 //! of the same run.
 //!
-//! Both [`Database`](crate::Database) (single owner) and `vdm-serve`
-//! sessions (many concurrent handles over shared state) run every read
-//! statement through [`QueryEnv`]. The pipeline splits in two so a serving
-//! layer can drop its read lock on [`DbState`] before execution starts:
+//! A [`Runtime`] is everything a statement needs besides the bind-time
+//! [`DbState`]: storage, cached views, the plan cache and the last trace.
+//! Both handles hold one — [`Database`](crate::Database) beside an owned
+//! `DbState`, a `vdm-serve` server beside an `RwLock<DbState>` — and every
+//! read from either runs through [`Runtime::run`], which takes the state as
+//! any `Deref<Target = DbState>` (a plain borrow or a read guard) and
+//! releases it between the two phases:
 //!
 //! 1. [`QueryEnv::select_plan`] — plan-cache lookup by canonical shape,
-//!    bind + optimize on a miss; returns a [`ResolvedPlan`] carrying the
-//!    canonical plan digest. The private `optimize_bound` below is the
-//!    only place the optimizer runs in `vdm-core`, `vdm-serve` and
-//!    `vdm-cache` (a CI gate enforces it), so every door — `query`,
-//!    `explain`, `optimized_plan`, cached-view creation — sees storage
-//!    statistics and gets the same plan;
-//! 2. [`execute_resolved`] — parameter substitution, morsel execution,
+//!    bind + optimize on a miss, feedback re-optimization on a hit; returns
+//!    a [`ResolvedPlan`] carrying the canonical plan digest. The private
+//!    `optimize_bound` below is the only place the optimizer runs in
+//!    `vdm-core`, `vdm-serve` and `vdm-cache` (a CI gate enforces it), so
+//!    every door — `query`, every `EXPLAIN` form, `optimized_plan`,
+//!    cached-view creation — sees storage statistics and gets the plan the
+//!    next execution runs;
+//! 2. `execute_resolved` — parameter substitution, morsel execution,
 //!    metrics recording, and (when the [`QueryStore`] is enabled)
 //!    per-digest history recording with slow-query capture.
 //!
-//! [`QueryEnv::run`] strings the two together for one [`RunMode`]; the
-//! serving layer strings the same two together around its lock and pool.
-//! Plain `EXPLAIN` ([`QueryEnv::explain`]) stops after phase 1.
+//! Plain `EXPLAIN` renders the resolved plan under the state instead of
+//! executing it.
 //!
 //! Both phases emit [`vdm_obs::trace`] spans, so a query running under an
 //! active trace contributes `select_plan` → `plan_cache.lookup` / `bind` /
@@ -30,8 +33,10 @@ use crate::feedback::{self, EngineStats};
 use crate::plan_cache::{CachedPlan, PlanCache, PlanCacheKey};
 use crate::state::DbState;
 use crate::StatementResult;
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
+use vdm_cache::{CacheMode, CachedView, ViewCache};
 use vdm_exec::{ExecOptions, Execution, Metrics, NodeIndex, ParallelConfig, QueryProfile};
 use vdm_obs::trace as qtrace;
 use vdm_obs::util::fmt_nanos;
@@ -83,7 +88,7 @@ impl RunMode {
 
     /// Opens the statement's trace root (forced for `EXPLAIN TRACE`, which
     /// must trace even when automatic tracing is off).
-    pub fn root(self) -> qtrace::RootGuard {
+    fn root(self) -> qtrace::RootGuard {
         if self == RunMode::Trace {
             qtrace::root_forced("query")
         } else {
@@ -93,7 +98,7 @@ impl RunMode {
 
     /// Final rendering once the root is closed: `EXPLAIN TRACE` swaps the
     /// rows for the span tree, every other mode passes through.
-    pub fn finish(
+    fn finish(
         self,
         result: Result<StatementResult>,
         trace: Option<&QueryTrace>,
@@ -184,9 +189,8 @@ pub fn param_types_of(values: &[Value]) -> Vec<SqlType> {
     values.iter().map(|v| v.sql_type().unwrap_or(SqlType::Int)).collect()
 }
 
-/// Borrowed view of everything one SELECT needs. Constructed per query —
-/// by `Database` from its own fields, by `vdm-serve` from a read-locked
-/// [`DbState`] plus its shared engine/cache.
+/// Borrowed view of everything one SELECT needs, constructed per query from
+/// a [`Runtime`] and whatever state the handle holds.
 pub struct QueryEnv<'a> {
     pub state: &'a DbState,
     pub engine: &'a StorageEngine,
@@ -358,15 +362,19 @@ impl QueryEnv<'_> {
         Ok(optimized)
     }
 
-    /// `EXPLAIN` text for a SELECT: the bound and the optimized plan (one
-    /// `[est=N]` cardinality annotation per node, estimated against current
-    /// storage statistics) with operator-count summaries, then the
-    /// optimizer's pass trace. Plans only — nothing executes and the plan
-    /// cache is not consulted.
-    pub fn explain(&self, sel: &SelectStmt, params: &[Value]) -> Result<String> {
+    /// `EXPLAIN` text for a SELECT: the bound plan and the `resolved` one —
+    /// what the next execution runs — (one `[est=N]` cardinality annotation
+    /// per node, estimated against current storage statistics) with
+    /// operator-count summaries, then the trace of the optimization that
+    /// produced it. Nothing executes.
+    fn explain(
+        &self,
+        sel: &SelectStmt,
+        params: &[Value],
+        resolved: &ResolvedPlan,
+    ) -> Result<String> {
         let bound = self.bind(sel, &param_types_of(params))?;
-        let (optimized, trace) = self.optimize_bound(&bound, None)?;
-        let (before, after) = (plan_stats(&bound), plan_stats(&optimized));
+        let (before, after) = (plan_stats(&bound), plan_stats(&resolved.plan));
         let stats = EngineStats::new(self.engine);
         let props = vdm_plan::PropertyCache::new();
         let opts = self.state.optimizer.profile().derive_options();
@@ -378,50 +386,168 @@ impl QueryEnv<'_> {
             vdm_plan::explain(&bound),
             after.table_instances,
             after.joins,
-            vdm_plan::explain_with_estimates(&optimized, &card),
-            trace.render(),
+            vdm_plan::explain_with_estimates(&resolved.plan, &card),
+            resolved.trace.render(),
         ))
     }
+}
 
-    /// Runs one read statement end to end and renders what `mode` asked
-    /// for, under a trace root of its own; also returns the finished trace
-    /// when this call owned it.
+/// Everything a statement needs besides the bind-time [`DbState`]: storage,
+/// the cached views, the plan cache and the last finished trace. The
+/// executor configuration is the one cell `views` shares with every view
+/// ([`ViewCache::parallelism`]). Engine and caches are internally
+/// synchronized, so a serving layer shares one `Runtime` without a lock.
+pub struct Runtime {
+    pub engine: StorageEngine,
+    pub views: ViewCache,
+    pub plan_cache: PlanCache,
+    last_trace: Mutex<Option<QueryTrace>>,
+}
+
+/// RAII decrement for the in-flight query gauge (covers error paths).
+struct Inflight;
+
+impl Inflight {
+    fn enter() -> Inflight {
+        MetricsRegistry::global().gauge_add(names::INFLIGHT_QUERIES, 1);
+        Inflight
+    }
+}
+
+impl Drop for Inflight {
+    fn drop(&mut self) {
+        MetricsRegistry::global().gauge_add(names::INFLIGHT_QUERIES, -1);
+    }
+}
+
+impl Runtime {
+    /// An empty runtime whose plan cache holds `plan_cache_capacity` plans.
+    pub(crate) fn new(plan_cache_capacity: usize) -> Runtime {
+        Runtime {
+            engine: StorageEngine::new(),
+            views: ViewCache::new(),
+            plan_cache: PlanCache::new(plan_cache_capacity),
+            last_trace: Mutex::new(None),
+        }
+    }
+
+    /// The executor configuration every query and view maintenance runs
+    /// under.
+    pub(crate) fn parallelism(&self) -> ParallelConfig {
+        self.views.parallelism()
+    }
+
+    /// The query environment over `state` and this runtime.
+    pub(crate) fn env<'a>(&'a self, state: &'a DbState) -> QueryEnv<'a> {
+        QueryEnv {
+            state,
+            engine: &self.engine,
+            plan_cache: &self.plan_cache,
+            parallel: self.parallelism(),
+        }
+    }
+
+    /// The one read body: runs `sel` and renders what `mode` asked for,
+    /// under a trace root of its own attributed to `session`. The plan is
+    /// resolved under `state` (plain `EXPLAIN` is rendered there too); the
+    /// state is released before execution, and the time from admission to
+    /// execution start is the queue wait. A trace this call owned is kept
+    /// for [`Runtime::last_trace`].
     pub fn run(
         &self,
+        state: impl Deref<Target = DbState>,
         sel: &SelectStmt,
         shape: Option<&str>,
         params: &[Value],
         mode: RunMode,
-    ) -> (Result<StatementResult>, Option<QueryTrace>) {
+        session: u64,
+    ) -> Result<StatementResult> {
         let root = mode.root();
+        qtrace::attr("session", session);
         if let Some(shape) = shape {
             qtrace::attr("shape", format_args!("{shape:?}"));
         }
-        let result = match mode {
-            RunMode::Explain => self.explain(sel, params).map(StatementResult::Explained),
-            _ => self
-                .select_plan(sel, shape, params)
-                .and_then(|resolved| {
-                    let analyze = mode == RunMode::Analyze;
-                    execute_resolved(&resolved, params, self.engine, self.parallel, analyze)
-                })
-                .map(Executed::into_result),
-        };
+        let _inflight = Inflight::enter();
+        let admitted = Instant::now();
+        let result = (move || {
+            let env = self.env(&state);
+            let resolved = env.select_plan(sel, shape, params)?;
+            if mode == RunMode::Explain {
+                return env.explain(sel, params, &resolved).map(StatementResult::Explained);
+            }
+            let parallel = env.parallel;
+            drop(state);
+            let reg = MetricsRegistry::global();
+            reg.observe(names::QUEUE_WAIT_SECONDS, admitted.elapsed().as_secs_f64());
+            let analyze = mode == RunMode::Analyze;
+            execute_resolved(&resolved, params, &self.engine, parallel, analyze)
+                .map(Executed::into_result)
+        })();
         let trace = root.finish();
-        (mode.finish(result, trace.as_ref()), trace)
+        let result = mode.finish(result, trace.as_ref());
+        if let Some(trace) = trace {
+            self.keep_trace(trace);
+        }
+        result
+    }
+
+    /// The most recent trace a read on this runtime owned, or one kept with
+    /// [`Runtime::keep_trace`].
+    pub fn last_trace(&self) -> Option<QueryTrace> {
+        self.last_trace.lock().unwrap().clone()
+    }
+
+    /// Keeps `trace` as the [`Runtime::last_trace`].
+    pub fn keep_trace(&self, trace: QueryTrace) {
+        *self.last_trace.lock().unwrap() = Some(trace);
+    }
+
+    /// Creates a cached (materialized) view over a SELECT: the plan
+    /// [`Runtime::run`] would execute, resolved under `state`, materialized
+    /// after `state` is released.
+    pub fn create_cached_view(
+        &self,
+        state: impl Deref<Target = DbState>,
+        name: &str,
+        sql: &str,
+        mode: CacheMode,
+    ) -> Result<Arc<CachedView>> {
+        let (sel, shape, _) = parse_select(sql)?;
+        let plan = self.env(&state).select_plan(&sel, Some(&shape), &[])?.plan;
+        drop(state);
+        self.views.register(name, plan, mode, &self.engine)
+    }
+
+    /// A registered cached view, or an error naming the unknown one.
+    pub(crate) fn view(&self, name: &str) -> Result<Arc<CachedView>> {
+        self.views
+            .get(name)
+            .ok_or_else(|| VdmError::Catalog(format!("unknown cached view {name:?}")))
+    }
+
+    /// Reads a cached view (SCV: last refresh; DCV: maintained first).
+    pub fn read_cached(&self, name: &str) -> Result<Arc<Batch>> {
+        self.view(name)?.read(&self.engine)
+    }
+
+    /// Refreshes every static cached view (the periodic refresh tick).
+    /// Readers of those views are only blocked for the `Arc` swap, never
+    /// for the recomputation.
+    pub fn refresh_cached_views(&self) -> Result<usize> {
+        self.views.refresh_all_static(&self.engine)
     }
 }
 
 /// One finished execution of a resolved plan.
-pub struct Executed {
-    pub batch: Batch,
+struct Executed {
+    batch: Batch,
     /// The EXPLAIN ANALYZE rendering, when the run was asked to `analyze`.
-    pub analyze: Option<String>,
+    analyze: Option<String>,
 }
 
 impl Executed {
     /// The EXPLAIN ANALYZE text when one was asked for, the rows otherwise.
-    pub fn into_result(self) -> StatementResult {
+    fn into_result(self) -> StatementResult {
         match self.analyze {
             Some(text) => StatementResult::Explained(text),
             None => StatementResult::Rows(self.batch),
@@ -433,11 +559,11 @@ impl Executed {
 /// resolved plan, runs it on the morsel executor, and records query
 /// metrics plus (when enabled) the per-digest [`QueryStore`] history — all
 /// read from the one per-node profile every execution records. Needs no
-/// access to [`DbState`] — a serving layer calls this after releasing its
-/// state lock. The EXPLAIN ANALYZE text is rendered from that profile when
+/// access to [`DbState`] — [`Runtime::run`] calls this after releasing the
+/// state. The EXPLAIN ANALYZE text is rendered from that profile when
 /// `analyze` asks for it or the execution is over the store's slow
 /// threshold (the slow-query log must not re-run a query to describe it).
-pub fn execute_resolved(
+fn execute_resolved(
     resolved: &ResolvedPlan,
     params: &[Value],
     engine: &StorageEngine,
@@ -488,7 +614,8 @@ pub fn execute_resolved(
     Ok(Executed { batch, analyze: text.filter(|_| analyze) })
 }
 
-/// Rows-only [`execute_resolved`].
+/// Phase 2 for a plan resolved outside [`Runtime::run`]: executes it with
+/// `params` and returns the rows.
 pub fn execute_select(
     resolved: &ResolvedPlan,
     params: &[Value],

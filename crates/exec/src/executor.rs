@@ -3,10 +3,10 @@
 //! Every plan runs through the same operators at every thread count; the
 //! thread count only decides how the work-stealing [`crate::scheduler`]
 //! dispatches a pipeline's morsels. At `threads: 1` the scheduler runs every
-//! item inline on the calling thread — nothing is spawned or broadcast — and
-//! that *is* the serial mode; there is no second interpreter. A wave over
-//! fewer than [`MIN_DISPATCH_MORSELS`] morsels runs the same way at any
-//! thread count.
+//! item inline on the calling thread — nothing is broadcast — and that *is*
+//! the serial mode; there is no second interpreter. A wave over fewer than
+//! [`MIN_DISPATCH_MORSELS`] morsels runs the same way at any thread count;
+//! a wider one is broadcast on a [`crate::pool`].
 //!
 //! There is one streaming body, the **pipeline**: a source — a table scan
 //! split into fixed-size morsels, or a materialized batch chunked the same
@@ -176,11 +176,12 @@ struct Ctx<'a> {
     child_nanos: u64,
 }
 
-/// OS worker threads actually spawned for a logical `threads` setting: capped
+/// Workers a wave is dispatched onto for a logical `threads` setting: capped
 /// at the machine's available parallelism, because oversubscribing cores only
-/// adds spawn and context-switch cost (results are schedule-independent). A
-/// floor of two keeps cross-worker merge paths exercised on single-core hosts.
-fn pool_workers(threads: usize) -> usize {
+/// adds context-switch cost (results are schedule-independent). A floor of
+/// two keeps cross-worker merge paths exercised on single-core hosts. The cap
+/// is also the process pool's thread count.
+pub(crate) fn pool_workers(threads: usize) -> usize {
     threads.min(host_cores().max(2))
 }
 
@@ -1455,14 +1456,23 @@ mod tests {
     #[test]
     fn a_wave_under_the_dispatch_floor_runs_inline_at_any_thread_count() {
         let caller = std::thread::current().id();
-        let ids_of = |morsels: usize| {
-            let mut totals = QueryProfile::default();
-            parallel_map(4, morsels, 64, &mut totals, |_, _| Ok(std::thread::current().id()))
-                .unwrap()
-        };
-        assert!(ids_of(MIN_DISPATCH_MORSELS - 1).iter().all(|id| *id == caller));
-        // Without an installed pool the scheduler spawns scoped workers, so
-        // at the floor no item stays on the caller.
-        assert!(ids_of(MIN_DISPATCH_MORSELS).iter().all(|id| *id != caller));
+        let mut totals = QueryProfile::default();
+        let ids = parallel_map(4, MIN_DISPATCH_MORSELS - 1, 64, &mut totals, |_, _| {
+            Ok(std::thread::current().id())
+        })
+        .unwrap();
+        assert!(ids.iter().all(|id| *id == caller));
+        assert_eq!(totals.dispatched, 0);
+        // At the floor the wave is broadcast on the process pool. Its two
+        // items meet each other, so the caller cannot run both: a pool
+        // thread provably takes one.
+        let met = crate::scheduler::tests::Rendezvous::default();
+        let names = parallel_map(4, MIN_DISPATCH_MORSELS, 2, &mut totals, |_, _| {
+            met.meet();
+            Ok(crate::scheduler::tests::thread_name())
+        })
+        .unwrap();
+        assert_eq!(totals.dispatched, 1);
+        assert!(names.iter().any(|n| n.starts_with("vdm-pool-")), "{names:?}");
     }
 }

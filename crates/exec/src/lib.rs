@@ -12,7 +12,8 @@
 //! on columnar [`kernels`], dispatched by the work-stealing [`scheduler`].
 //! [`ParallelConfig::threads`] only sets how many workers share the
 //! morsels; `threads: 1` runs them inline on the calling thread and is the
-//! serial mode. [`ExecOptions`] carries the two things a caller chooses —
+//! serial mode, and every wider wave is broadcast on a [`pool`] — the one a
+//! caller installed, else the process pool. [`ExecOptions`] carries the two things a caller chooses —
 //! snapshot and thread count/morsel size — and [`Execution`] returns the
 //! batch with its per-node [`QueryProfile`] and the worker count used.
 //! View maintenance ([`delta`], `vdm-cache`), EXPLAIN ANALYZE and the
@@ -34,5 +35,5 @@ mod ops_tests;
 
 pub use delta::{eval_signed_delta, SignedBatch};
 pub use executor::{execute, execute_with, ExecOptions, Execution, ParallelConfig};
-pub use pool::{current_worker_pool, with_worker_pool, WorkerPool};
+pub use pool::{with_worker_pool, WorkerPool};
 pub use vdm_obs::{Metrics, NodeIndex, NodeStats, QueryProfile};

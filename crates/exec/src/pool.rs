@@ -1,11 +1,12 @@
-//! A persistent worker pool for the morsel scheduler.
+//! The worker pools the morsel scheduler dispatches onto.
 //!
-//! [`run_with`](crate::scheduler::run_with) normally spins up scoped
-//! threads per call — fine for one-shot queries, wasteful for a serving
-//! layer fielding thousands of short queries per second. A [`WorkerPool`]
-//! keeps its threads parked between queries; the serving layer installs it
-//! for the duration of a query via [`with_worker_pool`], and the scheduler
-//! then dispatches its worker roles onto the pool instead of spawning.
+//! Every wave [`run_with`](crate::scheduler::run_with) dispatches is one
+//! [`WorkerPool::broadcast`]: on the pool installed on the calling thread
+//! with [`with_worker_pool`] if there is one, else on the *process pool* —
+//! one per process, built on first dispatch with as many threads as the
+//! executor dispatches workers at most (the host's cores, floor 2). Threads
+//! stay parked between waves, so no wave spawns a thread and the thread count
+//! stays flat however many queries or sessions run.
 //!
 //! # Dispatch contract
 //!
@@ -21,15 +22,21 @@
 //! leaves no work behind (monotone-empty queues), and cancelling keeps tail
 //! latency tight when the pool is saturated by other queries.
 //!
+//! Nested waves need no special case. A role that dispatches a wave of its
+//! own broadcasts it like any caller (pool threads have no installed pool, so
+//! theirs go to the process pool), and a broadcast only ever waits on roles
+//! that have *started*: those are running on some thread, and queued ones
+//! are cancelled. By induction over the nesting depth every wave completes,
+//! even when every pool thread is busy in an outer role.
+//!
 //! Panics on a pool thread are caught, the latch is still released, and the
-//! panic is re-raised on the calling thread after the wait — identical to
-//! what `std::thread::scope` would do.
+//! panic is re-raised on the calling thread after the wait.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 /// One broadcast in flight: the erased role closure plus its latch.
@@ -80,9 +87,9 @@ impl Drop for JoinGuard {
     }
 }
 
-/// A fixed-size pool of parked worker threads shared by every query a
-/// serving layer executes. Cloning is cheap (one `Arc`); the threads exit
-/// when the last clone drops.
+/// A fixed-size pool of parked worker threads shared by every wave
+/// dispatched onto it. Cloning is cheap (one `Arc`); the threads exit when
+/// the last clone drops.
 #[derive(Clone)]
 pub struct WorkerPool {
     inner: Arc<PoolInner>,
@@ -208,8 +215,6 @@ thread_local! {
 
 /// Installs `pool` as the scheduler's dispatch target for the duration of
 /// `f` on this thread. Nested installs restore the previous pool on exit.
-/// Pool worker threads never have a pool installed, so scheduler calls
-/// made *from* pool tasks fall back to scoped threads (no re-entrancy).
 pub fn with_worker_pool<R>(pool: &WorkerPool, f: impl FnOnce() -> R) -> R {
     let prev = CURRENT.with(|c| c.borrow_mut().replace(pool.clone()));
     struct Restore(Option<WorkerPool>);
@@ -223,9 +228,13 @@ pub fn with_worker_pool<R>(pool: &WorkerPool, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The pool installed on this thread, if any.
-pub fn current_worker_pool() -> Option<WorkerPool> {
-    CURRENT.with(|c| c.borrow().clone())
+/// The pool a wave dispatched from this thread broadcasts on: the installed
+/// one, else the process pool.
+pub(crate) fn dispatch_pool() -> WorkerPool {
+    static PROCESS: OnceLock<WorkerPool> = OnceLock::new();
+    CURRENT.with(|c| c.borrow().clone()).unwrap_or_else(|| {
+        PROCESS.get_or_init(|| WorkerPool::new(crate::executor::pool_workers(usize::MAX))).clone()
+    })
 }
 
 #[cfg(test)]
@@ -294,16 +303,16 @@ mod tests {
 
     #[test]
     fn with_worker_pool_installs_and_restores() {
-        assert!(current_worker_pool().is_none());
+        let dispatches_to = |p: &WorkerPool| Arc::ptr_eq(&dispatch_pool().inner, &p.inner);
+        let process = dispatch_pool();
         let pool = WorkerPool::new(1);
         with_worker_pool(&pool, || {
-            assert!(current_worker_pool().is_some());
+            assert!(dispatches_to(&pool));
             let inner = WorkerPool::new(1);
-            with_worker_pool(&inner, || {
-                assert_eq!(current_worker_pool().unwrap().workers(), 1);
-            });
-            assert!(current_worker_pool().is_some());
+            with_worker_pool(&inner, || assert!(dispatches_to(&inner)));
+            assert!(dispatches_to(&pool));
         });
-        assert!(current_worker_pool().is_none());
+        assert!(dispatches_to(&process), "without an installed pool, waves use the process pool");
+        assert_eq!(process.workers(), crate::executor::pool_workers(usize::MAX));
     }
 }

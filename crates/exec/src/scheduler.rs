@@ -10,6 +10,13 @@
 //! grow when dispatch overhead dominates (cheap items amortize the
 //! deque lock).
 //!
+//! Dispatch: a run over more than one worker is one
+//! [`WorkerPool::broadcast`](crate::pool::WorkerPool::broadcast) — worker 0
+//! on the calling thread, the others as roles on the pool installed with
+//! [`with_worker_pool`](crate::pool::with_worker_pool), else on the process
+//! pool. A role cancelled before it starts leaves no work behind: the
+//! started workers steal its share.
+//!
 //! Determinism contract: item `i`'s result always lands in output slot
 //! `i` and every item runs exactly once, so the output vector — and
 //! anything merged from it in slot order — is schedule-independent. On
@@ -230,17 +237,9 @@ where
         *state_slots[w].lock().unwrap() = Some(state);
     };
 
-    // A serving layer installs a persistent pool (`with_worker_pool`);
-    // one-shot callers get scoped threads, exactly as before.
-    match crate::pool::current_worker_pool() {
-        Some(pool) => pool.broadcast(threads, &worker),
-        None => std::thread::scope(|scope| {
-            for w in 0..threads {
-                let worker = &worker;
-                scope.spawn(move || worker(w));
-            }
-        }),
-    }
+    // Worker 0 is the calling thread; the rest are roles on the installed
+    // pool or the process pool (see `pool` on why nesting is safe).
+    crate::pool::dispatch_pool().broadcast(threads, &worker);
 
     let stats = SchedulerStats {
         steals: steals.load(Ordering::Relaxed),
@@ -268,9 +267,73 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::pool::{with_worker_pool, WorkerPool};
     use std::sync::atomic::AtomicU64;
+    use std::sync::Condvar;
+
+    /// A two-party meeting point that fails the test instead of hanging:
+    /// [`Rendezvous::meet`] returns once both parties have called it.
+    #[derive(Default)]
+    pub(crate) struct Rendezvous(Mutex<usize>, Condvar);
+
+    impl Rendezvous {
+        pub(crate) fn meet(&self) {
+            let mut arrived = self.0.lock().unwrap();
+            *arrived += 1;
+            self.1.notify_all();
+            let timeout = std::time::Duration::from_secs(60);
+            let (arrived, wait) = self.1.wait_timeout_while(arrived, timeout, |n| *n < 2).unwrap();
+            drop(arrived);
+            assert!(!wait.timed_out(), "the other party never arrived");
+        }
+    }
+
+    /// The calling thread's name (`vdm-pool-N` on a pool thread).
+    pub(crate) fn thread_name() -> String {
+        std::thread::current().name().unwrap_or_default().to_string()
+    }
+
+    /// A role that dispatches a wave of its own completes — on the process
+    /// pool, and on an installed one-thread pool whose only thread is
+    /// provably busy in the outer wave while the caller's inner wave is
+    /// dispatched onto it: a broadcast never waits on a role that has not
+    /// started.
+    #[test]
+    fn a_role_that_dispatches_a_wave_completes() {
+        let nested = || {
+            let (met, released) = (Rendezvous::default(), Rendezvous::default());
+            let inner = || Ok(run_with(2, 64, || (), |i, _| Ok(i))?.0.into_iter().sum::<usize>());
+            let (out, _, _) = run_with(
+                2,
+                2,
+                || (),
+                |i, _| {
+                    // Item 0 is the caller's, item 1 a pool thread's: each
+                    // blocks until the other has started.
+                    met.meet();
+                    let sum = if i == 0 {
+                        // The pool thread waits below until this inner
+                        // wave is done, so no pool thread can take its role.
+                        let sum = inner();
+                        released.meet();
+                        sum
+                    } else {
+                        released.meet();
+                        inner()
+                    };
+                    Ok((sum?, thread_name()))
+                },
+            )
+            .unwrap();
+            assert_eq!(out[0].0, 64 * 63 / 2);
+            assert_eq!(out[1].0, 64 * 63 / 2);
+            assert!(out[1].1.starts_with("vdm-pool-"), "{out:?}");
+        };
+        nested();
+        with_worker_pool(&WorkerPool::new(1), nested);
+    }
 
     #[test]
     fn covers_every_item_exactly_once() {
@@ -332,9 +395,9 @@ mod tests {
     }
 
     #[test]
-    fn pool_dispatch_matches_scoped_threads() {
-        let pool = crate::pool::WorkerPool::new(3);
-        crate::pool::with_worker_pool(&pool, || {
+    fn an_installed_pool_keeps_the_contract() {
+        let pool = WorkerPool::new(3);
+        with_worker_pool(&pool, || {
             for n in [2, 7, 100, 1000] {
                 let (out, states, stats) = run_with(
                     4,

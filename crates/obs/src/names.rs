@@ -83,8 +83,6 @@ pub const PREPARED_STATEMENTS_OPEN: &str = "vdm_prepared_statements_open";
 pub const SESSIONS_OPEN: &str = "vdm_sessions_open";
 /// Queries currently between admission and completion.
 pub const INFLIGHT_QUERIES: &str = "vdm_inflight_queries";
-/// Queries executed per session, labelled `{session="N"}`.
-pub const SESSION_QUERIES_TOTAL: &str = "vdm_session_queries_total";
 /// Admission wait before execution starts (state-lock + plan resolution),
 /// seconds.
 pub const QUEUE_WAIT_SECONDS: &str = "vdm_queue_wait_seconds";
@@ -188,11 +186,6 @@ pub const ALL: &[MetricDesc] = &[
         name: ROWS_SCANNED_TOTAL,
         kind: MetricKind::Counter,
         help: "Rows read out of base-table scans.",
-    },
-    MetricDesc {
-        name: SESSION_QUERIES_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Queries executed per serve-layer session, labelled by session id.",
     },
     MetricDesc {
         name: SESSIONS_OPEN,

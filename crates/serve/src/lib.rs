@@ -2,9 +2,10 @@
 //!
 //! A paper-shaped VDM deployment is many ERP users paging through the same
 //! browser views at once — the same handful of statement *shapes*, re-run
-//! with different parameter values, from hundreds of sessions. This crate
-//! turns the single-owner [`vdm_core::Database`] facade into a
-//! shared [`Server`] that serves that workload:
+//! with different parameter values, from hundreds of sessions. A [`Server`]
+//! is the second handle on the runtime a [`vdm_core::Database`] holds:
+//! [`Server::from_database`] moves the database's [`DbState`] and
+//! [`Runtime`] out and shares them.
 //!
 //! * **Sessions** ([`Server::session`]) are lightweight `Send` handles;
 //!   any number can run queries concurrently from their own threads.
@@ -16,19 +17,15 @@
 //!   CREATE TABLE behind it longer than its own bind.
 //! * **One statement path**: every read from every entry point
 //!   ([`Session::query`], [`Session::execute`], [`Session::explain_analyze`],
-//!   [`Prepared::execute`], …) is one call to the private `Shared::run`
-//!   with the [`RunMode`] the statement asked for: resolve under the read
-//!   lock → execute on the pool → close the trace root, using the same
-//!   two `vdm-core` phases `Database` uses.
+//!   [`Prepared::execute`], …) is one call to [`Runtime::run`] — the body
+//!   `Database` runs too — over a read guard of the state, with the
+//!   [`RunMode`] the statement asked for and the session's id.
 //! * **Plan cache**: optimized parameterized plans are shared across
-//!   sessions through the version-stamped [`PlanCache`] living in
-//!   `vdm-core` — this crate never invokes the optimizer itself (a CI
-//!   gate enforces it); on a cache miss the core query path optimizes and
-//!   fills the cache.
-//! * **One worker pool**: all sessions execute on a single long-lived
-//!   [`WorkerPool`] (sized from the database's executor thread count)
-//!   instead of spawning scoped threads per query, keeping thread counts
-//!   flat at high session counts.
+//!   sessions through the runtime's version-stamped [`PlanCache`] — this
+//!   crate never invokes the optimizer itself (a CI gate enforces it).
+//! * **One worker pool**: every wave a query or a view maintenance
+//!   dispatches is broadcast on the process-wide pool `vdm-exec` keeps,
+//!   so thread counts stay flat at high session counts.
 //!
 //! Prepared statements ([`Session::prepare`]) parse once and pin the
 //! statement's canonical shape; each [`Prepared::execute`] is a plan-cache
@@ -37,126 +34,35 @@
 //!
 //! **Saturation observability**: every read increments the
 //! `vdm_inflight_queries` gauge for its lifetime and records the time
-//! between admission (entering the serve layer) and execution start in the
-//! `vdm_queue_wait_seconds` histogram; open sessions are counted by
-//! `vdm_sessions_open`, and per-session query volumes by
-//! `vdm_session_queries_total{session="N"}`. Every query runs under a
-//! trace root, so [`Server::last_trace`] (or
-//! [`Session::with_trace`], which forces tracing and scoops multiple
-//! statements into one causal tree) yields the span tree covering
-//! plan-cache lookup, bind, execution, and any cached-view maintenance.
+//! between admission and execution start in the `vdm_queue_wait_seconds`
+//! histogram; open sessions are counted by `vdm_sessions_open`. Each
+//! query's root span carries its `session` id, so the registry holds no
+//! per-session series. [`Server::last_trace`] (or [`Session::with_trace`],
+//! which forces tracing and scoops multiple statements into one causal
+//! tree) yields the span tree covering plan-cache lookup, bind, execution,
+//! and any cached-view maintenance.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
-use vdm_cache::{CacheMode, CachedView, MaintainOutcome, ViewCache};
+use std::sync::{Arc, RwLock};
+use vdm_cache::{CacheMode, CachedView};
 use vdm_core::{
-    apply_statement, execute_resolved, parse_script, parse_select, Database, DbState, Executed,
-    PlanCache, QueryEnv, RunMode, StatementResult,
+    apply_statement, parse_script, parse_select, Database, DbState, PlanCache, RunMode, Runtime,
+    StatementResult,
 };
-use vdm_exec::{with_worker_pool, ParallelConfig, WorkerPool};
-use vdm_obs::registry::{self, MetricsRegistry};
+use vdm_obs::registry::MetricsRegistry;
 use vdm_obs::{names, trace as qtrace, QueryTrace};
 use vdm_optimizer::Profile;
-use vdm_sql::SelectStmt;
 use vdm_storage::{Batch, StorageEngine};
 use vdm_types::{Result, Value, VdmError};
 
 /// Everything the sessions share. Lock granularity is the whole design:
-/// `state` guards only what bind/optimize reads; the engine, plan cache,
-/// and cached-view registry are internally synchronized and never sit
-/// behind the state lock.
+/// `state` guards only what bind/optimize reads; the runtime (engine, plan
+/// cache, cached views) is internally synchronized and never sits behind
+/// the state lock.
 struct Shared {
     state: RwLock<DbState>,
-    engine: StorageEngine,
-    views: ViewCache,
-    plan_cache: PlanCache,
-    parallel: Mutex<ParallelConfig>,
-    pool: WorkerPool,
+    rt: Runtime,
     next_session: AtomicU64,
-    last_trace: Mutex<Option<QueryTrace>>,
-}
-
-/// RAII decrement for the in-flight query gauge (covers error paths).
-struct Inflight;
-
-impl Inflight {
-    fn enter() -> Inflight {
-        MetricsRegistry::global().gauge_add(names::INFLIGHT_QUERIES, 1);
-        Inflight
-    }
-}
-
-impl Drop for Inflight {
-    fn drop(&mut self) {
-        MetricsRegistry::global().gauge_add(names::INFLIGHT_QUERIES, -1);
-    }
-}
-
-impl Shared {
-    fn parallel(&self) -> ParallelConfig {
-        *self.parallel.lock().unwrap()
-    }
-
-    /// Runs `f` over the query environment under the state *read* lock
-    /// and releases the lock before returning.
-    fn with_env<R>(&self, f: impl FnOnce(&QueryEnv<'_>) -> R) -> R {
-        let state = self.state.read().unwrap();
-        f(&QueryEnv {
-            state: &state,
-            engine: &self.engine,
-            plan_cache: &self.plan_cache,
-            parallel: self.parallel(),
-        })
-    }
-
-    /// The one read path: plan resolution under the read lock, lock-free
-    /// execution on the shared worker pool, then the rendering `mode`
-    /// asked for. `session` labels per-session counters and the trace
-    /// root; [`Prepared`] executions carry their creating session's id.
-    /// The finished trace (when this call owned the root) is kept for
-    /// [`Server::last_trace`].
-    fn run(
-        &self,
-        sel: &SelectStmt,
-        shape: Option<&str>,
-        params: &[Value],
-        mode: RunMode,
-        session: u64,
-    ) -> Result<StatementResult> {
-        let reg = MetricsRegistry::global();
-        let root = mode.root();
-        qtrace::attr("session", session);
-        reg.inc(&registry::label(names::SESSION_QUERIES_TOTAL, "session", &session.to_string()), 1);
-        if let Some(s) = shape {
-            qtrace::attr("shape", format_args!("{s:?}"));
-        }
-        let _inflight = Inflight::enter();
-        let admitted = Instant::now();
-        let result = (|| {
-            let resolved = match mode {
-                // Plans only: nothing to execute.
-                RunMode::Explain => {
-                    let text = self.with_env(|env| env.explain(sel, params))?;
-                    return Ok(StatementResult::Explained(text));
-                }
-                _ => self.with_env(|env| env.select_plan(sel, shape, params))?,
-            };
-            let parallel = self.parallel();
-            with_worker_pool(&self.pool, || {
-                reg.observe(names::QUEUE_WAIT_SECONDS, admitted.elapsed().as_secs_f64());
-                let analyze = mode == RunMode::Analyze;
-                execute_resolved(&resolved, params, &self.engine, parallel, analyze)
-            })
-            .map(Executed::into_result)
-        })();
-        let trace = root.finish();
-        let result = mode.finish(result, trace.as_ref());
-        if let Some(trace) = trace {
-            *self.last_trace.lock().unwrap() = Some(trace);
-        }
-        result
-    }
 }
 
 /// A shared, concurrently usable database server. Cheap to clone; all
@@ -174,21 +80,15 @@ impl Server {
 
     /// Server over an existing database — the usual path: load data
     /// through the `Database` facade (generators need its exclusive `&mut`
-    /// accessors), then convert for serving. The worker pool shared by all
-    /// sessions has the database's executor thread count.
+    /// accessors), then convert for serving. The runtime moves over as is:
+    /// plan cache, cached views and executor configuration included.
     pub fn from_database(db: Database) -> Server {
-        let parts = db.into_parts();
-        let pool_threads = parts.parallel.threads.max(1);
+        let (state, rt) = db.into();
         Server {
             shared: Arc::new(Shared {
-                state: RwLock::new(parts.state),
-                engine: parts.engine,
-                views: parts.views,
-                plan_cache: parts.plan_cache,
-                parallel: Mutex::new(parts.parallel),
-                pool: WorkerPool::new(pool_threads),
+                state: RwLock::new(state),
+                rt,
                 next_session: AtomicU64::new(1),
-                last_trace: Mutex::new(None),
             }),
         }
     }
@@ -205,7 +105,7 @@ impl Server {
 
     /// The span tree of the most recently traced query, from any session.
     pub fn last_trace(&self) -> Option<QueryTrace> {
-        self.shared.last_trace.lock().unwrap().clone()
+        self.shared.rt.last_trace()
     }
 
     /// Swaps the optimizer profile for every session. Takes the state
@@ -216,55 +116,37 @@ impl Server {
         self.shared.state.write().unwrap().set_profile(profile);
     }
 
-    /// Sets the executor configuration used by subsequent queries.
-    pub fn set_parallelism(&self, config: ParallelConfig) {
-        *self.shared.parallel.lock().unwrap() = config;
-        self.shared.views.set_parallelism(config);
-    }
-
-    /// The active executor configuration.
-    pub fn parallelism(&self) -> ParallelConfig {
-        self.shared.parallel()
-    }
-
     /// The shared plan cache (stats, capacity).
     pub fn plan_cache(&self) -> &PlanCache {
-        &self.shared.plan_cache
+        &self.shared.rt.plan_cache
     }
 
     /// Storage access (for data loaders and assertions).
     pub fn engine(&self) -> &StorageEngine {
-        &self.shared.engine
+        &self.shared.rt.engine
     }
 
     /// Creates a cached (materialized) view over a SELECT. The plan is
-    /// resolved through the shared query path (and plan cache), then
-    /// materialized without holding the state lock.
+    /// resolved through the shared query path (and plan cache) under the
+    /// state read lock, then materialized without holding it.
     pub fn create_cached_view(
         &self,
         name: &str,
         sql: &str,
         mode: CacheMode,
     ) -> Result<Arc<CachedView>> {
-        let (sel, shape, _) = parse_select(sql)?;
-        let resolved = self.shared.with_env(|env| env.select_plan(&sel, Some(&shape), &[]))?;
-        with_worker_pool(&self.shared.pool, || {
-            self.shared.views.register(name, resolved.plan, mode, &self.shared.engine)
-        })
+        self.shared.rt.create_cached_view(self.shared.state.read().unwrap(), name, sql, mode)
     }
 
     /// Looks up a cached view.
     pub fn cached_view(&self, name: &str) -> Option<Arc<CachedView>> {
-        self.shared.views.get(name)
+        self.shared.rt.views.get(name)
     }
 
-    /// Refreshes every static cached view on the shared worker pool. Runs
-    /// outside the state lock; concurrent readers of those views only
-    /// block for the `Arc` swap.
+    /// Refreshes every static cached view. Runs outside the state lock;
+    /// concurrent readers of those views only block for the `Arc` swap.
     pub fn refresh_cached_views(&self) -> Result<usize> {
-        with_worker_pool(&self.shared.pool, || {
-            self.shared.views.refresh_all_static(&self.shared.engine)
-        })
+        self.shared.rt.refresh_cached_views()
     }
 
     /// The process-wide metrics registry.
@@ -296,7 +178,8 @@ impl Session {
     /// given values.
     pub fn query_with_params(&self, sql: &str, params: &[Value]) -> Result<Batch> {
         let (sel, shape, _) = parse_select(sql)?;
-        self.shared.run(&sel, Some(&shape), params, RunMode::Rows, self.id)?.rows()
+        let state = self.shared.state.read().unwrap();
+        self.shared.rt.run(state, &sel, Some(&shape), params, RunMode::Rows, self.id)?.rows()
     }
 
     /// Runs `f` under a forced trace root named `name`: every statement
@@ -313,14 +196,14 @@ impl Session {
         let out = f(self);
         let trace = root.finish();
         if let Some(t) = &trace {
-            *self.shared.last_trace.lock().unwrap() = Some(t.clone());
+            self.shared.rt.keep_trace(t.clone());
         }
         (out, trace)
     }
 
     /// The span tree of the most recently traced query on this server.
     pub fn last_trace(&self) -> Option<QueryTrace> {
-        self.shared.last_trace.lock().unwrap().clone()
+        self.shared.rt.last_trace()
     }
 
     /// Executes any single statement. Reads — `SELECT` and every `EXPLAIN`
@@ -334,14 +217,14 @@ impl Session {
 
     /// Executes a `;`-separated script, one result per statement.
     pub fn execute_script(&self, sql: &str) -> Result<Vec<StatementResult>> {
+        let Shared { state, rt, .. } = &*self.shared;
         parse_script(sql)?
             .iter()
             .map(|(stmt, shape)| match RunMode::of(stmt, shape.as_deref())? {
-                Some((mode, sel, shape)) => self.shared.run(sel, shape, &[], mode, self.id),
-                None => {
-                    let mut state = self.shared.state.write().unwrap();
-                    apply_statement(&mut state, &self.shared.engine, stmt)
+                Some((mode, sel, shape)) => {
+                    rt.run(state.read().unwrap(), sel, shape, &[], mode, self.id)
                 }
+                None => apply_statement(&mut state.write().unwrap(), &rt.engine, stmt),
             })
             .collect()
     }
@@ -350,7 +233,8 @@ impl Session {
     /// came from the shared cache (`[plan cache: hit|miss]`).
     pub fn explain_analyze(&self, sql: &str) -> Result<String> {
         let (sel, shape, _) = parse_select(sql)?;
-        self.shared.run(&sel, Some(&shape), &[], RunMode::Analyze, self.id)?.explained()
+        let state = self.shared.state.read().unwrap();
+        self.shared.rt.run(state, &sel, Some(&shape), &[], RunMode::Analyze, self.id)?.explained()
     }
 
     /// Parses and binds a statement once for repeated execution. The
@@ -369,19 +253,7 @@ impl Session {
 
     /// Reads a cached view (SCV: last refresh; DCV: maintained first).
     pub fn read_cached(&self, name: &str) -> Result<Arc<Batch>> {
-        Ok(self.read_cached_with_outcome(name)?.0)
-    }
-
-    /// [`read_cached`](Session::read_cached), also reporting what DCV
-    /// maintenance did (`fresh`, `incremental(+N rows)`, `full refresh`).
-    /// Maintenance executes on the shared worker pool, like any query.
-    pub fn read_cached_with_outcome(&self, name: &str) -> Result<(Arc<Batch>, MaintainOutcome)> {
-        let view = self
-            .shared
-            .views
-            .get(name)
-            .ok_or_else(|| VdmError::Catalog(format!("unknown cached view {name:?}")))?;
-        with_worker_pool(&self.shared.pool, || view.read_with_outcome(&self.shared.engine))
+        self.shared.rt.read_cached(name)
     }
 }
 
@@ -396,10 +268,10 @@ impl Drop for Session {
 /// `vdm_prepared_statements_open` gauge.
 pub struct Prepared {
     shared: Arc<Shared>,
-    select: SelectStmt,
+    select: vdm_sql::SelectStmt,
     shape: String,
     param_count: usize,
-    /// Id of the creating session, for per-session counter attribution.
+    /// Id of the creating session, which its executions are attributed to.
     session: u64,
 }
 
@@ -432,7 +304,8 @@ impl Prepared {
                 params.len()
             )));
         }
-        self.shared.run(&self.select, Some(&self.shape), params, mode, self.session)
+        let state = self.shared.state.read().unwrap();
+        self.shared.rt.run(state, &self.select, Some(&self.shape), params, mode, self.session)
     }
 }
 

@@ -74,11 +74,15 @@ sweep serve_sweep BENCH_serve.json --sessions 64 --queries 6 --journal-rows 500 
 
 echo "== obs_sweep observability-overhead smoke gate (reduced load) =="
 # Per-query paired comparison of observed (tracing + query store on) vs
-# dark execution on the browser workload: the median overhead must stay
-# under 3% — the canary for observability-cost regressions. The binary
-# also asserts the store's JSONL save/reload round-trip.
+# dark execution on the browser workload: the median per-query delta
+# (`median_pair_delta_us`) must stay under 30 µs — the canary for
+# observability-cost regressions. The cost is fixed per query, so it is
+# bounded in µs, not as a share of a query that gets faster. Six runs of
+# this invocation before the bound was set, on the 2-vCPU reference host:
+# 4.8, 7.8, 13.0, 3.8, 7.5, 5.0 µs; the bound is over 2x the largest. The
+# binary also asserts the store's JSONL save/reload round-trip.
 sweep obs_sweep BENCH_obs.json --journal-rows 500 --queries 150 --rounds 5 \
-  --gate-overhead-pct 3
+  --gate-overhead-us 30
 
 echo "== join_sweep feedback-reoptimization smoke gate =="
 # Skewed 6-join ERP-shaped workload where static zone-map estimates
@@ -190,14 +194,31 @@ if [ "$EVALUATORS" != "2" ] || grep -rnE "CompiledPredicate|CompiledAtom|fn eval
   echo "kernels.rs must define exactly one predicate evaluator (FilterKernel::select over Pred::mask)"; exit 1
 fi
 
+echo "== one front door, one dispatch (two handles on one Runtime, waves broadcast on a pool) =="
+# Database and vdm-serve's Server hold one vdm_core::Runtime: Runtime::run
+# is the one place a read statement opens its trace root, neither handle
+# keeps a pool or a second read body, and the scheduler broadcasts every
+# dispatched wave on the installed pool or the process pool — it never
+# spawns threads.
+SCOPED="$(for f in crates/exec/src/*.rs; do
+  case "$f" in *_tests.rs) continue ;; esac
+  awk '/^#\[cfg\(test\)\]/ { exit } /std::thread::scope/ { print FILENAME ":" FNR ": " $0 }' "$f"
+done)"
+ROOTS="$(grep -rn "mode\.root()" crates/ | wc -l)"
+if [ -n "$SCOPED" ] || [ "$ROOTS" != "1" ] \
+    || grep -rnE "WorkerPool::new|with_worker_pool" crates/core/src crates/serve/src crates/cache/src \
+    || grep -rnE "DatabaseParts|fn with_env|fn run_sql" crates/; then
+  echo "$SCOPED"
+  echo "one read body (mode.root() once, found $ROOTS), no pool in core/serve/cache, no scoped threads"; exit 1
+fi
+
 echo "== non-test source size (scripts/loc.sh) =="
-# The size to beat is PR 19's 24 496 lines; PR 20 (schema-preserving
-# map_children, the O(changed) rewrite trace, per-pass timings, the address
-# hasher) may add at most 40.
+# The size to beat is 24 452 lines, set when Database and Server became two
+# handles on one Runtime; a change that lowers it rebases it here.
 LOC_TOTAL="$(scripts/loc.sh | awk '$1 == "total" { print $2 }')"
 echo "total $LOC_TOTAL"
-if [ "$LOC_TOTAL" -gt $((24496 + 40)) ]; then
-  echo "non-test source grew past 24 496 + 40 lines"; exit 1
+if [ "$LOC_TOTAL" -gt 24452 ]; then
+  echo "non-test source grew past 24 452 lines"; exit 1
 fi
 
 echo "== metrics are registered only through vdm-obs (no stray metric name literals) =="

@@ -162,13 +162,47 @@ fn precision_loss_sql_round_trip() {
     assert!(delta <= 0.005 * n_orders as f64, "delta {delta} exceeds rounding bound");
 }
 
+/// Drops the run-dependent tokens of a rendered plan: scan instance ids
+/// (a process-global counter) and the `[est=N]` annotations.
+fn skeleton(plan_text: &str) -> String {
+    plan_text
+        .trim_end()
+        .lines()
+        .map(|l| {
+            let l = l.split(" [est=").next().unwrap();
+            match l.split_once("(inst ") {
+                Some((head, tail)) => {
+                    format!("{head}(inst _{}", tail.trim_start_matches(char::is_numeric))
+                }
+                None => l.to_string(),
+            }
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// The skeleton of an EXPLAIN text's `== optimized plan` section.
+fn explained_plan(text: &str) -> String {
+    let section = text.split("== optimized plan").nth(1).expect("optimized section");
+    skeleton(section.split_once("==\n").unwrap().1.split("\n== optimizer trace").next().unwrap())
+}
+
+/// The plan digest a traced query ran: the `digest` attr of its
+/// `select_plan` span, or of the `reoptimize` span under it.
+fn ran_digest(trace: Option<vdm_obs::QueryTrace>) -> u64 {
+    let trace = trace.expect("a traced query");
+    let digest = trace.spans.iter().rev().find_map(|s| s.attr("digest")).expect("digest attr");
+    u64::from_str_radix(digest, 16).unwrap()
+}
+
 /// One plan per statement: every door that hands out or runs "the
 /// optimized plan" of a SQL text resolves it through the same pipeline —
 /// with storage statistics — so a ≥3-join query whose cost-based join order
 /// differs from the rule-only one gets the *same* plan from
 /// `Database::query` (digest read off its `select_plan` trace span),
 /// `Database::optimized_plan`, the optimized section of `Database::explain`,
-/// and both `create_cached_view`s.
+/// both `create_cached_view`s, `Session::query`, `Prepared::execute` and a
+/// session's SQL `EXPLAIN`.
 #[test]
 fn every_door_resolves_the_same_plan() {
     use vdm_core::CacheMode;
@@ -179,32 +213,13 @@ fn every_door_resolves_the_same_plan() {
                        join customer c on o.o_custkey = c.c_custkey \
                        join nation n on c.c_nationkey = n.n_nationkey \
                        where c.c_custkey <= 5 group by n_name";
-    /// Drops the run-dependent tokens of a rendered plan: scan instance ids
-    /// (a process-global counter) and the `[est=N]` annotations.
-    fn skeleton(plan_text: &str) -> String {
-        plan_text
-            .lines()
-            .map(|l| {
-                let l = l.split(" [est=").next().unwrap();
-                match l.split_once("(inst ") {
-                    Some((head, tail)) => {
-                        format!("{head}(inst _{}", tail.trim_start_matches(char::is_numeric))
-                    }
-                    None => l.to_string(),
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
 
     let db = tpch_db(Profile::hana());
     let rule_only = db.optimizer().optimize(&db.plan(SQL).unwrap()).unwrap();
 
     // What `query` runs.
     db.explain_trace(SQL).unwrap();
-    let trace = db.last_trace().expect("EXPLAIN TRACE stores the trace");
-    let span = trace.spans.iter().find(|s| s.name == "select_plan").expect("select_plan span");
-    let queried = u64::from_str_radix(span.attr("digest").expect("digest attr"), 16).unwrap();
+    let queried = ran_digest(db.last_trace());
     assert_ne!(
         queried,
         plan_digest_canonical(&rule_only),
@@ -213,16 +228,8 @@ fn every_door_resolves_the_same_plan() {
 
     let optimized = db.optimized_plan(SQL).unwrap();
     assert_eq!(plan_digest_canonical(&optimized), queried, "optimized_plan");
-
-    let text = db.explain(SQL).unwrap();
-    let section = text.split("== optimized plan").nth(1).expect("optimized section");
-    let section =
-        section.split_once("==\n").unwrap().1.split("\n== optimizer trace").next().unwrap();
-    assert_eq!(
-        skeleton(section.trim_end()),
-        skeleton(vdm_plan::explain(&optimized).trim_end()),
-        "explain"
-    );
+    let rendered = skeleton(&vdm_plan::explain(&optimized));
+    assert_eq!(explained_plan(&db.explain(SQL).unwrap()), rendered, "explain");
 
     let view = db.create_cached_view("by_nation", SQL, CacheMode::Static).unwrap();
     assert_eq!(plan_digest_canonical(view.plan()), queried, "Database::create_cached_view");
@@ -230,4 +237,89 @@ fn every_door_resolves_the_same_plan() {
     let server = vdm_serve::Server::from_database(db);
     let view = server.create_cached_view("by_nation_served", SQL, CacheMode::Static).unwrap();
     assert_eq!(plan_digest_canonical(view.plan()), queried, "Server::create_cached_view");
+
+    let session = server.session();
+    let (_, trace) = session.with_trace("door", |s| s.query(SQL).unwrap());
+    assert_eq!(ran_digest(trace), queried, "Session::query");
+    let prepared = session.prepare(SQL).unwrap();
+    let (_, trace) = session.with_trace("door", |_| prepared.execute(&[]).unwrap());
+    assert_eq!(ran_digest(trace), queried, "Prepared::execute");
+    let text = session.execute(&format!("explain {SQL}")).unwrap().explained().unwrap();
+    assert_eq!(explained_plan(&text), rendered, "SQL EXPLAIN");
+}
+
+/// The skewed ERP join of `join_sweep`'s CI gate, small: order lines →
+/// header → customer plus one attribute dim `d3`. Zone-map interpolation
+/// prices `d3.val <= 10` at a sliver of `d3` when it keeps 90% of it, so
+/// the cold plan joins `d3` too early; observed cardinalities fix that.
+fn skewed_erp_db() -> (Database, &'static str) {
+    use vdm_types::SplitMix64;
+    let mut db = Database::hana();
+    let mut rng = SplitMix64::seed_from_u64(0x10A3);
+    let (dim_rows, hdr_rows, fact_rows) = (1_000i64, 2_000i64, 20_000i64);
+    db.execute_script(
+        "create table cust (id bigint primary key, val bigint not null);
+         create table d3 (id bigint primary key, val bigint not null);
+         create table hdr (id bigint primary key, cust_id bigint not null,
+                           foreign key (cust_id) references cust (id));
+         create table fact (f_id bigint primary key, amount bigint not null,
+                            hdr_id bigint not null, fk3 bigint not null,
+                            foreign key (hdr_id) references hdr (id),
+                            foreign key (fk3) references d3 (id));",
+    )
+    .unwrap();
+    let load = |table: &str, rows: Vec<Vec<i64>>| {
+        let rows = rows.into_iter().map(|r| r.into_iter().map(Value::Int).collect()).collect();
+        db.engine().insert(table, rows).unwrap();
+        db.engine().merge_delta(table).unwrap();
+    };
+    load("cust", (0..dim_rows).map(|i| vec![i, rng.random_range(0..100_000)]).collect());
+    // 90% of d3.val inside the predicate's range, the rest far outside it.
+    let skewed = |i, rng: &mut SplitMix64| match i < dim_rows * 9 / 10 {
+        true => rng.random_range(0..=10),
+        false => rng.random_range(10_000..100_000),
+    };
+    load("d3", (0..dim_rows).map(|i| vec![i, skewed(i, &mut rng)]).collect());
+    load("hdr", (0..hdr_rows).map(|i| vec![i, rng.random_range(0..dim_rows)]).collect());
+    let fact_row = |i, rng: &mut SplitMix64| {
+        let amount = rng.random_range(0..1_000_000);
+        vec![i, amount, rng.random_range(0..hdr_rows), rng.random_range(0..dim_rows)]
+    };
+    load("fact", (0..fact_rows).map(|i| fact_row(i, &mut rng)).collect());
+    let sql = "select f.f_id, f.amount, d3.val as v3 from fact f \
+               join hdr on f.hdr_id = hdr.id join cust on hdr.cust_id = cust.id \
+               join d3 on f.fk3 = d3.id where d3.val <= 10 and cust.val < 1000";
+    (db, sql)
+}
+
+/// The live feedback loop, end to end, and EXPLAIN on top of it: the
+/// second query re-optimizes from the first one's observed cardinalities
+/// and moves the plan digest; EXPLAIN then shows the plan the next query
+/// runs — the re-optimized one, not a cold optimize.
+#[test]
+fn explain_shows_the_reoptimized_plan_the_next_query_runs() {
+    use vdm_obs::{names, MetricsRegistry};
+    use vdm_plan::plan_digest_canonical;
+
+    let (db, sql) = skewed_erp_db();
+    let reoptimizations = || MetricsRegistry::global().counter(names::REOPTIMIZATIONS_TOTAL);
+    let first = db.query(sql).unwrap();
+    let cold = ran_digest(db.last_trace());
+
+    let before = reoptimizations();
+    let second = db.query(sql).unwrap();
+    let trace = db.last_trace().expect("a traced query");
+    assert_eq!(trace.spans.iter().filter(|s| s.name == "reoptimize").count(), 1, "{trace:?}");
+    assert!(reoptimizations() > before);
+    let corrected = ran_digest(Some(trace));
+    assert_ne!(corrected, cold, "the re-optimization must move the plan");
+    assert_eq!(first.num_rows(), second.num_rows());
+
+    let explained = explained_plan(&db.explain(sql).unwrap());
+    db.query(sql).unwrap();
+    let third = ran_digest(db.last_trace());
+    assert_eq!(third, corrected, "the loop settles on the corrected plan");
+    let plan = db.optimized_plan(sql).unwrap();
+    assert_eq!(plan_digest_canonical(&plan), third);
+    assert_eq!(explained, skeleton(&vdm_plan::explain(&plan)), "EXPLAIN shows what runs");
 }

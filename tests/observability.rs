@@ -545,7 +545,6 @@ fn metric_catalog_covers_every_registered_metric() {
         names::INFLIGHT_QUERIES,
         names::QUEUE_WAIT_SECONDS,
         names::PREPARED_STATEMENTS_OPEN,
-        names::SESSION_QUERIES_TOTAL,
         names::PLAN_CACHE_HITS_TOTAL,
         names::VIEW_REFRESH_TOTAL,
     ] {
@@ -554,6 +553,24 @@ fn metric_catalog_covers_every_registered_metric() {
             "expected {must} to be registered by the workload"
         );
     }
+}
+
+/// Sessions leave no per-session state in the registry: a thousand
+/// sessions running one query each register nothing the first did not
+/// (the root span's `session` attr is what attributes a query).
+#[test]
+fn sessions_register_no_per_session_metrics() {
+    let _serial = serial();
+    let server = vdm_serve::Server::from_database(db());
+    let reg = vdm_obs::MetricsRegistry::global();
+    let names_after = |sessions: usize| {
+        for _ in 0..sessions {
+            server.session().query(FIG5_UAJ).unwrap();
+        }
+        reg.metric_names().len()
+    };
+    let first = names_after(1);
+    assert_eq!(names_after(999), first, "{:?}", reg.metric_names());
 }
 
 #[test]

@@ -232,7 +232,7 @@ fn concurrent_dcv_reads_see_consistent_snapshots() {
                 scope.spawn(move || {
                     let mut reads = 0usize;
                     while !done.load(Ordering::Relaxed) || reads == 0 {
-                        let (batch, _) = session.read_cached_with_outcome("live").expect("read");
+                        let batch = session.read_cached("live").expect("read");
                         let mut keys: Vec<i64> = Vec::with_capacity(batch.num_rows());
                         for i in 0..batch.num_rows() {
                             let row = batch.row(i);
@@ -278,7 +278,7 @@ fn concurrent_dcv_reads_see_consistent_snapshots() {
     });
 
     // Final state: exactly keys 300..600, reached without a full refresh.
-    let (batch, _) = server.session().read_cached_with_outcome("live").unwrap();
+    let batch = server.session().read_cached("live").unwrap();
     assert_eq!(batch.num_rows(), 300);
     let stats = server.cached_view("live").unwrap().stats();
     assert!(stats.incremental_refreshes > 0, "{stats:?}");
@@ -319,4 +319,37 @@ fn prepared_parameter_handling() {
     // Preparing non-SELECT statements is rejected.
     assert!(session.prepare("create table u (k bigint primary key)").is_err());
     assert!(session.query("drop table t").is_err());
+}
+
+/// `Database` and `Server` are two handles on one runtime: a query whose
+/// waves reach the dispatch floor is broadcast on the same pool from
+/// either handle, and reports the same workers.
+#[test]
+fn a_dispatched_query_reports_the_same_workers_from_either_handle() {
+    let mut db = Database::new(Profile::hana());
+    db.set_parallelism(ParallelConfig { threads: 2, morsel_rows: 8 });
+    db.execute("create table t (k bigint primary key, g bigint not null)").unwrap();
+    // 50 morsels of 8 rows: past the 16-morsel dispatch floor.
+    let rows = (0..400).map(|k| vec![Value::Int(k), Value::Int(k % 7)]).collect();
+    db.engine().insert("t", rows).unwrap();
+    let sql = "select g, count(*) as n from t group by g";
+    let workers = |trace: Option<vdm_obs::QueryTrace>| {
+        let trace = trace.expect("a traced query");
+        let execute = trace.spans.iter().find(|s| s.name == "execute").expect("execute span");
+        execute.attr("workers").expect("workers attr").to_string()
+    };
+    let dispatched = |text: String| -> u64 {
+        text.split("dispatched: ").nth(1).expect("summary").trim().parse().expect("a count")
+    };
+
+    assert_eq!(db.query(sql).unwrap().num_rows(), 7);
+    let from_database = workers(db.last_trace());
+    assert!(dispatched(db.explain_analyze(sql).unwrap()) > 0, "the Database query dispatched");
+
+    let server = Server::from_database(db);
+    let session = server.session();
+    let (rows, trace) = session.with_trace("query", |s| s.query(sql).unwrap());
+    assert_eq!(rows.num_rows(), 7);
+    assert_eq!(workers(trace), from_database);
+    assert!(dispatched(session.explain_analyze(sql).unwrap()) > 0, "the Session query dispatched");
 }
