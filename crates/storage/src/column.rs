@@ -2,6 +2,7 @@
 //! and the executor.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use vdm_types::{Decimal, Result, Schema, SqlType, Value, VdmError};
 
@@ -84,16 +85,19 @@ impl ColumnData {
         }
     }
 
-    /// A zero-row payload of the same type (string columns get an empty
-    /// dictionary rather than a clone of this one's).
-    fn empty_like(&self) -> ColumnData {
+    /// A zero-row payload of the same type with room for `rows` rows
+    /// (string columns get an empty dictionary rather than a clone of this
+    /// one's).
+    fn empty_like(&self, rows: usize) -> ColumnData {
         match self {
-            ColumnData::Int(_) => ColumnData::Int(Vec::new()),
-            ColumnData::Dec { scale, .. } => ColumnData::Dec { units: Vec::new(), scale: *scale },
-            ColumnData::Bool(_) => ColumnData::Bool(Vec::new()),
-            ColumnData::Date(_) => ColumnData::Date(Vec::new()),
+            ColumnData::Int(_) => ColumnData::Int(Vec::with_capacity(rows)),
+            ColumnData::Dec { scale, .. } => {
+                ColumnData::Dec { units: Vec::with_capacity(rows), scale: *scale }
+            }
+            ColumnData::Bool(_) => ColumnData::Bool(Vec::with_capacity(rows)),
+            ColumnData::Date(_) => ColumnData::Date(Vec::with_capacity(rows)),
             ColumnData::Str(_) => {
-                ColumnData::Str(StrColumn { dict: Vec::new(), codes: Vec::new() })
+                ColumnData::Str(StrColumn { dict: Vec::new(), codes: Vec::with_capacity(rows) })
             }
         }
     }
@@ -206,111 +210,117 @@ impl Column {
 
     /// Value at row `i`.
     pub fn get(&self, i: usize) -> Value {
-        if self.is_null(i) {
-            return Value::Null;
+        let mut value = Value::Null;
+        self.values_into(i..i + 1, std::iter::once(&mut value));
+        value
+    }
+
+    /// The values of rows `rows`, written into `out` one slot per row,
+    /// dispatching on the payload type once — the one cell decoder. A NULL
+    /// slot is written as NULL before its payload is read (an all-NULL
+    /// string column has an empty dictionary).
+    pub(crate) fn values_into<'a>(
+        &self,
+        rows: Range<usize>,
+        out: impl Iterator<Item = &'a mut Value>,
+    ) {
+        fn fill<'a>(
+            out: impl Iterator<Item = &'a mut Value>,
+            rows: Range<usize>,
+            valid: Option<&[bool]>,
+            cell: impl Fn(usize) -> Value,
+        ) {
+            for (slot, i) in out.zip(rows) {
+                *slot = if valid.is_some_and(|v| !v[i]) { Value::Null } else { cell(i) };
+            }
         }
+        let valid = self.validity.as_deref();
         match &self.data {
-            ColumnData::Int(v) => Value::Int(v[i]),
-            ColumnData::Dec { units, scale } => Value::Dec(Decimal::from_units(units[i], *scale)),
-            ColumnData::Bool(v) => Value::Bool(v[i]),
-            ColumnData::Date(v) => Value::Date(v[i]),
-            ColumnData::Str(s) => Value::Str(s.get(i)),
+            ColumnData::Int(v) => fill(out, rows, valid, |i| Value::Int(v[i])),
+            ColumnData::Dec { units, scale } => {
+                fill(out, rows, valid, |i| Value::Dec(Decimal::from_units(units[i], *scale)))
+            }
+            ColumnData::Bool(v) => fill(out, rows, valid, |i| Value::Bool(v[i])),
+            ColumnData::Date(v) => fill(out, rows, valid, |i| Value::Date(v[i])),
+            ColumnData::Str(s) => fill(out, rows, valid, |i| Value::Str(s.get(i))),
         }
     }
 
-    /// Concatenates columns of one type without a row-wise detour:
-    /// fixed-width payloads append directly, string dictionaries merge
-    /// with code remapping. Requires at least one part.
+    /// Concatenates columns of one type without a row-wise detour: an empty
+    /// column of the first part's type sized for all of them, then `append`
+    /// of every part under one shared dictionary index. Requires at least
+    /// one part.
     pub fn concat(parts: &[&Column]) -> Result<Column> {
         let Some(first) = parts.first() else {
             return Err(VdmError::Exec("Column::concat needs at least one part".into()));
         };
         let total: usize = parts.iter().map(|c| c.len()).sum();
-        let mut any_null = false;
-        let mut validity: Vec<bool> = Vec::with_capacity(total);
+        let any_null =
+            parts.iter().any(|p| p.validity.as_ref().is_some_and(|v| v.contains(&false)));
+        let mut out = Column {
+            data: first.data.empty_like(total),
+            validity: any_null.then(|| Vec::with_capacity(total)),
+        };
+        let mut code_of = HashMap::new();
         for p in parts {
-            match &p.validity {
-                Some(v) => {
-                    any_null |= v.iter().any(|b| !b);
-                    validity.extend_from_slice(v);
+            out.append_with(p, &mut code_of)?;
+        }
+        Ok(out)
+    }
+
+    /// Appends `other`'s rows (same type) in place: fixed-width payloads
+    /// extend, string codes are remapped into this column's dictionary
+    /// (entries new to it join in first-seen order). The result is the
+    /// column [`Column::from_values`] builds from both parts' values.
+    pub(crate) fn append(&mut self, other: &Column) -> Result<()> {
+        let mut code_of = match &self.data {
+            ColumnData::Str(s) => s.dict.iter().cloned().zip(0..).collect(),
+            _ => HashMap::new(),
+        };
+        self.append_with(other, &mut code_of)
+    }
+
+    /// [`Column::append`] with this column's dictionary index passed in, so
+    /// a run of appends hashes each dictionary entry once.
+    fn append_with(&mut self, other: &Column, code_of: &mut HashMap<Arc<str>, u32>) -> Result<()> {
+        let (len, valid) = (self.len(), other.validity.as_deref());
+        match (&mut self.data, &other.data) {
+            (ColumnData::Int(v), ColumnData::Int(w)) => v.extend_from_slice(w),
+            (ColumnData::Dec { units, scale }, ColumnData::Dec { units: w, scale: s })
+                if scale == s =>
+            {
+                units.extend_from_slice(w)
+            }
+            (ColumnData::Bool(v), ColumnData::Bool(w)) => v.extend_from_slice(w),
+            (ColumnData::Date(v), ColumnData::Date(w)) => v.extend_from_slice(w),
+            (ColumnData::Str(s), ColumnData::Str(w)) => {
+                let remap: Vec<u32> = w
+                    .dict
+                    .iter()
+                    .map(|d| {
+                        *code_of.entry(Arc::clone(d)).or_insert_with(|| {
+                            s.dict.push(Arc::clone(d));
+                            (s.dict.len() - 1) as u32
+                        })
+                    })
+                    .collect();
+                let codes = w.codes.iter().map(|&c| remap.get(c as usize).copied().unwrap_or(0));
+                match valid {
+                    // A NULL slot keeps code 0 (its part's dictionary may be empty).
+                    Some(v) => s.codes.extend(codes.zip(v).map(|(c, &ok)| c * u32::from(ok))),
+                    None => s.codes.extend(codes),
                 }
-                None => validity.extend(std::iter::repeat_n(true, p.len())),
+            }
+            _ => return Err(VdmError::Exec("appended columns disagree in type".into())),
+        }
+        if self.validity.is_some() || valid.is_some_and(|v| v.contains(&false)) {
+            let mine = self.validity.get_or_insert_with(|| vec![true; len]);
+            match valid {
+                Some(theirs) => mine.extend_from_slice(theirs),
+                None => mine.extend(std::iter::repeat_n(true, other.len())),
             }
         }
-        let mismatch = || VdmError::Exec("Column::concat parts disagree in type".into());
-        let data = match &first.data {
-            ColumnData::Int(_) => {
-                let mut out = Vec::with_capacity(total);
-                for p in parts {
-                    match &p.data {
-                        ColumnData::Int(v) => out.extend_from_slice(v),
-                        _ => return Err(mismatch()),
-                    }
-                }
-                ColumnData::Int(out)
-            }
-            ColumnData::Dec { scale, .. } => {
-                let scale = *scale;
-                let mut out = Vec::with_capacity(total);
-                for p in parts {
-                    match &p.data {
-                        ColumnData::Dec { units, scale: s } if *s == scale => {
-                            out.extend_from_slice(units);
-                        }
-                        _ => return Err(mismatch()),
-                    }
-                }
-                ColumnData::Dec { units: out, scale }
-            }
-            ColumnData::Bool(_) => {
-                let mut out = Vec::with_capacity(total);
-                for p in parts {
-                    match &p.data {
-                        ColumnData::Bool(v) => out.extend_from_slice(v),
-                        _ => return Err(mismatch()),
-                    }
-                }
-                ColumnData::Bool(out)
-            }
-            ColumnData::Date(_) => {
-                let mut out = Vec::with_capacity(total);
-                for p in parts {
-                    match &p.data {
-                        ColumnData::Date(v) => out.extend_from_slice(v),
-                        _ => return Err(mismatch()),
-                    }
-                }
-                ColumnData::Date(out)
-            }
-            ColumnData::Str(_) => {
-                let mut dict: Vec<Arc<str>> = Vec::new();
-                let mut code_of: HashMap<Arc<str>, u32> = HashMap::new();
-                let mut codes: Vec<u32> = Vec::with_capacity(total);
-                for p in parts {
-                    let s = match &p.data {
-                        ColumnData::Str(s) => s,
-                        _ => return Err(mismatch()),
-                    };
-                    let remap: Vec<u32> = s
-                        .dict
-                        .iter()
-                        .map(|d| {
-                            *code_of.entry(Arc::clone(d)).or_insert_with(|| {
-                                dict.push(Arc::clone(d));
-                                (dict.len() - 1) as u32
-                            })
-                        })
-                        .collect();
-                    // NULL slots carry code 0 even over an empty dictionary;
-                    // validity masks whatever the remap lands them on.
-                    codes.extend(
-                        s.codes.iter().map(|&c| remap.get(c as usize).copied().unwrap_or(0)),
-                    );
-                }
-                ColumnData::Str(StrColumn { dict, codes })
-            }
-        };
-        Ok(Column { data, validity: if any_null { Some(validity) } else { None } })
+        Ok(())
     }
 
     /// The column's storage type.
@@ -331,7 +341,7 @@ impl Column {
         // All-false selection vectors are common under selective filters:
         // return a truly empty column instead of cloning the dictionary.
         if indices.is_empty() {
-            return Column { data: self.data.empty_like(), validity: None };
+            return Column { data: self.data.empty_like(0), validity: None };
         }
         let data = match &self.data {
             ColumnData::Int(v) => ColumnData::Int(indices.iter().map(|&i| v[i]).collect()),
@@ -389,7 +399,7 @@ impl Column {
     /// outer-join no-match case).
     pub fn gather_opt(&self, indices: &[Option<usize>]) -> Column {
         if indices.is_empty() {
-            return Column { data: self.data.empty_like(), validity: None };
+            return Column { data: self.data.empty_like(0), validity: None };
         }
         let mut any_null = false;
         let validity: Vec<bool> = indices

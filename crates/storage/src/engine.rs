@@ -88,7 +88,8 @@ impl StorageEngine {
         Ok(n)
     }
 
-    /// Updates rows matching `pred` by applying `f` (delete + insert).
+    /// Updates rows matching `pred` by applying `f`: one delete pass, then
+    /// the deleted rows, rewritten, are inserted at the same timestamp.
     pub fn update_where(
         &self,
         name: &str,
@@ -98,23 +99,7 @@ impl StorageEngine {
         let table = self.table(name)?;
         let mut store = table.write().unwrap();
         let ts = self.next_ts();
-        let snapshot_rows = store.scan(ts - 1)?;
-        let mut updated = Vec::new();
-        for i in 0..snapshot_rows.num_rows() {
-            let row = snapshot_rows.row(i);
-            if pred(&row) {
-                let mut new_row = row;
-                f(&mut new_row);
-                updated.push(new_row);
-            }
-        }
-        if updated.is_empty() {
-            return Ok(0);
-        }
-        store.delete_where(pred, ts);
-        let n = updated.len();
-        store.insert(updated, ts)?;
-        Ok(n)
+        store.update_where(pred, f, ts)
     }
 
     /// Scans a table at `snapshot`.
@@ -294,6 +279,54 @@ mod tests {
         let mut rows = b.to_rows();
         rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
         assert_eq!(rows[1], row(2, 99));
+    }
+
+    #[test]
+    fn update_where_keeps_a_merged_rows_key() {
+        let e = engine_with_table();
+        e.insert("t", vec![row(1, 10), row(2, 20), row(3, 30)]).unwrap();
+        e.merge_delta("t").unwrap();
+        let before = e.snapshot();
+        let n =
+            e.update_where("t", &|r| r[0] == Value::Int(2), &|r| r[1] = Value::Int(21)).unwrap();
+        assert_eq!(n, 1);
+        assert_eq!(e.fragment_sizes("t").unwrap(), (3, 1), "the new version lands in the delta");
+        let mut rows = e.scan("t", e.snapshot()).unwrap().to_rows();
+        rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
+        assert_eq!(rows, vec![row(1, 10), row(2, 21), row(3, 30)]);
+        let now = e.snapshot();
+        assert_eq!(e.deleted_between("t", before, now, None).unwrap().to_rows(), vec![row(2, 20)]);
+        assert_eq!(e.inserted_between("t", before, now, None).unwrap().to_rows(), vec![row(2, 21)]);
+        assert!(e.insert("t", vec![row(2, 0)]).is_err(), "the new version holds the key");
+        assert_eq!(e.update_where("t", &|r| r[0] == Value::Int(9), &|_| {}).unwrap(), 0);
+    }
+
+    /// An INT inserted into a DECIMAL column is stored as a decimal; the
+    /// update closure sees it that way in main and in the delta alike.
+    #[test]
+    fn update_where_sees_delta_rows_coerced_like_main_rows() {
+        use vdm_types::Decimal;
+        let e = StorageEngine::new();
+        let def = TableBuilder::new("t")
+            .column("k", SqlType::Int, false)
+            .column("amt", SqlType::Decimal { scale: 2 }, false)
+            .primary_key(&["k"])
+            .build()
+            .unwrap();
+        e.create_table(Arc::new(def)).unwrap();
+        let dec = |units: i128| Value::Dec(Decimal::from_units(units, 2));
+        e.insert("t", vec![vec![Value::Int(1), Value::Int(5)]]).unwrap();
+        e.merge_delta("t").unwrap();
+        e.insert("t", vec![vec![Value::Int(2), Value::Int(7)]]).unwrap();
+        let double = |r: &mut Vec<Value>| {
+            if let Value::Dec(d) = &r[1] {
+                r[1] = Value::Dec(Decimal::from_units(2 * d.units(), 2));
+            }
+        };
+        assert_eq!(e.update_where("t", &|_| true, &double).unwrap(), 2);
+        let mut rows = e.scan("t", e.snapshot()).unwrap().to_rows();
+        rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
+        assert_eq!(rows, vec![vec![Value::Int(1), dec(1000)], vec![Value::Int(2), dec(1400)]]);
     }
 
     #[test]

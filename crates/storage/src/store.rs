@@ -10,6 +10,9 @@ use std::sync::Mutex;
 use vdm_catalog::TableDef;
 use vdm_types::{Result, Schema, Value, VdmError};
 
+/// Main rows [`TableStore::delete_where`] reads into its buffer at a time.
+const DELETE_CHUNK_ROWS: usize = 256;
+
 /// Visibility stamps of one row version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RowMeta {
@@ -74,7 +77,8 @@ pub struct TableStore {
     last_write_ts: u64,
     /// Timestamp of the most recent delete.
     last_delete_ts: u64,
-    /// Per-block min/max over the main fragment, rebuilt at delta merge —
+    /// Per-block min/max over the main fragment, extended from the first
+    /// changed block at delta merge (rebuilt only when a merge compacts) —
     /// the scan-pruning analogue of S/4HANA's partition pruning (§2.2).
     zone_maps: ZoneMaps,
     /// Blocks skipped by zone-map pruning (diagnostics).
@@ -265,45 +269,64 @@ impl TableStore {
     }
 
     /// Marks rows matching `pred` (still live just before `ts`) as deleted:
-    /// they become invisible to snapshots at `ts` and later. Returns the
-    /// number of rows deleted.
+    /// they become invisible to snapshots at `ts` and later and are logged as
+    /// tombstones, main rows first. Returns the number of rows deleted. Main
+    /// is read into one reused row-major buffer a chunk of rows at a time
+    /// (one payload dispatch per column per chunk); only matches are copied.
     pub fn delete_where(&mut self, pred: &dyn Fn(&[Value]) -> bool, ts: u64) -> usize {
-        let mut deleted = 0;
+        let live = |m: &RowMeta| m.visible_at(ts.saturating_sub(1));
         let uniques = self.def.unique_sets();
-        // Main fragment.
-        for i in 0..self.main_meta.len() {
-            if self.main_meta[i].visible_at(ts.saturating_sub(1)) {
-                let row: Vec<Value> = self.main.iter().map(|c| c.get(i)).collect();
-                if pred(&row) {
-                    self.main_meta[i].delete_ts = ts;
-                    remove_keys(&mut self.key_index, &uniques, &row);
-                    self.tombstones.push(Tombstone {
-                        insert_ts: self.main_meta[i].insert_ts,
-                        delete_ts: ts,
-                        row,
-                    });
-                    deleted += 1;
+        let (keys, log) = (&mut self.key_index, &mut self.tombstones);
+        let logged = log.len();
+        let mut kill = |meta: &mut RowMeta, row: &[Value]| {
+            meta.delete_ts = ts;
+            remove_keys(keys, &uniques, row);
+            log.push(Tombstone { insert_ts: meta.insert_ts, delete_ts: ts, row: row.to_vec() });
+        };
+        let width = self.schema.len();
+        let mut buf = vec![Value::Null; DELETE_CHUNK_ROWS * width];
+        for start in (0..self.main_meta.len()).step_by(DELETE_CHUNK_ROWS) {
+            let rows = start..(start + DELETE_CHUNK_ROWS).min(self.main_meta.len());
+            for (c, col) in self.main.iter().enumerate() {
+                col.values_into(rows.clone(), buf[c..].iter_mut().step_by(width));
+            }
+            for (row, meta) in buf.chunks_exact(width).zip(&mut self.main_meta[rows]) {
+                if live(meta) && pred(row) {
+                    kill(meta, row);
                 }
             }
         }
-        // Delta fragment.
-        for i in 0..self.delta.len() {
-            if self.delta_meta[i].visible_at(ts.saturating_sub(1)) && pred(&self.delta[i]) {
-                self.delta_meta[i].delete_ts = ts;
-                remove_keys(&mut self.key_index, &uniques, &self.delta[i]);
-                self.tombstones.push(Tombstone {
-                    insert_ts: self.delta_meta[i].insert_ts,
-                    delete_ts: ts,
-                    row: self.delta[i].clone(),
-                });
-                deleted += 1;
+        for (row, meta) in self.delta.iter().zip(&mut self.delta_meta) {
+            if live(meta) && pred(row) {
+                kill(meta, row);
             }
         }
+        let deleted = self.tombstones.len() - logged;
         if deleted > 0 {
             self.last_write_ts = self.last_write_ts.max(ts);
             self.last_delete_ts = self.last_delete_ts.max(ts);
         }
         deleted
+    }
+
+    /// Rewrites the rows matching `pred` with `f` at `ts`: one
+    /// [`TableStore::delete_where`] pass, then the rows it just logged as
+    /// tombstones (main then delta) are rewritten and inserted at the same
+    /// `ts`. `f` sees every row as a scan returns it: a delta row, logged as
+    /// inserted, is first coerced to the column types (an INT into a DECIMAL
+    /// column arrives as a decimal). Returns the number of rows updated.
+    pub(crate) fn update_where(
+        &mut self,
+        pred: &dyn Fn(&[Value]) -> bool,
+        f: &dyn Fn(&mut Vec<Value>),
+        ts: u64,
+    ) -> Result<usize> {
+        let n = self.delete_where(pred, ts);
+        let doomed = &self.tombstones[self.tombstones.len() - n..];
+        let logged: Vec<Vec<Value>> = doomed.iter().map(|t| t.row.clone()).collect();
+        let mut rows = Batch::from_rows(Arc::clone(&self.schema), &logged)?.to_rows();
+        rows.iter_mut().for_each(f);
+        self.insert(rows, ts)
     }
 
     /// Materializes all rows visible at `ts` as a columnar batch — the
@@ -450,14 +473,27 @@ impl TableStore {
     /// Folds the delta into the main fragment, dropping rows already
     /// deleted before every possible reader (compaction at `ts`: row
     /// versions with `delete_ts <= ts` vanish; others keep their stamps).
+    /// Without a reclaimable main row only the delta's survivors are read,
+    /// appended to main in place and the zone maps extended; otherwise both
+    /// fragments' survivors become main and the maps are rebuilt. Either way
+    /// main is what [`Column::from_values`] builds from the survivors.
     pub fn merge_delta(&mut self, ts: u64) -> Result<()> {
         let survives = |m: &RowMeta| m.delete_ts > ts;
-        let (main, delta) = (0..self.main_meta.len(), 0..self.delta.len());
+        let main_len = self.main_meta.len();
+        // The first main row the merge rewrites: main's end when it appends.
+        let first_changed = if self.main_meta.iter().all(survives) { main_len } else { 0 };
+        let (main, delta) = (first_changed..main_len, 0..self.delta.len());
         let (merged, _) = self.read(survives, main, delta, ScanFilter::default(), None)?;
-        self.main_meta =
-            self.main_meta.iter().chain(&self.delta_meta).copied().filter(survives).collect();
-        self.zone_maps = ZoneMaps::build(&merged.columns);
-        self.main = merged.columns;
+        if first_changed == 0 {
+            self.main = merged.columns;
+        } else {
+            for (col, tail) in self.main.iter_mut().zip(&merged.columns) {
+                col.append(tail)?;
+            }
+        }
+        self.main_meta.retain(survives);
+        self.main_meta.extend(self.delta_meta.iter().copied().filter(survives));
+        self.zone_maps.extend(&self.main, first_changed);
         self.delta.clear();
         self.delta_meta.clear();
         self.merges += 1;
@@ -640,6 +676,26 @@ mod tests {
         s.scan(1).unwrap();
         let stats = s.page_stats();
         assert_eq!(stats.loads + stats.hits, 5 * (ZONE_BLOCK_ROWS / page_rows) as u64);
+    }
+
+    /// A merge is charged for the main rows it reads: none when it appends
+    /// the delta, all of main when it compacts.
+    #[test]
+    fn merges_charge_pages_of_the_main_rows_they_read() {
+        let mut s = TableStore::new(Arc::new(
+            TableBuilder::new("t").column("k", SqlType::Int, false).build().unwrap(),
+        ));
+        s.insert((0..1_000).map(|i| vec![Value::Int(i)]).collect(), 1).unwrap();
+        s.merge_delta(1).unwrap();
+        s.set_load_mode(LoadMode::PageLoadable { page_rows: 100 }, 64);
+        s.insert((1_000..1_050).map(|i| vec![Value::Int(i)]).collect(), 2).unwrap();
+        s.merge_delta(2).unwrap();
+        assert_eq!(s.page_stats(), PageStats::default(), "an appending merge reads no main row");
+        s.delete_where(&|r| r[0] == Value::Int(3), 3);
+        s.merge_delta(3).unwrap();
+        assert_eq!(s.main_len(), 1_049);
+        let stats = s.page_stats();
+        assert_eq!((stats.loads, stats.hits), (11, 0), "a compacting merge reads 1 050 rows");
     }
 
     /// Random insert / delete / merge scripts against a naive model that
@@ -855,6 +911,172 @@ mod tests {
             let del = s.deleted_between(1, 3, Some(cols)).unwrap();
             assert_eq!(del.to_rows(), project(s.deleted_between(1, 3, None).unwrap(), cols));
             assert_eq!(del.num_rows(), 1, "row 7 retracts; row -1 was born inside the window");
+        }
+    }
+
+    /// Seeded insert / delete / merge scripts against a model that keeps
+    /// `(row, stamps)` in physical order: after every merge each main column
+    /// is the one `Column::from_values` builds from the surviving rows, and
+    /// the zone maps are a fresh build over them — whether the merge
+    /// appended to main or compacted it.
+    #[test]
+    fn merges_leave_the_main_fragment_a_rebuild_would() {
+        use vdm_types::{Decimal, SplitMix64};
+        let def = Arc::new(
+            TableBuilder::new("t")
+                .column("k", SqlType::Int, false)
+                .column("doc", SqlType::Text, true)
+                .column("amt", SqlType::Decimal { scale: 2 }, true)
+                .column("day", SqlType::Date, true)
+                .column("open", SqlType::Bool, true)
+                .column("note", SqlType::Text, true)
+                .primary_key(&["k"])
+                .build()
+                .unwrap(),
+        );
+        let types: Vec<SqlType> = def.schema.fields().iter().map(|f| f.ty).collect();
+        // Merges seen: appending, compacting, of an empty delta, into an
+        // empty main, onto a main ending mid-block, into an all-NULL `note`.
+        let mut seen = [0usize; 6];
+        for seed in [1u64, 2, 3, 4] {
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            let mut s = TableStore::new(Arc::clone(&def));
+            let mut model: Vec<(Vec<Value>, RowMeta)> = Vec::new();
+            let (mut ts, mut next_k) = (0u64, 0i64);
+            for step in 0..60 {
+                ts += 1;
+                // A merge into an empty main, one of an empty delta, and one
+                // that brings the first `note` values; later everything is
+                // deleted and compacted away.
+                let op = match step {
+                    0 | 3..=10 => 7,
+                    1 | 2 | 11 | 41 => 1,
+                    40 => 3,
+                    _ => rng.random_range(0..8u32),
+                };
+                let mut delete = |doomed: &dyn Fn(&[Value]) -> bool| {
+                    let n = s.delete_where(doomed, ts);
+                    let live = model.iter_mut().filter(|(_, meta)| meta.visible_at(ts - 1));
+                    let hit = live.filter(|(row, _)| doomed(row)).map(|(_, m)| m.delete_ts = ts);
+                    assert_eq!(hit.count(), n, "seed {seed} step {step}");
+                };
+                match op {
+                    0 => {
+                        let (m, r) = (rng.random_range(2..9i64), rng.random_range(0..2i64));
+                        delete(&|row| matches!(row[0], Value::Int(k) if k % m == r));
+                    }
+                    // The newest keys: mostly delta rows.
+                    2 => {
+                        let from = next_k - rng.random_range(1..40i64);
+                        delete(&|row| matches!(row[0], Value::Int(k) if k > from));
+                    }
+                    3 => delete(&|_| true),
+                    1 => {
+                        let main_len = s.main_len();
+                        let reclaimable = model[..main_len].iter().any(|(_, m)| m.delete_ts <= ts);
+                        let note_dict_empty = main_len > 0
+                            && matches!(s.main[5].data(), ColumnData::Str(n) if n.dict.is_empty());
+                        let notes_arrive = model[main_len..]
+                            .iter()
+                            .any(|(row, m)| m.delete_ts > ts && !row[5].is_null());
+                        seen[0] += usize::from(main_len > 0 && !reclaimable);
+                        seen[1] += usize::from(reclaimable);
+                        seen[2] += usize::from(s.delta_len() == 0);
+                        seen[3] += usize::from(main_len == 0);
+                        let mid_block = !main_len.is_multiple_of(ZONE_BLOCK_ROWS);
+                        seen[4] += usize::from(!reclaimable && mid_block);
+                        seen[5] += usize::from(!reclaimable && note_dict_empty && notes_arrive);
+                        s.merge_delta(ts).unwrap();
+                        model.retain(|(_, meta)| meta.delete_ts > ts);
+                        let ctx = format!("seed {seed} step {step}");
+                        assert_eq!(s.delta_len(), 0, "{ctx}");
+                        let metas: Vec<RowMeta> = model.iter().map(|(_, m)| *m).collect();
+                        assert_eq!(s.main_meta, metas, "{ctx}");
+                        for (c, ty) in types.iter().enumerate() {
+                            let vals: Vec<Value> =
+                                model.iter().map(|(row, _)| row[c].clone()).collect();
+                            let want = Column::from_values(*ty, &vals).unwrap();
+                            assert_eq!(s.main[c], want, "{ctx} column {c}");
+                        }
+                        assert_eq!(s.zone_maps, ZoneMaps::build(&s.main), "{ctx}");
+                    }
+                    _ => {
+                        let rows: Vec<Vec<Value>> = (0..rng.random_range(1..400usize))
+                            .map(|_| {
+                                next_k += 1;
+                                let mut row = vec![
+                                    Value::Int(next_k),
+                                    Value::str(format!("doc-{}", next_k % 97)),
+                                    Value::Dec(Decimal::from_units(rng.random_range(-999..999), 2)),
+                                    Value::Date(rng.random_range(19_000..19_400)),
+                                    Value::Bool(next_k % 3 == 0),
+                                    Value::str(format!("note-{}", next_k % 5)),
+                                ];
+                                // `note` stays all NULL until the tenth step.
+                                if step < 10 || rng.random_range(0..4) == 0 {
+                                    row[5] = Value::Null;
+                                }
+                                if let c @ 1..=4 = rng.random_range(0..10usize) {
+                                    row[c] = Value::Null;
+                                }
+                                row
+                            })
+                            .collect();
+                        let meta = RowMeta { insert_ts: ts, delete_ts: u64::MAX };
+                        model.extend(rows.iter().map(|r| (r.clone(), meta)));
+                        s.insert(rows, ts).unwrap();
+                    }
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "every kind of merge is exercised: {seen:?}");
+    }
+
+    /// `delete_where` reads main a chunk at a time. Around the chunk size and
+    /// across zone blocks, with an all-NULL text column (an empty dictionary
+    /// under NULL slots that carry code 0) last, a predicate on the first or
+    /// the last column deletes, logs and frees exactly what a row-by-row pass
+    /// over the visible rows would.
+    #[test]
+    fn chunked_deletes_match_a_row_by_row_pass() {
+        use vdm_types::Decimal;
+        let def = Arc::new(
+            TableBuilder::new("t")
+                .column("k", SqlType::Int, false)
+                .column("tag", SqlType::Text, true)
+                .column("amt", SqlType::Decimal { scale: 2 }, true)
+                .column("note", SqlType::Text, true)
+                .primary_key(&["k"])
+                .build()
+                .unwrap(),
+        );
+        let row = |k: i64| {
+            let tag = if k % 4 == 0 { Value::Null } else { Value::str(format!("t{}", k % 5)) };
+            vec![Value::Int(k), tag, Value::Dec(Decimal::from_units(k as i128, 2)), Value::Null]
+        };
+        let on_first = |r: &[Value]| matches!(r[0], Value::Int(k) if k % 3 == 1);
+        let on_last = |r: &[Value]| r[3].is_null();
+        let c = DELETE_CHUNK_ROWS;
+        for n in [0, 1, c - 1, c, c + 1, 3 * ZONE_BLOCK_ROWS + 5] {
+            for (name, pred) in
+                [("first", &on_first as &dyn Fn(&[Value]) -> bool), ("last", &on_last)]
+            {
+                let ctx = format!("main {n} rows, predicate on the {name} column");
+                let mut s = TableStore::new(Arc::clone(&def));
+                s.insert((0..n as i64).map(row).collect(), 1).unwrap();
+                s.merge_delta(1).unwrap();
+                s.insert((n as i64..n as i64 + 3).map(row).collect(), 2).unwrap();
+                // A row already deleted in each fragment must stay out.
+                s.delete_where(&|r| r[0] == Value::Int(1) || r[0] == Value::Int(n as i64), 3);
+                let live = s.scan(3).unwrap().to_rows();
+                let want: Vec<Vec<Value>> = live.iter().filter(|r| pred(r)).cloned().collect();
+                assert_eq!(s.delete_where(pred, 4), want.len(), "{ctx}");
+                assert_eq!(s.deleted_between(3, 4, None).unwrap().to_rows(), want, "{ctx}");
+                assert_eq!(s.scan(4).unwrap().num_rows(), live.len() - want.len(), "{ctx}");
+                if let Some(again) = want.first() {
+                    s.insert(vec![again.clone()], 5).unwrap();
+                }
+            }
         }
     }
 

@@ -5,12 +5,14 @@
 //! comes from zone maps: the main fragment is divided into fixed-size row
 //! blocks, each carrying the min/max of every orderable column; a scan
 //! with a range predicate skips blocks that provably contain no match.
-//! Zone maps are rebuilt at delta merge — exactly when HANA's read-
-//! optimized structures are, so freshly merged "hot" data is immediately
-//! prunable while unmerged delta rows are always scanned.
+//! Zone maps change only at delta merge — exactly when HANA's read-
+//! optimized structures do, so freshly merged "hot" data is immediately
+//! prunable while unmerged delta rows are always scanned. A merge that
+//! appends to the main fragment extends them from the first changed block;
+//! they are rebuilt only when a merge compacts.
 
 use crate::column::{Column, ColumnData};
-use vdm_types::Value;
+use vdm_types::{Decimal, Value};
 
 /// Rows per zone-map block.
 pub const ZONE_BLOCK_ROWS: usize = 1024;
@@ -56,7 +58,7 @@ impl ScanRange {
 }
 
 /// One block's statistics for one column.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct BlockStats {
     min: Value,
     max: Value,
@@ -65,64 +67,63 @@ struct BlockStats {
     has_null: bool,
 }
 
+impl BlockStats {
+    /// The statistics of `col`'s block `block`, compared at payload level. A
+    /// dictionary column reads as all NULL: its blocks are never skipped.
+    fn of(col: &Column, block: usize) -> BlockStats {
+        let rows = block * ZONE_BLOCK_ROWS..((block + 1) * ZONE_BLOCK_ROWS).min(col.len());
+        let valid = col.validity();
+        let has_null = valid.is_some_and(|v| v[rows.clone()].contains(&false));
+        let live = rows.filter(|&i| valid.is_none_or(|v| v[i]));
+        let (min, max) = match col.data() {
+            ColumnData::Int(v) => min_max(live.map(|i| v[i]), Value::Int),
+            ColumnData::Dec { units, scale } => {
+                min_max(live.map(|i| units[i]), |u| Value::Dec(Decimal::from_units(u, *scale)))
+            }
+            ColumnData::Bool(v) => min_max(live.map(|i| v[i]), Value::Bool),
+            ColumnData::Date(v) => min_max(live.map(|i| v[i]), Value::Date),
+            ColumnData::Str(_) => (Value::Null, Value::Null),
+        };
+        BlockStats { min, max, has_null }
+    }
+}
+
+/// The least and the greatest of `xs` as values; NULL and NULL when empty.
+fn min_max<T: Ord + Copy>(
+    mut xs: impl Iterator<Item = T>,
+    value: impl Fn(T) -> Value,
+) -> (Value, Value) {
+    let Some(first) = xs.next() else { return (Value::Null, Value::Null) };
+    let (lo, hi) = xs.fold((first, first), |(lo, hi), x| (lo.min(x), hi.max(x)));
+    (value(lo), value(hi))
+}
+
 /// Zone maps for a whole main fragment: `maps[column][block]`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ZoneMaps {
     maps: Vec<Option<Vec<BlockStats>>>,
 }
 
 impl ZoneMaps {
-    /// Builds zone maps for every orderable column of the fragment.
-    pub fn build(columns: &[Column]) -> ZoneMaps {
-        let maps = columns
-            .iter()
-            .map(|col| {
-                // Strings are orderable too, but pruning value lies with
-                // numeric/date keys; skip dictionary columns to keep maps
-                // small.
-                if matches!(col.data(), ColumnData::Str(_)) {
-                    return None;
-                }
-                let rows = col.len();
-                let n_blocks = rows.div_ceil(ZONE_BLOCK_ROWS);
-                let mut stats = Vec::with_capacity(n_blocks);
-                for b in 0..n_blocks {
-                    let start = b * ZONE_BLOCK_ROWS;
-                    let end = (start + ZONE_BLOCK_ROWS).min(rows);
-                    let mut min: Option<Value> = None;
-                    let mut max: Option<Value> = None;
-                    let mut has_null = false;
-                    for i in start..end {
-                        let v = col.get(i);
-                        if v.is_null() {
-                            has_null = true;
-                            continue;
-                        }
-                        match &min {
-                            None => min = Some(v.clone()),
-                            Some(m) if v.total_cmp_non_null(m) == std::cmp::Ordering::Less => {
-                                min = Some(v.clone())
-                            }
-                            _ => {}
-                        }
-                        match &max {
-                            None => max = Some(v.clone()),
-                            Some(m) if v.total_cmp_non_null(m) == std::cmp::Ordering::Greater => {
-                                max = Some(v)
-                            }
-                            _ => {}
-                        }
-                    }
-                    stats.push(BlockStats {
-                        min: min.unwrap_or(Value::Null),
-                        max: max.unwrap_or(Value::Null),
-                        has_null,
-                    });
-                }
-                Some(stats)
-            })
-            .collect();
-        ZoneMaps { maps }
+    /// Brings the maps up to date with `columns` after their rows from
+    /// `first_changed` on changed (a merge appended them): the blocks
+    /// before the one holding that row are kept, every later one is
+    /// re-derived. `first_changed = 0` is a full build.
+    pub(crate) fn extend(&mut self, columns: &[Column], first_changed: usize) {
+        let kept = first_changed / ZONE_BLOCK_ROWS;
+        self.maps.resize(columns.len(), None);
+        for (col, map) in columns.iter().zip(&mut self.maps) {
+            // Strings are orderable too, but pruning value lies with
+            // numeric/date keys; skip dictionary columns to keep maps
+            // small.
+            if matches!(col.data(), ColumnData::Str(_)) {
+                continue;
+            }
+            let stats = map.get_or_insert_with(Vec::new);
+            stats.truncate(kept);
+            let blocks = kept..col.len().div_ceil(ZONE_BLOCK_ROWS);
+            stats.extend(blocks.map(|b| BlockStats::of(col, b)));
+        }
     }
 
     /// May block `block` of `column` contain a row matching `range`?
@@ -146,28 +147,21 @@ impl ZoneMaps {
     /// or holds no non-NULL values.
     pub fn column_range(&self, column: usize) -> Option<(Value, Value)> {
         let stats = self.maps.get(column)?.as_ref()?;
-        let mut min: Option<Value> = None;
-        let mut max: Option<Value> = None;
-        for s in stats {
-            if s.min.is_null() {
-                continue;
-            }
-            match &min {
-                None => min = Some(s.min.clone()),
-                Some(m) if s.min.total_cmp_non_null(m) == std::cmp::Ordering::Less => {
-                    min = Some(s.min.clone())
-                }
-                _ => {}
-            }
-            match &max {
-                None => max = Some(s.max.clone()),
-                Some(m) if s.max.total_cmp_non_null(m) == std::cmp::Ordering::Greater => {
-                    max = Some(s.max.clone())
-                }
-                _ => {}
-            }
-        }
-        Some((min?, max?))
+        let known = || stats.iter().filter(|s| !s.min.is_null());
+        let min = known().map(|s| &s.min).min_by(|a, b| a.total_cmp_non_null(b))?;
+        let max = known().map(|s| &s.max).max_by(|a, b| a.total_cmp_non_null(b))?;
+        Some((min.clone(), max.clone()))
+    }
+}
+
+#[cfg(test)]
+impl ZoneMaps {
+    /// Maps built from scratch over `columns` — [`ZoneMaps::extend`] from
+    /// row 0, the reference the tests hold a merge's maps to.
+    pub(crate) fn build(columns: &[Column]) -> ZoneMaps {
+        let mut maps = ZoneMaps::default();
+        maps.extend(columns, 0);
+        maps
     }
 }
 
@@ -192,6 +186,38 @@ mod tests {
         assert!(maps.block_may_match(0, 1, &ScanRange::at_least(Value::Int(10_500))));
         assert!(!maps.block_may_match(0, 0, &ScanRange::at_least(Value::Int(2_000))));
         assert!(maps.block_may_match(0, 0, &ScanRange::at_most(Value::Int(0))));
+        assert_eq!(maps.column_range(0), Some((Value::Int(0), Value::Int(11_023))));
+    }
+
+    /// Block statistics compare payloads; a reference over values ordered
+    /// by `Value::total_cmp` must agree, NULLs and an all-NULL block included.
+    #[test]
+    fn block_stats_order_payloads_as_values_do() {
+        use vdm_types::Decimal;
+        let n = 2 * ZONE_BLOCK_ROWS + 300;
+        let cell = |ty: SqlType, i: usize| match ty {
+            _ if i % 7 == 3 || i >= 2 * ZONE_BLOCK_ROWS => Value::Null,
+            SqlType::Int => Value::Int((i * 7919 % 1000) as i64 - 500),
+            SqlType::Bool => Value::Bool(i.is_multiple_of(5)),
+            SqlType::Date => Value::Date(19_000 + (i * 31 % 400) as i32),
+            _ => Value::Dec(Decimal::from_units((i * 104_729 % 2000) as i128 - 1000, 2)),
+        };
+        for ty in [SqlType::Int, SqlType::Decimal { scale: 2 }, SqlType::Bool, SqlType::Date] {
+            let vals: Vec<Value> = (0..n).map(|i| cell(ty, i)).collect();
+            let maps = ZoneMaps::build(&[Column::from_values(ty, &vals).unwrap()]);
+            let stats = maps.maps[0].as_ref().unwrap();
+            assert_eq!(stats.len(), 3);
+            for (b, got) in stats.iter().enumerate() {
+                let block = &vals[b * ZONE_BLOCK_ROWS..((b + 1) * ZONE_BLOCK_ROWS).min(n)];
+                let live = || block.iter().filter(|v| !v.is_null()).cloned();
+                let want = BlockStats {
+                    min: live().min_by(|a, b| a.total_cmp(b)).unwrap_or(Value::Null),
+                    max: live().max_by(|a, b| a.total_cmp(b)).unwrap_or(Value::Null),
+                    has_null: block.iter().any(Value::is_null),
+                };
+                assert_eq!(got, &want, "{ty} block {b}");
+            }
+        }
     }
 
     #[test]
@@ -200,6 +226,9 @@ mod tests {
         let col = Column::from_values(SqlType::Int, &vals).unwrap();
         let maps = ZoneMaps::build(&[col]);
         assert!(maps.block_may_match(0, 0, &ScanRange::point(Value::Int(999))));
+        assert_eq!(maps.column_range(0), Some((Value::Int(5), Value::Int(5))));
+        let all_null = Column::from_values(SqlType::Int, &[Value::Null]).unwrap();
+        assert_eq!(ZoneMaps::build(&[all_null]).column_range(0), None);
     }
 
     #[test]
@@ -209,5 +238,6 @@ mod tests {
         assert!(maps.block_may_match(0, 0, &ScanRange::point(Value::Int(1))));
         assert!(maps.block_may_match(5, 0, &ScanRange::point(Value::Int(1))), "unknown column");
         assert!(maps.block_may_match(0, 99, &ScanRange::point(Value::Int(1))), "unknown block");
+        assert_eq!(maps.column_range(0), None, "no zone map on a dictionary column");
     }
 }
