@@ -508,8 +508,8 @@ impl Pipeline<'_> {
                 let start = Instant::now();
                 let cols = cols.narrowed();
                 // The filter directly on the scan refines the selection
-                // before the gather; storage returns a superset (the delta
-                // comes back whole), so the step below still runs.
+                // before the gather; storage returns a superset (a mask may
+                // decline a run), so the step below still runs.
                 let pushed = match self.steps.first() {
                     Some(Step { op: Op::Filter(kernel), .. }) => kernel.pushed(cols),
                     _ => None,

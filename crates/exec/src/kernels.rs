@@ -585,16 +585,16 @@ impl<'e> FilterKernel<'e> {
     }
 
     /// The predicate as a scan may apply it ahead of its gather
-    /// ([`vdm_storage::ScanFilter::mask`]): the columnar form over a table's
-    /// main-fragment columns, predicate column `c` being table ordinal
+    /// ([`vdm_storage::ScanFilter::mask`]): the columnar form over the
+    /// columns of a table fragment, predicate column `c` being table ordinal
     /// `ordinals[c]`. `None` unless it compiled — the row-wise fallback can
     /// raise, and an error belongs to the filter operator.
     pub fn pushed<'a>(&'a self, ordinals: Option<&'a [usize]>) -> Option<Box<MaskFn<'a>>> {
         let pred = self.columnar.as_ref()?;
-        Some(Box::new(move |main: &[Column], rows: Range<usize>| {
+        Some(Box::new(move |fragment: &[Column], rows: Range<usize>| {
             let columns: Vec<&Column> = match ordinals {
-                Some(ordinals) => ordinals.iter().map(|&o| &main[o]).collect(),
-                None => main.iter().collect(),
+                Some(ordinals) => ordinals.iter().map(|&o| &fragment[o]).collect(),
+                None => fragment.iter().collect(),
             };
             pred.mask(&columns, rows)
         }))

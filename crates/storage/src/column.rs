@@ -8,7 +8,7 @@ use vdm_types::{Decimal, Result, Schema, SqlType, Value, VdmError};
 
 /// Dictionary-encoded string column: `codes[i]` indexes into the
 /// deduplicated `dict` (entries appear in first-seen order, not sorted —
-/// see [`StrColumn::from_values`]).
+/// see [`Column::from_values`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StrColumn {
     pub dict: Vec<Arc<str>>,
@@ -16,29 +16,6 @@ pub struct StrColumn {
 }
 
 impl StrColumn {
-    /// Builds from raw values (dictionary deduplicated in first-seen order;
-    /// NULL slots receive code 0 and are masked by the column validity).
-    pub fn from_values(values: &[Option<Arc<str>>]) -> StrColumn {
-        let mut dict: Vec<Arc<str>> = Vec::new();
-        let mut code_of: HashMap<Arc<str>, u32> = HashMap::new();
-        let codes = values
-            .iter()
-            .map(|v| match v {
-                Some(s) => match code_of.get(s) {
-                    Some(&c) => c,
-                    None => {
-                        let c = dict.len() as u32;
-                        dict.push(Arc::clone(s));
-                        code_of.insert(Arc::clone(s), c);
-                        c
-                    }
-                },
-                None => 0,
-            })
-            .collect();
-        StrColumn { dict, codes }
-    }
-
     /// Value at `i` (validity handled by the owning [`Column`]).
     pub fn get(&self, i: usize) -> Arc<str> {
         Arc::clone(&self.dict[self.codes[i] as usize])
@@ -111,76 +88,66 @@ pub struct Column {
 }
 
 impl Column {
-    /// Builds a column of `ty` from row values, normalizing decimal scales
-    /// and validating types. NULLs are allowed regardless of schema
+    /// Builds a column of `ty` from cells — a slice of values, or one
+    /// column of a set of rows — in one typed pass: decimal scales are
+    /// normalized, strings are dictionary-encoded in first-seen order (NULL
+    /// slots get code 0, masked by the validity), and a cell the type
+    /// cannot store is an error. NULLs are allowed regardless of schema
     /// nullability here — nullability enforcement is the store's job.
-    pub fn from_values(ty: SqlType, values: &[Value]) -> Result<Column> {
-        let mut validity: Vec<bool> = Vec::with_capacity(values.len());
-        let mut any_null = false;
-        for v in values {
-            let valid = !v.is_null();
-            any_null |= !valid;
-            validity.push(valid);
+    pub fn from_values<'a>(
+        ty: SqlType,
+        values: impl IntoIterator<Item = &'a Value>,
+    ) -> Result<Column> {
+        /// The payload `cell` decodes from each non-NULL value
+        /// (`T::default()` under a NULL), recording validity as it goes.
+        fn typed<'a, T: Default>(
+            values: impl Iterator<Item = &'a Value>,
+            validity: &mut Vec<bool>,
+            mut cell: impl FnMut(&'a Value) -> Result<T>,
+        ) -> Result<Vec<T>> {
+            let mut out = Vec::with_capacity(values.size_hint().0);
+            for v in values {
+                validity.push(!v.is_null());
+                out.push(if v.is_null() { T::default() } else { cell(v)? });
+            }
+            Ok(out)
         }
+        let values = values.into_iter();
+        let mut validity = Vec::with_capacity(values.size_hint().0);
         let data = match ty {
-            SqlType::Int => {
-                let mut out = Vec::with_capacity(values.len());
-                for v in values {
-                    out.push(match v {
-                        Value::Null => 0,
-                        Value::Int(i) => *i,
-                        other => return Err(type_err(ty, other)),
-                    });
-                }
-                ColumnData::Int(out)
-            }
+            SqlType::Int => ColumnData::Int(typed(values, &mut validity, |v| match v {
+                Value::Int(i) => Ok(*i),
+                other => Err(type_err(ty, other)),
+            })?),
             SqlType::Decimal { scale } => {
-                let mut out = Vec::with_capacity(values.len());
-                for v in values {
-                    out.push(match v {
-                        Value::Null => 0,
-                        Value::Dec(d) => d.rescale(scale)?.units(),
-                        Value::Int(i) => Decimal::from_int(*i).rescale(scale)?.units(),
-                        other => return Err(type_err(ty, other)),
-                    });
-                }
-                ColumnData::Dec { units: out, scale }
+                let units = typed(values, &mut validity, |v| match v {
+                    Value::Dec(d) => Ok(d.rescale(scale)?.units()),
+                    Value::Int(i) => Ok(Decimal::from_int(*i).rescale(scale)?.units()),
+                    other => Err(type_err(ty, other)),
+                })?;
+                ColumnData::Dec { units, scale }
             }
-            SqlType::Bool => {
-                let mut out = Vec::with_capacity(values.len());
-                for v in values {
-                    out.push(match v {
-                        Value::Null => false,
-                        Value::Bool(b) => *b,
-                        other => return Err(type_err(ty, other)),
-                    });
-                }
-                ColumnData::Bool(out)
-            }
-            SqlType::Date => {
-                let mut out = Vec::with_capacity(values.len());
-                for v in values {
-                    out.push(match v {
-                        Value::Null => 0,
-                        Value::Date(d) => *d,
-                        other => return Err(type_err(ty, other)),
-                    });
-                }
-                ColumnData::Date(out)
-            }
+            SqlType::Bool => ColumnData::Bool(typed(values, &mut validity, |v| match v {
+                Value::Bool(b) => Ok(*b),
+                other => Err(type_err(ty, other)),
+            })?),
+            SqlType::Date => ColumnData::Date(typed(values, &mut validity, |v| match v {
+                Value::Date(d) => Ok(*d),
+                other => Err(type_err(ty, other)),
+            })?),
             SqlType::Text => {
-                let mut out: Vec<Option<Arc<str>>> = Vec::with_capacity(values.len());
-                for v in values {
-                    out.push(match v {
-                        Value::Null => None,
-                        Value::Str(s) => Some(Arc::clone(s)),
-                        other => return Err(type_err(ty, other)),
-                    });
-                }
-                ColumnData::Str(StrColumn::from_values(&out))
+                let (mut dict, mut code_of) = (Vec::new(), HashMap::new());
+                let codes = typed(values, &mut validity, |v| match v {
+                    Value::Str(s) => Ok(*code_of.entry(s).or_insert_with(|| {
+                        dict.push(Arc::clone(s));
+                        (dict.len() - 1) as u32
+                    })),
+                    other => Err(type_err(ty, other)),
+                })?;
+                ColumnData::Str(StrColumn { dict, codes })
             }
         };
-        Ok(Column { data, validity: if any_null { Some(validity) } else { None } })
+        Ok(Column { data, validity: validity.contains(&false).then_some(validity) })
     }
 
     /// Number of rows.
@@ -476,8 +443,7 @@ impl Batch {
     pub fn from_rows(schema: Arc<Schema>, rows: &[Vec<Value>]) -> Result<Batch> {
         let mut cols = Vec::with_capacity(schema.len());
         for (i, f) in schema.fields().iter().enumerate() {
-            let vals: Vec<Value> = rows.iter().map(|r| r[i].clone()).collect();
-            cols.push(Column::from_values(f.ty, &vals)?);
+            cols.push(Column::from_values(f.ty, rows.iter().map(|r| &r[i]))?);
         }
         Batch::new(schema, cols)
     }

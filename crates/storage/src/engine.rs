@@ -76,7 +76,7 @@ impl StorageEngine {
         let table = self.table(name)?;
         let mut store = table.write().unwrap();
         let ts = self.next_ts();
-        store.insert(rows, ts)
+        store.insert(&rows, ts)
     }
 
     /// Deletes rows matching `pred` (one auto-committed transaction).
@@ -84,12 +84,12 @@ impl StorageEngine {
         let table = self.table(name)?;
         let mut store = table.write().unwrap();
         let ts = self.next_ts();
-        let n = store.delete_where(pred, ts);
-        Ok(n)
+        Ok(store.delete_where(pred, ts))
     }
 
-    /// Updates rows matching `pred` by applying `f`: one delete pass, then
-    /// the deleted rows, rewritten, are inserted at the same timestamp.
+    /// Updates rows matching `pred` by applying `f`, all or nothing: the
+    /// matches are deleted and their rewritten versions inserted at one
+    /// timestamp, or, if a rewritten row is rejected, nothing changes.
     pub fn update_where(
         &self,
         name: &str,
@@ -327,6 +327,39 @@ mod tests {
         let mut rows = e.scan("t", e.snapshot()).unwrap().to_rows();
         rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
         assert_eq!(rows, vec![vec![Value::Int(1), dec(1000)], vec![Value::Int(2), dec(1400)]]);
+    }
+
+    /// An update whose rewritten rows are rejected — a NOT NULL violation,
+    /// a key held by a row it does not touch, a key two rewritten rows
+    /// share — leaves the scan, both feeds, the key index and the table
+    /// version as they were.
+    #[test]
+    fn a_failed_update_changes_nothing() {
+        let e = engine_with_table();
+        e.insert("t", vec![row(1, 10), row(2, 20)]).unwrap();
+        e.merge_delta("t").unwrap();
+        e.insert("t", vec![row(3, 30)]).unwrap();
+        let (before, version) = (e.snapshot(), e.table_version("t").unwrap());
+        let sorted = |snap| {
+            let mut rows = e.scan("t", snap).unwrap().to_rows();
+            rows.sort_by(|a: &Vec<Value>, b| a[0].total_cmp(&b[0]));
+            rows
+        };
+        let unchanged = |update: Result<usize>| {
+            assert!(update.is_err());
+            let now = e.snapshot();
+            assert_eq!(sorted(now), sorted(before));
+            assert_eq!(e.inserted_between("t", before, now, None).unwrap().num_rows(), 0);
+            assert_eq!(e.deleted_between("t", before, now, None).unwrap().num_rows(), 0);
+            assert_eq!(e.table_version("t").unwrap(), version);
+        };
+        unchanged(e.update_where("t", &|_| true, &|r| r[1] = Value::Null));
+        unchanged(e.update_where("t", &|r| r[0] != Value::Int(1), &|r| r[0] = Value::Int(1)));
+        unchanged(e.update_where("t", &|_| true, &|r| r[0] = Value::Int(9)));
+        for k in 1..=3 {
+            assert!(e.insert("t", vec![row(k, 0)]).is_err(), "key {k} is still held");
+        }
+        e.insert("t", vec![row(9, 90)]).unwrap();
     }
 
     #[test]

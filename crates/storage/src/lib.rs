@@ -2,15 +2,14 @@
 //!
 //! A deliberately HANA-shaped substrate (§2.2 of the paper):
 //!
-//! * every table has a **write-optimized delta** (row-wise append vector)
-//!   and a **read-optimized main** (typed columns, dictionary-encoded
-//!   strings);
+//! * every table has a **write-optimized delta** that inserts append to, a
+//!   **read-optimized main** (zone-mapped) and a tombstone log — all three
+//!   typed columns (dictionary-encoded strings) with per-row stamps;
 //! * a **delta merge** folds the delta into the main fragment;
-//! * a **scan** is a selection + gather: the visible main rows are picked
-//!   once, a caller-supplied [`ScanFilter`] drops the ones it rejects, and
-//!   every column is gathered at payload level, the morsel's delta rows
-//!   appended column by column — rows (`Vec<Vec<Value>>`) exist only in the
-//!   delta and at the API edge;
+//! * a **scan** is a selection + gather: the visible rows of main and the
+//!   delta are picked once, a caller-supplied [`ScanFilter`] drops the ones
+//!   it rejects, and every column is gathered at payload level — rows
+//!   (`Vec<Vec<Value>>`) exist only at the API edge;
 //! * rows carry `(insert_ts, delete_ts)` stamps; readers operate against a
 //!   [`Snapshot`] so analytical scans see a consistent state while
 //!   transactional writes continue (MVCC-lite — single-statement

@@ -1,4 +1,5 @@
-//! Per-table storage: delta + main fragments with row visibility stamps.
+//! Per-table storage: three fragments of one kind — main, delta and the
+//! tombstone log — each typed columns with per-row visibility stamps.
 
 use crate::column::{Batch, Column};
 use crate::nse::{LoadMode, PageBuffer, PageStats};
@@ -10,10 +11,11 @@ use std::sync::Mutex;
 use vdm_catalog::TableDef;
 use vdm_types::{Result, Schema, Value, VdmError};
 
-/// Main rows [`TableStore::delete_where`] reads into its buffer at a time.
+/// Rows [`TableStore::delete_where`] reads into its buffer at a time.
 const DELETE_CHUNK_ROWS: usize = 256;
 
-/// Visibility stamps of one row version.
+/// Visibility stamps of one row version; in the tombstone log, those of
+/// the deleted version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RowMeta {
     insert_ts: u64,
@@ -27,51 +29,75 @@ impl RowMeta {
     }
 }
 
-/// A predicate over the main fragment: its columns (by table ordinal) and a
-/// row range to the mask of rows on which it is TRUE, `None` when it cannot
-/// be evaluated there.
+/// One typed column per table column plus one [`RowMeta`] per row: a
+/// table's main fragment, its delta and its tombstone log are each one.
+#[derive(Debug)]
+struct Fragment {
+    columns: Vec<Column>,
+    meta: Vec<RowMeta>,
+}
+
+impl Fragment {
+    /// No rows, in the types of `schema`.
+    fn empty(schema: &Arc<Schema>) -> Fragment {
+        Fragment { columns: Batch::empty(Arc::clone(schema)).columns, meta: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.meta.len()
+    }
+
+    /// Appends `columns` (this fragment's types) stamped `meta`; into an
+    /// empty fragment they move as they are.
+    fn append(&mut self, columns: Vec<Column>, meta: impl Iterator<Item = RowMeta>) -> Result<()> {
+        if self.meta.is_empty() {
+            self.columns = columns;
+        } else {
+            for (col, tail) in self.columns.iter_mut().zip(&columns) {
+                col.append(tail)?;
+            }
+        }
+        self.meta.extend(meta);
+        Ok(())
+    }
+}
+
+/// A predicate over a fragment: its columns (by table ordinal) and a row
+/// range to the mask of rows on which it is TRUE, `None` when it cannot be
+/// evaluated there.
 pub type MaskFn<'a> = dyn Fn(&[Column], Range<usize>) -> Option<Vec<bool>> + Sync + 'a;
 
 /// The filter sitting on a scan, in storage's own vocabulary: what lets a
 /// read skip blocks and drop rows before it gathers them. The result is a
-/// superset of the matches — zone maps are per block, and the row-wise delta
-/// comes back unfiltered — so the caller re-applies the full predicate.
+/// superset of the matches — zone maps are per block, and a mask may
+/// decline a run — so the caller re-applies the full predicate.
 #[derive(Clone, Copy, Default)]
 pub struct ScanFilter<'a> {
     /// Conjuncts `(table ordinal, range)`: a main-fragment block whose zone
     /// map excludes any one of them holds no match and is skipped.
     pub ranges: &'a [(usize, ScanRange)],
-    /// The whole predicate; it must not be able to fail.
+    /// The whole predicate, applied to main and delta rows alike; it must
+    /// not be able to fail.
     pub mask: Option<&'a MaskFn<'a>>,
 }
 
-/// One tombstoned row version, logged at delete time so incremental view
-/// maintenance can retrieve retraction deltas even after a delta merge
-/// compacted the fragment that held the row.
-#[derive(Debug, Clone)]
-struct Tombstone {
-    insert_ts: u64,
-    delete_ts: u64,
-    row: Vec<Value>,
-}
-
-/// One table's data: a read-optimized columnar `main` fragment and a
-/// write-optimized row-wise `delta`, each with per-row visibility stamps.
+/// One table's data: a read-optimized `main` fragment (zone-mapped,
+/// page-accounted), a `delta` that every insert appends to, and the
+/// tombstone log — three `Fragment`s, so storage keeps no rows.
 #[derive(Debug)]
 pub struct TableStore {
     def: Arc<TableDef>,
     schema: Arc<Schema>,
-    main: Vec<Column>,
-    main_meta: Vec<RowMeta>,
-    delta: Vec<Vec<Value>>,
-    delta_meta: Vec<RowMeta>,
+    main: Fragment,
+    delta: Fragment,
     /// Live key tuples per unique constraint (PK first), for enforcement.
     key_index: Vec<HashSet<Vec<Value>>>,
-    /// Append-only tombstone log (delete-timestamp order). Authoritative
-    /// source for [`TableStore::deleted_between`]: unlike the fragments, it
-    /// survives `merge_delta` compaction, so a view whose `as_of` predates a
-    /// merge still sees every retraction.
-    tombstones: Vec<Tombstone>,
+    /// Append-only tombstone log (delete-timestamp order): each deleted row
+    /// version's columns under its `(insert_ts, delete_ts)`. Authoritative
+    /// source for [`TableStore::deleted_between`]: unlike main and delta,
+    /// it survives `merge_delta` compaction, so a view whose `as_of`
+    /// predates a merge still sees every retraction.
+    tombstones: Fragment,
     merges: usize,
     /// Timestamp of the most recent write (insert or delete).
     last_write_ts: u64,
@@ -96,14 +122,12 @@ impl TableStore {
         let schema = Arc::new(def.schema.clone());
         let n_keys = def.unique_sets().len();
         TableStore {
+            main: Fragment::empty(&schema),
+            delta: Fragment::empty(&schema),
+            tombstones: Fragment::empty(&schema),
             def,
             schema,
-            main: Vec::new(),
-            main_meta: Vec::new(),
-            delta: Vec::new(),
-            delta_meta: Vec::new(),
             key_index: vec![HashSet::new(); n_keys],
-            tombstones: Vec::new(),
             merges: 0,
             last_write_ts: 0,
             last_delete_ts: 0,
@@ -158,11 +182,9 @@ impl TableStore {
     /// is located by binary search instead of a full stamp sweep — the cost
     /// is O(log table + delta rows), not O(table).
     pub fn inserted_between(&self, ts: u64, now: u64, cols: Option<&[usize]>) -> Result<Batch> {
-        let m_start = self.main_meta.partition_point(|m| m.insert_ts <= ts);
-        let d_start = self.delta_meta.partition_point(|m| m.insert_ts <= ts);
-        let live = |m: &RowMeta| m.visible_at(now);
-        let (main, delta) = (m_start..self.main_meta.len(), d_start..self.delta.len());
-        Ok(self.read(live, main, delta, ScanFilter::default(), cols)?.0)
+        let born = |f: &Fragment| f.meta.partition_point(|m| m.insert_ts <= ts)..f.len();
+        let (main, delta) = (born(&self.main), born(&self.delta));
+        Ok(self.read(|m| m.visible_at(now), main, delta, ScanFilter::default(), cols)?.0)
     }
 
     /// Rows that were visible at `ts` and tombstoned by `now` — the
@@ -171,25 +193,13 @@ impl TableStore {
     /// searched), so the cost is O(log deletes + matches) and the feed stays
     /// correct after `merge_delta` compacts the deleted rows away.
     pub fn deleted_between(&self, ts: u64, now: u64, cols: Option<&[usize]>) -> Result<Batch> {
-        let start = self.tombstones.partition_point(|t| t.delete_ts <= ts);
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        for t in &self.tombstones[start..] {
-            // `insert_ts <= ts` keeps rows born inside the window out: those
-            // cancel against the insert feed rather than retracting.
-            if t.delete_ts <= now && t.insert_ts <= ts {
-                rows.push(match cols {
-                    Some(cols) => cols.iter().map(|&c| t.row[c].clone()).collect(),
-                    None => t.row.clone(),
-                });
-            }
-        }
-        Batch::from_rows(self.schema_of(cols), &rows)
-    }
-
-    /// The schema of a read that emits the table ordinals `cols` (`None` =
-    /// every column).
-    fn schema_of(&self, cols: Option<&[usize]>) -> Arc<Schema> {
-        cols.map_or_else(|| Arc::clone(&self.schema), |c| Arc::new(self.schema.select(c)))
+        let log = &self.tombstones.meta;
+        let window = log.partition_point(|m| m.delete_ts <= ts)..log.len();
+        // `insert_ts <= ts` keeps rows born inside the window out: those
+        // cancel against the insert feed rather than retracting.
+        let sel: Vec<usize> =
+            window.filter(|&i| log[i].delete_ts <= now && log[i].insert_ts <= ts).collect();
+        self.gather(&[(&self.tombstones, &sel)], cols)
     }
 
     /// The table definition.
@@ -204,7 +214,7 @@ impl TableStore {
 
     /// Rows in the main fragment.
     pub fn main_len(&self) -> usize {
-        self.main_meta.len()
+        self.main.len()
     }
 
     /// Completed delta merges.
@@ -212,44 +222,48 @@ impl TableStore {
         self.merges
     }
 
-    /// Validates and appends rows at `ts`. Enforces arity, types (values
-    /// must coerce into the column type), NOT NULL, and key uniqueness.
-    pub fn insert(&mut self, rows: Vec<Vec<Value>>, ts: u64) -> Result<usize> {
+    /// Validates and appends rows to the delta at `ts`, all or nothing.
+    /// Enforces arity, types (values must coerce into the column type), NOT
+    /// NULL, and key uniqueness. The only place a row becomes columns: each
+    /// is built straight from the rows' cells in one typed pass.
+    pub fn insert(&mut self, rows: &[Vec<Value>], ts: u64) -> Result<usize> {
+        let fail = |what| VdmError::Storage(format!("insert into {:?}: {what}", self.def.name));
+        let width = self.schema.len();
+        if let Some(row) = rows.iter().find(|r| r.len() != width) {
+            return Err(fail(format!("row has {} values, table has {width} columns", row.len())));
+        }
+        let mut columns = Vec::with_capacity(width);
+        for (c, f) in self.schema.fields().iter().enumerate() {
+            let column = Column::from_values(f.ty, rows.iter().map(|r| &r[c]))
+                .map_err(|e| fail(format!("column {:?}: {e}", f.name)))?;
+            if !f.nullable && column.validity().is_some() {
+                return Err(fail(format!("column {:?} is NOT NULL", f.name)));
+            }
+            columns.push(column);
+        }
+        self.claim_keys(rows)?;
+        let live = RowMeta { insert_ts: ts, delete_ts: u64::MAX };
+        self.delta.append(columns, std::iter::repeat_n(live, rows.len()))?;
+        if !rows.is_empty() {
+            self.last_write_ts = self.last_write_ts.max(ts);
+        }
+        Ok(rows.len())
+    }
+
+    /// Adds the keys of `rows` to the key index, all or none: at a key
+    /// already held — by a stored row or an earlier one of `rows` — the
+    /// keys this call added are taken back.
+    fn claim_keys(&mut self, rows: &[Vec<Value>]) -> Result<()> {
         let uniques = self.def.unique_sets();
-        for row in &rows {
-            if row.len() != self.schema.len() {
-                return Err(VdmError::Storage(format!(
-                    "insert into {:?}: row has {} values, table has {} columns",
-                    self.def.name,
-                    row.len(),
-                    self.schema.len()
-                )));
-            }
-            for (i, f) in self.schema.fields().iter().enumerate() {
-                if row[i].is_null() {
-                    if !f.nullable {
-                        return Err(VdmError::Storage(format!(
-                            "insert into {:?}: column {:?} is NOT NULL",
-                            self.def.name, f.name
-                        )));
-                    }
-                    continue;
-                }
-                if let Some(t) = row[i].sql_type() {
-                    if !f.ty.accepts(&t) {
-                        return Err(VdmError::Storage(format!(
-                            "insert into {:?}: column {:?} expects {}, got {}",
-                            self.def.name, f.name, f.ty, t
-                        )));
-                    }
-                }
-            }
+        for (n, row) in rows.iter().enumerate() {
             for (ki, key_cols) in uniques.iter().enumerate() {
                 let key: Vec<Value> = key_cols.iter().map(|&c| row[c].clone()).collect();
-                if key.iter().any(|v| v.is_null()) {
-                    continue; // SQL unique constraints ignore NULL keys.
-                }
-                if !self.key_index[ki].insert(key) {
+                // SQL unique constraints ignore NULL keys.
+                if !key.iter().any(Value::is_null) && !self.key_index[ki].insert(key) {
+                    for added in &rows[..n] {
+                        remove_keys(&mut self.key_index, &uniques, added);
+                    }
+                    remove_keys(&mut self.key_index, &uniques[..ki], row);
                     return Err(VdmError::Storage(format!(
                         "insert into {:?}: duplicate key for unique constraint {ki}",
                         self.def.name
@@ -257,76 +271,92 @@ impl TableStore {
                 }
             }
         }
-        let n = rows.len();
-        for row in rows {
-            self.delta.push(row);
-            self.delta_meta.push(RowMeta { insert_ts: ts, delete_ts: u64::MAX });
-        }
-        if n > 0 {
-            self.last_write_ts = self.last_write_ts.max(ts);
-        }
-        Ok(n)
+        Ok(())
     }
 
     /// Marks rows matching `pred` (still live just before `ts`) as deleted:
-    /// they become invisible to snapshots at `ts` and later and are logged as
-    /// tombstones, main rows first. Returns the number of rows deleted. Main
-    /// is read into one reused row-major buffer a chunk of rows at a time
-    /// (one payload dispatch per column per chunk); only matches are copied.
+    /// they become invisible to snapshots at `ts` and later and are gathered
+    /// into the tombstone log, main rows first. Returns the number of rows
+    /// deleted.
     pub fn delete_where(&mut self, pred: &dyn Fn(&[Value]) -> bool, ts: u64) -> usize {
-        let live = |m: &RowMeta| m.visible_at(ts.saturating_sub(1));
-        let uniques = self.def.unique_sets();
-        let (keys, log) = (&mut self.key_index, &mut self.tombstones);
-        let logged = log.len();
-        let mut kill = |meta: &mut RowMeta, row: &[Value]| {
-            meta.delete_ts = ts;
-            remove_keys(keys, &uniques, row);
-            log.push(Tombstone { insert_ts: meta.insert_ts, delete_ts: ts, row: row.to_vec() });
-        };
-        let width = self.schema.len();
+        let [main, delta] = self.doomed(pred, ts, |_| {});
+        self.kill(&main, &delta, ts)
+    }
+
+    /// The rows of main and of the delta live just before `ts` on which
+    /// `pred` holds, in physical order; each gives up its keys and is handed
+    /// to `hit`. Both fragments are read the same way: a chunk of rows at a
+    /// time into one reused row buffer, one payload dispatch per column per
+    /// chunk.
+    fn doomed(
+        &mut self,
+        pred: &dyn Fn(&[Value]) -> bool,
+        ts: u64,
+        mut hit: impl FnMut(&[Value]),
+    ) -> [Vec<usize>; 2] {
+        let (uniques, width) = (self.def.unique_sets(), self.schema.len());
         let mut buf = vec![Value::Null; DELETE_CHUNK_ROWS * width];
-        for start in (0..self.main_meta.len()).step_by(DELETE_CHUNK_ROWS) {
-            let rows = start..(start + DELETE_CHUNK_ROWS).min(self.main_meta.len());
-            for (c, col) in self.main.iter().enumerate() {
-                col.values_into(rows.clone(), buf[c..].iter_mut().step_by(width));
-            }
-            for (row, meta) in buf.chunks_exact(width).zip(&mut self.main_meta[rows]) {
-                if live(meta) && pred(row) {
-                    kill(meta, row);
+        [&self.main, &self.delta].map(|frag| {
+            let mut out = Vec::new();
+            for start in (0..frag.len()).step_by(DELETE_CHUNK_ROWS) {
+                let rows = start..(start + DELETE_CHUNK_ROWS).min(frag.len());
+                for (c, col) in frag.columns.iter().enumerate() {
+                    col.values_into(rows.clone(), buf[c..].iter_mut().step_by(width));
+                }
+                for (i, row) in rows.zip(buf.chunks_exact(width)) {
+                    if frag.meta[i].visible_at(ts.saturating_sub(1)) && pred(row) {
+                        remove_keys(&mut self.key_index, &uniques, row);
+                        hit(row);
+                        out.push(i);
+                    }
                 }
             }
-        }
-        for (row, meta) in self.delta.iter().zip(&mut self.delta_meta) {
-            if live(meta) && pred(row) {
-                kill(meta, row);
+            out
+        })
+    }
+
+    /// Stamps rows `main` of main and `delta` of the delta deleted at `ts`
+    /// and gathers them into the tombstone log; returns how many.
+    fn kill(&mut self, main: &[usize], delta: &[usize], ts: u64) -> usize {
+        for (frag, doomed) in [(&mut self.main, main), (&mut self.delta, delta)] {
+            if doomed.is_empty() {
+                continue;
             }
+            for &i in doomed {
+                frag.meta[i].delete_ts = ts;
+            }
+            let columns = frag.columns.iter().map(|c| c.gather_compact(doomed)).collect();
+            let meta = doomed.iter().map(|&i| frag.meta[i]);
+            self.tombstones.append(columns, meta).expect("all fragments have the table's types");
         }
-        let deleted = self.tombstones.len() - logged;
-        if deleted > 0 {
+        let n = main.len() + delta.len();
+        if n > 0 {
             self.last_write_ts = self.last_write_ts.max(ts);
             self.last_delete_ts = self.last_delete_ts.max(ts);
         }
-        deleted
+        n
     }
 
-    /// Rewrites the rows matching `pred` with `f` at `ts`: one
-    /// [`TableStore::delete_where`] pass, then the rows it just logged as
-    /// tombstones (main then delta) are rewritten and inserted at the same
-    /// `ts`. `f` sees every row as a scan returns it: a delta row, logged as
-    /// inserted, is first coerced to the column types (an INT into a DECIMAL
-    /// column arrives as a decimal). Returns the number of rows updated.
+    /// Rewrites the rows matching `pred` with `f` at `ts`, all or nothing:
+    /// the matches (main then delta, typed as a scan returns them — an INT
+    /// inserted into a DECIMAL column arrives as a decimal) give up their
+    /// keys, their rewritten versions are inserted, and only then are they
+    /// deleted. A rejected insert hands the keys back and leaves the table
+    /// as it was. Returns the number of rows updated.
     pub(crate) fn update_where(
         &mut self,
         pred: &dyn Fn(&[Value]) -> bool,
         f: &dyn Fn(&mut Vec<Value>),
         ts: u64,
     ) -> Result<usize> {
-        let n = self.delete_where(pred, ts);
-        let doomed = &self.tombstones[self.tombstones.len() - n..];
-        let logged: Vec<Vec<Value>> = doomed.iter().map(|t| t.row.clone()).collect();
-        let mut rows = Batch::from_rows(Arc::clone(&self.schema), &logged)?.to_rows();
+        let mut old = Vec::new();
+        let [main, delta] = self.doomed(pred, ts, |row| old.push(row.to_vec()));
+        let mut rows = old.clone();
         rows.iter_mut().for_each(f);
-        self.insert(rows, ts)
+        if let Err(e) = self.insert(&rows, ts) {
+            return self.claim_keys(&old).and(Err(e));
+        }
+        Ok(self.kill(&main, &delta, ts))
     }
 
     /// Materializes all rows visible at `ts` as a columnar batch — the
@@ -340,7 +370,7 @@ impl TableStore {
     /// concatenating the morsel batches in index order reproduces
     /// [`TableStore::scan`] exactly.
     pub fn morsel_count(&self, morsel_rows: usize) -> usize {
-        let total = self.main_meta.len() + self.delta.len();
+        let total = self.main.len() + self.delta.len();
         total.div_ceil(morsel_rows.max(1))
     }
 
@@ -363,7 +393,7 @@ impl TableStore {
         let morsel_rows = morsel_rows.max(1);
         let start = morsel.saturating_mul(morsel_rows);
         let end = start.saturating_add(morsel_rows);
-        let (main_len, delta_len) = (self.main_meta.len(), self.delta.len());
+        let (main_len, delta_len) = (self.main.len(), self.delta.len());
         let main = start.min(main_len)..end.min(main_len);
         let delta = start.saturating_sub(main_len).min(delta_len)
             ..end.saturating_sub(main_len).min(delta_len);
@@ -371,17 +401,13 @@ impl TableStore {
     }
 
     /// The one read path — scans, the insert feed and the delta merge:
-    /// rows `main` of the main fragment then rows `delta` of the delta,
-    /// those whose stamps pass `keep`, as one columnar batch of the table
-    /// ordinals `cols` (`None` = every column), with the number of rows that
-    /// passed `keep` in the blocks read. Three steps: the kept main rows are
-    /// selected once (zone-map-excluded blocks are neither read nor charged
-    /// to the page buffer); the filter's mask, evaluated over the
-    /// predicate's own columns one run of adjacent blocks at a time, drops
-    /// the rows it rejects from the selection; each emitted column is
-    /// gathered at payload level. Only the row-wise delta is read value by
-    /// value, one column at a time. A column the query never touches, and a
-    /// row the filter rejects, cost nothing past the selection.
+    /// rows `main` of main then rows `delta` of the delta whose stamps pass
+    /// `keep`, as one batch of the table ordinals `cols`, with how many
+    /// passed `keep` in the rows read. Both fragments take the same three
+    /// steps: the kept rows are selected (main blocks the zone maps exclude
+    /// are neither read nor charged to the page buffer); the filter's mask,
+    /// one run of rows at a time, drops those it rejects; each emitted
+    /// column is gathered at payload level.
     fn read(
         &self,
         keep: impl Fn(&RowMeta) -> bool,
@@ -390,23 +416,30 @@ impl TableStore {
         filter: ScanFilter<'_>,
         cols: Option<&[usize]>,
     ) -> Result<(Batch, usize)> {
-        // A mask is expected to keep few rows; without one, most are kept.
-        let mut sel = Vec::with_capacity(if filter.mask.is_some() { 0 } else { main.len() });
-        let mut visible = 0usize;
-        let mut read_run = |run: Range<usize>| {
+        // Rows of `run` that pass `keep` and then the mask join `sel`;
+        // returns how many passed `keep`.
+        let select = |frag: &Fragment, run: Range<usize>, sel: &mut Vec<usize>| {
             if run.is_empty() {
-                return;
+                return 0;
             }
-            self.account_scan(run.clone());
-            let hits = filter.mask.and_then(|mask| mask(&self.main, run.clone()));
+            let hits = filter.mask.and_then(|mask| mask(&frag.columns, run.clone()));
+            let mut visible = 0;
             for (k, i) in run.enumerate() {
-                if keep(&self.main_meta[i]) {
+                if keep(&frag.meta[i]) {
                     visible += 1;
                     if hits.as_ref().is_none_or(|h| h[k]) {
                         sel.push(i);
                     }
                 }
             }
+            visible
+        };
+        // A mask is expected to keep few rows; without one, most are kept.
+        let mut sel = Vec::with_capacity(if filter.mask.is_some() { 0 } else { main.len() });
+        let mut visible = 0usize;
+        let mut read_run = |run: Range<usize>| {
+            self.account_scan(run.clone());
+            visible += select(&self.main, run, &mut sel);
         };
         let mut skipped = 0u64;
         // Start of the run of adjacent blocks read since the last skip.
@@ -431,25 +464,27 @@ impl TableStore {
         if skipped > 0 {
             *self.blocks_skipped.lock().unwrap() += skipped;
         }
-        let delta_sel: Vec<usize> = delta.filter(|&i| keep(&self.delta_meta[i])).collect();
-        let schema = self.schema_of(cols);
+        let mut delta_sel = Vec::new();
+        visible += select(&self.delta, delta, &mut delta_sel);
+        Ok((self.gather(&[(&self.main, &sel), (&self.delta, &delta_sel)], cols)?, visible))
+    }
+
+    /// Rows `sel` of each fragment in turn as one batch of the table
+    /// ordinals `cols` (`None` = every column), every column gathered at
+    /// payload level.
+    fn gather(&self, parts: &[(&Fragment, &[usize])], cols: Option<&[usize]>) -> Result<Batch> {
+        let schema =
+            cols.map_or_else(|| Arc::clone(&self.schema), |c| Arc::new(self.schema.select(c)));
         let mut columns = Vec::with_capacity(schema.len());
-        for (out, f) in schema.fields().iter().enumerate() {
+        for out in 0..schema.len() {
             let c = cols.map_or(out, |cols| cols[out]);
-            let from_delta = || {
-                let vals: Vec<Value> =
-                    delta_sel.iter().map(|&r| self.delta[r][c].clone()).collect();
-                Column::from_values(f.ty, &vals)
-            };
-            columns.push(if sel.is_empty() {
-                from_delta()?
-            } else if delta_sel.is_empty() {
-                self.main[c].gather_compact(&sel)
-            } else {
-                Column::concat(&[&self.main[c].gather_compact(&sel), &from_delta()?])?
-            });
+            let mut column = parts[0].0.columns[c].gather_compact(parts[0].1);
+            for (frag, sel) in parts[1..].iter().filter(|(_, sel)| !sel.is_empty()) {
+                column.append(&frag.columns[c].gather_compact(sel))?;
+            }
+            columns.push(column);
         }
-        Ok((Batch::new(schema, columns)?, visible + delta_sel.len()))
+        Batch::new(schema, columns)
     }
 
     /// Total main-fragment blocks skipped by zone-map pruning so far.
@@ -466,8 +501,7 @@ impl TableStore {
 
     /// Total live rows at `ts`.
     pub fn row_count(&self, ts: u64) -> usize {
-        self.main_meta.iter().filter(|m| m.visible_at(ts)).count()
-            + self.delta_meta.iter().filter(|m| m.visible_at(ts)).count()
+        self.main.meta.iter().chain(&self.delta.meta).filter(|m| m.visible_at(ts)).count()
     }
 
     /// Folds the delta into the main fragment, dropping rows already
@@ -479,23 +513,17 @@ impl TableStore {
     /// main is what [`Column::from_values`] builds from the survivors.
     pub fn merge_delta(&mut self, ts: u64) -> Result<()> {
         let survives = |m: &RowMeta| m.delete_ts > ts;
-        let main_len = self.main_meta.len();
+        let main_len = self.main.len();
         // The first main row the merge rewrites: main's end when it appends.
-        let first_changed = if self.main_meta.iter().all(survives) { main_len } else { 0 };
+        let first_changed = if self.main.meta.iter().all(survives) { main_len } else { 0 };
         let (main, delta) = (first_changed..main_len, 0..self.delta.len());
         let (merged, _) = self.read(survives, main, delta, ScanFilter::default(), None)?;
-        if first_changed == 0 {
-            self.main = merged.columns;
-        } else {
-            for (col, tail) in self.main.iter_mut().zip(&merged.columns) {
-                col.append(tail)?;
-            }
-        }
-        self.main_meta.retain(survives);
-        self.main_meta.extend(self.delta_meta.iter().copied().filter(survives));
-        self.zone_maps.extend(&self.main, first_changed);
-        self.delta.clear();
-        self.delta_meta.clear();
+        // A compaction drains every main stamp: `merged` then replaces main.
+        let rewritten = self.main.meta.drain(first_changed..).chain(self.delta.meta.drain(..));
+        let meta: Vec<RowMeta> = rewritten.filter(survives).collect();
+        self.main.append(merged.columns, meta.into_iter())?;
+        self.zone_maps.extend(&self.main.columns, first_changed);
+        self.delta = Fragment::empty(&self.schema);
         self.merges += 1;
         Ok(())
     }
@@ -535,7 +563,7 @@ mod tests {
     #[test]
     fn insert_scan_round_trip() {
         let mut s = store();
-        s.insert(vec![row(1, "a"), row(2, "b")], 1).unwrap();
+        s.insert(&[row(1, "a"), row(2, "b")], 1).unwrap();
         let b = s.scan(1).unwrap();
         assert_eq!(b.num_rows(), 2);
         assert_eq!(b.row(0), row(1, "a"));
@@ -544,8 +572,8 @@ mod tests {
     #[test]
     fn snapshot_isolation() {
         let mut s = store();
-        s.insert(vec![row(1, "a")], 1).unwrap();
-        s.insert(vec![row(2, "b")], 5).unwrap();
+        s.insert(&[row(1, "a")], 1).unwrap();
+        s.insert(&[row(2, "b")], 5).unwrap();
         assert_eq!(s.scan(1).unwrap().num_rows(), 1, "older snapshot misses later insert");
         assert_eq!(s.scan(5).unwrap().num_rows(), 2);
         assert_eq!(s.row_count(0), 0);
@@ -554,7 +582,7 @@ mod tests {
     #[test]
     fn delete_respects_snapshots() {
         let mut s = store();
-        s.insert(vec![row(1, "a"), row(2, "b")], 1).unwrap();
+        s.insert(&[row(1, "a"), row(2, "b")], 1).unwrap();
         let n = s.delete_where(&|r| r[0] == Value::Int(1), 3);
         assert_eq!(n, 1);
         assert_eq!(s.scan(3).unwrap().num_rows(), 1, "invisible from ts 3 onward");
@@ -565,20 +593,35 @@ mod tests {
     #[test]
     fn constraints_enforced() {
         let mut s = store();
-        s.insert(vec![row(1, "a")], 1).unwrap();
-        assert!(s.insert(vec![row(1, "dup")], 2).is_err(), "duplicate PK");
-        assert!(s.insert(vec![vec![Value::Null, Value::str("x")]], 2).is_err(), "NOT NULL");
-        assert!(s.insert(vec![vec![Value::str("bad"), Value::Null]], 2).is_err(), "type");
-        assert!(s.insert(vec![vec![Value::Int(3)]], 2).is_err(), "arity");
+        s.insert(&[row(1, "a")], 1).unwrap();
+        assert!(s.insert(&[row(1, "dup")], 2).is_err(), "duplicate PK");
+        assert!(s.insert(&[vec![Value::Null, Value::str("x")]], 2).is_err(), "NOT NULL");
+        assert!(s.insert(&[vec![Value::str("bad"), Value::Null]], 2).is_err(), "type");
+        assert!(s.insert(&[vec![Value::Int(3)]], 2).is_err(), "arity");
         // Deleting frees the key for re-insert.
         s.delete_where(&|r| r[0] == Value::Int(1), 3);
-        s.insert(vec![row(1, "again")], 4).unwrap();
+        s.insert(&[row(1, "again")], 4).unwrap();
+    }
+
+    /// A rejected batch stores nothing and holds no key afterwards — not
+    /// even those of the rows ahead of the one that failed.
+    #[test]
+    fn a_failed_insert_leaves_no_key_behind() {
+        let mut s = store();
+        s.insert(&[row(5, "e")], 1).unwrap();
+        let null_key = vec![Value::Null, Value::str("x")];
+        assert!(s.insert(&[row(1, "a"), null_key], 2).is_err(), "NOT NULL after a good row");
+        assert!(s.insert(&[row(2, "b"), row(2, "again")], 2).is_err(), "duplicate in the batch");
+        assert!(s.insert(&[row(3, "c"), row(5, "dup")], 2).is_err(), "collides with a stored key");
+        assert_eq!(s.scan(2).unwrap().to_rows(), vec![row(5, "e")]);
+        s.insert(&[row(1, "a"), row(2, "b"), row(3, "c")], 3).unwrap();
+        assert!(s.insert(&[row(5, "dup")], 4).is_err(), "the stored key is still held");
     }
 
     #[test]
     fn merge_delta_moves_rows_to_main() {
         let mut s = store();
-        s.insert(vec![row(1, "a"), row(2, "b")], 1).unwrap();
+        s.insert(&[row(1, "a"), row(2, "b")], 1).unwrap();
         assert_eq!(s.delta_len(), 2);
         assert_eq!(s.main_len(), 0);
         s.merge_delta(1).unwrap();
@@ -588,7 +631,7 @@ mod tests {
         let b = s.scan(1).unwrap();
         assert_eq!(b.num_rows(), 2);
         // Writes after a merge land in the delta again.
-        s.insert(vec![row(3, "c")], 2).unwrap();
+        s.insert(&[row(3, "c")], 2).unwrap();
         assert_eq!(s.delta_len(), 1);
         assert_eq!(s.scan(2).unwrap().num_rows(), 3);
     }
@@ -597,9 +640,9 @@ mod tests {
     fn morsel_scan_union_equals_serial_scan() {
         let mut s = store();
         // 10 rows in main, 5 in delta, one deleted in each fragment.
-        s.insert((0..10).map(|i| row(i, "m")).collect(), 1).unwrap();
+        s.insert(&(0..10).map(|i| row(i, "m")).collect::<Vec<_>>(), 1).unwrap();
         s.merge_delta(1).unwrap();
-        s.insert((10..15).map(|i| row(i, "d")).collect(), 2).unwrap();
+        s.insert(&(10..15).map(|i| row(i, "d")).collect::<Vec<_>>(), 2).unwrap();
         s.delete_where(&|r| r[0] == Value::Int(3), 3);
         s.delete_where(&|r| r[0] == Value::Int(12), 3);
         for morsel_rows in [1, 3, 4, 7, 100] {
@@ -631,11 +674,19 @@ mod tests {
                 .unwrap(),
         ));
         let n = 3 * ZONE_BLOCK_ROWS + 17;
-        s.insert((0..n as i64).map(|i| vec![Value::Int(i), Value::Int(i % 7)]).collect(), 1)
-            .unwrap();
+        s.insert(
+            &(0..n as i64).map(|i| vec![Value::Int(i), Value::Int(i % 7)]).collect::<Vec<_>>(),
+            1,
+        )
+        .unwrap();
         s.merge_delta(1).unwrap();
-        s.insert((n as i64..n as i64 + 5).map(|i| vec![Value::Int(i), Value::Int(0)]).collect(), 2)
-            .unwrap();
+        s.insert(
+            &(n as i64..n as i64 + 5)
+                .map(|i| vec![Value::Int(i), Value::Int(0)])
+                .collect::<Vec<_>>(),
+            2,
+        )
+        .unwrap();
         // Keys ascend with position, so the range excludes exactly the first
         // two blocks and the pruned scan returns exactly the matching rows.
         let first_kept = Value::Int(2 * ZONE_BLOCK_ROWS as i64);
@@ -659,7 +710,7 @@ mod tests {
             TableBuilder::new("t").column("k", SqlType::Int, false).build().unwrap(),
         ));
         let n = 4 * ZONE_BLOCK_ROWS;
-        s.insert((0..n as i64).map(|i| vec![Value::Int(i)]).collect(), 1).unwrap();
+        s.insert(&(0..n as i64).map(|i| vec![Value::Int(i)]).collect::<Vec<_>>(), 1).unwrap();
         s.merge_delta(1).unwrap();
         let page_rows = ZONE_BLOCK_ROWS / 4;
         s.set_load_mode(LoadMode::PageLoadable { page_rows }, 64);
@@ -685,10 +736,10 @@ mod tests {
         let mut s = TableStore::new(Arc::new(
             TableBuilder::new("t").column("k", SqlType::Int, false).build().unwrap(),
         ));
-        s.insert((0..1_000).map(|i| vec![Value::Int(i)]).collect(), 1).unwrap();
+        s.insert(&(0..1_000).map(|i| vec![Value::Int(i)]).collect::<Vec<_>>(), 1).unwrap();
         s.merge_delta(1).unwrap();
         s.set_load_mode(LoadMode::PageLoadable { page_rows: 100 }, 64);
-        s.insert((1_000..1_050).map(|i| vec![Value::Int(i)]).collect(), 2).unwrap();
+        s.insert(&(1_000..1_050).map(|i| vec![Value::Int(i)]).collect::<Vec<_>>(), 2).unwrap();
         s.merge_delta(2).unwrap();
         assert_eq!(s.page_stats(), PageStats::default(), "an appending merge reads no main row");
         s.delete_where(&|r| r[0] == Value::Int(3), 3);
@@ -699,11 +750,14 @@ mod tests {
     }
 
     /// Random insert / delete / merge scripts against a naive model that
-    /// keeps `(row, stamps)` in physical order and filters row by row; then
-    /// random pushed predicates against the unrefined read.
+    /// keeps `(row, stamps)` in physical order (and every deleted version in
+    /// a log) and filters row by row: both feeds, the scans, then random
+    /// pushed predicates against the unrefined read — over main and the
+    /// unmerged delta alike.
     #[test]
     fn morsel_scans_match_a_row_by_row_visibility_oracle() {
         use vdm_types::{Decimal, SplitMix64};
+        let mut retracted = 0;
         for seed in [1u64, 2, 3] {
             let mut rng = SplitMix64::seed_from_u64(seed);
             let mut s = TableStore::new(Arc::new(
@@ -717,6 +771,8 @@ mod tests {
                     .unwrap(),
             ));
             let mut model: Vec<(Vec<Value>, RowMeta)> = Vec::new();
+            // Every deleted row version in delete order, never compacted.
+            let mut log: Vec<(Vec<Value>, RowMeta)> = Vec::new();
             let (mut ts, mut next_k, mut old_ts) = (0u64, 0i64, 0u64);
             for step in 0..40 {
                 ts += 1;
@@ -733,8 +789,10 @@ mod tests {
                         let doomed = |row: &[Value]| matches!(row[0], Value::Int(k) if k % m == r);
                         let n = s.delete_where(&doomed, ts);
                         let live = model.iter_mut().filter(|(_, meta)| meta.visible_at(ts - 1));
-                        let hit =
-                            live.filter(|(row, _)| doomed(row)).map(|(_, m)| m.delete_ts = ts);
+                        let hit = live.filter(|(row, _)| doomed(row)).map(|(row, m)| {
+                            m.delete_ts = ts;
+                            log.push((row.clone(), *m));
+                        });
                         assert_eq!(hit.count(), n, "seed {seed} step {step}");
                     }
                     1 => {
@@ -761,7 +819,7 @@ mod tests {
                             .collect();
                         let meta = RowMeta { insert_ts: ts, delete_ts: u64::MAX };
                         model.extend(rows.iter().map(|r| (r.clone(), meta)));
-                        s.insert(rows, ts).unwrap();
+                        s.insert(&rows, ts).unwrap();
                     }
                 }
                 if step == 25 {
@@ -769,7 +827,36 @@ mod tests {
                 }
             }
             assert!(s.main_len() > 2 * ZONE_BLOCK_ROWS && s.delta_len() > 0, "seed {seed}");
+            // Both feeds over (old_ts, ts] and (0, ts], whole and narrowed.
+            let narrow = [3usize, 1];
+            for since in [old_ts, 0] {
+                for cols in [None, Some(&narrow[..])] {
+                    let project = |(row, _): &(Vec<Value>, RowMeta)| match cols {
+                        Some(cols) => cols.iter().map(|&c| row[c].clone()).collect(),
+                        None => row.clone(),
+                    };
+                    let born =
+                        model.iter().filter(|(_, m)| m.insert_ts > since && m.visible_at(ts));
+                    let gone =
+                        log.iter().filter(|(_, m)| m.delete_ts > since && m.insert_ts <= since);
+                    let (born, gone): (Vec<Vec<Value>>, Vec<Vec<Value>>) =
+                        (born.map(project).collect(), gone.map(project).collect());
+                    retracted += gone.len();
+                    let ctx = format!("seed {seed} since {since} cols {cols:?}");
+                    assert_eq!(
+                        s.inserted_between(since, ts, cols).unwrap().to_rows(),
+                        born,
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        s.deleted_between(since, ts, cols).unwrap().to_rows(),
+                        gone,
+                        "{ctx}"
+                    );
+                }
+            }
             let mid_k = Value::Int(next_k / 2);
+            let mut delta_dropped = 0;
             let prunes = [
                 None,
                 Some((0, ScanRange::point(mid_k.clone()))),
@@ -798,7 +885,7 @@ mod tests {
                         let end = ((b + 1) * ZONE_BLOCK_ROWS).min(s.main_len());
                         let all = |side: &dyn Fn(&Value) -> bool| {
                             (b * ZONE_BLOCK_ROWS..end).all(|i| {
-                                let v = s.main[*c].get(i);
+                                let v = s.main.columns[*c].get(i);
                                 !v.is_null() && side(&v)
                             })
                         };
@@ -852,6 +939,9 @@ mod tests {
                         assert_eq!(visible, b.num_rows(), "{ctx} morsel {m}");
                         assert_eq!(recheck(&r), recheck(b), "{ctx} morsel {m}");
                         dropped += b.num_rows() - r.num_rows();
+                        if m * morsel_rows >= s.main_len() {
+                            delta_dropped += b.num_rows() - r.num_rows();
+                        }
                         let cols = [2usize, 0];
                         let (narrow, _) =
                             s.scan_morsel(at, m, morsel_rows, refined, Some(&cols)).unwrap();
@@ -862,17 +952,19 @@ mod tests {
                 }
                 assert!(dropped > 0, "seed {seed} at {at} {prune:?}: the mask refined nothing");
             }
+            assert!(delta_dropped > 0, "seed {seed}: the mask refined no unmerged delta row");
         }
+        assert!(retracted > 0, "no script retracted a row the feeds had to report");
     }
 
     #[test]
     fn delta_feeds_pair_up() {
         let mut s = store();
-        s.insert(vec![row(1, "a"), row(2, "b"), row(3, "c")], 1).unwrap();
+        s.insert(&[row(1, "a"), row(2, "b"), row(3, "c")], 1).unwrap();
         // Window (1, 4]: row 4 inserted, row 2 deleted, row 5 born+killed.
-        s.insert(vec![row(4, "d")], 2).unwrap();
+        s.insert(&[row(4, "d")], 2).unwrap();
         s.delete_where(&|r| r[0] == Value::Int(2), 3);
-        s.insert(vec![row(5, "e")], 3).unwrap();
+        s.insert(&[row(5, "e")], 3).unwrap();
         s.delete_where(&|r| r[0] == Value::Int(5), 4);
         let ins = s.inserted_between(1, 4, None).unwrap();
         assert_eq!(ins.to_rows(), vec![row(4, "d")], "intra-window birth+death cancels");
@@ -890,9 +982,10 @@ mod tests {
     #[test]
     fn narrowed_reads_are_projections_of_full_reads() {
         let mut s = store();
-        s.insert((0..2 * ZONE_BLOCK_ROWS as i64).map(|i| row(i, "m")).collect(), 1).unwrap();
+        s.insert(&(0..2 * ZONE_BLOCK_ROWS as i64).map(|i| row(i, "m")).collect::<Vec<_>>(), 1)
+            .unwrap();
         s.merge_delta(1).unwrap();
-        s.insert(vec![row(-1, "d"), vec![Value::Int(-2), Value::Null]], 2).unwrap();
+        s.insert(&[row(-1, "d"), vec![Value::Int(-2), Value::Null]], 2).unwrap();
         s.delete_where(&|r| r[0] == Value::Int(7) || r[0] == Value::Int(-1), 3);
         let project = |b: Batch, cols: &[usize]| -> Vec<Vec<Value>> {
             b.to_rows().iter().map(|r| cols.iter().map(|&c| r[c].clone()).collect()).collect()
@@ -975,7 +1068,7 @@ mod tests {
                         let main_len = s.main_len();
                         let reclaimable = model[..main_len].iter().any(|(_, m)| m.delete_ts <= ts);
                         let note_dict_empty = main_len > 0
-                            && matches!(s.main[5].data(), ColumnData::Str(n) if n.dict.is_empty());
+                            && matches!(s.main.columns[5].data(), ColumnData::Str(n) if n.dict.is_empty());
                         let notes_arrive = model[main_len..]
                             .iter()
                             .any(|(row, m)| m.delete_ts > ts && !row[5].is_null());
@@ -991,14 +1084,14 @@ mod tests {
                         let ctx = format!("seed {seed} step {step}");
                         assert_eq!(s.delta_len(), 0, "{ctx}");
                         let metas: Vec<RowMeta> = model.iter().map(|(_, m)| *m).collect();
-                        assert_eq!(s.main_meta, metas, "{ctx}");
+                        assert_eq!(s.main.meta, metas, "{ctx}");
                         for (c, ty) in types.iter().enumerate() {
                             let vals: Vec<Value> =
                                 model.iter().map(|(row, _)| row[c].clone()).collect();
                             let want = Column::from_values(*ty, &vals).unwrap();
-                            assert_eq!(s.main[c], want, "{ctx} column {c}");
+                            assert_eq!(s.main.columns[c], want, "{ctx} column {c}");
                         }
-                        assert_eq!(s.zone_maps, ZoneMaps::build(&s.main), "{ctx}");
+                        assert_eq!(s.zone_maps, ZoneMaps::build(&s.main.columns), "{ctx}");
                     }
                     _ => {
                         let rows: Vec<Vec<Value>> = (0..rng.random_range(1..400usize))
@@ -1024,7 +1117,7 @@ mod tests {
                             .collect();
                         let meta = RowMeta { insert_ts: ts, delete_ts: u64::MAX };
                         model.extend(rows.iter().map(|r| (r.clone(), meta)));
-                        s.insert(rows, ts).unwrap();
+                        s.insert(&rows, ts).unwrap();
                     }
                 }
             }
@@ -1063,9 +1156,9 @@ mod tests {
             {
                 let ctx = format!("main {n} rows, predicate on the {name} column");
                 let mut s = TableStore::new(Arc::clone(&def));
-                s.insert((0..n as i64).map(row).collect(), 1).unwrap();
+                s.insert(&(0..n as i64).map(row).collect::<Vec<_>>(), 1).unwrap();
                 s.merge_delta(1).unwrap();
-                s.insert((n as i64..n as i64 + 3).map(row).collect(), 2).unwrap();
+                s.insert(&(n as i64..n as i64 + 3).map(row).collect::<Vec<_>>(), 2).unwrap();
                 // A row already deleted in each fragment must stay out.
                 s.delete_where(&|r| r[0] == Value::Int(1) || r[0] == Value::Int(n as i64), 3);
                 let live = s.scan(3).unwrap().to_rows();
@@ -1074,7 +1167,7 @@ mod tests {
                 assert_eq!(s.deleted_between(3, 4, None).unwrap().to_rows(), want, "{ctx}");
                 assert_eq!(s.scan(4).unwrap().num_rows(), live.len() - want.len(), "{ctx}");
                 if let Some(again) = want.first() {
-                    s.insert(vec![again.clone()], 5).unwrap();
+                    s.insert(std::slice::from_ref(again), 5).unwrap();
                 }
             }
         }
@@ -1083,7 +1176,7 @@ mod tests {
     #[test]
     fn deleted_between_survives_merge_compaction() {
         let mut s = store();
-        s.insert(vec![row(1, "a"), row(2, "b")], 1).unwrap();
+        s.insert(&[row(1, "a"), row(2, "b")], 1).unwrap();
         s.delete_where(&|r| r[0] == Value::Int(1), 2);
         // Compaction at ts 5 drops the deleted row version entirely...
         s.merge_delta(5).unwrap();
@@ -1096,7 +1189,7 @@ mod tests {
     #[test]
     fn merge_drops_fully_deleted_rows() {
         let mut s = store();
-        s.insert(vec![row(1, "a"), row(2, "b")], 1).unwrap();
+        s.insert(&[row(1, "a"), row(2, "b")], 1).unwrap();
         s.delete_where(&|r| r[0] == Value::Int(1), 2);
         s.merge_delta(5).unwrap();
         assert_eq!(s.main_len(), 1, "deleted row compacted away");
