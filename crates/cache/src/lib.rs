@@ -5,11 +5,14 @@
 //! incrementally maintained, providing the up-to-date snapshot."
 //!
 //! * **SCV**: serves the materialization as of its last refresh; reads are
-//!   O(1) but may be stale. [`CachedView::refresh`] re-materializes,
-//!   [`ViewCache::refresh_all_static`] is the periodic tick.
-//! * **DCV**: every read is up to date, at cost proportional to the
-//!   *delta* since the last maintenance. A [`DeltaPlan`] derived once at
-//!   registration classifies the view:
+//!   O(1) but may be stale. [`ViewCache::refresh_all_static`] is the
+//!   periodic tick; it runs [`CachedView::maintain`] on every static view.
+//! * **DCV**: every read runs [`CachedView::maintain`] first, so it is up
+//!   to date.
+//!
+//! [`CacheMode`] decides only *when* maintenance runs, never *how*: either
+//! way it costs the *delta* since the last maintenance. A [`DeltaPlan`]
+//! derived once at registration classifies the view:
 //!   - delta-capable shapes (scans, filters, projections, UNION ALL, and
 //!     FK-style joins) run `vdm-exec`'s signed-delta evaluator and patch
 //!     the materialization: retracted rows are multiset-subtracted,
@@ -18,8 +21,9 @@
 //!     per-group accumulators absorb the input delta and the output is
 //!     re-rendered from group state. Deletes retract exactly except when
 //!     a group loses its MIN/MAX extreme, which rebuilds that group from
-//!     a key-filtered scan (or the whole view when the key is not
-//!     expressible as a literal filter);
+//!     the view input under its key filter, pushed toward the scans so
+//!     zone maps and the scan mask read only the group's rows (or the
+//!     whole view when the key is not expressible as a literal filter);
 //!   - everything else — and any change to a *frozen* table (the
 //!     snapshot-probed side of a join) — recomputes from scratch.
 //!
@@ -35,9 +39,10 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 use vdm_exec::kernels::hash_values;
 use vdm_exec::ParallelConfig;
-use vdm_expr::{AggExpr, BinOp, Expr, Retraction};
+use vdm_expr::{AggExpr, Expr, Retraction};
 use vdm_obs::registry::{self, MetricsRegistry};
 use vdm_obs::{names, trace as qtrace};
+use vdm_optimizer::filters::pushdown_filters;
 use vdm_plan::{
     derive_delta_plan, plan_digest_canonical, scan_tables, DeltaClass, DeltaPlan, LogicalPlan,
     PlanRef,
@@ -133,6 +138,11 @@ enum RetractOutcome {
     Missing,
 }
 
+/// `agg`'s input value for `row` (COUNT(*) folds a placeholder 1).
+fn agg_arg(agg: &AggExpr, row: &[Value]) -> Result<Value> {
+    agg.arg.as_ref().map_or(Ok(Value::Int(1)), |a| a.eval_row(row))
+}
+
 impl GroupState {
     fn build(
         input: &Batch,
@@ -183,13 +193,14 @@ impl GroupState {
             Some(&s) => s,
             None => self.push_group(key, aggs),
         };
+        self.absorb(slot, row, aggs)
+    }
+
+    /// Counts `row` into `slot` and folds it into the slot's accumulators.
+    fn absorb(&mut self, slot: usize, row: &[Value], aggs: &[(AggExpr, String)]) -> Result<()> {
         self.live[slot] += 1;
-        for (j, (agg, _)) in aggs.iter().enumerate() {
-            let v = match &agg.arg {
-                Some(a) => a.eval_row(row)?,
-                None => Value::Int(1), // COUNT(*) placeholder
-            };
-            self.accs[slot][j].update(&v)?;
+        for (acc, (agg, _)) in self.accs[slot].iter_mut().zip(aggs) {
+            acc.update(&agg_arg(agg, row)?)?;
         }
         Ok(())
     }
@@ -209,20 +220,14 @@ impl GroupState {
         }
         self.live[slot] -= 1;
         let mut dirty = false;
-        for (j, (agg, _)) in aggs.iter().enumerate() {
-            let v = match &agg.arg {
-                Some(a) => a.eval_row(row)?,
-                None => Value::Int(1),
-            };
-            if self.accs[slot][j].retract(&v)? == Retraction::Recompute {
-                dirty = true;
-            }
+        for (acc, (agg, _)) in self.accs[slot].iter_mut().zip(aggs) {
+            dirty |= acc.retract(&agg_arg(agg, row)?)? == Retraction::Recompute;
         }
         Ok(if dirty { RetractOutcome::Dirty(slot) } else { RetractOutcome::Clean })
     }
 
-    /// Rebuilds the dirty slots from a key-filtered scan of the input,
-    /// executed by `run`. Returns `false` when the rebuild cannot be expressed or
+    /// Rebuilds the dirty slots from the input under a key filter, executed
+    /// by `run`. Returns `false` when the rebuild cannot be expressed or
     /// the filtered rows don't map back cleanly — the caller falls back
     /// to a whole-view recompute.
     fn recompute_groups(
@@ -237,51 +242,38 @@ impl GroupState {
         if group_by.is_empty() {
             return Ok(false);
         }
-        let mut pred: Option<Expr> = None;
+        let _span = qtrace::span("view.rebuild_groups");
+        qtrace::attr("groups", dirty.len());
+        let mut groups = Vec::with_capacity(dirty.len());
         for &slot in dirty {
-            let mut conj: Option<Expr> = None;
-            for ((ge, _), kv) in group_by.iter().zip(&self.order[slot]) {
-                if kv.is_null() {
-                    // `expr = NULL` is never true; the group is not
-                    // reachable by an equality filter.
-                    return Ok(false);
-                }
-                let eq = ge.clone().binary(BinOp::Eq, Expr::Lit(kv.clone()));
-                conj = Some(match conj {
-                    Some(c) => c.and(eq),
-                    None => eq,
-                });
+            let key = &self.order[slot];
+            // `expr = NULL` is never true; the group is not reachable by an
+            // equality filter.
+            if key.iter().any(Value::is_null) {
+                return Ok(false);
             }
-            let conj = conj.expect("grouped view has group keys");
-            pred = Some(match pred {
-                Some(p) => p.or(conj),
-                None => conj,
-            });
+            let eqs =
+                group_by.iter().zip(key).map(|((ge, _), kv)| ge.clone().eq(Expr::Lit(kv.clone())));
+            groups.push(Expr::conjunction(eqs.collect()));
         }
-        let filtered = LogicalPlan::filter(Arc::clone(input), pred.expect("dirty set non-empty"))?;
-        let rows = run(&filtered)?;
+        // The optimizer's own pushdown carries the key conjuncts to the
+        // scans (across the left side of LEFT OUTER joins, never the
+        // right), where zone maps and the mask drop the other groups' rows
+        // before any join sees them.
+        let pred = groups.into_iter().reduce(Expr::or).expect("dirty set non-empty");
+        let rows = run(&pushdown_filters(&LogicalPlan::filter(Arc::clone(input), pred)?)?)?;
+        qtrace::attr("rows", rows.num_rows());
         for &slot in dirty {
             self.accs[slot] = aggs.iter().map(|(a, _)| a.accumulator()).collect();
             self.live[slot] = 0;
         }
         for i in 0..rows.num_rows() {
             let row = rows.row(i);
-            let key = Self::key_of(&row, group_by)?;
-            let Some(&slot) = self.index.get(&key) else {
-                return Ok(false);
-            };
-            if !dirty.contains(&slot) {
-                // The equality filter matched a clean group (e.g. values
-                // equal under SQL `=` but distinct as map keys).
-                return Ok(false);
-            }
-            self.live[slot] += 1;
-            for (j, (agg, _)) in aggs.iter().enumerate() {
-                let v = match &agg.arg {
-                    Some(a) => a.eval_row(&row)?,
-                    None => Value::Int(1),
-                };
-                self.accs[slot][j].update(&v)?;
+            match self.index.get(&Self::key_of(&row, group_by)?) {
+                Some(&slot) if dirty.contains(&slot) => self.absorb(slot, &row, aggs)?,
+                // No group, or a clean one the equality filter matched
+                // (values equal under SQL `=` but distinct as map keys).
+                _ => return Ok(false),
             }
         }
         Ok(true)
@@ -305,15 +297,15 @@ impl GroupState {
 }
 
 struct CacheState {
-    /// The materialization, shared with readers. Refresh and maintenance
-    /// build a replacement *outside* the state lock and swap the `Arc` in,
-    /// so readers are only ever blocked for the pointer swap.
+    /// The materialization, shared with readers. Maintenance builds a
+    /// replacement *outside* the state lock and swaps the `Arc` in, so
+    /// readers are only ever blocked for the pointer swap.
     data: Arc<Batch>,
     as_of: Snapshot,
     /// Live accumulator state for folded aggregates. Taken out (not
     /// cloned) for the duration of a fold so maintenance stays O(delta);
     /// `None` after a fold error or for non-folding views — the next
-    /// full refresh rebuilds it.
+    /// recompute rebuilds it.
     groups: Option<GroupState>,
     stats: CacheStats,
 }
@@ -328,8 +320,8 @@ pub struct CachedView {
     /// Base tables the plan scans (maintenance dependencies).
     dependencies: Vec<String>,
     state: Mutex<CacheState>,
-    /// Serializes refresh/maintenance (which compute outside the state
-    /// lock) so concurrent maintainers don't duplicate or reorder work.
+    /// Serializes maintenance (which computes outside the state lock) so
+    /// concurrent maintainers don't duplicate or reorder work.
     /// Readers never take this lock.
     maintenance: Mutex<()>,
     /// Check every incremental step against a full recompute
@@ -411,32 +403,28 @@ impl CachedView {
         engine: &StorageEngine,
         parallel: Arc<Mutex<ParallelConfig>>,
     ) -> Result<CachedView> {
-        let started = Instant::now();
-        let delta_plan = derive_delta_plan(&plan);
-        let snapshot = engine.snapshot();
-        let config = *parallel.lock().unwrap();
-        let (batch, groups) =
-            materialize(&plan, delta_plan.folds_aggregate, engine, snapshot, config)?;
         let mut dependencies = scan_tables(&plan);
         dependencies.sort();
         dependencies.dedup();
-        record_refresh("full", started.elapsed().as_secs_f64(), 0);
-        Ok(CachedView {
+        let view = CachedView {
             name: name.to_string(),
+            delta_plan: derive_delta_plan(&plan),
+            state: Mutex::new(CacheState {
+                data: Arc::new(Batch::empty(plan.schema())),
+                as_of: Snapshot(0),
+                groups: None,
+                stats: CacheStats::default(),
+            }),
             plan,
             mode,
-            delta_plan,
             dependencies,
-            state: Mutex::new(CacheState {
-                data: Arc::new(batch),
-                as_of: snapshot,
-                groups,
-                stats: CacheStats { full_refreshes: 1, ..CacheStats::default() },
-            }),
             maintenance: Mutex::new(()),
             verify: AtomicBool::new(cfg!(debug_assertions)),
             parallel,
-        })
+        };
+        // Registration is the view's first full recompute.
+        view.recompute(engine)?;
+        Ok(view)
     }
 
     fn parallel(&self) -> ParallelConfig {
@@ -490,8 +478,8 @@ impl CachedView {
     }
 
     /// Reads the view. SCV: the stored snapshot. DCV: maintained first.
-    /// Readers share the materialization by `Arc`, so a concurrent refresh
-    /// only blocks them for the duration of the pointer swap.
+    /// Readers share the materialization by `Arc`, so a concurrent
+    /// maintenance only blocks them for the duration of the pointer swap.
     pub fn read(&self, engine: &StorageEngine) -> Result<Arc<Batch>> {
         Ok(self.read_with_outcome(engine)?.0)
     }
@@ -512,17 +500,17 @@ impl CachedView {
         Ok((Arc::clone(&state.data), outcome))
     }
 
-    /// Forces a full re-materialization (the SCV periodic refresh). The new
-    /// materialization is computed without holding the state lock.
-    pub fn refresh(&self, engine: &StorageEngine) -> Result<()> {
-        let _serialize = self.maintenance.lock().unwrap();
-        self.refresh_serialized(engine)
+    /// One view's share of the SCV periodic tick: the same
+    /// [`maintain`](CachedView::maintain) a DCV read runs.
+    pub fn refresh(&self, engine: &StorageEngine) -> Result<MaintainOutcome> {
+        self.maintain(engine)
     }
 
-    /// Full recompute; caller holds the maintenance lock.
-    fn refresh_serialized(&self, engine: &StorageEngine) -> Result<()> {
-        let _span = qtrace::span("view.refresh");
-        qtrace::attr("view", &self.name);
+    /// Full recompute, computed without holding the state lock: the
+    /// registration's materialization, and otherwise only
+    /// [`maintain`](CachedView::maintain)'s fallback, under its
+    /// maintenance lock.
+    fn recompute(&self, engine: &StorageEngine) -> Result<()> {
         let started = Instant::now();
         let snapshot = engine.snapshot();
         let (batch, groups) = materialize(
@@ -542,10 +530,10 @@ impl CachedView {
         Ok(())
     }
 
-    /// Brings a DCV up to date, dispatching on the precomputed
-    /// [`DeltaPlan`]: no-op when the dependencies are unchanged,
-    /// signed-delta patch or aggregate fold when the class allows it,
-    /// full recompute otherwise.
+    /// Brings the view up to date (a DCV on read, an SCV on the tick),
+    /// dispatching on the precomputed [`DeltaPlan`]: no-op when the
+    /// dependencies are unchanged, signed-delta patch or aggregate fold
+    /// when the class allows it, full recompute otherwise.
     pub fn maintain(&self, engine: &StorageEngine) -> Result<MaintainOutcome> {
         let _serialize = self.maintenance.lock().unwrap();
         let _span = qtrace::span("view.maintain");
@@ -592,7 +580,12 @@ impl CachedView {
             };
             if let Some(delta_rows) = applied {
                 if self.verify.load(Ordering::Relaxed) {
-                    self.verify_against_full(engine, now)?;
+                    if let Err(diverged) = self.verify_against_full(engine, now) {
+                        // The next read must not serve the diverged rows
+                        // as fresh.
+                        self.recompute(engine)?;
+                        return Err(diverged);
+                    }
                 }
                 record_refresh("incremental", started.elapsed().as_secs_f64(), delta_rows);
                 qtrace::attr("outcome", "incremental");
@@ -601,7 +594,7 @@ impl CachedView {
             }
             // Fell through: retraction not representable incrementally.
         }
-        self.refresh_serialized(engine)?;
+        self.recompute(engine)?;
         qtrace::attr("outcome", "full");
         Ok(MaintainOutcome::Full)
     }
@@ -664,7 +657,7 @@ impl CachedView {
             return Ok(Some(0));
         }
         // Take the state out (no clone): on any error it stays `None`
-        // and the next full refresh rebuilds it.
+        // and the next recompute rebuilds it.
         let Some(mut gs) = self.state.lock().unwrap().groups.take() else {
             return Ok(None);
         };
@@ -847,9 +840,11 @@ impl ViewCache {
             .ok_or_else(|| VdmError::Catalog(format!("unknown cached view {name:?}")))
     }
 
-    /// Refreshes every static view (the "periodic" refresh tick). The
-    /// registry lock is released before any view recomputes, so lookups and
-    /// reads proceed while refreshes run.
+    /// Maintains every static view (the "periodic" refresh tick). The
+    /// registry lock is released before any view maintains, so lookups and
+    /// reads proceed while refreshes run. A view that fails does not keep
+    /// the later ones stale: every view is maintained, then the first error
+    /// is returned.
     pub fn refresh_all_static(&self, engine: &StorageEngine) -> Result<usize> {
         let statics: Vec<Arc<CachedView>> = self
             .views
@@ -859,30 +854,43 @@ impl ViewCache {
             .filter(|v| v.mode() == CacheMode::Static)
             .cloned()
             .collect();
+        let mut first_error = None;
         for v in &statics {
-            v.refresh(engine)?;
+            if let Err(e) = v.refresh(engine) {
+                first_error.get_or_insert(e);
+            }
         }
-        Ok(statics.len())
+        first_error.map_or(Ok(statics.len()), Err)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vdm_catalog::TableBuilder;
+    use vdm_catalog::{TableBuilder, TableDef};
     use vdm_expr::{AggExpr, AggFunc, BinOp, Expr};
+    use vdm_plan::SortKey;
     use vdm_types::SqlType;
 
-    fn setup() -> (StorageEngine, PlanRef, PlanRef) {
-        let engine = StorageEngine::new();
-        let t = Arc::new(
+    fn sales() -> Arc<TableDef> {
+        Arc::new(
             TableBuilder::new("sales")
                 .column("id", SqlType::Int, false)
                 .column("amount", SqlType::Int, false)
                 .primary_key(&["id"])
                 .build()
                 .unwrap(),
-        );
+        )
+    }
+
+    /// `view`'s plan run from scratch at the engine's current snapshot.
+    fn fresh_run(view: &CachedView, engine: &StorageEngine) -> Batch {
+        run_at(view.plan(), engine, engine.snapshot(), view.parallel()).unwrap()
+    }
+
+    fn setup() -> (StorageEngine, PlanRef, PlanRef) {
+        let engine = StorageEngine::new();
+        let t = sales();
         engine.create_table(Arc::clone(&t)).unwrap();
         engine
             .insert("sales", (0..10).map(|i| vec![Value::Int(i), Value::Int(i * 10)]).collect())
@@ -909,15 +917,78 @@ mod tests {
         let (engine, plan, _) = setup();
         let cache = ViewCache::new();
         let scv = cache.register("big_sales", plan, CacheMode::Static, &engine).unwrap();
-        assert_eq!(scv.read(&engine).unwrap().num_rows(), 5);
+        let stale = multiset_digest(&scv.read(&engine).unwrap());
         engine.insert("sales", vec![vec![Value::Int(100), Value::Int(999)]]).unwrap();
+        engine.delete_where("sales", &|r| r[0] == Value::Int(9)).unwrap();
+        engine.merge_delta("sales").unwrap();
         // Still the old snapshot...
-        assert_eq!(scv.read(&engine).unwrap().num_rows(), 5);
+        assert_eq!(multiset_digest(&scv.read(&engine).unwrap()), stale);
         assert!(scv.staleness(&engine) > 0);
-        // ...until the periodic refresh.
+        // ...until the periodic tick, which folds the delta like a DCV read.
+        assert_eq!(cache.refresh_all_static(&engine).unwrap(), 1);
+        let fresh = multiset_digest(&fresh_run(&scv, &engine));
+        assert_ne!(fresh, stale);
+        assert_eq!(multiset_digest(&scv.read(&engine).unwrap()), fresh);
+        assert_eq!(scv.staleness(&engine), 0);
+        let stats = scv.stats();
+        assert_eq!((stats.incremental_refreshes, stats.full_refreshes), (1, 1), "{stats:?}");
+        assert_eq!(stats.delta_rows, 2, "one row in, one row out");
+    }
+
+    #[test]
+    fn static_full_only_view_recomputes_on_the_tick() {
+        let (engine, plan, _) = setup();
+        let top3 = LogicalPlan::limit(
+            LogicalPlan::sort(plan, vec![SortKey::desc(0)]).unwrap(),
+            0,
+            Some(3),
+        );
+        let cache = ViewCache::new();
+        let scv = cache.register("top3", top3, CacheMode::Static, &engine).unwrap();
+        assert_eq!(scv.delta_plan().class, DeltaClass::FullOnly);
+        engine.insert("sales", vec![vec![Value::Int(100), Value::Int(999)]]).unwrap();
         cache.refresh_all_static(&engine).unwrap();
-        assert_eq!(scv.read(&engine).unwrap().num_rows(), 6);
-        assert_eq!(scv.stats().full_refreshes, 2);
+        assert_eq!(scv.read(&engine).unwrap().to_rows(), fresh_run(&scv, &engine).to_rows());
+        let stats = scv.stats();
+        assert_eq!((stats.incremental_refreshes, stats.full_refreshes), (0, 2), "{stats:?}");
+    }
+
+    #[test]
+    fn a_failing_static_view_does_not_keep_the_others_stale() {
+        let (engine, plan, _) = setup();
+        let cache = ViewCache::new();
+        // `10 / (amount - 999)` divides by zero once an amount of 999 lands.
+        let q = Expr::int(10).binary(BinOp::Div, Expr::col(1).binary(BinOp::Sub, Expr::int(999)));
+        let divides = LogicalPlan::project(LogicalPlan::scan(sales()), vec![(q, "q".into())]);
+        cache.register("divides", divides.unwrap(), CacheMode::Static, &engine).unwrap();
+        let others: Vec<Arc<CachedView>> = (0..4)
+            .map(|i| cache.register(&format!("v{i}"), plan.clone(), CacheMode::Static, &engine))
+            .collect::<Result<_>>()
+            .unwrap();
+        engine.insert("sales", vec![vec![Value::Int(100), Value::Int(999)]]).unwrap();
+        assert!(cache.refresh_all_static(&engine).is_err(), "the division by zero surfaces");
+        for v in &others {
+            assert_eq!(v.staleness(&engine), 0, "{} was maintained", v.name());
+            assert_eq!(v.read(&engine).unwrap().num_rows(), 6);
+        }
+    }
+
+    #[test]
+    fn a_diverged_view_is_recomputed_before_the_error() {
+        let (engine, plan, _) = setup();
+        let cache = ViewCache::new();
+        let dcv = cache.register("v", plan, CacheMode::Dynamic, &engine).unwrap();
+        dcv.set_verify(true);
+        // Corrupt the materialization: drop its first row.
+        {
+            let mut state = dcv.state.lock().unwrap();
+            let rest: Vec<usize> = (1..state.data.num_rows()).collect();
+            state.data = Arc::new(state.data.gather(&rest));
+        }
+        engine.insert("sales", vec![vec![Value::Int(100), Value::Int(999)]]).unwrap();
+        assert!(dcv.read(&engine).is_err(), "verification catches the divergence");
+        let fresh = multiset_digest(&fresh_run(&dcv, &engine));
+        assert_eq!(multiset_digest(&dcv.read(&engine).unwrap()), fresh);
     }
 
     #[test]
@@ -1035,21 +1106,61 @@ mod tests {
     }
 
     #[test]
+    fn minmax_group_rebuild_reads_only_its_group() {
+        let engine = StorageEngine::new();
+        let t = Arc::new(
+            TableBuilder::new("m")
+                .column("k", SqlType::Int, false)
+                .column("v", SqlType::Int, false)
+                .primary_key(&["k", "v"])
+                .build()
+                .unwrap(),
+        );
+        engine.create_table(Arc::clone(&t)).unwrap();
+        // Four zone-map blocks of main, one group per block.
+        let block = vdm_storage::zonemap::ZONE_BLOCK_ROWS as i64;
+        engine
+            .insert(
+                "m",
+                (0..4 * block).map(|i| vec![Value::Int(i / block), Value::Int(i)]).collect(),
+            )
+            .unwrap();
+        engine.merge_delta("m").unwrap();
+        // The key filter lands above the projection; only a pushed one
+        // reaches the scan.
+        let renamed = LogicalPlan::project(
+            LogicalPlan::scan(t),
+            vec![(Expr::col(0), "grp".into()), (Expr::col(1), "val".into())],
+        );
+        let agg = LogicalPlan::aggregate(
+            renamed.unwrap(),
+            vec![(Expr::col(0), "grp".into())],
+            vec![(AggExpr::new(AggFunc::Max, Expr::col(1)), "mx".into())],
+        )
+        .unwrap();
+        let cache = ViewCache::new();
+        let dcv = cache.register("mx", agg, CacheMode::Dynamic, &engine).unwrap();
+        let skipped = engine.blocks_skipped("m").unwrap();
+        // Group 2 loses its extreme: its rebuild reads its own block only.
+        engine.delete_where("m", &|r| r[1] == Value::Int(3 * block - 1)).unwrap();
+        let got = dcv.read(&engine).unwrap();
+        assert_eq!(multiset_digest(&got), multiset_digest(&fresh_run(&dcv, &engine)));
+        let stats = dcv.stats();
+        assert_eq!((stats.group_recomputes, stats.full_refreshes), (1, 1), "{stats:?}");
+        assert_eq!(engine.blocks_skipped("m").unwrap() - skipped, 3, "the other groups' blocks");
+    }
+
+    #[test]
     fn distinct_aggregate_falls_back_to_full_on_delete() {
         let (engine, _, _) = setup();
         let mut distinct = AggExpr::new(AggFunc::Count, Expr::col(1));
         distinct.distinct = true;
-        let t = Arc::new(
-            TableBuilder::new("sales")
-                .column("id", SqlType::Int, false)
-                .column("amount", SqlType::Int, false)
-                .primary_key(&["id"])
-                .build()
-                .unwrap(),
-        );
-        let agg =
-            LogicalPlan::aggregate(LogicalPlan::scan(t), vec![], vec![(distinct, "n".into())])
-                .unwrap();
+        let agg = LogicalPlan::aggregate(
+            LogicalPlan::scan(sales()),
+            vec![],
+            vec![(distinct, "n".into())],
+        )
+        .unwrap();
         let cache = ViewCache::new();
         let dcv = cache.register("d", agg, CacheMode::Dynamic, &engine).unwrap();
         assert_eq!(dcv.read(&engine).unwrap().row(0)[0], Value::Int(10));

@@ -530,9 +530,9 @@ impl Runtime {
         self.view(name)?.read(&self.engine)
     }
 
-    /// Refreshes every static cached view (the periodic refresh tick).
+    /// Maintains every static cached view (the periodic refresh tick).
     /// Readers of those views are only blocked for the `Arc` swap, never
-    /// for the recomputation.
+    /// for the maintenance.
     pub fn refresh_cached_views(&self) -> Result<usize> {
         self.views.refresh_all_static(&self.engine)
     }

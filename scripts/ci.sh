@@ -109,6 +109,9 @@ if grep -rn "QueryStore\|vdm_obs::store" crates/optimizer/src; then
 fi
 
 echo "== one optimizer call behind every statement (core, serve and cache reach it through session.rs) =="
+# Only QueryEnv::optimize_bound optimizes. The view cache applies one rule
+# itself (filter pushdown, to narrow a MIN/MAX group rebuild) but never
+# calls optimize.
 OPT_SITES="$(grep -rln "optimize_traced_with\|\.optimize(" crates/core/src crates/serve/src crates/cache/src || true)"
 if [ "$OPT_SITES" != "crates/core/src/session.rs" ]; then
   echo "the optimizer must only run in crates/core/src/session.rs (QueryEnv::optimize_bound); found in:"
@@ -227,14 +230,26 @@ if [ -n "$SCOPED" ] || [ "$ROOTS" != "1" ] \
   echo "one read body (mode.root() once, found $ROOTS), no pool in core/serve/cache, no scoped threads"; exit 1
 fi
 
+echo "== one maintenance body per cached view (the mode decides when, never how) =="
+# A static refresh is a maintain on a tick: CachedView::refresh has no body
+# of its own, and materialize( runs only in recompute, the one full-recompute
+# body (registration's materialization and maintain's fallback). A MIN/MAX
+# group rebuild pushes its key filter to the scans.
+MATERIALIZE="$(awk '/^#\[cfg\(test\)\]/ { exit } /^ *(pub )?fn / { f = $0; sub(/^ *(pub )?fn /, "", f); sub(/[(<].*/, "", f) }
+    /materialize\(/ && !/fn materialize\(/ { print f }' crates/cache/src/lib.rs)"
+PUSHED="$(awk '/^#\[cfg\(test\)\]/ { exit } /^ *(pub )?fn / { f = $0; sub(/^ *(pub )?fn /, "", f); sub(/[(<].*/, "", f) }
+    /pushdown_filters\(/ { print f }' crates/cache/src/lib.rs)"
+if [ "$MATERIALIZE" != "recompute" ] || [ "$PUSHED" != "recompute_groups" ]; then
+  echo "materialize( only in recompute (found in: $MATERIALIZE); pushdown_filters( in recompute_groups (found in: $PUSHED)"; exit 1
+fi
+
 echo "== non-test source size (scripts/loc.sh) =="
-# The size to beat is 24 459 lines, set when main, the delta and the
-# tombstone log became one columnar fragment type; a change that lowers it
-# rebases it here.
+# The size to beat is 24 457 lines, set when a static view's refresh became
+# a maintain on a tick; a change that lowers it rebases it here.
 LOC_TOTAL="$(scripts/loc.sh | awk '$1 == "total" { print $2 }')"
 echo "total $LOC_TOTAL"
-if [ "$LOC_TOTAL" -gt 24459 ]; then
-  echo "non-test source grew past 24 459 lines"; exit 1
+if [ "$LOC_TOTAL" -gt 24457 ]; then
+  echo "non-test source grew past 24 457 lines"; exit 1
 fi
 
 echo "== metrics are registered only through vdm-obs (no stray metric name literals) =="

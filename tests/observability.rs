@@ -418,6 +418,39 @@ fn serve_query_trace_forms_one_causal_tree() {
     assert!(!skeleton.contains("optimize"), "hit must not re-plan: {skeleton}");
 }
 
+/// A static view's periodic tick is the maintenance a dynamic read runs: one
+/// incremental `view.maintain`, and a MIN/MAX group that lost its extreme is
+/// rebuilt under it (`view.rebuild_groups`).
+#[test]
+fn static_refresh_is_an_incremental_maintain() {
+    let _serial = serial();
+    let mut db = Database::hana();
+    db.set_parallelism(ParallelConfig { threads: 1, morsel_rows: 1024 });
+    db.execute_script(
+        "create table b (id bigint primary key, a_id bigint not null, w bigint not null);
+         insert into b values (10, 1, 100), (11, 1, 200), (12, 2, 300);",
+    )
+    .unwrap();
+    let server = vdm_serve::Server::from_database(db);
+    let sql = "select a_id, max(w) as top from b group by a_id";
+    server.create_cached_view("top_b", sql, vdm_cache::CacheMode::Static).unwrap();
+    server.engine().delete_where("b", &|r| r[0] == vdm_types::Value::Int(11)).unwrap();
+    let session = server.session();
+    let (ticked, trace) = session.with_trace("tick", |_| server.refresh_cached_views());
+    assert_eq!(ticked.unwrap(), 1);
+    assert_eq!(
+        trace_skeleton(&trace.unwrap()),
+        "tick\n\
+         \x20 view.maintain view=top_b outcome=incremental delta_rows=_\n\
+         \x20   view.rebuild_groups groups=_ rows=_\n"
+    );
+    let rows = session.read_cached("top_b").unwrap();
+    assert_eq!(
+        vdm_cache::multiset_digest(&rows),
+        vdm_cache::multiset_digest(&session.query(sql).unwrap())
+    );
+}
+
 /// EXPLAIN ANALYZE is one path whether it arrives as SQL text through
 /// `Session::execute` or through `Session::explain_analyze`: same
 /// rendering, and both are admitted like any read (queue-wait histogram),
