@@ -137,7 +137,7 @@ fn join_delta(
     now: Snapshot,
     parallel: ParallelConfig,
 ) -> Result<SignedBatch> {
-    // Maintenance keeps no per-node ledger; the join's scheduler totals
+    // Maintenance keeps no per-node ledger; the join's dispatch totals
     // land in a scratch profile.
     let join = |l: &Batch, r: &Batch, k: JoinKind| -> Result<Batch> {
         let mut scratch = QueryProfile::default();

@@ -1,12 +1,13 @@
 //! The plan executor: one morsel-driven engine.
 //!
 //! Every plan runs through the same operators at every thread count; the
-//! thread count only decides how the work-stealing [`crate::scheduler`]
-//! dispatches a pipeline's morsels. At `threads: 1` the scheduler runs every
-//! item inline on the calling thread — nothing is broadcast — and that *is*
-//! the serial mode; there is no second interpreter. A wave over fewer than
-//! [`MIN_DISPATCH_MORSELS`] morsels runs the same way at any thread count;
-//! a wider one is broadcast on a [`crate::pool`].
+//! thread count only decides how many workers share a pipeline's morsels.
+//! Every wave goes through one door, `parallel_map`: at `threads: 1` it runs
+//! every item in a plain loop on the calling thread — nothing is broadcast —
+//! and that *is* the serial mode; there is no second interpreter. A wave over
+//! fewer than [`MIN_DISPATCH_MORSELS`] morsels runs the same way at any
+//! thread count; a wider one is broadcast on a [`crate::pool`], whose roles
+//! claim morsels one at a time from one shared cursor.
 //!
 //! There is one streaming body, the **pipeline**: a source — a table scan
 //! split into fixed-size morsels, or a materialized batch chunked the same
@@ -48,10 +49,10 @@
 
 use crate::kernels::{self, FilterKernel, RowScratch};
 use crate::ops;
-use crate::scheduler;
 use std::borrow::Cow;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use vdm_expr::{Accumulator, AggExpr, Expr};
 use vdm_obs::{NodeIndex, QueryProfile};
@@ -106,11 +107,11 @@ pub struct ExecOptions {
 pub struct Execution {
     /// The plan's output.
     pub batch: Batch,
-    /// Per-node stats keyed by pre-order node id, plus scheduler totals —
+    /// Per-node stats keyed by pre-order node id, plus dispatch totals —
     /// the only thing the executor counts. Operator-class totals are
     /// [`vdm_obs::Metrics::roll_up`] of the plan and this.
     pub profile: QueryProfile,
-    /// Workers the scheduler dispatched onto: `threads` capped at the
+    /// Workers a dispatched wave runs on: `threads` capped at the
     /// host's cores (floor 2), `1` in the serial mode.
     pub workers: usize,
 }
@@ -196,11 +197,23 @@ pub(crate) fn pool_workers(threads: usize) -> usize {
 const MIN_DISPATCH_MORSELS: usize = 16;
 
 /// Runs `f` over indices `0..n` — one wave covering `morsels` morsels of
-/// input — on the work-stealing scheduler. Results come back in index order
-/// and the worker-local partial profiles `f` records into are merged into
-/// `profile`, so the output is schedule-independent; errors surface as the
-/// failing index's error (lowest index wins — what a left-to-right run
-/// reports). Steal, claim and dispatch counts land in `profile`'s totals.
+/// input. Results come back in index order and the partial profiles `f`
+/// records into are merged into `profile` in role order, so the output is
+/// schedule-independent; errors surface as the failing index's error (lowest
+/// index wins — what a left-to-right run reports).
+///
+/// A wave with one worker runs inline: a plain loop on the calling thread,
+/// the serial mode. A wider one is one [`WorkerPool::broadcast`] — role 0 on
+/// the calling thread, the others on the pool installed with
+/// [`with_worker_pool`], else on the process pool — whose roles claim items
+/// one at a time from one shared cursor until it passes `n`, each into a
+/// role-local result list and partial profile it publishes once at the end.
+/// `f` never runs under a lock, and a role the pool cancels before it starts
+/// has claimed nothing. The items pool roles ran count as
+/// `profile.morsel_steals`.
+///
+/// [`WorkerPool::broadcast`]: crate::pool::WorkerPool::broadcast
+/// [`with_worker_pool`]: crate::pool::with_worker_pool
 fn parallel_map<T, F>(
     threads: usize,
     morsels: usize,
@@ -212,16 +225,50 @@ where
     T: Send,
     F: Fn(usize, &mut QueryProfile) -> Result<T> + Sync,
 {
-    let workers = if morsels < MIN_DISPATCH_MORSELS { 1 } else { pool_workers(threads) };
-    profile.dispatched += (workers > 1) as u64;
-    let (out, states, stats) = scheduler::run_with(workers, n, QueryProfile::default, f)?;
-    for partial in &states {
-        profile.merge(partial);
+    let workers = if morsels < MIN_DISPATCH_MORSELS { 1 } else { pool_workers(threads).min(n) };
+    if workers <= 1 {
+        let mut partial = QueryProfile::default();
+        let out = (0..n).map(|i| f(i, &mut partial)).collect::<Result<Vec<T>>>()?;
+        profile.merge(&partial);
+        return Ok(out);
     }
-    profile.morsel_steals += stats.steals as u64;
-    profile.morsel_claims += stats.claims as u64;
-    Ok(out)
+    profile.dispatched += 1;
+    // Relaxed: the cursor only hands out indices and publishes no data; the
+    // results reach this thread through the role mutexes and the broadcast's
+    // completion latch.
+    let cursor = AtomicUsize::new(0);
+    let roles: Vec<Mutex<Option<RoleOutput<T>>>> = (0..workers).map(|_| Mutex::new(None)).collect();
+    crate::pool::dispatch_pool().broadcast(workers, &|role| {
+        let (mut partial, mut ran) = (QueryProfile::default(), Vec::new());
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            ran.push((i, f(i, &mut partial)));
+        }
+        *roles[role].lock().expect("a role's slot is locked only to publish it") =
+            Some((partial, ran));
+    });
+    let mut out: Vec<Option<Result<T>>> = (0..n).map(|_| None).collect();
+    for (role, slot) in roles.into_iter().enumerate() {
+        let published = slot.into_inner().expect("a role's slot is locked only to publish it");
+        let Some((partial, ran)) = published else { continue };
+        profile.merge(&partial);
+        if role > 0 {
+            profile.morsel_steals += ran.len() as u64;
+        }
+        for (i, r) in ran {
+            out[i] = Some(r);
+        }
+    }
+    let dropped = |i| VdmError::Exec(format!("parallel worker dropped morsel {i}"));
+    out.into_iter().enumerate().map(|(i, r)| r.unwrap_or_else(|| Err(dropped(i)))).collect()
 }
+
+/// What one role of a dispatched wave publishes: its partial profile and
+/// the `(index, result)` of every item it claimed.
+type RoleOutput<T> = (QueryProfile, Vec<(usize, Result<T>)>);
 
 /// Row range of chunk `i` when `total` rows split into `chunk`-row pieces.
 fn chunk_range(i: usize, chunk: usize, total: usize) -> Range<usize> {
@@ -1103,6 +1150,7 @@ fn slice(batch: Batch, skip: usize, fetch: Option<usize>) -> Batch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::tests::{thread_name, Rendezvous};
     use crate::pool::{with_worker_pool, WorkerPool};
     use vdm_catalog::TableBuilder;
     use vdm_expr::{AggExpr, AggFunc};
@@ -1462,17 +1510,162 @@ mod tests {
         })
         .unwrap();
         assert!(ids.iter().all(|id| *id == caller));
-        assert_eq!(totals.dispatched, 0);
+        assert_eq!((totals.dispatched, totals.morsel_steals), (0, 0));
         // At the floor the wave is broadcast on the process pool. Its two
         // items meet each other, so the caller cannot run both: a pool
-        // thread provably takes one.
-        let met = crate::scheduler::tests::Rendezvous::default();
+        // thread provably takes one, and it is the one steal counted.
+        let met = Rendezvous::default();
         let names = parallel_map(4, MIN_DISPATCH_MORSELS, 2, &mut totals, |_, _| {
             met.meet();
-            Ok(crate::scheduler::tests::thread_name())
+            Ok(thread_name())
         })
         .unwrap();
         assert_eq!(totals.dispatched, 1);
+        assert_eq!(totals.morsel_steals, 1);
         assert!(names.iter().any(|n| n.starts_with("vdm-pool-")), "{names:?}");
+    }
+
+    /// A dispatched wave of `n` items at `threads`, each recording one
+    /// `morsel_bytes` into the partial profile it is handed.
+    fn dispatch_wave<T: Send>(
+        threads: usize,
+        n: usize,
+        f: impl Fn(usize) -> Result<T> + Sync,
+    ) -> (Result<Vec<T>>, QueryProfile) {
+        let mut totals = QueryProfile::default();
+        let out = parallel_map(threads, MIN_DISPATCH_MORSELS, n, &mut totals, |i, prof| {
+            prof.morsel_bytes += 1;
+            f(i)
+        });
+        (out, totals)
+    }
+
+    /// Every item runs exactly once, lands in its own slot, and its partial
+    /// profile is merged exactly once; items `>= 57` fail and the lowest
+    /// index's error is the one reported.
+    fn check_the_contract(ns: &[usize]) {
+        for threads in [1, 2, 3, 8] {
+            for &n in ns {
+                let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let (out, totals) = dispatch_wave(threads, n, |i| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                    Ok(i * 3)
+                });
+                assert_eq!(out.unwrap(), (0..n).map(|i| i * 3).collect::<Vec<_>>());
+                assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "{threads}/{n}");
+                assert_eq!(totals.morsel_bytes, n as u64, "threads={threads} n={n}");
+                let stealable = if threads == 1 { 0 } else { n as u64 };
+                assert!(totals.morsel_steals <= stealable, "threads={threads} n={n}");
+            }
+            let (out, _) = dispatch_wave(threads, 100, |i| {
+                if i >= 57 {
+                    Err(VdmError::Exec(format!("boom {i}")))
+                } else {
+                    Ok(i)
+                }
+            });
+            assert_eq!(out.unwrap_err(), VdmError::Exec("boom 57".into()));
+        }
+    }
+
+    #[test]
+    fn a_dispatched_wave_keeps_the_contract() {
+        check_the_contract(&[0, 1, 2, 7, 100, 1000]);
+    }
+
+    #[test]
+    fn an_installed_pool_keeps_the_contract() {
+        with_worker_pool(&WorkerPool::new(3), || check_the_contract(&[2, 7, 100, 1000]));
+    }
+
+    /// A role that dispatches a wave of its own completes — on the process
+    /// pool, and on an installed one-thread pool whose only thread is
+    /// provably busy in the outer wave while the caller's inner wave is
+    /// dispatched onto it: a broadcast never waits on a role that has not
+    /// started.
+    #[test]
+    fn a_role_that_dispatches_a_wave_completes() {
+        let nested = || {
+            let (met, released) = (Rendezvous::default(), Rendezvous::default());
+            let inner = || Ok(dispatch_wave(2, 64, Ok).0?.into_iter().sum::<usize>());
+            let (out, _) = dispatch_wave(2, 2, |_| {
+                // The two items meet, so one runs on the caller and one on a
+                // pool thread; which is which follows the thread, not the
+                // index, since every role claims from the same cursor.
+                met.meet();
+                let on_pool = thread_name().starts_with("vdm-pool-");
+                let sum = if on_pool {
+                    // Held here until the caller's inner wave is done, so no
+                    // pool thread can take that wave's pool role.
+                    released.meet();
+                    inner()
+                } else {
+                    let sum = inner();
+                    released.meet();
+                    sum
+                };
+                Ok((sum?, on_pool))
+            });
+            let out = out.unwrap();
+            assert!(out.iter().all(|(sum, _)| *sum == 64 * 63 / 2), "{out:?}");
+            assert_eq!(out.iter().filter(|(_, on_pool)| *on_pool).count(), 1, "{out:?}");
+        };
+        nested();
+        with_worker_pool(&WorkerPool::new(1), nested);
+    }
+
+    /// One item spins for 40 ms while the rest are free: the other worker
+    /// claims past it, so the worker holding the hot item runs a minority of
+    /// the items, and the steal count is exactly what the pool ran.
+    #[test]
+    fn a_hot_item_does_not_hold_up_the_rest() {
+        let n = 256;
+        let caller = std::thread::current().id();
+        with_worker_pool(&WorkerPool::new(3), || {
+            let (out, totals) = dispatch_wave(4, n, |i| {
+                if i == 1 {
+                    let t0 = Instant::now();
+                    let mut x = 0u64;
+                    while t0.elapsed().as_millis() < 40 {
+                        x = x.wrapping_mul(6364136223846793005).wrapping_add(i as u64);
+                        std::hint::black_box(x);
+                    }
+                }
+                Ok((i, std::thread::current().id()))
+            });
+            let out = out.unwrap();
+            assert!(out.iter().enumerate().all(|(i, (j, _))| i == *j));
+            let hot = out[1].1;
+            let held = out.iter().filter(|(_, id)| *id == hot).count();
+            assert!(held < n / 2, "the hot item's worker ran {held} of {n}");
+            let pooled = out.iter().filter(|(_, id)| *id != caller).count();
+            assert_eq!(totals.morsel_steals, pooled as u64);
+            assert_eq!(totals.morsel_bytes, n as u64, "every role's partial is merged once");
+        });
+    }
+
+    /// A panicking item reaches the caller, and the process pool still runs
+    /// the next dispatched wave to completion, on more than the caller.
+    #[test]
+    fn a_panicking_item_leaves_the_pool_usable() {
+        let caught = std::panic::catch_unwind(|| {
+            let mut totals = QueryProfile::default();
+            parallel_map(2, MIN_DISPATCH_MORSELS, 64, &mut totals, |i, _| {
+                assert_ne!(i, 40, "item 40 panics");
+                Ok(i)
+            })
+        });
+        assert!(caught.is_err(), "the panic must reach the caller");
+        let met = Rendezvous::default();
+        let (out, totals) = dispatch_wave(2, 64, |i| {
+            if i < 2 {
+                met.meet();
+            }
+            Ok((i, thread_name()))
+        });
+        let out = out.unwrap();
+        assert_eq!(out.iter().map(|(i, _)| *i).collect::<Vec<_>>(), (0..64).collect::<Vec<_>>());
+        assert!(out.iter().any(|(_, name)| name.starts_with("vdm-pool-")), "{out:?}");
+        assert_eq!(totals.dispatched, 1);
     }
 }

@@ -9,13 +9,14 @@
 //! join, and so on — exactly the effects Tables 1–4 and Fig. 14 measure.
 //!
 //! There is one engine ([`execute_with`]): operators work morsel-at-a-time
-//! on columnar [`kernels`], dispatched by the work-stealing [`scheduler`].
-//! [`ParallelConfig::threads`] only sets how many workers share the
-//! morsels; `threads: 1` runs them inline on the calling thread and is the
-//! serial mode, and every wider wave is broadcast on a [`pool`] — the one a
-//! caller installed, else the process pool. [`ExecOptions`] carries the two things a caller chooses —
-//! snapshot and thread count/morsel size — and [`Execution`] returns the
-//! batch with its per-node [`QueryProfile`] and the worker count used.
+//! on columnar [`kernels`]. [`ParallelConfig::threads`] only sets how many
+//! workers share a wave of morsels; `threads: 1` runs them in a plain loop on
+//! the calling thread and is the serial mode, and every wider wave is
+//! broadcast on a [`pool`] — the one a caller installed, else the process
+//! pool — whose roles claim morsels one at a time from one shared cursor.
+//! [`ExecOptions`] carries the two things a caller chooses — snapshot and
+//! thread count/morsel size — and [`Execution`] returns the batch with its
+//! per-node [`QueryProfile`] and the worker count used.
 //! View maintenance ([`delta`], `vdm-cache`), EXPLAIN ANALYZE and the
 //! benches all go through it.
 //!
@@ -28,7 +29,6 @@ mod executor;
 pub mod kernels;
 mod ops;
 pub mod pool;
-pub mod scheduler;
 
 #[cfg(test)]
 mod ops_tests;

@@ -1,12 +1,12 @@
-//! The worker pools the morsel scheduler dispatches onto.
+//! The worker pools the executor dispatches waves of morsels onto.
 //!
-//! Every wave [`run_with`](crate::scheduler::run_with) dispatches is one
-//! [`WorkerPool::broadcast`]: on the pool installed on the calling thread
-//! with [`with_worker_pool`] if there is one, else on the *process pool* —
-//! one per process, built on first dispatch with as many threads as the
-//! executor dispatches workers at most (the host's cores, floor 2). Threads
-//! stay parked between waves, so no wave spawns a thread and the thread count
-//! stays flat however many queries or sessions run.
+//! Every wave the executor dispatches is one [`WorkerPool::broadcast`]: on
+//! the pool installed on the calling thread with [`with_worker_pool`] if
+//! there is one, else on the *process pool* — one per process, built on
+//! first dispatch with as many threads as the executor dispatches workers at
+//! most (the host's cores, floor 2). Threads stay parked between waves, so no
+//! wave spawns a thread and the thread count stays flat however many queries
+//! or sessions run.
 //!
 //! # Dispatch contract
 //!
@@ -17,10 +17,11 @@
 //! completion latch: `broadcast` does not return until every shipped role
 //! has either finished or been cancelled before starting, so the erased
 //! borrow never outlives the frame it points into. Roles still queued when
-//! the caller's own role completes are cancelled — the work-stealing
-//! scheduler's queues are drained collectively, so a role that never runs
-//! leaves no work behind (monotone-empty queues), and cancelling keeps tail
-//! latency tight when the pool is saturated by other queries.
+//! the caller's own role completes are cancelled: a wave's roles claim items
+//! from one shared cursor until it passes the item count, so the caller's
+//! role returns only once every item is claimed, a role that never starts
+//! leaves nothing behind, and cancelling keeps tail latency tight when the
+//! pool is saturated by other queries.
 //!
 //! Nested waves need no special case. A role that dispatches a wave of its
 //! own broadcasts it like any caller (pool threads have no installed pool, so
@@ -130,7 +131,7 @@ impl WorkerPool {
     /// Runs `f(role)` for every role in `0..roles`: role 0 inline on the
     /// calling thread, the rest on pool threads. Returns once every role
     /// has finished or was cancelled before starting (see module docs for
-    /// why cancellation is sound for the morsel scheduler).
+    /// why cancellation is sound for the executor's waves).
     pub fn broadcast(&self, roles: usize, f: &(dyn Fn(usize) + Sync)) {
         if roles <= 1 {
             f(0);
@@ -213,7 +214,7 @@ thread_local! {
     static CURRENT: RefCell<Option<WorkerPool>> = const { RefCell::new(None) };
 }
 
-/// Installs `pool` as the scheduler's dispatch target for the duration of
+/// Installs `pool` as the executor's dispatch target for the duration of
 /// `f` on this thread. Nested installs restore the previous pool on exit.
 pub fn with_worker_pool<R>(pool: &WorkerPool, f: impl FnOnce() -> R) -> R {
     let prev = CURRENT.with(|c| c.borrow_mut().replace(pool.clone()));
@@ -238,9 +239,31 @@ pub(crate) fn dispatch_pool() -> WorkerPool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    /// A two-party meeting point that fails the test instead of hanging:
+    /// [`Rendezvous::meet`] returns once both parties have called it.
+    #[derive(Default)]
+    pub(crate) struct Rendezvous(Mutex<usize>, Condvar);
+
+    impl Rendezvous {
+        pub(crate) fn meet(&self) {
+            let mut arrived = self.0.lock().unwrap();
+            *arrived += 1;
+            self.1.notify_all();
+            let timeout = std::time::Duration::from_secs(60);
+            let (arrived, wait) = self.1.wait_timeout_while(arrived, timeout, |n| *n < 2).unwrap();
+            drop(arrived);
+            assert!(!wait.timed_out(), "the other party never arrived");
+        }
+    }
+
+    /// The calling thread's name (`vdm-pool-N` on a pool thread).
+    pub(crate) fn thread_name() -> String {
+        std::thread::current().name().unwrap_or_default().to_string()
+    }
 
     #[test]
     fn broadcast_runs_every_role() {
@@ -275,30 +298,23 @@ mod tests {
     #[test]
     fn pool_panics_propagate() {
         let pool = WorkerPool::new(2);
+        // Roles 0 and 1 meet, so role 1 has provably started on a pool
+        // thread (it is not cancelled) before it panics.
+        let met = Rendezvous::default();
         let caught = catch_unwind(AssertUnwindSafe(|| {
             pool.broadcast(2, &|role| {
-                if role == 1 {
-                    // Give the caller time to reach the latch so the role
-                    // is started, not cancelled.
-                }
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                if role == 1 {
-                    panic!("boom");
-                }
+                met.meet();
+                assert_ne!(role, 1, "role 1 panics");
             });
         }));
-        // Either the helper started and panicked (propagated) or it was
-        // cancelled (no panic) — both are sound; but with the sleep the
-        // helper reliably starts.
-        if caught.is_err() {
-            // expected path
-        }
-        // The pool must stay usable afterwards.
-        let ok = AtomicUsize::new(0);
+        assert!(caught.is_err(), "a pool thread's panic must reach the caller");
+        // The same pool still runs both roles of the next broadcast.
+        let (again, ran) = (Rendezvous::default(), AtomicUsize::new(0));
         pool.broadcast(2, &|_| {
-            ok.fetch_add(1, Ordering::SeqCst);
+            again.meet();
+            ran.fetch_add(1, Ordering::SeqCst);
         });
-        assert!(ok.load(Ordering::SeqCst) >= 1);
+        assert_eq!(ran.load(Ordering::SeqCst), 2);
     }
 
     #[test]

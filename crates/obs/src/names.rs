@@ -48,8 +48,8 @@ pub const ROWS_JOINED_TOTAL: &str = "vdm_rows_joined_total";
 /// Rewrite-rule firings, labelled `{rule="..."}`.
 pub const REWRITE_FIRED_TOTAL: &str = "vdm_rewrite_fired_total";
 
-// ------------------------------------------------------------ scheduler
-/// Morsel ranges an idle worker stole from another worker's deque.
+// ------------------------------------------------------------ dispatch
+/// Items of dispatched waves that a pool thread ran, not the calling thread.
 pub const MORSEL_STEALS_TOTAL: &str = "vdm_morsel_steals_total";
 /// Estimated payload bytes dispatched in scan morsels and operator chunks.
 pub const MORSEL_SIZE_BYTES: &str = "vdm_morsel_size_bytes";
@@ -115,7 +115,7 @@ pub const ALL: &[MetricDesc] = &[
     MetricDesc {
         name: MORSEL_STEALS_TOTAL,
         kind: MetricKind::Counter,
-        help: "Morsel ranges an idle worker stole from another worker's deque.",
+        help: "Items of dispatched waves that a pool thread ran, not the calling thread.",
     },
     MetricDesc {
         name: OPT_PROPERTY_CACHE_HITS_TOTAL,

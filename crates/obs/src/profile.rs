@@ -87,17 +87,16 @@ impl NodeStats {
     }
 }
 
-/// A per-query, node-keyed runtime profile, plus the scheduler totals that
+/// A per-query, node-keyed runtime profile, plus the dispatch totals that
 /// belong to no single node.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryProfile {
     /// Stats per [`NodeIndex`] id. `BTreeMap` so renderings are ordered.
     pub nodes: BTreeMap<usize, NodeStats>,
-    /// Morsels a worker stole from another worker's deque (always 0 at
-    /// `threads: 1`, which runs every item inline on the calling thread).
+    /// Items of dispatched waves that a pool thread ran — the work the
+    /// calling thread did not do (always 0 at `threads: 1`, which runs every
+    /// item inline on the calling thread).
     pub morsel_steals: u64,
-    /// Claim batches the work-stealing scheduler dispatched.
-    pub morsel_claims: u64,
     /// Estimated payload bytes of the morsels pipelines were fed — scan morsels
     /// and chunks of breaker output (the `vdm_morsel_size_bytes` counter).
     pub morsel_bytes: u64,
@@ -140,7 +139,6 @@ impl QueryProfile {
             self.nodes.entry(*id).or_default().absorb(s);
         }
         self.morsel_steals += other.morsel_steals;
-        self.morsel_claims += other.morsel_claims;
         self.morsel_bytes += other.morsel_bytes;
         self.pipelines += other.pipelines;
         self.dispatched += other.dispatched;
@@ -280,6 +278,6 @@ mod tests {
         assert_eq!(s.workers, 2);
         assert_eq!(a.rows_out(2), Some(1));
         assert_eq!(a.rows_out(1), None);
-        assert_eq!((a.morsel_bytes, a.morsel_steals, a.morsel_claims), (11, 2, 0));
+        assert_eq!((a.morsel_bytes, a.morsel_steals), (11, 2));
     }
 }

@@ -215,7 +215,7 @@ fi
 echo "== one front door, one dispatch (two handles on one Runtime, waves broadcast on a pool) =="
 # Database and vdm-serve's Server hold one vdm_core::Runtime: Runtime::run
 # is the one place a read statement opens its trace root, neither handle
-# keeps a pool or a second read body, and the scheduler broadcasts every
+# keeps a pool or a second read body, and the executor broadcasts every
 # dispatched wave on the installed pool or the process pool — it never
 # spawns threads.
 SCOPED="$(for f in crates/exec/src/*.rs; do
@@ -228,6 +228,16 @@ if [ -n "$SCOPED" ] || [ "$ROOTS" != "1" ] \
     || grep -rnE "DatabaseParts|fn with_env|fn run_sql" crates/; then
   echo "$SCOPED"
   echo "one read body (mode.root() once, found $ROOTS), no pool in core/serve/cache, no scoped threads"; exit 1
+fi
+
+echo "== one dispatch loop (a wave's roles claim morsels from one shared cursor) =="
+# executor::parallel_map runs a one-worker wave in a plain loop and broadcasts
+# a wider one, whose roles claim items one at a time from one AtomicUsize
+# cursor: no scheduler module, per-worker range deques, claim sizer or
+# stealing is left in vdm-exec.
+if [ -e crates/exec/src/scheduler.rs ] \
+    || grep -rnE "VecDeque<Range|ClaimSizer|steal_back|fn run_with" crates/exec/src; then
+  echo "vdm-exec keeps no scheduler.rs, range deques, ClaimSizer, steal_back or run_with"; exit 1
 fi
 
 echo "== one maintenance body per cached view (the mode decides when, never how) =="
@@ -244,12 +254,13 @@ if [ "$MATERIALIZE" != "recompute" ] || [ "$PUSHED" != "recompute_groups" ]; the
 fi
 
 echo "== non-test source size (scripts/loc.sh) =="
-# The size to beat is 24 457 lines, set when a static view's refresh became
-# a maintain on a tick; a change that lowers it rebases it here.
+# The size to beat is 24 235 lines, set when a wave's morsels came to be
+# claimed from one shared cursor and the work-stealing scheduler was
+# deleted; a change that lowers it rebases it here.
 LOC_TOTAL="$(scripts/loc.sh | awk '$1 == "total" { print $2 }')"
 echo "total $LOC_TOTAL"
-if [ "$LOC_TOTAL" -gt 24457 ]; then
-  echo "non-test source grew past 24 457 lines"; exit 1
+if [ "$LOC_TOTAL" -gt 24235 ]; then
+  echo "non-test source grew past 24 235 lines"; exit 1
 fi
 
 echo "== metrics are registered only through vdm-obs (no stray metric name literals) =="

@@ -6,7 +6,7 @@
 //! Golden files live in `tests/golden/`. Timing tokens (`time=...`),
 //! scan instance ids (`(inst N)`, a process-global counter), and the
 //! scheduling-dependent `calls=` annotation (morsel claim boundaries
-//! shift run-to-run under work stealing) are masked by [`normalize`], and
+//! shift run-to-run with which worker claims what) are masked by [`normalize`], and
 //! the ` workers=N` annotation is dropped whole (its *presence* depends on
 //! which worker claimed the second morsel), so the files are stable
 //! across runs and test orderings.

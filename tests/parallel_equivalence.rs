@@ -560,8 +560,8 @@ fn skew_engine(rows: usize) -> (PlanRef, StorageEngine) {
 fn skewed_aggregation_is_exact_at_every_thread_count() {
     let (scan, engine) = skew_engine(20_000);
     // 90% of rows hash to one group → one radix partition carries almost
-    // all the build work; stealing must rebalance it and the merged output
-    // must still be bit-identical to the first-seen group order.
+    // all the build work; the other workers claim past it, and the merged
+    // output must still be bit-identical to the first-seen group order.
     let agg = LogicalPlan::aggregate(
         scan.clone(),
         vec![(Expr::col(1), "k".into())],
