@@ -27,6 +27,9 @@
 //!   - everything else — and any change to a *frozen* table (the
 //!     snapshot-probed side of a join) — recomputes from scratch.
 //!
+//! A frozen or unchanged join side is hashed once and kept ([`KeptSides`]):
+//! the delta probes it until a write to a table under it forces a rebuild.
+//!
 //! Incremental maintenance cannot reproduce full-recompute output
 //! *order* bit-for-bit (hash joins and revived groups land elsewhere),
 //! so equivalence is asserted as multiset equality via
@@ -38,7 +41,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 use vdm_exec::kernels::hash_values;
-use vdm_exec::ParallelConfig;
+use vdm_exec::{KeptSides, ParallelConfig, SignedBatch};
 use vdm_expr::{AggExpr, Expr, Retraction};
 use vdm_obs::registry::{self, MetricsRegistry};
 use vdm_obs::{names, trace as qtrace};
@@ -75,6 +78,8 @@ pub struct CacheStats {
     /// Whole-view recomputes forced by a MIN/MAX retraction whose group
     /// could not be rebuilt in isolation.
     pub minmax_full_refreshes: usize,
+    /// Join sides executed and hashed to be kept (see [`KeptSides`]).
+    pub side_builds: usize,
 }
 
 /// What a maintenance pass did — surfaced in `EXPLAIN ANALYZE`'s
@@ -329,6 +334,15 @@ pub struct CachedView {
     verify: AtomicBool,
     /// The owning [`ViewCache`]'s executor configuration.
     parallel: Arc<Mutex<ParallelConfig>>,
+    /// Hash builds of unchanged join sides (used under the maintenance lock).
+    sides: Mutex<KeptSides>,
+}
+
+impl Drop for CachedView {
+    fn drop(&mut self) {
+        let rows = self.sides.get_mut().map_or(0, |sides| sides.rows());
+        MetricsRegistry::global().gauge_add(names::VIEW_KEPT_SIDE_ROWS, -(rows as i64));
+    }
 }
 
 /// The pieces of a folded root aggregate — the `Aggregate` node itself
@@ -415,6 +429,7 @@ impl CachedView {
                 groups: None,
                 stats: CacheStats::default(),
             }),
+            sides: Mutex::new(KeptSides::new(&plan)),
             plan,
             mode,
             dependencies,
@@ -610,7 +625,7 @@ impl CachedView {
         now: Snapshot,
         current: &Arc<Batch>,
     ) -> Result<Option<usize>> {
-        let d = vdm_exec::eval_signed_delta(&self.plan, engine, as_of, now, self.parallel())?;
+        let d = self.signed_delta(&self.plan, engine, as_of, now)?;
         let delta_rows = d.rows();
         let merged = if delta_rows == 0 {
             None // dependencies moved but the view's output did not
@@ -648,7 +663,7 @@ impl CachedView {
         let Some((input, group_by, aggs, agg_schema)) = fold_parts(&self.plan) else {
             return Ok(None);
         };
-        let d = vdm_exec::eval_signed_delta(input, engine, as_of, now, self.parallel())?;
+        let d = self.signed_delta(input, engine, as_of, now)?;
         let delta_rows = d.rows();
         if delta_rows == 0 {
             let mut state = self.state.lock().unwrap();
@@ -692,6 +707,31 @@ impl CachedView {
         state.stats.delta_rows += delta_rows;
         state.stats.group_recomputes += recomputed;
         Ok(Some(delta_rows))
+    }
+
+    /// The signed delta of `plan` (the view's or its folded input), counting
+    /// the join sides built (stats, metrics, span).
+    fn signed_delta(
+        &self,
+        plan: &PlanRef,
+        engine: &StorageEngine,
+        as_of: Snapshot,
+        now: Snapshot,
+    ) -> Result<SignedBatch> {
+        let mut sides = self.sides.lock().unwrap();
+        let (builds, rows) = (sides.builds, sides.rows());
+        let d = vdm_exec::eval_signed_delta(plan, engine, as_of, now, self.parallel(), &mut sides);
+        let built = sides.builds - builds;
+        if sides.builds > 0 {
+            qtrace::attr("sides_built", built);
+        }
+        if built > 0 {
+            self.state.lock().unwrap().stats.side_builds += built;
+            let m = MetricsRegistry::global();
+            m.inc(names::VIEW_SIDE_BUILDS_TOTAL, built as u64);
+            m.gauge_add(names::VIEW_KEPT_SIDE_ROWS, sides.rows() as i64 - rows as i64);
+        }
+        d
     }
 
     fn verify_against_full(&self, engine: &StorageEngine, now: Snapshot) -> Result<()> {

@@ -13,17 +13,20 @@
 //! Δ(A ⋈ B) = ΔA ⋈ B_old  ∪  A_old ⋈ ΔB  ∪  ΔA ⋈ ΔB
 //! ```
 //!
-//! with signs multiplying (`+·+ = +`, `+·− = −`, `−·− = +`), probing any
-//! unchanged or non-delta-capable side from its snapshot scan. The caller
-//! (the cached-view maintainer) guarantees that snapshot-probed sides are
+//! with signs multiplying (`+·+ = +`, `+·− = −`, `−·− = +`). A frozen or
+//! unchanged right side is probed through the `JoinBuild` [`KeptSides`]
+//! keeps of it; any other unchanged side is read from its snapshot. The
+//! caller (the cached-view maintainer) guarantees that frozen sides are
 //! actually unchanged — `vdm-plan`'s `DeltaPlan` freezes their tables.
 
-use crate::executor::hash_join;
+use crate::executor::{hash_join, JoinBuild, JoinSpec};
 use crate::kernels::{project_batch, FilterKernel};
 use crate::{ExecOptions, ParallelConfig, QueryProfile};
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::Arc;
-use vdm_expr::Expr;
-use vdm_plan::{delta_capable, JoinKind, LogicalPlan, PlanRef};
+use vdm_obs::NodeIndex;
+use vdm_plan::{delta_capable, scan_tables, JoinKind, LogicalPlan, PlanRef};
 use vdm_storage::{Batch, Snapshot, StorageEngine};
 use vdm_types::{Result, Schema, VdmError};
 
@@ -53,17 +56,70 @@ impl SignedBatch {
     }
 }
 
+/// The hash builds of join sides a cached view keeps between passes, at most
+/// one per join node (by pre-order id in the view's plan). A build made at
+/// snapshot `S` stays valid while every table under its side has
+/// `table_version ≤ S` — a write's timestamp is allocated under its table's
+/// write lock — and is otherwise made again at `now`.
+pub struct KeptSides {
+    nodes: NodeIndex,
+    /// Per join node: its right side's build, the snapshot it was made at
+    /// and the tables under it.
+    sides: HashMap<usize, (JoinBuild<'static>, Snapshot, Vec<String>)>,
+    /// Side builds made so far.
+    pub builds: usize,
+}
+
+impl KeptSides {
+    /// Nothing kept yet, for the joins of `plan`.
+    pub fn new(plan: &PlanRef) -> KeptSides {
+        KeptSides { nodes: NodeIndex::new(plan), sides: HashMap::new(), builds: 0 }
+    }
+
+    /// Build-side rows held.
+    pub fn rows(&self) -> usize {
+        self.sides.values().map(|(side, ..)| side.build.num_rows()).sum()
+    }
+
+    /// The right input of the join node `join`, hashed as of `now`.
+    fn right_of(
+        &mut self,
+        join: &PlanRef,
+        engine: &StorageEngine,
+        now: Snapshot,
+        parallel: ParallelConfig,
+    ) -> Result<&JoinBuild<'static>> {
+        let LogicalPlan::Join { left, right, on, .. } = join.as_ref() else {
+            unreachable!("right_of takes a Join node")
+        };
+        let id = self.nodes.id_of(join).ok_or_else(|| VdmError::Plan("join not in plan".into()))?;
+        // A table that cannot be read is changed: the rebuild reports why.
+        let version = |table: &String| engine.table_version(table).unwrap_or(u64::MAX);
+        let stale = |(_, at, deps): &(_, Snapshot, Vec<_>)| deps.iter().any(|t| version(t) > at.0);
+        if self.sides.get(&id).is_none_or(stale) {
+            let opts = ExecOptions { snapshot: Some(now), parallel };
+            let batch = Cow::Owned(crate::execute_with(right, engine, &opts)?.batch);
+            let (parallel, mut scratch) = (parallel.normalized(), QueryProfile::default());
+            let build = JoinBuild::new(batch, &left.schema(), on, false, parallel, &mut scratch)?;
+            self.sides.insert(id, (build, now, scan_tables(right)));
+            self.builds += 1;
+        }
+        Ok(&self.sides[&id].0)
+    }
+}
+
 /// Evaluates the signed delta of `plan`'s output between `as_of` and
-/// `now`. Errors on subtrees that do not propagate deltas (aggregates,
-/// DISTINCT, sorts, limits — and LEFT OUTER joins whose left side is not
-/// delta-capable); the maintenance planner routes those to full recompute
-/// before ever calling this.
+/// `now`, probing the join sides `kept` holds. Errors on subtrees that do not
+/// propagate deltas (aggregates, DISTINCT, sorts, limits — and LEFT OUTER
+/// joins whose left side is not delta-capable); the maintenance planner
+/// routes those to full recompute before ever calling this.
 pub fn eval_signed_delta(
     plan: &PlanRef,
     engine: &StorageEngine,
     as_of: Snapshot,
     now: Snapshot,
     parallel: ParallelConfig,
+    kept: &mut KeptSides,
 ) -> Result<SignedBatch> {
     match plan.as_ref() {
         LogicalPlan::Scan { table, cols, schema, .. } => {
@@ -77,7 +133,7 @@ pub fn eval_signed_delta(
         // Constant relations never change.
         LogicalPlan::Values { schema, .. } => Ok(SignedBatch::empty(Arc::clone(schema))),
         LogicalPlan::Filter { input, predicate } => {
-            let d = eval_signed_delta(input, engine, as_of, now, parallel)?;
+            let d = eval_signed_delta(input, engine, as_of, now, parallel, kept)?;
             let kernel = FilterKernel::new(predicate);
             let keep = |bag: &Batch| -> Result<Batch> {
                 let columns: Vec<_> = bag.columns.iter().collect();
@@ -86,7 +142,7 @@ pub fn eval_signed_delta(
             Ok(SignedBatch { plus: keep(&d.plus)?, minus: keep(&d.minus)? })
         }
         LogicalPlan::Project { input, exprs, schema } => {
-            let d = eval_signed_delta(input, engine, as_of, now, parallel)?;
+            let d = eval_signed_delta(input, engine, as_of, now, parallel, kept)?;
             Ok(SignedBatch {
                 plus: project_batch(&d.plus, exprs, Arc::clone(schema))?,
                 minus: project_batch(&d.minus, exprs, Arc::clone(schema))?,
@@ -96,7 +152,7 @@ pub fn eval_signed_delta(
             let mut plus = Vec::with_capacity(inputs.len());
             let mut minus = Vec::with_capacity(inputs.len());
             for c in inputs {
-                let d = eval_signed_delta(c, engine, as_of, now, parallel)?;
+                let d = eval_signed_delta(c, engine, as_of, now, parallel, kept)?;
                 plus.push(d.plus);
                 minus.push(d.minus);
             }
@@ -105,18 +161,7 @@ pub fn eval_signed_delta(
                 minus: Batch::concat(Arc::clone(schema), &minus)?,
             })
         }
-        LogicalPlan::Join { left, right, kind, on, filter, schema, .. } => join_delta(
-            left,
-            right,
-            *kind,
-            on,
-            filter.as_ref(),
-            schema,
-            engine,
-            as_of,
-            now,
-            parallel,
-        ),
+        LogicalPlan::Join { .. } => join_delta(plan, engine, as_of, now, parallel, kept),
         other => Err(VdmError::Plan(format!(
             "plan operator {} does not propagate deltas",
             other.op_name()
@@ -124,104 +169,82 @@ pub fn eval_signed_delta(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The signed delta of the `Join` node `plan`.
 fn join_delta(
-    left: &PlanRef,
-    right: &PlanRef,
-    kind: JoinKind,
-    on: &[(usize, usize)],
-    residual: Option<&Expr>,
-    schema: &Arc<Schema>,
+    plan: &PlanRef,
     engine: &StorageEngine,
     as_of: Snapshot,
     now: Snapshot,
     parallel: ParallelConfig,
+    kept: &mut KeptSides,
 ) -> Result<SignedBatch> {
+    let LogicalPlan::Join { left, right, kind, on, filter, schema, .. } = plan.as_ref() else {
+        unreachable!("join_delta takes a Join node")
+    };
+    let (kind, residual) = (*kind, filter.as_ref());
     // Maintenance keeps no per-node ledger; the join's dispatch totals
     // land in a scratch profile.
-    let join = |l: &Batch, r: &Batch, k: JoinKind| -> Result<Batch> {
+    let join = |l: &Batch, r: &Batch| -> Result<Batch> {
         let mut scratch = QueryProfile::default();
-        hash_join(l, r, k, on, residual, Arc::clone(schema), parallel, &mut scratch)
+        hash_join(l, r, kind, on, residual, Arc::clone(schema), parallel, &mut scratch)
     };
     let snap = |side: &PlanRef, at: Snapshot| -> Result<Batch> {
         let opts = ExecOptions { snapshot: Some(at), parallel };
         crate::execute_with(side, engine, &opts).map(|x| x.batch)
     };
-    let l_cap = delta_capable(left);
+    let probe_right = |ld: &SignedBatch, kept: &mut KeptSides| -> Result<SignedBatch> {
+        let b = kept.right_of(plan, engine, now, parallel)?;
+        let probe = |bag: &Batch| {
+            let join = JoinSpec { kind, residual, build_left: false };
+            b.join(bag, join, Arc::clone(schema), parallel, &mut QueryProfile::default())
+        };
+        Ok(SignedBatch { plus: probe(&ld.plus)?, minus: probe(&ld.minus)? })
+    };
     // LEFT OUTER is linear only in its left input: a right-side insert can
     // retract an existing NULL-padded row, which the product rule cannot
-    // express. The planner froze the right side's tables; probe it at `now`.
-    let r_cap = kind == JoinKind::Inner && delta_capable(right);
-    match (l_cap, r_cap) {
-        (true, true) => {
-            let ld = eval_signed_delta(left, engine, as_of, now, parallel)?;
-            let rd = eval_signed_delta(right, engine, as_of, now, parallel)?;
-            if rd.is_empty() {
-                // B unchanged: Δ(A ⋈ B) = ΔA ⋈ B, one probe side, no
-                // old-snapshot re-evaluation. (Symmetrically below.)
-                let b = snap(right, now)?;
-                return Ok(SignedBatch {
-                    plus: join(&ld.plus, &b, kind)?,
-                    minus: join(&ld.minus, &b, kind)?,
-                });
-            }
-            if ld.is_empty() {
-                let a = snap(left, now)?;
-                return Ok(SignedBatch {
-                    plus: join(&a, &rd.plus, kind)?,
-                    minus: join(&a, &rd.minus, kind)?,
-                });
-            }
-            // Both sides moved: the full product rule over signed bags.
-            let a_old = snap(left, as_of)?;
-            let b_old = snap(right, as_of)?;
-            let plus = Batch::concat(
-                Arc::clone(schema),
-                &[
-                    join(&ld.plus, &b_old, kind)?,
-                    join(&a_old, &rd.plus, kind)?,
-                    join(&ld.plus, &rd.plus, kind)?,
-                    join(&ld.minus, &rd.minus, kind)?,
-                ],
-            )?;
-            let minus = Batch::concat(
-                Arc::clone(schema),
-                &[
-                    join(&ld.minus, &b_old, kind)?,
-                    join(&a_old, &rd.minus, kind)?,
-                    join(&ld.plus, &rd.minus, kind)?,
-                    join(&ld.minus, &rd.plus, kind)?,
-                ],
-            )?;
-            Ok(SignedBatch { plus, minus })
-        }
-        (true, false) => {
-            // Frozen/unchanged right side, probed from its snapshot scan.
-            let ld = eval_signed_delta(left, engine, as_of, now, parallel)?;
-            if ld.is_empty() {
-                return Ok(SignedBatch::empty(Arc::clone(schema)));
-            }
-            let b = snap(right, now)?;
-            Ok(SignedBatch { plus: join(&ld.plus, &b, kind)?, minus: join(&ld.minus, &b, kind)? })
-        }
-        (false, true) => {
-            let rd = eval_signed_delta(right, engine, as_of, now, parallel)?;
-            if rd.is_empty() {
-                return Ok(SignedBatch::empty(Arc::clone(schema)));
-            }
-            let a = snap(left, now)?;
-            Ok(SignedBatch { plus: join(&a, &rd.plus, kind)?, minus: join(&a, &rd.minus, kind)? })
-        }
-        (false, false) => Err(VdmError::Plan(format!(
-            "{} join with no delta-capable side does not propagate deltas",
-            kind_name(kind)
-        ))),
+    // express. The planner froze the right side's tables.
+    let (l_cap, r_cap) = (delta_capable(left), kind == JoinKind::Inner && delta_capable(right));
+    if !l_cap && !r_cap {
+        let msg = format!("{kind:?} join with no delta-capable side does not propagate deltas");
+        return Err(VdmError::Plan(msg));
     }
-}
-
-fn kind_name(kind: JoinKind) -> &'static str {
-    match kind {
-        JoinKind::Inner => "INNER",
-        JoinKind::LeftOuter => "LEFT OUTER",
+    // A side that is not delta-capable is frozen: it did not change.
+    let mut delta = |cap: bool, side: &PlanRef| match cap {
+        true => eval_signed_delta(side, engine, as_of, now, parallel, kept),
+        false => Ok(SignedBatch::empty(side.schema())),
+    };
+    let (ld, rd) = (delta(l_cap, left)?, delta(r_cap, right)?);
+    if rd.is_empty() {
+        // B frozen or unchanged: Δ(A ⋈ B) = ΔA ⋈ B, probing B's kept build.
+        return match ld.is_empty() {
+            true => Ok(SignedBatch::empty(Arc::clone(schema))),
+            false => probe_right(&ld, kept),
+        };
     }
+    if ld.is_empty() {
+        let a = snap(left, now)?;
+        return Ok(SignedBatch { plus: join(&a, &rd.plus)?, minus: join(&a, &rd.minus)? });
+    }
+    // Both sides moved: the full product rule over signed bags.
+    let a_old = snap(left, as_of)?;
+    let b_old = snap(right, as_of)?;
+    let plus = Batch::concat(
+        Arc::clone(schema),
+        &[
+            join(&ld.plus, &b_old)?,
+            join(&a_old, &rd.plus)?,
+            join(&ld.plus, &rd.plus)?,
+            join(&ld.minus, &rd.minus)?,
+        ],
+    )?;
+    let minus = Batch::concat(
+        Arc::clone(schema),
+        &[
+            join(&ld.minus, &b_old)?,
+            join(&a_old, &rd.minus)?,
+            join(&ld.plus, &rd.minus)?,
+            join(&ld.minus, &rd.plus)?,
+        ],
+    )?;
+    Ok(SignedBatch { plus, minus })
 }

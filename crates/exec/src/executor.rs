@@ -88,7 +88,7 @@ fn host_cores() -> usize {
 
 impl ParallelConfig {
     /// A sane copy: at least one thread, at least one row per morsel.
-    fn normalized(self) -> ParallelConfig {
+    pub(crate) fn normalized(self) -> ParallelConfig {
         ParallelConfig { threads: self.threads.max(1), morsel_rows: self.morsel_rows.max(1) }
     }
 }
@@ -349,7 +349,8 @@ enum Op<'p> {
     Project(&'p [(Expr, String)], &'p Arc<Schema>),
     /// Adjacent pass-through/renaming projections, composed: out `j` = in `map[j]`.
     Map(Vec<usize>),
-    Probe(Probe<'p>),
+    /// A probe of a join's build side, owned or borrowed.
+    Probe(Cow<'p, JoinBuild<'p>>, JoinSpec<'p>),
 }
 
 struct Step<'p> {
@@ -420,16 +421,18 @@ fn pipeline<'p>(plan: &'p PlanRef, ctx: &mut Ctx<'p>) -> Result<Pipeline<'p>> {
                     (rb.num_rows(), pipeline(left, ctx)?, rb, false)
                 };
             let probe_schema = if build_left { right.schema() } else { left.schema() };
-            let join = JoinSpec { kind: *kind, on, residual: filter.as_ref(), build_left };
+            let join = JoinSpec { kind: *kind, residual: filter.as_ref(), build_left };
             let (start, rows, build) = (Instant::now(), build.num_rows(), Cow::Owned(build));
-            let probe = Probe::new(build, &probe_schema, join, ctx.config, &mut ctx.profile)?;
+            let (config, profile) = (ctx.config, &mut ctx.profile);
+            let build = JoinBuild::new(build, &probe_schema, on, build_left, config, profile)?;
+            let probe = Op::Probe(Cow::Owned(build), join);
             // The build side enters the join's ledger here, once; the probe
             // side morsel by morsel.
             let stats = ctx.profile.nodes.entry(id).or_default();
             stats.rows_in += rows as u64;
             stats.build_rows += right_rows as u64;
             stats.nanos += nanos_since(start);
-            p.steps.push(Step { op: Op::Probe(probe), ids: vec![id] });
+            p.steps.push(Step { op: probe, ids: vec![id] });
             Ok(p)
         }
         _ => Ok(Pipeline {
@@ -532,9 +535,9 @@ fn run_pipeline<T: Send>(
     Ok(parts)
 }
 
-impl Pipeline<'_> {
+impl<'p> Pipeline<'p> {
     /// Profile ids of the covered plan nodes, bottom-up.
-    fn ids(&self) -> impl Iterator<Item = usize> + '_ {
+    fn ids(&self) -> impl Iterator<Item = usize> + use<'_, 'p> {
         let scan = match &self.source {
             Source::Scan { id, .. } => Some(*id),
             Source::Batch(_) => None,
@@ -625,7 +628,7 @@ impl Op<'_> {
                 m.cols = map.iter().filter_map(|&c| take(c)).collect();
                 Ok(m)
             }
-            Op::Probe(probe) => probe.probe(m),
+            Op::Probe(build, join) => build.probe(join, m),
         }
     }
 }
@@ -672,6 +675,7 @@ fn materialize(
 /// One partition of a join's build side: its row ids in build-row order,
 /// chained per hash slot. No key and no hash is stored — a probe walks the
 /// chain of its slot and compares the key columns in place.
+#[derive(Clone)]
 struct JoinTable {
     rows: Vec<usize>,
     /// Per slot, 1 + the index in `rows` of its first entry; 0 = empty.
@@ -715,12 +719,11 @@ impl JoinTable {
     }
 }
 
-struct JoinSpec<'p> {
-    kind: JoinKind,
-    on: &'p [(usize, usize)],
-    residual: Option<&'p Expr>,
+pub(crate) struct JoinSpec<'p> {
+    pub(crate) kind: JoinKind,
+    pub(crate) residual: Option<&'p Expr>,
     /// The build side is the left input (output = `build ++ probe`): inner, no residual.
-    build_left: bool,
+    pub(crate) build_left: bool,
 }
 
 /// Routing hashes of the key columns `cols` over `range`: typed payloads
@@ -740,12 +743,12 @@ fn routing_hashes(cols: &[&Column], range: Range<usize>, columnar: bool) -> Vec<
     range.map(cells).collect()
 }
 
-/// A join's build side, hashed: the `Join` node as a pipeline step. NULL keys
-/// never match (SQL equi-join semantics); a LEFT OUTER probe row whose matches
-/// all fail the residual is emitted once, NULL-padded. Rows come out in
-/// probe-row order, a row's matches in build-row order.
-struct Probe<'p> {
-    build: Cow<'p, Batch>,
+/// A join's build side, hashed into `JoinTable`s, with the key columns of
+/// both sides: made per join per query, or kept by a cached view for a join
+/// side that did not change ([`crate::delta`]).
+#[derive(Clone)]
+pub(crate) struct JoinBuild<'b> {
+    pub(crate) build: Cow<'b, Batch>,
     /// One table per partition of the build side's key hashes.
     tables: Vec<JoinTable>,
     build_keys: Vec<usize>,
@@ -753,21 +756,22 @@ struct Probe<'p> {
     /// Each key column pair has one physical type on both sides, so both hash
     /// payloads (`Int(2) == Dec(2.00)` must not land in different partitions).
     columnar: bool,
-    join: JoinSpec<'p>,
 }
 
-impl<'p> Probe<'p> {
-    /// Partitions `build` by key hash and chains each partition's row ids; chunk
-    /// and partition counts follow its size (one chunk: one partition, inline).
-    fn new(
-        build: Cow<'p, Batch>,
+impl<'b> JoinBuild<'b> {
+    /// Partitions `build` (the left input when `build_left`) by key hash and
+    /// chains each partition's row ids; chunk and partition counts follow its
+    /// size (one chunk: one partition, inline).
+    pub(crate) fn new(
+        build: Cow<'b, Batch>,
         probe_schema: &Schema,
-        join: JoinSpec<'p>,
+        on: &[(usize, usize)],
+        build_left: bool,
         config: ParallelConfig,
         profile: &mut QueryProfile,
-    ) -> Result<Probe<'p>> {
-        let side = |&(lc, rc): &(usize, usize)| if join.build_left { (lc, rc) } else { (rc, lc) };
-        let (build_keys, probe_keys): (Vec<usize>, Vec<usize>) = join.on.iter().map(side).unzip();
+    ) -> Result<JoinBuild<'b>> {
+        let side = |&(lc, rc): &(usize, usize)| if build_left { (lc, rc) } else { (rc, lc) };
+        let (build_keys, probe_keys): (Vec<usize>, Vec<usize>) = on.iter().map(side).unzip();
         let keys: Vec<&Column> = build_keys.iter().map(|&c| &build.columns[c]).collect();
         let columnar =
             keys.iter().zip(&probe_keys).all(|(b, &p)| b.sql_type() == probe_schema.field(p).ty);
@@ -798,18 +802,39 @@ impl<'p> Probe<'p> {
             let entries: Vec<_> = scattered.iter().flat_map(|parts| &parts[p]).copied().collect();
             Ok(JoinTable::build(&entries, mask.count_ones()))
         })?;
-        Ok(Probe { build, tables, build_keys, probe_keys, columnar, join })
+        Ok(JoinBuild { build, tables, build_keys, probe_keys, columnar })
     }
 
-    /// Probes with the live rows of `m`, keys compared cell against cell
+    /// The join of all of `probe` with this side: a one-step pipeline, skipped
+    /// when `probe` is empty or, inner, this side is.
+    pub(crate) fn join(
+        &self,
+        probe: &Batch,
+        join: JoinSpec<'_>,
+        schema: Arc<Schema>,
+        config: ParallelConfig,
+        profile: &mut QueryProfile,
+    ) -> Result<Batch> {
+        if probe.num_rows() == 0 || (join.kind == JoinKind::Inner && self.build.num_rows() == 0) {
+            return Ok(Batch::empty(schema));
+        }
+        let steps = vec![Step { op: Op::Probe(Cow::Borrowed(self), join), ids: vec![0] }];
+        let source = Source::Batch(Cow::Borrowed(probe));
+        materialize(Pipeline { source, steps }, &schema, None, config.normalized(), profile)
+    }
+
+    /// The `Join` node as a pipeline step: probes with the live rows of `m`.
+    /// NULL keys never match; a LEFT OUTER probe row whose matches all fail the
+    /// residual is emitted once, NULL-padded; rows come out in probe-row order,
+    /// a row's matches in build-row order. Keys compare cell against cell
     /// ([`kernels::cells_equal`]). When no probe row matched twice — observed
     /// here (every N:1 augmentation join), never taken from the declared
     /// cardinality: a wrong declaration costs a gather, not a row — the build
     /// columns are gathered to line up with the morsel's rows and appended
     /// beside its own (an inner join also refines the selection); only a probe
     /// that expands, or a morsel not starting at row 0, gathers the probe side.
-    fn probe<'a>(&self, m: Morsel<'a>) -> Result<Morsel<'a>> {
-        let (build, join) = (self.build.as_ref(), &self.join);
+    fn probe<'a>(&self, join: &JoinSpec<'_>, m: Morsel<'a>) -> Result<Morsel<'a>> {
+        let build = self.build.as_ref();
         let columns = m.columns();
         let keys: Vec<&Column> = self.probe_keys.iter().map(|&c| columns[c]).collect();
         let build_keys: Vec<&Column> = self.build_keys.iter().map(|&c| &build.columns[c]).collect();
@@ -888,8 +913,9 @@ impl<'p> Probe<'p> {
 /// The hash join over two materialized inputs, for [`crate::delta`] and the
 /// operator tests: builds on the right input and probes with the left, except
 /// that an inner equi-join without residual builds on its smaller input (the
-/// paper's §4.4 economics); the probe side seeds a one-step pipeline. Output
-/// columns are `left ++ right`; `profile` is scratch (the step is node 0).
+/// paper's §4.4 economics). An inner join with an empty input, or a LEFT
+/// OUTER join with an empty left, is empty and builds nothing. Output columns
+/// are `left ++ right`; `profile` is scratch (the step is node 0).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn hash_join(
     left: &Batch,
@@ -905,14 +931,12 @@ pub(crate) fn hash_join(
     let build_left =
         kind == JoinKind::Inner && residual.is_none() && left.num_rows() < right.num_rows();
     let (build, probe) = if build_left { (left, right) } else { (right, left) };
-    if probe.num_rows() == 0 {
-        return Ok(Batch::empty(schema)); // no probe row, no output row: build nothing
+    if probe.num_rows() == 0 || (kind == JoinKind::Inner && build.num_rows() == 0) {
+        return Ok(Batch::empty(schema));
     }
-    let (build, probe) = (Cow::Borrowed(build), Cow::Borrowed(probe));
-    let join = JoinSpec { kind, on, residual, build_left };
-    let step = Probe::new(build, &probe.schema, join, config, profile)?;
-    let steps = vec![Step { op: Op::Probe(step), ids: vec![0] }];
-    materialize(Pipeline { source: Source::Batch(probe), steps }, &schema, None, config, profile)
+    let build =
+        JoinBuild::new(Cow::Borrowed(build), &probe.schema, on, build_left, config, profile)?;
+    build.join(probe, JoinSpec { kind, residual, build_left }, schema, config, profile)
 }
 
 // ---------------------------------------------------------------------------

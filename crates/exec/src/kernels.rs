@@ -5,11 +5,8 @@
 //! auto-vectorize the inner loops (plain index arithmetic over typed
 //! payload slices, no `unsafe` SIMD intrinsics):
 //!
-//! * **hashing** — a branch-free splitmix64 finalizer ([`mix64`]), an
-//!   FxHash-style [`Hasher`] replacing SipHash for `Value` rows, and
-//!   columnar key hashing ([`hash_keys`]) that hashes whole key columns
-//!   payload-at-a-time (string columns hash each *dictionary entry* once
-//!   and fan the result out over the codes);
+//! * **hashing** — [`mix64`], [`FxHasher`], [`hash_keys`], [`cells_equal`],
+//!   re-exported from `vdm_storage::hash` (shared with the key index);
 //! * **filtering** — [`FilterKernel`], the one predicate evaluator: trees
 //!   of `AND` / `OR` / `IS [NOT] NULL` over `col ⟨cmp⟩ literal` atoms
 //!   evaluate column-at-a-time into one TRUE-mask over typed payloads (an
@@ -20,213 +17,18 @@
 //! * **projection** — [`project_rows`]: a plain column reference gathers,
 //!   a computed expression evaluates row-wise (also through [`RowScratch`]).
 //!
-//! Hash-consistency contract: two rows whose key values are equal under
-//! [`Value`] equality must receive the same routing hash. The columnar path
-//! guarantees this only *within one physical column type*, so callers hashing
-//! across two batches — the join's build/probe sides — must check
-//! [`Column::sql_type`] equality first and otherwise hash through
-//! `Value::hash` (canonical across the numeric family), as [`hash_values`] does.
+//! Hashes are consistent with [`Value`] equality only within one physical
+//! column type: see `vdm_storage::hash` for the cross-batch contract.
 
 use std::collections::BTreeMap;
-use std::hash::Hasher;
 use std::ops::Range;
 use std::sync::Arc;
 use vdm_expr::{predicate, BinOp, Expr};
 use vdm_storage::{Batch, Column, ColumnData, MaskFn};
 use vdm_types::{Decimal, Result, Schema, Value};
 
-// ---------------------------------------------------------------------------
-// Hash mixing.
-
-/// splitmix64 finalizer: a full-avalanche, branch-free 64-bit mixer.
-#[inline]
-pub fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    x
-}
-
-/// Seed every composite-key hash starts from (any odd constant works).
-const KEY_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// Payload stand-in for NULL slots, distinct from any mixed real payload.
-const NULL_PAYLOAD: u64 = 0x632b_e593_04b4_d3b1;
-
-/// Order-dependent combine of one key part into a running hash.
-#[inline]
-fn combine(h: u64, payload: u64) -> u64 {
-    mix64(h ^ payload.wrapping_mul(KEY_SEED))
-}
-
-/// FxHash-style multiplicative hasher — replaces the standard library's
-/// SipHash for hashing `Value` rows (cross-type join keys, result
-/// digests), where DoS resistance buys nothing.
-#[derive(Default, Clone)]
-pub struct FxHasher {
-    hash: u64,
-}
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        // Finalize so low bits (used by HashMap bucket masks) avalanche.
-        mix64(self.hash)
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.add(u64::from_le_bytes(c.try_into().unwrap()));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(tail) ^ rest.len() as u64);
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.add(v as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.add(v as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
-
-    #[inline]
-    fn write_i32(&mut self, v: i32) {
-        self.add(v as u64);
-    }
-
-    #[inline]
-    fn write_i64(&mut self, v: i64) {
-        self.add(v as u64);
-    }
-
-    #[inline]
-    fn write_i128(&mut self, v: i128) {
-        self.add(v as u64);
-        self.add((v >> 64) as u64);
-    }
-
-    #[inline]
-    fn write_u128(&mut self, v: u128) {
-        self.add(v as u64);
-        self.add((v >> 64) as u64);
-    }
-}
-
-/// Routing hash of a materialized key through `Value::hash` (canonical
-/// across Int/Dec) — the fallback when columnar hashing is not applicable.
-pub fn hash_values(key: &[Value]) -> u64 {
-    use std::hash::Hash;
-    let mut h = FxHasher::default();
-    key.hash(&mut h);
-    h.finish()
-}
-
-/// Content hash of one string (used per dictionary entry, not per row).
-fn str_hash(s: &str) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(s.as_bytes());
-    h.finish()
-}
-
-/// Mixes column `col` over `rows` into `hashes` (`hashes[k]` covers row
-/// `rows.start + k`). Fixed-width payloads mix directly; string columns
-/// hash each dictionary entry once and index the results by code.
-fn hash_column_into(col: &Column, rows: Range<usize>, hashes: &mut [u64]) {
-    debug_assert_eq!(hashes.len(), rows.len());
-    let start = rows.start;
-    let valid = col.validity().map(|v| &v[rows]);
-    match col.data() {
-        ColumnData::Int(v) => mix_into(hashes, valid, |k| v[start + k] as u64),
-        ColumnData::Dec { units, .. } => mix_into(hashes, valid, |k| {
-            let u = units[start + k];
-            (u as u64).wrapping_add(mix64((u >> 64) as u64))
-        }),
-        ColumnData::Bool(v) => mix_into(hashes, valid, |k| v[start + k] as u64),
-        ColumnData::Date(v) => mix_into(hashes, valid, |k| v[start + k] as u64),
-        ColumnData::Str(s) => {
-            let dict_hashes: Vec<u64> = s.dict.iter().map(|d| str_hash(d)).collect();
-            // NULL slots carry code 0 over a possibly empty dictionary.
-            mix_into(hashes, valid, |k| {
-                dict_hashes.get(s.codes[start + k] as usize).copied().unwrap_or(0)
-            })
-        }
-    }
-}
-
-/// Combines `payload(k)` into `hashes[k]`; a NULL slot contributes the
-/// sentinel instead. A column without a validity mask (NOT NULL keys) takes
-/// the dense loop, which stays branch-free and vectorizable.
-fn mix_into(hashes: &mut [u64], valid: Option<&[bool]>, payload: impl Fn(usize) -> u64) {
-    match valid {
-        None => hashes.iter_mut().enumerate().for_each(|(k, h)| *h = combine(*h, payload(k))),
-        Some(valid) => {
-            for (k, (h, ok)) in hashes.iter_mut().zip(valid).enumerate() {
-                *h = combine(*h, if *ok { payload(k) } else { NULL_PAYLOAD });
-            }
-        }
-    }
-}
-
-/// `a[i] == b[j]` for two non-NULL cells, under [`Value`] equality: typed
-/// payloads compare in place (strings by content, so the two sides may carry
-/// different dictionaries); only a cross-type pair — `INT` against `DECIMAL`,
-/// two decimal scales — goes through `Value`.
-pub fn cells_equal(a: &Column, i: usize, b: &Column, j: usize) -> bool {
-    match (a.data(), b.data()) {
-        (ColumnData::Int(x), ColumnData::Int(y)) => x[i] == y[j],
-        (ColumnData::Dec { units: x, scale: s }, ColumnData::Dec { units: y, scale: t })
-            if s == t =>
-        {
-            x[i] == y[j]
-        }
-        (ColumnData::Bool(x), ColumnData::Bool(y)) => x[i] == y[j],
-        (ColumnData::Date(x), ColumnData::Date(y)) => x[i] == y[j],
-        (ColumnData::Str(x), ColumnData::Str(y)) => {
-            x.dict[x.codes[i] as usize] == y.dict[y.codes[j] as usize]
-        }
-        _ => a.get(i) == b.get(j),
-    }
-}
-
-/// Routing hashes for the composite key `cols` over their `rows`,
-/// computed column-at-a-time. Consistent with [`Value`] equality within
-/// each physical column type (see the module docs for the cross-batch
-/// contract).
-pub fn hash_keys(cols: &[&Column], rows: Range<usize>) -> Vec<u64> {
-    let mut hashes = vec![KEY_SEED; rows.len()];
-    for col in cols {
-        hash_column_into(col, rows.clone(), &mut hashes);
-    }
-    hashes
-}
+// The one typed hash lives beside `Column` in `vdm-storage`.
+pub use vdm_storage::hash::{cells_equal, hash_keys, hash_values, mix64, FxHasher};
 
 // ---------------------------------------------------------------------------
 // Predicate evaluation.

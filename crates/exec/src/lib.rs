@@ -33,7 +33,7 @@ pub mod pool;
 #[cfg(test)]
 mod ops_tests;
 
-pub use delta::{eval_signed_delta, SignedBatch};
+pub use delta::{eval_signed_delta, KeptSides, SignedBatch};
 pub use executor::{execute, execute_with, ExecOptions, Execution, ParallelConfig};
 pub use pool::{with_worker_pool, WorkerPool};
 pub use vdm_obs::{Metrics, NodeIndex, NodeStats, QueryProfile};

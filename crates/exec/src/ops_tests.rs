@@ -848,6 +848,40 @@ fn one_hash_join_matches_the_row_wise_reference() {
     }
 }
 
+/// An inner join with an empty input, and a LEFT OUTER join with an empty
+/// left, is an empty batch with the join's schema, and nothing is built or
+/// probed for it; a LEFT OUTER join with an empty right pads every left row.
+#[test]
+fn a_join_with_an_empty_input_builds_nothing() {
+    let mut rng = SplitMix64::seed_from_u64(35);
+    let (full, empty) =
+        (join_side(&mut rng, 9, false, &[1, 2, 3]), join_side(&mut rng, 0, false, &[1]));
+    let schema = |l: &Batch, r: &Batch| {
+        Arc::new(Schema::new(l.schema.fields().iter().chain(r.schema.fields()).cloned().collect()))
+    };
+    let config = ParallelConfig { threads: 1, morsel_rows: 4 };
+    let join = |left: &Batch, right: &Batch, kind, profile: &mut QueryProfile| {
+        let schema = schema(left, right);
+        hash_join(left, right, kind, &[(0, 0)], None, schema, config, profile).unwrap()
+    };
+    for (left, right, kind) in [
+        (&empty, &full, JoinKind::Inner),
+        (&full, &empty, JoinKind::Inner),
+        (&empty, &full, JoinKind::LeftOuter),
+    ] {
+        let mut profile = QueryProfile::default();
+        let out = join(left, right, kind, &mut profile);
+        assert_eq!((out.num_rows(), &out.schema), (0, &schema(left, right)), "{kind:?}");
+        assert_eq!(profile.pipelines, 0, "{kind:?}: nothing was built or probed");
+    }
+    let padded = join(&full, &empty, JoinKind::LeftOuter, &mut QueryProfile::default());
+    let pad = |mut row: Vec<Value>| {
+        row.extend([Value::Null, Value::Null, Value::Null]);
+        row
+    };
+    assert_eq!(padded.to_rows(), full.to_rows().into_iter().map(pad).collect::<Vec<_>>());
+}
+
 /// Operator-at-a-time evaluation of `plan` by reference operators — a whole
 /// scan, then one row-wise pass per node ([`reference_join`] for joins, a
 /// `Vec<Value>`-keyed map in first-seen order for aggregates): the oracle

@@ -75,6 +75,10 @@ pub const VIEW_REFRESH_TOTAL: &str = "vdm_view_refresh_total";
 pub const VIEW_REFRESH_SECONDS: &str = "vdm_view_refresh_seconds";
 /// Signed delta rows (both signs) folded into cached views.
 pub const VIEW_DELTA_ROWS_TOTAL: &str = "vdm_view_delta_rows_total";
+/// Join sides cached views executed and hashed to keep across passes.
+pub const VIEW_SIDE_BUILDS_TOTAL: &str = "vdm_view_side_builds_total";
+/// Build-side rows the cached views' kept join sides hold.
+pub const VIEW_KEPT_SIDE_ROWS: &str = "vdm_view_kept_side_rows";
 
 // -------------------------------------------------------------- serving
 /// Prepared statements currently alive.
@@ -213,6 +217,11 @@ pub const ALL: &[MetricDesc] = &[
         help: "Signed delta rows (both signs) folded into cached views.",
     },
     MetricDesc {
+        name: VIEW_KEPT_SIDE_ROWS,
+        kind: MetricKind::Gauge,
+        help: "Build-side rows held by the join sides cached views keep.",
+    },
+    MetricDesc {
         name: VIEW_REFRESH_SECONDS,
         kind: MetricKind::Histogram,
         help: "Cached-view maintenance latency, in seconds.",
@@ -221,6 +230,11 @@ pub const ALL: &[MetricDesc] = &[
         name: VIEW_REFRESH_TOTAL,
         kind: MetricKind::Counter,
         help: "Cached-view maintenance passes, labelled by kind (full/incremental/noop).",
+    },
+    MetricDesc {
+        name: VIEW_SIDE_BUILDS_TOTAL,
+        kind: MetricKind::Counter,
+        help: "Join sides cached views executed and hashed to keep across maintenance passes.",
     },
 ];
 

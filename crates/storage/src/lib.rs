@@ -20,6 +20,7 @@
 
 pub mod column;
 pub mod engine;
+pub mod hash;
 pub mod nse;
 pub mod store;
 pub mod zonemap;

@@ -2,9 +2,12 @@
 //! tombstone log — each typed columns with per-row visibility stamps.
 
 use crate::column::{Batch, Column};
+use crate::hash::{cells_equal, hash_keys, FxHasher};
 use crate::nse::{LoadMode, PageBuffer, PageStats};
 use crate::zonemap::{ScanRange, ZoneMaps, ZONE_BLOCK_ROWS};
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::ops::Range;
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -62,6 +65,70 @@ impl Fragment {
     }
 }
 
+/// Where a row lives; while an insert claims keys, a delta row past the end
+/// is the incoming batch's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RowRef {
+    Main(u32),
+    Delta(u32),
+}
+
+/// One unique constraint's live non-NULL keys: each key's typed hash to the
+/// row holding it. Keys compare cell against cell, never materialized.
+#[derive(Debug)]
+struct KeyIndex {
+    cols: Vec<usize>,
+    rows: HashMap<u64, RowRef, BuildHasherDefault<FxHasher>>,
+    /// Live rows whose hash a row with a different key already holds in `rows`.
+    overflow: Vec<(u64, RowRef)>,
+}
+
+impl KeyIndex {
+    /// Adds `row` under hash `h` unless a holder of `h` has the same key
+    /// (`same(cols, holder)`); `false` = a duplicate, nothing added.
+    fn claim(&mut self, h: u64, row: RowRef, same: impl Fn(&[usize], RowRef) -> bool) -> bool {
+        let cols = &self.cols;
+        match self.rows.entry(h) {
+            Entry::Vacant(e) => _ = e.insert(row),
+            Entry::Occupied(e) => {
+                let held = |&(o, r): &(u64, RowRef)| o == h && same(cols, r);
+                if same(cols, *e.get()) || self.overflow.iter().any(held) {
+                    return false;
+                }
+                self.overflow.push((h, row));
+            }
+        }
+        true
+    }
+
+    /// Drops `row`'s claim on `h`; an overflow holder of `h` moves up.
+    fn release(&mut self, h: u64, row: RowRef) {
+        if self.rows.get(&h) == Some(&row) {
+            match self.overflow.iter().position(|&(o, _)| o == h) {
+                Some(k) => _ = self.rows.insert(h, self.overflow.swap_remove(k).1),
+                None => _ = self.rows.remove(&h),
+            }
+        } else if let Some(k) = self.overflow.iter().position(|&e| e == (h, row)) {
+            self.overflow.swap_remove(k);
+        }
+    }
+
+    /// The entry holding `row`'s claim on `h`, in the map or the overflow.
+    fn held(&mut self, h: u64, row: RowRef) -> Option<&mut RowRef> {
+        let map = self.rows.get_mut(&h).filter(|held| **held == row);
+        map.or_else(|| self.overflow.iter_mut().find(|e| **e == (h, row)).map(|(_, r)| r))
+    }
+
+    /// The rows of `sel` whose key in `frag`'s columns has no NULL part,
+    /// each with its hash — one [`hash_keys`] call for the whole set.
+    fn keyed(&self, frag: &[Column], sel: &[usize]) -> Vec<(usize, u64)> {
+        let cols: Vec<&Column> = self.cols.iter().map(|&c| &frag[c]).collect();
+        let hashes = hash_keys(&cols, sel.iter().copied());
+        let keyed = sel.iter().zip(hashes).filter(|(&i, _)| cols.iter().all(|c| !c.is_null(i)));
+        keyed.map(|(&i, h)| (i, h)).collect()
+    }
+}
+
 /// A predicate over a fragment: its columns (by table ordinal) and a row
 /// range to the mask of rows on which it is TRUE, `None` when it cannot be
 /// evaluated there.
@@ -90,8 +157,8 @@ pub struct TableStore {
     schema: Arc<Schema>,
     main: Fragment,
     delta: Fragment,
-    /// Live key tuples per unique constraint (PK first), for enforcement.
-    key_index: Vec<HashSet<Vec<Value>>>,
+    /// One index of live keys per unique constraint (PK first).
+    key_index: Vec<KeyIndex>,
     /// Append-only tombstone log (delete-timestamp order): each deleted row
     /// version's columns under its `(insert_ts, delete_ts)`. Authoritative
     /// source for [`TableStore::deleted_between`]: unlike main and delta,
@@ -120,14 +187,14 @@ impl TableStore {
     /// Empty store for a table definition.
     pub fn new(def: Arc<TableDef>) -> TableStore {
         let schema = Arc::new(def.schema.clone());
-        let n_keys = def.unique_sets().len();
+        let index = |cols| KeyIndex { cols, rows: HashMap::default(), overflow: Vec::new() };
         TableStore {
             main: Fragment::empty(&schema),
             delta: Fragment::empty(&schema),
             tombstones: Fragment::empty(&schema),
+            key_index: def.unique_sets().into_iter().map(index).collect(),
             def,
             schema,
-            key_index: vec![HashSet::new(); n_keys],
             merges: 0,
             last_write_ts: 0,
             last_delete_ts: 0,
@@ -241,7 +308,7 @@ impl TableStore {
             }
             columns.push(column);
         }
-        self.claim_keys(rows)?;
+        self.claim_keys(&columns, rows.len())?;
         let live = RowMeta { insert_ts: ts, delete_ts: u64::MAX };
         self.delta.append(columns, std::iter::repeat_n(live, rows.len()))?;
         if !rows.is_empty() {
@@ -250,25 +317,35 @@ impl TableStore {
         Ok(rows.len())
     }
 
-    /// Adds the keys of `rows` to the key index, all or none: at a key
-    /// already held — by a stored row or an earlier one of `rows` — the
-    /// keys this call added are taken back.
-    fn claim_keys(&mut self, rows: &[Vec<Value>]) -> Result<()> {
-        let uniques = self.def.unique_sets();
-        for (n, row) in rows.iter().enumerate() {
-            for (ki, key_cols) in uniques.iter().enumerate() {
-                let key: Vec<Value> = key_cols.iter().map(|&c| row[c].clone()).collect();
-                // SQL unique constraints ignore NULL keys.
-                if !key.iter().any(Value::is_null) && !self.key_index[ki].insert(key) {
-                    for added in &rows[..n] {
-                        remove_keys(&mut self.key_index, &uniques, added);
-                    }
-                    remove_keys(&mut self.key_index, &uniques[..ki], row);
-                    return Err(VdmError::Storage(format!(
-                        "insert into {:?}: duplicate key for unique constraint {ki}",
-                        self.def.name
-                    )));
+    /// Claims the keys of the `n` incoming rows `columns` (delta rows
+    /// `delta.len()..` once appended), all or none.
+    fn claim_keys(&mut self, columns: &[Column], n: usize) -> Result<()> {
+        let base = self.delta.len();
+        let (main, delta): (&[Column], &[Column]) = (&self.main.columns, &self.delta.columns);
+        let cells = |r: RowRef| match r {
+            RowRef::Main(i) => (main, i as usize),
+            RowRef::Delta(i) if (i as usize) < base => (delta, i as usize),
+            RowRef::Delta(i) => (columns, i as usize - base),
+        };
+        let (all, mut claimed): (Vec<usize>, _) = ((0..n).collect(), Vec::new());
+        for ki in 0..self.key_index.len() {
+            let index = &mut self.key_index[ki];
+            for (r, h) in index.keyed(columns, &all) {
+                let row = RowRef::Delta((base + r) as u32);
+                let same = |cols: &[usize], held| {
+                    let (held, i) = cells(held);
+                    cols.iter().all(|&c| cells_equal(&held[c], i, &columns[c], r))
+                };
+                if index.claim(h, row, same) {
+                    claimed.push((ki, h, row));
+                    continue;
                 }
+                for (k, h, row) in claimed {
+                    self.key_index[k].release(h, row);
+                }
+                let name = &self.def.name;
+                let msg = format!("insert into {name:?}: duplicate key for unique constraint {ki}");
+                return Err(VdmError::Storage(msg));
             }
         }
         Ok(())
@@ -284,9 +361,9 @@ impl TableStore {
     }
 
     /// The rows of main and of the delta live just before `ts` on which
-    /// `pred` holds, in physical order; each gives up its keys and is handed
-    /// to `hit`. Both fragments are read the same way: a chunk of rows at a
-    /// time into one reused row buffer, one payload dispatch per column per
+    /// `pred` holds, in physical order; each is handed to `hit`, then all give
+    /// up their keys. Both fragments are read the same way: a chunk of rows at
+    /// a time into one reused row buffer, one payload dispatch per column per
     /// chunk.
     fn doomed(
         &mut self,
@@ -294,9 +371,9 @@ impl TableStore {
         ts: u64,
         mut hit: impl FnMut(&[Value]),
     ) -> [Vec<usize>; 2] {
-        let (uniques, width) = (self.def.unique_sets(), self.schema.len());
+        let width = self.schema.len();
         let mut buf = vec![Value::Null; DELETE_CHUNK_ROWS * width];
-        [&self.main, &self.delta].map(|frag| {
+        let doomed = [&self.main, &self.delta].map(|frag| {
             let mut out = Vec::new();
             for start in (0..frag.len()).step_by(DELETE_CHUNK_ROWS) {
                 let rows = start..(start + DELETE_CHUNK_ROWS).min(frag.len());
@@ -305,14 +382,31 @@ impl TableStore {
                 }
                 for (i, row) in rows.zip(buf.chunks_exact(width)) {
                     if frag.meta[i].visible_at(ts.saturating_sub(1)) && pred(row) {
-                        remove_keys(&mut self.key_index, &uniques, row);
                         hit(row);
                         out.push(i);
                     }
                 }
             }
             out
-        })
+        });
+        self.rekey(&doomed, false);
+        doomed
+    }
+
+    /// Releases the keys of rows `rows[0]` of main and `rows[1]` of the
+    /// delta, or — `hold` — claims them back unchecked (they were held).
+    fn rekey(&mut self, rows: &[Vec<usize>; 2], hold: bool) {
+        let frags = [(&self.main, RowRef::Main as fn(u32) -> RowRef), (&self.delta, RowRef::Delta)];
+        for index in &mut self.key_index {
+            for ((frag, at), sel) in frags.iter().zip(rows) {
+                for (i, h) in index.keyed(&frag.columns, sel) {
+                    match hold {
+                        true => _ = index.claim(h, at(i as u32), |_, _| false),
+                        false => index.release(h, at(i as u32)),
+                    }
+                }
+            }
+        }
     }
 
     /// Stamps rows `main` of main and `delta` of the delta deleted at `ts`
@@ -349,14 +443,14 @@ impl TableStore {
         f: &dyn Fn(&mut Vec<Value>),
         ts: u64,
     ) -> Result<usize> {
-        let mut old = Vec::new();
-        let [main, delta] = self.doomed(pred, ts, |row| old.push(row.to_vec()));
-        let mut rows = old.clone();
+        let mut rows = Vec::new();
+        let doomed = self.doomed(pred, ts, |row| rows.push(row.to_vec()));
         rows.iter_mut().for_each(f);
         if let Err(e) = self.insert(&rows, ts) {
-            return self.claim_keys(&old).and(Err(e));
+            self.rekey(&doomed, true);
+            return Err(e);
         }
-        Ok(self.kill(&main, &delta, ts))
+        Ok(self.kill(&doomed[0], &doomed[1], ts))
     }
 
     /// Materializes all rows visible at `ts` as a columnar batch — the
@@ -518,6 +612,32 @@ impl TableStore {
         let first_changed = if self.main.meta.iter().all(survives) { main_len } else { 0 };
         let (main, delta) = (first_changed..main_len, 0..self.delta.len());
         let (merged, _) = self.read(survives, main, delta, ScanFilter::default(), None)?;
+        // Each remaining row's place in main, from the first changed row on: every
+        // key entry moves when compacting, only the live delta rows' (O(delta)).
+        let mut to = first_changed as u32;
+        let mut moved_to = Vec::with_capacity(main_len - first_changed + self.delta.len());
+        for m in self.main.meta[first_changed..].iter().chain(&self.delta.meta) {
+            moved_to.push(to);
+            to += u32::from(survives(m));
+        }
+        let place = |r| match r {
+            RowRef::Main(i) => RowRef::Main(moved_to[i as usize - first_changed]),
+            RowRef::Delta(j) => RowRef::Main(moved_to[main_len - first_changed + j as usize]),
+        };
+        let live: Vec<usize> =
+            (0..self.delta.len()).filter(|&j| self.delta.meta[j].delete_ts == u64::MAX).collect();
+        for index in &mut self.key_index {
+            if first_changed < main_len {
+                let held = index.rows.values_mut().chain(index.overflow.iter_mut().map(|(_, r)| r));
+                held.for_each(|r| *r = place(*r));
+                continue;
+            }
+            for (j, h) in index.keyed(&self.delta.columns, &live) {
+                if let Some(held) = index.held(h, RowRef::Delta(j as u32)) {
+                    *held = place(*held);
+                }
+            }
+        }
         // A compaction drains every main stamp: `merged` then replaces main.
         let rewritten = self.main.meta.drain(first_changed..).chain(self.delta.meta.drain(..));
         let meta: Vec<RowMeta> = rewritten.filter(survives).collect();
@@ -526,15 +646,6 @@ impl TableStore {
         self.delta = Fragment::empty(&self.schema);
         self.merges += 1;
         Ok(())
-    }
-}
-
-fn remove_keys(index: &mut [HashSet<Vec<Value>>], uniques: &[Vec<usize>], row: &[Value]) {
-    for (ki, key_cols) in uniques.iter().enumerate() {
-        let key: Vec<Value> = key_cols.iter().map(|&c| row[c].clone()).collect();
-        if !key.iter().any(|v| v.is_null()) {
-            index[ki].remove(&key);
-        }
     }
 }
 
@@ -1171,6 +1282,179 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Two keys that share a hash: both claim (one in the map, one in the
+    /// overflow), releasing the map's holder leaves the other, and a third
+    /// row with the survivor's key is a duplicate.
+    #[test]
+    fn keys_sharing_a_hash_are_told_apart_cell_by_cell() {
+        let col = Column::from_values(SqlType::Int, &[Value::Int(1), Value::Int(2), Value::Int(2)]);
+        let col = &[col.unwrap()];
+        let same = |r: usize| {
+            move |cols: &[usize], held: RowRef| {
+                let RowRef::Delta(i) = held else { unreachable!("every row is a delta row") };
+                cols.iter().all(|&c| cells_equal(&col[c], i as usize, &col[c], r))
+            }
+        };
+        let mut index = KeyIndex { cols: vec![0], rows: Default::default(), overflow: vec![] };
+        let h = 42;
+        assert!(index.claim(h, RowRef::Delta(0), same(0)));
+        assert!(index.claim(h, RowRef::Delta(1), same(1)), "a different key under the same hash");
+        assert_eq!(index.overflow, vec![(h, RowRef::Delta(1))]);
+        index.release(h, RowRef::Delta(0));
+        assert_eq!((index.rows.get(&h), index.overflow.len()), (Some(&RowRef::Delta(1)), 0));
+        assert!(!index.claim(h, RowRef::Delta(2), same(2)), "the survivor's key is still held");
+        index.release(h, RowRef::Delta(1));
+        assert!(index.rows.is_empty() && index.claim(h, RowRef::Delta(2), same(2)));
+    }
+
+    /// Seeded scripts of batches (with in-batch and cross-batch duplicates
+    /// and NULL keys), deletes, updates (moving a key, keeping it, rejected)
+    /// and merges (appending and compacting) over a composite INT / DECIMAL /
+    /// TEXT primary key and a nullable UNIQUE column, against a model that
+    /// keeps the live rows and checks uniqueness with a `HashSet<Vec<Value>>`:
+    /// after every step the store made the same accept/reject decision and
+    /// its key index holds exactly the model's live keys, each at a live row.
+    #[test]
+    fn key_index_matches_a_hash_set_model() {
+        use std::collections::HashSet;
+        use vdm_types::{Decimal, SplitMix64};
+        let def = Arc::new(
+            TableBuilder::new("t")
+                .column("k", SqlType::Int, false)
+                .column("amt", SqlType::Decimal { scale: 2 }, false)
+                .column("doc", SqlType::Text, false)
+                .column("tag", SqlType::Text, true)
+                .column("v", SqlType::Int, true)
+                .primary_key(&["k", "amt", "doc"])
+                .unique(&["tag"])
+                .build()
+                .unwrap(),
+        );
+        let uniques = def.unique_sets();
+        let key = |row: &[Value], cols: &[usize]| -> Vec<Value> {
+            cols.iter().map(|&c| row[c].clone()).collect()
+        };
+        // The model's verdict: every non-NULL key of `rows` is distinct.
+        let unique = |rows: &[Vec<Value>]| {
+            uniques.iter().all(|cols| {
+                let mut seen: HashSet<Vec<Value>> = HashSet::new();
+                let keys =
+                    rows.iter().map(|r| key(r, cols)).filter(|k| !k.iter().any(Value::is_null));
+                keys.into_iter().all(|k| seen.insert(k))
+            })
+        };
+        // Rejections of each kind, NULL-keyed batches taken, updates that move
+        // or keep their keys, appending and compacting merges.
+        let mut seen = [0usize; 8];
+        for seed in [1u64, 2, 3, 4, 5] {
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            let mut s = TableStore::new(Arc::clone(&def));
+            let mut live: Vec<Vec<Value>> = Vec::new();
+            let fresh_row = |rng: &mut SplitMix64| {
+                let tag = match rng.random_range(0..3u32) {
+                    0 => Value::Null,
+                    _ => Value::str(format!("t{}", rng.random_range(0..400u32))),
+                };
+                vec![
+                    Value::Int(rng.random_range(0..40i64)),
+                    Value::Dec(Decimal::from_units(rng.random_range(0..3i64) as i128 * 125, 2)),
+                    Value::str(format!("d{}", rng.random_range(0..3u32))),
+                    tag,
+                    Value::Int(rng.random_range(0..9i64)),
+                ]
+            };
+            for (step, ts) in (1..=90u64).enumerate() {
+                let ctx = format!("seed {seed} step {step}");
+                match rng.random_range(0..10u32) {
+                    0..=3 => {
+                        let mut rows: Vec<Vec<Value>> = (0..rng.random_range(1..12usize))
+                            .map(|_| fresh_row(&mut rng))
+                            .collect();
+                        match rng.random_range(0..4u32) {
+                            0 => rows.push(rows[0].clone()),
+                            1 if !live.is_empty() => {
+                                rows.push(live[rng.random_range(0..live.len())].clone());
+                            }
+                            _ => {}
+                        }
+                        let after: Vec<Vec<Value>> = live.iter().chain(&rows).cloned().collect();
+                        let accept = unique(&after);
+                        assert_eq!(s.insert(&rows, ts).is_ok(), accept, "{ctx}");
+                        if accept {
+                            let null_key = rows.iter().any(|r| r[3].is_null());
+                            seen[0] += usize::from(null_key);
+                            live = after;
+                        } else {
+                            seen[1] += 1;
+                        }
+                    }
+                    4 | 5 => {
+                        let (m, r) = (rng.random_range(3..9i64), rng.random_range(0..3i64));
+                        let doomed = |row: &[Value]| matches!(row[0], Value::Int(k) if k % m == r);
+                        let n = s.delete_where(&doomed, ts);
+                        let before = live.len();
+                        live.retain(|row| !doomed(row));
+                        assert_eq!(n, before - live.len(), "{ctx}");
+                    }
+                    6 | 7 => {
+                        let target = Value::Int(rng.random_range(0..40i64));
+                        let (kind, new_k) = (rng.random_range(0..3u32), rng.random_range(0..40i64));
+                        let clash =
+                            live.iter().find_map(|r| (!r[3].is_null()).then(|| r[3].clone()));
+                        let pred = |row: &[Value]| row[0] == target;
+                        let f = |row: &mut Vec<Value>| match kind {
+                            0 => row[0] = Value::Int(new_k),
+                            1 => row[4] = Value::Int(99),
+                            _ => row[3] = clash.clone().unwrap_or(Value::Null),
+                        };
+                        let (mut hit, rest): (Vec<_>, Vec<_>) =
+                            live.iter().cloned().partition(|row| pred(row));
+                        hit.iter_mut().for_each(f);
+                        let after: Vec<Vec<Value>> = rest.into_iter().chain(hit.clone()).collect();
+                        let accept = unique(&after);
+                        let got = s.update_where(&pred, &f, ts);
+                        assert_eq!(got.as_ref().ok(), accept.then_some(&hit.len()), "{ctx}");
+                        if accept {
+                            seen[2 + kind.min(1) as usize] += usize::from(!hit.is_empty());
+                            live = after;
+                        } else {
+                            seen[4] += 1;
+                        }
+                    }
+                    _ => {
+                        let compacts = s.main.meta.iter().any(|m| m.delete_ts <= ts);
+                        seen[5 + usize::from(compacts)] += 1;
+                        s.merge_delta(ts).unwrap();
+                        seen[7] += usize::from(s.main_len() > 0 && compacts);
+                    }
+                }
+                // The index holds each live key once, at a live row.
+                for (index, cols) in s.key_index.iter().zip(&uniques) {
+                    let held =
+                        index.rows.iter().map(|(h, r)| (*h, *r)).chain(index.overflow.clone());
+                    let held: Vec<Vec<Value>> = held
+                        .map(|(_, r)| {
+                            let (frag, i) = match r {
+                                RowRef::Main(i) => (&s.main, i as usize),
+                                RowRef::Delta(i) => (&s.delta, i as usize),
+                            };
+                            assert_eq!(frag.meta[i].delete_ts, u64::MAX, "{ctx}: a dead holder");
+                            cols.iter().map(|&c| frag.columns[c].get(i)).collect()
+                        })
+                        .collect();
+                    let want: HashSet<Vec<Value>> = live
+                        .iter()
+                        .map(|r| key(r, cols))
+                        .filter(|k| !k.iter().any(Value::is_null))
+                        .collect();
+                    assert_eq!(held.len(), want.len(), "{ctx} {cols:?}");
+                    assert_eq!(held.into_iter().collect::<HashSet<_>>(), want, "{ctx} {cols:?}");
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "every kind of step is exercised: {seen:?}");
     }
 
     #[test]
