@@ -40,7 +40,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
-use vdm_exec::kernels::hash_values;
+use vdm_exec::kernels::project_batch;
 use vdm_exec::{KeptSides, ParallelConfig, SignedBatch};
 use vdm_expr::{AggExpr, Expr, Retraction};
 use vdm_obs::registry::{self, MetricsRegistry};
@@ -50,7 +50,8 @@ use vdm_plan::{
     derive_delta_plan, plan_digest_canonical, scan_tables, DeltaClass, DeltaPlan, LogicalPlan,
     PlanRef,
 };
-use vdm_storage::{Batch, Snapshot, StorageEngine};
+use vdm_storage::hash::{hash_keys, hash_side, hash_values, keys_equal, KeyTable};
+use vdm_storage::{Batch, Column, Snapshot, StorageEngine};
 use vdm_types::{Result, Schema, Value, VdmError};
 
 /// Refresh discipline of a cached view.
@@ -122,25 +123,18 @@ pub fn multiset_digest(batch: &Batch) -> u64 {
 /// Live accumulator state for a folded root aggregate: one slot per
 /// group in first-seen order (matching the executor's aggregation), with
 /// a hidden per-group live-row count so deletes can tombstone emptied
-/// groups.
+/// groups. The slots' keys are typed columns, found through a [`KeyTable`].
 struct GroupState {
-    index: HashMap<Vec<Value>, usize>,
-    order: Vec<Vec<Value>>,
+    /// Per slot, its group key: one column per key in the aggregate's key
+    /// types (a narrower input part widens), so every key hashes alike.
+    keys: Batch,
+    /// Each slot under its key's hash; entry id = slot.
+    slots: KeyTable<u32>,
     accs: Vec<Vec<vdm_expr::Accumulator>>,
     /// Input rows currently contributing to the slot; 0 = dead (skipped
-    /// when rendering, revived in place if the key reappears).
+    /// when rendering, revived in place if the key reappears) unless the
+    /// aggregate is ungrouped: its one slot renders even when empty.
     live: Vec<i64>,
-    /// Ungrouped aggregate: the single slot renders even when empty.
-    global: bool,
-}
-
-enum RetractOutcome {
-    Clean,
-    /// The slot lost a MIN/MAX extreme and must be rebuilt.
-    Dirty(usize),
-    /// The retracted row's group does not exist — the state is
-    /// inconsistent with the delta feed; fall back to full recompute.
-    Missing,
 }
 
 /// `agg`'s input value for `row` (COUNT(*) folds a placeholder 1).
@@ -148,57 +142,75 @@ fn agg_arg(agg: &AggExpr, row: &[Value]) -> Result<Value> {
     agg.arg.as_ref().map_or(Ok(Value::Int(1)), |a| a.eval_row(row))
 }
 
+/// Fresh accumulators, one per aggregate.
+fn fresh(aggs: &[(AggExpr, String)]) -> Vec<vdm_expr::Accumulator> {
+    aggs.iter().map(|(a, _)| a.accumulator()).collect()
+}
+
 impl GroupState {
+    /// The state of the aggregate `agg_schema` (keys first) over `input`.
     fn build(
         input: &Batch,
         group_by: &[(Expr, String)],
         aggs: &[(AggExpr, String)],
+        agg_schema: &Schema,
     ) -> Result<GroupState> {
-        let mut gs = GroupState {
-            index: HashMap::new(),
-            order: Vec::new(),
-            accs: Vec::new(),
-            live: Vec::new(),
-            global: group_by.is_empty(),
-        };
-        if gs.global {
-            gs.push_group(Vec::new(), aggs);
+        let keys = Schema::new(agg_schema.fields()[..group_by.len()].to_vec());
+        let (keys, slots) = (Batch::empty(Arc::new(keys)), KeyTable::with_capacity(0));
+        let mut gs = GroupState { keys, slots, accs: Vec::new(), live: Vec::new() };
+        if group_by.is_empty() {
+            // The empty key's hash: every row of the aggregate lands here.
+            gs.slots.insert(hash_keys(&gs.keys.columns, 0..1)[0], 0);
+            (gs.accs, gs.live) = (vec![fresh(aggs)], vec![0]);
         }
-        for i in 0..input.num_rows() {
-            gs.insert(&input.row(i), group_by, aggs)?;
-        }
+        gs.insert(input, group_by, aggs)?;
         Ok(gs)
     }
 
-    fn push_group(&mut self, key: Vec<Value>, aggs: &[(AggExpr, String)]) -> usize {
-        let slot = self.order.len();
-        self.index.insert(key.clone(), slot);
-        self.order.push(key);
-        self.accs.push(aggs.iter().map(|(a, _)| a.accumulator()).collect());
-        self.live.push(0);
-        slot
+    /// The hashes of the group keys of `rows` (the aggregate's input), and the keys.
+    fn keys_of(&self, rows: &Batch, group_by: &[(Expr, String)]) -> Result<(Vec<u64>, Batch)> {
+        let schema = Arc::clone(&self.keys.schema);
+        let keys = Batch::concat(Arc::clone(&schema), &[project_batch(rows, group_by, schema)?])?;
+        Ok((hash_keys(&keys.columns, 0..rows.num_rows()), keys))
     }
 
-    fn key_of(row: &[Value], group_by: &[(Expr, String)]) -> Result<Vec<Value>> {
-        let mut key = Vec::with_capacity(group_by.len());
-        for (e, _) in group_by {
-            key.push(e.eval_row(row)?);
-        }
-        Ok(key)
+    /// The slot holding each row's group key, if any.
+    fn slots_of(&self, rows: &Batch, group_by: &[(Expr, String)]) -> Result<Vec<Option<usize>>> {
+        let (hashes, keys) = self.keys_of(rows, group_by)?;
+        let (held, new) = (&self.keys.columns, &keys.columns);
+        let same = |i| move |s: u32| keys_equal(held, s as usize, new, i);
+        Ok(hashes.iter().enumerate().map(|(i, &h)| self.slots.find(h, same(i))).collect())
     }
 
+    /// Folds `rows` into their groups. A key seen for the first time opens
+    /// a slot; the new slots' keys are appended once, after the batch.
     fn insert(
         &mut self,
-        row: &[Value],
+        rows: &Batch,
         group_by: &[(Expr, String)],
         aggs: &[(AggExpr, String)],
     ) -> Result<()> {
-        let key = Self::key_of(row, group_by)?;
-        let slot = match self.index.get(&key) {
-            Some(&s) => s,
-            None => self.push_group(key, aggs),
-        };
-        self.absorb(slot, row, aggs)
+        let (hashes, keys) = self.keys_of(rows, group_by)?;
+        let old = self.accs.len();
+        let mut opened: Vec<usize> = Vec::new();
+        for (i, &h) in hashes.iter().enumerate() {
+            let same = |s: u32| match (s as usize).checked_sub(old) {
+                None => keys_equal(&self.keys.columns, s as usize, &keys.columns, i),
+                Some(k) => keys_equal(&keys.columns, opened[k], &keys.columns, i),
+            };
+            let (slot, new) = self.slots.find_or_insert(h, (old + opened.len()) as u32, same);
+            if new {
+                opened.push(i);
+                self.accs.push(fresh(aggs));
+                self.live.push(0);
+            }
+            self.absorb(slot, &rows.row(i), aggs)?;
+        }
+        if !opened.is_empty() {
+            let stored = std::mem::replace(&mut self.keys, Batch::empty(Arc::clone(&keys.schema)));
+            self.keys = Batch::concat(Arc::clone(&keys.schema), &[stored, keys.gather(&opened)])?;
+        }
+        Ok(())
     }
 
     /// Counts `row` into `slot` and folds it into the slot's accumulators.
@@ -210,25 +222,30 @@ impl GroupState {
         Ok(())
     }
 
+    /// Retracts `rows` from their groups: the slots that lost a MIN/MAX
+    /// extreme and must be rebuilt, or `None` when a row's group does not
+    /// exist — the state disagrees with the delta feed; fall back to a
+    /// full recompute.
     fn retract(
         &mut self,
-        row: &[Value],
+        rows: &Batch,
         group_by: &[(Expr, String)],
         aggs: &[(AggExpr, String)],
-    ) -> Result<RetractOutcome> {
-        let key = Self::key_of(row, group_by)?;
-        let Some(&slot) = self.index.get(&key) else {
-            return Ok(RetractOutcome::Missing);
-        };
-        if self.live[slot] == 0 {
-            return Ok(RetractOutcome::Missing);
+    ) -> Result<Option<BTreeSet<usize>>> {
+        let mut dirty = BTreeSet::new();
+        for (i, slot) in self.slots_of(rows, group_by)?.into_iter().enumerate() {
+            let Some(slot) = slot.filter(|&s| self.live[s] > 0) else {
+                return Ok(None);
+            };
+            self.live[slot] -= 1;
+            let row = rows.row(i);
+            for (acc, (agg, _)) in self.accs[slot].iter_mut().zip(aggs) {
+                if acc.retract(&agg_arg(agg, &row)?)? == Retraction::Recompute {
+                    dirty.insert(slot);
+                }
+            }
         }
-        self.live[slot] -= 1;
-        let mut dirty = false;
-        for (acc, (agg, _)) in self.accs[slot].iter_mut().zip(aggs) {
-            dirty |= acc.retract(&agg_arg(agg, row)?)? == Retraction::Recompute;
-        }
-        Ok(if dirty { RetractOutcome::Dirty(slot) } else { RetractOutcome::Clean })
+        Ok(Some(dirty))
     }
 
     /// Rebuilds the dirty slots from the input under a key filter, executed
@@ -251,14 +268,13 @@ impl GroupState {
         qtrace::attr("groups", dirty.len());
         let mut groups = Vec::with_capacity(dirty.len());
         for &slot in dirty {
-            let key = &self.order[slot];
             // `expr = NULL` is never true; the group is not reachable by an
             // equality filter.
-            if key.iter().any(Value::is_null) {
+            if self.keys.columns.iter().any(|c| c.is_null(slot)) {
                 return Ok(false);
             }
-            let eqs =
-                group_by.iter().zip(key).map(|((ge, _), kv)| ge.clone().eq(Expr::Lit(kv.clone())));
+            let eqs = group_by.iter().zip(&self.keys.columns);
+            let eqs = eqs.map(|((ge, _), c)| ge.clone().eq(Expr::Lit(c.get(slot))));
             groups.push(Expr::conjunction(eqs.collect()));
         }
         // The optimizer's own pushdown carries the key conjuncts to the
@@ -269,35 +285,32 @@ impl GroupState {
         let rows = run(&pushdown_filters(&LogicalPlan::filter(Arc::clone(input), pred)?)?)?;
         qtrace::attr("rows", rows.num_rows());
         for &slot in dirty {
-            self.accs[slot] = aggs.iter().map(|(a, _)| a.accumulator()).collect();
+            self.accs[slot] = fresh(aggs);
             self.live[slot] = 0;
         }
-        for i in 0..rows.num_rows() {
-            let row = rows.row(i);
-            match self.index.get(&Self::key_of(&row, group_by)?) {
-                Some(&slot) if dirty.contains(&slot) => self.absorb(slot, &row, aggs)?,
-                // No group, or a clean one the equality filter matched
-                // (values equal under SQL `=` but distinct as map keys).
+        for (i, slot) in self.slots_of(&rows, group_by)?.into_iter().enumerate() {
+            match slot {
+                Some(slot) if dirty.contains(&slot) => self.absorb(slot, &rows.row(i), aggs)?,
+                // No group, or a clean one the equality filter matched.
                 _ => return Ok(false),
             }
         }
         Ok(true)
     }
 
-    /// Renders the live groups in first-seen order.
+    /// Renders the live groups in first-seen order: keys gathered, aggregates finished.
     fn render(&self, schema: Arc<Schema>) -> Result<Batch> {
-        let mut rows = Vec::with_capacity(self.order.len());
-        for slot in 0..self.order.len() {
-            if self.live[slot] == 0 && !self.global {
-                continue;
-            }
-            let mut row = self.order[slot].clone();
-            for acc in &self.accs[slot] {
-                row.push(acc.finish()?);
-            }
-            rows.push(row);
+        let global = self.keys.columns.is_empty();
+        let slots: Vec<usize> =
+            (0..self.accs.len()).filter(|&s| global || self.live[s] > 0).collect();
+        let mut columns: Vec<Column> = self.keys.columns.iter().map(|c| c.gather(&slots)).collect();
+        let n_keys = columns.len();
+        for (j, field) in schema.fields().iter().enumerate().skip(n_keys) {
+            let finish = |&s: &usize| self.accs[s][j - n_keys].finish();
+            let values: Vec<Value> = slots.iter().map(finish).collect::<Result<_>>()?;
+            columns.push(Column::from_values(field.ty, &values)?);
         }
-        Batch::from_rows(schema, &rows)
+        Batch::new(schema, columns)
     }
 }
 
@@ -363,7 +376,7 @@ fn fold_parts(plan: &PlanRef) -> Option<FoldParts<'_>> {
 fn render_folded(plan: &PlanRef, gs: &GroupState, agg_schema: &Arc<Schema>) -> Result<Batch> {
     let out = gs.render(Arc::clone(agg_schema))?;
     if let LogicalPlan::Project { exprs, schema, .. } = plan.as_ref() {
-        return vdm_exec::kernels::project_batch(&out, exprs, Arc::clone(schema));
+        return project_batch(&out, exprs, Arc::clone(schema));
     }
     Ok(out)
 }
@@ -392,7 +405,7 @@ fn materialize(
     if folds_aggregate {
         if let Some((input, group_by, aggs, agg_schema)) = fold_parts(plan) {
             let in_batch = run_at(input, engine, snapshot, parallel)?;
-            let gs = GroupState::build(&in_batch, group_by, aggs)?;
+            let gs = GroupState::build(&in_batch, group_by, aggs, agg_schema)?;
             let out = render_folded(plan, &gs, agg_schema)?;
             return Ok((out, Some(gs)));
         }
@@ -676,19 +689,10 @@ impl CachedView {
         let Some(mut gs) = self.state.lock().unwrap().groups.take() else {
             return Ok(None);
         };
-        let mut dirty: BTreeSet<usize> = BTreeSet::new();
-        for i in 0..d.plus.num_rows() {
-            gs.insert(&d.plus.row(i), group_by, aggs)?;
-        }
-        for i in 0..d.minus.num_rows() {
-            match gs.retract(&d.minus.row(i), group_by, aggs)? {
-                RetractOutcome::Clean => {}
-                RetractOutcome::Dirty(slot) => {
-                    dirty.insert(slot);
-                }
-                RetractOutcome::Missing => return Ok(None),
-            }
-        }
+        gs.insert(&d.plus, group_by, aggs)?;
+        let Some(dirty) = gs.retract(&d.minus, group_by, aggs)? else {
+            return Ok(None);
+        };
         let recomputed = dirty.len();
         if !dirty.is_empty()
             && !gs.recompute_groups(input, group_by, aggs, &dirty, |p| {
@@ -752,30 +756,21 @@ impl CachedView {
 
 /// Multiset subtraction preserving `stored`'s order: removes one
 /// occurrence per `minus` row. `None` when a `minus` row has no match —
-/// the materialization disagrees with the delta feed.
+/// the materialization disagrees with the delta feed. The `minus` rows wait
+/// in a [`KeyTable`]; a stored row that finds one there takes it out.
 fn multiset_subtract(stored: &Batch, minus: &Batch) -> Option<Batch> {
-    let mut counts: HashMap<Vec<Value>, usize> = HashMap::new();
-    for i in 0..minus.num_rows() {
-        *counts.entry(minus.row(i)).or_insert(0) += 1;
+    let (ours, theirs) = (&stored.columns, &minus.columns);
+    let typed = ours.iter().zip(theirs).all(|(a, b)| a.sql_type() == b.sql_type());
+    let hashes = |b: &Batch| hash_side(&b.columns, 0..b.num_rows(), typed);
+    let mut pending = KeyTable::with_capacity(minus.num_rows());
+    hashes(minus).into_iter().enumerate().for_each(|(j, h)| _ = pending.insert(h, j));
+    let mut keep = Vec::with_capacity(stored.num_rows().saturating_sub(minus.num_rows()));
+    for (i, h) in hashes(stored).into_iter().enumerate() {
+        let found = pending.find(h, |j| keys_equal(theirs, j, ours, i));
+        found.map_or_else(|| keep.push(i), |id| pending.remove(id));
     }
-    let mut remaining = minus.num_rows();
-    let mut keep = Vec::with_capacity(stored.num_rows().saturating_sub(remaining));
-    for i in 0..stored.num_rows() {
-        if remaining > 0 {
-            if let Some(c) = counts.get_mut(&stored.row(i)) {
-                if *c > 0 {
-                    *c -= 1;
-                    remaining -= 1;
-                    continue;
-                }
-            }
-        }
-        keep.push(i);
-    }
-    if remaining > 0 {
-        return None;
-    }
-    Some(stored.gather(&keep))
+    let unmatched = pending.refs().len();
+    (unmatched == 0).then(|| stored.gather(&keep))
 }
 
 /// The registry of cached views. Internally synchronized: registration,

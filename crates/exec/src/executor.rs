@@ -22,7 +22,7 @@
 //!   gathered build columns beside the morsel's own. Only a probe that
 //!   expands, a computed projection and the sink copy rows;
 //! * **build sides are the breakers.** A join's build input runs first and
-//!   is chained by key hash into partitioned [`JoinTable`]s of row ids (no
+//!   is chained by key hash into partitioned [`KeyTable`]s of row ids (no
 //!   key is materialized); its other input continues the pipeline. A
 //!   commutable inner join materializes both inputs, builds on the smaller
 //!   and seeds a pipeline with the larger. `Sort`, `Distinct`, `Limit`,
@@ -30,9 +30,9 @@
 //!   stacked on them — and so is what survives a filter the scan applied
 //!   ahead of its gather: ragged morsels, re-chunked into full ones;
 //! * **the sink** materializes the morsels in morsel order or — under an
-//!   `Aggregate` — folds each into a partial ([`group_rows`]: row-id chains
-//!   over key columns, no `Vec<Value>` key) and merges the partials in morsel
-//!   order through the same table ([`vdm_expr::Accumulator::merge`]).
+//!   `Aggregate` — folds each into a partial ([`group_rows`]: a [`KeyTable`],
+//!   no `Vec<Value>` key) and merges the partials in morsel order through
+//!   the same table ([`vdm_expr::Accumulator::merge`]).
 //!
 //! Results — *including row and group order* — do not depend on scheduling,
 //! worker count or morsel size: every merge happens in morsel index order,
@@ -58,6 +58,7 @@ use vdm_expr::{Accumulator, AggExpr, Expr};
 use vdm_obs::{NodeIndex, QueryProfile};
 use vdm_plan::fusion;
 use vdm_plan::{JoinKind, LogicalPlan, PlanRef, ScanCols};
+use vdm_storage::hash::{hash_keys, hash_side, keys_equal, KeyTable};
 use vdm_storage::zonemap::ZONE_BLOCK_ROWS;
 use vdm_storage::{Batch, Column, ColumnData, ScanFilter, ScanRange, Snapshot, StorageEngine};
 use vdm_types::{Result, Schema, Value, VdmError};
@@ -672,53 +673,6 @@ fn materialize(
 // ---------------------------------------------------------------------------
 // The partitioned hash join: a breaker (the build side) and a step (the probe).
 
-/// One partition of a join's build side: its row ids in build-row order,
-/// chained per hash slot. No key and no hash is stored — a probe walks the
-/// chain of its slot and compares the key columns in place.
-#[derive(Clone)]
-struct JoinTable {
-    rows: Vec<usize>,
-    /// Per slot, 1 + the index in `rows` of its first entry; 0 = empty.
-    heads: Vec<usize>,
-    /// Per entry, 1 + the index of the next entry in its slot; 0 = last.
-    next: Vec<usize>,
-    /// The hash bits below `shift` chose the partition; slots use the rest.
-    shift: u32,
-}
-
-impl JoinTable {
-    /// Chains `entries` — `(routing hash, row id)`, ascending by row.
-    fn build(entries: &[(u64, usize)], shift: u32) -> JoinTable {
-        let mut table = JoinTable {
-            rows: entries.iter().map(|&(_, row)| row).collect(),
-            heads: vec![0; (entries.len() * 2).next_power_of_two()],
-            next: vec![0; entries.len()],
-            shift,
-        };
-        // Last entry first, each pushed onto the front of its chain: a slot
-        // then lists its entries in build-row order.
-        for (k, &(hash, _)) in entries.iter().enumerate().rev() {
-            let slot = table.slot(hash);
-            table.next[k] = std::mem::replace(&mut table.heads[slot], k + 1);
-        }
-        table
-    }
-
-    fn slot(&self, hash: u64) -> usize {
-        (hash >> self.shift) as usize & (self.heads.len() - 1)
-    }
-
-    /// The build rows sharing `hash`'s slot, ascending.
-    fn candidates(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
-        let mut at = self.heads[self.slot(hash)];
-        std::iter::from_fn(move || {
-            let k = at.checked_sub(1)?;
-            at = self.next[k];
-            Some(self.rows[k])
-        })
-    }
-}
-
 pub(crate) struct JoinSpec<'p> {
     pub(crate) kind: JoinKind,
     pub(crate) residual: Option<&'p Expr>,
@@ -726,31 +680,14 @@ pub(crate) struct JoinSpec<'p> {
     pub(crate) build_left: bool,
 }
 
-/// Routing hashes of the key columns `cols` over `range`: typed payloads
-/// when `columnar` — consistent across two batches only if each key column
-/// pair shares a physical type (see [`kernels`]) — otherwise cell by cell
-/// through `Value::hash`, canonical across the Int/Dec family.
-fn routing_hashes(cols: &[&Column], range: Range<usize>, columnar: bool) -> Vec<u64> {
-    use std::hash::{Hash, Hasher};
-    if columnar {
-        return kernels::hash_keys(cols, range);
-    }
-    let cells = |i: usize| {
-        let mut h = kernels::FxHasher::default();
-        cols.iter().for_each(|c| c.get(i).hash(&mut h));
-        h.finish()
-    };
-    range.map(cells).collect()
-}
-
-/// A join's build side, hashed into `JoinTable`s, with the key columns of
-/// both sides: made per join per query, or kept by a cached view for a join
-/// side that did not change ([`crate::delta`]).
+/// A join's build side, hashed into [`KeyTable`]s of row ids, with the key
+/// columns of both sides: made per join per query, or kept by a cached view
+/// for a join side that did not change ([`crate::delta`]).
 #[derive(Clone)]
 pub(crate) struct JoinBuild<'b> {
     pub(crate) build: Cow<'b, Batch>,
-    /// One table per partition of the build side's key hashes.
-    tables: Vec<JoinTable>,
+    /// One table per partition of the build side's key hashes (their low bits).
+    tables: Vec<KeyTable<usize>>,
     build_keys: Vec<usize>,
     probe_keys: Vec<usize>,
     /// Each key column pair has one physical type on both sides, so both hash
@@ -786,7 +723,7 @@ impl<'b> JoinBuild<'b> {
         // Phase 1: scatter build rows into per-chunk, per-partition entry lists.
         let scattered = parallel_map(config.threads, n_chunks, n_chunks, profile, |ci, _prof| {
             let range = chunk_range(ci, chunk, build.num_rows());
-            let hashes = routing_hashes(&keys, range.clone(), columnar);
+            let hashes = hash_side(&keys, range.clone(), columnar);
             let mut parts: Vec<Vec<(u64, usize)>> = vec![Vec::new(); n_parts];
             for (h, i) in hashes.into_iter().zip(range) {
                 if nullable.iter().all(|valid| valid[i]) {
@@ -796,11 +733,14 @@ impl<'b> JoinBuild<'b> {
             Ok(parts)
         })?;
 
-        // Phase 2: one table per partition. Chunks are visited in index
-        // order, so every chain holds build-row indices ascending.
+        // Phase 2: one table per partition, filled from the last build row
+        // back: a chain lists its newest entry first, so rows ascend.
         let tables = parallel_map(config.threads, n_chunks, n_parts, profile, |p, _prof| {
-            let entries: Vec<_> = scattered.iter().flat_map(|parts| &parts[p]).copied().collect();
-            Ok(JoinTable::build(&entries, mask.count_ones()))
+            let mut table = KeyTable::with_capacity(scattered.iter().map(|ps| ps[p].len()).sum());
+            for &(hash, row) in scattered.iter().rev().flat_map(|ps| ps[p].iter().rev()) {
+                table.insert(hash, row);
+            }
+            Ok(table)
         })?;
         Ok(JoinBuild { build, tables, build_keys, probe_keys, columnar })
     }
@@ -827,7 +767,7 @@ impl<'b> JoinBuild<'b> {
     /// NULL keys never match; a LEFT OUTER probe row whose matches all fail the
     /// residual is emitted once, NULL-padded; rows come out in probe-row order,
     /// a row's matches in build-row order. Keys compare cell against cell
-    /// ([`kernels::cells_equal`]). When no probe row matched twice — observed
+    /// ([`keys_equal`]). When no probe row matched twice — observed
     /// here (every N:1 augmentation join), never taken from the declared
     /// cardinality: a wrong declaration costs a gather, not a row — the build
     /// columns are gathered to line up with the morsel's rows and appended
@@ -842,7 +782,7 @@ impl<'b> JoinBuild<'b> {
         if self.columnar && !build_keys.iter().zip(&keys).all(same_type) {
             return Err(VdmError::Exec("join key column differs from its plan type".into()));
         }
-        let hashes = routing_hashes(&keys, m.span.clone(), self.columnar);
+        let hashes = hash_side(&keys, m.span.clone(), self.columnar);
         let nullable: Vec<&[bool]> = keys.iter().filter_map(|c| c.validity()).collect();
         let mask = self.tables.len() - 1;
         // A residual implies `probe ++ build` = `left ++ right`.
@@ -856,12 +796,10 @@ impl<'b> JoinBuild<'b> {
             let candidates = nullable
                 .iter()
                 .all(|valid| valid[i])
-                .then(|| self.tables[(h as usize) & mask].candidates(h));
+                .then(|| self.tables[(h as usize) & mask].candidates(h).map(|(_, row)| row));
             let mut emitted = false;
             for bi in candidates.into_iter().flatten() {
-                let keys_equal =
-                    build_keys.iter().zip(&keys).all(|(b, p)| kernels::cells_equal(b, bi, p, i));
-                let pass = keys_equal
+                let pass = keys_equal(&build_keys, bi, &keys, i)
                     && match join.residual {
                         Some(f) => {
                             let row = pair.load(|c| match c.checked_sub(probe_width) {
@@ -950,39 +888,15 @@ struct Groups {
     states: Vec<Vec<Accumulator>>,
 }
 
-/// The group table: assigns each of the `n` rows of the key columns `keys`
-/// to a group — rows agreeing on every key, NULLs together — in first-seen
-/// order; returns each row's group and each group's first row. Groups chain
-/// per hash slot like a [`JoinTable`]'s rows; keys compare in place.
+/// The group table: puts each of the `n` rows of the key columns `keys` in a
+/// group — rows agreeing on every key, NULLs together — numbered in
+/// first-seen order; returns each row's group and each group's first row.
 fn group_rows(keys: &[Column], n: usize) -> (Vec<usize>, Vec<usize>) {
-    let keys: Vec<&Column> = keys.iter().collect();
-    let same_key = |a: usize, b: usize| {
-        keys.iter().all(|c| match (c.is_null(a), c.is_null(b)) {
-            (false, false) => kernels::cells_equal(c, a, c, b),
-            (a_null, b_null) => a_null && b_null,
-        })
-    };
-    let hashes = kernels::hash_keys(&keys, 0..n);
-    // Per slot, 1 + the id of its first group; per group, 1 + the next.
-    let mut heads = vec![0usize; (n * 2).next_power_of_two()];
-    let mut next: Vec<usize> = Vec::new();
-    let mut first_rows: Vec<usize> = Vec::new();
-    let group_of = (0..n)
-        .map(|row| {
-            let slot = hashes[row] as usize & (heads.len() - 1);
-            let mut at = heads[slot];
-            while let Some(group) = at.checked_sub(1) {
-                if same_key(first_rows[group], row) {
-                    return group;
-                }
-                at = next[group];
-            }
-            first_rows.push(row);
-            next.push(std::mem::replace(&mut heads[slot], first_rows.len()));
-            first_rows.len() - 1
-        })
-        .collect();
-    (group_of, first_rows)
+    let hashes = hash_keys(keys, 0..n);
+    let mut table = KeyTable::with_capacity(n);
+    let same = |row| move |first| keys_equal(keys, first, keys, row);
+    let group_of = (0..n).map(|row| table.find_or_insert(hashes[row], row, same(row)).0).collect();
+    (group_of, table.refs().collect())
 }
 
 /// One morsel's aggregate partial: group expressions evaluated once into key

@@ -1,12 +1,10 @@
 //! Tight columnar kernels shared by the engine's operators and the
 //! signed-delta evaluator.
 //!
-//! Three families live here, all safe Rust tuned so the compiler can
+//! Two families live here, all safe Rust tuned so the compiler can
 //! auto-vectorize the inner loops (plain index arithmetic over typed
 //! payload slices, no `unsafe` SIMD intrinsics):
 //!
-//! * **hashing** — [`mix64`], [`FxHasher`], [`hash_keys`], [`cells_equal`],
-//!   re-exported from `vdm_storage::hash` (shared with the key index);
 //! * **filtering** — [`FilterKernel`], the one predicate evaluator: trees
 //!   of `AND` / `OR` / `IS [NOT] NULL` over `col ⟨cmp⟩ literal` atoms
 //!   evaluate column-at-a-time into one TRUE-mask over typed payloads (an
@@ -26,9 +24,6 @@ use std::sync::Arc;
 use vdm_expr::{predicate, BinOp, Expr};
 use vdm_storage::{Batch, Column, ColumnData, MaskFn};
 use vdm_types::{Decimal, Result, Schema, Value};
-
-// The one typed hash lives beside `Column` in `vdm-storage`.
-pub use vdm_storage::hash::{cells_equal, hash_keys, hash_values, mix64, FxHasher};
 
 // ---------------------------------------------------------------------------
 // Predicate evaluation.
@@ -463,6 +458,7 @@ pub fn row_bytes<'c>(columns: impl IntoIterator<Item = &'c Column>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vdm_storage::hash::hash_keys;
     use vdm_types::{Field, SqlType};
 
     fn cols(b: &Batch) -> Vec<&Column> {

@@ -6,13 +6,13 @@
 //! at all of them.
 
 use crate::executor::hash_join;
-use crate::kernels;
 use crate::{execute_with, ExecOptions, Execution, Metrics, ParallelConfig, QueryProfile};
 use std::collections::HashMap;
 use std::sync::Arc;
 use vdm_catalog::{TableBuilder, TableDef};
 use vdm_expr::{AggExpr, AggFunc, BinOp, Expr};
 use vdm_plan::{JoinKind, LogicalPlan, PlanRef, SortKey};
+use vdm_storage::hash::hash_keys;
 use vdm_storage::{Batch, Snapshot, StorageEngine};
 use vdm_types::{Decimal, Field, Result, Schema, SplitMix64, SqlType, Value};
 
@@ -777,7 +777,7 @@ fn colliding_keys() -> Vec<i64> {
     let ints: Vec<Vec<Value>> = (0..200_000).map(|i| vec![Value::Int(i)]).collect();
     let schema = Arc::new(Schema::new(vec![Field::new("k", SqlType::Int, false)]));
     let batch = Batch::from_rows(schema, &ints).unwrap();
-    let hashes = kernels::hash_keys(&[&batch.columns[0]], 0..ints.len());
+    let hashes = hash_keys(&[&batch.columns[0]], 0..ints.len());
     let keys: Vec<i64> = (0..ints.len())
         .filter(|&i| (hashes[i] ^ hashes[0]) & 0xfff == 0)
         .map(|i| i as i64)

@@ -7,9 +7,9 @@
 //! specified join cardinality in a query aligns with the actual data";
 //! this module is that tool.
 
-use std::collections::HashMap;
 use vdm_plan::DeclaredCardinality;
-use vdm_storage::{Snapshot, StorageEngine};
+use vdm_storage::hash::{hash_side, keys_equal, KeyTable};
+use vdm_storage::{Batch, Column, Snapshot, StorageEngine};
 use vdm_types::{Result, Value};
 
 /// Outcome of verifying one declared cardinality against data.
@@ -37,52 +37,43 @@ pub fn verify_join_cardinality(
     on_right: &[&str],
     declared: DeclaredCardinality,
 ) -> Result<CardinalityReport> {
-    let left = engine.scan(left_table, snapshot)?;
-    let right = engine.scan(right_table, snapshot)?;
-    let l_ords: Vec<usize> =
-        on_left.iter().map(|c| left.schema.index_of_or_err(c)).collect::<Result<_>>()?;
-    let r_ords: Vec<usize> =
-        on_right.iter().map(|c| right.schema.index_of_or_err(c)).collect::<Result<_>>()?;
+    let (left, right) = (engine.scan(left_table, snapshot)?, engine.scan(right_table, snapshot)?);
+    fn key_cols<'b>(b: &'b Batch, names: &[&str]) -> Result<Vec<&'b Column>> {
+        names.iter().map(|c| Ok(&b.columns[b.schema.index_of_or_err(c)?])).collect()
+    }
+    let (l_keys, r_keys) = (key_cols(&left, on_left)?, key_cols(&right, on_right)?);
+    let typed = l_keys.iter().zip(&r_keys).all(|(l, r)| l.sql_type() == r.sql_type());
+    // Each row's key hash; NULL keys never match.
+    let keyed = |keys: &[&Column], n: usize| {
+        let hashes = hash_side(keys, 0..n, typed).into_iter().enumerate();
+        hashes.filter(|&(i, _)| keys.iter().all(|c| !c.is_null(i))).collect::<Vec<_>>()
+    };
+    let key_at = |keys: &[&Column], i: usize| keys.iter().map(|c| c.get(i)).collect::<Vec<_>>();
 
-    // Count right rows per key value.
-    let mut counts: HashMap<Vec<Value>, usize> = HashMap::new();
-    for i in 0..right.num_rows() {
-        let key: Vec<Value> = r_ords.iter().map(|&c| right.columns[c].get(i)).collect();
-        if key.iter().any(|v| v.is_null()) {
-            continue; // NULL keys never match.
-        }
-        *counts.entry(key).or_insert(0) += 1;
+    // Per right key value, in order of first occurrence: its first row and
+    // how many rows hold it.
+    let (mut table, mut counts) = (KeyTable::with_capacity(right.num_rows()), Vec::new());
+    for (i, h) in keyed(&r_keys, right.num_rows()) {
+        let (id, new) = table.find_or_insert(h, i, |j| keys_equal(&r_keys, j, &r_keys, i));
+        counts.extend(new.then_some((i, 0)));
+        counts[id].1 += 1;
     }
-    let mut max_matches = 0;
-    let mut violating_key = None;
-    for (k, &n) in &counts {
-        if n > max_matches {
-            max_matches = n;
-            if n > 1 {
-                violating_key = Some(k.clone());
-            }
-        }
-    }
+    let max_matches = counts.iter().map(|&(_, n)| n).max().unwrap_or(0);
+    // The witness: the first key to occur among those with the most matches.
+    let witness = counts.iter().find(|&&(_, n)| max_matches > 1 && n == max_matches);
+    let mut violating_key = witness.map(|&(first, _)| key_at(&r_keys, first));
     // For MANY TO EXACT ONE, every (non-null) left key must have a match.
-    let mut unmatched_left_keys = 0;
-    let mut unmatched_witness = None;
-    for i in 0..left.num_rows() {
-        let key: Vec<Value> = l_ords.iter().map(|&c| left.columns[c].get(i)).collect();
-        if key.iter().any(|v| v.is_null()) {
-            continue;
-        }
-        if !counts.contains_key(&key) {
-            unmatched_left_keys += 1;
-            unmatched_witness.get_or_insert(key);
-        }
-    }
+    let matched = |&(i, h): &(usize, u64)| table.find(h, |j| keys_equal(&l_keys, i, &r_keys, j));
+    let unmatched: Vec<_> =
+        keyed(&l_keys, left.num_rows()).into_iter().filter(|k| matched(k).is_none()).collect();
     let holds = match declared {
         DeclaredCardinality::ManyToOne => max_matches <= 1,
-        DeclaredCardinality::ManyToExactOne => max_matches <= 1 && unmatched_left_keys == 0,
+        DeclaredCardinality::ManyToExactOne => max_matches <= 1 && unmatched.is_empty(),
     };
     if violating_key.is_none() && declared == DeclaredCardinality::ManyToExactOne {
-        violating_key = unmatched_witness.filter(|_| unmatched_left_keys > 0);
+        violating_key = unmatched.first().map(|&(i, _)| key_at(&l_keys, i));
     }
+    let unmatched_left_keys = unmatched.len();
     Ok(CardinalityReport { declared, holds, max_matches, unmatched_left_keys, violating_key })
 }
 
@@ -169,6 +160,53 @@ mod tests {
         assert!(!r.holds);
         assert_eq!(r.max_matches, 2);
         assert_eq!(r.violating_key, Some(vec![Value::str("EUR")]));
+    }
+
+    /// Two keys tie at the most matches: the witness is the first of them
+    /// to occur among the right rows, on every run.
+    #[test]
+    fn a_tied_violation_names_the_first_key() {
+        let (eur, usd) = (Value::str("EUR"), Value::str("USD"));
+        let rows = [&eur, &usd, &usd, &eur].map(|k| vec![k.clone(), dec("1.0000")]);
+        let e = setup(rows.to_vec());
+        for _ in 0..8 {
+            let r = verify_join_cardinality(
+                &e,
+                e.snapshot(),
+                "orders",
+                &["curr"],
+                "currency",
+                &["code"],
+                DeclaredCardinality::ManyToOne,
+            )
+            .unwrap();
+            assert_eq!((r.max_matches, r.violating_key), (2, Some(vec![eur.clone()])));
+        }
+    }
+
+    /// An INT key against a DECIMAL key holding the same values: the two
+    /// sides hash through `Value`, so `1` finds `1.00`.
+    #[test]
+    fn int_keys_match_equal_decimal_keys() {
+        let e = StorageEngine::new();
+        for (name, ty) in [("l", SqlType::Int), ("r", SqlType::Decimal { scale: 2 })] {
+            let def = TableBuilder::new(name).column("k", ty, false).build().unwrap();
+            e.create_table(Arc::new(def)).unwrap();
+        }
+        e.insert("l", vec![vec![Value::Int(1)], vec![Value::Int(2)], vec![Value::Int(2)]]).unwrap();
+        e.insert("r", vec![vec![dec("1.00")], vec![dec("2.00")]]).unwrap();
+        let r = verify_join_cardinality(
+            &e,
+            e.snapshot(),
+            "l",
+            &["k"],
+            "r",
+            &["k"],
+            DeclaredCardinality::ManyToExactOne,
+        )
+        .unwrap();
+        assert!(r.holds, "{r:?}");
+        assert_eq!((r.max_matches, r.unmatched_left_keys), (1, 0));
     }
 
     #[test]

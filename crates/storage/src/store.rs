@@ -2,12 +2,9 @@
 //! tombstone log — each typed columns with per-row visibility stamps.
 
 use crate::column::{Batch, Column};
-use crate::hash::{cells_equal, hash_keys, FxHasher};
+use crate::hash::{hash_keys, keys_equal, KeyTable};
 use crate::nse::{LoadMode, PageBuffer, PageStats};
 use crate::zonemap::{ScanRange, ZoneMaps, ZONE_BLOCK_ROWS};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 use std::ops::Range;
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -73,60 +70,17 @@ enum RowRef {
     Delta(u32),
 }
 
-/// One unique constraint's live non-NULL keys: each key's typed hash to the
-/// row holding it. Keys compare cell against cell, never materialized.
-#[derive(Debug)]
-struct KeyIndex {
-    cols: Vec<usize>,
-    rows: HashMap<u64, RowRef, BuildHasherDefault<FxHasher>>,
-    /// Live rows whose hash a row with a different key already holds in `rows`.
-    overflow: Vec<(u64, RowRef)>,
+/// The key columns `cols` of a fragment's columns.
+fn key_cols<'f>(cols: &[usize], frag: &'f [Column]) -> Vec<&'f Column> {
+    cols.iter().map(|&c| &frag[c]).collect()
 }
 
-impl KeyIndex {
-    /// Adds `row` under hash `h` unless a holder of `h` has the same key
-    /// (`same(cols, holder)`); `false` = a duplicate, nothing added.
-    fn claim(&mut self, h: u64, row: RowRef, same: impl Fn(&[usize], RowRef) -> bool) -> bool {
-        let cols = &self.cols;
-        match self.rows.entry(h) {
-            Entry::Vacant(e) => _ = e.insert(row),
-            Entry::Occupied(e) => {
-                let held = |&(o, r): &(u64, RowRef)| o == h && same(cols, r);
-                if same(cols, *e.get()) || self.overflow.iter().any(held) {
-                    return false;
-                }
-                self.overflow.push((h, row));
-            }
-        }
-        true
-    }
-
-    /// Drops `row`'s claim on `h`; an overflow holder of `h` moves up.
-    fn release(&mut self, h: u64, row: RowRef) {
-        if self.rows.get(&h) == Some(&row) {
-            match self.overflow.iter().position(|&(o, _)| o == h) {
-                Some(k) => _ = self.rows.insert(h, self.overflow.swap_remove(k).1),
-                None => _ = self.rows.remove(&h),
-            }
-        } else if let Some(k) = self.overflow.iter().position(|&e| e == (h, row)) {
-            self.overflow.swap_remove(k);
-        }
-    }
-
-    /// The entry holding `row`'s claim on `h`, in the map or the overflow.
-    fn held(&mut self, h: u64, row: RowRef) -> Option<&mut RowRef> {
-        let map = self.rows.get_mut(&h).filter(|held| **held == row);
-        map.or_else(|| self.overflow.iter_mut().find(|e| **e == (h, row)).map(|(_, r)| r))
-    }
-
-    /// The rows of `sel` whose key in `frag`'s columns has no NULL part,
-    /// each with its hash — one [`hash_keys`] call for the whole set.
-    fn keyed(&self, frag: &[Column], sel: &[usize]) -> Vec<(usize, u64)> {
-        let cols: Vec<&Column> = self.cols.iter().map(|&c| &frag[c]).collect();
-        let hashes = hash_keys(&cols, sel.iter().copied());
-        let keyed = sel.iter().zip(hashes).filter(|(&i, _)| cols.iter().all(|c| !c.is_null(i)));
-        keyed.map(|(&i, h)| (i, h)).collect()
-    }
+/// The rows of `sel` whose key columns `cols` have no NULL part, each with
+/// its hash — one [`hash_keys`] call for the whole set.
+fn keyed(cols: &[&Column], sel: &[usize]) -> Vec<(usize, u64)> {
+    let hashes = hash_keys(cols, sel.iter().copied());
+    let keyed = sel.iter().zip(hashes).filter(|(&i, _)| cols.iter().all(|c| !c.is_null(i)));
+    keyed.map(|(&i, h)| (i, h)).collect()
 }
 
 /// A predicate over a fragment: its columns (by table ordinal) and a row
@@ -157,8 +111,9 @@ pub struct TableStore {
     schema: Arc<Schema>,
     main: Fragment,
     delta: Fragment,
-    /// One index of live keys per unique constraint (PK first).
-    key_index: Vec<KeyIndex>,
+    /// Per unique constraint (PK first), its key columns and the rows
+    /// holding its live non-NULL keys (found by hash, never materialized).
+    key_index: Vec<(Vec<usize>, KeyTable<RowRef>)>,
     /// Append-only tombstone log (delete-timestamp order): each deleted row
     /// version's columns under its `(insert_ts, delete_ts)`. Authoritative
     /// source for [`TableStore::deleted_between`]: unlike main and delta,
@@ -187,7 +142,7 @@ impl TableStore {
     /// Empty store for a table definition.
     pub fn new(def: Arc<TableDef>) -> TableStore {
         let schema = Arc::new(def.schema.clone());
-        let index = |cols| KeyIndex { cols, rows: HashMap::default(), overflow: Vec::new() };
+        let index = |cols| (cols, KeyTable::with_capacity(0));
         TableStore {
             main: Fragment::empty(&schema),
             delta: Fragment::empty(&schema),
@@ -321,27 +276,29 @@ impl TableStore {
     /// `delta.len()..` once appended), all or none.
     fn claim_keys(&mut self, columns: &[Column], n: usize) -> Result<()> {
         let base = self.delta.len();
-        let (main, delta): (&[Column], &[Column]) = (&self.main.columns, &self.delta.columns);
-        let cells = |r: RowRef| match r {
-            RowRef::Main(i) => (main, i as usize),
-            RowRef::Delta(i) if (i as usize) < base => (delta, i as usize),
-            RowRef::Delta(i) => (columns, i as usize - base),
-        };
         let (all, mut claimed): (Vec<usize>, _) = ((0..n).collect(), Vec::new());
         for ki in 0..self.key_index.len() {
-            let index = &mut self.key_index[ki];
-            for (r, h) in index.keyed(columns, &all) {
-                let row = RowRef::Delta((base + r) as u32);
-                let same = |cols: &[usize], held| {
+            let (cols, rows) = &mut self.key_index[ki];
+            let frags = [&self.main.columns, &self.delta.columns, columns];
+            let [main, delta, incoming] = frags.map(|frag| key_cols(cols, frag));
+            let cells = |r: RowRef| match r {
+                RowRef::Main(i) => (&main, i as usize),
+                RowRef::Delta(i) if (i as usize) < base => (&delta, i as usize),
+                RowRef::Delta(i) => (&incoming, i as usize - base),
+            };
+            for (r, h) in keyed(&incoming, &all) {
+                let same = |held| {
                     let (held, i) = cells(held);
-                    cols.iter().all(|&c| cells_equal(&held[c], i, &columns[c], r))
+                    keys_equal(held, i, &incoming, r)
                 };
-                if index.claim(h, row, same) {
-                    claimed.push((ki, h, row));
+                let (id, fresh) = rows.find_or_insert(h, RowRef::Delta((base + r) as u32), same);
+                if fresh {
+                    claimed.push((ki, id));
                     continue;
                 }
-                for (k, h, row) in claimed {
-                    self.key_index[k].release(h, row);
+                // Last claim first: each is its table's last entry.
+                for (k, id) in claimed.into_iter().rev() {
+                    self.key_index[k].1.remove(id);
                 }
                 let name = &self.def.name;
                 let msg = format!("insert into {name:?}: duplicate key for unique constraint {ki}");
@@ -397,12 +354,15 @@ impl TableStore {
     /// delta, or — `hold` — claims them back unchecked (they were held).
     fn rekey(&mut self, rows: &[Vec<usize>; 2], hold: bool) {
         let frags = [(&self.main, RowRef::Main as fn(u32) -> RowRef), (&self.delta, RowRef::Delta)];
-        for index in &mut self.key_index {
+        for (cols, keys) in &mut self.key_index {
             for ((frag, at), sel) in frags.iter().zip(rows) {
-                for (i, h) in index.keyed(&frag.columns, sel) {
+                for (i, h) in keyed(&key_cols(cols, &frag.columns), sel) {
+                    let row = at(i as u32);
                     match hold {
-                        true => _ = index.claim(h, at(i as u32), |_, _| false),
-                        false => index.release(h, at(i as u32)),
+                        true => _ = keys.insert(h, row),
+                        false => {
+                            keys.find(h, |r| r == row).into_iter().for_each(|id| keys.remove(id))
+                        }
                     }
                 }
             }
@@ -626,15 +586,16 @@ impl TableStore {
         };
         let live: Vec<usize> =
             (0..self.delta.len()).filter(|&j| self.delta.meta[j].delete_ts == u64::MAX).collect();
-        for index in &mut self.key_index {
+        for (cols, keys) in &mut self.key_index {
             if first_changed < main_len {
-                let held = index.rows.values_mut().chain(index.overflow.iter_mut().map(|(_, r)| r));
-                held.for_each(|r| *r = place(*r));
+                let moved: Vec<RowRef> = keys.refs().map(place).collect();
+                moved.into_iter().enumerate().for_each(|(id, r)| *keys.ref_mut(id) = r);
                 continue;
             }
-            for (j, h) in index.keyed(&self.delta.columns, &live) {
-                if let Some(held) = index.held(h, RowRef::Delta(j as u32)) {
-                    *held = place(*held);
+            for (j, h) in keyed(&key_cols(cols, &self.delta.columns), &live) {
+                let row = RowRef::Delta(j as u32);
+                if let Some(id) = keys.find(h, |r| r == row) {
+                    *keys.ref_mut(id) = place(row);
                 }
             }
         }
@@ -1284,29 +1245,51 @@ mod tests {
         }
     }
 
-    /// Two keys that share a hash: both claim (one in the map, one in the
-    /// overflow), releasing the map's holder leaves the other, and a third
-    /// row with the survivor's key is a duplicate.
+    /// Two keys that share a hash: both claim, releasing the first holder
+    /// leaves the other, and a third row with the survivor's key is a
+    /// duplicate.
     #[test]
     fn keys_sharing_a_hash_are_told_apart_cell_by_cell() {
         let col = Column::from_values(SqlType::Int, &[Value::Int(1), Value::Int(2), Value::Int(2)]);
         let col = &[col.unwrap()];
         let same = |r: usize| {
-            move |cols: &[usize], held: RowRef| {
+            move |held: RowRef| {
                 let RowRef::Delta(i) = held else { unreachable!("every row is a delta row") };
-                cols.iter().all(|&c| cells_equal(&col[c], i as usize, &col[c], r))
+                keys_equal(col, i as usize, col, r)
             }
         };
-        let mut index = KeyIndex { cols: vec![0], rows: Default::default(), overflow: vec![] };
+        let mut rows = KeyTable::with_capacity(0);
         let h = 42;
-        assert!(index.claim(h, RowRef::Delta(0), same(0)));
-        assert!(index.claim(h, RowRef::Delta(1), same(1)), "a different key under the same hash");
-        assert_eq!(index.overflow, vec![(h, RowRef::Delta(1))]);
-        index.release(h, RowRef::Delta(0));
-        assert_eq!((index.rows.get(&h), index.overflow.len()), (Some(&RowRef::Delta(1)), 0));
-        assert!(!index.claim(h, RowRef::Delta(2), same(2)), "the survivor's key is still held");
-        index.release(h, RowRef::Delta(1));
-        assert!(index.rows.is_empty() && index.claim(h, RowRef::Delta(2), same(2)));
+        assert_eq!(rows.find_or_insert(h, RowRef::Delta(0), same(0)), (0, true));
+        let second = rows.find_or_insert(h, RowRef::Delta(1), same(1));
+        assert_eq!(second, (1, true), "a different key under the same hash");
+        assert_eq!(rows.candidates(h).count(), 2);
+        // The survivor takes over the removed entry's id.
+        rows.remove(0);
+        assert_eq!(rows.candidates(h).collect::<Vec<_>>(), vec![(0, RowRef::Delta(1))]);
+        let again = rows.find_or_insert(h, RowRef::Delta(2), same(2));
+        assert_eq!(again, (0, false), "the survivor's key is still held");
+        rows.remove(0);
+        assert!(rows.refs().len() == 0 && rows.find_or_insert(h, RowRef::Delta(2), same(2)).1);
+    }
+
+    /// Posting cycles that insert a batch and delete it again, with no merge
+    /// in between: a removed entry's id is reused, so the primary key's
+    /// table holds the live keys only, however many rows died.
+    #[test]
+    fn a_key_index_without_merges_stays_its_live_size() {
+        let mut s = store();
+        s.insert(&[row(-1, "kept")], 1).unwrap();
+        for cycle in 0..500i64 {
+            let ts = 2 + 2 * cycle as u64;
+            s.insert(&(0..100).map(|k| row(cycle * 100 + k, "x")).collect::<Vec<_>>(), ts).unwrap();
+            assert_eq!(s.delete_where(&|r| r[0] != Value::Int(-1), ts + 1), 100);
+            assert_eq!(
+                s.key_index[0].1.refs().collect::<Vec<_>>(),
+                [RowRef::Delta(0)],
+                "cycle {cycle}"
+            );
+        }
     }
 
     /// Seeded scripts of batches (with in-batch and cross-batch duplicates
@@ -1431,11 +1414,10 @@ mod tests {
                     }
                 }
                 // The index holds each live key once, at a live row.
-                for (index, cols) in s.key_index.iter().zip(&uniques) {
-                    let held =
-                        index.rows.iter().map(|(h, r)| (*h, *r)).chain(index.overflow.clone());
-                    let held: Vec<Vec<Value>> = held
-                        .map(|(_, r)| {
+                for ((_, rows), cols) in s.key_index.iter().zip(&uniques) {
+                    let held: Vec<Vec<Value>> = rows
+                        .refs()
+                        .map(|r| {
                             let (frag, i) = match r {
                                 RowRef::Main(i) => (&s.main, i as usize),
                                 RowRef::Delta(i) => (&s.delta, i as usize),

@@ -51,6 +51,14 @@ const SHAPES: &[(&str, &str)] = &[
         "select o_id from orders where qty < 3 \
          union all select o_id from orders where qty >= 7",
     ),
+    // A column that is NULL on some rows: a retraction matches NULL cells.
+    ("null-cells", "select o_id, case when qty >= 5 then price end as hi from orders"),
+    // A group key that is NULL on some rows: one NULL group.
+    (
+        "null-group",
+        "select case when qty >= 5 then cust end as hc, count(*) as n, sum(price) as sp \
+         from orders group by case when qty >= 5 then cust end",
+    ),
 ];
 
 fn insert_only(e: &StorageEngine) {

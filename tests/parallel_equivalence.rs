@@ -29,10 +29,11 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use vdm_data::erp::{journal_entry_item_browser, Erp};
 use vdm_data::tpch::Tpch;
-use vdm_exec::{execute_with, kernels, ExecOptions, Execution, Metrics, ParallelConfig};
+use vdm_exec::{execute_with, ExecOptions, Execution, Metrics, ParallelConfig};
 use vdm_expr::{AggExpr, AggFunc, BinOp, Expr};
 use vdm_optimizer::{Optimizer, Profile};
 use vdm_plan::{JoinKind, LogicalPlan, PlanRef, SortKey};
+use vdm_storage::hash::{hash_values, mix64};
 use vdm_storage::{Snapshot, StorageEngine};
 
 /// Small morsels so even the test-scale tables split into many of them.
@@ -67,9 +68,7 @@ enum Record {
 /// the equality the engines are held to), then what `record` asks for.
 fn verdict(plan: &PlanRef, x: &Execution, record: Record) -> String {
     let rows = x.batch.to_rows();
-    let ordered = rows
-        .iter()
-        .fold(0u64, |acc, r| kernels::mix64(acc.rotate_left(5) ^ kernels::hash_values(r)));
+    let ordered = rows.iter().fold(0u64, |acc, r| mix64(acc.rotate_left(5) ^ hash_values(r)));
     let mut line = format!(
         "rows={} ordered={ordered:016x} multiset={:016x}",
         rows.len(),
