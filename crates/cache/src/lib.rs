@@ -50,7 +50,7 @@ use vdm_plan::{
     derive_delta_plan, plan_digest_canonical, scan_tables, DeltaClass, DeltaPlan, LogicalPlan,
     PlanRef,
 };
-use vdm_storage::hash::{hash_keys, hash_side, hash_values, keys_equal, KeyTable};
+use vdm_storage::hash::{hash_keys, hash_side, hash_values, KeyEq, KeyTable};
 use vdm_storage::{Batch, Column, Snapshot, StorageEngine};
 use vdm_types::{Result, Schema, Value, VdmError};
 
@@ -174,12 +174,12 @@ impl GroupState {
         Ok((hash_keys(&keys.columns, 0..rows.num_rows()), keys))
     }
 
-    /// The slot holding each row's group key, if any.
-    fn slots_of(&self, rows: &Batch, group_by: &[(Expr, String)]) -> Result<Vec<Option<usize>>> {
+    /// The slot holding each row's group key; `None` when one is not held.
+    fn slots_of(&self, rows: &Batch, group_by: &[(Expr, String)]) -> Result<Option<Vec<usize>>> {
         let (hashes, keys) = self.keys_of(rows, group_by)?;
-        let (held, new) = (&self.keys.columns, &keys.columns);
-        let same = |i| move |s: u32| keys_equal(held, s as usize, new, i);
-        Ok(hashes.iter().enumerate().map(|(i, &h)| self.slots.find(h, same(i))).collect())
+        let eq = KeyEq::new(&self.keys.columns, &keys.columns);
+        let slot = |(i, &h): (usize, &u64)| self.slots.find(h, |s| eq.eq(s as usize, i));
+        Ok(hashes.iter().enumerate().map(slot).collect())
     }
 
     /// Folds `rows` into their groups. A key seen for the first time opens
@@ -193,31 +193,26 @@ impl GroupState {
         let (hashes, keys) = self.keys_of(rows, group_by)?;
         let old = self.accs.len();
         let mut opened: Vec<usize> = Vec::new();
+        let held = KeyEq::new(&self.keys.columns, &keys.columns);
+        let batch = KeyEq::new(&keys.columns, &keys.columns);
+        let mut slot_of = Vec::with_capacity(hashes.len());
         for (i, &h) in hashes.iter().enumerate() {
             let same = |s: u32| match (s as usize).checked_sub(old) {
-                None => keys_equal(&self.keys.columns, s as usize, &keys.columns, i),
-                Some(k) => keys_equal(&keys.columns, opened[k], &keys.columns, i),
+                None => held.eq(s as usize, i),
+                Some(k) => batch.eq(opened[k], i),
             };
             let (slot, new) = self.slots.find_or_insert(h, (old + opened.len()) as u32, same);
-            if new {
-                opened.push(i);
-                self.accs.push(fresh(aggs));
-                self.live.push(0);
-            }
+            opened.extend(new.then_some(i));
+            slot_of.push(slot);
+        }
+        self.accs.extend(opened.iter().map(|_| fresh(aggs)));
+        self.live.resize(old + opened.len(), 0);
+        for (i, slot) in slot_of.into_iter().enumerate() {
             self.absorb(slot, &rows.row(i), aggs)?;
         }
         if !opened.is_empty() {
             let stored = std::mem::replace(&mut self.keys, Batch::empty(Arc::clone(&keys.schema)));
             self.keys = Batch::concat(Arc::clone(&keys.schema), &[stored, keys.gather(&opened)])?;
-        }
-        Ok(())
-    }
-
-    /// Counts `row` into `slot` and folds it into the slot's accumulators.
-    fn absorb(&mut self, slot: usize, row: &[Value], aggs: &[(AggExpr, String)]) -> Result<()> {
-        self.live[slot] += 1;
-        for (acc, (agg, _)) in self.accs[slot].iter_mut().zip(aggs) {
-            acc.update(&agg_arg(agg, row)?)?;
         }
         Ok(())
     }
@@ -233,10 +228,11 @@ impl GroupState {
         aggs: &[(AggExpr, String)],
     ) -> Result<Option<BTreeSet<usize>>> {
         let mut dirty = BTreeSet::new();
-        for (i, slot) in self.slots_of(rows, group_by)?.into_iter().enumerate() {
-            let Some(slot) = slot.filter(|&s| self.live[s] > 0) else {
+        let Some(slots) = self.slots_of(rows, group_by)? else { return Ok(None) };
+        for (i, slot) in slots.into_iter().enumerate() {
+            if self.live[slot] == 0 {
                 return Ok(None);
-            };
+            }
             self.live[slot] -= 1;
             let row = rows.row(i);
             for (acc, (agg, _)) in self.accs[slot].iter_mut().zip(aggs) {
@@ -288,14 +284,24 @@ impl GroupState {
             self.accs[slot] = fresh(aggs);
             self.live[slot] = 0;
         }
-        for (i, slot) in self.slots_of(&rows, group_by)?.into_iter().enumerate() {
-            match slot {
-                Some(slot) if dirty.contains(&slot) => self.absorb(slot, &rows.row(i), aggs)?,
-                // No group, or a clean one the equality filter matched.
-                _ => return Ok(false),
+        // No group, or a clean one the equality filter matched.
+        let Some(slots) = self.slots_of(&rows, group_by)? else { return Ok(false) };
+        for (i, slot) in slots.into_iter().enumerate() {
+            if !dirty.contains(&slot) {
+                return Ok(false);
             }
+            self.absorb(slot, &rows.row(i), aggs)?;
         }
         Ok(true)
+    }
+
+    /// Counts `row` into `slot` and folds it into the slot's accumulators.
+    fn absorb(&mut self, slot: usize, row: &[Value], aggs: &[(AggExpr, String)]) -> Result<()> {
+        self.live[slot] += 1;
+        for (acc, (agg, _)) in self.accs[slot].iter_mut().zip(aggs) {
+            acc.update(&agg_arg(agg, row)?)?;
+        }
+        Ok(())
     }
 
     /// Renders the live groups in first-seen order: keys gathered, aggregates finished.
@@ -765,8 +771,9 @@ fn multiset_subtract(stored: &Batch, minus: &Batch) -> Option<Batch> {
     let mut pending = KeyTable::with_capacity(minus.num_rows());
     hashes(minus).into_iter().enumerate().for_each(|(j, h)| _ = pending.insert(h, j));
     let mut keep = Vec::with_capacity(stored.num_rows().saturating_sub(minus.num_rows()));
+    let eq = KeyEq::new(theirs, ours);
     for (i, h) in hashes(stored).into_iter().enumerate() {
-        let found = pending.find(h, |j| keys_equal(theirs, j, ours, i));
+        let found = pending.find(h, |j| eq.eq(j, i));
         found.map_or_else(|| keep.push(i), |id| pending.remove(id));
     }
     let unmatched = pending.refs().len();

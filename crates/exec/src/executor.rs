@@ -58,7 +58,8 @@ use vdm_expr::{Accumulator, AggExpr, Expr};
 use vdm_obs::{NodeIndex, QueryProfile};
 use vdm_plan::fusion;
 use vdm_plan::{JoinKind, LogicalPlan, PlanRef, ScanCols};
-use vdm_storage::hash::{hash_keys, hash_side, keys_equal, KeyTable};
+use vdm_storage::column::{gather_ids, NO_ROW};
+use vdm_storage::hash::{hash_keys, hash_side, KeyEq, KeyTable};
 use vdm_storage::zonemap::ZONE_BLOCK_ROWS;
 use vdm_storage::{Batch, Column, ColumnData, ScanFilter, ScanRange, Snapshot, StorageEngine};
 use vdm_types::{Result, Schema, Value, VdmError};
@@ -766,16 +767,56 @@ impl<'b> JoinBuild<'b> {
     /// The `Join` node as a pipeline step: probes with the live rows of `m`.
     /// NULL keys never match; a LEFT OUTER probe row whose matches all fail the
     /// residual is emitted once, NULL-padded; rows come out in probe-row order,
-    /// a row's matches in build-row order. Keys compare cell against cell
-    /// ([`keys_equal`]). When no probe row matched twice — observed
-    /// here (every N:1 augmentation join), never taken from the declared
-    /// cardinality: a wrong declaration costs a gather, not a row — the build
-    /// columns are gathered to line up with the morsel's rows and appended
+    /// a row's matches in build-row order. The morsel is looked up in one pass
+    /// ([`JoinBuild::lookup`]). When no probe row matched twice — observed
+    /// there (every N:1 augmentation join), never taken from the declared
+    /// cardinality: a wrong declaration costs a gather, not a row — each build
+    /// column is gathered once to line up with the morsel's rows and appended
     /// beside its own (an inner join also refines the selection); only a probe
     /// that expands, or a morsel not starting at row 0, gathers the probe side.
     fn probe<'a>(&self, join: &JoinSpec<'_>, m: Morsel<'a>) -> Result<Morsel<'a>> {
-        let build = self.build.as_ref();
-        let columns = m.columns();
+        let (pairs, mut rows) = match &m.sel {
+            Some(sel) => self.lookup(join, &m, sel.iter().copied(), m.span.start > 0)?,
+            None => self.lookup(join, &m, m.span.clone(), m.span.start > 0)?,
+        };
+        let (cols, span, sel) = match pairs {
+            Some(probe_rows) => {
+                let cols = m.cols.iter().map(|c| Cow::Owned(c.gather(&probe_rows))).collect();
+                (cols, 0..probe_rows.len(), None)
+            }
+            // An inner join drops its unmatched rows from the selection.
+            None if join.kind == JoinKind::Inner && rows.contains(&NO_ROW) => {
+                let mut kept = m.sel.unwrap_or_else(|| m.span.clone().collect());
+                kept.retain(|&i| rows[i] != NO_ROW);
+                rows.iter_mut().filter(|b| **b == NO_ROW).for_each(|b| *b = 0);
+                (m.cols, m.span, Some(kept))
+            }
+            None => (m.cols, m.span, m.sel),
+        };
+        let built = gather_ids(&self.build.columns, &rows).map(Cow::Owned);
+        let cols = if join.build_left {
+            built.chain(cols).collect()
+        } else {
+            cols.into_iter().chain(built).collect()
+        };
+        Ok(Morsel { cols, span, sel })
+    }
+
+    /// Looks up the `live` rows of `m` (ascending) in phases: the keys of its
+    /// span are hashed, then each live row walks its slot's chain, comparing
+    /// keys through one [`KeyEq`] (and the residual over the key-equal
+    /// candidates only), and records its build row as a `u32`. A NULL key is
+    /// looked up like any other and compares unequal: the build holds no NULL
+    /// key. With `pairs` — a morsel past row 0, or one whose lookup saw a
+    /// second passing match — the probe rows come back beside the build rows.
+    fn lookup(
+        &self,
+        join: &JoinSpec<'_>,
+        m: &Morsel<'_>,
+        live: impl Iterator<Item = usize> + Clone,
+        pairs: bool,
+    ) -> Result<(Option<Vec<usize>>, Vec<u32>)> {
+        let (build, columns) = (self.build.as_ref(), m.columns());
         let keys: Vec<&Column> = self.probe_keys.iter().map(|&c| columns[c]).collect();
         let build_keys: Vec<&Column> = self.build_keys.iter().map(|&c| &build.columns[c]).collect();
         let same_type = |(b, p): (&&Column, &&Column)| b.sql_type() == p.sql_type();
@@ -783,68 +824,54 @@ impl<'b> JoinBuild<'b> {
             return Err(VdmError::Exec("join key column differs from its plan type".into()));
         }
         let hashes = hash_side(&keys, m.span.clone(), self.columnar);
-        let nullable: Vec<&[bool]> = keys.iter().filter_map(|c| c.validity()).collect();
-        let mask = self.tables.len() - 1;
+        let (eq, mask, start) =
+            (KeyEq::new(&build_keys, &keys), self.tables.len() - 1, m.span.start);
         // A residual implies `probe ++ build` = `left ++ right`.
         let probe_width = columns.len();
         let mut pair = RowScratch::new(join.residual, probe_width + build.columns.len());
-        let mut probe_sel: Vec<usize> = Vec::with_capacity(m.rows());
-        let mut build_sel: Vec<Option<usize>> = Vec::with_capacity(m.rows());
-        let mut expands = false;
-        for &i in m.live().iter() {
-            let h = hashes[i - m.span.start];
-            let candidates = nullable
-                .iter()
-                .all(|valid| valid[i])
-                .then(|| self.tables[(h as usize) & mask].candidates(h).map(|(_, row)| row));
-            let mut emitted = false;
-            for bi in candidates.into_iter().flatten() {
-                let pass = keys_equal(&build_keys, bi, &keys, i)
-                    && match join.residual {
-                        Some(f) => {
-                            let row = pair.load(|c| match c.checked_sub(probe_width) {
-                                Some(b) => build.columns[b].get(bi),
-                                None => columns[c].get(i),
-                            });
-                            f.eval_row(row)?.as_bool()? == Some(true)
-                        }
-                        None => true,
-                    };
-                if pass {
-                    expands |= emitted;
-                    probe_sel.push(i);
-                    build_sel.push(Some(bi));
-                    emitted = true;
+        let mut passes = |bi: usize, i: usize| -> Result<bool> {
+            let Some(f) = join.residual else { return Ok(true) };
+            let row = pair.load(|c| match c.checked_sub(probe_width) {
+                Some(b) => build.columns[b].get(bi),
+                None => columns[c].get(i),
+            });
+            Ok(f.eval_row(row)?.as_bool()? == Some(true))
+        };
+        let (left_outer, residual) = (join.kind == JoinKind::LeftOuter, join.residual.is_some());
+        // Rows outside the selection are never read: they repeat a build row
+        // rather than carry a NULL, so a probe that matched every live row
+        // adds no validity mask.
+        let fill = if build.num_rows() > 0 { 0 } else { NO_ROW };
+        let mut rows = vec![fill; if pairs { 0 } else { m.span.len() }];
+        let mut pairs = pairs.then(|| (Vec::new(), Vec::new()));
+        for i in live.clone() {
+            let (k, mut first, mut matched) = (i - start, NO_ROW, false);
+            let h = hashes[k];
+            for (_, bi) in self.tables[(h as usize) & mask].candidates(h) {
+                if !eq.eq(bi, i) || (residual && !passes(bi, i)?) {
+                    continue;
+                }
+                matched = true;
+                match &mut pairs {
+                    Some((probe_rows, build_rows)) => {
+                        probe_rows.push(i);
+                        build_rows.push(bi as u32);
+                    }
+                    None if first == NO_ROW => first = bi as u32,
+                    // A second match: the morsel expands.
+                    None => return self.lookup(join, m, live, true),
                 }
             }
-            if !emitted && join.kind == JoinKind::LeftOuter {
-                probe_sel.push(i);
-                build_sel.push(None);
+            match &mut pairs {
+                None => rows[k] = first,
+                Some((probe_rows, build_rows)) if !matched && left_outer => {
+                    probe_rows.push(i);
+                    build_rows.push(NO_ROW);
+                }
+                Some(_) => {}
             }
         }
-        drop(columns);
-        let (cols, span, sel) = if !expands && m.span.start == 0 {
-            // Rows outside the selection are never read: they repeat a build
-            // row rather than carry a NULL, so a probe that matched every
-            // live row adds no validity mask.
-            let mut aligned = vec![(build.num_rows() > 0).then_some(0); m.span.end];
-            for (&i, &bi) in probe_sel.iter().zip(&build_sel) {
-                aligned[i] = bi;
-            }
-            build_sel = aligned;
-            let sel = (probe_sel.len() < m.span.len()).then_some(probe_sel);
-            (m.cols, m.span, sel)
-        } else {
-            let cols = m.cols.iter().map(|c| Cow::Owned(c.gather(&probe_sel))).collect();
-            (cols, 0..probe_sel.len(), None)
-        };
-        let built = build.columns.iter().map(|c| Cow::Owned(c.gather_opt(&build_sel)));
-        let cols = if join.build_left {
-            built.chain(cols).collect()
-        } else {
-            cols.into_iter().chain(built).collect()
-        };
-        Ok(Morsel { cols, span, sel })
+        Ok(pairs.map_or((None, rows), |(probe_rows, build_rows)| (Some(probe_rows), build_rows)))
     }
 }
 
@@ -892,10 +919,12 @@ struct Groups {
 /// group — rows agreeing on every key, NULLs together — numbered in
 /// first-seen order; returns each row's group and each group's first row.
 fn group_rows(keys: &[Column], n: usize) -> (Vec<usize>, Vec<usize>) {
-    let hashes = hash_keys(keys, 0..n);
+    let (hashes, eq) = (hash_keys(keys, 0..n), KeyEq::new(keys, keys));
     let mut table = KeyTable::with_capacity(n);
-    let same = |row| move |first| keys_equal(keys, first, keys, row);
-    let group_of = (0..n).map(|row| table.find_or_insert(hashes[row], row, same(row)).0).collect();
+    let mut group_of = Vec::with_capacity(n);
+    for (row, &h) in hashes.iter().enumerate() {
+        group_of.push(table.find_or_insert(h, row, |first| eq.eq(first, row)).0);
+    }
     (group_of, table.refs().collect())
 }
 

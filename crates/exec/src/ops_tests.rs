@@ -770,6 +770,60 @@ fn join_side(rng: &mut SplitMix64, rows: usize, dec_key: bool, domain: &[i64]) -
     Batch::from_rows(schema, &rows).unwrap()
 }
 
+/// A [`join_side`] whose join keys are `keys` (`None` = NULL), in order.
+fn keyed_side(rng: &mut SplitMix64, keys: &[Option<i64>], dec_key: bool) -> Batch {
+    let key_ty = if dec_key { SqlType::Decimal { scale: 2 } } else { SqlType::Int };
+    let schema = Arc::new(Schema::new(vec![
+        Field::new("k", key_ty, true),
+        Field::new("p", SqlType::Int, false),
+        Field::new("s", SqlType::Text, true),
+    ]));
+    let rows: Vec<Vec<Value>> = keys
+        .iter()
+        .enumerate()
+        .map(|(p, k)| {
+            let k = match k {
+                None => Value::Null,
+                Some(k) if dec_key => Value::Dec(Decimal::from_units(*k as i128 * 100, 2)),
+                Some(k) => Value::Int(*k),
+            };
+            let s = match rng.random_range(0..4u32) {
+                0 => Value::Null,
+                tag => Value::str(format!("s{tag}")),
+            };
+            vec![k, Value::Int(p as i64), s]
+        })
+        .collect();
+    Batch::from_rows(schema, &rows).unwrap()
+}
+
+/// N:1 sides of `l` probe and `r` build rows: the build keys are
+/// `1..=r` in a shuffled order, one in six NULL instead (the augmentation
+/// shape: no build key repeats), and probe keys are drawn from `0..=r + 1`
+/// (some miss) and NULL. With `dup`, one build key is held twice and only
+/// the last four-row probe morsel meets it.
+fn n_to_one_sides(rng: &mut SplitMix64, l: usize, r: usize, dec: bool, dup: bool) -> [Batch; 2] {
+    let mut build: Vec<Option<i64>> = (1..=r as i64).map(Some).collect();
+    for i in (1..build.len()).rev() {
+        build.swap(i, rng.random_range(0..=i));
+    }
+    build.iter_mut().filter(|_| rng.random_range(0..6u32) == 0).for_each(|k| *k = None);
+    let twice = build.iter().flatten().copied().next().filter(|_| dup);
+    if let Some(k) = twice {
+        build.push(Some(k));
+    }
+    let last_morsel = l.saturating_sub(1) / 4 * 4;
+    let probe: Vec<Option<i64>> = (0..l)
+        .map(|p| match rng.random_range(0..=r + 2) {
+            _ if p + 1 == l && twice.is_some() => twice,
+            0 => None,
+            _ if p >= last_morsel && twice.is_some() && rng.random_range(0..2u32) == 0 => twice,
+            k => Some(k as i64 - 1).filter(|&k| Some(k) != twice),
+        })
+        .collect();
+    [keyed_side(rng, &probe, false), keyed_side(rng, &build, dec)]
+}
+
 /// Five INT keys whose columnar routing hashes agree in their low 12 bits:
 /// at these sizes they share a partition and a slot, so one chain carries
 /// several distinct keys.
@@ -788,10 +842,11 @@ fn colliding_keys() -> Vec<i64> {
 
 /// The one hash join against the row-wise reference — same rows in the same
 /// order — over NULL keys, duplicate build keys (a probe row's matches in
-/// build-row order), INT-vs-DECIMAL key pairs, string keys under different
-/// dictionaries, composite keys, distinct keys chained in one slot, a
-/// residual on every kind, empty sides, and build sides of one chunk up to
-/// several partitions, at every thread count.
+/// build-row order), unique build keys (the N:1 augmentation shape) and one
+/// duplicate that only the last probe morsel meets, INT-vs-DECIMAL key
+/// pairs, string keys under different dictionaries, composite keys, distinct
+/// keys chained in one slot, a residual on every kind, empty sides, and
+/// build sides of one chunk up to several partitions, at every thread count.
 #[test]
 fn one_hash_join_matches_the_row_wise_reference() {
     // Four-row chunks: sizes 7 / 8 / 9 straddle the two-morsel line below
@@ -803,9 +858,18 @@ fn one_hash_join_matches_the_row_wise_reference() {
     let domains = [(1..=5).collect(), colliding_keys()];
     let ons: [&[(usize, usize)]; 3] = [&[(0, 0)], &[(2, 2)], &[(0, 0), (2, 2)]];
     for (&l, &r) in sizes.iter().flat_map(|l| sizes.iter().map(move |r| (l, r))) {
+        let mut sides: Vec<(String, bool, [Batch; 2])> = Vec::new();
         for (domain, dec_right) in domains.iter().flat_map(|d| [(d, false), (d, true)]) {
             let left = join_side(&mut rng, l, false, domain);
             let right = join_side(&mut rng, r, dec_right, domain);
+            sides.push((format!("{domain:?}"), dec_right, [left, right]));
+        }
+        for (dec_right, dup) in [(false, false), (true, false), (false, true), (true, true)] {
+            let name = if dup { "unique but one" } else { "unique" };
+            sides.push((name.into(), dec_right, n_to_one_sides(&mut rng, l, r, dec_right, dup)));
+        }
+        for (domain, dec_right, [left, right]) in &sides {
+            let (dec_right, left, right) = (*dec_right, left, right);
             let fields = left.schema.fields().iter().chain(right.schema.fields()).cloned();
             let schema = Arc::new(Schema::new(fields.collect()));
             for (kind, residual) in [
@@ -815,17 +879,16 @@ fn one_hash_join_matches_the_row_wise_reference() {
                 (JoinKind::LeftOuter, Some(&residual)),
             ] {
                 for on in ons {
-                    let want =
-                        reference_join(&left, &right, kind, on, residual, Arc::clone(&schema))
-                            .unwrap()
-                            .to_rows();
+                    let want = reference_join(left, right, kind, on, residual, Arc::clone(&schema))
+                        .unwrap()
+                        .to_rows();
                     for threads in [1, 2, 4] {
                         let config = ParallelConfig { threads, morsel_rows: 4 };
                         let mut profile = QueryProfile::default();
                         let schema = Arc::clone(&schema);
                         let got = hash_join(
-                            &left,
-                            &right,
+                            left,
+                            right,
                             kind,
                             on,
                             residual,
@@ -837,7 +900,7 @@ fn one_hash_join_matches_the_row_wise_reference() {
                         assert_eq!(
                             got.to_rows(),
                             want,
-                            "{l} x {r} rows, keys {domain:?}, dec_right={dec_right}, {kind:?} on \
+                            "{l} x {r} rows, keys {domain}, dec_right={dec_right}, {kind:?} on \
                              {on:?}, residual={}, threads={threads}",
                             residual.is_some()
                         );
@@ -912,6 +975,12 @@ fn reference(plan: &PlanRef, e: &StorageEngine, snap: Snapshot) -> Result<Batch>
             let eval = |row: &Vec<Value>| exprs.iter().map(|(x, _)| x.eval_row(row)).collect();
             let out: Vec<Vec<Value>> = rows.iter().map(eval).collect::<Result<_>>()?;
             Batch::from_rows(Arc::clone(schema), &out)
+        }
+        LogicalPlan::UnionAll { inputs, schema } => {
+            let parts: Vec<Batch> =
+                inputs.iter().map(|i| reference(i, e, snap)).collect::<Result<_>>()?;
+            let rows: Vec<Vec<Value>> = parts.iter().flat_map(Batch::to_rows).collect();
+            Batch::from_rows(Arc::clone(schema), &rows)
         }
         LogicalPlan::Join { left, right, kind, on, filter, schema, .. } => {
             let (l, r) = (reference(left, e, snap)?, reference(right, e, snap)?);
@@ -1092,7 +1161,9 @@ fn random_stack(rng: &mut SplitMix64, [fact, dim, multi]: &[Arc<TableDef>; 3]) -
 /// (group order included) at every morsel size and thread count — random
 /// stacks, then batch-sourced pipelines: a filter and a computed projection
 /// over an aggregate's output, and that output probing a join, in morsels
-/// smaller than it.
+/// smaller than it; then a left join whose build holds one key twice, met
+/// first past the first morsel, probed by the scan and by a batch whose
+/// morsels start past row 0.
 #[test]
 fn pipelines_match_operator_at_a_time_evaluation() {
     let (e, defs) = pipeline_world();
@@ -1111,6 +1182,15 @@ fn pipelines_match_operator_at_a_time_evaluation() {
     plans.push(LogicalPlan::project(having.unwrap(), vec![(doubled, "n2".into())]).unwrap());
     let dim = LogicalPlan::scan(Arc::clone(&defs[1]));
     plans.push(LogicalPlan::left_join(per_key, dim, vec![(0, 0)]).unwrap());
+    // `fact` with the row of k = 250 (in the unmerged delta, behind ~200
+    // main rows) twice: unique keys but one.
+    let fact = || LogicalPlan::scan(Arc::clone(&defs[0]));
+    let late = LogicalPlan::filter(fact(), Expr::col(0).eq(Expr::int(250))).unwrap();
+    let twice = LogicalPlan::union_all(vec![fact(), late]).unwrap();
+    plans.push(LogicalPlan::left_join(fact(), Arc::clone(&twice), vec![(0, 0)]).unwrap());
+    // A filter the scan applies ahead of its gather: what survives is a batch.
+    let kept = LogicalPlan::filter(fact(), Expr::col(0).binary(BinOp::Gt, Expr::int(2))).unwrap();
+    plans.push(LogicalPlan::left_join(kept, twice, vec![(0, 0)]).unwrap());
     for (n, plan) in plans.iter().enumerate() {
         let want = reference(plan, &e, snap).unwrap().to_rows();
         for morsel_rows in [7, 64, 4096] {

@@ -8,7 +8,7 @@
 //! this module is that tool.
 
 use vdm_plan::DeclaredCardinality;
-use vdm_storage::hash::{hash_side, keys_equal, KeyTable};
+use vdm_storage::hash::{hash_side, KeyEq, KeyTable};
 use vdm_storage::{Batch, Column, Snapshot, StorageEngine};
 use vdm_types::{Result, Value};
 
@@ -53,8 +53,9 @@ pub fn verify_join_cardinality(
     // Per right key value, in order of first occurrence: its first row and
     // how many rows hold it.
     let (mut table, mut counts) = (KeyTable::with_capacity(right.num_rows()), Vec::new());
+    let (rr, rl) = (KeyEq::new(&r_keys, &r_keys), KeyEq::new(&r_keys, &l_keys));
     for (i, h) in keyed(&r_keys, right.num_rows()) {
-        let (id, new) = table.find_or_insert(h, i, |j| keys_equal(&r_keys, j, &r_keys, i));
+        let (id, new) = table.find_or_insert(h, i, |j| rr.eq(j, i));
         counts.extend(new.then_some((i, 0)));
         counts[id].1 += 1;
     }
@@ -63,7 +64,7 @@ pub fn verify_join_cardinality(
     let witness = counts.iter().find(|&&(_, n)| max_matches > 1 && n == max_matches);
     let mut violating_key = witness.map(|&(first, _)| key_at(&r_keys, first));
     // For MANY TO EXACT ONE, every (non-null) left key must have a match.
-    let matched = |&(i, h): &(usize, u64)| table.find(h, |j| keys_equal(&l_keys, i, &r_keys, j));
+    let matched = |&(i, h): &(usize, u64)| table.find(h, |j| rl.eq(j, i));
     let unmatched: Vec<_> =
         keyed(&l_keys, left.num_rows()).into_iter().filter(|k| matched(k).is_none()).collect();
     let holds = match declared {

@@ -1,10 +1,10 @@
 //! The canonical catalog of every metric the workspace emits.
 //!
-//! Each metric has exactly one home here: a `pub const` name used by the
-//! emitting crate (CI greps that no `"vdm_` string literal exists outside
-//! `crates/obs`) and a [`MetricDesc`] entry that gives the Prometheus
-//! exporter its `# HELP` text and expected `# TYPE`. Adding a metric
-//! anywhere else without registering it here fails the
+//! Each metric has exactly one home here, one `catalog!` line: a `pub const`
+//! name used by the emitting crate (CI greps that no `"vdm_` string literal
+//! exists outside `crates/obs`) and its [`ALL`] entry, which gives the
+//! Prometheus exporter its `# HELP` text and expected `# TYPE`. Adding a
+//! metric anywhere else without registering it here fails the
 //! `metric_catalog_covers_every_export` test in `tests/observability.rs`.
 
 /// Prometheus metric type.
@@ -34,209 +34,68 @@ pub struct MetricDesc {
     pub help: &'static str,
 }
 
-// -------------------------------------------------------------- queries
-/// SELECT statements executed end to end.
-pub const QUERIES_TOTAL: &str = "vdm_queries_total";
-/// End-to-end SELECT latency (plan resolution + execution), seconds.
-pub const QUERY_SECONDS: &str = "vdm_query_seconds";
-/// Optimizer time spent per plan resolution, seconds.
-pub const OPTIMIZE_SECONDS: &str = "vdm_optimize_seconds";
-/// Rows read out of base-table scans.
-pub const ROWS_SCANNED_TOTAL: &str = "vdm_rows_scanned_total";
-/// Rows produced by join operators.
-pub const ROWS_JOINED_TOTAL: &str = "vdm_rows_joined_total";
-/// Rewrite-rule firings, labelled `{rule="..."}`.
-pub const REWRITE_FIRED_TOTAL: &str = "vdm_rewrite_fired_total";
+/// Declares each metric once: its name constant, documented by its help
+/// text, and its [`ALL`] entry, in the order given.
+macro_rules! catalog {
+    ($($name:ident = $base:literal, $kind:ident, $help:literal;)*) => {
+        $(#[doc = $help] pub const $name: &str = $base;)*
+        /// Every metric the workspace emits. Kept sorted by name so the
+        /// catalog doubles as documentation.
+        pub const ALL: &[MetricDesc] =
+            &[$(MetricDesc { name: $name, kind: MetricKind::$kind, help: $help }),*];
+    };
+}
 
-// ------------------------------------------------------------ dispatch
-/// Items of dispatched waves that a pool thread ran, not the calling thread.
-pub const MORSEL_STEALS_TOTAL: &str = "vdm_morsel_steals_total";
-/// Estimated payload bytes dispatched in scan morsels and operator chunks.
-pub const MORSEL_SIZE_BYTES: &str = "vdm_morsel_size_bytes";
-
-// ------------------------------------------------------------ optimizer
-/// Property-cache hits during optimization.
-pub const OPT_PROPERTY_CACHE_HITS_TOTAL: &str = "vdm_opt_property_cache_hits_total";
-/// Property-cache misses during optimization.
-pub const OPT_PROPERTY_CACHE_MISSES_TOTAL: &str = "vdm_opt_property_cache_misses_total";
-
-// ------------------------------------------------------------ plan cache
-/// Parameterized-plan cache hits.
-pub const PLAN_CACHE_HITS_TOTAL: &str = "vdm_plan_cache_hits_total";
-/// Parameterized-plan cache misses (bind + optimize paid).
-pub const PLAN_CACHE_MISSES_TOTAL: &str = "vdm_plan_cache_misses_total";
-/// Plans evicted by the cache's LRU policy.
-pub const PLAN_CACHE_EVICTIONS_TOTAL: &str = "vdm_plan_cache_evictions_total";
-
-// ---------------------------------------------------------- cached views
-/// Cached-view maintenance passes, labelled `{kind="full|incremental|noop"}`.
-pub const VIEW_REFRESH_TOTAL: &str = "vdm_view_refresh_total";
-/// Cached-view maintenance latency, seconds.
-pub const VIEW_REFRESH_SECONDS: &str = "vdm_view_refresh_seconds";
-/// Signed delta rows (both signs) folded into cached views.
-pub const VIEW_DELTA_ROWS_TOTAL: &str = "vdm_view_delta_rows_total";
-/// Join sides cached views executed and hashed to keep across passes.
-pub const VIEW_SIDE_BUILDS_TOTAL: &str = "vdm_view_side_builds_total";
-/// Build-side rows the cached views' kept join sides hold.
-pub const VIEW_KEPT_SIDE_ROWS: &str = "vdm_view_kept_side_rows";
-
-// -------------------------------------------------------------- serving
-/// Prepared statements currently alive.
-pub const PREPARED_STATEMENTS_OPEN: &str = "vdm_prepared_statements_open";
-/// Serve-layer sessions currently open.
-pub const SESSIONS_OPEN: &str = "vdm_sessions_open";
-/// Queries currently between admission and completion.
-pub const INFLIGHT_QUERIES: &str = "vdm_inflight_queries";
-/// Admission wait before execution starts (state-lock + plan resolution),
-/// seconds.
-pub const QUEUE_WAIT_SECONDS: &str = "vdm_queue_wait_seconds";
-
-// ------------------------------------------------- tracing + query store
-/// Query traces finished and published.
-pub const TRACES_TOTAL: &str = "vdm_traces_total";
-/// Executions recorded into the query store.
-pub const STORE_RECORDS_TOTAL: &str = "vdm_store_records_total";
-/// Executions over the slow-query threshold, captured with full
-/// EXPLAIN ANALYZE output.
-pub const SLOW_QUERIES_TOTAL: &str = "vdm_slow_queries_total";
-/// Cached plans re-optimized because observed cardinalities disagreed
-/// with the plan's estimates beyond the misestimate threshold.
-pub const REOPTIMIZATIONS_TOTAL: &str = "vdm_reoptimizations_total";
-
-/// Every metric the workspace emits. Kept sorted by name so the catalog
-/// doubles as documentation.
-pub const ALL: &[MetricDesc] = &[
-    MetricDesc {
-        name: INFLIGHT_QUERIES,
-        kind: MetricKind::Gauge,
-        help: "Queries currently between admission and completion.",
-    },
-    MetricDesc {
-        name: MORSEL_SIZE_BYTES,
-        kind: MetricKind::Counter,
-        help: "Estimated payload bytes dispatched in scan morsels and operator chunks.",
-    },
-    MetricDesc {
-        name: MORSEL_STEALS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Items of dispatched waves that a pool thread ran, not the calling thread.",
-    },
-    MetricDesc {
-        name: OPT_PROPERTY_CACHE_HITS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Property-cache hits during optimization.",
-    },
-    MetricDesc {
-        name: OPT_PROPERTY_CACHE_MISSES_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Property-cache misses during optimization.",
-    },
-    MetricDesc {
-        name: OPTIMIZE_SECONDS,
-        kind: MetricKind::Histogram,
-        help: "Optimizer time spent per plan resolution, in seconds.",
-    },
-    MetricDesc {
-        name: PLAN_CACHE_EVICTIONS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Plans evicted by the parameterized-plan cache's LRU policy.",
-    },
-    MetricDesc {
-        name: PLAN_CACHE_HITS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Parameterized-plan cache hits.",
-    },
-    MetricDesc {
-        name: PLAN_CACHE_MISSES_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Parameterized-plan cache misses (bind + optimize paid).",
-    },
-    MetricDesc {
-        name: PREPARED_STATEMENTS_OPEN,
-        kind: MetricKind::Gauge,
-        help: "Prepared statements currently alive.",
-    },
-    MetricDesc {
-        name: QUERIES_TOTAL,
-        kind: MetricKind::Counter,
-        help: "SELECT statements executed end to end.",
-    },
-    MetricDesc {
-        name: QUERY_SECONDS,
-        kind: MetricKind::Histogram,
-        help: "End-to-end SELECT latency (plan resolution + execution), in seconds.",
-    },
-    MetricDesc {
-        name: QUEUE_WAIT_SECONDS,
-        kind: MetricKind::Histogram,
-        help: "Admission wait before execution starts (state-lock + plan resolution), in seconds.",
-    },
-    MetricDesc {
-        name: REOPTIMIZATIONS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Cached plans re-optimized after observed cardinalities exceeded the misestimate threshold.",
-    },
-    MetricDesc {
-        name: REWRITE_FIRED_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Rewrite-rule firings, labelled by rule.",
-    },
-    MetricDesc {
-        name: ROWS_JOINED_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Rows produced by join operators.",
-    },
-    MetricDesc {
-        name: ROWS_SCANNED_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Rows read out of base-table scans.",
-    },
-    MetricDesc {
-        name: SESSIONS_OPEN,
-        kind: MetricKind::Gauge,
-        help: "Serve-layer sessions currently open.",
-    },
-    MetricDesc {
-        name: SLOW_QUERIES_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Executions over the slow-query threshold, captured in the slow-query log.",
-    },
-    MetricDesc {
-        name: STORE_RECORDS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Executions recorded into the query store.",
-    },
-    MetricDesc {
-        name: TRACES_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Query traces finished and published.",
-    },
-    MetricDesc {
-        name: VIEW_DELTA_ROWS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Signed delta rows (both signs) folded into cached views.",
-    },
-    MetricDesc {
-        name: VIEW_KEPT_SIDE_ROWS,
-        kind: MetricKind::Gauge,
-        help: "Build-side rows held by the join sides cached views keep.",
-    },
-    MetricDesc {
-        name: VIEW_REFRESH_SECONDS,
-        kind: MetricKind::Histogram,
-        help: "Cached-view maintenance latency, in seconds.",
-    },
-    MetricDesc {
-        name: VIEW_REFRESH_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Cached-view maintenance passes, labelled by kind (full/incremental/noop).",
-    },
-    MetricDesc {
-        name: VIEW_SIDE_BUILDS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Join sides cached views executed and hashed to keep across maintenance passes.",
-    },
-];
+catalog! {
+    INFLIGHT_QUERIES = "vdm_inflight_queries", Gauge,
+        "Queries currently between admission and completion.";
+    MORSEL_SIZE_BYTES = "vdm_morsel_size_bytes", Counter,
+        "Estimated payload bytes dispatched in scan morsels and operator chunks.";
+    MORSEL_STEALS_TOTAL = "vdm_morsel_steals_total", Counter,
+        "Items of dispatched waves that a pool thread ran, not the calling thread.";
+    OPT_PROPERTY_CACHE_HITS_TOTAL = "vdm_opt_property_cache_hits_total", Counter,
+        "Property-cache hits during optimization.";
+    OPT_PROPERTY_CACHE_MISSES_TOTAL = "vdm_opt_property_cache_misses_total", Counter,
+        "Property-cache misses during optimization.";
+    OPTIMIZE_SECONDS = "vdm_optimize_seconds", Histogram,
+        "Optimizer time spent per plan resolution, in seconds.";
+    PLAN_CACHE_EVICTIONS_TOTAL = "vdm_plan_cache_evictions_total", Counter,
+        "Plans evicted by the parameterized-plan cache's LRU policy.";
+    PLAN_CACHE_HITS_TOTAL = "vdm_plan_cache_hits_total", Counter, "Parameterized-plan cache hits.";
+    PLAN_CACHE_MISSES_TOTAL = "vdm_plan_cache_misses_total", Counter,
+        "Parameterized-plan cache misses (bind + optimize paid).";
+    PREPARED_STATEMENTS_OPEN = "vdm_prepared_statements_open", Gauge,
+        "Prepared statements currently alive.";
+    QUERIES_TOTAL = "vdm_queries_total", Counter, "SELECT statements executed end to end.";
+    QUERY_SECONDS = "vdm_query_seconds", Histogram,
+        "End-to-end SELECT latency (plan resolution + execution), in seconds.";
+    QUEUE_WAIT_SECONDS = "vdm_queue_wait_seconds", Histogram,
+        "Admission wait before execution starts (state-lock + plan resolution), in seconds.";
+    REOPTIMIZATIONS_TOTAL = "vdm_reoptimizations_total", Counter,
+        "Cached plans re-optimized after observed cardinalities exceeded the misestimate threshold.";
+    REWRITE_FIRED_TOTAL = "vdm_rewrite_fired_total", Counter,
+        "Rewrite-rule firings, labelled by rule.";
+    ROWS_JOINED_TOTAL = "vdm_rows_joined_total", Counter, "Rows produced by join operators.";
+    ROWS_SCANNED_TOTAL = "vdm_rows_scanned_total", Counter, "Rows read out of base-table scans.";
+    SESSIONS_OPEN = "vdm_sessions_open", Gauge, "Serve-layer sessions currently open.";
+    SLOW_QUERIES_TOTAL = "vdm_slow_queries_total", Counter,
+        "Executions over the slow-query threshold, captured in the slow-query log.";
+    STORE_EVICTIONS_TOTAL = "vdm_store_evictions_total", Counter,
+        "Least-executed digests the query store evicted to stay within its cap.";
+    STORE_RECORDS_TOTAL = "vdm_store_records_total", Counter,
+        "Executions recorded into the query store.";
+    TRACES_TOTAL = "vdm_traces_total", Counter, "Query traces finished and published.";
+    VIEW_DELTA_ROWS_TOTAL = "vdm_view_delta_rows_total", Counter,
+        "Signed delta rows (both signs) folded into cached views.";
+    VIEW_KEPT_SIDE_ROWS = "vdm_view_kept_side_rows", Gauge,
+        "Build-side rows held by the join sides cached views keep.";
+    VIEW_REFRESH_SECONDS = "vdm_view_refresh_seconds", Histogram,
+        "Cached-view maintenance latency, in seconds.";
+    VIEW_REFRESH_TOTAL = "vdm_view_refresh_total", Counter,
+        "Cached-view maintenance passes, labelled by kind (full/incremental/noop).";
+    VIEW_SIDE_BUILDS_TOTAL = "vdm_view_side_builds_total", Counter,
+        "Join sides cached views executed and hashed to keep across maintenance passes.";
+}
 
 /// The catalog entry for a base metric name (labels stripped by the
 /// caller), if registered.

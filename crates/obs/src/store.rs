@@ -11,7 +11,8 @@
 //!   [`QueryProfile`](crate::QueryProfile). This is deliberately the
 //!   exact input a feedback-driven join-ordering pass needs, so the
 //!   JSON-lines serialization is a documented stable schema
-//!   (DESIGN.md §13).
+//!   (DESIGN.md §13). At most [`MAX_DIGESTS`] are kept: a new digest
+//!   beyond that evicts the least-executed one.
 //! * **A ring buffer** of the most recent executions (FIFO eviction),
 //!   for "what ran just now" diagnostics.
 //! * **A slow-query log** capturing the full `EXPLAIN ANALYZE` text of
@@ -22,7 +23,8 @@
 //! rendering EXPLAIN ANALYZE text so the expensive rendering only happens
 //! for queries that will actually be captured.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -86,19 +88,40 @@ pub struct DigestAggregate {
 }
 
 impl DigestAggregate {
-    fn new(digest: u64, shape: &str) -> DigestAggregate {
+    /// One execution's aggregate.
+    fn of(rec: ExecRecord) -> DigestAggregate {
+        let mut latency = LatencyHist::new();
+        latency.observe(rec.latency_nanos as f64 / 1e9);
         DigestAggregate {
-            digest,
-            shape: shape.to_string(),
-            execs: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            rows_in_total: 0,
-            rows_out_total: 0,
-            latency: LatencyHist::new(),
-            workers_last: 0,
-            node_rows: BTreeMap::new(),
-            node_est: BTreeMap::new(),
+            digest: rec.digest,
+            shape: rec.shape,
+            execs: 1,
+            cache_hits: u64::from(rec.cache_hit),
+            cache_misses: u64::from(!rec.cache_hit),
+            rows_in_total: rec.rows_in,
+            rows_out_total: rec.rows_out,
+            latency,
+            workers_last: rec.workers,
+            node_rows: rec.node_rows.into_iter().collect(),
+            node_est: rec.node_est.into_iter().collect(),
+        }
+    }
+
+    /// Adds `other`, a later history of the same digest: counts add,
+    /// histograms merge, the latest worker count and estimates win.
+    fn merge(&mut self, other: DigestAggregate) {
+        self.execs += other.execs;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.rows_in_total += other.rows_in_total;
+        self.rows_out_total += other.rows_out_total;
+        self.latency.merge(&other.latency);
+        self.workers_last = other.workers_last;
+        for (node, rows) in other.node_rows {
+            *self.node_rows.entry(node).or_insert(0) += rows;
+        }
+        if !other.node_est.is_empty() {
+            self.node_est = other.node_est;
         }
     }
 
@@ -125,27 +148,15 @@ impl DigestAggregate {
             self.workers_last,
             json_number(self.latency.sum()),
         );
-        for (i, c) in self.latency.bucket_counts().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&c.to_string());
-        }
-        out.push_str("], \"node_rows\": [");
-        for (i, (node, rows)) in self.node_rows.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("[{node}, {rows}]"));
-        }
-        out.push_str("], \"node_est\": [");
-        for (i, (node, est)) in self.node_est.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("[{node}, {est}]"));
-        }
-        out.push_str("]}");
+        let list = |items: Vec<String>| items.join(", ");
+        let pairs =
+            |m: &BTreeMap<u32, u64>| list(m.iter().map(|(n, r)| format!("[{n}, {r}]")).collect());
+        let buckets = list(self.latency.bucket_counts().iter().map(u64::to_string).collect());
+        out.push_str(&format!(
+            "{buckets}], \"node_rows\": [{}], \"node_est\": [{}]}}",
+            pairs(&self.node_rows),
+            pairs(&self.node_est)
+        ));
         out
     }
 
@@ -173,24 +184,17 @@ impl DigestAggregate {
         let sum = v.get("latency_sum").and_then(Json::as_f64).ok_or("missing latency_sum")?;
         let latency = LatencyHist::from_parts(&counts, sum)
             .ok_or("bucket layout mismatch (file written under different LE_BOUNDS)")?;
-        let mut node_rows = BTreeMap::new();
-        for pair in v.get("node_rows").and_then(Json::as_array).ok_or("missing node_rows")? {
-            let pair = pair.as_array().filter(|p| p.len() == 2).ok_or("bad node_rows pair")?;
-            node_rows.insert(
-                pair[0].as_u64().ok_or("bad node id")? as u32,
-                pair[1].as_u64().ok_or("bad node rows")?,
-            );
-        }
-        let mut node_est = BTreeMap::new();
-        if version >= 2 {
-            for pair in v.get("node_est").and_then(Json::as_array).ok_or("missing node_est")? {
-                let pair = pair.as_array().filter(|p| p.len() == 2).ok_or("bad node_est pair")?;
-                node_est.insert(
-                    pair[0].as_u64().ok_or("bad node id")? as u32,
-                    pair[1].as_u64().ok_or("bad node est")?,
-                );
-            }
-        }
+        let pairs = |key: &str| -> Result<BTreeMap<u32, u64>, String> {
+            let bad = || format!("bad {key} pair");
+            let pair = |p: &Json| -> Option<(u32, u64)> {
+                let p = p.as_array().filter(|p| p.len() == 2)?;
+                Some((p[0].as_u64()? as u32, p[1].as_u64()?))
+            };
+            let all = v.get(key).and_then(Json::as_array).ok_or(format!("missing {key}"))?;
+            all.iter().map(|p| pair(p).ok_or_else(bad)).collect()
+        };
+        let node_rows = pairs("node_rows")?;
+        let node_est = if version >= 2 { pairs("node_est")? } else { BTreeMap::new() };
         Ok(DigestAggregate {
             digest,
             shape: v.get("shape").and_then(Json::as_str).ok_or("missing shape")?.to_string(),
@@ -231,10 +235,38 @@ pub struct SlowQuery {
 #[derive(Debug, Default)]
 struct Inner {
     aggregates: BTreeMap<u64, DigestAggregate>,
+    /// Eviction candidates `(execs, digest)`, least-executed and then lowest
+    /// digest on top: one per held digest, pushed when it arrives. Execution
+    /// counts only grow, so an entry is a lower bound; an eviction re-pushes a
+    /// stale top at its current count, paying once per later execution.
+    evict: BinaryHeap<Reverse<(u64, u64)>>,
     ring: VecDeque<ExecSample>,
     ring_capacity: usize,
     slow: VecDeque<SlowQuery>,
     slow_capacity: usize,
+}
+
+impl Inner {
+    /// Merges `agg` into its digest's aggregate. A digest not held is added,
+    /// first evicting the least-executed digest held (the lowest on a tie)
+    /// when [`MAX_DIGESTS`] are.
+    fn fold(&mut self, agg: DigestAggregate) {
+        if let Some(held) = self.aggregates.get_mut(&agg.digest) {
+            return held.merge(agg);
+        }
+        while self.aggregates.len() >= MAX_DIGESTS {
+            let Reverse((execs, digest)) = self.evict.pop().expect("one entry per held digest");
+            let now = self.aggregates[&digest].execs;
+            if now == execs {
+                self.aggregates.remove(&digest);
+                registry::global().inc(names::STORE_EVICTIONS_TOTAL, 1);
+            } else {
+                self.evict.push(Reverse((now, digest)));
+            }
+        }
+        self.evict.push(Reverse((agg.execs, agg.digest)));
+        self.aggregates.insert(agg.digest, agg);
+    }
 }
 
 /// The query store. Use [`QueryStore::global`] for the process-wide
@@ -252,6 +284,8 @@ impl Default for QueryStore {
     }
 }
 
+/// Digests a store keeps aggregates for.
+pub const MAX_DIGESTS: usize = 4096;
 /// Ring-buffer capacity of a fresh store.
 pub const DEFAULT_RING_CAPACITY: usize = 512;
 /// Slow-query log capacity of a fresh store.
@@ -264,6 +298,7 @@ impl QueryStore {
         QueryStore {
             inner: Mutex::new(Inner {
                 aggregates: BTreeMap::new(),
+                evict: BinaryHeap::new(),
                 ring: VecDeque::new(),
                 ring_capacity: DEFAULT_RING_CAPACITY,
                 slow: VecDeque::new(),
@@ -318,50 +353,31 @@ impl QueryStore {
         let slow = rec.latency_nanos >= self.slow_threshold_nanos();
         {
             let mut inner = self.inner.lock().unwrap();
-            let agg = inner
-                .aggregates
-                .entry(rec.digest)
-                .or_insert_with(|| DigestAggregate::new(rec.digest, &rec.shape));
-            agg.execs += 1;
-            if rec.cache_hit {
-                agg.cache_hits += 1;
-            } else {
-                agg.cache_misses += 1;
-            }
-            agg.rows_in_total += rec.rows_in;
-            agg.rows_out_total += rec.rows_out;
-            agg.latency.observe(rec.latency_nanos as f64 / 1e9);
-            agg.workers_last = rec.workers;
-            for (node, rows) in &rec.node_rows {
-                *agg.node_rows.entry(*node).or_insert(0) += rows;
-            }
-            if !rec.node_est.is_empty() {
-                agg.node_est = rec.node_est.iter().copied().collect();
-            }
-
+            let sample = ExecSample {
+                digest: rec.digest,
+                latency_nanos: rec.latency_nanos,
+                rows_out: rec.rows_out,
+                cache_hit: rec.cache_hit,
+                workers: rec.workers,
+            };
+            let slow_query = slow.then(|| SlowQuery {
+                digest: rec.digest,
+                shape: rec.shape.clone(),
+                latency_nanos: rec.latency_nanos,
+                explain: rec.explain.clone().unwrap_or_default(),
+            });
+            inner.fold(DigestAggregate::of(rec));
             if inner.ring_capacity > 0 {
                 if inner.ring.len() == inner.ring_capacity {
                     inner.ring.pop_front();
                 }
-                inner.ring.push_back(ExecSample {
-                    digest: rec.digest,
-                    latency_nanos: rec.latency_nanos,
-                    rows_out: rec.rows_out,
-                    cache_hit: rec.cache_hit,
-                    workers: rec.workers,
-                });
+                inner.ring.push_back(sample);
             }
-
-            if slow && inner.slow_capacity > 0 {
+            if let Some(captured) = slow_query.filter(|_| inner.slow_capacity > 0) {
                 if inner.slow.len() == inner.slow_capacity {
                     inner.slow.pop_front();
                 }
-                inner.slow.push_back(SlowQuery {
-                    digest: rec.digest,
-                    shape: rec.shape.clone(),
-                    latency_nanos: rec.latency_nanos,
-                    explain: rec.explain.unwrap_or_default(),
-                });
+                inner.slow.push_back(captured);
             }
         }
         registry::global().inc(names::STORE_RECORDS_TOTAL, 1);
@@ -395,6 +411,7 @@ impl QueryStore {
     pub fn clear(&self) {
         let mut inner = self.inner.lock().unwrap();
         inner.aggregates.clear();
+        inner.evict.clear();
         inner.ring.clear();
         inner.slow.clear();
     }
@@ -436,26 +453,7 @@ impl QueryStore {
                     continue;
                 }
             };
-            match inner.aggregates.get_mut(&agg.digest) {
-                None => {
-                    inner.aggregates.insert(agg.digest, agg);
-                }
-                Some(existing) => {
-                    existing.execs += agg.execs;
-                    existing.cache_hits += agg.cache_hits;
-                    existing.cache_misses += agg.cache_misses;
-                    existing.rows_in_total += agg.rows_in_total;
-                    existing.rows_out_total += agg.rows_out_total;
-                    existing.latency.merge(&agg.latency);
-                    existing.workers_last = agg.workers_last;
-                    for (node, rows) in agg.node_rows {
-                        *existing.node_rows.entry(node).or_insert(0) += rows;
-                    }
-                    if !agg.node_est.is_empty() {
-                        existing.node_est = agg.node_est;
-                    }
-                }
-            }
+            inner.fold(agg);
             report.loaded += 1;
         }
         report
@@ -553,6 +551,38 @@ mod tests {
         assert_eq!(store.aggregates().len(), 2);
         let p50 = agg.latency_quantile(0.5);
         assert!(p50 > 0.0 && p50 < 0.01, "{p50}");
+    }
+
+    /// One digest past the cap, recorded or loaded, evicts the
+    /// least-executed digest held (the lowest digest on a tie) and keeps
+    /// the map at the cap.
+    #[test]
+    fn digests_past_the_cap_evict_the_least_executed() {
+        let evictions = || registry::global().counter(names::STORE_EVICTIONS_TOTAL);
+        let store = QueryStore::new();
+        let cap = MAX_DIGESTS as u64;
+        // Digests 1..=cap once each, then 1 and 2 again: 3 is the lowest of
+        // the least executed.
+        (1..=cap).chain([1, 2]).for_each(|d| store.record(rec(d, 1, false)));
+        let before = evictions();
+        store.record(rec(cap + 1, 1, false));
+        assert_eq!(store.aggregates().len(), MAX_DIGESTS);
+        assert!(store.aggregate(3).is_none() && store.aggregate(cap + 1).is_some());
+        assert!(evictions() > before);
+        // Loaded: digest d held d times, plus one more; digest 1 goes, and
+        // the newcomer stays even though it is the least executed.
+        let held: Vec<DigestAggregate> = (1..=cap + 1)
+            .map(|d| DigestAggregate {
+                execs: if d > cap { 1 } else { d + 1 },
+                ..DigestAggregate::of(ExecRecord { digest: d, ..ExecRecord::default() })
+            })
+            .collect();
+        let text: String = held.iter().map(|a| a.to_json_line() + "\n").collect();
+        let loaded = QueryStore::new();
+        assert_eq!(loaded.load_jsonl_str(&text).loaded, MAX_DIGESTS + 1);
+        assert_eq!(loaded.aggregates().len(), MAX_DIGESTS);
+        assert!(loaded.aggregate(1).is_none() && loaded.aggregate(cap + 1).is_some());
+        assert!(loaded.aggregate(2).is_some());
     }
 
     #[test]

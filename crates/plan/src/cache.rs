@@ -59,7 +59,6 @@ pub struct PropertyCache {
     unique: RefCell<NodeMap<UniqueKey, Rc<Vec<BTreeSet<usize>>>>>,
     empty: RefCell<NodeMap<usize, bool>>,
     lineage: RefCell<NodeMap<usize, Rc<Vec<Option<Origin>>>>>,
-    nullable: RefCell<NodeMap<usize, Rc<BTreeSet<usize>>>>,
     /// Strong refs backing every pointer key (see module docs).
     keepalive: RefCell<Vec<PlanRef>>,
     hits: Cell<u64>,
@@ -79,8 +78,7 @@ impl PropertyCache {
             misses: self.misses.get(),
             entries: self.unique.borrow().len()
                 + self.empty.borrow().len()
-                + self.lineage.borrow().len()
-                + self.nullable.borrow().len(),
+                + self.lineage.borrow().len(),
         }
     }
 
@@ -154,28 +152,6 @@ impl PropertyCache {
     /// The base-table origin of one output ordinal, via [`Self::lineage`].
     pub fn origin(&self, plan: &PlanRef, ord: usize) -> Option<Origin> {
         self.lineage(plan).get(ord).cloned().flatten()
-    }
-
-    /// Memoized nullable-output-ordinal set (from the node's schema, which
-    /// already accounts for outer-join NULL padding).
-    pub fn nullable_columns(&self, plan: &PlanRef) -> Rc<BTreeSet<usize>> {
-        let key = Arc::as_ptr(plan) as usize;
-        if let Some(n) = self.nullable.borrow().get(&key) {
-            self.hit();
-            return Rc::clone(n);
-        }
-        self.miss(plan);
-        let n: Rc<BTreeSet<usize>> = Rc::new(
-            plan.schema()
-                .fields()
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| f.nullable)
-                .map(|(i, _)| i)
-                .collect(),
-        );
-        self.nullable.borrow_mut().insert(key, Rc::clone(&n));
-        n
     }
 }
 

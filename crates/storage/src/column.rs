@@ -361,43 +361,49 @@ impl Column {
         let picked: Vec<bool> = indices.iter().map(|&i| v[i]).collect();
         picked.contains(&false).then_some(picked)
     }
+}
 
-    /// Gather with NULL padding: `None` slots become NULL rows (the
-    /// outer-join no-match case).
-    pub fn gather_opt(&self, indices: &[Option<usize>]) -> Column {
-        if indices.is_empty() {
-            return Column { data: self.data.empty_like(0), validity: None };
+/// The row id of no row in [`gather_ids`].
+pub const NO_ROW: u32 = u32::MAX;
+
+/// Each of `columns` gathered by `u32` row ids, a [`NO_ROW`] slot a NULL row
+/// (an outer join's no-match). Which slots those are is found once, and
+/// shared by every column without a mask of its own.
+pub fn gather_ids<'a>(
+    columns: impl IntoIterator<Item = &'a Column> + 'a,
+    rows: &'a [u32],
+) -> impl Iterator<Item = Column> + 'a {
+    // A NO_ROW slot reads the last row, then takes the default: two
+    // branch-free passes.
+    fn pick<T: Copy + Default>(v: &[T], rows: &[u32]) -> Vec<T> {
+        let Some(last) = v.len().checked_sub(1) else { return vec![T::default(); rows.len()] };
+        let mut out: Vec<T> = rows.iter().map(|&r| v[(r as usize).min(last)]).collect();
+        for (x, &r) in out.iter_mut().zip(rows) {
+            *x = if r == NO_ROW { T::default() } else { *x };
         }
-        let mut any_null = false;
-        let validity: Vec<bool> = indices
-            .iter()
-            .map(|ix| {
-                let valid = ix.is_some_and(|i| !self.is_null(i));
-                any_null |= !valid;
-                valid
-            })
-            .collect();
-        let data = match &self.data {
-            ColumnData::Int(v) => {
-                ColumnData::Int(indices.iter().map(|ix| ix.map_or(0, |i| v[i])).collect())
-            }
-            ColumnData::Dec { units, scale } => ColumnData::Dec {
-                units: indices.iter().map(|ix| ix.map_or(0, |i| units[i])).collect(),
-                scale: *scale,
-            },
-            ColumnData::Bool(v) => {
-                ColumnData::Bool(indices.iter().map(|ix| ix.is_some_and(|i| v[i])).collect())
-            }
-            ColumnData::Date(v) => {
-                ColumnData::Date(indices.iter().map(|ix| ix.map_or(0, |i| v[i])).collect())
-            }
-            ColumnData::Str(s) => ColumnData::Str(StrColumn {
-                dict: s.dict.clone(),
-                codes: indices.iter().map(|ix| ix.map_or(0, |i| s.codes[i])).collect(),
-            }),
-        };
-        Column { data, validity: if any_null { Some(validity) } else { None } }
+        out
     }
+    let found: Option<Vec<bool>> =
+        rows.contains(&NO_ROW).then(|| rows.iter().map(|&r| r != NO_ROW).collect());
+    columns.into_iter().map(move |c| {
+        let data = match &c.data {
+            _ if rows.is_empty() => c.data.empty_like(0),
+            ColumnData::Int(v) => ColumnData::Int(pick(v, rows)),
+            ColumnData::Dec { units, scale } => {
+                ColumnData::Dec { units: pick(units, rows), scale: *scale }
+            }
+            ColumnData::Bool(v) => ColumnData::Bool(pick(v, rows)),
+            ColumnData::Date(v) => ColumnData::Date(pick(v, rows)),
+            ColumnData::Str(s) => {
+                ColumnData::Str(StrColumn { dict: s.dict.clone(), codes: pick(&s.codes, rows) })
+            }
+        };
+        let validity = match &c.validity {
+            None => found.clone(),
+            Some(v) => Some(pick(v, rows)).filter(|picked| picked.contains(&false)),
+        };
+        Column { data, validity }
+    })
 }
 
 fn type_err(ty: SqlType, v: &Value) -> VdmError {
@@ -682,16 +688,17 @@ mod tests {
     }
 
     #[test]
-    fn gather_opt_pads_none_with_nulls() {
+    fn gather_ids_pads_no_row_with_nulls() {
         let c = Column::from_values(SqlType::Text, &[Value::str("a"), Value::Null]).unwrap();
-        let g = c.gather_opt(&[Some(0), None, Some(1), Some(0)]);
+        let g = gather_ids([&c], &[0, NO_ROW, 1, 0]).next().unwrap();
         assert_eq!(g.get(0), Value::str("a"));
         assert_eq!(g.get(1), Value::Null);
         assert_eq!(g.get(2), Value::Null);
         assert_eq!(g.get(3), Value::str("a"));
         // All-valid gather over a null-free column drops the validity mask.
         let dense = Column::from_values(SqlType::Int, &[Value::Int(1), Value::Int(2)]).unwrap();
-        let g = dense.gather_opt(&[Some(1), Some(0)]);
+        let g = gather_ids([&dense], &[1, 0]).next().unwrap();
+        assert_eq!(g.validity(), None);
         assert!(!g.is_null(0) && !g.is_null(1));
         assert_eq!(g.get(0), Value::Int(2));
     }
@@ -708,7 +715,7 @@ mod tests {
             ColumnData::Str(s) => assert!(s.dict.is_empty(), "dict must not be cloned"),
             other => panic!("expected Str, got {other:?}"),
         }
-        let g = c.gather_opt(&[]);
+        let g = gather_ids([&c], &[]).next().unwrap();
         assert_eq!(g.len(), 0);
         // Decimal scale survives an empty gather.
         let d = Column::from_values(SqlType::Decimal { scale: 2 }, &[Value::Null]).unwrap();

@@ -1,10 +1,10 @@
 //! The one typed hash and the one table that finds rows by it ([`KeyTable`],
-//! keys compared by [`keys_equal`]). Keys equal under [`Value`] equality hash
+//! keys compared by [`KeyEq`]). Keys equal under [`Value`] equality hash
 //! alike only *within one physical column type*: across two batches, check
 //! [`Column::sql_type`] equality first, else hash through `Value::hash` as
 //! [`hash_side`] and [`hash_values`] do.
 
-use crate::column::{Column, ColumnData};
+use crate::column::{Column, ColumnData, StrColumn};
 use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
@@ -135,8 +135,8 @@ fn hash_column_into(col: &Column, rows: impl Iterator<Item = usize>, hashes: &mu
 }
 
 /// Combines `payload(row)` into each row's hash; a NULL slot contributes the
-/// sentinel instead. A column without a validity mask (NOT NULL keys) takes
-/// the dense loop, which stays branch-free.
+/// sentinel instead, selected by mask (NULLs scattered through a column
+/// would mispredict a branch), so `payload` also reads NULL slots.
 #[inline]
 fn mix_into(
     hashes: &mut [u64],
@@ -147,9 +147,10 @@ fn mix_into(
     let at = hashes.iter_mut().zip(rows);
     match valid {
         None => at.for_each(|(h, r)| *h = combine(*h, payload(r))),
-        Some(v) => {
-            at.for_each(|(h, r)| *h = combine(*h, if v[r] { payload(r) } else { NULL_PAYLOAD }))
-        }
+        Some(v) => at.for_each(|(h, r)| {
+            let keep = u64::from(v[r]).wrapping_neg();
+            *h = combine(*h, (payload(r) & keep) | (NULL_PAYLOAD & !keep))
+        }),
     }
 }
 
@@ -167,32 +168,75 @@ pub fn hash_keys(
     hashes
 }
 
-/// Whether row `i` of key columns `a` equals row `j` of `b` under [`Value`]
-/// equality, NULL equal to NULL (a join and a unique constraint drop NULL
-/// keys before they hash). Payloads compare in place, strings by content;
-/// only a cross-type pair (`INT` and `DECIMAL`, two scales) goes by `Value`.
-#[inline]
-pub fn keys_equal(
-    a: &[impl Borrow<Column>],
-    i: usize,
-    b: &[impl Borrow<Column>],
-    j: usize,
-) -> bool {
-    use ColumnData::*;
-    a.iter().zip(b).all(|(a, b)| {
-        let (a, b) = (a.borrow(), b.borrow());
-        match (a.is_null(i), b.is_null(j)) {
-            (false, false) => match (a.data(), b.data()) {
-                (Int(x), Int(y)) => x[i] == y[j],
-                (Dec { units: x, scale: s }, Dec { units: y, scale: t }) if s == t => x[i] == y[j],
-                (Bool(x), Bool(y)) => x[i] == y[j],
-                (Date(x), Date(y)) => x[i] == y[j],
-                (Str(x), Str(y)) => x.dict[x.codes[i] as usize] == y.dict[y.codes[j] as usize],
-                _ => a.get(i) == b.get(j),
-            },
-            (a_null, b_null) => a_null && b_null,
-        }
-    })
+/// Key equality between two sets of key columns: row `i` of `a` against
+/// row `j` of `b` under [`Value`] equality, NULL equal to NULL (a join and a
+/// unique constraint drop NULL keys before they hash). Each key pair is
+/// resolved once to typed payload slices: strings of two dictionaries
+/// compare by content, of one column by code; only a cross-type pair (`INT`
+/// and `DECIMAL`, two scales) goes by `Value`.
+pub struct KeyEq<'a> {
+    /// Per key pair: both validity masks and the payloads.
+    parts: Vec<([Option<&'a [bool]>; 2], Cells<'a>)>,
+}
+
+/// `Dec` is one scale; `Code`, one string column against itself (its
+/// dictionary holds each string once).
+enum Cells<'a> {
+    Int(&'a [i64], &'a [i64]),
+    Dec(&'a [i128], &'a [i128]),
+    Bool(&'a [bool], &'a [bool]),
+    Date(&'a [i32], &'a [i32]),
+    Code(&'a [u32]),
+    Str(&'a StrColumn, &'a StrColumn),
+    Value(&'a Column, &'a Column),
+}
+
+impl<'a> KeyEq<'a> {
+    /// The comparator of key columns `a` against `b`, pair by pair.
+    pub fn new(a: &'a [impl Borrow<Column>], b: &'a [impl Borrow<Column>]) -> KeyEq<'a> {
+        use ColumnData::*;
+        let part = |a: &'a Column, b: &'a Column| {
+            let cells = match (a.data(), b.data()) {
+                (Int(x), Int(y)) => Cells::Int(x, y),
+                (Dec { units: x, scale: s }, Dec { units: y, scale: t }) if s == t => {
+                    Cells::Dec(x, y)
+                }
+                (Bool(x), Bool(y)) => Cells::Bool(x, y),
+                (Date(x), Date(y)) => Cells::Date(x, y),
+                (Str(x), Str(y)) if std::ptr::eq(x, y) => {
+                    let mut seen = std::collections::HashSet::new();
+                    debug_assert!(x.dict.iter().all(|d| seen.insert(d)), "a duplicated string");
+                    Cells::Code(&x.codes)
+                }
+                (Str(x), Str(y)) => Cells::Str(x, y),
+                _ => Cells::Value(a, b),
+            };
+            ([a.validity(), b.validity()], cells)
+        };
+        KeyEq { parts: a.iter().zip(b).map(|(a, b)| part(a.borrow(), b.borrow())).collect() }
+    }
+
+    /// Whether row `i` of `a` holds the key of row `j` of `b`. Fixed-width
+    /// payloads compare without a branch (a NULL slot holds one too).
+    #[inline]
+    pub fn eq(&self, i: usize, j: usize) -> bool {
+        self.parts.iter().all(|([a, b], cells)| {
+            let (a, b) = (a.is_none_or(|v| v[i]), b.is_none_or(|v| v[j]));
+            let same = match *cells {
+                Cells::Int(x, y) => x[i] == y[j],
+                Cells::Dec(x, y) => x[i] == y[j],
+                Cells::Bool(x, y) => x[i] == y[j],
+                Cells::Date(x, y) => x[i] == y[j],
+                Cells::Code(c) => c[i] == c[j],
+                // A NULL slot's code may index an empty dictionary.
+                Cells::Str(x, y) => {
+                    a && b && x.dict[x.codes[i] as usize] == y.dict[y.codes[j] as usize]
+                }
+                Cells::Value(x, y) => a && b && x.get(i) == y.get(j),
+            };
+            (a & b & same) | (!a & !b)
+        })
+    }
 }
 
 /// Hashes of key columns `cols` at `rows` for a lookup between two batches:
@@ -214,7 +258,7 @@ pub fn hash_side(cols: &[impl Borrow<Column>], rows: Range<usize>, typed: bool) 
 /// A chained hash table of row references `R` over key columns the caller
 /// owns; it stores no key. A lookup walks the chain of the hash's slot past
 /// entries whose full hash differs; the caller compares the rest's cells
-/// ([`keys_equal`]). Slots take the hash's high bits, so a caller may
+/// ([`KeyEq`]). Slots take the hash's high bits, so a caller may
 /// partition on the low ones. Ids are `0..len`, in insertion order until a
 /// remove hands the removed id to the last entry.
 #[derive(Debug, Clone)]

@@ -2,7 +2,7 @@
 //! tombstone log — each typed columns with per-row visibility stamps.
 
 use crate::column::{Batch, Column};
-use crate::hash::{hash_keys, keys_equal, KeyTable};
+use crate::hash::{hash_keys, KeyEq, KeyTable};
 use crate::nse::{LoadMode, PageBuffer, PageStats};
 use crate::zonemap::{ScanRange, ZoneMaps, ZONE_BLOCK_ROWS};
 use std::ops::Range;
@@ -281,15 +281,13 @@ impl TableStore {
             let (cols, rows) = &mut self.key_index[ki];
             let frags = [&self.main.columns, &self.delta.columns, columns];
             let [main, delta, incoming] = frags.map(|frag| key_cols(cols, frag));
-            let cells = |r: RowRef| match r {
-                RowRef::Main(i) => (&main, i as usize),
-                RowRef::Delta(i) if (i as usize) < base => (&delta, i as usize),
-                RowRef::Delta(i) => (&incoming, i as usize - base),
-            };
+            let [main, delta, batch] =
+                [&main, &delta, &incoming].map(|held| KeyEq::new(held, &incoming));
             for (r, h) in keyed(&incoming, &all) {
-                let same = |held| {
-                    let (held, i) = cells(held);
-                    keys_equal(held, i, &incoming, r)
+                let same = |held| match held {
+                    RowRef::Main(i) => main.eq(i as usize, r),
+                    RowRef::Delta(i) if (i as usize) < base => delta.eq(i as usize, r),
+                    RowRef::Delta(i) => batch.eq(i as usize - base, r),
                 };
                 let (id, fresh) = rows.find_or_insert(h, RowRef::Delta((base + r) as u32), same);
                 if fresh {
@@ -1252,10 +1250,12 @@ mod tests {
     fn keys_sharing_a_hash_are_told_apart_cell_by_cell() {
         let col = Column::from_values(SqlType::Int, &[Value::Int(1), Value::Int(2), Value::Int(2)]);
         let col = &[col.unwrap()];
+        let eq = KeyEq::new(col, col);
         let same = |r: usize| {
+            let eq = &eq;
             move |held: RowRef| {
                 let RowRef::Delta(i) = held else { unreachable!("every row is a delta row") };
-                keys_equal(col, i as usize, col, r)
+                eq.eq(i as usize, r)
             }
         };
         let mut rows = KeyTable::with_capacity(0);

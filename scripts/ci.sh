@@ -216,6 +216,21 @@ if [ -n "$KEY_MAPS" ] || [ "$KEY_TABLES" != "1" ]; then
   echo "find rows by key through the one KeyTable (found $KEY_TABLES definitions), not a Vec<Value>-keyed map or a private chain"; exit 1
 fi
 
+echo "== one key equality, one build-column gather (the N:1 probe runs a morsel at a time) =="
+# Keys compare through vdm_storage::hash::KeyEq, resolved once per batch, at
+# every caller, and a probe gathers each build column once by u32 row ids
+# (NO_ROW = a NULL pad): outside tests (cut as scripts/loc.sh cuts), no free
+# keys_equal and no gather_opt anywhere, and no Vec<Option<usize>> of build
+# rows in the crates that find rows by key (the optimizer's column maps keep
+# theirs: a column that maps or is pruned).
+KEY_EQ="$(printf '%s\n' "$KEY_SCAN" | grep -E 'fn keys_equal\(|gather_opt' || true)"
+OPT_ROWS="$(printf '%s\n' "$KEY_SCAN" \
+  | grep -E '^crates/(exec|storage|cache|model)/src/[^:]*:[0-9]+: .*Vec<Option<usize>>' || true)"
+if [ -n "$KEY_EQ$OPT_ROWS" ]; then
+  printf '%s\n%s\n' "$KEY_EQ" "$OPT_ROWS"
+  echo "compare keys through hash::KeyEq and gather build columns with column::gather_ids"; exit 1
+fi
+
 echo "== touched fields only (rows are built from referenced columns; one predicate evaluator) =="
 # Outside test modules, vdm-exec never materializes a whole row (`.row(`):
 # filters, projections, sort keys, join residuals and aggregate arguments
@@ -279,14 +294,14 @@ if [ "$MATERIALIZE" != "recompute" ] || [ "$PUSHED" != "recompute_groups" ]; the
 fi
 
 echo "== non-test source size (scripts/loc.sh) =="
-# The size to beat is 24 432 lines, set when the join build, the group
-# table, the unique-key index, the cached view's groups and retractions and
-# the join-cardinality verifier came to share one KeyTable (-3 from 24 435);
-# a change that lowers it rebases it here.
+# The size to beat is 24 350 lines, set when the N:1 probe came to look a
+# morsel up at a time through one key comparator and the metric catalog to
+# declare each metric once (-82 from 24 432); a change that lowers it
+# rebases it here.
 LOC_TOTAL="$(scripts/loc.sh | awk '$1 == "total" { print $2 }')"
 echo "total $LOC_TOTAL"
-if [ "$LOC_TOTAL" -gt 24432 ]; then
-  echo "non-test source grew past 24 432 lines"; exit 1
+if [ "$LOC_TOTAL" -gt 24350 ]; then
+  echo "non-test source grew past 24 350 lines"; exit 1
 fi
 
 echo "== metrics are registered only through vdm-obs (no stray metric name literals) =="
