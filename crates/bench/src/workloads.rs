@@ -104,7 +104,7 @@ pub fn browser_server(journal_rows: usize, configure: impl FnOnce(&mut Database)
     let (catalog, engine) = db.catalog_and_engine();
     let browser = load_erp(catalog, engine, journal_rows);
     db.invalidate_plans();
-    db.register_view("journal_entry_item_browser", browser);
+    db.register_view("journal_entry_item_browser", browser).unwrap();
     Server::from_database(db)
 }
 

@@ -573,6 +573,9 @@ impl CachedView {
         let _span = qtrace::span("view.maintain");
         qtrace::attr("view", &self.name);
         let started = Instant::now();
+        // No read pin is needed across this pass: the insert feed reads at
+        // `now`, and retractions come from the tombstone log, which a
+        // compacting merge keeps.
         let now = engine.snapshot();
         let (as_of, current) = {
             let state = self.state.lock().unwrap();

@@ -49,7 +49,7 @@ fn unchanged_join_sides_are_built_once_and_rebuilt_only_when_written() {
         db.engine().merge_delta(&table).unwrap();
     }
     let browser = journal_entry_item_browser(&schema).unwrap();
-    db.register_view("journal_entry_item_browser", browser.protected);
+    db.register_view("journal_entry_item_browser", browser.protected).unwrap();
     for (name, sql) in VIEWS {
         db.create_cached_view(name, sql, CacheMode::Dynamic).unwrap();
     }

@@ -1,4 +1,4 @@
-//! Catalog: tables, constraints, and SQL view definitions.
+//! Catalog: tables and their constraints.
 //!
 //! The catalog is the metadata source the optimizer's uniqueness analysis
 //! feeds on (§4.2 of the paper): primary keys and unique constraints seed
@@ -7,6 +7,10 @@
 //! keys are *infrequent* in the SAP ecosystem — our ERP generator mirrors
 //! that by mostly omitting them, which is why declared join cardinalities
 //! (§7.3) exist as an alternative witness.
+//!
+//! Views are not kept here: every view is a bound plan in
+//! `vdm_plan::ViewRegistry`, and the database state that owns both
+//! (`vdm_core::DbState`) keeps tables and views in one namespace.
 
 mod table;
 
@@ -16,21 +20,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use vdm_types::{Result, VdmError};
 
-/// A named SQL-text view registered through DDL.
-///
-/// Views built programmatically (the VDM layer) are registered as logical
-/// plans in `vdm_plan::ViewRegistry` instead; the binder consults both.
-#[derive(Debug, Clone)]
-pub struct SqlView {
-    pub name: String,
-    pub sql: String,
-}
-
-/// The schema catalog: tables and SQL views, case-insensitive by name.
+/// The schema catalog: tables, case-insensitive by name.
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
     tables: HashMap<String, Arc<TableDef>>,
-    views: HashMap<String, Arc<SqlView>>,
 }
 
 impl Catalog {
@@ -39,36 +32,15 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Registers a table; errors on duplicate names (tables and views share
-    /// one namespace).
+    /// Registers a table; errors on duplicate names.
     pub fn create_table(&mut self, table: TableDef) -> Result<Arc<TableDef>> {
         let key = table.name.to_ascii_lowercase();
-        if self.tables.contains_key(&key) || self.views.contains_key(&key) {
+        if self.tables.contains_key(&key) {
             return Err(VdmError::Catalog(format!("relation {:?} already exists", table.name)));
         }
         let arc = Arc::new(table);
         self.tables.insert(key, Arc::clone(&arc));
         Ok(arc)
-    }
-
-    /// Registers a SQL-text view; errors on duplicates.
-    pub fn create_view(&mut self, name: &str, sql: &str) -> Result<()> {
-        let key = name.to_ascii_lowercase();
-        if self.tables.contains_key(&key) || self.views.contains_key(&key) {
-            return Err(VdmError::Catalog(format!("relation {name:?} already exists")));
-        }
-        self.views.insert(key, Arc::new(SqlView { name: name.to_string(), sql: sql.to_string() }));
-        Ok(())
-    }
-
-    /// Replaces or registers a SQL-text view (CREATE OR REPLACE VIEW).
-    pub fn create_or_replace_view(&mut self, name: &str, sql: &str) -> Result<()> {
-        let key = name.to_ascii_lowercase();
-        if self.tables.contains_key(&key) {
-            return Err(VdmError::Catalog(format!("{name:?} is a table, not a view")));
-        }
-        self.views.insert(key, Arc::new(SqlView { name: name.to_string(), sql: sql.to_string() }));
-        Ok(())
     }
 
     /// Looks up a table by name.
@@ -79,11 +51,6 @@ impl Catalog {
     /// Looks up a table, erroring with the unknown name.
     pub fn table_or_err(&self, name: &str) -> Result<Arc<TableDef>> {
         self.table(name).ok_or_else(|| VdmError::Catalog(format!("unknown table {name:?}")))
-    }
-
-    /// Looks up a SQL view by name.
-    pub fn view(&self, name: &str) -> Option<Arc<SqlView>> {
-        self.views.get(&name.to_ascii_lowercase()).cloned()
     }
 
     /// Drops a table (no-op error if missing).
@@ -97,13 +64,6 @@ impl Catalog {
     /// All table names, sorted (deterministic listings for tests/tools).
     pub fn table_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.tables.values().map(|t| t.name.clone()).collect();
-        names.sort();
-        names
-    }
-
-    /// All view names, sorted.
-    pub fn view_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.views.values().map(|v| v.name.clone()).collect();
         names.sort();
         names
     }
@@ -133,16 +93,13 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_names_rejected_across_tables_and_views() {
+    fn duplicate_table_names_rejected() {
         let mut cat = Catalog::new();
         cat.create_table(customer()).unwrap();
         assert!(cat.create_table(customer()).is_err());
-        assert!(cat.create_view("customer", "select 1").is_err());
-        cat.create_view("v1", "select 1").unwrap();
-        assert!(cat.create_view("V1", "select 2").is_err());
-        cat.create_or_replace_view("v1", "select 2").unwrap();
-        assert_eq!(cat.view("v1").unwrap().sql, "select 2");
-        assert!(cat.create_or_replace_view("customer", "select 3").is_err());
+        let mut upper = customer();
+        upper.name = "CUSTOMER".into();
+        assert!(cat.create_table(upper).is_err());
     }
 
     #[test]
@@ -157,8 +114,11 @@ mod tests {
     #[test]
     fn listings_are_sorted() {
         let mut cat = Catalog::new();
-        cat.create_view("zeta", "select 1").unwrap();
-        cat.create_view("alpha", "select 1").unwrap();
-        assert_eq!(cat.view_names(), vec!["alpha".to_string(), "zeta".to_string()]);
+        for name in ["zeta", "alpha"] {
+            let mut t = customer();
+            t.name = name.into();
+            cat.create_table(t).unwrap();
+        }
+        assert_eq!(cat.table_names(), vec!["alpha".to_string(), "zeta".to_string()]);
     }
 }

@@ -43,7 +43,7 @@ pub use vdm_exec::ParallelConfig;
 use vdm_exec::{ExecOptions, Metrics};
 use vdm_obs::{MetricsRegistry, QueryStore, QueryTrace};
 pub use vdm_optimizer::Profile;
-use vdm_plan::{PlanRef, ViewRegistry};
+use vdm_plan::PlanRef;
 use vdm_sql::Statement;
 use vdm_storage::{Batch, StorageEngine};
 use vdm_types::{Result, Value, VdmError};
@@ -173,21 +173,24 @@ impl Database {
     }
 
     /// Mutable catalog access (for generators). Note: direct catalog
-    /// mutation bypasses the metadata version counter; follow up with
-    /// [`Database::invalidate_plans`] if cached plans could be affected.
+    /// mutation bypasses both the metadata version counter and the check
+    /// that a new table's name is not a view's ([`DbState::create_table`]);
+    /// follow up with [`Database::invalidate_plans`] if cached plans could
+    /// be affected.
     pub fn catalog_mut(&mut self) -> &mut Catalog {
         &mut self.state.catalog
     }
 
     /// Split borrow for data generators that register schema and load data
-    /// in one call (`gen.build(catalog, engine)`).
+    /// in one call (`gen.build(catalog, engine)`). Bypasses the version
+    /// counter and the namespace check, as [`Database::catalog_mut`] does.
     pub fn catalog_and_engine(&mut self) -> (&mut Catalog, &StorageEngine) {
         (&mut self.state.catalog, &self.rt.engine)
     }
 
     /// Bumps the metadata version, invalidating every cached plan. Only
-    /// needed after out-of-band mutations via [`Database::catalog_mut`] /
-    /// [`Database::views_mut`]; the SQL surface bumps automatically.
+    /// needed after out-of-band mutations via [`Database::catalog_mut`];
+    /// the SQL surface and [`Database::register_view`] bump automatically.
     pub fn invalidate_plans(&mut self) {
         self.state.bump_version();
     }
@@ -197,16 +200,10 @@ impl Database {
         &self.rt.engine
     }
 
-    /// Plan-view registry access (for the VDM layer). See
-    /// [`Database::catalog_mut`] about plan invalidation.
-    pub fn views_mut(&mut self) -> &mut ViewRegistry {
-        &mut self.state.views
-    }
-
-    /// Registers a plan-backed view (VDM layer entry point).
-    pub fn register_view(&mut self, name: &str, plan: PlanRef) {
-        self.state.views.register(name, plan);
-        self.state.bump_version();
+    /// Registers (or replaces) a plan-backed view — the VDM layer's entry
+    /// point; errors when a table holds the name.
+    pub fn register_view(&mut self, name: &str, plan: PlanRef) -> Result<()> {
+        self.state.define_view(name, plan, true)
     }
 
     /// Creates a cached (materialized) view over a SELECT — the SCV/DCV
@@ -389,9 +386,7 @@ pub fn apply_statement(
     match stmt {
         Statement::CreateTable(ct) => {
             let def = state.binder().table_def(ct)?;
-            let arc = state.catalog.create_table(def)?;
-            engine.create_table(Arc::clone(&arc))?;
-            state.bump_version();
+            engine.create_table(state.create_table(def)?)?;
             Ok(StatementResult::Created(ct.name.clone()))
         }
         Statement::CreateView { name, or_replace, query, macros } => {
@@ -405,15 +400,10 @@ pub fn apply_statement(
                 (plan, defs)
             };
             // Views are registered as plans (inlined at bind time).
-            if *or_replace {
-                state.views.register(name, plan);
-            } else {
-                state.views.register_new(name, plan)?;
-            }
+            state.define_view(name, plan, *or_replace)?;
             for def in defs {
                 state.macros.insert(def.name.to_ascii_lowercase(), def);
             }
-            state.bump_version();
             Ok(StatementResult::Created(name.clone()))
         }
         Statement::DropTable { name, if_exists } => {

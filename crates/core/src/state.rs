@@ -1,9 +1,13 @@
 //! The mutable half of a database: everything bind/optimize reads.
 //!
-//! [`DbState`] groups the catalog, view registries, and optimizer behind a
-//! single value so a serving layer ([`vdm-serve`]) can put exactly the
-//! bind-time state behind one `RwLock` while the storage engine and plan
+//! [`DbState`] groups the catalog, the view registry, and the optimizer
+//! behind a single value so a serving layer ([`vdm-serve`]) can put exactly
+//! the bind-time state behind one `RwLock` while the storage engine and plan
 //! cache (both internally synchronized) stay lock-free at that level.
+//!
+//! Tables and views share one namespace, and this is where it is kept:
+//! [`DbState::create_table`] and [`DbState::define_view`] are the paths
+//! that create either, and each refuses a name the other kind holds.
 //!
 //! The struct carries a monotonically increasing **metadata version**.
 //! Every DDL-shaped mutation (CREATE/DROP TABLE, CREATE/DROP VIEW, plan
@@ -16,12 +20,14 @@
 //!
 //! [`vdm-serve`]: ../../vdm_serve/index.html
 
-use vdm_catalog::Catalog;
+use std::sync::Arc;
+use vdm_catalog::{Catalog, TableDef};
 use vdm_optimizer::{Optimizer, Profile};
-use vdm_plan::ViewRegistry;
+use vdm_plan::{PlanRef, ViewRegistry};
 use vdm_sql::{Binder, MacroRegistry};
+use vdm_types::{Result, VdmError};
 
-/// Catalog + view registries + optimizer + metadata version: the state a
+/// Catalog + view registry + optimizer + metadata version: the state a
 /// query's bind/optimize phase reads and DDL writes.
 pub struct DbState {
     pub catalog: Catalog,
@@ -53,6 +59,32 @@ impl DbState {
     /// binds (table/view creation or removal, macro registration).
     pub fn bump_version(&mut self) {
         self.version += 1;
+    }
+
+    /// Creates a table in the catalog; errors when a table or a view
+    /// already holds the name. The caller creates its storage.
+    pub fn create_table(&mut self, def: TableDef) -> Result<Arc<TableDef>> {
+        if self.views.get(&def.name).is_some() {
+            return Err(VdmError::Catalog(format!("relation {:?} is already a view", def.name)));
+        }
+        let table = self.catalog.create_table(def)?;
+        self.bump_version();
+        Ok(table)
+    }
+
+    /// Defines view `name` as `plan`; errors when a table holds the name,
+    /// or when a view does and `replace` is false.
+    pub fn define_view(&mut self, name: &str, plan: PlanRef, replace: bool) -> Result<()> {
+        if self.catalog.table(name).is_some() {
+            return Err(VdmError::Catalog(format!("relation {name:?} is already a table")));
+        }
+        if replace {
+            self.views.register(name, plan);
+        } else {
+            self.views.register_new(name, plan)?;
+        }
+        self.bump_version();
+        Ok(())
     }
 
     /// Swaps the optimizer profile. No version bump: the profile

@@ -9,7 +9,9 @@
 //! **30 many-to-one left-outer augmentation joins**, and record-wise DAC
 //! over the supplier (`lfa1`) and customer (`kna1`) joins.
 //!
-//! Structure used here (verified exactly by tests):
+//! The view is `CREATE VIEW` text, `journal_entry_item_browser.sql`, bound
+//! by the SQL binder as application DDL would be (structure verified
+//! exactly by tests):
 //!
 //! * interface view: `acdoca ⋈ t001 ⋈ t881` (inner, declared
 //!   many-to-exact-one — company and ledger always exist);
@@ -20,14 +22,14 @@
 //!   DAC), a 5-way business-partner UNION ALL (Fig. 11c), a per-document
 //!   GROUP BY aggregate, a DISTINCT existence dim, 3 country dims
 //!   (`⟕ G`), 4 text-joined dims, 3 three-level nested dims, 12 simple
-//!   dims, and 3 dims re-using another dim's scan (more sharing).
+//!   dims, and 3 dims re-using another dim's view (more sharing).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use vdm_catalog::{Catalog, TableBuilder, TableDef};
-use vdm_expr::Expr;
 use vdm_model::{AccessPolicy, DacRule};
-use vdm_plan::{DeclaredCardinality, JoinKind, LogicalPlan, PlanRef};
+use vdm_plan::{PlanRef, ViewRegistry};
+use vdm_sql::{Binder, MacroRegistry, Statement};
 use vdm_storage::StorageEngine;
 use vdm_types::{Decimal, Result, SqlType, Value, VdmError};
 
@@ -45,23 +47,21 @@ impl Default for Erp {
     }
 }
 
-/// Handle to the created schema.
+/// Handle to the created schema: a catalog of the ERP tables alone.
 #[derive(Debug, Clone)]
 pub struct ErpSchema {
-    tables: HashMap<String, Arc<TableDef>>,
+    catalog: Catalog,
 }
 
 impl ErpSchema {
     /// Looks up a table definition.
     pub fn table(&self, name: &str) -> Arc<TableDef> {
-        Arc::clone(self.tables.get(name).unwrap_or_else(|| panic!("missing ERP table {name}")))
+        self.catalog.table(name).unwrap_or_else(|| panic!("missing ERP table {name}"))
     }
 
     /// All table names.
     pub fn table_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.tables.keys().cloned().collect();
-        v.sort();
-        v
+        self.catalog.table_names()
     }
 }
 
@@ -119,12 +119,10 @@ impl Erp {
         catalog: &mut Catalog,
         engine: &StorageEngine,
     ) -> Result<ErpSchema> {
-        let mut tables = HashMap::new();
+        let mut tables = Catalog::new();
         let mut mk = |catalog: &mut Catalog, def: TableDef| -> Result<()> {
-            let name = def.name.clone();
-            let arc = catalog.create_table(def)?;
-            engine.create_table(Arc::clone(&arc))?;
-            tables.insert(name, arc);
+            engine.create_table(catalog.create_table(def.clone())?)?;
+            tables.create_table(def)?;
             Ok(())
         };
 
@@ -303,7 +301,7 @@ impl Erp {
                     .build()?,
             )?;
         }
-        Ok(ErpSchema { tables })
+        Ok(ErpSchema { catalog: tables })
     }
 
     /// Loads deterministic data into every table. Returns total rows.
@@ -491,37 +489,6 @@ impl Erp {
     }
 }
 
-/// Left-outer many-to-one augmentation join (the VDM workhorse).
-fn aj(left: PlanRef, right: PlanRef, on: Vec<(usize, usize)>) -> Result<PlanRef> {
-    LogicalPlan::join(
-        left,
-        right,
-        JoinKind::LeftOuter,
-        on,
-        None,
-        Some(DeclaredCardinality::ManyToOne),
-        false,
-    )
-}
-
-/// The shared country view `G = t005 ⟕ t005t ⟕ t005u` (3 scans, 2 joins).
-/// Output: land1, landx, regio, natio, bezei.
-fn country_view(schema: &ErpSchema) -> Result<PlanRef> {
-    let base = LogicalPlan::scan(schema.table("t005"));
-    let j1 = aj(base, LogicalPlan::scan(schema.table("t005t")), vec![(0, 0)])?;
-    let j2 = aj(j1, LogicalPlan::scan(schema.table("t005u")), vec![(0, 0)])?;
-    LogicalPlan::project(
-        j2,
-        vec![
-            (Expr::col(0), "land1".into()),
-            (Expr::col(1), "landx".into()),
-            (Expr::col(2), "regio".into()),
-            (Expr::col(4), "natio".into()),
-            (Expr::col(6), "bezei".into()),
-        ],
-    )
-}
-
 /// The assembled browser: view, DAC policy, and the protected plan.
 pub struct Browser {
     /// The full consumption view (before DAC).
@@ -532,210 +499,23 @@ pub struct Browser {
     pub protected: PlanRef,
 }
 
-/// Assembles the `journal_entry_item_browser` view over the ERP schema.
+/// The browser's DDL: the views it shares between augmenters, then the
+/// browser itself.
+pub const BROWSER_SQL: &str = include_str!("journal_entry_item_browser.sql");
+
+/// Binds the `journal_entry_item_browser` DDL over the ERP schema, each view
+/// over the ones before it, and protects the browser with the demo DAC
+/// policy.
 pub fn journal_entry_item_browser(schema: &ErpSchema) -> Result<Browser> {
-    // ---- Interface view: acdoca ⋈ t001 ⋈ t881 (exact-one inner joins).
-    let acdoca = LogicalPlan::scan(schema.table("acdoca"));
-    let fact_schema = acdoca.schema();
-    let fact_width = fact_schema.len();
-    let col_of = |name: &str| -> Result<usize> {
-        fact_schema
-            .index_of(name)
-            .ok_or_else(|| VdmError::Plan(format!("acdoca has no column {name}")))
-    };
-    let core = LogicalPlan::join(
-        acdoca,
-        LogicalPlan::scan(schema.table("t001")),
-        JoinKind::Inner,
-        vec![(col_of("rbukrs")?, 0)],
-        None,
-        Some(DeclaredCardinality::ManyToExactOne),
-        false,
-    )?;
-    let core = LogicalPlan::join(
-        core,
-        LogicalPlan::scan(schema.table("t881")),
-        JoinKind::Inner,
-        vec![(col_of("rldnr")?, 0)],
-        None,
-        Some(DeclaredCardinality::ManyToExactOne),
-        false,
-    )?;
-
-    let country = country_view(schema)?;
-
-    // ---- 30 augmentation joins; the final projection picks business
-    // fields from the positions each augmenter lands at.
-    let mut plan = core;
-    let mut exposed: Vec<(Expr, String)> = Vec::new();
-    for name in
-        ["rldnr", "rbukrs", "gjahr", "belnr", "docln", "hsl", "ksl", "msl", "drcrk", "budat"]
-    {
-        exposed.push((Expr::col(col_of(name)?), business_name(name).into()));
+    let (mut views, macros) = (ViewRegistry::new(), MacroRegistry::new());
+    for stmt in vdm_sql::parse(BROWSER_SQL)? {
+        let Statement::CreateView { name, query, .. } = stmt else {
+            return Err(VdmError::Plan("the browser DDL holds CREATE VIEW statements only".into()));
+        };
+        let plan = Binder::new(&schema.catalog, &views, &macros).bind_select(&query)?;
+        views.register_new(&name, plan)?;
     }
-    exposed.push((Expr::col(fact_width + 1), "CompanyName".into()));
-    exposed.push((Expr::col(fact_width + 5), "LedgerName".into()));
-
-    let mut joins = 0usize;
-    let mut add_aj = |plan: &mut PlanRef,
-                      augmenter: PlanRef,
-                      left_cols: Vec<usize>,
-                      right_cols: Vec<usize>,
-                      expose: Vec<(usize, String)>|
-     -> Result<()> {
-        let base = plan.schema().len();
-        let on = left_cols.into_iter().zip(right_cols).collect();
-        *plan = aj(plan.clone(), augmenter, on)?;
-        for (ofs, name) in expose {
-            exposed.push((Expr::col(base + ofs), name));
-        }
-        joins += 1;
-        Ok(())
-    };
-
-    // 1. Supplier (DAC target): lfa1 ⟕ G.
-    let supplier = aj(LogicalPlan::scan(schema.table("lfa1")), country.clone(), vec![(2, 0)])?;
-    add_aj(
-        &mut plan,
-        supplier,
-        vec![col_of("lifnr")?],
-        vec![0],
-        vec![
-            (1, "SupplierName".into()),
-            (3, "SupplierGroup".into()),
-            (5, "SupplierCountryName".into()),
-        ],
-    )?;
-    // 2. Customer (DAC target): kna1 ⟕ G.
-    let customer = aj(LogicalPlan::scan(schema.table("kna1")), country.clone(), vec![(2, 0)])?;
-    add_aj(
-        &mut plan,
-        customer,
-        vec![col_of("kunnr")?],
-        vec![0],
-        vec![
-            (1, "CustomerName".into()),
-            (2, "CustomerCountry".into()),
-            (5, "CustomerCountryName".into()),
-        ],
-    )?;
-    // 3. Business partner: five-way UNION ALL (Fig. 11c) with a branch id.
-    let partner = {
-        let mut arms = Vec::new();
-        for (i, role) in PARTNER_ROLES.iter().enumerate() {
-            let scan = LogicalPlan::scan(schema.table(role));
-            arms.push(LogicalPlan::project(
-                scan,
-                vec![
-                    (Expr::int(i as i64), "bp_type".into()),
-                    (Expr::col(0), "bp_id".into()),
-                    (Expr::col(1), "bp_name".into()),
-                ],
-            )?);
-        }
-        LogicalPlan::union_all(arms)?
-    };
-    add_aj(
-        &mut plan,
-        partner,
-        vec![col_of("bp_type")?, col_of("bp_id")?],
-        vec![0, 1],
-        vec![(2, "PartnerName".into())],
-    )?;
-    // 4. Open items per document: GROUP BY aggregate.
-    let open_items = LogicalPlan::aggregate(
-        LogicalPlan::scan(schema.table("bseg_open")),
-        vec![(Expr::col(0), "belnr".into())],
-        vec![
-            (vdm_expr::AggExpr::new(vdm_expr::AggFunc::Sum, Expr::col(2)), "open_amount".into()),
-            (vdm_expr::AggExpr::count_star(), "open_items".into()),
-        ],
-    )?;
-    add_aj(
-        &mut plan,
-        open_items,
-        vec![col_of("belnr")?],
-        vec![0],
-        vec![(1, "OpenAmount".into()), (2, "OpenItemCount".into())],
-    )?;
-    // 5. Attachment existence: DISTINCT.
-    let has_attachment = LogicalPlan::distinct(LogicalPlan::project(
-        LogicalPlan::scan(schema.table("attachments")),
-        vec![(Expr::col(0), "belnr".into())],
-    )?);
-    add_aj(&mut plan, has_attachment, vec![col_of("belnr")?], vec![0], vec![])?;
-    // 6-8. Country dims: base ⟕ shared G.
-    for (base, key) in COUNTRY_DIMS {
-        let b = LogicalPlan::scan(schema.table(base));
-        let dim = aj(b, country.clone(), vec![(2, 0)])?;
-        add_aj(
-            &mut plan,
-            dim,
-            vec![col_of(key)?],
-            vec![0],
-            vec![(1, format!("{}Name", business_name(key)))],
-        )?;
-    }
-    // 9-12. Text dims: base ⟕ texts.
-    for (base, texts, key) in TEXT_DIMS {
-        let b = LogicalPlan::scan(schema.table(base));
-        let t = LogicalPlan::scan(schema.table(texts));
-        let dim = aj(b, t, vec![(0, 0)])?;
-        add_aj(
-            &mut plan,
-            dim,
-            vec![col_of(key)?],
-            vec![0],
-            vec![(3, format!("{}Text", business_name(key)))],
-        )?;
-    }
-    // 13-15. Nested dims: (base ⟕ texts) ⟕ groups.
-    for (base, texts, groups, key) in NESTED_DIMS {
-        let b = LogicalPlan::scan(schema.table(base));
-        let t = LogicalPlan::scan(schema.table(texts));
-        let g = LogicalPlan::scan(schema.table(groups));
-        let bt = aj(b, t, vec![(0, 0)])?;
-        let dim = aj(bt, g, vec![(2, 0)])?;
-        add_aj(
-            &mut plan,
-            dim,
-            vec![col_of(key)?],
-            vec![0],
-            vec![
-                (4, format!("{}Text", business_name(key))),
-                (6, format!("{}Group", business_name(key))),
-            ],
-        )?;
-    }
-    // 16-27. Simple dims.
-    let mut simple_scans: HashMap<&str, PlanRef> = HashMap::new();
-    for (name, key) in SIMPLE_DIMS {
-        let scan = LogicalPlan::scan(schema.table(name));
-        simple_scans.insert(name, scan.clone());
-        add_aj(
-            &mut plan,
-            scan,
-            vec![col_of(key)?],
-            vec![0],
-            vec![(1, format!("{}Text", business_name(key)))],
-        )?;
-    }
-    // 28-30. Duplicate-reference dims: the SAME scan node joined again on a
-    // different fact column (DAG sharing).
-    for (shared, key) in DUP_DIMS {
-        let scan = simple_scans.get(shared).expect("dup dim shares a simple dim").clone();
-        add_aj(
-            &mut plan,
-            scan,
-            vec![col_of(key)?],
-            vec![0],
-            vec![(1, format!("{}Text", business_name(key)))],
-        )?;
-    }
-    debug_assert_eq!(joins, 30, "exactly 30 augmentation joins");
-
-    // ---- Consumption view projection (business field list).
-    let view = LogicalPlan::project(plan, exposed)?;
+    let view = views.get("journal_entry_item_browser").expect("the DDL defines the browser");
 
     // ---- DAC (record-wise access control for the demo user).
     let mut policy = AccessPolicy::new();
@@ -759,47 +539,6 @@ pub fn journal_entry_item_browser(schema: &ErpSchema) -> Result<Browser> {
     );
     let protected = policy.protect("kim", "journal_entry_item_browser", view.clone())?;
     Ok(Browser { view, policy, protected })
-}
-
-fn business_name(field: &str) -> &'static str {
-    match field {
-        "rldnr" => "Ledger",
-        "rbukrs" => "CompanyCode",
-        "gjahr" => "FiscalYear",
-        "belnr" => "AccountingDocument",
-        "docln" => "LineItem",
-        "hsl" => "AmountInCompanyCodeCurrency",
-        "ksl" => "AmountInGlobalCurrency",
-        "msl" => "Quantity",
-        "drcrk" => "DebitCreditCode",
-        "budat" => "PostingDate",
-        "racct" => "GLAccount",
-        "kostl" => "CostCenter",
-        "prctr" => "ProfitCenter",
-        "matnr" => "Material",
-        "aufnr" => "OrderID",
-        "pspnr" => "WBSElement",
-        "anln1" => "Asset",
-        "werks" => "Plant",
-        "bankl" => "Bank",
-        "site" => "Site",
-        "rtcur" => "TransactionCurrency",
-        "blart" => "DocumentType",
-        "usnam" => "CreatedBy",
-        "usnam2" => "ChangedBy",
-        "hwaer" => "CompanyCurrency",
-        "segment" => "Segment",
-        "psegment" => "PartnerSegment",
-        "gsber" => "BusinessArea",
-        "mwskz" => "TaxCode",
-        "zlsch" => "PaymentMethod",
-        "zterm" => "PaymentTerms",
-        "vbund" => "TradingPartner",
-        "mahns" => "DunningLevel",
-        "bschl" => "PostingKey",
-        "rmvct" => "TransactionType",
-        _ => "Field",
-    }
 }
 
 #[cfg(test)]

@@ -123,16 +123,18 @@ pub fn execute(plan: &PlanRef, engine: &StorageEngine) -> Result<Batch> {
     Ok(execute_with(plan, engine, &ExecOptions::default())?.batch)
 }
 
-/// Executes `plan` against `engine` as `opts` directs.
+/// Executes `plan` against `engine` as `opts` directs, holding a
+/// [`vdm_storage::ReadPin`] for the whole run so no merge compacts under it.
 pub fn execute_with(
     plan: &PlanRef,
     engine: &StorageEngine,
     opts: &ExecOptions,
 ) -> Result<Execution> {
     let config = opts.parallel.normalized();
+    let pin = engine.pin();
     let mut ctx = Ctx {
         engine,
-        snapshot: opts.snapshot.unwrap_or_else(|| engine.snapshot()),
+        snapshot: opts.snapshot.unwrap_or_else(|| pin.snapshot()),
         config,
         index: NodeIndex::new(plan),
         profile: QueryProfile::default(),

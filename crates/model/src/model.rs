@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use vdm_catalog::TableDef;
 use vdm_expr::Expr;
-use vdm_plan::{DeclaredCardinality, JoinKind, LogicalPlan, PlanRef, ViewRegistry};
+use vdm_plan::{DeclaredCardinality, JoinKind, LogicalPlan, PlanRef};
 use vdm_types::{Result, VdmError};
 
 /// The three VDM layers (paper Fig. 2).
@@ -44,11 +44,10 @@ pub struct VdmView {
     pub associations: Vec<Association>,
 }
 
-/// The model: all VDM views plus the registry used by the SQL binder.
+/// The model: all VDM views, by case-insensitive name.
 #[derive(Debug, Default)]
 pub struct VdmModel {
     views: HashMap<String, VdmView>,
-    registry: ViewRegistry,
 }
 
 impl VdmModel {
@@ -66,7 +65,6 @@ impl VdmModel {
         if self.views.contains_key(&key) {
             return Err(VdmError::Catalog(format!("VDM view {:?} already exists", view.name)));
         }
-        self.registry.register(&view.name, view.plan.clone());
         self.views.insert(key, view);
         Ok(())
     }
@@ -79,19 +77,13 @@ impl VdmModel {
             .views
             .get_mut(&key)
             .ok_or_else(|| VdmError::Catalog(format!("unknown VDM view {name:?}")))?;
-        view.plan = plan.clone();
-        self.registry.register(name, plan);
+        view.plan = plan;
         Ok(())
     }
 
     /// Looks a view up.
     pub fn view(&self, name: &str) -> Option<&VdmView> {
         self.views.get(&name.to_ascii_lowercase())
-    }
-
-    /// The registry handle for the SQL binder.
-    pub fn registry(&self) -> &ViewRegistry {
-        &self.registry
     }
 
     /// Number of registered views, per layer.
@@ -205,7 +197,7 @@ mod tests {
         assert_eq!(plan.schema().field(0).name, "Customer");
         assert_eq!(plan.schema().field(1).name, "Country");
         assert!(m.view("i_customer").is_some());
-        assert!(m.registry().get("I_Customer").is_some());
+        assert_eq!(m.view("I_Customer").unwrap().plan.schema(), plan.schema());
     }
 
     #[test]
@@ -242,7 +234,7 @@ mod tests {
         assert!(m.basic_view_over("V", t, &[], vec![]).is_err());
         let new_plan = LogicalPlan::scan(table("u", &["k"]));
         m.replace_plan("v", new_plan.clone()).unwrap();
-        assert_eq!(m.registry().get("v").unwrap().schema(), new_plan.schema());
+        assert_eq!(m.view("v").unwrap().plan.schema(), new_plan.schema());
         assert!(m.replace_plan("zzz", new_plan).is_err());
     }
 

@@ -1,8 +1,9 @@
-//! Registry of plan-backed views.
+//! Registry of views, each a bound logical plan.
 //!
-//! The VDM layer (`vdm-model`) builds its views programmatically as logical
-//! plans; this registry is where the SQL binder finds them by name. SQL-text
-//! views live in the catalog instead.
+//! The one view store: `CREATE VIEW` binds its query once and registers the
+//! plan here, as do plans the VDM layer (`vdm-model`) builds itself. The SQL
+//! binder resolves a name to a table first, else to the plan registered
+//! here, so a view named twice in a query is one shared subplan.
 
 use crate::node::PlanRef;
 use std::collections::HashMap;

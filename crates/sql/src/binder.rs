@@ -11,13 +11,10 @@ use vdm_types::{Field, Result, Schema, SqlType, Value, VdmError};
 /// Expression macros by (lowercase) name (§7.2).
 pub type MacroRegistry = HashMap<String, MacroDef>;
 
-/// Maximum view-expansion nesting (the paper reports real VDM stacks 24
-/// deep; 64 leaves room while still catching cycles).
-const MAX_VIEW_DEPTH: usize = 64;
-
 /// The binder: resolves names against the catalog, plan-view registry, and
-/// macro registry, and produces logical plans. Views are inlined during
-/// binding (heuristic rewrite #1 in the paper's description of HANA).
+/// macro registry, and produces logical plans. A view is bound once, when
+/// it is defined; a query naming it is bound over its plan (heuristic
+/// rewrite #1 in the paper's description of HANA: views are inlined).
 pub struct Binder<'a> {
     pub catalog: &'a Catalog,
     pub views: &'a ViewRegistry,
@@ -113,20 +110,11 @@ impl<'a> Binder<'a> {
 
     /// Binds a full SELECT statement (with unions, ordering, paging).
     pub fn bind_select(&self, stmt: &SelectStmt) -> Result<PlanRef> {
-        self.bind_select_depth(stmt, 0)
-    }
-
-    fn bind_select_depth(&self, stmt: &SelectStmt, depth: usize) -> Result<PlanRef> {
-        if depth > MAX_VIEW_DEPTH {
-            return Err(VdmError::Bind(
-                "view nesting too deep (cycle in view definitions?)".into(),
-            ));
-        }
-        let mut plan = self.bind_core(stmt, depth)?;
+        let mut plan = self.bind_core(stmt)?;
         if !stmt.union_all.is_empty() {
             let mut arms = vec![plan];
             for arm in &stmt.union_all {
-                arms.push(self.bind_core(arm, depth)?);
+                arms.push(self.bind_core(arm)?);
             }
             plan = LogicalPlan::union_all(arms)?;
         }
@@ -166,9 +154,9 @@ impl<'a> Binder<'a> {
         }
     }
 
-    fn bind_core(&self, stmt: &SelectStmt, depth: usize) -> Result<PlanRef> {
+    fn bind_core(&self, stmt: &SelectStmt) -> Result<PlanRef> {
         let (mut plan, scope) = match &stmt.from {
-            Some(tr) => self.bind_table_ref(tr, depth)?,
+            Some(tr) => self.bind_table_ref(tr)?,
             None => {
                 // FROM-less select: one synthetic row.
                 let schema = Schema::new(vec![Field::new("__dual", SqlType::Int, false)]);
@@ -527,39 +515,30 @@ impl<'a> Binder<'a> {
 
     // --------------------------------------------------------- FROM
 
-    fn bind_table_ref(&self, tr: &TableRef, depth: usize) -> Result<(PlanRef, Scope)> {
+    fn bind_table_ref(&self, tr: &TableRef) -> Result<(PlanRef, Scope)> {
         match tr {
             TableRef::Named { name, alias } => {
                 let qualifier = Some(alias.clone().unwrap_or_else(|| name.clone()));
-                // Resolution order: base table, plan view, SQL view.
-                if let Some(table) = self.catalog.table(name) {
-                    let plan = LogicalPlan::scan(table);
-                    let scope = Scope::single(qualifier, plan.schema());
-                    return Ok((plan, scope));
-                }
-                if let Some(plan) = self.views.get(name) {
-                    let scope = Scope::single(qualifier, plan.schema());
-                    return Ok((plan, scope));
-                }
-                if let Some(view) = self.catalog.view(name) {
-                    let stmt = crate::parser::parse_one(&view.sql)?;
-                    let Statement::Select(sel) = stmt else {
-                        return Err(VdmError::Bind(format!("view {name:?} body is not a SELECT")));
-                    };
-                    let plan = self.bind_select_depth(&sel, depth + 1)?;
-                    let scope = Scope::single(qualifier, plan.schema());
-                    return Ok((plan, scope));
-                }
-                Err(VdmError::Bind(format!("unknown relation {name:?}")))
+                // A table, else a view: the registered plan itself, so a
+                // view named twice is one shared subplan.
+                let plan = match self.catalog.table(name) {
+                    Some(table) => LogicalPlan::scan(table),
+                    None => self
+                        .views
+                        .get(name)
+                        .ok_or_else(|| VdmError::Bind(format!("unknown relation {name:?}")))?,
+                };
+                let scope = Scope::single(qualifier, plan.schema());
+                Ok((plan, scope))
             }
             TableRef::Subquery { query, alias } => {
-                let plan = self.bind_select_depth(query, depth + 1)?;
+                let plan = self.bind_select(query)?;
                 let scope = Scope::single(Some(alias.clone()), plan.schema());
                 Ok((plan, scope))
             }
             TableRef::Join { left, right, kind, cardinality, case_join, on } => {
-                let (lp, ls) = self.bind_table_ref(left, depth)?;
-                let (rp, rs) = self.bind_table_ref(right, depth)?;
+                let (lp, ls) = self.bind_table_ref(left)?;
+                let (rp, rs) = self.bind_table_ref(right)?;
                 let nl = ls.width();
                 let scope = ls.join(rs);
                 let on_expr = on.as_ref().map(|e| self.bind_scalar(e, &scope)).transpose()?;

@@ -512,17 +512,19 @@ impl Parser {
 
     fn table_factor(&mut self) -> Result<TableRef> {
         if self.eat_sym("(") {
-            if self.at_kw("select") {
-                let query = self.select_with_unions()?;
-                self.expect_sym(")")?;
-                self.eat_kw("as");
-                let alias = self.ident()?;
-                return Ok(TableRef::Subquery { query: Box::new(query), alias });
-            }
-            // Parenthesized join tree.
-            let inner = self.table_ref()?;
-            self.expect_sym(")")?;
-            return Ok(inner);
+            return self.nested(|p| {
+                if p.at_kw("select") {
+                    let query = p.select_with_unions()?;
+                    p.expect_sym(")")?;
+                    p.eat_kw("as");
+                    let alias = p.ident()?;
+                    return Ok(TableRef::Subquery { query: Box::new(query), alias });
+                }
+                // Parenthesized join tree.
+                let inner = p.table_ref()?;
+                p.expect_sym(")")?;
+                Ok(inner)
+            });
         }
         let name = self.ident()?;
         let has_alias = self.eat_kw("as")
@@ -534,12 +536,17 @@ impl Parser {
     // ------------------------------------------------------ expressions
 
     fn expr(&mut self) -> Result<AstExpr> {
+        self.nested(Parser::or_expr)
+    }
+
+    /// Runs `f` one nesting level deeper, erroring past [`MAX_RECURSION`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Parser) -> Result<T>) -> Result<T> {
         self.depth += 1;
         if self.depth > MAX_RECURSION {
             self.depth -= 1;
-            return Err(VdmError::Parse("expression nesting too deep".into()));
+            return Err(VdmError::Parse("expression or FROM nesting too deep".into()));
         }
-        let out = self.or_expr();
+        let out = f(self);
         self.depth -= 1;
         out
     }
@@ -841,6 +848,18 @@ mod tests {
         assert_eq!(s.items.len(), 2);
         assert!(s.where_clause.is_some());
         assert!(matches!(&s.items[1], SelectItem::Expr { alias: Some(a), .. } if a == "bee"));
+    }
+
+    #[test]
+    fn from_nesting_is_bounded() {
+        let parens = |n: usize| format!("select * from {}t{}", "(".repeat(n), ")".repeat(n));
+        let subqueries =
+            |n: usize| format!("select * from {}t{}", "(select * from ".repeat(n), ") s".repeat(n));
+        for nested in [parens, subqueries] {
+            assert!(parse(&nested(40)).is_ok());
+            let err = parse(&nested(5_000)).unwrap_err();
+            assert!(err.to_string().contains("nesting"), "{err}");
+        }
     }
 
     #[test]

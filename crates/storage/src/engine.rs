@@ -3,14 +3,15 @@
 use crate::column::Batch;
 use crate::store::TableStore;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::sync::RwLock;
 use vdm_catalog::TableDef;
 use vdm_types::{Result, Value, VdmError};
 
 /// A read timestamp. Scans against one snapshot observe a consistent state
-/// regardless of concurrent writes.
+/// regardless of concurrent writes — until the next merge, unless the
+/// snapshot is held by a [`ReadPin`] (see [`StorageEngine::snapshot`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Snapshot(pub u64);
 
@@ -19,6 +20,31 @@ pub struct Snapshot(pub u64);
 pub struct StorageEngine {
     tables: RwLock<HashMap<String, Arc<RwLock<TableStore>>>>,
     clock: AtomicU64,
+    /// Live [`ReadPin`]s: while any is held, merges append and never compact.
+    pins: AtomicUsize,
+}
+
+/// A read's hold on its snapshot across merges. While any pin lives, a
+/// merge appends the delta to main with its stamps instead of compacting,
+/// so it drops no row version the snapshot sees and moves no physical
+/// position a morsel index addresses.
+#[derive(Debug)]
+pub struct ReadPin<'a> {
+    pins: &'a AtomicUsize,
+    snapshot: Snapshot,
+}
+
+impl ReadPin<'_> {
+    /// The pinned snapshot.
+    pub fn snapshot(&self) -> Snapshot {
+        self.snapshot
+    }
+}
+
+impl Drop for ReadPin<'_> {
+    fn drop(&mut self) {
+        self.pins.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 impl StorageEngine {
@@ -57,9 +83,19 @@ impl StorageEngine {
             .ok_or_else(|| VdmError::Storage(format!("unknown table {name:?}")))
     }
 
-    /// The current read snapshot.
+    /// The current read snapshot. A bare snapshot holds only until the next
+    /// merge, which compacts away the rows deleted by then; a read that may
+    /// span a merge takes a [`StorageEngine::pin`] instead.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot(self.clock.load(Ordering::SeqCst))
+    }
+
+    /// Pins the current snapshot for a read: merges leave it whole until the
+    /// pin drops. The count goes up *before* the clock is read, so a merge
+    /// that saw no pin compacted at a timestamp this snapshot is not behind.
+    pub fn pin(&self) -> ReadPin<'_> {
+        self.pins.fetch_add(1, Ordering::SeqCst);
+        ReadPin { pins: &self.pins, snapshot: self.snapshot() }
     }
 
     fn next_ts(&self) -> u64 {
@@ -200,12 +236,14 @@ impl StorageEngine {
         Ok(self.table(name)?.read().unwrap().column_ranges())
     }
 
-    /// Merges a table's delta into its main fragment.
+    /// Merges a table's delta into its main fragment: compacting at the
+    /// clock when no read is pinned, else appending every delta row with
+    /// its stamps (a merge at timestamp 0 reclaims nothing).
     pub fn merge_delta(&self, name: &str) -> Result<()> {
         let table = self.table(name)?;
+        let mut store = table.write().unwrap();
         let ts = self.clock.load(Ordering::SeqCst);
-        let result = table.write().unwrap().merge_delta(ts);
-        result
+        store.merge_delta(if self.pins.load(Ordering::SeqCst) == 0 { ts } else { 0 })
     }
 
     /// Delta size diagnostics.
@@ -373,6 +411,51 @@ mod tests {
         assert_eq!((main, delta), (2, 0));
         assert_eq!(e.scan("t", old).unwrap().num_rows(), 1, "merge preserves stamps");
         assert_eq!(e.scan("t", e.snapshot()).unwrap().num_rows(), 2);
+    }
+
+    #[test]
+    fn a_merge_beside_a_pinned_read_drops_nothing() {
+        let e = engine_with_table();
+        e.insert("t", (0..200).map(|k| row(k, k)).collect()).unwrap();
+        e.merge_delta("t").unwrap();
+        let pin = e.pin();
+        e.delete_where("t", &|r| matches!(r[0], Value::Int(k) if k < 30)).unwrap();
+        e.merge_delta("t").unwrap();
+        assert_eq!(e.scan("t", pin.snapshot()).unwrap().num_rows(), 200);
+        assert_eq!(e.fragment_sizes("t").unwrap(), (200, 0), "a pinned merge appends");
+        drop(pin);
+        e.merge_delta("t").unwrap();
+        assert_eq!(e.fragment_sizes("t").unwrap(), (170, 0), "an unpinned merge compacts");
+    }
+
+    /// Morsels read before and after a merge address the same physical rows:
+    /// their union is the scan at the pin, whether the merge has only rows
+    /// deleted after the pin to keep or also rows deleted before it, which
+    /// an unpinned merge would compact away.
+    #[test]
+    fn morsels_read_across_a_merge_equal_the_scan_at_the_pin() {
+        let morsel = |e: &StorageEngine, snap, m| {
+            let filter = crate::store::ScanFilter::default();
+            e.scan_morsel("t", snap, m, 16, filter, None).unwrap().0.to_rows()
+        };
+        for deleted_before_pin in [false, true] {
+            let e = engine_with_table();
+            e.insert("t", (0..100).map(|k| row(k, k)).collect()).unwrap();
+            e.merge_delta("t").unwrap();
+            if deleted_before_pin {
+                e.delete_where("t", &|r| matches!(r[0], Value::Int(k) if k >= 90)).unwrap();
+            }
+            e.insert("t", (100..120).map(|k| row(k, k)).collect()).unwrap();
+            let pin = e.pin();
+            let at_pin = e.scan("t", pin.snapshot()).unwrap().to_rows();
+            let mut got = morsel(&e, pin.snapshot(), 0);
+            e.delete_where("t", &|r| matches!(r[0], Value::Int(k) if k % 7 == 0)).unwrap();
+            e.merge_delta("t").unwrap();
+            for m in 1..e.morsel_count("t", 16).unwrap() {
+                got.extend(morsel(&e, pin.snapshot(), m));
+            }
+            assert_eq!(got, at_pin, "deleted before the pin: {deleted_before_pin}");
+        }
     }
 
     #[test]

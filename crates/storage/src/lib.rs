@@ -26,7 +26,7 @@ pub mod store;
 pub mod zonemap;
 
 pub use column::{Batch, Column, ColumnData};
-pub use engine::{Snapshot, StorageEngine};
+pub use engine::{ReadPin, Snapshot, StorageEngine};
 pub use nse::{LoadMode, PageStats};
 pub use store::{MaskFn, ScanFilter, TableStore};
 pub use zonemap::ScanRange;

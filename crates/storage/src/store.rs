@@ -556,9 +556,9 @@ impl TableStore {
         self.main.meta.iter().chain(&self.delta.meta).filter(|m| m.visible_at(ts)).count()
     }
 
-    /// Folds the delta into the main fragment, dropping rows already
-    /// deleted before every possible reader (compaction at `ts`: row
-    /// versions with `delete_ts <= ts` vanish; others keep their stamps).
+    /// Folds the delta into the main fragment, dropping the row versions
+    /// deleted at or before `ts` (others keep their stamps). The engine
+    /// passes its clock when no read is pinned, else 0, which drops nothing.
     /// Without a reclaimable main row only the delta's survivors are read,
     /// appended to main in place and the zone maps extended; otherwise both
     /// fragments' survivors become main and the maps are rebuilt. Either way

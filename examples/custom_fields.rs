@@ -62,7 +62,7 @@ fn main() -> vdm_types::Result<()> {
         "               {} joins after  optimization (ASJ removed, field re-wired)",
         plan_stats(&optimized).joins
     );
-    db.register_view("sales_order_ext", extended);
+    db.register_view("sales_order_ext", extended)?;
     let rows = db.query(
         "select SalesOrder, NetAmount, zz_priority from sales_order_ext order by SalesOrder",
     )?;

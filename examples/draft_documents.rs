@@ -40,8 +40,8 @@ fn main() -> vdm_types::Result<()> {
     db.execute("insert into sales_doc_draft values (3, 'Cumulus', 410.00)")?;
 
     let pair = DraftPair::new(active, draft)?;
-    db.register_view("sales_doc_operational", pair.operational_plan()?);
-    db.register_view("sales_doc_analytical", pair.analytical_plan());
+    db.register_view("sales_doc_operational", pair.operational_plan()?)?;
+    db.register_view("sales_doc_analytical", pair.analytical_plan())?;
 
     // The operational UI sees committed + in-progress documents.
     println!("operational view (active ⊎ draft):");

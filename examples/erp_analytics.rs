@@ -28,7 +28,7 @@ fn main() -> vdm_types::Result<()> {
     );
 
     // Register the DAC-protected view so SQL can use it.
-    db.register_view("journal_entry_item_browser", browser.protected.clone());
+    db.register_view("journal_entry_item_browser", browser.protected.clone())?;
 
     // 1. The paper's count(*): almost everything is optimized away.
     let plan = db.optimized_plan("select count(*) from journal_entry_item_browser")?;

@@ -231,6 +231,18 @@ if [ -n "$KEY_EQ$OPT_ROWS" ]; then
   echo "compare keys through hash::KeyEq and gather build columns with column::gather_ids"; exit 1
 fi
 
+echo "== one view store, one namespace (the Fig. 3 browser is CREATE VIEW text) =="
+# Every view is a bound plan in vdm_plan::ViewRegistry, and vdm_core::DbState
+# keeps tables and views in one namespace: outside tests (cut as
+# scripts/loc.sh cuts), no SQL-text view store is left, and erp.rs binds the
+# browser from journal_entry_item_browser.sql instead of assembling joins.
+VIEW_STORES="$(printf '%s\n' "$KEY_SCAN" \
+  | grep -E 'SqlView|create_or_replace_view|^crates/data/src/erp\.rs:[0-9]+: .*LogicalPlan::join\(' || true)"
+if [ -n "$VIEW_STORES" ]; then
+  echo "$VIEW_STORES"
+  echo "views are plans in ViewRegistry (no SqlView store); erp.rs builds no joins by hand"; exit 1
+fi
+
 echo "== touched fields only (rows are built from referenced columns; one predicate evaluator) =="
 # Outside test modules, vdm-exec never materializes a whole row (`.row(`):
 # filters, projections, sort keys, join residuals and aggregate arguments
@@ -294,14 +306,13 @@ if [ "$MATERIALIZE" != "recompute" ] || [ "$PUSHED" != "recompute_groups" ]; the
 fi
 
 echo "== non-test source size (scripts/loc.sh) =="
-# The size to beat is 24 350 lines, set when the N:1 probe came to look a
-# morsel up at a time through one key comparator and the metric catalog to
-# declare each metric once (-82 from 24 432); a change that lowers it
-# rebases it here.
+# The size to beat is 24 093 lines, set when the Fig. 3 browser became
+# CREATE VIEW text and the SQL-text view store went (-257 from 24 350); a
+# change that lowers it rebases it here.
 LOC_TOTAL="$(scripts/loc.sh | awk '$1 == "total" { print $2 }')"
 echo "total $LOC_TOTAL"
-if [ "$LOC_TOTAL" -gt 24350 ]; then
-  echo "non-test source grew past 24 350 lines"; exit 1
+if [ "$LOC_TOTAL" -gt 24093 ]; then
+  echo "non-test source grew past 24 093 lines"; exit 1
 fi
 
 echo "== metrics are registered only through vdm-obs (no stray metric name literals) =="

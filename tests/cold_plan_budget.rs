@@ -62,7 +62,7 @@ fn a_cold_optimize_allocates_within_its_budget() {
     let mut db = Database::new(Profile::hana());
     let (catalog, engine) = db.catalog_and_engine();
     let schema = Erp { journal_rows: 1_000, seed: 4711 }.build(catalog, engine).unwrap();
-    db.register_view(BROWSER, journal_entry_item_browser(&schema).unwrap().protected);
+    db.register_view(BROWSER, journal_entry_item_browser(&schema).unwrap().protected).unwrap();
     let mut over = Vec::new();
     for ((name, sql), (budget_of, parent, budget)) in SHAPES.iter().zip(BUDGETS) {
         assert_eq!(*name, budget_of);

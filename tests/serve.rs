@@ -77,7 +77,7 @@ fn prepared_plans_reoptimize_after_invalidation_and_match_cold_optimize() {
 
     // Registering a (plan-level) view is DDL too.
     let view_plan = db.state().binder().bind_select(&select_of("select k from t")).unwrap();
-    db.register_view("t_keys", view_plan);
+    db.register_view("t_keys", view_plan).unwrap();
     let (d5, o5) = cached_digest(&db, sql, &params);
     assert_eq!(o5, CacheOutcome::Miss, "view registration must invalidate");
     assert_eq!(d5, cold_digest(&db, sql, &params));
@@ -139,7 +139,7 @@ fn browser_server(journal_rows: usize) -> Server {
     let schema = erp.build(catalog, engine).expect("ERP generation");
     db.invalidate_plans();
     let browser = journal_entry_item_browser(&schema).expect("browser view");
-    db.register_view("journal_entry_item_browser", browser.protected.clone());
+    db.register_view("journal_entry_item_browser", browser.protected.clone()).unwrap();
     Server::from_database(db)
 }
 

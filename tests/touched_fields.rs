@@ -61,7 +61,7 @@ fn erp_database(unmerged: bool) -> Database {
     let mut db = Database::new(Profile::hana());
     let (catalog, engine) = db.catalog_and_engine();
     let schema = Erp { journal_rows: 600, seed: 4711 }.build(catalog, engine).unwrap();
-    db.register_view(BROWSER, journal_entry_item_browser(&schema).unwrap().protected);
+    db.register_view(BROWSER, journal_entry_item_browser(&schema).unwrap().protected).unwrap();
     settle(db.catalog(), db.engine(), unmerged);
     db
 }

@@ -1,17 +1,19 @@
 //! VDM-layer scenarios end-to-end: layered views with associations, DAC
-//! injection, the draft pattern, and custom-field extension — all executed
-//! through the `Database` facade.
+//! injection, the draft pattern, custom-field extension, the one namespace
+//! of tables and views, and the Fig. 3 browser's DDL — all executed through
+//! the `Database` facade.
 
 use std::sync::Arc;
 use vdm_catalog::TableBuilder;
 use vdm_core::Database;
+use vdm_data::erp::{Erp, BROWSER_SQL};
 use vdm_expr::Expr;
 use vdm_model::{
     extension::{extend_with_fields, ExtensionSpec},
     AccessPolicy, Association, DacRule, DraftPair, VdmModel, VdmView, ViewLayer,
 };
-use vdm_plan::{plan_stats, DeclaredCardinality, LogicalPlan};
-use vdm_types::{SqlType, Value};
+use vdm_plan::{plan_stats, DeclaredCardinality, LogicalPlan, PlanRef};
+use vdm_types::{Result, SqlType, Value, VdmError};
 
 fn sales_world(db: &mut Database) -> (Arc<vdm_catalog::TableDef>, Arc<vdm_catalog::TableDef>) {
     let vbak = db
@@ -94,7 +96,8 @@ fn layered_views_with_associations() {
     db.register_view(
         "C_SalesOrderEnriched",
         model.view("C_SalesOrderEnriched").unwrap().plan.clone(),
-    );
+    )
+    .unwrap();
     let rows = db
         .query("select SalesOrder, CustomerName from C_SalesOrderEnriched order by SalesOrder")
         .unwrap();
@@ -143,8 +146,8 @@ fn dac_restricts_per_user() {
     );
     let german = policy.protect("german_sales", "orders_v", view.clone()).unwrap();
     let audit = policy.protect("global_audit", "orders_v", view.clone()).unwrap();
-    db.register_view("orders_german", german);
-    db.register_view("orders_audit", audit);
+    db.register_view("orders_german", german).unwrap();
+    db.register_view("orders_audit", audit).unwrap();
     assert_eq!(db.query("select SalesOrder from orders_german").unwrap().num_rows(), 2);
     assert_eq!(db.query("select SalesOrder from orders_audit").unwrap().num_rows(), 3);
     // Unknown user: denied outright.
@@ -168,7 +171,7 @@ fn draft_pattern_full_cycle() {
     db.engine().create_table(Arc::clone(&draft)).unwrap();
     db.execute("insert into doc values (1, 100.00), (2, 40.00)").unwrap();
     let pair = DraftPair::new(active, draft).unwrap();
-    db.register_view("doc_op", pair.operational_plan().unwrap());
+    db.register_view("doc_op", pair.operational_plan().unwrap()).unwrap();
 
     // 1. User starts editing: draft row appears in the operational view only.
     db.execute("insert into doc_draft values (3, 77.70)").unwrap();
@@ -196,7 +199,7 @@ fn custom_field_extension_through_sql() {
         fields: vec!["zz_region".into()],
     };
     let extended = extend_with_fields(managed, vbak, &spec).unwrap();
-    db.register_view("sales_ext", extended);
+    db.register_view("sales_ext", extended).unwrap();
     // The custom field flows through SQL...
     let rows = db.query("select SalesOrder, zz_region from sales_ext order by SalesOrder").unwrap();
     assert_eq!(rows.row(0)[1], Value::str("EMEA"));
@@ -205,4 +208,53 @@ fn custom_field_extension_through_sql() {
     let plan = db.optimized_plan("select SalesOrder, zz_region from sales_ext").unwrap();
     assert_eq!(plan_stats(&plan).joins, 0);
     assert_eq!(plan_stats(&plan).table_instances, 1);
+}
+
+/// Tables and views share one namespace: each way of giving a name that one
+/// kind holds to the other is a catalog error, and the holder still reads
+/// as before.
+#[test]
+fn tables_and_views_share_one_namespace() {
+    let mut db = Database::hana();
+    db.execute_script(
+        "create table t (k bigint primary key, v bigint);
+         insert into t values (1, 10), (2, 20);
+         create view w as select k from t",
+    )
+    .unwrap();
+    let plan = db.plan("select k from t").unwrap();
+    type Attempt = fn(&mut Database, PlanRef) -> Result<()>;
+    let cases: [(&str, &str, Attempt); 4] = [
+        ("view over a table", "t", |db, _| {
+            db.execute("create view t as select k from t").map(drop)
+        }),
+        ("table over a view", "w", |db, _| {
+            db.execute("create table w (a int, b int, c int)").map(drop)
+        }),
+        ("replacing view over a table", "t", |db, _| {
+            db.execute("create or replace view t as select k from t").map(drop)
+        }),
+        ("register_view over a table", "t", |db, plan| db.register_view("t", plan)),
+    ];
+    for (case, name, attempt) in cases {
+        let read = |db: &Database| db.query(&format!("select * from {name}")).unwrap().to_rows();
+        let before = read(&db);
+        let err = attempt(&mut db, plan.clone()).unwrap_err();
+        assert!(matches!(err, VdmError::Catalog(_)), "{case}: {err}");
+        assert_eq!(read(&db), before, "{case}");
+    }
+}
+
+/// The browser's shipped DDL is checked as user DDL, not only through the
+/// loader: run as a script on an ERP database, the browser reads every
+/// journal row once.
+#[test]
+fn the_browser_ddl_runs_as_a_user_script() {
+    let mut db = Database::hana();
+    let (catalog, engine) = db.catalog_and_engine();
+    Erp { journal_rows: 300, seed: 7 }.build(catalog, engine).unwrap();
+    db.execute_script(BROWSER_SQL).unwrap();
+    let count = |sql| db.query(sql).unwrap().row(0)[0].clone();
+    assert_eq!(count("select count(*) from journal_entry_item_browser"), Value::Int(300));
+    assert_eq!(count("select count(*) from acdoca"), Value::Int(300));
 }
